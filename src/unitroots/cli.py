@@ -15,11 +15,16 @@ from pathlib import Path
 
 from . import battery as battery_mod
 from . import runner, selftest
-from .errors import UnitRootError
+from .errors import ConfigInvalid, UnitRootError
 
 
 def _load_config(args, default_routes=None):
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        raw = json.loads(Path(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{args.config} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("config must be a JSON object")
     if getattr(args, "route", None):
         routes = {"a": "A", "b": "B", "c": "C", "oracle": "oracle"}
         if args.route == "all":

@@ -17,16 +17,19 @@ Matrices hold ring elements as integer tensors of shape
 semantics (float64 BLAS is used only when every intermediate fits exactly).
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM)
+from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM,
+                     PrecisionTooLow)
 from .hyperg import _solutions
 from .oracle import orbit_degree
-from .padic import RingElem, pi_pow_over_factorials, teichmueller
+from .padic import (RingElem, newton_root, pi_pow_over_factorials, split_p,
+                    teichmueller)
 from .weights import enumerate_weighted_monomials, in_cone, weight
 
 
@@ -64,7 +67,8 @@ def splitting_coefficients(ring, imax):
 
 
 def default_s_cut(ring):
-    """Kernel-sum cutoff making every omitted term vanish mod p^N."""
+    """Kernel-sum cutoff making every omitted term vanish mod p^N; route A
+    starts its series degree cap at the same value."""
     return math.ceil(ring.N * ring.p ** 2 / (ring.p - 1))
 
 
@@ -109,9 +113,6 @@ class XSeries:
     support: dict
     wmax: Fraction
     side: str
-
-    def coefficient(self, mu):
-        return self.support.get(tuple(mu))
 
     def norm_order(self, W, ring):
         """Order of the weighted sup-norm; None for the zero vector."""
@@ -205,6 +206,27 @@ class OperatorData:
             self._btables[oi] = {mu: v for mu, v in table.items() if not v.is_zero()}
         return self._btables[oi]
 
+    def at_precision(self, ring):
+        """This operator over `ring`, a lower precision of the same ring.
+
+        Every table already computed is reduced, not recomputed.  The kernel
+        cutoff drops to the one `ring` needs: the terms beyond it vanish
+        there, so the reduced tables equal the ones built at `ring` directly.
+        """
+        od = copy.copy(self)
+        od.ring = ring
+        od.s_cut = min(self.s_cut, default_s_cut(ring))
+        od.lam_orbit = [tuple(x.reduce_to(ring) for x in lam)
+                        for lam in self.lam_orbit]
+        od.sc = SplittingCoeffs(ring, tuple(b.reduce_to(ring)
+                                            for b in self.sc.b[:od.s_cut + 1]))
+        od._btables = {}
+        for oi, table in self._btables.items():
+            reduced = {mu: v.reduce_to(ring) for mu, v in table.items()}
+            od._btables[oi] = {mu: v for mu, v in reduced.items() if not v.is_zero()}
+        od._onestep = {oi: T % ring.pN for oi, T in self._onestep.items()}
+        return od
+
     def B(self, oi, mu):
         """Kernel coefficient at orbit point oi (zero off the table)."""
         return self.kernel_table(oi).get(tuple(mu), self.ring.zero())
@@ -234,10 +256,11 @@ class OperatorData:
 
     def dual_cycle(self, vec):
         """One full dual cycle applied to a coefficient tensor (dim, p-1, m)."""
+        col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
             M = self.one_step_matrix(oi)
-            vec = _tensor_matvec(self.ring, np.swapaxes(M, 0, 1), vec)
-        return vec
+            col = _tensor_matmul(self.ring, np.swapaxes(M, 0, 1), col)
+        return col[:, 0]
 
 
 @dataclass
@@ -252,8 +275,7 @@ class RingMatrix:
         return self.tensor.shape[0]
 
     def entry(self, i, j):
-        return RingElem(self.ring, tuple(tuple(int(c) for c in row)
-                                         for row in self.tensor[i, j]), check=False)
+        return RingElem(self.ring, self.tensor[i, j])
 
     def matmul(self, other):
         return RingMatrix(self.ring, self.W, self.basis,
@@ -261,24 +283,16 @@ class RingMatrix:
 
     def trace(self):
         diag = self.tensor.diagonal(axis1=0, axis2=1)  # (npi, m, dim)
-        s = diag.sum(axis=2) % self.ring.pN
-        return RingElem(self.ring, tuple(tuple(int(c) for c in row) for row in s),
-                        check=False)
-
-    def reduce_to(self, ring):
-        return RingMatrix(ring, self.W, self.basis, self.tensor % ring.pN)
+        return RingElem(self.ring, diag.sum(axis=2))
 
 
-def _pair_products(spec, A, B, matvec=False):
+def _pair_products(spec, A, B):
     """Raw convolution over (pi, t)-slots with exact integer products."""
     npi, m, pN = spec.npi, spec.m, spec.pN
     dim = A.shape[0]
-    if matvec:
-        shape = (dim, 2 * npi - 1, 2 * m - 1)
-    else:
-        shape = (dim, B.shape[1], 2 * npi - 1, 2 * m - 1)
+    shape = (dim, B.shape[1], 2 * npi - 1, 2 * m - 1)
     if dim * (pN - 1) ** 2 >= 2 ** 62:
-        raise ValueError("precision * dimension beyond exact integer matmul")
+        raise PrecisionTooLow("precision * dimension beyond exact integer matmul")
     use_float = dim * (pN - 1) ** 2 < 2 ** 52
     dt = np.float64 if use_float else np.int64
     raw = np.zeros(shape, dtype=np.int64)
@@ -290,20 +304,14 @@ def _pair_products(spec, A, B, matvec=False):
             Af = Aslice.astype(dt)
             for j2 in range(npi):
                 for k2 in range(m):
-                    if matvec:
-                        Bslice = B[:, j2, k2]
-                    else:
-                        Bslice = B[:, :, j2, k2]
+                    Bslice = B[:, :, j2, k2]
                     if not Bslice.any():
                         continue
                     prod = Af @ Bslice.astype(dt)
                     if use_float:
                         prod = prod % pN
                         prod = prod.astype(np.int64)
-                    if matvec:
-                        raw[:, j1 + j2, k1 + k2] = (raw[:, j1 + j2, k1 + k2] + prod) % pN
-                    else:
-                        raw[:, :, j1 + j2, k1 + k2] = (raw[:, :, j1 + j2, k1 + k2] + prod) % pN
+                    raw[:, :, j1 + j2, k1 + k2] = (raw[:, :, j1 + j2, k1 + k2] + prod) % pN
     return raw
 
 
@@ -330,16 +338,11 @@ def _tensor_matmul(spec, A, B):
     return _fold(spec, _pair_products(spec, A, B))
 
 
-def _tensor_matvec(spec, A, v):
-    return _fold(spec, _pair_products(spec, A, v, matvec=True))
-
-
 def _vec_to_xseries(odata, vec):
     ring = odata.ring
     out = {}
     for i, mu in enumerate(odata.basis):
-        e = RingElem(ring, tuple(tuple(int(c) for c in row) for row in vec[i]),
-                     check=False)
+        e = RingElem(ring, vec[i])
         if not e.is_zero():
             out[mu] = e
     return XSeries(out, odata.wmax, "B*")
@@ -408,8 +411,7 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
     normalizers = []
     for cycle in range(1, budget + 1):
         vec = odata.dual_cycle(vec)
-        c = RingElem(ring, tuple(tuple(int(x) for x in row) for row in vec[0]),
-                     check=False)
+        c = RingElem(ring, vec[0])
         cinv = c.inverse()
         vec = _scale_tensor(ring, vec, cinv)
         normalizers.append(c)
@@ -423,15 +425,10 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
 
 
 def _scale_tensor(ring, vec, c):
-    scal = np.zeros((1, 1, ring.npi, ring.m), dtype=np.int64)
-    scal[0, 0] = np.array(c.rows, dtype=np.int64)
-    # reuse the matmul kernel with a 1x1 "matrix" acting slotwise
-    dim = vec.shape[0]
-    out = np.zeros_like(vec)
-    raw = np.zeros((dim, 2 * ring.npi - 1, 2 * ring.m - 1), dtype=np.int64)
-    for j1 in range(ring.npi):
-        for k1 in range(ring.m):
-            a = int(scal[0, 0, j1, k1])
+    """Every slot of a coefficient tensor (dim, p-1, m) times the element c."""
+    raw = np.zeros((vec.shape[0], 2 * ring.npi - 1, 2 * ring.m - 1), dtype=np.int64)
+    for j1, row in enumerate(c.rows):
+        for k1, a in enumerate(row):
             if not a:
                 continue
             raw[:, j1:j1 + ring.npi, k1:k1 + ring.m] = (
@@ -456,12 +453,6 @@ class FredholmPoly:
 
     def __len__(self):
         return len(self.coeffs)
-
-    def evaluate(self, x):
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @dataclass
@@ -488,13 +479,7 @@ def charpoly_degree_cap(basis_weights, p, N, dim):
 
 def charpoly_boost(p, cap):
     """Extra precision absorbing the divisions in the Newton identities."""
-    v = 0
-    for k in range(2, cap + 1):
-        kk = k
-        while kk % p == 0:
-            v += 1
-            kk //= p
-    return v + 1
+    return sum(split_p(k, p)[0] for k in range(2, cap + 1)) + 1
 
 
 def fredholm_coefficients(Mx, target_ring):
@@ -522,11 +507,7 @@ def fredholm_coefficients(Mx, target_ring):
             acc = acc + traces[j - 1] * coeffs[k - j]
         acc = -acc
         # exact division by k
-        v = 0
-        kk = k
-        while kk % ring.p == 0:
-            v += 1
-            kk //= ring.p
+        v, kk = split_p(k, ring.p)
         acc = acc * ring.from_int(kk).inverse()
         if v:
             acc = acc.divide_exact_p(v)
@@ -649,30 +630,18 @@ def lfunction_from_fredholm(P, n, s):
 
 
 def unit_root_of_poly(coeffs, ring):
-    """The reciprocal of the unique unit zero of a polynomial with c_0 = 1."""
-    v1 = coeffs[1].valuation() if len(coeffs) > 1 else None
-    if v1 is None or v1 > 0:
+    """The reciprocal of the unique unit zero of a polynomial with c_0 = 1.
+
+    With c_0 = 1 and integral coefficients, the slope-zero segment of the
+    Newton polygon ends at the last unit coefficient.
+    """
+    last = max((k for k in range(1, len(coeffs)) if coeffs[k].is_unit()),
+               default=None)
+    if last is None:
         raise NoUnitRoot("no slope-zero segment")
-    for k in range(2, len(coeffs)):
-        vk = coeffs[k].valuation()
-        if vk is not None and vk == 0:
-            raise MultipleUnitRoots("slope-zero segment longer than one")
-    tau = -(coeffs[1].inverse())
-    dcoeffs = [ring.from_int(k) * c for k, c in enumerate(coeffs) if k >= 1]
-
-    def _horner(cs, x):
-        acc = ring.zero()
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    for _ in range((ring.N * ring.npi).bit_length() + 2):
-        val = _horner(coeffs, tau)
-        if val.is_zero():
-            break
-        tau = tau - val * _horner(dcoeffs, tau).inverse()
-    assert _horner(coeffs, tau).is_zero()
-    return tau.inverse()
+    if last > 1:
+        raise MultipleUnitRoots("slope-zero segment longer than one")
+    return newton_root(coeffs, -(coeffs[1].inverse())).inverse()
 
 
 def adjoint_check(spec, wmax, ring, W=None):

@@ -59,7 +59,3 @@ class TooLarge(UnitRootError):
 
 class ConfigInvalid(UnitRootError):
     """Job configuration failed validation."""
-
-
-class RouteDisagreement(UnitRootError):
-    """Requested routes disagree at the requested precision."""

@@ -31,12 +31,6 @@ class FField:
     def one(self):
         return ((1,) + (0,) * (self.k - 1)) if self.k > 1 else (1,)
 
-    def gen(self):
-        if self.k == 1:
-            # F_p itself; s is a root of a linear modulus
-            return ((-self.modulus[0]) % self.p,)
-        return (0, 1) + (0,) * (self.k - 2)
-
     def elem(self, coeffs):
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.k:

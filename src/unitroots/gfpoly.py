@@ -3,7 +3,7 @@
 Polynomials are tuples of coefficients in ascending degree, entries reduced
 mod p, no trailing zeros (the zero polynomial is the empty tuple).  Only the
 handful of operations needed for field construction live here: product,
-remainder, gcd, modular powering, irreducibility testing and the
+division with remainder, gcd, modular powering, irreducibility testing and the
 deterministic search for the lexicographically least irreducible polynomial
 of a given degree.
 """
@@ -37,23 +37,28 @@ def mul(a, b, p):
     return trim(out)
 
 
-def rem(a, b, p):
-    """Remainder of a modulo b; b need not be monic."""
+def divrem(a, b, p):
+    """(quotient, remainder) of a by b; b need not be monic."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, -1, p)
-    while len(a) - 1 >= db and trim(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = (a[-1] * inv_lb) % p
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - f * b[i]) % p
-        a.pop()
-    return trim(a)
+    r = list(trim(a))
+    db = len(b) - 1
+    inv_lb = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        f = (r[-1] * inv_lb) % p
+        sh = len(r) - 1 - db
+        q[sh] = f
+        if f:
+            for i in range(db + 1):
+                r[sh + i] = (r[sh + i] - f * b[i]) % p
+        r.pop()
+    return trim(q), trim(r)
+
+
+def rem(a, b, p):
+    """Remainder of a modulo b; b need not be monic."""
+    return divrem(a, b, p)[1]
 
 
 def gcd(a, b, p):

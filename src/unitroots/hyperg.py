@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation, PrecisionUnstable
-from .padic import pi_pow_over_factorials, teichmueller
+from .padic import pi_pow_over_factorials, split_p, teichmueller
 from .weights import ExponentSet
 
 
@@ -70,10 +70,6 @@ class MultiSeries:
             for u, c in terms.items():
                 if sum(u) <= degmax and not _is_zero(c):
                     self.terms[tuple(u)] = c
-
-    def copy(self, degmax=None):
-        return MultiSeries(self.nvars, self.degmax if degmax is None else degmax,
-                           self.terms)
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars)
@@ -298,22 +294,11 @@ def hyperg_coefficient_series(A, i, degmax, ring=None):
     terms = {}
     for u in _solutions(A, i, degmax):
         if ring is None:
-            c = Fraction(1)
-            for e in u:
-                c /= _fact(e)
+            c = Fraction(1, math.prod(math.factorial(e) for e in u))
         else:
             c = pi_pow_over_factorials(ring, sum(u), u)
         terms[u] = c
     return MultiSeries(len(A.vectors), degmax, terms)
-
-
-_FCACHE = [1]
-
-
-def _fact(n):
-    while len(_FCACHE) <= n:
-        _FCACHE.append(_FCACHE[-1] * len(_FCACHE))
-    return _FCACHE[n]
 
 
 def calF_series(A, degmax, ring):
@@ -345,10 +330,6 @@ def route_a_once(spec, degmax, ring, orbit_length, series=None):
     for point in _teichmueller_orbit(spec, ring, orbit_length):
         u = u * series.evaluate(point)
     return u
-
-
-def default_degmax(ring):
-    return math.ceil(ring.N * ring.p ** 2 / (ring.p - 1))
 
 
 def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, digits=None,
@@ -388,11 +369,6 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, digits=None,
     raise PrecisionUnstable(
         f"route A tail not below the target order within degree {cap}"
         + ("" if agreed is None else f" (best agreement {agreed} digits)"))
-
-
-def unit_root_route_A(spec, degmax, ring, orbit_length, digits=None):
-    u, _, _ = unit_root_route_A_detailed(spec, degmax, ring, orbit_length, digits)
-    return u
 
 
 def check_annihilators(A, i, ell, degmax, p):
@@ -441,23 +417,10 @@ def check_annihilators(A, i, ell, degmax, p):
     for c in residuals:
         if c == 0:
             continue
-        v = _frac_valuation(c, p)
+        v = split_p(c.numerator, p)[0] - split_p(c.denominator, p)[0]
         if worst is None or v < worst:
             worst = v
     return worst
-
-
-def _frac_valuation(fr, p):
-    fr = Fraction(fr)
-    v = 0
-    num, den = fr.numerator, fr.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def generating_identity_check(A, irange, degmax, perturb=None):
@@ -472,9 +435,7 @@ def generating_identity_check(A, irange, degmax, perturb=None):
     by_i = {}
     for u in _solutions_all(A, degmax):
         i = tuple(sum(ua * a[j] for ua, a in zip(u, A.vectors)) for j in range(A.n))
-        c = Fraction(1)
-        for e in u:
-            c /= _fact(e)
+        c = Fraction(1, math.prod(math.factorial(e) for e in u))
         by_i.setdefault(i, {})[u] = c
     checked = set()
     import itertools

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ffield, gfpoly
 from .errors import TooLarge
-from .padic import zeta_p
+from .padic import horner, zeta_p
 
 ENUMERATION_GUARD = 10 ** 8
 
@@ -69,13 +69,7 @@ class CycloInt:
         return all(c == 0 for c in self.counts)
 
     def to_ring(self, ring):
-        z = zeta_p(ring)
-        acc = ring.zero()
-        zc = ring.one()
-        for c in self.counts:
-            acc = acc + zc * ring.from_int(c)
-            zc = zc * z
-        return acc
+        return horner(self.counts, zeta_p(ring))
 
 
 @dataclass
@@ -266,8 +260,3 @@ def embed_and_estimate(table, ring):
         ratios.append(b * a.inverse())
     diffs = [(v - u).valuation() for u, v in zip(ratios, ratios[1:])]
     return OracleEstimates(ratios, diffs, vals)
-
-
-def find_irreducible(p, degree):
-    """Deterministic lexicographic-least monic irreducible over F_p."""
-    return gfpoly.find_irreducible(p, degree)

@@ -109,9 +109,6 @@ class RingSpec:
         rows[1][0] = 1
         return RingElem(self, tuple(tuple(r) for r in rows), check=False)
 
-    def t_gen(self):
-        return self.from_tpoly((0, 1))
-
 
 def make_ring(p, m=1, g=None, N=4):
     """Validated ring descriptor; deterministic defining polynomial if absent."""
@@ -335,24 +332,8 @@ def _ff_inverse(a, modulus, p):
     r0, r1 = gfpoly.trim(modulus), gfpoly.trim(a)
     s0, s1 = (), (1,)
     while r1:
-        # divide r0 by r1
-        q = ()
-        rr = list(r0)
-        d1, l1 = len(r1) - 1, r1[-1]
-        invl = pow(l1, -1, p)
-        qc = [0] * (max(len(r0) - len(r1) + 1, 1))
-        while len(rr) - 1 >= d1 and gfpoly.trim(rr):
-            if rr[-1] == 0:
-                rr.pop()
-                continue
-            f = (rr[-1] * invl) % p
-            sh = len(rr) - 1 - d1
-            qc[sh] = f
-            for i in range(d1 + 1):
-                rr[sh + i] = (rr[sh + i] - f * r1[i]) % p
-            rr.pop()
-        q = gfpoly.trim(qc)
-        r0, r1 = r1, gfpoly.trim(rr)
+        q, r = gfpoly.divrem(r0, r1, p)
+        r0, r1 = r1, r
         s0, s1 = s1, gfpoly.add(s0, tuple((-c) % p for c in gfpoly.mul(q, s1, p)), p)
     # r0 is the gcd, a nonzero constant since the modulus is irreducible
     c = pow(r0[0], -1, p)
@@ -405,25 +386,44 @@ def zeta_p(spec):
     for k in range(2, p):
         coeffs.append(spec.from_int(comb(p, k) // p) * pi ** (k - 1))
     coeffs.append(-spec.one())
-    dcoeffs = [spec.from_int(k) * c for k, c in enumerate(coeffs) if k >= 1]
-
-    def _eval(cs, y):
-        acc = spec.zero()
-        for c in reversed(cs):
-            acc = acc * y + c
-        return acc
-
-    y = spec.one()
-    steps = (spec.N * spec.npi).bit_length() + 2
-    for _ in range(steps):
-        gy = _eval(coeffs, y)
-        if gy.is_zero():
-            break
-        y = y - gy * _eval(dcoeffs, y).inverse()
-    z = spec.one() + pi * y
+    z = spec.one() + pi * newton_root(coeffs, spec.one())
     assert (z ** p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
     spec._zeta = z
     return z
+
+
+def horner(coeffs, x):
+    """sum_k coeffs[k] * x^k for an ascending coefficient list."""
+    acc = x.spec.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def newton_root(coeffs, x):
+    """The root of the polynomial that is congruent to x, by Newton lifting.
+
+    x must be a simple root modulo pi, so the derivative there is a unit and
+    each step doubles the number of correct pi-digits.
+    """
+    spec = x.spec
+    dcoeffs = [spec.from_int(k) * c for k, c in enumerate(coeffs) if k >= 1]
+    for _ in range((spec.N * spec.npi).bit_length() + 2):
+        val = horner(coeffs, x)
+        if val.is_zero():
+            break
+        x = x - val * horner(dcoeffs, x).inverse()
+    assert horner(coeffs, x).is_zero(), "Newton lift did not converge"
+    return x
+
+
+def split_p(n, p):
+    """(v, u) with n = p^v * u and u prime to p, for a nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 class _FactorialTable:
@@ -437,11 +437,7 @@ class _FactorialTable:
     def grow(self, k):
         p, pN = self.spec.p, self.spec.pN
         while len(self.vp) <= k:
-            j = len(self.vp)
-            v = 0
-            while j % p == 0:
-                j //= p
-                v += 1
+            v, j = split_p(len(self.vp), p)
             self.vp.append(self.vp[-1] + v)
             self.unit.append((self.unit[-1] * j) % pN)
 

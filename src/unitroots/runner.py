@@ -8,6 +8,8 @@ are deterministic JSON with integers only (timings are milliseconds).
 
 import hashlib
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from . import dwork, hyperg, oracle, weights
 from .errors import (ConfigInvalid, PrecisionUnstable, UnitRootError)
-from .padic import make_ring
+from .padic import RingElem, make_ring
 
 SCHEMA_VERSION = 1
 ROUTES = ("A", "B", "C", "oracle")
@@ -82,14 +84,22 @@ class JobConfig:
         return cfg
 
     def validate(self):
+        if self.epsilon < 1 or self.field_degree < 1:
+            raise ConfigInvalid("epsilon and field_degree must be at least 1")
         if self.field_degree % self.epsilon:
             raise ConfigInvalid("epsilon must divide field_degree")
         if len(self.coeffs) != len(self.A):
             raise ConfigInvalid("need exactly one coefficient per exponent")
+        if any(len(c) > self.field_degree for c in self.coeffs):
+            raise ConfigInvalid("a coefficient has more entries than field_degree")
+        if self.field_poly is not None and (
+                len(self.field_poly) != self.field_degree + 1
+                or self.field_poly[-1] != 1):
+            raise ConfigInvalid("field_poly must be monic of degree field_degree")
         if self.precision < 1:
             raise ConfigInvalid("precision must be at least 1")
-        if not all(0 < len(v) for v in self.A):
-            raise ConfigInvalid("empty exponent vector")
+        if not self.A or not all(self.A):
+            raise ConfigInvalid("A must be a nonempty list of nonempty vectors")
 
     def laurent_spec(self):
         try:
@@ -126,10 +136,6 @@ def _ord_field(v):
     return None if v is None else _frac(v)
 
 
-def elem_digits(x):
-    return x.digits()
-
-
 def ring_meta(ring):
     return {"p": ring.p, "m": ring.m, "modulus": list(ring.g),
             "precision": ring.N}
@@ -142,7 +148,14 @@ def default_wmax(ring, D):
 
 
 class KernelCache:
-    """Content-addressed store for kernel coefficient tables."""
+    """Content-addressed store for kernel coefficient tables.
+
+    Each file holds one table and the SHA-256 of its JSON payload.  A file
+    that does not parse, has the wrong shape or fails its checksum is a
+    miss, so the table is recomputed and the file rewritten.  Files are
+    written under a temporary name in the same directory and renamed into
+    place, so no reader sees a partly written file.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
@@ -158,26 +171,40 @@ class KernelCache:
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def _path(self, odata, oi):
+        return self.root / f"kernel-{self.key(odata, oi)}.json"
+
     def load(self, odata, oi):
-        path = self.root / f"kernel-{self.key(odata, oi)}.json"
-        if not path.exists():
-            return False
-        data = json.loads(path.read_text())
-        ring = odata.ring
-        table = {}
-        for mu_s, rows in data["table"].items():
-            mu = tuple(int(c) for c in mu_s.split(","))
-            from .padic import RingElem
-            table[mu] = RingElem(ring, tuple(tuple(r) for r in rows))
+        """Install the stored table for orbit point oi; False on a miss."""
+        try:
+            data = json.loads(self._path(odata, oi).read_text())
+            payload = data["table"]
+            if data["sha256"] != _digest(payload):
+                return False
+            table = {tuple(int(c) for c in mu.split(",")): RingElem(odata.ring, rows)
+                     for mu, rows in payload.items()}
+        except (FileNotFoundError, ValueError, TypeError, KeyError, AttributeError):
+            return False  # absent, unparseable or wrongly shaped
         odata._btables[oi] = table
         return True
 
     def store(self, odata, oi):
-        table = odata.kernel_table(oi)
-        path = self.root / f"kernel-{self.key(odata, oi)}.json"
-        data = {"table": {",".join(str(c) for c in mu): v.digits()
-                          for mu, v in sorted(table.items())}}
-        path.write_text(json.dumps(data, sort_keys=True))
+        payload = {",".join(str(c) for c in mu): v.digits()
+                   for mu, v in sorted(odata.kernel_table(oi).items())}
+        text = json.dumps({"table": payload, "sha256": _digest(payload)},
+                          sort_keys=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix="kernel-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, self._path(odata, oi))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _digest(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -228,7 +255,7 @@ def run(config):
 
     wmax = config.wmax if config.wmax is not None else default_wmax(ring, W.D)
     degmax = config.degmax if config.degmax is not None \
-        else hyperg.default_degmax(ring)
+        else dwork.default_s_cut(ring)
     basis = weights.enumerate_weighted_monomials(W, wmax)
     cap = dwork.charpoly_degree_cap([weights.weight(W, mu) for mu in basis],
                                     ring.p, ring.N, len(basis))
@@ -243,7 +270,6 @@ def run(config):
         "power_iteration_budget": dwork.power_iteration_budget(ring, W.D),
     }
 
-    odata_boost = None
     if "B" in config.routes or "C" in config.routes:
         ring_boost = make_ring(config.p, config.field_degree, config.field_poly,
                                config.precision + boost)
@@ -264,7 +290,7 @@ def run(config):
                 spec, degmax, ring, orbit_len)
             unit_roots["A"] = u
             report["routes"]["A"] = {
-                "unit_root": elem_digits(u),
+                "unit_root": u.digits(),
                 "stability_digits": agreed,
                 "degmax_used": used,
             }
@@ -275,7 +301,7 @@ def run(config):
     if "B" in config.routes:
         t0 = time.perf_counter()
         try:
-            odata_b = _reduced_operator(odata_boost, spec, W, ring, wmax)
+            odata_b = _reduced_operator(odata_boost, ring)
             res = dwork.power_iteration_unit_root(spec, wmax, ring, W=W,
                                                   odata=odata_b)
             unit_roots["B"] = res.u
@@ -288,7 +314,7 @@ def run(config):
                 if v is not None and (off_ord is None or v < off_ord):
                     off_ord = v
             report["routes"]["B"] = {
-                "unit_root": elem_digits(res.u),
+                "unit_root": res.u.digits(),
                 "cycles": res.cycles,
                 "budget": res.budget,
                 "normalizer_diff_orders": [_ord_field(v)
@@ -309,14 +335,14 @@ def run(config):
             poly = dwork.newton_polygon(P)
             lf = dwork.lfunction_from_fredholm(P, spec.A.n, orbit_len)
             report["routes"]["C"] = {
-                "unit_root": elem_digits(u),
-                "fredholm": [elem_digits(c) for c in P.coeffs],
+                "unit_root": u.digits(),
+                "fredholm": [c.digits() for c in P.coeffs],
                 "newton_polygon": [[_frac(s), ln] for s, ln in poly.segments],
                 "slope_zero_length": poly.slope_zero_length(),
                 "lfunction": {
-                    "numerator": [elem_digits(c) for c in lf.numerator],
-                    "denominator": [elem_digits(c) for c in lf.denominator],
-                    "series": [elem_digits(c) for c in lf.series],
+                    "numerator": [c.digits() for c in lf.numerator],
+                    "denominator": [c.digits() for c in lf.denominator],
+                    "series": [c.digits() for c in lf.series],
                     "unit_root_matches": lf.unit_root_matches,
                 },
             }
@@ -335,7 +361,7 @@ def run(config):
                 "d": table.d,
                 "rows": [{"l": r.l, "field_degree": r.field_degree,
                           "counts": list(r.counts)} for r in table.rows],
-                "ratios": [elem_digits(u) for u in est.ratios],
+                "ratios": [u.digits() for u in est.ratios],
                 "ratio_diff_orders": [_ord_field(v)
                                       for v in est.ratio_diff_orders],
                 "s_valuations": [_ord_field(v) for v in est.s_valuations],
@@ -369,7 +395,8 @@ def run(config):
         "ok": bool(ok),
     }
     if digits is not None and digits < config.precision and len(names) >= 2:
-        report["agreement"]["diff_digits"] = _digit_diff(unit_roots, ring)
+        report["agreement"]["diff_digits"] = {
+            name: u.digits() for name, u in sorted(unit_roots.items())}
     report["timing"] = timing
     report["exit_code"] = 0 if ok else 1
     rep = Report(report)
@@ -378,38 +405,11 @@ def run(config):
     return rep
 
 
-def _digit_diff(unit_roots, ring):
-    """Side-by-side digit matrices for a disagreement report."""
-    return {name: elem_digits(u) for name, u in sorted(unit_roots.items())}
-
-
-def _reduced_operator(odata_boost, spec, W, ring, wmax):
-    """Reuse boosted kernel tables at the report precision."""
-    if odata_boost is None:
-        return None
-    od = dwork.OperatorData.__new__(dwork.OperatorData)
-    od.spec = spec
-    od.W = W
-    od.ring = ring
-    od.wmax = Fraction(wmax)
-    od.basis = odata_boost.basis
-    od.index = odata_boost.index
-    od.d = odata_boost.d
-    od.orbit_len = odata_boost.orbit_len
-    od.lam_orbit = [tuple(x.reduce_to(ring) for x in lam)
-                    for lam in odata_boost.lam_orbit]
-    od.s_cut = odata_boost.s_cut
-    od.sc = dwork.SplittingCoeffs(ring, tuple(b.reduce_to(ring)
-                                              for b in odata_boost.sc.b))
-    od._btables = {}
-    od._onestep = {oi: T % ring.pN
-                   for oi, T in odata_boost._onestep.items()}
-    for oi in range(od.orbit_len):
-        if oi not in od._onestep:
-            od._onestep[oi] = odata_boost.one_step_matrix(oi) % ring.pN
-        od._btables[oi] = {mu: v.reduce_to(ring)
-                           for mu, v in odata_boost.kernel_table(oi).items()}
-    return od
+def _reduced_operator(odata_boost, ring):
+    """The boosted operator's tables, all computed once, at the report precision."""
+    for oi in range(odata_boost.orbit_len):
+        odata_boost.one_step_matrix(oi)
+    return odata_boost.at_precision(ring)
 
 
 def _lineality_points(W, xseries):

@@ -30,7 +30,7 @@ class ExponentSet:
             raise ValueError("exponent vectors have inconsistent dimension")
         if len(set(vecs)) != len(vecs):
             raise ValueError("duplicate exponent vectors")
-        if _rank([list(v) for v in vecs]) < self.n:
+        if len(_rref(vecs, self.n)[1]) < self.n:
             raise NotSpanning(f"exponents do not span R^{self.n}")
 
 
@@ -43,47 +43,30 @@ class WeightData:
     lineality_basis: tuple  # lattice basis of C cap (-C) cap Z^n
 
 
-def _rank(rows):
-    """Rank over Q by fraction-free elimination (destroys rows)."""
-    rows = [[Fraction(c) for c in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _nullspace_1d(rows, ncols):
-    """One integer basis vector of the nullspace if it is 1-dimensional."""
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q: (matrix, pivot columns)."""
     mat = [[Fraction(c) for c in r] for r in rows]
     pivots = []
-    rank = 0
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = pr[col]
-        mat[rank] = [a / inv for a in pr]
+        inv = mat[rank][col]
+        mat[rank] = [a / inv for a in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
-        rank += 1
-    if ncols - rank != 1:
+    return mat, pivots
+
+
+def _nullspace_1d(rows, ncols):
+    """One integer basis vector of the nullspace if it is 1-dimensional."""
+    mat, pivots = _rref(rows, ncols)
+    if ncols - len(pivots) != 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
     vec = [Fraction(0)] * ncols

@@ -2,9 +2,13 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from unitroots.dwork import (FredholmPoly, OperatorData, XSeries, adjoint_check,
+from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
+                             adjoint_check,
                              bigF_coefficient, charpoly_boost,
                              charpoly_degree_cap, default_s_cut,
                              fredholm_unit_root, frobenius_matrix,
@@ -12,9 +16,10 @@ from unitroots.dwork import (FredholmPoly, OperatorData, XSeries, adjoint_check,
                              one_step_dual, power_iteration_budget,
                              power_iteration_unit_root, splitting_coefficients,
                              unit_root_of_poly)
-from unitroots.errors import MultipleUnitRoots, NoUnitRoot, OutsideM
+from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
+                              PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
-from unitroots.padic import make_ring, teichmueller
+from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -271,6 +276,30 @@ def test_unit_root_errors(ring3):
         unit_root_of_poly([one, p3], ring3)
     with pytest.raises(MultipleUnitRoots):
         unit_root_of_poly([one, one, one], ring3)
+    # Newton polygon [(0, 2)]: c_1 is not a unit but c_2 is
+    with pytest.raises(MultipleUnitRoots):
+        unit_root_of_poly([one, ring3.zero(), ring3.from_int(-4)], ring3)
+
+
+RING9 = make_ring(3, 2, None, 4)
+ELEM9 = st.lists(st.integers(0, RING9.pN - 1), min_size=RING9.npi * RING9.m,
+                 max_size=RING9.npi * RING9.m)
+
+
+def _elem9(digits):
+    m = RING9.m
+    return RingElem(RING9, [digits[j * m:(j + 1) * m] for j in range(RING9.npi)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ELEM9, st.lists(ELEM9, max_size=4))
+def test_unit_root_of_linear_factor(u_digits, q_digits):
+    # (1 - uT) Q with Q(0) = 1 and every higher coefficient of Q a non-unit
+    u = _elem9(u_digits)
+    assume(u.is_unit())
+    Q = [RING9.one()] + [RING9.pi() * _elem9(d) for d in q_digits]
+    poly = [Q[0]] + [Q[k] - u * Q[k - 1] for k in range(1, len(Q))] + [-u * Q[-1]]
+    assert unit_root_of_poly(poly, RING9) == u
 
 
 def test_lfunction_delta_of_linear(ring3):
@@ -302,6 +331,33 @@ def test_adjoint_check_cases(ring3, ring2):
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
     ring22 = make_ring(2, 2, None, 3)
     assert adjoint_check(spec, 6, ring22) is None
+
+
+def test_matmul_precision_limit():
+    ring = make_ring(5, 1, None, 14)
+    M = RingMatrix(ring, None, None,
+                   np.ones((2, 2, ring.npi, ring.m), dtype=np.int64))
+    with pytest.raises(PrecisionTooLow):
+        M.matmul(M)
+
+
+def test_at_precision_matches_direct():
+    # p3-kloosterman-f9: lambda-bar = (t, 1) has orbit length 2
+    spec = LaurentSpec(KLOOSTERMAN, 3, 2, 1, ((0, 1), (1,)))
+    boosted, ring = boosted_operator(spec, 6)
+    assert boosted.orbit_len == 2
+    for oi in range(boosted.orbit_len):
+        boosted.one_step_matrix(oi)
+    reduced = boosted.at_precision(ring)
+    direct = OperatorData(spec, boosted.W, ring, 6)
+    assert reduced.ring == ring
+    assert reduced.lam_orbit == direct.lam_orbit
+    assert reduced.sc.b == direct.sc.b
+    for oi in range(boosted.orbit_len):
+        assert oi in reduced._onestep and oi in reduced._btables
+        assert reduced.kernel_table(oi) == direct.kernel_table(oi)
+        assert np.array_equal(reduced.one_step_matrix(oi),
+                              direct.one_step_matrix(oi))
 
 
 def test_charpoly_caps():

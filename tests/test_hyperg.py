@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from unitroots.dwork import default_s_cut
 from unitroots.errors import NotARelation, PrecisionUnstable
 from unitroots.hyperg import (LaurentSpec, MultiSeries, calF_series,
-                              check_annihilators, default_degmax,
-                              generating_identity_check,
+                              check_annihilators, generating_identity_check,
                               hyperg_coefficient_series, route_a_once,
                               unit_root_route_A_detailed)
 from unitroots.padic import make_ring
@@ -111,7 +111,7 @@ def test_route_a_orbit_product_f4():
 def test_route_a_stabilization_policy(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
     u, agreed, used = unit_root_route_A_detailed(
-        spec, default_degmax(ring3), ring3, 1)
+        spec, default_s_cut(ring3), ring3, 1)
     assert agreed >= ring3.N
     u2 = route_a_once(spec, 2 * used, ring3, 1)
     assert u == u2  # doubling beyond the accepted cap changes nothing

@@ -9,6 +9,8 @@ from unitroots.cli import main
 from unitroots.errors import ConfigInvalid, NotSpanning
 from unitroots.runner import JobConfig, run
 
+CASES = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
+
 KLOOSTER3 = {
     "p": 3, "A": [[1], [-1]], "coeffs": [[1], [1]],
     "precision": 4, "routes": ["A", "B", "C", "oracle"], "lmax": 6,
@@ -33,6 +35,20 @@ def test_config_validation_errors():
         JobConfig.from_dict({**KLOOSTER3, "unknown_key": 1})
     with pytest.raises(ConfigInvalid):
         JobConfig.from_dict({**KLOOSTER3, "n": 2})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "epsilon": 0})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "field_degree": 0})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "coeffs": [[1, 1], [1]]})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "A": [], "coeffs": []})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "field_degree": 2,
+                             "field_poly": [1, 0, 2]})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "field_degree": 2,
+                             "field_poly": [1, 1]})
 
 
 def test_not_spanning_rejected():
@@ -90,10 +106,32 @@ def test_output_written(tmp_path):
 
 
 def test_cache_roundtrip(tmp_path):
-    cold = run({**KLOOSTER3, "cache_dir": str(tmp_path)})
-    assert list(tmp_path.glob("kernel-*.json"))
-    warm = run({**KLOOSTER3, "cache_dir": str(tmp_path)})
+    # p3-kloosterman-f9 has orbit length 2, so the cache holds two tables
+    cfg = {**job_dict(CASES["p3-kloosterman-f9"], routes=("B", "C")),
+           "cache_dir": str(tmp_path)}
+    cold = run(cfg)
+    files = sorted(tmp_path.glob("kernel-*.json"))
+    assert len(files) == 2
+    warm = run(cfg)
     assert cold.without_timing() == warm.without_timing()
+    # a truncated file and a flipped digit are both misses: recomputed, rewritten
+    files[0].write_text(files[0].read_text()[:100])
+    text = files[1].read_text()
+    i = text.index("[[", text.index('"table"')) + 2
+    flipped = "8" if text[i] == "9" else str(int(text[i]) + 1)
+    files[1].write_text(text[:i] + flipped + text[i + 1:])
+    assert run(cfg).without_timing() == cold.without_timing()
+    assert sorted(tmp_path.iterdir()) == files
+    assert run(cfg).without_timing() == cold.without_timing()
+
+
+def test_matmul_limit_is_a_route_error():
+    # route C forms its trace powers at the boosted precision, where the
+    # exact matmul runs out; route B works at the report precision
+    rep = run({**KLOOSTER3, "precision": 12, "routes": ["B", "C"]})
+    assert rep.exit_code == 1
+    assert rep.data["errors"]["C"].startswith("PrecisionTooLow")
+    assert "B" in rep.data["routes"]
 
 
 def test_battery_definitions_are_wellformed():
@@ -145,8 +183,10 @@ def test_cli_lfunction(tmp_path, capsys):
 
 def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 3}))
-    assert main(["unit-root", "--config", str(cfg)]) == 2
+    for text in (json.dumps({"p": 3}), json.dumps({**KLOOSTER3, "epsilon": 0}),
+                 '{"p": 3, "A": [[1], [-1]]', "[1, 2]"):
+        cfg.write_text(text)
+        assert main(["unit-root", "--config", str(cfg)]) == 2
 
 
 def test_route_subset_and_precision_override():
