@@ -21,6 +21,8 @@ from .errors import ConfigInvalid, UnitRootError
 def _load_config(args, default_routes=None):
     try:
         raw = json.loads(Path(args.config).read_text())
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read {args.config}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{args.config} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -84,7 +86,7 @@ def cmd_oracle(args):
     data = report.data.get("oracle", {})
     for row in data.get("rows", []):
         print(f"l={row['l']} field degree {row['field_degree']} "
-              f"counts {row['counts']}")
+              f"counts {row['counts']} ({row['method']})")
     print("ratio digits:", data.get("ratios"))
     print("ratio difference orders:", data.get("ratio_diff_orders"))
     if report.data.get("errors"):

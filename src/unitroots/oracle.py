@@ -1,13 +1,23 @@
-"""Exact brute-force exponential sums over torus points.
+"""Exact exponential sums over torus points.
 
 For each extension degree l the sum S_l is tallied as counts N_c of torus
 points whose absolute trace of f equals c, an exact element of Z[zeta_p]
 stored as an integer count vector.  Embedding zeta_p into the working ring
 turns consecutive ratios S_{l+1}/S_l into p-adic approximations of the unit
-root.  Enumeration walks a multiplicative generator per coordinate with
-precomputed trace tables; the point count is guarded.
+root.
+
+Torus points are powers of a multiplicative generator g, so each monomial's
+trace is a precomputed table on the exponent linear form v_a . k mod R,
+R = q^l - 1.  In two variables with three exponents, two of which form a
+unimodular pair and leave the third a combination whose second coefficient
+is a unit mod R, the counts are cyclic convolutions of trace-value
+indicators over Z/R ("convolution", O(p^2 R + p R log R)).  Every other
+exponent set walks all R^n points ("enumeration").  Each row records which
+method produced it.  The point guard applies to R^n whichever method runs.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +88,7 @@ class CharSumRow:
     field_degree: int       # degree over F_p of the enumerated field
     counts: tuple           # raw trace-value counts, sum = (p^deg - 1)^n
     S: CycloInt
+    method: str             # "convolution" or "enumeration"
 
 
 @dataclass
@@ -158,28 +169,20 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
     vecs = spec.A.vectors
     if n > 2:
         counts = _char_sum_slow(F, lams, vecs, R, p)
+        method = "enumeration"
     else:
         if R * (F.k + 2) > (1 << 26):
             raise TooLarge("trace tables for this field exceed the memory guard")
-        g = ffield.multiplicative_generator(F)
-        tr_vec = np.array(F.trace_vector(), dtype=np.int64)
-        # trace tables: t_a[j] = Tr(lambda_a * g^j); skipped for zero coefficients
-        tables = []
-        power_table = _generator_power_table(F, g, R)
-        for lam in lams:
-            if F.is_zero(lam):
-                tables.append(None)
-                continue
-            mm = np.array(F.mult_matrix(lam), dtype=np.int64)
-            w = (mm.T @ tr_vec) % p
-            tables.append((power_table @ w % p).astype(np.int16))
+        tables = _trace_tables(F, lams, R)
+        plan = _convolution_plan(vecs, R)
+        method = "enumeration" if plan is None else "convolution"
         counts = np.zeros(p, dtype=np.int64)
-        if n == 1:
+        if plan is not None:
+            counts += _convolved_counts(tables, R, p, *plan)
+        elif n == 1:
             idx = np.arange(R, dtype=np.int64)
             c = np.zeros(R, dtype=np.int64)
             for a, t in enumerate(tables):
-                if t is None:
-                    continue
                 c += t[(idx * vecs[a][0]) % R]
             counts += np.bincount(c % p, minlength=p)
         else:
@@ -189,20 +192,76 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
                 k1 = np.arange(start, min(start + chunk, R), dtype=np.int64)
                 c = np.zeros((len(k1), R), dtype=np.int64)
                 for a, t in enumerate(tables):
-                    if t is None:
-                        continue
                     idx = (k1[:, None] * vecs[a][0] + k2[None, :] * vecs[a][1]) % R
                     c += t[idx]
                 counts += np.bincount((c % p).ravel(), minlength=p)
     total = int(counts.sum())
     assert total == points, "lost or double-counted torus points"
     return CharSumRow(l, F.k, tuple(int(x) for x in counts),
-                      CycloInt.from_counts(p, tuple(int(x) for x in counts)))
+                      CycloInt.from_counts(p, tuple(int(x) for x in counts)),
+                      method)
+
+
+def _convolution_plan(vecs, R):
+    """(a, b, c, alpha, beta) making the torus sum a convolution over Z/R, or None.
+
+    Needs three exponents in two variables with det(v_a, v_b) = +-1, so that
+    k -> (v_a.k, v_b.k) is a bijection of (Z/R)^2, and v_c = alpha v_a +
+    beta v_b with gcd(beta, R) = 1.  Orderings are tried in a fixed order.
+    """
+    if len(vecs) != 3 or len(vecs[0]) != 2:
+        return None
+    for a, b, c in itertools.permutations(range(3)):
+        (a0, a1), (b0, b1), (c0, c1) = vecs[a], vecs[b], vecs[c]
+        det = a0 * b1 - a1 * b0
+        if abs(det) != 1:
+            continue
+        alpha = (c0 * b1 - c1 * b0) * det
+        beta = (a0 * c1 - a1 * c0) * det
+        if math.gcd(beta, R) == 1:
+            return a, b, c, alpha, beta
+    return None
+
+
+def _convolved_counts(tables, R, p, a, b, c, alpha, beta):
+    """Trace-value counts of t_a(x) + t_b(y) + t_c(alpha x + beta y) over (Z/R)^2.
+
+    With w = beta y the sum runs over (x, w) of t_a(x) + t_b(w / beta) +
+    t_c(alpha x + w).  For each s in F_p,
+        h_s(z) = #{(x, w) : alpha x + w = z, t_a(x) + t_b(w / beta) = s}
+    is the sum over j of the cyclic convolution of the pushforward of
+    [t_a = j] along x -> alpha x with [t_b(./beta) = s - j].  One float64
+    FFT convolution per s computes it, and N_c is the sum over s of h_s
+    on {t_c = c - s}.
+
+    Exactness: every h_s(z) is an integer in [0, R], since each x fixes w.
+    The float64 FFT error of an entry is of order eps * log2(R) times the
+    sum over j of the products of the two inputs' 2-norms, which is at most
+    R * sqrt(gcd(alpha, R)) <= R^(3/2).  The table guard R * (k + 2) <= 2^26
+    keeps R below 2^24 for k >= 2 (R = p - 1 for k = 1), so the error is of
+    order 10^-4 at worst, and rounding recovers h_s exactly.  The residual
+    max |h_s - rint(h_s)| < 1/4 is checked on every output.
+    """
+    x = np.arange(R, dtype=np.int64)
+    ta, tc = tables[a], tables[c]
+    tb = tables[b][x * pow(beta, -1, R) % R]
+    ax = x * alpha % R
+    fa = [np.fft.rfft(np.bincount(ax[ta == j], minlength=R)) for j in range(p)]
+    fb = [np.fft.rfft(tb == j) for j in range(p)]
+    tc_masks = [tc == j for j in range(p)]
+    counts = np.zeros(p, dtype=np.int64)
+    for s in range(p):
+        h = np.fft.irfft(sum(fa[j] * fb[(s - j) % p] for j in range(p)), n=R)
+        hi = np.rint(h)
+        assert np.abs(h - hi).max() < 0.25, "convolution count is not exact"
+        hi = hi.astype(np.int64)
+        for j, mask in enumerate(tc_masks):
+            counts[(s + j) % p] += hi[mask].sum()
+    return counts
 
 
 def _char_sum_slow(F, lams, vecs, R, p):
     """Reference path for n >= 3 (and used in tests as the oracle's oracle)."""
-    import itertools
     n = len(vecs[0])
     g = ffield.multiplicative_generator(F)
     counts = [0] * p
@@ -218,6 +277,36 @@ def _char_sum_slow(F, lams, vecs, R, p):
             val = F.add(val, F.mul(lam, powers[e]))
         counts[F.trace(val)] += 1
     return np.array(counts, dtype=np.int64)
+
+
+def _trace_tables(F, lams, R):
+    """t_a[j] = Tr(lambda_a g^j) for j < R, g the generator of F*, as int16.
+
+    Baby steps and giant steps: with B = ceil(sqrt(R)) and j = i + B m,
+    Tr(lambda g^(Bm) g^i) = c_m^T Q b_i, where b_i and c_m are the
+    coordinate vectors of g^i and lambda g^(Bm) and Q[u][v] = Tr(s^(u+v))
+    is the trace form of the power basis.  Only ceil(R/B) + B coordinate
+    vectors are built, and each table is one (R/B x k) by (k x B) product:
+    O(R k) per coefficient where all R coordinate vectors cost O(R k^2).
+    A zero coefficient gives a table of zeros.
+    """
+    k, p = F.k, F.p
+    g = ffield.multiplicative_generator(F)
+    tr_vec = np.array(F.trace_vector(), dtype=np.int64)
+    # Tr(s^(k-1+v)) for v < k: traces of the columns of s^(k-1)'s matrix
+    top = np.array(F.mult_matrix(F.elem((0,) * (k - 1) + (1,))),
+                   dtype=np.int64).T @ tr_vec
+    h = np.concatenate([tr_vec, top[1:]]) % p  # Tr(s^e) for e < 2k - 1
+    Q = h[np.add.outer(np.arange(k), np.arange(k))]
+    B = math.isqrt(R - 1) + 1
+    baby = Q @ _generator_power_table(F, g, B).T % p
+    giant = _generator_power_table(F, F.pow(g, B), -(-R // B))
+    tables = []
+    for lam in lams:
+        mm = np.array(F.mult_matrix(lam), dtype=np.int64)
+        t = (giant @ mm.T % p) @ baby % p
+        tables.append(t.ravel()[:R].astype(np.int16))
+    return tables
 
 
 def _generator_power_table(F, g, R):

@@ -98,6 +98,12 @@ class JobConfig:
             raise ConfigInvalid("field_poly must be monic of degree field_degree")
         if self.precision < 1:
             raise ConfigInvalid("precision must be at least 1")
+        if self.wmax is not None and self.wmax < 0:
+            raise ConfigInvalid("wmax must be nonnegative")
+        if self.lmax < 1:
+            raise ConfigInvalid("lmax must be at least 1")
+        if "oracle" in self.routes and self.lmax < 2:
+            raise ConfigInvalid("the oracle needs lmax >= 2: one sum gives no ratio")
         if not self.A or not all(self.A):
             raise ConfigInvalid("A must be a nonempty list of nonempty vectors")
 
@@ -360,7 +366,8 @@ def run(config):
             report["oracle"] = {
                 "d": table.d,
                 "rows": [{"l": r.l, "field_degree": r.field_degree,
-                          "counts": list(r.counts)} for r in table.rows],
+                          "counts": list(r.counts), "method": r.method}
+                         for r in table.rows],
                 "ratios": [u.digits() for u in est.ratios],
                 "ratio_diff_orders": [_ord_field(v)
                                       for v in est.ratio_diff_orders],

@@ -1,18 +1,27 @@
 """Character-sum oracle: exact counts, embeddings, towers, invariance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import unitroots
 
 from unitroots.errors import TooLarge
 from unitroots.ffield import field, find_root, multiplicative_generator
 from unitroots.gfpoly import find_irreducible
 from unitroots.hyperg import LaurentSpec
-from unitroots.oracle import (CycloInt, FqTower, _char_sum_slow, char_sum,
-                              char_sum_table, embed_and_estimate, orbit_degree)
+from unitroots.oracle import (CycloInt, FqTower, _char_sum_slow, _trace_tables,
+                              char_sum, char_sum_table, embed_and_estimate,
+                              orbit_degree)
 from unitroots.weights import ExponentSet
 
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SINGLE = ExponentSet(1, ((1,),))
 TRIANGLE = ExponentSet(2, ((1, 0), (0, 1), (-1, -1)))
+EDGE = ExponentSet(2, ((0, 1), (1, 0), (2, -1)))
 
 
 def test_find_irreducible_examples():
@@ -47,6 +56,7 @@ def test_char_sum_kloosterman_f3():
     row = char_sum(spec, 1)
     assert row.counts == (0, 1, 1)  # x=1 -> 2, x=2 -> 1
     assert row.S == CycloInt.from_int(3, -1)
+    assert row.method == "enumeration"
 
 
 def test_kloosterman_p2_sums_match_quadratic():
@@ -100,12 +110,53 @@ def test_embed_and_estimate_kloosterman(ring3):
 
 
 def test_fast_path_matches_slow_path():
-    spec = LaurentSpec(TRIANGLE, 2, 1, 1, ((1,), (1,), (1,)))
-    tower = FqTower(spec)
-    row = char_sum(spec, 2, tower)
-    F, lams = tower.level(2)
-    slow = _char_sum_slow(F, lams, TRIANGLE.vectors, F.size - 1, 2)
-    assert tuple(int(x) for x in slow) == row.counts
+    cases = [
+        (TRIANGLE, 2, ((1,), (1,), (1,)), 1, 2, "convolution"),
+        (TRIANGLE, 3, ((1,), (2,), (1,)), 1, 2, "convolution"),
+        (TRIANGLE, 5, ((1,), (1,), (1,)), 1, 2, "convolution"),
+        (TRIANGLE, 2, ((0, 1), (1,), (1, 1)), 2, 2, "convolution"),
+        (TRIANGLE, 3, ((1,), (0,), (2,)), 1, 2, "convolution"),  # zero coefficient
+        (EDGE, 3, ((1,), (2,), (1,)), 1, 2, "convolution"),
+        (EDGE, 5, ((1,), (2,), (1,)), 1, 2, "convolution"),
+        # alpha = 2 is never a unit mod the even R: exercises the pushforward
+        (ExponentSet(2, ((1, 0), (0, 1), (2, 1))), 3, ((1,), (2,), (1,)), 1, 3,
+         "convolution"),
+        # beta = 5 is a unit mod R = 26 whose inverse 21 differs from it
+        (ExponentSet(2, ((1, 0), (0, 1), (2, 5))), 3, ((1,), (1,), (1,)), 1, 3,
+         "convolution"),
+        # the only unimodular pair leaves beta = 2: no convolution plan
+        (ExponentSet(2, ((1, 0), (0, 1), (2, 2))), 3, ((1,), (1,), (2,)), 1, 2,
+         "enumeration"),
+    ]
+    for A, p, coeffs, m, l, method in cases:
+        spec = LaurentSpec(A, p, m, 1, coeffs)
+        tower = FqTower(spec)
+        row = char_sum(spec, l, tower)
+        F, lams = tower.level(l)
+        slow = _char_sum_slow(F, lams, A.vectors, F.size - 1, p)
+        assert tuple(int(x) for x in slow) == row.counts, (A.vectors, p, l)
+        assert row.method == method, (A.vectors, p, l)
+
+
+def test_trace_tables_match_direct_traces():
+    for p, k in ((2, 1), (3, 1), (2, 4), (3, 3), (5, 2)):
+        F = field(p, k)
+        R = F.size - 1
+        g = multiplicative_generator(F)
+        lams = [F.zero(), F.one(), tuple(range(1, k + 1)), (p - 1,) * k]
+        lams = [F.elem(tuple(c % p for c in lam)) for lam in lams]
+        for lam, t in zip(lams, _trace_tables(F, lams, R)):
+            assert t.tolist() == [F.trace(F.mul(lam, F.pow(g, j)))
+                                  for j in range(R)], (p, k, lam)
+
+
+def test_import_leaves_scipy_out():
+    # scipy costs about half a second to import; the oracle uses numpy.fft
+    env = {**os.environ, "PYTHONPATH": str(Path(unitroots.__file__).parents[1])}
+    code = "import sys, unitroots.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_zero_coefficient_contributes_trace_zero():

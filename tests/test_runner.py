@@ -49,6 +49,13 @@ def test_config_validation_errors():
     with pytest.raises(ConfigInvalid):
         JobConfig.from_dict({**KLOOSTER3, "field_degree": 2,
                              "field_poly": [1, 1]})
+    with pytest.raises(ConfigInvalid):
+        run({**KLOOSTER3, "wmax": -1, "routes": ["B"]})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "lmax": 0, "routes": ["B"]})
+    with pytest.raises(ConfigInvalid):
+        JobConfig.from_dict({**KLOOSTER3, "lmax": 1})  # one sum, no ratio
+    JobConfig.from_dict({**KLOOSTER3, "lmax": 1, "routes": ["B"]})
 
 
 def test_not_spanning_rejected():
@@ -187,6 +194,8 @@ def test_cli_bad_config(tmp_path, capsys):
                  '{"p": 3, "A": [[1], [-1]]', "[1, 2]"):
         cfg.write_text(text)
         assert main(["unit-root", "--config", str(cfg)]) == 2
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["unit-root", "--config", str(path)]) == 2
 
 
 def test_route_subset_and_precision_override():
