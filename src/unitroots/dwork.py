@@ -508,7 +508,7 @@ def fredholm_coefficients(Mx, target_ring):
         acc = -acc
         # exact division by k
         v, kk = split_p(k, ring.p)
-        acc = acc * ring.from_int(kk).inverse()
+        acc = acc * pow(kk, -1, ring.pN)
         if v:
             acc = acc.divide_exact_p(v)
         coeffs.append(acc)

@@ -10,9 +10,12 @@ as a truncated series, then takes its product over the Frobenius orbit of
 the Teichmueller point.  Truncation degree is validated by recomputing at
 twice the degree and comparing; only agreeing digits are reported.
 
-Series here are dictionaries from exponent tuples to coefficients, with a
-total-degree cap; coefficients are either RingElem (pi-scaled series) or
-Fraction (exact series for the differential-system checks).
+Series here are dictionaries from exponent tuples to nonzero coefficients,
+with a total-degree cap; coefficients are either RingElem (pi-scaled series)
+or Fraction (exact series for the differential-system checks).  The product
+and the inverse are for ring series only.  They skip every pair of terms
+whose pi-orders sum to N(p-1) or more: such a product is zero mod p^N, so
+skipping it changes no digit.
 """
 
 import heapq
@@ -53,10 +56,6 @@ class LaurentSpec:
             raise ValueError("coefficient degree exceeds field degree")
 
 
-def _is_zero(c):
-    return c == 0 if isinstance(c, (int, Fraction)) else c.is_zero()
-
-
 class MultiSeries:
     """Power series in one variable per exponent of A, truncated by total degree."""
 
@@ -68,7 +67,7 @@ class MultiSeries:
         self.terms = {}
         if terms:
             for u, c in terms.items():
-                if sum(u) <= degmax and not _is_zero(c):
+                if sum(u) <= degmax and c:
                     self.terms[tuple(u)] = c
 
     def constant_term(self):
@@ -77,14 +76,7 @@ class MultiSeries:
     def add(self, other):
         out = dict(self.terms)
         for u, c in other.terms.items():
-            if u in out:
-                s = out[u] + c
-                if _is_zero(s):
-                    del out[u]
-                else:
-                    out[u] = s
-            else:
-                out[u] = c
+            out[u] = out[u] + c if u in out else c
         return MultiSeries(self.nvars, min(self.degmax, other.degmax), out)
 
     def neg(self):
@@ -93,33 +85,23 @@ class MultiSeries:
     def sub(self, other):
         return self.add(other.neg())
 
-    def mul(self, other, degmax=None, val_floor=None):
-        """Truncated product; with val_floor set (ring coefficients only),
-        pairs whose valuations sum to >= val_floor are skipped, which is
-        exact mod p^val_floor."""
+    def mul(self, other, degmax=None):
+        """Truncated product of ring series, skipping pairs of order >= N(p-1)."""
         cap = min(self.degmax, other.degmax) if degmax is None else degmax
-        a = [(u, c, sum(u), c.valuation() if val_floor is not None else None)
-             for u, c in self.terms.items()]
-        b = [(u, c, sum(u), c.valuation() if val_floor is not None else None)
-             for u, c in other.terms.items()]
+        if not self.terms or not other.terms:
+            return MultiSeries(self.nvars, cap)
+        spec = next(iter(self.terms.values())).spec
+        floor = spec.N * spec.npi
+        a = [(u, c, sum(u), c.order()) for u, c in self.terms.items()]
+        b = [(u, c, sum(u), c.order()) for u, c in other.terms.items()]
         out = {}
         for u1, c1, d1, v1 in a:
             for u2, c2, d2, v2 in b:
-                if d1 + d2 > cap:
-                    continue
-                if val_floor is not None and (
-                        v1 is None or v2 is None or v1 + v2 >= val_floor):
+                if d1 + d2 > cap or v1 + v2 >= floor:
                     continue
                 u = tuple(x + y for x, y in zip(u1, u2))
                 prod = c1 * c2
-                if u in out:
-                    s = out[u] + prod
-                    if _is_zero(s):
-                        del out[u]
-                    else:
-                        out[u] = s
-                elif not _is_zero(prod):
-                    out[u] = prod
+                out[u] = out[u] + prod if u in out else prod
         return MultiSeries(self.nvars, cap, out)
 
     def scale(self, c):
@@ -134,23 +116,22 @@ class MultiSeries:
     def truncated(self, degmax):
         return MultiSeries(self.nvars, degmax, self.terms)
 
-    def inverse(self, one, val_floor=None):
-        """Series inverse by degree-shell recurrence; constant term must be 1.
+    def inverse(self):
+        """Inverse of a ring series with constant term 1, by degree-shell
+        recurrence, skipping pairs of order >= N(p-1) like mul.
 
         Work is proportional to the nonzero shell structure: finished inverse
         shells scatter products forward through a pending-contribution heap,
-        so degrees whose coefficients all vanish cost nothing.  val_floor
-        prunes products of provably invisible order (ring coefficients only).
+        so degrees whose coefficients all vanish cost nothing.
         """
-        c0 = self.constant_term()
-        assert c0 is not None and _is_zero(c0 - one), "constant term must be 1"
-        prune = val_floor is not None
+        one = self.constant_term()
+        assert one is not None and one == one.spec.one(), "constant term must be 1"
+        floor = one.spec.N * one.spec.npi
         shells = {}
         for u, c in self.terms.items():
             d = sum(u)
             if d:
-                v = c.valuation() if prune else None
-                shells.setdefault(d, []).append((u, c, v))
+                shells.setdefault(d, []).append((u, c, c.order()))
         degrees = sorted(shells)
         out = {(0,) * self.nvars: one}
         pending = {}
@@ -167,28 +148,19 @@ class MultiSeries:
                     heapq.heappush(heap, d)
                 for u1, c1, v1 in shells[e]:
                     for u2, (c2, v2) in shell.items():
-                        if prune and v1 + v2 >= val_floor:
+                        if v1 + v2 >= floor:
                             continue
                         u = tuple(a + b for a, b in zip(u1, u2))
                         prod = c1 * c2
-                        if u in acc:
-                            acc[u] = acc[u] + prod
-                        else:
-                            acc[u] = prod
+                        acc[u] = acc[u] + prod if u in acc else prod
 
-        zero_val = Fraction(0) if prune else None
-        scatter(0, {(0,) * self.nvars: (one, zero_val)})
+        scatter(0, {(0,) * self.nvars: (one, 0)})
         while heap:
             d = heapq.heappop(heap)
             acc = pending.pop(d, None)
             if acc is None:
                 continue  # duplicate heap entry
-            shell = {}
-            for u, c in acc.items():
-                c = -c
-                if _is_zero(c):
-                    continue
-                shell[u] = (c, c.valuation() if prune else None)
+            shell = {u: (-c, c.order()) for u, c in acc.items() if c}
             if not shell:
                 continue
             for u, (c, _) in shell.items():
@@ -231,15 +203,13 @@ class MultiSeries:
         return MultiSeries(self.nvars, self.degmax, out)
 
     def shell_min_valuations(self):
-        """Per-total-degree minimum valuation; None marks a shell whose
-        coefficients are all indistinguishable from zero (ord >= N)."""
+        """Per-total-degree minimum valuation of a ring series; a degree
+        with no nonzero coefficient (all of order >= N) is absent."""
         shells = {}
         for u, c in self.terms.items():
             d = sum(u)
             v = c.valuation()
-            if d not in shells:
-                shells[d] = v
-            elif v is not None and (shells[d] is None or v < shells[d]):
+            if d not in shells or v < shells[d]:
                 shells[d] = v
         return shells
 
@@ -306,8 +276,7 @@ def calF_series(A, degmax, ring):
     num = hyperg_coefficient_series(A, (0,) * A.n, degmax, ring)
     den = hyperg_coefficient_series(A, (0,) * A.n, degmax // ring.p, ring)
     den = den.subst_power(ring.p)
-    inv = den.inverse(ring.one(), val_floor=ring.N)
-    return num.mul(inv, degmax, val_floor=ring.N)
+    return num.mul(den.inverse(), degmax)
 
 
 def _teichmueller_orbit(spec, ring, length):
@@ -332,8 +301,7 @@ def route_a_once(spec, degmax, ring, orbit_length, series=None):
     return u
 
 
-def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, digits=None,
-                               max_rounds=12):
+def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
     """(u, agreement order, degmax used) under the stabilization policy.
 
     The ratio series carries no a-priori coefficient-decay rate, and shells
@@ -346,7 +314,6 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, digits=None,
     twice the accepted range would still be invisible; the cross-route
     agreement checks are the backstop for that residual risk.
     """
-    want = ring.N if digits is None else digits
     cap = 4 * degmax
     agreed = None
     # Low shells come in families spaced a factor p apart whose orders climb
@@ -356,14 +323,14 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, digits=None,
     for _ in range(max_rounds):
         series = calF_series(spec.A, cap, ring)
         shells = series.shell_min_valuations()
-        d_last = max((d for d, v in shells.items() if d > 0 and v < want),
+        d_last = max((d for d, v in shells.items() if d > 0 and v < ring.N),
                      default=0)
         if horizon * d_last <= cap:
             u1 = route_a_once(spec, cap // 2, ring, orbit_length, series)
             u2 = route_a_once(spec, cap, ring, orbit_length, series)
-            diff = (u1 - u2).valuation()
-            agreed = ring.N if diff is None else int(diff)
-            if agreed >= want:
+            diff = (u1 - u2).order()
+            agreed = ring.N if diff is None else diff // ring.npi
+            if agreed >= ring.N:
                 return u2, agreed, cap
         cap = max(2 * cap, horizon * d_last + degmax)
     raise PrecisionUnstable(

@@ -6,13 +6,16 @@ is a (p-1) x m array of residues mod p^N:
 
     sum_{j < p-1} sum_{k < m} c[j][k] * t^k * pi^j.
 
-The normalization ord p = 1 makes valuations rationals with denominator
-p - 1; ord pi = 1/(p-1).  All elements handled here are p-integral.  Division
-is only provided for units (and for exact powers of p, with a divisibility
-check); anything else raises NonUnitDivision rather than degrading precision.
+Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
+exact pi-adic order, and every element of order >= N(p-1) is zero.
+valuation() is its rational view, order/(p-1), normalized by ord p = 1.  All
+elements handled here are p-integral.  Division is only provided for units
+(and for exact powers of p, with a divisibility check); anything else raises
+NonUnitDivision rather than degrading precision.  An integer unit's inverse
+is pow(u, -1, p^N).
 
 Teichmueller lifting, the primitive p-th root of unity normalized by
-zeta == 1 + pi (mod pi^2), and exact valuation extraction round out the
+zeta == 1 + pi (mod pi^2), and exact order extraction round out the
 toolkit.
 """
 
@@ -100,7 +103,7 @@ class RingSpec:
         den = fr.denominator
         if den % self.p == 0:
             raise NonUnitDivision(f"denominator {den} is divisible by p={self.p}")
-        return self.from_int(fr.numerator) * self.from_int(den).inverse()
+        return self.from_int(fr.numerator * pow(den, -1, self.pN))
 
     def pi(self):
         if self.p == 2:
@@ -287,30 +290,26 @@ class RingElem:
 
     # --- valuation and serialization --------------------------------------
 
-    def valuation(self):
-        """Exact order if nonzero at working precision, else None (>= N)."""
-        spec = self.spec
+    def order(self):
+        """Exact pi-adic order as an int (units of 1/(p-1)); None for zero."""
+        npi, p = self.spec.npi, self.spec.p
         best = None
         for j, r in enumerate(self.rows):
-            vrow = None
             for c in r:
                 if c:
-                    v = 0
-                    while c % spec.p == 0:
-                        c //= spec.p
-                        v += 1
-                    if vrow is None or v < vrow:
-                        vrow = v
-            if vrow is None:
-                continue
-            cand = Fraction(vrow) + Fraction(j, spec.npi)
-            if best is None or cand < best:
-                best = cand
+                    v = npi * split_p(c, p)[0] + j
+                    if best is None or v < best:
+                        best = v
         return best
 
+    def valuation(self):
+        """Rational view of order(): ord p = 1; None for zero (>= N)."""
+        v = self.order()
+        return None if v is None else Fraction(v, self.spec.npi)
+
     def val_at_least(self, bound):
-        v = self.valuation()
-        return v is None or v >= Fraction(bound)
+        v = self.order()
+        return v is None or v >= bound * self.spec.npi
 
     def reduce_to(self, spec):
         """Image in a ring of lower precision (same p, m, g mod p^N')."""
@@ -453,7 +452,9 @@ def pi_pow_over_factorials(spec, k, factorials):
     is nonnegative whenever k is the sum of the factorial arguments (the
     base-p digit sums make up the difference), which covers every exp-type
     coefficient used here.  Factorials enter through p-stripped unit parts
-    mod p^N, so large indices stay cheap.
+    mod p^N, so large indices stay cheap.  The result has one nonzero digit,
+    (-1)^e * p^(e_p) / unit, in row k mod (p-1); at p = 2 that row is 0 and
+    (-1)^k 2^k is pi^k for pi = -2.
     """
     table = getattr(spec, "_fact_table", None)
     if table is None:
@@ -468,7 +469,8 @@ def pi_pow_over_factorials(spec, k, factorials):
     e_p = e - vsum
     if e_p < 0:
         raise NonUnitDivision("combination is not p-integral")
-    if e_p >= spec.N:
-        return spec.zero()
-    val = spec.from_int((-1) ** (e % 2) * spec.p ** e_p)
-    return val * spec.from_int(upar).inverse() * spec.pi() ** r
+    rows = [(0,) * spec.m] * spec.npi
+    if e_p < spec.N:
+        digit = (-1) ** e * spec.p ** e_p * pow(upar, -1, spec.pN)
+        rows[r] = (digit % spec.pN,) + (0,) * (spec.m - 1)
+    return RingElem(spec, tuple(rows), check=False)

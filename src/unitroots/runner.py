@@ -48,37 +48,41 @@ class JobConfig:
         unknown = set(raw) - known - {"n"}
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        try:
-            p = int(raw["p"])
-            A = tuple(tuple(int(c) for c in v) for v in raw["A"])
-            coeffs = tuple(tuple(int(c) for c in v) for v in raw["coeffs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"p, A and coeffs are required: {exc}") from None
-        if "n" in raw and any(len(v) != int(raw["n"]) for v in A):
-            raise ConfigInvalid("exponent vectors do not match the declared n")
+        missing = [key for key in ("p", "A", "coeffs") if key not in raw]
+        if missing:
+            raise ConfigInvalid(f"p, A and coeffs are required; missing {missing}")
+        p = _int("p", raw["p"])
+        A = tuple(_ints("A", v) for v in _list("A", raw["A"]))
+        coeffs = tuple(_ints("coeffs", v) for v in _list("coeffs", raw["coeffs"]))
+        if raw.get("n") is not None:
+            n = _int("n", raw["n"])
+            if any(len(v) != n for v in A):
+                raise ConfigInvalid("exponent vectors do not match the declared n")
         kw = {}
-        for key in ("epsilon", "field_degree", "precision", "lmax"):
-            if key in raw and raw[key] is not None:
-                kw[key] = int(raw[key])
+        for key in ("epsilon", "field_degree", "precision", "lmax", "degmax"):
+            if raw.get(key) is not None:
+                kw[key] = _int(key, raw[key])
         if raw.get("field_poly") is not None:
-            kw["field_poly"] = tuple(int(c) for c in raw["field_poly"])
+            kw["field_poly"] = _ints("field_poly", raw["field_poly"])
         if raw.get("routes") is not None:
-            routes = tuple(str(r) for r in raw["routes"])
+            routes = _list("routes", raw["routes"])
             bad = [r for r in routes if r not in ROUTES]
             if bad:
                 raise ConfigInvalid(f"unknown routes: {bad}")
             kw["routes"] = routes
-        if raw.get("degmax") is not None:
-            kw["degmax"] = int(raw["degmax"])
         if raw.get("wmax") is not None:
-            w = raw["wmax"]
-            kw["wmax"] = Fraction(w[0], w[1]) if isinstance(w, (list, tuple)) \
-                else Fraction(int(w))
+            kw["wmax"] = _wmax(raw["wmax"])
         for key in ("cache_dir", "output"):
             if raw.get(key) is not None:
-                kw[key] = str(raw[key])
-        if raw.get("override_enumeration_guard"):
-            kw["override_enumeration_guard"] = True
+                if not isinstance(raw[key], str):
+                    raise ConfigInvalid(f"{key} must be a path string, not {raw[key]!r}")
+                kw[key] = raw[key]
+        if raw.get("override_enumeration_guard") is not None:
+            guard = raw["override_enumeration_guard"]
+            if not isinstance(guard, bool):
+                raise ConfigInvalid(
+                    f"override_enumeration_guard must be true or false, not {guard!r}")
+            kw["override_enumeration_guard"] = guard
         cfg = cls(p=p, A=A, coeffs=coeffs, **kw)
         cfg.validate()
         return cfg
@@ -98,6 +102,8 @@ class JobConfig:
             raise ConfigInvalid("field_poly must be monic of degree field_degree")
         if self.precision < 1:
             raise ConfigInvalid("precision must be at least 1")
+        if self.degmax is not None and self.degmax < 1:
+            raise ConfigInvalid("degmax must be at least 1")
         if self.wmax is not None and self.wmax < 0:
             raise ConfigInvalid("wmax must be nonnegative")
         if self.lmax < 1:
@@ -131,6 +137,34 @@ class JobConfig:
             "lmax": self.lmax,
             "override_enumeration_guard": self.override_enumeration_guard,
         }
+
+
+def _int(key, value):
+    """A JSON integer (not a bool), else ConfigInvalid."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _list(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigInvalid(f"{key} must be a list, not {value!r}")
+    return tuple(value)
+
+
+def _ints(key, value):
+    return tuple(_int(key, c) for c in _list(key, value))
+
+
+def _wmax(value):
+    """An integer, or a [numerator, denominator] pair with denominator > 0."""
+    if not isinstance(value, (list, tuple)):
+        return Fraction(_int("wmax", value))
+    num, den = _ints("wmax", value) if len(value) == 2 else (0, 0)
+    if den <= 0:
+        raise ConfigInvalid("wmax must be an integer or a [num, den] pair "
+                            f"with den > 0, not {value!r}")
+    return Fraction(num, den)
 
 
 def _frac(x):

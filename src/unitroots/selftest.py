@@ -17,9 +17,11 @@ def _suite_ring_laws(rng):
     from .padic import RingElem
     for p, m in ((2, 1), (3, 1), (5, 1), (3, 2)):
         ring = make_ring(p, m, None, 4)
-        elems = [RingElem(ring, [[rng.randrange(ring.pN) for _ in range(m)]
-                                 for _ in range(ring.npi)]) for _ in range(12)]
         pi = ring.pi()
+        # random digits times a random power of pi, so every order occurs
+        elems = [RingElem(ring, [[rng.randrange(ring.pN) for _ in range(m)]
+                                 for _ in range(ring.npi)])
+                 * pi ** rng.randrange(ring.N * ring.npi) for _ in range(12)]
         if not (pi ** (p - 1) + ring.from_int(p)).is_zero():
             return False, f"pi^(p-1) + p != 0 at p={p}"
         for _ in range(40):
@@ -28,11 +30,13 @@ def _suite_ring_laws(rng):
                 return False, f"distributivity fails at p={p}"
             if x * y != y * x or (x * y) * z != x * (y * z):
                 return False, f"commutativity/associativity fails at p={p}"
-            vx, vy, vxy = x.valuation(), y.valuation(), (x * y).valuation()
-            if vx is not None and vy is not None and vx + vy < ring.N:
-                if vxy != vx + vy:
-                    return False, f"valuation not additive at p={p}"
-    return True, "ring laws, pi relation, valuation additivity"
+            ox, oy, oxy = x.order(), y.order(), (x * y).order()
+            if ox is not None and oy is not None and ox + oy < ring.N * ring.npi:
+                if oxy != ox + oy:
+                    return False, f"order not additive at p={p}"
+            if x.valuation() != (None if ox is None else Fraction(ox, p - 1)):
+                return False, f"valuation is not order/(p-1) at p={p}"
+    return True, "ring laws, pi relation, order additivity, valuation = order/(p-1)"
 
 
 def _suite_teichmueller(rng):

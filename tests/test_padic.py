@@ -1,13 +1,16 @@
 """Truncated ring arithmetic: construction, lifts, roots of unity, valuation."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitroots.errors import (CompositeP, NonUnitDivision, PrecisionTooLow,
                               ReduciblePolynomial)
 from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
-                             teichmueller, valuation, zeta_p)
+                             split_p, teichmueller, valuation, zeta_p)
 
 
 def rand_elem(ring, rng):
@@ -155,3 +158,49 @@ def test_digit_serialization(ring3):
     digs = x.digits()
     assert digs == [[5], [11]]
     assert RingElem(ring3, digs) == x
+
+
+# --- integer pi-orders, property-based -------------------------------------
+
+RINGS = {(p, m): make_ring(p, m, None, 3) for p in (2, 3, 5) for m in (1, 2)}
+RING_KEYS = st.sampled_from(sorted(RINGS))
+
+
+@st.composite
+def ring_elems(draw, ring):
+    """Random digits times a random power of pi, so every order occurs."""
+    rows = [[draw(st.integers(0, ring.pN - 1)) for _ in range(ring.m)]
+            for _ in range(ring.npi)]
+    shift = draw(st.integers(0, ring.N * ring.npi))
+    return RingElem(ring, rows) * ring.pi() ** shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(RING_KEYS, st.data())
+def test_order_laws(key, data):
+    ring = RINGS[key]
+    x, y = data.draw(ring_elems(ring)), data.draw(ring_elems(ring))
+    for e in (x, y):
+        v = e.order()
+        assert e.valuation() == (None if v is None else Fraction(v, ring.npi))
+        assert (v is None) == e.is_zero()
+    vx, vy = x.order(), y.order()
+    if vx is not None and vy is not None and vx + vy < ring.N * ring.npi:
+        assert (x * y).order() == vx + vy
+    bound = Fraction(data.draw(st.integers(0, 3 * ring.N * ring.npi)),
+                     data.draw(st.integers(1, 6)))
+    val = x.valuation()
+    assert x.val_at_least(bound) == (val is None or val >= bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RING_KEYS, st.lists(st.integers(0, 40), min_size=1, max_size=3))
+def test_pi_pow_over_factorials_reference(key, fs):
+    # pi^k at precision N + v, divided by p^v and by the unit u, where
+    # prod f! = p^v u, is pi^k / prod f! mod p^N
+    ring = RINGS[key]
+    k = sum(fs)
+    v, u = split_p(math.prod(math.factorial(f) for f in fs), ring.p)
+    high = make_ring(ring.p, ring.m, ring.g, ring.N + v)
+    ref = (high.pi() ** k).divide_exact_p(v) * high.from_int(u).inverse()
+    assert pi_pow_over_factorials(ring, k, fs) == ref.reduce_to(ring)

@@ -1,6 +1,7 @@
 """Orchestration: config validation, reports, determinism, cache, CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,22 @@ def test_config_validation_errors():
     with pytest.raises(ConfigInvalid):
         JobConfig.from_dict({**KLOOSTER3, "lmax": 1})  # one sum, no ratio
     JobConfig.from_dict({**KLOOSTER3, "lmax": 1, "routes": ["B"]})
+    # malformed values are ConfigInvalid, never a bare error or a silent cast
+    for key in ("precision", "lmax", "degmax", "epsilon", "field_degree", "n"):
+        with pytest.raises(ConfigInvalid):
+            JobConfig.from_dict({**KLOOSTER3, key: "x"})
+    for key, value in (("field_poly", "ab"), ("wmax", [1, 0]), ("wmax", "abc"),
+                       ("wmax", [1, 2, 3]), ("wmax", 1.5), ("routes", 5),
+                       ("routes", "BC"), ("precision", 4.7), ("precision", True),
+                       ("override_enumeration_guard", "no"), ("output", True),
+                       ("cache_dir", 5)):
+        with pytest.raises(ConfigInvalid):
+            JobConfig.from_dict({**KLOOSTER3, key: value})
+    assert JobConfig.from_dict({**KLOOSTER3, "wmax": [9, 2]}).wmax == Fraction(9, 2)
+    # a zero cap made route A compare the constant term with itself
+    for degmax in (0, -5):
+        with pytest.raises(ConfigInvalid):
+            run({**KLOOSTER3, "routes": ["A"], "degmax": degmax})
 
 
 def test_not_spanning_rejected():
@@ -191,7 +208,8 @@ def test_cli_lfunction(tmp_path, capsys):
 def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for text in (json.dumps({"p": 3}), json.dumps({**KLOOSTER3, "epsilon": 0}),
-                 '{"p": 3, "A": [[1], [-1]]', "[1, 2]"):
+                 '{"p": 3, "A": [[1], [-1]]', "[1, 2]",
+                 json.dumps({**KLOOSTER3, "precision": "x"})):
         cfg.write_text(text)
         assert main(["unit-root", "--config", str(cfg)]) == 2
     for path in (tmp_path / "missing.json", tmp_path):
