@@ -13,8 +13,13 @@ determinants and eigenvalues untouched; weight normalizations therefore
 appear only as valuation bookkeeping, never as ring elements.
 
 Matrices hold ring elements as integer tensors of shape
-(dim, dim, p-1, m); products contract through numpy with exact integer
-semantics (float64 BLAS is used only when every intermediate fits exactly).
+(dim, dim, p-1, m); products contract through float64 BLAS with exact
+integer results.  Each slot of the left operand is cut into limbs: one limb
+while dim * (p^N - 1)^2 < 2^52, otherwise limbs of the widest k bits with
+dim * (2^k - 1) * (p^N - 1) < 2^53, so every partial sum of every limb
+product is an integer below 2^53.  The limb products are reduced mod p^N in
+int64 and recombined with the factors 2^(k*i) mod p^N; dim * (p^N - 1)^2
+must stay below 2^62 (PrecisionTooLow) so that int64 recombination holds.
 """
 
 import copy
@@ -234,25 +239,33 @@ class OperatorData:
     def one_step_matrix(self, oi):
         """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu)."""
         if oi not in self._onestep:
-            ring, p = self.ring, self.ring.p
+            ring = self.ring
             table = self.kernel_table(oi)
-            dim = len(self.basis)
-            T = np.zeros((dim, dim, ring.npi, ring.m), dtype=np.int64)
-            for iw, om in enumerate(self.basis):
-                pom = tuple(p * a for a in om)
-                for iv, nu in enumerate(self.basis):
-                    ent = table.get(tuple(a - b for a, b in zip(pom, nu)))
-                    if ent is not None:
-                        T[iw, iv] = np.array(ent.rows, dtype=np.int64)
-            self._onestep[oi] = T
+            miss = len(table)  # row index of the zero entry
+            keys = np.array(list(table), dtype=np.int64)
+            vals = np.zeros((miss + 1, ring.npi, ring.m), dtype=np.int64)
+            vals[:miss] = [e.rows for e in table.values()]
+            # dense index of the table over its bounding box
+            lo = keys.min(axis=0)
+            box = keys.max(axis=0) - lo + 1
+            dense = np.full(tuple(box), miss)
+            dense[tuple((keys - lo).T)] = np.arange(miss)
+            basis = np.array(self.basis, dtype=np.int64)
+            diff = ring.p * basis[:, None] - basis[None, :] - lo
+            inside = ((diff >= 0) & (diff < box)).all(axis=-1)
+            idx = np.full(inside.shape, miss)
+            idx[inside] = dense[tuple(diff[inside].T)]
+            self._onestep[oi] = vals[idx]
         return self._onestep[oi]
 
     def full_matrix(self):
         """Composed operator: one-step at orbit index 0 applied first."""
         T = self.one_step_matrix(0)
+        products = 0
         for oi in range(1, self.orbit_len):
             T = _tensor_matmul(self.ring, self.one_step_matrix(oi), T)
-        return RingMatrix(self.ring, self.W, self.basis, T)
+            products += 1
+        return RingMatrix(self.ring, self.W, self.basis, T, products)
 
     def dual_cycle(self, vec):
         """One full dual cycle applied to a coefficient tensor (dim, p-1, m)."""
@@ -269,6 +282,7 @@ class RingMatrix:
     W: object
     basis: list
     tensor: np.ndarray
+    products: int = 0      # tensor products in the expression that computed it
 
     @property
     def dim(self):
@@ -279,59 +293,116 @@ class RingMatrix:
 
     def matmul(self, other):
         return RingMatrix(self.ring, self.W, self.basis,
-                          _tensor_matmul(self.ring, self.tensor, other.tensor))
+                          _tensor_matmul(self.ring, self.tensor, other.tensor),
+                          self.products + other.products + 1)
 
     def trace(self):
         diag = self.tensor.diagonal(axis1=0, axis2=1)  # (npi, m, dim)
         return RingElem(self.ring, diag.sum(axis=2))
 
 
+def limb_bits(dim, pN):
+    """Width k of the limbs that split a left operand contracting over dim.
+
+    One limb, all of p^N - 1, when dim * (p^N - 1)^2 < 2^52 (the rule
+    perfbench's tracer mirrors); otherwise the widest k, below the width of
+    p^N - 1, with dim * (2^k - 1) * (p^N - 1) < 2^53.  Either way every
+    partial sum of a limb product with a whole right operand is an integer
+    below 2^53, exact in float64.
+    """
+    top = (pN - 1).bit_length()
+    if dim * (pN - 1) ** 2 < 2 ** 52:
+        return top
+    assert dim * (pN - 1) < 2 ** 53, "no limb width keeps the product exact"
+    k = 1
+    while k + 1 < top and dim * (2 ** (k + 1) - 1) * (pN - 1) < 2 ** 53:
+        k += 1
+    return k
+
+
+def product_limbs(dim, pN):
+    """Limbs, of limb_bits(dim, pN) bits each, per slot of a left operand."""
+    return -(-(pN - 1).bit_length() // limb_bits(dim, pN))
+
+
 def _pair_products(spec, A, B):
-    """Raw convolution over (pi, t)-slots with exact integer products."""
+    """Raw convolution over (pi, t)-slots with exact integer products.
+
+    A (rows, dim, p-1, m) times B (dim, cols, p-1, m), entries in
+    [0, p^N), gives the slot-major (2(p-1)-1, 2m-1, rows, cols) that _fold
+    reduces.  Each A slot is cut into limbs of limb_bits(dim, p^N) bits;
+    one float64 BLAS product per limb and B slot is exact, is reduced mod
+    p^N in int64, and enters with the limb's factor 2^shift mod p^N.
+    """
     npi, m, pN = spec.npi, spec.m, spec.pN
-    dim = A.shape[0]
-    shape = (dim, B.shape[1], 2 * npi - 1, 2 * m - 1)
+    rows, dim, cols = A.shape[0], A.shape[1], B.shape[1]
     if dim * (pN - 1) ** 2 >= 2 ** 62:
-        raise PrecisionTooLow("precision * dimension beyond exact integer matmul")
-    use_float = dim * (pN - 1) ** 2 < 2 ** 52
-    dt = np.float64 if use_float else np.int64
-    raw = np.zeros(shape, dtype=np.int64)
+        raise PrecisionTooLow(
+            f"dimension {dim} with p^N = {pN}: dim * (p^N - 1)^2 reaches 2^62, "
+            "beyond exact int64 reduction")
+    k = limb_bits(dim, pN)
+    mask = (1 << k) - 1
+    shifts = range(0, k * product_limbs(dim, pN), k)
+    bslots = [(j, t) for j in range(npi) for t in range(m) if B[:, :, j, t].any()]
+    raw = np.zeros((2 * npi - 1, 2 * m - 1, rows, cols), dtype=np.int64)
+    limb = np.empty((rows, dim))
+    right = np.empty((dim, cols))
+    prod = np.empty((rows, cols))
+    red = np.empty((rows, cols), dtype=np.int64)
     for j1 in range(npi):
         for k1 in range(m):
             Aslice = A[:, :, j1, k1]
             if not Aslice.any():
                 continue
-            Af = Aslice.astype(dt)
-            for j2 in range(npi):
-                for k2 in range(m):
-                    Bslice = B[:, :, j2, k2]
-                    if not Bslice.any():
-                        continue
-                    prod = Af @ Bslice.astype(dt)
-                    if use_float:
-                        prod = prod % pN
-                        prod = prod.astype(np.int64)
-                    raw[:, :, j1 + j2, k1 + k2] = (raw[:, :, j1 + j2, k1 + k2] + prod) % pN
+            for shift in shifts:
+                np.copyto(limb, (Aslice >> shift) & mask)
+                factor = pow(2, shift, pN)
+                for j2, k2 in bslots:
+                    np.copyto(right, B[:, :, j2, k2])
+                    np.matmul(limb, right, out=prod)
+                    np.copyto(red, prod, casting="unsafe")
+                    if factor != 1:
+                        np.remainder(red, pN, out=red)
+                        red *= factor
+                    acc = raw[j1 + j2, k1 + k2]
+                    acc += red
+                    np.remainder(acc, pN, out=acc)
     return raw
 
 
+def pair_products_reference(spec, A, B):
+    """_pair_products in Python integers (object arrays): the reference
+    the limb-split kernel is checked against."""
+    npi, m = spec.npi, spec.m
+    Ao, Bo = A.astype(object), B.astype(object)
+    raw = np.zeros((2 * npi - 1, 2 * m - 1, A.shape[0], B.shape[1]), dtype=object)
+    for j1 in range(npi):
+        for k1 in range(m):
+            for j2 in range(npi):
+                for k2 in range(m):
+                    raw[j1 + j2, k1 + k2] += Ao[:, :, j1, k1] @ Bo[:, :, j2, k2]
+    return raw % spec.pN
+
+
 def _fold(spec, raw):
-    """Reduce pi-degrees >= p-1 (factor -p) and t-degrees >= m (mod g)."""
+    """Reduce pi-degrees >= p-1 (factor -p) and t-degrees >= m (mod g).
+
+    raw is slot-major, (2(p-1)-1, 2m-1, ...), and is reduced in place one
+    slot at a time; the result is (..., p-1, m).
+    """
     npi, m, pN, p = spec.npi, spec.m, spec.pN, spec.p
-    for j in range(raw.shape[-2] - 1, npi - 1, -1):
-        src = raw[..., j, :]
-        raw[..., j - npi, :] = (raw[..., j - npi, :] - p * src) % pN
-        raw[..., j, :] = 0
-    for k in range(raw.shape[-1] - 1, m - 1, -1):
-        c = raw[..., k].copy()
-        if not c.any():
-            continue
+    for j in range(raw.shape[0] - 1, npi - 1, -1):
+        raw[j - npi] -= p * raw[j]
+        raw[j - npi] %= pN
+    for k in range(raw.shape[1] - 1, m - 1, -1):
         red = spec._tred[k - m]
-        for i in range(m):
-            if red[i]:
-                raw[..., i] = (raw[..., i] + c * red[i]) % pN
-        raw[..., k] = 0
-    return np.ascontiguousarray(raw[..., :npi, :m])
+        for j in range(npi):
+            c = raw[j, k]
+            for i in range(m):
+                if red[i]:
+                    raw[j, i] += c * red[i]
+                    raw[j, i] %= pN
+    return np.ascontiguousarray(np.moveaxis(raw[:npi, :m], (0, 1), (-2, -1)))
 
 
 def _tensor_matmul(spec, A, B):
@@ -426,13 +497,14 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
 
 def _scale_tensor(ring, vec, c):
     """Every slot of a coefficient tensor (dim, p-1, m) times the element c."""
-    raw = np.zeros((vec.shape[0], 2 * ring.npi - 1, 2 * ring.m - 1), dtype=np.int64)
+    raw = np.zeros((2 * ring.npi - 1, 2 * ring.m - 1, vec.shape[0]), dtype=np.int64)
+    slots = np.moveaxis(vec, 0, -1)
     for j1, row in enumerate(c.rows):
         for k1, a in enumerate(row):
             if not a:
                 continue
-            raw[:, j1:j1 + ring.npi, k1:k1 + ring.m] = (
-                raw[:, j1:j1 + ring.npi, k1:k1 + ring.m] + a * vec) % ring.pN
+            raw[j1:j1 + ring.npi, k1:k1 + ring.m] = (
+                raw[j1:j1 + ring.npi, k1:k1 + ring.m] + a * slots) % ring.pN
     return _fold(ring, raw)
 
 
@@ -450,6 +522,7 @@ class FredholmPoly:
     coeffs: list           # RingElem, c_0 = 1
     degree_cap: int        # coefficients beyond this provably vanish mod p^N
     dim: int
+    products: int = 0      # tensor products behind the traces, the matrix's own included
 
     def __len__(self):
         return len(self.coeffs)
@@ -497,9 +570,12 @@ def fredholm_coefficients(Mx, target_ring):
     assert ring.N >= N + charpoly_boost(ring.p, cap), "matrix precision too low"
     traces = []
     Mk = Mx
+    products = Mx.products
     for _ in range(cap):
         traces.append(Mk.trace())
-        Mk = Mk.matmul(Mx) if len(traces) < cap else Mk
+        if len(traces) < cap:
+            Mk = Mk.matmul(Mx)
+            products += 1
     coeffs = [ring.one()]
     for k in range(1, cap + 1):
         acc = ring.zero()
@@ -516,7 +592,7 @@ def fredholm_coefficients(Mx, target_ring):
     # trailing coefficients should be invisible at target precision
     while len(reduced) > 1 and reduced[-1].is_zero():
         reduced.pop()
-    return FredholmPoly(target_ring, reduced, cap, Mx.dim)
+    return FredholmPoly(target_ring, reduced, cap, Mx.dim, products)
 
 
 def newton_polygon(P):

@@ -385,6 +385,8 @@ def run(config):
                     "series": [c.digits() for c in lf.series],
                     "unit_root_matches": lf.unit_root_matches,
                 },
+                "matrix_products": P.products,
+                "product_limbs": dwork.product_limbs(Mx.dim, Mx.ring.pN),
             }
         except UnitRootError as exc:
             report["errors"]["C"] = f"{type(exc).__name__}: {exc}"

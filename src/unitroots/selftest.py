@@ -3,11 +3,14 @@
 Condensed versions of the library's mathematical invariants: ring axioms,
 Teichmueller multiplicativity, weight function properties against the
 definitional oracle, splitting-series and kernel bounds, dual-step norm
-control, and adjointness.  Each suite returns (name, ok, detail).
+control, adjointness, and the exactness of the limb-split product kernel
+on this machine's BLAS.  Each suite returns (name, ok, detail).
 """
 
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from . import dwork, hyperg, oracle, weights
 from .padic import make_ring, teichmueller, valuation, zeta_p
@@ -157,6 +160,56 @@ def _suite_oracle(rng):
     return True, "count conservation, unit sums, Frobenius invariance"
 
 
+def limb_boundaries():
+    """(p, m, N, dim) on both sides of the product kernel's limb rules.
+
+    For p in {2, 3, 5} and m in {1, 2}: at the largest N with
+    (p^N - 1)^2 < 2^52, the last one-limb dimension and the first
+    multi-limb one; at the largest N with 2 (p^N - 1)^2 < 2^62, the last two
+    dimensions under the PrecisionTooLow guard.
+    """
+    out = []
+    for p in (2, 3, 5):
+        N = max(n for n in range(1, 64) if (p ** n - 1) ** 2 < 2 ** 52)
+        first = -(-2 ** 52 // (p ** N - 1) ** 2)
+        top = max(n for n in range(1, 64) if 2 * (p ** n - 1) ** 2 < 2 ** 62)
+        last = (2 ** 62 - 1) // (p ** top - 1) ** 2
+        for m in (1, 2):
+            out += [(p, m, N, first - 1), (p, m, N, first),
+                    (p, m, top, last - 1), (p, m, top, last)]
+    return out
+
+
+def extreme_operands(ring, dim, cols):
+    """Constant operand pairs (A, B) with the largest partial sums.
+
+    Every entry p^N - 1; and A all ones below the top bit of p^N - 1 (every
+    limb full) against B the largest odd entry, so that sums a bit past 2^53
+    are odd and cannot be rounded exactly.
+    """
+    pN = ring.pN
+    shapes = ((dim, dim, ring.npi, ring.m), (dim, cols, ring.npi, ring.m))
+    ones = 2 ** ((pN - 1).bit_length() - 1) - 1
+    odd = pN - 1 if pN % 2 == 0 else pN - 2
+    return [tuple(np.full(s, v, dtype=np.int64) for s, v in zip(shapes, vals))
+            for vals in ((pN - 1, pN - 1), (ones, odd))]
+
+
+def _suite_exact_matmul(rng):
+    for p, m, N, dim in limb_boundaries():
+        ring = make_ring(p, m, None, N)
+        for cols in (dim, 1):
+            shapes = ((dim, dim, ring.npi, m), (dim, cols, ring.npi, m))
+            seeded = tuple(np.array([rng.randrange(ring.pN) for _ in range(np.prod(s))],
+                                    dtype=np.int64).reshape(s) for s in shapes)
+            for A, B in extreme_operands(ring, dim, cols) + [seeded]:
+                if not np.array_equal(dwork._pair_products(ring, A, B),
+                                      dwork.pair_products_reference(ring, A, B)):
+                    return False, (f"kernel differs from the integer reference at "
+                                   f"p={p}, m={m}, N={N}, dim={dim}, cols={cols}")
+    return True, "limb-split products equal integer products at the limb boundaries"
+
+
 SUITES = [
     ("ring-laws", _suite_ring_laws),
     ("teichmueller", _suite_teichmueller),
@@ -164,6 +217,7 @@ SUITES = [
     ("kernel-bounds", _suite_kernel_bounds),
     ("dual-operator", _suite_dual_operator),
     ("oracle", _suite_oracle),
+    ("exact-matmul", _suite_exact_matmul),
 ]
 
 

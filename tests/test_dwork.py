@@ -7,19 +7,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
+from unitroots.battery import BATTERY, DEGENERATE_BATTERY, job_dict
 from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
-                             adjoint_check,
+                             _pair_products, adjoint_check,
                              bigF_coefficient, charpoly_boost,
                              charpoly_degree_cap, default_s_cut,
                              fredholm_unit_root, frobenius_matrix,
                              lfunction_from_fredholm, newton_polygon,
-                             one_step_dual, power_iteration_budget,
+                             one_step_dual, pair_products_reference,
+                             power_iteration_budget,
                              power_iteration_unit_root, splitting_coefficients,
                              unit_root_of_poly)
 from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import RingElem, make_ring, teichmueller
+from unitroots.runner import JobConfig, default_wmax
+from unitroots.selftest import extreme_operands, limb_boundaries
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -337,8 +343,88 @@ def test_matmul_precision_limit():
     ring = make_ring(5, 1, None, 14)
     M = RingMatrix(ring, None, None,
                    np.ones((2, 2, ring.npi, ring.m), dtype=np.int64))
-    with pytest.raises(PrecisionTooLow):
+    with pytest.raises(PrecisionTooLow, match=f"dimension 2 with p\\^N = {5 ** 14}"):
         M.matmul(M)
+    # the guard reads the contracted dimension, not the row count: at 5^13,
+    # 3 (p^N - 1)^2 < 2^62 <= 4 (p^N - 1)^2
+    ring = make_ring(5, 1, None, 13)
+    ones = [np.ones(s + (ring.npi, ring.m), dtype=np.int64)
+            for s in ((4, 1), (1, 1), (1, 4), (4, 1))]
+    assert _pair_products(ring, ones[0], ones[1]).shape == (7, 1, 4, 1)
+    with pytest.raises(PrecisionTooLow, match="dimension 4 "):
+        _pair_products(ring, ones[2], ones[3])
+
+
+@pytest.mark.parametrize("p, m, N, dim", limb_boundaries(),
+                         ids=["p{}-m{}-N{}-dim{}".format(*c) for c in limb_boundaries()])
+def test_pair_products_extreme_operands(p, m, N, dim):
+    ring = make_ring(p, m, None, N)
+    for cols in (dim, 1):
+        for A, B in extreme_operands(ring, dim, cols):
+            assert np.array_equal(_pair_products(ring, A, B),
+                                  pair_products_reference(ring, A, B))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 10),
+       st.booleans(), st.data())
+def test_pair_products_match_integer_products(p, m, dim, square, data):
+    # precisions from a few digits below the one-limb rule up to the guard
+    top = max(n for n in range(1, 64) if dim * (p ** n - 1) ** 2 < 2 ** 62)
+    ring = make_ring(p, m, None, data.draw(st.integers(max(1, top - 8), top)))
+    cols = dim if square else 1
+    entries = st.one_of(st.integers(0, ring.pN - 1), st.just(ring.pN - 1))
+    A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
+    B = data.draw(arrays(np.int64, (dim, cols, ring.npi, m), elements=entries))
+    assert np.array_equal(_pair_products(ring, A, B),
+                          pair_products_reference(ring, A, B))
+
+
+def _battery_operator(case_id, ring, s_cut=None):
+    case = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}[case_id]
+    spec = JobConfig.from_dict(job_dict(case)).laurent_spec()
+    W = build_weight_data(spec.A)
+    return OperatorData(spec, W, ring, default_wmax(ring, W.D), s_cut)
+
+
+def _check_gather(od):
+    # entry (omega, nu) of every one-step matrix is B(p*omega - nu); returns
+    # the pairs whose difference lies outside the table's bounding box, and
+    # those of them below it
+    outside = below = 0
+    for oi in range(od.orbit_len):
+        T = od.one_step_matrix(oi)
+        keys = np.array(list(od.kernel_table(oi)))
+        lo, hi = keys.min(axis=0), keys.max(axis=0)
+        for iw, om in enumerate(od.basis):
+            for iv, nu in enumerate(od.basis):
+                mu = tuple(od.ring.p * a - b for a, b in zip(om, nu))
+                assert RingElem(od.ring, T[iw, iv]) == od.B(oi, mu)
+                outside += not all(a <= c <= b for a, c, b in zip(lo, mu, hi))
+                below += any(c < a for a, c in zip(lo, mu))
+    return outside, below
+
+
+@pytest.mark.parametrize("case_id", ["p3-kloosterman", "p3-skew", "p3-triangle",
+                                     "p3-edge-degenerate", "p3-kloosterman-f9"])
+def test_one_step_matrix_is_kernel_gather(case_id):
+    ring = make_ring(3, 2 if case_id.endswith("f9") else 1, None, 3)
+    od = _battery_operator(case_id, ring)
+    _check_gather(od)
+    if case_id.endswith("f9"):
+        assert od.orbit_len == 2
+    # reduced from a higher precision: gathered before and after reducing
+    high = _battery_operator(case_id, make_ring(3, ring.m, None, 6))
+    high.one_step_matrix(0)
+    _check_gather(high.at_precision(ring))
+
+
+def test_one_step_gather_outside_the_table():
+    # a short cutoff leaves a small table, so many differences p*omega - nu
+    # fall outside its bounding box, on both sides
+    od = _battery_operator("p3-triangle", make_ring(3, 1, None, 3), s_cut=2)
+    outside, below = _check_gather(od)
+    assert below > 0 and outside > below
 
 
 def test_at_precision_matches_direct():

@@ -158,6 +158,25 @@ def test_matmul_limit_is_a_route_error():
     assert "B" in rep.data["routes"]
 
 
+def test_route_c_counters(klooster_report):
+    # orbit length - 1 products compose the operator, Fredholm cap - 1 form
+    # the trace powers; the limb count follows the kernel's float rule
+    def counters(data):
+        c = data["routes"]["C"]
+        return c["matrix_products"], c["product_limbs"]
+    cap = klooster_report.data["truncation"]["charpoly_degree_cap"]
+    assert counters(klooster_report.data) == (cap - 1, 1)
+    f9 = run(job_dict(CASES["p3-kloosterman-f9"], routes=("B", "C")))
+    cap = f9.data["truncation"]["charpoly_degree_cap"]
+    assert f9.data["orbit"]["length"] == 2
+    assert counters(f9.data) == (1 + cap - 1, 1)
+    # at N = 10 the boosted products need two limbs, and B and C still agree
+    n10 = run({**KLOOSTER3, "precision": 10, "routes": ["B", "C"]})
+    cap = n10.data["truncation"]["charpoly_degree_cap"]
+    assert n10.exit_code == 0
+    assert counters(n10.data) == (cap - 1, 2)
+
+
 def test_battery_definitions_are_wellformed():
     ids = [c["id"] for c in BATTERY]
     assert len(ids) == len(set(ids)) == 24
