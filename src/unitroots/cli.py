@@ -127,7 +127,9 @@ def cmd_check(args):
     if args.quick:
         cases = [c for c in battery_mod.BATTERY
                  if c["id"] in battery_mod.QUICK_IDS]
-    failures = 0
+    if args.cache_dir:
+        runner.KernelCache(args.cache_dir)  # an unusable directory stops here
+    records = []
     for case in cases:
         cfg = battery_mod.job_dict(case, lmax=args.lmax or 6)
         if args.cache_dir:
@@ -139,11 +141,20 @@ def cmd_check(args):
             status = "ok" if report.exit_code == 0 else "FAIL"
             print(f"{case['id']:28s} {status}  agreement {agree['digits']} "
                   f"digits  ({time.perf_counter() - t0:.1f}s)")
-            failures += report.exit_code != 0
+            records.append({"id": case["id"], "exit_code": report.exit_code,
+                            "agreement_digits": agree["digits"],
+                            "errors": report.data["errors"],
+                            "timing": report.data["timing"]})
         except UnitRootError as exc:
             print(f"{case['id']:28s} ERROR  {type(exc).__name__}: {exc}")
-            failures += 1
+            records.append({"id": case["id"], "exit_code": 2,
+                            "agreement_digits": None,
+                            "errors": {"run": f"{type(exc).__name__}: {exc}"},
+                            "timing": {}})
+    failures = sum(r["exit_code"] != 0 for r in records)
     print(f"{len(cases) - failures}/{len(cases)} battery cases passed")
+    if args.json_out:
+        Path(args.json_out).write_text(json.dumps(records, sort_keys=True, indent=1))
     return 0 if failures == 0 else 1
 
 
@@ -184,6 +195,8 @@ def main(argv=None):
                      help="six representative cases only")
     sub.add_argument("--lmax", type=int, default=None)
     sub.add_argument("--cache-dir", dest="cache_dir", default=None)
+    sub.add_argument("--json", dest="json_out", default=None,
+                     help="write one JSON record per case here")
     sub.set_defaults(fn=cmd_check)
 
     sub = subs.add_parser("selftest", help="module invariant suites")

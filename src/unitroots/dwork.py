@@ -20,6 +20,15 @@ dim * (2^k - 1) * (p^N - 1) < 2^53, so every partial sum of every limb
 product is an integer below 2^53.  The limb products are reduced mod p^N in
 int64 and recombined with the factors 2^(k*i) mod p^N; dim * (p^N - 1)^2
 must stay below 2^62 (PrecisionTooLow) so that int64 recombination holds.
+
+Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
+slot convolution reduced by the same _fold.  Its entries are int64 while
+(p^N - 1)^2 + p^N < 2^63, so a slot product added to a reduced residue
+fits, and Python ints (object arrays) past that, on the same code path;
+there is no option.  The kernel table B_mu(lambda) is swept with it one
+exponent vector at a time over a batch of partial products (kernel_sweep),
+and route B scales its vector by the normalizer's inverse with it.
+bigF_coefficient and one_step_dual stay the scalar reference paths.
 """
 
 import copy
@@ -100,6 +109,44 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None):
     return acc
 
 
+def kernel_sweep(lam, W, ring, sc, s_cut):
+    """{mu: B_mu(lam)} for every mu with a nonzero coefficient mod p^N.
+
+    Every multi-index nu with |nu| <= s_cut contributes
+    prod_a b_(nu_a) lam_a^(nu_a) to the bucket mu = sum nu_a a; indices
+    missing from the result have every contribution beyond the cutoff and so
+    vanish mod p^N.  The sweep takes A's vectors one level at a time over a
+    batch of states (partial product, remaining budget, mu): each state
+    expands by e = 0..budget into its partial times b_e lam_a^e, one
+    ring_array_mul per level, and zero partials drop out.  One scatter-add
+    sums the last level's partials into their buckets.
+    """
+    dtype = ring_dtype(ring.pN)
+    b = np.array([x.rows for x in sc.b[:s_cut + 1]], dtype=dtype)
+    partial = np.array([ring.one().rows], dtype=dtype)
+    budget = np.array([s_cut])
+    mu = np.zeros((1, W.A.n), dtype=np.int64)
+    for x, vec in zip(lam, W.A.vectors):
+        pows = np.array([y.rows for y in _power_list(x, s_cut)], dtype=dtype)
+        row = ring_array_mul(ring, b, pows)  # b_e * lam_a^e
+        # state i expands to e = 0..budget[i]
+        counts = budget + 1
+        src = np.repeat(np.arange(len(budget)), counts)
+        e = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+        partial = ring_array_mul(ring, partial[src], row[e])
+        keep = partial.any(axis=(-2, -1))
+        partial = partial[keep]
+        budget = (budget[src] - e)[keep]
+        mu = (mu[src] + e[:, None] * np.array(vec, dtype=np.int64))[keep]
+    keys, bucket = np.unique(mu, axis=0, return_inverse=True)
+    sums = np.zeros((len(keys), ring.npi, ring.m), dtype=dtype)
+    np.add.at(sums, bucket.reshape(-1), partial)
+    sums %= ring.pN
+    nonzero = sums.any(axis=(-2, -1))
+    return {tuple(k): RingElem(ring, tuple(map(tuple, v)), check=False)
+            for k, v in zip(keys[nonzero].tolist(), sums[nonzero].tolist())}
+
+
 def _power_list(x, emax):
     out = [x.spec.one()]
     for _ in range(emax):
@@ -162,53 +209,10 @@ class OperatorData:
         self._onestep = {}
 
     def kernel_table(self, oi):
-        """All kernel coefficients at orbit point oi in one sweep.
-
-        Every multi-index nu with |nu| <= s_cut contributes
-        prod_a b_(nu_a) lam_a^(nu_a) to the bucket mu = sum nu_a a; indices
-        missing from the table have every contribution beyond the cutoff and
-        so vanish mod p^N.
-        """
+        """All kernel coefficients at orbit point oi, swept once and kept."""
         if oi not in self._btables:
-            ring = self.ring
-            lam = self.lam_orbit[oi]
-            vecs = self.W.A.vectors
-            blam = []
-            for a, x in enumerate(lam):
-                xe = ring.one()
-                row = []
-                for e in range(self.s_cut + 1):
-                    row.append(self.sc[e] * xe)
-                    xe = xe * x
-                blam.append(row)
-            table = {}
-            n = self.W.A.n
-            zero_mu = (0,) * n
-
-            def sweep(idx, budget, partial, mu):
-                if partial.is_zero():
-                    return
-                if idx == len(vecs) - 1:
-                    row = blam[idx]
-                    cur = mu
-                    for e in range(budget + 1):
-                        term = partial * row[e]
-                        if not term.is_zero():
-                            key = cur
-                            if key in table:
-                                table[key] = table[key] + term
-                            else:
-                                table[key] = term
-                        cur = tuple(c + v for c, v in zip(cur, vecs[idx]))
-                    return
-                row = blam[idx]
-                cur = mu
-                for e in range(budget + 1):
-                    sweep(idx + 1, budget - e, partial * row[e], cur)
-                    cur = tuple(c + v for c, v in zip(cur, vecs[idx]))
-
-            sweep(0, self.s_cut, ring.one(), zero_mu)
-            self._btables[oi] = {mu: v for mu, v in table.items() if not v.is_zero()}
+            self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W, self.ring,
+                                             self.sc, self.s_cut)
         return self._btables[oi]
 
     def at_precision(self, ring):
@@ -384,6 +388,38 @@ def pair_products_reference(spec, A, B):
     return raw % spec.pN
 
 
+def ring_dtype(pN):
+    """Entry type of ring arrays mod pN: int64 while (pN - 1)^2 + pN < 2^63,
+    so a slot product added to a reduced residue fits; Python ints past it."""
+    return np.int64 if (pN - 1) ** 2 + pN < 2 ** 63 else object
+
+
+def ring_array_mul(spec, X, Y):
+    """Elementwise product of ring arrays.
+
+    X (..., p-1, m) times Y broadcastable to it, entries in [0, p^N): each
+    pair of nonzero (pi, t)-slots adds its product into the slot-major raw
+    layout, reduced mod p^N after every addition, and _fold reduces the
+    result.  Entries are of ring_dtype(p^N).
+    """
+    npi, m, pN = spec.npi, spec.m, spec.pN
+    dtype = ring_dtype(pN)
+    X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
+    shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2])
+    raw = np.zeros((2 * npi - 1, 2 * m - 1) + shape, dtype=dtype)
+    yslots = [(j, k) for j in range(npi) for k in range(m) if Y[..., j, k].any()]
+    for j1 in range(npi):
+        for k1 in range(m):
+            x = X[..., j1, k1]
+            if not x.any():
+                continue
+            for j2, k2 in yslots:
+                acc = raw[j1 + j2, k1 + k2]
+                acc += x * Y[..., j2, k2]
+                acc %= pN
+    return _fold(spec, raw)
+
+
 def _fold(spec, raw):
     """Reduce pi-degrees >= p-1 (factor -p) and t-degrees >= m (mod g).
 
@@ -484,7 +520,7 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
         vec = odata.dual_cycle(vec)
         c = RingElem(ring, vec[0])
         cinv = c.inverse()
-        vec = _scale_tensor(ring, vec, cinv)
+        vec = ring_array_mul(ring, vec, np.array(cinv.rows))
         normalizers.append(c)
         if len(normalizers) >= 2:
             diff = (normalizers[-1] - normalizers[-2]).valuation()
@@ -493,19 +529,6 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
                 return PowerIterationResult(c, _vec_to_xseries(odata, vec),
                                             normalizers, diffs, cycle, budget)
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
-
-
-def _scale_tensor(ring, vec, c):
-    """Every slot of a coefficient tensor (dim, p-1, m) times the element c."""
-    raw = np.zeros((2 * ring.npi - 1, 2 * ring.m - 1, vec.shape[0]), dtype=np.int64)
-    slots = np.moveaxis(vec, 0, -1)
-    for j1, row in enumerate(c.rows):
-        for k1, a in enumerate(row):
-            if not a:
-                continue
-            raw[j1:j1 + ring.npi, k1:k1 + ring.m] = (
-                raw[j1:j1 + ring.npi, k1:k1 + ring.m] + a * slots) % ring.pN
-    return _fold(ring, raw)
 
 
 def frobenius_matrix(spec, wmax, ring, W=None):

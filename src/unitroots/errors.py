@@ -59,3 +59,7 @@ class TooLarge(UnitRootError):
 
 class ConfigInvalid(UnitRootError):
     """Job configuration failed validation."""
+
+
+class CacheUnwritable(UnitRootError):
+    """The kernel cache cannot store a table at its entry's path."""

@@ -16,7 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dwork, hyperg, oracle, weights
-from .errors import (ConfigInvalid, PrecisionUnstable, UnitRootError)
+from .errors import (CacheUnwritable, ConfigInvalid, PrecisionUnstable,
+                     UnitRootError)
 from .padic import RingElem, make_ring
 
 SCHEMA_VERSION = 1
@@ -190,16 +191,22 @@ def default_wmax(ring, D):
 class KernelCache:
     """Content-addressed store for kernel coefficient tables.
 
-    Each file holds one table and the SHA-256 of its JSON payload.  A file
-    that does not parse, has the wrong shape or fails its checksum is a
-    miss, so the table is recomputed and the file rewritten.  Files are
-    written under a temporary name in the same directory and renamed into
-    place, so no reader sees a partly written file.
+    Each file holds one table and the SHA-256 of its JSON payload.  An
+    entry that cannot be read, does not parse, has the wrong shape or fails
+    its checksum is a miss, so the table is recomputed and the file
+    rewritten.  Files are written under a temporary name in the same
+    directory and renamed into place, so no reader sees a partly written
+    file.  A root that is not a usable directory is ConfigInvalid; an entry
+    that cannot be replaced is CacheUnwritable.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(
+                f"cache_dir {root} is not a usable directory: {exc.strerror}") from None
 
     def key(self, odata, oi):
         lam = odata.lam_orbit[oi]
@@ -223,8 +230,8 @@ class KernelCache:
                 return False
             table = {tuple(int(c) for c in mu.split(",")): RingElem(odata.ring, rows)
                      for mu, rows in payload.items()}
-        except (FileNotFoundError, ValueError, TypeError, KeyError, AttributeError):
-            return False  # absent, unparseable or wrongly shaped
+        except (OSError, ValueError, TypeError, KeyError, AttributeError):
+            return False  # unreadable, unparseable or wrongly shaped
         odata._btables[oi] = table
         return True
 
@@ -233,14 +240,19 @@ class KernelCache:
                    for mu, v in sorted(odata.kernel_table(oi).items())}
         text = json.dumps({"table": payload, "sha256": _digest(payload)},
                           sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix="kernel-", suffix=".tmp")
+        path = self._path(odata, oi)
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, self._path(odata, oi))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=self.root, prefix="kernel-", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as f:
+                    f.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise CacheUnwritable(f"cannot store a kernel table at {path}: "
+                                  f"{exc.strerror}") from None
 
 
 def _digest(payload):

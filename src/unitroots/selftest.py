@@ -2,11 +2,13 @@
 
 Condensed versions of the library's mathematical invariants: ring axioms,
 Teichmueller multiplicativity, weight function properties against the
-definitional oracle, splitting-series and kernel bounds, dual-step norm
-control, adjointness, and the exactness of the limb-split product kernel
-on this machine's BLAS.  Each suite returns (name, ok, detail).
+definitional oracle, splitting-series and kernel bounds, the vectorized
+kernel sweep against the reference kernel sum, dual-step norm control,
+adjointness, and the exactness of the limb-split product kernel on this
+machine's BLAS.  Each suite returns (name, ok, detail).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -107,6 +109,57 @@ def _suite_kernel_bounds(rng):
         if not val.val_at_least(weights.weight(W, mu) * Fraction(2, 9)):
             return False, f"kernel bound fails at {mu}"
     return True, "splitting-series and kernel coefficient bounds"
+
+
+def sweep_mismatch(table, lam, W, ring, sc, s_cut):
+    """First mu where a kernel table differs from bigF_coefficient, else None.
+
+    Every cone point of the box holding all mu = sum nu_a a with
+    |nu| <= s_cut is compared, a point missing from the table as zero; a
+    table key outside that box is a mismatch too.
+    """
+    vecs = np.array(W.A.vectors)
+    lo = s_cut * np.minimum(vecs.min(axis=0), 0)
+    hi = s_cut * np.maximum(vecs.max(axis=0), 0)
+    box = [tuple(int(c) for c in mu)
+           for mu in itertools.product(*map(range, lo, hi + 1))]
+    stray = set(table) - set(box)
+    if stray:
+        return min(stray)
+    for mu in box:
+        if weights.in_cone(W, mu):
+            ref = dwork.bigF_coefficient(lam, mu, W, ring, sc, s_cut)
+            if ref != table.get(mu, ring.zero()):
+                return mu
+        elif mu in table:
+            return mu
+    return None
+
+
+def _suite_kernel_sweep(rng):
+    from .battery import EXPONENT_SETS
+    from .padic import RingElem
+    # 3^19 is the last int64 modulus of ring_dtype, 3^20 the first object
+    # one; at p = 2 an int64 overflow wraps mod 2^64 and stays right mod 2^N
+    for p, m, N, aname, s_cut in ((2, 2, 3, "kloosterman", None),
+                                  (3, 1, 19, "kloosterman", 20),
+                                  (3, 1, 20, "kloosterman", 20),
+                                  (3, 2, 3, "triangle", 5),
+                                  (5, 1, 2, "edge", None),
+                                  (5, 1, 14, "skew", 12)):
+        ring = make_ring(p, m, None, N)
+        s_cut = dwork.default_s_cut(ring) if s_cut is None else s_cut
+        sc = dwork.splitting_coefficients(ring, s_cut)
+        vecs = EXPONENT_SETS[aname]
+        W = weights.build_weight_data(weights.ExponentSet(len(vecs[0]), vecs))
+        lam = tuple(RingElem(ring, [[rng.randrange(ring.pN) for _ in range(m)]
+                                    for _ in range(ring.npi)]) for _ in vecs)
+        table = dwork.kernel_sweep(lam, W, ring, sc, s_cut)
+        mu = sweep_mismatch(table, lam, W, ring, sc, s_cut)
+        if mu is not None:
+            return False, (f"sweep differs from bigF at {mu}, p={p}, m={m}, N={N}, "
+                           f"{aname} ({np.dtype(dwork.ring_dtype(ring.pN)).name})")
+    return True, "kernel sweep equals bigF on int64 and object moduli"
 
 
 def _suite_dual_operator(rng):
@@ -215,6 +268,7 @@ SUITES = [
     ("teichmueller", _suite_teichmueller),
     ("weights", _suite_weights),
     ("kernel-bounds", _suite_kernel_bounds),
+    ("kernel-sweep", _suite_kernel_sweep),
     ("dual-operator", _suite_dual_operator),
     ("oracle", _suite_oracle),
     ("exact-matmul", _suite_exact_matmul),

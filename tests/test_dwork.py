@@ -9,23 +9,24 @@ from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
 
-from unitroots.battery import BATTERY, DEGENERATE_BATTERY, job_dict
+from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_dict
 from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              _pair_products, adjoint_check,
                              bigF_coefficient, charpoly_boost,
                              charpoly_degree_cap, default_s_cut,
                              fredholm_unit_root, frobenius_matrix,
-                             lfunction_from_fredholm, newton_polygon,
-                             one_step_dual, pair_products_reference,
-                             power_iteration_budget,
-                             power_iteration_unit_root, splitting_coefficients,
+                             kernel_sweep, lfunction_from_fredholm,
+                             newton_polygon, one_step_dual,
+                             pair_products_reference, power_iteration_budget,
+                             power_iteration_unit_root, ring_array_mul,
+                             ring_dtype, splitting_coefficients,
                              unit_root_of_poly)
 from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.runner import JobConfig, default_wmax
-from unitroots.selftest import extreme_operands, limb_boundaries
+from unitroots.selftest import extreme_operands, limb_boundaries, sweep_mismatch
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -425,6 +426,74 @@ def test_one_step_gather_outside_the_table():
     od = _battery_operator("p3-triangle", make_ring(3, 1, None, 3), s_cut=2)
     outside, below = _check_gather(od)
     assert below > 0 and outside > below
+
+
+def test_ring_dtype_threshold():
+    # int64 while (p^N - 1)^2 + p^N < 2^63: p = 2 up to N = 31, p = 5 up to 13
+    for p, last in ((2, 31), (3, 19), (5, 13)):
+        assert ring_dtype(p ** last) is np.int64
+        assert ring_dtype(p ** (last + 1)) is object
+        assert (p ** last - 1) ** 2 + p ** last < 2 ** 63
+        assert (p ** (last + 1) - 1) ** 2 + p ** (last + 1) >= 2 ** 63
+
+
+def _random_ring_array(data, ring, shape):
+    shape = shape + (ring.npi, ring.m)
+    size = int(np.prod(shape))
+    digits = st.one_of(st.integers(0, ring.pN - 1), st.just(ring.pN - 1))
+    flat = data.draw(st.lists(digits, min_size=size, max_size=size))
+    return np.array(flat, dtype=ring_dtype(ring.pN)).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 31), (2, 32), (3, 3), (3, 20), (5, 2), (5, 14)]),
+       st.integers(1, 2), st.booleans(), st.data())
+def test_ring_array_mul_is_elementwise_ring_product(pN, m, broadcast, data):
+    # both sides of the int64/object threshold; Y either matches X's batch
+    # shape or is one element broadcast over it
+    ring = make_ring(pN[0], m, None, pN[1])
+    X = _random_ring_array(data, ring, (3,))
+    Y = _random_ring_array(data, ring, () if broadcast else (3,))
+    Z = ring_array_mul(ring, X, Y)
+    assert Z.shape == X.shape and Z.dtype == ring_dtype(ring.pN)
+    for i in range(3):
+        y = Y if broadcast else Y[i]
+        assert RingElem(ring, Z[i].tolist()) == \
+            RingElem(ring, X[i].tolist()) * RingElem(ring, y.tolist())
+
+
+@pytest.mark.parametrize("case_id, N, s_cut", [
+    ("p2-triangle", 3, None), ("p3-skew", 3, None), ("p5-kloosterman", 3, None),
+    ("p3-kloosterman-f9", 3, None), ("p3-triangle", 3, 2),
+    ("p3-kloosterman", 19, None), ("p3-kloosterman", 20, None),
+    ("p5-kloosterman", 15, None)])
+def test_kernel_table_matches_bigF(case_id, N, s_cut):
+    # every entry equals the reference sum, and every cone point that the
+    # cutoff reaches but the table leaves out has a zero coefficient; 3^19
+    # and 3^20 straddle the int64/object threshold, 5^15 is object
+    ring = make_ring(int(case_id[1]), 2 if case_id.endswith("f9") else 1, None, N)
+    od = _battery_operator(case_id, ring, s_cut)
+    assert od.orbit_len == (2 if case_id.endswith("f9") else 1)
+    for oi in range(od.orbit_len):
+        table = od.kernel_table(oi)
+        assert sweep_mismatch(table, od.lam_orbit[oi], od.W, ring, od.sc,
+                              od.s_cut) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2),
+       st.sampled_from(["kloosterman", "skew", "triangle", "edge"]),
+       st.integers(1, 3), st.integers(0, 6), st.data())
+def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data):
+    # lambda need not be a Teichmueller point: every digit is random
+    ring = make_ring(p, m, None, N)
+    vecs = EXPONENT_SETS[aname]
+    W = build_weight_data(ExponentSet(len(vecs[0]), vecs))
+    sc = splitting_coefficients(ring, s_cut)
+    lam = tuple(RingElem(ring, _random_ring_array(data, ring, ()).tolist())
+                for _ in vecs)
+    table = kernel_sweep(lam, W, ring, sc, s_cut)
+    assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
 
 
 def test_at_precision_matches_direct():

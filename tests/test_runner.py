@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from unitroots.battery import BATTERY, DEGENERATE_BATTERY, job_dict
+from unitroots.battery import BATTERY, DEGENERATE_BATTERY, QUICK_IDS, job_dict
 from unitroots.cli import main
-from unitroots.errors import ConfigInvalid, NotSpanning
+from unitroots.errors import CacheUnwritable, ConfigInvalid, NotSpanning
 from unitroots.runner import JobConfig, run
 
 CASES = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
@@ -147,6 +147,45 @@ def test_cache_roundtrip(tmp_path):
     assert run(cfg).without_timing() == cold.without_timing()
     assert sorted(tmp_path.iterdir()) == files
     assert run(cfg).without_timing() == cold.without_timing()
+
+
+def test_cache_dir_that_is_a_file(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    with pytest.raises(ConfigInvalid, match="cache_dir .*taken"):
+        run({**KLOOSTER3, "routes": ["B"], "cache_dir": str(path)})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KLOOSTER3))
+    assert main(["unit-root", "--config", str(cfg), "--cache-dir", str(path)]) == 2
+    assert main(["check", "--quick", "--cache-dir", str(path)]) == 2
+    assert "ConfigInvalid" in capsys.readouterr().err
+
+
+def test_cache_entry_that_is_a_directory(tmp_path):
+    # the entry cannot be read, so it is a miss; it cannot be replaced
+    # either, so storing the recomputed table fails naming the entry
+    cfg = {**KLOOSTER3, "routes": ["B"], "cache_dir": str(tmp_path)}
+    run(cfg)
+    (entry,) = tmp_path.glob("kernel-*.json")
+    entry.unlink()
+    entry.mkdir()
+    with pytest.raises(CacheUnwritable, match=entry.name):
+        run(cfg)
+    assert sorted(tmp_path.iterdir()) == [entry]
+
+
+def test_check_json_records(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    assert main(["check", "--quick", "--lmax", "2", "--json", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [r["id"] for r in records] == [c["id"] for c in BATTERY
+                                          if c["id"] in QUICK_IDS]
+    for r in records:
+        assert set(r) == {"id", "exit_code", "agreement_digits", "errors", "timing"}
+        assert (r["exit_code"], r["agreement_digits"], r["errors"]) == (0, 4, {})
+        assert set(r["timing"]) == {"operator_tables_ms", "route_a_ms",
+                                    "route_b_ms", "route_c_ms", "oracle_ms"}
+    assert "6/6 battery cases passed" in capsys.readouterr().out
 
 
 def test_matmul_limit_is_a_route_error():
