@@ -13,16 +13,24 @@ determinants and eigenvalues untouched; weight normalizations therefore
 appear only as valuation bookkeeping, never as ring elements.
 
 Matrices hold ring elements as integer tensors of shape
-(dim, dim, p-1, m); products contract through float64 BLAS with exact
-integer results.  Each slot of the left operand is cut into limbs: one limb
-while dim * (p^N - 1)^2 < 2^52, otherwise limbs of the widest k bits with
-dim * (2^k - 1) * (p^N - 1) < 2^53, so every partial sum of every limb
-product is an integer below 2^53.  The limb products are reduced mod p^N in
-int64 and recombined with the factors 2^(k*i) mod p^N; dim * (p^N - 1)^2
-must stay below 2^62 (PrecisionTooLow) so that int64 recombination holds.
+(dim, dim, p-1, m); a product is one float64 BLAS GEMM per limb with exact
+integer results.  The left side lays the left operand's nonzero
+(pi, t)-slots side by side along the contraction; the right side is the
+right operand's regular representation (RegularRep), whose row block for
+slot pi^j t^s holds pi^j t^s times the operand, so pi^(p-1) = -p and g(t)
+are folded in and the product comes out reduced.  Residues are centred,
+|x| <= h = floor(p^N/2).  A contraction over K takes one limb while
+K * h^2 < 2^53, otherwise left entries are cut by magnitude into limbs of
+the widest k bits with K * (2^k - 1) * h < 2^53, so every partial sum is
+an integer below 2^53.  A GEMM contracts as many slots as keep the limb
+count a single slot (K = dim) needs.  Each GEMM is reduced mod p^N in int64
+and enters with its limb's factor 2^(k*i) mod p^N; dim * (p^N - 1)^2 must
+stay below 2^62 (PrecisionTooLow) so that the int64 recombination holds.
+RingMatrix builds its regular representation once, on first use as a right
+operand, so route C's trace powers expand the Frobenius matrix once.
 
 Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
-slot convolution reduced by the same _fold.  Its entries are int64 while
+slot convolution reduced by _fold.  Its entries are int64 while
 (p^N - 1)^2 + p^N < 2^63, so a slot product added to a reduced residue
 fits, and Python ints (object arrays) past that, on the same code path;
 there is no option.  The kernel table B_mu(lambda) is swept with it one
@@ -33,7 +41,7 @@ bigF_coefficient and one_step_dual stay the scalar reference paths.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -141,10 +149,15 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     keys, bucket = np.unique(mu, axis=0, return_inverse=True)
     sums = np.zeros((len(keys), ring.npi, ring.m), dtype=dtype)
     np.add.at(sums, bucket.reshape(-1), partial)
-    sums %= ring.pN
-    nonzero = sums.any(axis=(-2, -1))
+    return _ring_table(ring, keys.tolist(), sums)
+
+
+def _ring_table(ring, keys, vals):
+    """{key: RingElem} of the rows of vals (n, p-1, m) nonzero mod p^N."""
+    vals = vals % ring.pN
+    nonzero = vals.any(axis=(-2, -1))
     return {tuple(k): RingElem(ring, tuple(map(tuple, v)), check=False)
-            for k, v in zip(keys[nonzero].tolist(), sums[nonzero].tolist())}
+            for k, v, keep in zip(keys, vals.tolist(), nonzero) if keep}
 
 
 def _power_list(x, emax):
@@ -185,16 +198,18 @@ class OperatorData:
     """Shared tables for one (A, lambda-bar, ring) instance.
 
     Holds the Teichmueller orbit, splitting series, memoized kernel
-    coefficients and the weight-truncated basis, plus the one-step matrices
-    of the operator and its dual as integer tensors.
+    coefficients and the weight-truncated basis (enumerated here unless the
+    caller passes it), plus the one-step matrices of the operator and its
+    dual as integer tensors.
     """
 
-    def __init__(self, spec, W, ring, wmax, s_cut=None):
+    def __init__(self, spec, W, ring, wmax, s_cut=None, basis=None):
         self.spec = spec
         self.W = W
         self.ring = ring
         self.wmax = Fraction(wmax)
-        self.basis = enumerate_weighted_monomials(W, self.wmax)
+        self.basis = (enumerate_weighted_monomials(W, self.wmax) if basis is None
+                      else basis)
         self.index = {mu: i for i, mu in enumerate(self.basis)}
         self.d = orbit_degree(spec)
         self.orbit_len = spec.epsilon * self.d
@@ -229,10 +244,11 @@ class OperatorData:
                         for lam in self.lam_orbit]
         od.sc = SplittingCoeffs(ring, tuple(b.reduce_to(ring)
                                             for b in self.sc.b[:od.s_cut + 1]))
-        od._btables = {}
-        for oi, table in self._btables.items():
-            reduced = {mu: v.reduce_to(ring) for mu, v in table.items()}
-            od._btables[oi] = {mu: v for mu, v in reduced.items() if not v.is_zero()}
+        dtype = ring_dtype(self.ring.pN)
+        od._btables = {oi: _ring_table(ring, list(table),
+                                       np.array([v.rows for v in table.values()],
+                                                dtype=dtype))
+                       for oi, table in self._btables.items()}
         od._onestep = {oi: T % ring.pN for oi, T in self._onestep.items()}
         return od
 
@@ -267,16 +283,17 @@ class OperatorData:
         T = self.one_step_matrix(0)
         products = 0
         for oi in range(1, self.orbit_len):
-            T = _tensor_matmul(self.ring, self.one_step_matrix(oi), T)
+            T = _pair_products(self.ring, self.one_step_matrix(oi), T)
             products += 1
-        return RingMatrix(self.ring, self.W, self.basis, T, products)
+        limbs = product_limbs(len(self.basis), self.ring.pN) if products else 0
+        return RingMatrix(self.ring, self.W, self.basis, T, products, limbs)
 
     def dual_cycle(self, vec):
         """One full dual cycle applied to a coefficient tensor (dim, p-1, m)."""
         col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
             M = self.one_step_matrix(oi)
-            col = _tensor_matmul(self.ring, np.swapaxes(M, 0, 1), col)
+            col = _pair_products(self.ring, np.swapaxes(M, 0, 1), col)
         return col[:, 0]
 
 
@@ -287,56 +304,206 @@ class RingMatrix:
     basis: list
     tensor: np.ndarray
     products: int = 0      # tensor products in the expression that computed it
+    limbs: int = 0         # most limbs per left entry any of those products used
+    _right: "RegularRep" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.tensor.shape[0]
 
+    def right_operand(self, slots):
+        """regular_representation of the tensor for at least `slots`, built
+        on first use and kept: every trace power of route C multiplies by
+        the same matrix."""
+        if self._right is None or not np.isin(slots, self._right.slots).all():
+            self._right = regular_representation(self.ring, self.tensor, slots)
+        return self._right
+
     def entry(self, i, j):
         return RingElem(self.ring, self.tensor[i, j])
 
     def matmul(self, other):
-        return RingMatrix(self.ring, self.W, self.basis,
-                          _tensor_matmul(self.ring, self.tensor, other.tensor),
-                          self.products + other.products + 1)
+        T = _pair_products(self.ring, self.tensor, other.tensor, other.right_operand)
+        limbs = product_limbs(self.tensor.shape[1], self.ring.pN)
+        return RingMatrix(self.ring, self.W, self.basis, T,
+                          self.products + other.products + 1,
+                          max(self.limbs, other.limbs, limbs))
 
     def trace(self):
         diag = self.tensor.diagonal(axis1=0, axis2=1)  # (npi, m, dim)
         return RingElem(self.ring, diag.sum(axis=2))
 
 
-def limb_bits(dim, pN):
-    """Width k of the limbs that split a left operand contracting over dim.
+def limb_bits(K, pN):
+    """Width k of the limbs that split a left operand contracting over K.
 
-    One limb, all of p^N - 1, when dim * (p^N - 1)^2 < 2^52 (the rule
-    perfbench's tracer mirrors); otherwise the widest k, below the width of
-    p^N - 1, with dim * (2^k - 1) * (p^N - 1) < 2^53.  Either way every
-    partial sum of a limb product with a whole right operand is an integer
-    below 2^53, exact in float64.
+    Residues are centred, |x| <= h = floor(p^N / 2), and a left entry is cut
+    by magnitude, keeping its sign, so no limb exceeds 2^k - 1 in absolute
+    value.  One limb, all of h, when K * h^2 < 2^53; otherwise the widest k,
+    below the width of h, with K * (2^k - 1) * h < 2^53.  Either way every
+    partial sum of a limb product with a centred right operand is an integer
+    of absolute value below 2^53, exact in float64.
     """
-    top = (pN - 1).bit_length()
-    if dim * (pN - 1) ** 2 < 2 ** 52:
+    h = pN // 2
+    top = h.bit_length()
+    if K * h * h < 2 ** 53:
         return top
-    assert dim * (pN - 1) < 2 ** 53, "no limb width keeps the product exact"
+    assert K * h < 2 ** 53, "no limb width keeps the product exact"
     k = 1
-    while k + 1 < top and dim * (2 ** (k + 1) - 1) * (pN - 1) < 2 ** 53:
+    while k + 1 < top and K * (2 ** (k + 1) - 1) * h < 2 ** 53:
         k += 1
     return k
 
 
-def product_limbs(dim, pN):
-    """Limbs, of limb_bits(dim, pN) bits each, per slot of a left operand."""
-    return -(-(pN - 1).bit_length() // limb_bits(dim, pN))
+def product_limbs(K, pN):
+    """Limbs, of limb_bits(K, pN) bits each, per entry of a left operand."""
+    return -(-(pN // 2).bit_length() // limb_bits(K, pN))
 
 
-def _pair_products(spec, A, B):
-    """Raw convolution over (pi, t)-slots with exact integer products.
+def slot_group(dim, slots, pN):
+    """Left-operand slots one GEMM contracts: the most, up to `slots`, whose
+    contraction needs no more limbs than a single slot's (K = dim)."""
+    limbs = product_limbs(dim, pN)
+    g = max(slots, 1)
+    while g > 1 and product_limbs(g * dim, pN) > limbs:
+        g -= 1
+    return g
 
-    A (rows, dim, p-1, m) times B (dim, cols, p-1, m), entries in
-    [0, p^N), gives the slot-major (2(p-1)-1, 2m-1, rows, cols) that _fold
-    reduces.  Each A slot is cut into limbs of limb_bits(dim, p^N) bits;
-    one float64 BLAS product per limb and B slot is exact, is reduced mod
-    p^N in int64, and enters with the limb's factor 2^shift mod p^N.
+
+def _reduce(X, pN):
+    """X mod p^N in place, for int64 X (floor division by a scalar is
+    several times faster than np.remainder)."""
+    X -= X // pN * pN
+
+
+def _nonzero_slots(X):
+    """Indices j*m + s of the nonzero (pi, t)-slots of X (..., p-1, m); one
+    reduction per slot is much faster than one over the leading axes."""
+    npi, m = X.shape[-2:]
+    return np.array([i for i in range(npi * m) if X[..., i // m, i % m].any()],
+                    dtype=np.int64)
+
+
+def _run(idx):
+    """Sorted indices as a slice when they are consecutive, so that indexing
+    with them gives a view, not a copy."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+
+
+@dataclass(frozen=True)
+class RegularRep:
+    """Rows of B's regular representation: the right operand of _pair_products.
+
+    Slot j*m + s stands for pi^j t^s.  Row block n of `matrix`
+    (len(slots)*dim, cols*len(kept)), float64, is slots[n] * B with its
+    (col, slot) coordinates centred in [-floor(p^N/2), floor(p^N/2)]; only
+    the slots `kept`, the ones some row block can reach, are stored.  colsum
+    (len(slots), cols, len(kept)) holds each row block's column sums.
+    """
+    slots: np.ndarray
+    kept: np.ndarray
+    matrix: np.ndarray
+    colsum: np.ndarray
+
+
+def _regular_terms(spec, slots, present):
+    """How the rows `slots` of a regular representation are made.
+
+    For an operand B whose nonzero slots are `present`, slot o of
+    pi^j t^s * B (row slot j*m + s) is the sum over B's slots (j0, s0) with
+    j0 = j2 - j mod (p-1), o = j2*m + s2, of B's plane times the t^s2
+    coefficient of t^(s + s0) mod g, and times -p when j + j0 wraps past
+    p - 2.  Returns kept, the slots some row reaches, and src and coef
+    (terms, rows, kept): row n, slot kept[c] is the sum over terms of
+    coef * B[..., src] mod p^N, unused terms having coef 0.
+    """
+    npi, m, p, pN = spec.npi, spec.m, spec.p, spec.pN
+    # tpow[e][s2]: coefficient of t^s2 in t^e mod g, e <= 2m - 2
+    tpow = [[int(e == s2) for s2 in range(m)] for e in range(m)] + list(spec._tred)
+
+    def terms(i, o):
+        (j, s), (j2, s2) = divmod(i, m), divmod(o, m)
+        j0, wrap = (j2 - j) % npi, -p if j2 < j else 1
+        return [(wrap * tpow[s + s0][s2] % pN, j0 * m + s0) for s0 in range(m)
+                if tpow[s + s0][s2] and j0 * m + s0 in present]
+
+    rows = [[terms(i, o) for o in range(npi * m)] for i in slots]
+    kept = [o for o in range(npi * m) if any(row[o] for row in rows)]
+    src = np.zeros((m, len(slots), len(kept)), dtype=np.int64)
+    coef = np.zeros_like(src)
+    for n, row in enumerate(rows):
+        for c, o in enumerate(kept):
+            for t, (f, q) in enumerate(row[o]):
+                coef[t, n, c], src[t, n, c] = f, q
+    return np.array(kept, dtype=np.int64), src, coef
+
+
+def regular_representation(spec, B, slots):
+    """RegularRep of B (dim, cols, p-1, m), entries in [0, p^N), for the
+    sorted `slots`: pi^(p-1) = -p and g(t) are applied here, once, instead
+    of after every product."""
+    pN = spec.pN
+    dim, cols = B.shape[:2]
+    kept, src, coef = _regular_terms(spec, slots, set(_nonzero_slots(B).tolist()))
+    B = B.reshape(dim, cols, -1)
+    blocks = np.empty((len(slots), dim, cols, len(kept)))
+    colsum = np.empty((len(slots), cols, len(kept)), dtype=np.int64)
+    for n in range(len(slots)):
+        acc = B[:, :, src[0, n]] * coef[0, n]
+        for t in range(1, len(src)):
+            if coef[t, n].any():
+                _reduce(acc, pN)
+                acc += B[:, :, src[t, n]] * coef[t, n]
+        _reduce(acc, pN)
+        acc -= pN * (acc > pN // 2)
+        blocks[n] = acc
+        colsum[n] = acc.sum(axis=0)
+    return RegularRep(np.asarray(slots, dtype=np.int64), kept,
+                      blocks.reshape(len(slots) * dim, -1), colsum)
+
+
+def _limbs(X, k, top):
+    """(shift, float64 limb) for X, |X| < 2^top, cut by magnitude into
+    k-bit limbs that keep the sign of their entry; X itself when one limb
+    holds it.  A multi-limb X is overwritten by its magnitude, and every
+    limb comes in one buffer, valid until the next is made."""
+    if k >= top:
+        yield 0, X
+        return
+    sign = np.sign(X).astype(np.int8)
+    mag = np.abs(X, out=X)
+    bits, limb = np.empty_like(X), np.empty(X.shape)
+    for shift in range(0, top, k):
+        np.right_shift(mag, shift, out=bits)
+        bits &= (1 << k) - 1
+        np.multiply(bits, sign, out=limb)
+        yield shift, limb
+
+
+def _reduce_into(out, prod, factor, base, pN, block=64):
+    """out = (base + factor * prod) mod p^N, `block` rows at a time.
+
+    prod holds exact integers in float64, base and out residues in int64.
+    out may share memory with prod or base: each block is read before its
+    block of out is written.
+    """
+    for r in range(0, len(out), block):
+        x = prod[r:r + block].astype(np.int64)
+        if factor != 1:
+            _reduce(x, pN)
+            x *= factor
+        x += base[r:r + block]
+        _reduce(x, pN)
+        out[r:r + block] = x
+
+
+def _pair_products(spec, A, B, right=None):
+    """Product of ring matrices in exact float64 GEMMs, reduced mod p^N.
+
+    A (rows, dim, p-1, m) times B (dim, cols, p-1, m), entries in [0, p^N),
+    gives (rows, cols, p-1, m).  The left side lays A's nonzero
+    (pi, t)-slots side by side along the contraction; the right side is B's
+    RegularRep for those slots, from right(slots) when the caller keeps it.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     rows, dim, cols = A.shape[0], A.shape[1], B.shape[1]
@@ -344,39 +511,59 @@ def _pair_products(spec, A, B):
         raise PrecisionTooLow(
             f"dimension {dim} with p^N = {pN}: dim * (p^N - 1)^2 reaches 2^62, "
             "beyond exact int64 reduction")
-    k = limb_bits(dim, pN)
-    mask = (1 << k) - 1
-    shifts = range(0, k * product_limbs(dim, pN), k)
-    bslots = [(j, t) for j in range(npi) for t in range(m) if B[:, :, j, t].any()]
-    raw = np.zeros((2 * npi - 1, 2 * m - 1, rows, cols), dtype=np.int64)
-    limb = np.empty((rows, dim))
-    right = np.empty((dim, cols))
-    prod = np.empty((rows, cols))
-    red = np.empty((rows, cols), dtype=np.int64)
-    for j1 in range(npi):
-        for k1 in range(m):
-            Aslice = A[:, :, j1, k1]
-            if not Aslice.any():
-                continue
-            for shift in shifts:
-                np.copyto(limb, (Aslice >> shift) & mask)
-                factor = pow(2, shift, pN)
-                for j2, k2 in bslots:
-                    np.copyto(right, B[:, :, j2, k2])
-                    np.matmul(limb, right, out=prod)
-                    np.copyto(red, prod, casting="unsafe")
-                    if factor != 1:
-                        np.remainder(red, pN, out=red)
-                        red *= factor
-                    acc = raw[j1 + j2, k1 + k2]
-                    acc += red
-                    np.remainder(acc, pN, out=acc)
-    return raw
+    slots = _nonzero_slots(A)
+    if not len(slots):
+        return np.zeros((rows, cols, npi, m), dtype=np.int64)
+    rep = regular_representation(spec, B, slots) if right is None else right(slots)
+    # a function of its own, so its buffers are freed before `full` is made
+    out = _contract(A.reshape(rows, dim, -1), slots, rep, pN)
+    if len(rep.kept) == npi * m:
+        return out.reshape(rows, cols, npi, m)
+    full = np.zeros((rows, cols, npi * m), dtype=np.int64)
+    full[..., rep.kept] = out.reshape(rows, cols, -1)
+    return full.reshape(rows, cols, npi, m)
+
+
+def _contract(A, slots, rep, pN):
+    """A (rows, dim, S) times the rows `slots` of rep, mod p^N, as int64
+    (rows, cols * len(rep.kept)).
+
+    Each left entry is less floor(p^N/2) so that it is centred; h times the
+    column sums of the blocks used puts the offset back.  Slots go
+    slot_group(dim, ...) to a GEMM, each entry cut into limbs of
+    limb_bits(K, p^N) bits for the contraction K it gets; each GEMM is
+    exact, and its product is reduced mod p^N in int64 and enters with its
+    limb's factor 2^shift mod p^N.
+    """
+    rows, dim = A.shape[:2]
+    h, top = pN // 2, (pN // 2).bit_length()
+    rowblocks = rep.matrix.reshape(len(rep.slots), dim, -1)
+    pos = np.searchsorted(rep.slots, slots)
+    base = np.broadcast_to(rep.colsum[pos].sum(axis=0).reshape(-1) % pN * h % pN,
+                           (rows, rep.matrix.shape[1]))
+    out = None
+    g = slot_group(dim, len(slots), pN)
+    for i in range(0, len(slots), g):
+        group = slots[i:i + g]
+        K = len(group) * dim
+        k = limb_bits(K, pN)
+        left = np.empty((rows, len(group), dim), dtype=np.float64 if k >= top else np.int64)
+        for n, sl in enumerate(group):
+            np.subtract(A[:, :, sl], h, out=left[:, n])
+        right = rowblocks[_run(pos[i:i + g])].reshape(K, -1)
+        for shift, limb in _limbs(left.reshape(rows, K), k, top):
+            prod = limb @ right
+            if out is None:
+                out = prod.view(np.int64)  # reduced in place: holds the result
+            _reduce_into(out, prod, pow(2, shift, pN), base, pN)
+            base = out
+    return out
 
 
 def pair_products_reference(spec, A, B):
-    """_pair_products in Python integers (object arrays): the reference
-    the limb-split kernel is checked against."""
+    """_pair_products in Python integers (object arrays): the slot
+    convolution folded by _fold, the reference the GEMM kernel is checked
+    against."""
     npi, m = spec.npi, spec.m
     Ao, Bo = A.astype(object), B.astype(object)
     raw = np.zeros((2 * npi - 1, 2 * m - 1, A.shape[0], B.shape[1]), dtype=object)
@@ -385,7 +572,7 @@ def pair_products_reference(spec, A, B):
             for j2 in range(npi):
                 for k2 in range(m):
                     raw[j1 + j2, k1 + k2] += Ao[:, :, j1, k1] @ Bo[:, :, j2, k2]
-    return raw % spec.pN
+    return _fold(spec, raw % spec.pN)
 
 
 def ring_dtype(pN):
@@ -439,10 +626,6 @@ def _fold(spec, raw):
                     raw[j, i] += c * red[i]
                     raw[j, i] %= pN
     return np.ascontiguousarray(np.moveaxis(raw[:npi, :m], (0, 1), (-2, -1)))
-
-
-def _tensor_matmul(spec, A, B):
-    return _fold(spec, _pair_products(spec, A, B))
 
 
 def _vec_to_xseries(odata, vec):
@@ -546,6 +729,7 @@ class FredholmPoly:
     degree_cap: int        # coefficients beyond this provably vanish mod p^N
     dim: int
     products: int = 0      # tensor products behind the traces, the matrix's own included
+    limbs: int = 0         # most limbs per left entry any of those products used
 
     def __len__(self):
         return len(self.coeffs)
@@ -578,18 +762,21 @@ def charpoly_boost(p, cap):
     return sum(split_p(k, p)[0] for k in range(2, cap + 1)) + 1
 
 
-def fredholm_coefficients(Mx, target_ring):
+def fredholm_coefficients(Mx, target_ring, cap=None):
     """det(I - T M) mod p^N via trace power sums.
 
     The matrix must live at precision >= N + charpoly_boost so the exact
     integer divisions by k leave every reported digit intact; coefficients
-    beyond the weight-derived cap vanish mod p^N and are not stored.
+    beyond the weight-derived cap (two past charpoly_degree_cap, at most
+    dim) vanish mod p^N and are not stored.  A caller that has the cap
+    passes it; otherwise it is computed from the basis weights.
     """
     ring = Mx.ring
     N = target_ring.N
-    cap = charpoly_degree_cap([weight(Mx.W, mu) for mu in Mx.basis],
-                              ring.p, N, Mx.dim)
-    cap = min(cap + 2, Mx.dim)
+    if cap is None:
+        cap = charpoly_degree_cap([weight(Mx.W, mu) for mu in Mx.basis],
+                                  ring.p, N, Mx.dim)
+        cap = min(cap + 2, Mx.dim)
     assert ring.N >= N + charpoly_boost(ring.p, cap), "matrix precision too low"
     traces = []
     Mk = Mx
@@ -615,7 +802,7 @@ def fredholm_coefficients(Mx, target_ring):
     # trailing coefficients should be invisible at target precision
     while len(reduced) > 1 and reduced[-1].is_zero():
         reduced.pop()
-    return FredholmPoly(target_ring, reduced, cap, Mx.dim, products)
+    return FredholmPoly(target_ring, reduced, cap, Mx.dim, products, Mk.limbs)
 
 
 def newton_polygon(P):
@@ -646,13 +833,13 @@ def newton_polygon(P):
     return NewtonPolygon(segments)
 
 
-def fredholm_unit_root(Mx, ring):
+def fredholm_unit_root(Mx, ring, cap=None):
     """(Fredholm polynomial mod p^N, unit root) from a boosted matrix.
 
     The Newton polygon must show exactly one slope-zero segment of length
     one; the corresponding simple zero 1/u is lifted by Newton iteration.
     """
-    P = fredholm_coefficients(Mx, ring)
+    P = fredholm_coefficients(Mx, ring, cap)
     return P, unit_root_of_poly(P.coeffs, ring)
 
 

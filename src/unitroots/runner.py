@@ -311,13 +311,14 @@ def run(config):
     basis = weights.enumerate_weighted_monomials(W, wmax)
     cap = dwork.charpoly_degree_cap([weights.weight(W, mu) for mu in basis],
                                     ring.p, ring.N, len(basis))
-    boost = dwork.charpoly_boost(ring.p, min(cap + 2, len(basis)))
+    cap = min(cap + 2, len(basis))
+    boost = dwork.charpoly_boost(ring.p, cap)
     report["truncation"] = {
         "wmax": _frac(wmax),
         "degmax_initial": degmax,
         "basis_size": len(basis),
         "s_cut": dwork.default_s_cut(ring),
-        "charpoly_degree_cap": min(cap + 2, len(basis)),
+        "charpoly_degree_cap": cap,
         "charpoly_precision_boost": boost,
         "power_iteration_budget": dwork.power_iteration_budget(ring, W.D),
     }
@@ -326,7 +327,7 @@ def run(config):
         ring_boost = make_ring(config.p, config.field_degree, config.field_poly,
                                config.precision + boost)
         t0 = time.perf_counter()
-        odata_boost = dwork.OperatorData(spec, W, ring_boost, wmax)
+        odata_boost = dwork.OperatorData(spec, W, ring_boost, wmax, basis=basis)
         if config.cache_dir:
             cache = KernelCache(config.cache_dir)
             for oi in range(orbit_len):
@@ -382,7 +383,7 @@ def run(config):
         t0 = time.perf_counter()
         try:
             Mx = odata_boost.full_matrix()
-            P, u = dwork.fredholm_unit_root(Mx, ring)
+            P, u = dwork.fredholm_unit_root(Mx, ring, cap)
             unit_roots["C"] = u
             poly = dwork.newton_polygon(P)
             lf = dwork.lfunction_from_fredholm(P, spec.A.n, orbit_len)
@@ -398,7 +399,7 @@ def run(config):
                     "unit_root_matches": lf.unit_root_matches,
                 },
                 "matrix_products": P.products,
-                "product_limbs": dwork.product_limbs(Mx.dim, Mx.ring.pN),
+                "product_limbs": P.limbs,
             }
         except UnitRootError as exc:
             report["errors"]["C"] = f"{type(exc).__name__}: {exc}"

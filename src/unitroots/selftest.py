@@ -4,7 +4,7 @@ Condensed versions of the library's mathematical invariants: ring axioms,
 Teichmueller multiplicativity, weight function properties against the
 definitional oracle, splitting-series and kernel bounds, the vectorized
 kernel sweep against the reference kernel sum, dual-step norm control,
-adjointness, and the exactness of the limb-split product kernel on this
+adjointness, and the exactness of the GEMM product kernel on this
 machine's BLAS.  Each suite returns (name, ok, detail).
 """
 
@@ -216,10 +216,19 @@ def _suite_oracle(rng):
 def limb_boundaries():
     """(p, m, N, dim) on both sides of the product kernel's limb rules.
 
-    For p in {2, 3, 5} and m in {1, 2}: at the largest N with
-    (p^N - 1)^2 < 2^52, the last one-limb dimension and the first
-    multi-limb one; at the largest N with 2 (p^N - 1)^2 < 2^62, the last two
-    dimensions under the PrecisionTooLow guard.
+    For p in {2, 3, 5} and m in {1, 2}, with h = floor(p^N/2) and
+    S = (p-1)m slots:
+    - at the largest N with (p^N - 1)^2 < 2^52, the last dimension with
+      dim (p^N - 1)^2 < 2^52 and the next (the rule before centring);
+    - at the largest N with 2 (p^N - 1)^2 < 2^62, the last two dimensions
+      under the PrecisionTooLow guard;
+    - at the largest N with h^2 < 2^53, the last one-limb dimension and the
+      next, where one slot per GEMM turns into all S slots in two limbs;
+    - at the next N, the last dimension whose S-slot contraction keeps the
+      limb width of dimension 1, and the next;
+    - at the largest N with S h^2 < 2^53, the last dimension contracting all
+      S slots in one GEMM, and the next, which splits them into groups.
+    A case already listed is not repeated.
     """
     out = []
     for p in (2, 3, 5):
@@ -230,22 +239,42 @@ def limb_boundaries():
         for m in (1, 2):
             out += [(p, m, N, first - 1), (p, m, N, first),
                     (p, m, top, last - 1), (p, m, top, last)]
+    for p in (2, 3, 5):
+        for m in (1, 2):
+            S = (p - 1) * m
+            N1 = max(n for n in range(1, 64) if (p ** n // 2) ** 2 < 2 ** 53)
+            d1 = (2 ** 53 - 1) // (p ** N1 // 2) ** 2
+            pN = p ** (N1 + 1)
+            dw = next(d for d in range(1, 64)
+                      if dwork.limb_bits(S * (d + 1), pN) < dwork.limb_bits(S, pN))
+            Ng = max(n for n in range(1, 64) if S * (p ** n // 2) ** 2 < 2 ** 53)
+            dg = (2 ** 53 - 1) // (S * (p ** Ng // 2) ** 2)
+            for case in ((p, m, N1, d1), (p, m, N1, d1 + 1),
+                         (p, m, N1 + 1, dw), (p, m, N1 + 1, dw + 1),
+                         (p, m, Ng, dg), (p, m, Ng, dg + 1)):
+                if case not in out:
+                    out.append(case)
     return out
 
 
 def extreme_operands(ring, dim, cols):
     """Constant operand pairs (A, B) with the largest partial sums.
 
-    Every entry p^N - 1; and A all ones below the top bit of p^N - 1 (every
+    Every entry p^N - 1; A all ones below the top bit of p^N - 1 (every
     limb full) against B the largest odd entry, so that sums a bit past 2^53
-    are odd and cannot be rounded exactly.
+    are odd and cannot be rounded exactly; and B the centred extremes
+    h = floor(p^N/2) and h + 1 (centred h and -h) against A h, h + 1 and
+    p^N - 1.  The kernel offsets left entries by -h, so A = p^N - 1 against
+    these B gives the largest sums, +-K h^2.
     """
     pN = ring.pN
+    h = pN // 2
     shapes = ((dim, dim, ring.npi, ring.m), (dim, cols, ring.npi, ring.m))
     ones = 2 ** ((pN - 1).bit_length() - 1) - 1
     odd = pN - 1 if pN % 2 == 0 else pN - 2
     return [tuple(np.full(s, v, dtype=np.int64) for s, v in zip(shapes, vals))
-            for vals in ((pN - 1, pN - 1), (ones, odd))]
+            for vals in ((pN - 1, pN - 1), (ones, odd),
+                         (h, h), (h + 1, h + 1), (pN - 1, h), (pN - 1, h + 1))]
 
 
 def _suite_exact_matmul(rng):
@@ -260,7 +289,7 @@ def _suite_exact_matmul(rng):
                                       dwork.pair_products_reference(ring, A, B)):
                     return False, (f"kernel differs from the integer reference at "
                                    f"p={p}, m={m}, N={N}, dim={dim}, cols={cols}")
-    return True, "limb-split products equal integer products at the limb boundaries"
+    return True, "GEMM products equal integer products at the limb boundaries"
 
 
 SUITES = [

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
 
+from unitroots import dwork
 from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_dict
 from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              _pair_products, adjoint_check,
                              bigF_coefficient, charpoly_boost,
                              charpoly_degree_cap, default_s_cut,
-                             fredholm_unit_root, frobenius_matrix,
-                             kernel_sweep, lfunction_from_fredholm,
-                             newton_polygon, one_step_dual,
-                             pair_products_reference, power_iteration_budget,
-                             power_iteration_unit_root, ring_array_mul,
-                             ring_dtype, splitting_coefficients,
-                             unit_root_of_poly)
+                             fredholm_coefficients, fredholm_unit_root,
+                             frobenius_matrix, kernel_sweep,
+                             lfunction_from_fredholm, newton_polygon,
+                             one_step_dual, pair_products_reference,
+                             power_iteration_budget, power_iteration_unit_root,
+                             product_limbs, ring_array_mul, ring_dtype,
+                             splitting_coefficients, unit_root_of_poly)
 from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
@@ -351,7 +352,7 @@ def test_matmul_precision_limit():
     ring = make_ring(5, 1, None, 13)
     ones = [np.ones(s + (ring.npi, ring.m), dtype=np.int64)
             for s in ((4, 1), (1, 1), (1, 4), (4, 1))]
-    assert _pair_products(ring, ones[0], ones[1]).shape == (7, 1, 4, 1)
+    assert _pair_products(ring, ones[0], ones[1]).shape == (4, 1, 4, 1)
     with pytest.raises(PrecisionTooLow, match="dimension 4 "):
         _pair_products(ring, ones[2], ones[3])
 
@@ -379,6 +380,79 @@ def test_pair_products_match_integer_products(p, m, dim, square, data):
     B = data.draw(arrays(np.int64, (dim, cols, ring.npi, m), elements=entries))
     assert np.array_equal(_pair_products(ring, A, B),
                           pair_products_reference(ring, A, B))
+
+
+@pytest.mark.parametrize("p, N, dim", [(3, 4, 3), (3, 17, 2), (3, 17, 3),
+                                      (5, 11, 2), (5, 13, 3)])
+def test_pair_products_all_slots_m2(p, N, dim):
+    # m = 2 with every (pi, t)-slot of both operands nonzero: t-products
+    # reduce mod g inside the regular representation; (3, 17, 2) contracts
+    # one slot per GEMM, (5, 11, 2) splits the eight slots into GEMMs of
+    # seven and one, and (3, 17, 3) and (5, 13, 3) take two limbs
+    ring = make_ring(p, 2, None, N)
+    rng = np.random.default_rng(p * N + dim)
+    for cols in (dim, 1):
+        A = rng.integers(1, ring.pN, size=(dim, dim, ring.npi, 2))
+        B = rng.integers(1, ring.pN, size=(dim, cols, ring.npi, 2))
+        assert np.array_equal(_pair_products(ring, A, B),
+                              pair_products_reference(ring, A, B))
+
+
+def _limbs_before(dim, pN):
+    # limbs per left slot under the uncentred rule the GEMM kernel replaced:
+    # one while dim (p^N - 1)^2 < 2^52, else k-bit limbs with
+    # dim (2^k - 1)(p^N - 1) < 2^53
+    top = (pN - 1).bit_length()
+    if dim * (pN - 1) ** 2 < 2 ** 52:
+        return 1
+    k = 1
+    while k + 1 < top and dim * (2 ** (k + 1) - 1) * (pN - 1) < 2 ** 53:
+        k += 1
+    return -(-top // k)
+
+
+def test_products_use_no_more_limbs_than_before(monkeypatch):
+    # every GEMM of a product cuts its left operand into product_limbs(dim)
+    # limbs, never more than the uncentred rule needed, and all GEMMs
+    # together contract no more than A's slots times dim per limb
+    used = []
+    real = dwork._limbs
+
+    def spy(X, k, top):
+        limbs = list(real(X, k, top))
+        used.append((X.shape[1], len(limbs)))
+        return iter(limbs)
+    monkeypatch.setattr(dwork, "_limbs", spy)
+    rng = np.random.default_rng(7)
+    for p, m, N, dim in limb_boundaries() + [(3, 1, 14, 40), (5, 2, 11, 20)]:
+        ring = make_ring(p, m, None, N)
+        A = rng.integers(1, ring.pN, size=(dim, dim, ring.npi, m))
+        B = rng.integers(1, ring.pN, size=(dim, dim, ring.npi, m))
+        used.clear()
+        _pair_products(ring, A, B)
+        limbs = product_limbs(dim, ring.pN)
+        assert limbs <= _limbs_before(dim, ring.pN)
+        assert {n for _, n in used} == {limbs}
+        assert sum(K for K, _ in used) == ring.npi * m * dim
+
+
+def test_fredholm_expands_the_matrix_once(monkeypatch):
+    # route C's trace powers all multiply by Mx: its regular representation
+    # is built once and kept, and the limbs its products used are reported
+    spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
+    od, ring = boosted_operator(spec, 9)
+    Mx = od.full_matrix()
+    expanded = []
+    real = dwork.regular_representation
+
+    def spy(spec, B, slots):
+        expanded.append(B is Mx.tensor)
+        return real(spec, B, slots)
+    monkeypatch.setattr(dwork, "regular_representation", spy)
+    P = fredholm_coefficients(Mx, ring)
+    assert P.products == P.degree_cap - 1 > 1
+    assert expanded == [True]
+    assert P.limbs == product_limbs(Mx.dim, Mx.ring.pN) == 1
 
 
 def _battery_operator(case_id, ring, s_cut=None):
