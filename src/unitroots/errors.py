@@ -38,7 +38,7 @@ class NotARelation(UnitRootError):
 
 
 class PrecisionUnstable(UnitRootError):
-    """Doubling the truncation changed the answer at the reported precision."""
+    """No truncation within the budget was stable at the reported precision."""
 
 
 class NoConvergence(UnitRootError):

@@ -1,31 +1,42 @@
-"""Truncated hypergeometric coefficient series and the unit-root product.
+"""Truncated hypergeometric coefficient series and route A.
 
 The generating identity  prod_a exp(L_a X^a) = sum_i F_i(L) X^i  defines the
 coefficient series F_i, supported on {u >= 0 : sum u_a a = i} with terms
-L^u / prod(u_a!).  Route A evaluates the ratio
+L^u / prod(u_a!).  In F_i(pi*L) the term pi^|u| / prod(u_a!) has pi-order
+sum_a s_p(u_a), the base-p digit sums, so it vanishes mod p^N unless that
+sum is below N(p-1); digit_solutions enumerates exactly the surviving u,
+digit by digit in base p.
 
-    calF(L) = F_0(pi*L) / F_0(pi*L^p)
+Route A (unit_root_route_A_detailed) follows Dwork's "p-adic cycles":
+the unit root is the special value of the continuation of
+F_0(pi*L) / F_0(pi*L^p) over the Frobenius orbit of the Teichmueller point,
+and step s evaluates it as a ratio of truncated sums,
+prod_i F_0^(<p^(s+1))(pi*lambda_i) / F_0^(<p^s)(pi*lambda_(i+1)), summed
+directly over F_0's surviving terms and grouped by the class of u mod
+(q-1).  It stops by an empirical rule (see that function) and needs no
+series inverse.
 
-as a truncated series, then takes its product over the Frobenius orbit of
-the Teichmueller point.  Truncation degree is validated by recomputing at
-twice the degree and comparing; only agreeing digits are reported.
-
-Series here are dictionaries from exponent tuples to nonzero coefficients,
-with a total-degree cap; coefficients are either RingElem (pi-scaled series)
-or Fraction (exact series for the differential-system checks).  The product
-and the inverse are for ring series only.  They skip every pair of terms
-whose pi-orders sum to N(p-1) or more: such a product is zero mod p^N, so
-skipping it changes no digit.
+calF_series, route_a_once and MultiSeries keep the series form of the same
+ratio as the analytic-continuation witness: the ratio as a truncated
+power series, evaluated on the orbit.  Series are dictionaries from exponent
+tuples to nonzero coefficients, with a total-degree cap; coefficients are
+either RingElem (pi-scaled series) or Fraction (exact series for the
+differential-system checks).  The product and the inverse are for ring
+series only.  They skip every pair of terms whose pi-orders sum to N(p-1)
+or more: such a product is zero mod p^N, so skipping it changes no digit.
 """
 
+import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation, PrecisionUnstable
-from .padic import pi_pow_over_factorials, split_p, teichmueller
-from .weights import ExponentSet
+from .padic import (RingElem, factorial_units, pi_pow_over_factorials, split_p,
+                    teichmueller)
+from .weights import ExponentSet, build_weight_data
 
 
 @dataclass(frozen=True)
@@ -251,23 +262,77 @@ def _solutions(A, target, degmax):
     return out
 
 
+def digit_solutions(A, target, degmax, p, order_bound):
+    """Every u >= 0 with sum_a u_a a = target, |u| <= degmax and
+    sum_a s_p(u_a) < order_bound, where s_p is the base-p digit sum.
+
+    pi^|u| / prod u_a! has pi-order sum_a s_p(u_a), so with
+    order_bound = N(p-1) these are exactly the terms of F_target(pi*L)
+    that survive mod p^N.  The u are built digit by digit from the lowest
+    base-p position j, carrying c = (target - sum_a (u_a mod p^j) a) / p^j:
+    the digits d at position j must have sum_a d_a a = c mod p, and the next
+    carry is (c - sum_a d_a a) / p.  A carry of 0 ends a solution (all higher
+    digits zero) or jumps to the next nonzero digit.  A branch is cut once
+    its digit sums reach order_bound, its degree passes degmax, or its carry
+    is too large for the degree left to cancel, |c| p^j > max|a| (degmax - |u|).
+    """
+    vecs = A.vectors
+    k, n = len(vecs), A.n
+    amax = max(abs(c) for a in vecs for c in a)
+    # digit vectors by the residue of their contribution, cheapest first
+    by_res = {}
+    for d in itertools.product(range(p), repeat=k):
+        s = sum(d)
+        if s < order_bound:
+            contrib = tuple(sum(x * a[i] for x, a in zip(d, vecs)) for i in range(n))
+            by_res.setdefault(tuple(c % p for c in contrib), []).append((s, d, contrib))
+    for digits in by_res.values():
+        digits.sort()
+    nonzero = [e for e in by_res[(0,) * n] if e[0]]
+    out = []
+
+    def extend(j, pj, carry, budget, u, deg, digits):
+        for s, d, contrib in digits:
+            if s > budget or s * pj > degmax - deg:
+                break
+            rec(j + 1, pj * p, tuple((c - x) // p for c, x in zip(carry, contrib)),
+                budget - s, tuple(x + y * pj for x, y in zip(u, d)), deg + s * pj)
+
+    def rec(j, pj, carry, budget, u, deg):
+        if not any(carry):
+            out.append(u)
+            while budget and pj <= degmax - deg:
+                extend(j, pj, carry, budget, u, deg, nonzero)
+                j, pj = j + 1, pj * p
+            return
+        if max(map(abs, carry)) * pj > amax * (degmax - deg):
+            return
+        digits = by_res.get(tuple(c % p for c in carry))
+        if digits:
+            extend(j, pj, carry, budget, u, deg, digits)
+
+    if degmax >= 0 and order_bound > 0:
+        rec(0, 1, tuple(target), order_bound - 1, (0,) * k, 0)
+    return out
+
+
 def hyperg_coefficient_series(A, i, degmax, ring=None):
     """F_i, truncated at total degree degmax.
 
     With a ring given, returns F_i(pi*L): coefficient pi^|u| / prod(u_a!),
-    always p-integral.  Without a ring, returns the exact rational series
+    always p-integral, over digit_solutions, so only the terms that survive
+    mod p^N are visited.  Without a ring, returns the exact rational series
     F_i(L) used by the differential-system checks.
     """
     if not isinstance(A, ExponentSet):
         A = ExponentSet(len(A[0]), tuple(A))
     i = tuple(int(c) for c in i) if hasattr(i, "__len__") else (int(i),)
-    terms = {}
-    for u in _solutions(A, i, degmax):
-        if ring is None:
-            c = Fraction(1, math.prod(math.factorial(e) for e in u))
-        else:
-            c = pi_pow_over_factorials(ring, sum(u), u)
-        terms[u] = c
+    if ring is None:
+        terms = {u: Fraction(1, math.prod(math.factorial(e) for e in u))
+                 for u in _solutions(A, i, degmax)}
+    else:
+        terms = {u: pi_pow_over_factorials(ring, sum(u), u)
+                 for u in digit_solutions(A, i, degmax, ring.p, ring.N * ring.npi)}
     return MultiSeries(len(A.vectors), degmax, terms)
 
 
@@ -289,53 +354,169 @@ def _teichmueller_orbit(spec, ring, length):
     return orbit
 
 
-def route_a_once(spec, degmax, ring, orbit_length, series=None):
+def route_a_once(spec, degmax, ring, orbit_length):
     """Orbit product of the truncated ratio series at one truncation degree."""
-    if series is None:
-        series = calF_series(spec.A, degmax, ring)
-    else:
-        series = series.truncated(degmax)
+    series = calF_series(spec.A, degmax, ring)
     u = ring.one()
     for point in _teichmueller_orbit(spec, ring, orbit_length):
         u = u * series.evaluate(point)
     return u
 
 
-def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
-    """(u, agreement order, degmax used) under the stabilization policy.
+@dataclass(frozen=True)
+class RouteA:
+    """Route A's unit root and what its stopping rule saw.
 
-    The ratio series carries no a-priori coefficient-decay rate, and shells
-    of low order recur near powers of p arbitrarily far out, so a bare
-    double-and-compare can stabilize on a wrong tail.  Each round scans the
-    computed shell profile and accepts only once the scanned range extends a
-    full factor of two beyond the last shell below the requested order; the
-    evaluation then includes every visible low shell, and the half-range
-    comparison is kept as an arithmetic cross-check.  Shells hiding beyond
-    twice the accepted range would still be invisible; the cross-route
-    agreement checks are the backstop for that residual risk.
+    steps[s] is the number of digits on which u_s and u_(s-D) agree (None
+    for s < D); the run stopped at step stop_step, having summed `terms`
+    nonzero terms of F_0 up to degree degmax_used = p^(stop_step+1) - 1.
+    Unpacks as (u, stability_digits, degmax_used).
     """
-    cap = 4 * degmax
-    agreed = None
-    # Low shells come in families spaced a factor p apart whose orders climb
-    # with the scale, so a clean window of factor 8 > p + 1 cannot sit
-    # between two sub-target families.
-    horizon = 8
-    for _ in range(max_rounds):
-        series = calF_series(spec.A, cap, ring)
-        shells = series.shell_min_valuations()
-        d_last = max((d for d, v in shells.items() if d > 0 and v < ring.N),
-                     default=0)
-        if horizon * d_last <= cap:
-            u1 = route_a_once(spec, cap // 2, ring, orbit_length, series)
-            u2 = route_a_once(spec, cap, ring, orbit_length, series)
-            diff = (u1 - u2).order()
-            agreed = ring.N if diff is None else diff // ring.npi
-            if agreed >= ring.N:
-                return u2, agreed, cap
-        cap = max(2 * cap, horizon * d_last + degmax)
+    u: object
+    stability_digits: int
+    degmax_used: int
+    steps: tuple
+    stop_step: int
+    weight_denominator: int
+    terms: int
+
+    def __iter__(self):
+        return iter((self.u, self.stability_digits, self.degmax_used))
+
+
+def _f0_shells(A, ring, s_lo, s_hi):
+    """The terms of F_0(pi*L) with p^s_lo <= |u| < p^(s_hi+1), by shell.
+
+    Shell s holds p^s <= |u| < p^(s+1).  A term pi^|u| / prod u_a! is one
+    integer digit in pi-row |u| mod (p-1), and at a Teichmueller point
+    lambda^u depends only on each u_a mod (q-1) (q = p^m) once u_a > 0, so a
+    shell is a dict from that class, with 0 kept for u_a = 0, to its digit
+    sums per pi-row.  Returns (shells, number of terms).
+    """
+    p, pN, npi = ring.p, ring.pN, ring.npi
+    qm1 = p ** ring.m - 1
+    units = factorial_units(ring)
+    bounds = [p ** s for s in range(s_lo, s_hi + 2)]
+    shells = [{} for _ in range(s_lo, s_hi + 1)]
+    count = 0
+    for u in digit_solutions(A, (0,) * A.n, bounds[-1] - 1, p, ring.N * npi):
+        k = sum(u)
+        if k < bounds[0]:
+            continue
+        v, unit = 0, 1
+        for x in u:
+            fv, fu = units(x)
+            v += fv
+            unit = unit * fu % pN
+        e = k // npi
+        digit = p ** (e - v) * pow(unit, -1, pN)
+        key = tuple(x and (x - 1) % qm1 + 1 for x in u)
+        shell = shells[bisect.bisect_right(bounds, k) - 1]
+        acc = shell.get(key)
+        if acc is None:
+            acc = shell[key] = [0] * npi
+        acc[k % npi] += -digit if e & 1 else digit
+        count += 1
+    return shells, count
+
+
+def _shell_value(shell, powers, shift, ring):
+    """A shell of _f0_shells evaluated at lambda^shift, from lambda's powers."""
+    pN, qm1, pad = ring.pN, len(powers[0]) - 1, (0,) * (ring.m - 1)
+    total = ring.zero()
+    for key, digits in shell.items():
+        term = RingElem(ring, tuple((d % pN,) + pad for d in digits), check=False)
+        for pw, c in zip(powers, key):
+            if c:
+                term = term * pw[(c * shift - 1) % qm1 + 1]
+        total = total + term
+    return total
+
+
+def _agreement(x, y, ring):
+    diff = (x - y).order()
+    return ring.N if diff is None else diff // ring.npi
+
+
+def route_a_last_step(p, degmax, max_rounds):
+    """The last step route A may take: max_rounds past the first step s whose
+    truncation degree p^(s+1) - 1 reaches 4 * degmax."""
+    s = 0
+    while p ** (s + 1) - 1 < 4 * degmax:
+        s += 1
+    return s + max_rounds
+
+
+def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12, D=None):
+    """The unit root by Dwork's truncated ratios, with its stopping record.
+
+    With lambda_i = lambda^(p^i) and lambda_L = lambda for the orbit length
+    L, step s evaluates
+
+        u_s = prod_(i<L) F_0^(<p^(s+1))(pi*lambda_i) / F_0^(<p^s)(pi*lambda_(i+1)),
+
+    F_0^(<T) summing the terms with |u| < T.  The denominators are units,
+    so no precision is lost; since the orbit closes, u_s = P_s / P_(s-1)
+    with P_s = prod_i F_0^(<p^(s+1))(pi*lambda_i), and each step only adds
+    the shell p^s <= |u| < p^(s+1) of F_0's surviving terms (_f0_shells).
+
+    Stopping rule, empirical: stop at the first s >= D*N, D the weight
+    denominator, with u_s = u_(s-D) mod p^N.  It rests on the observation
+    that u_s is correct to at least floor(s/D) + 1 digits, which held on
+    all 64 golden pool members of the benchmark's battery-n4 at N = 4 and on 12
+    case/precision pairs up to N = 8; it is not proven.  Comparing with
+    u_(s-1) instead is wrong: for D = 2 consecutive steps plateau (p2-skew
+    at N = 8 is correct to 2, 3, 3, 7, 5, 7, 7, 8 digits at s = 0..7), and
+    that comparison stops early with wrong digits on p2-skew, p2-skew-f4
+    and p3-skew-f9 at N = 4.  The cross-route agreement checks are the
+    backstop.
+
+    degmax and max_rounds bound the steps: the last step allowed is
+    route_a_last_step(p, degmax, max_rounds), max_rounds past the first
+    whose truncation degree reaches 4 * degmax.  PrecisionUnstable is raised
+    at once if that is below D*N, or when no step up to it agrees.  D is
+    computed from spec.A unless given.
+    """
+    p, N = ring.p, ring.N
+    if D is None:
+        D = build_weight_data(spec.A).D
+    first = D * N
+    last = route_a_last_step(p, degmax, max_rounds)
+    if last < first:
+        raise PrecisionUnstable(
+            f"route A stops no earlier than step {first} (degree "
+            f"{p ** (first + 1) - 1}) but degmax {degmax} and max_rounds "
+            f"{max_rounds} allow steps up to {last}")
+    lam = _teichmueller_orbit(spec, ring, 1)[0]
+    powers = []
+    for x in lam:
+        row = [ring.one()]
+        for _ in range(p ** ring.m - 1):
+            row.append(row[-1] * x)
+        powers.append(row)
+    shifts = [p ** i for i in range(orbit_length)]
+    values = [ring.one()] * orbit_length  # F_0^(<p^s)(pi*lambda_i); F_0^(<1) = 1
+    prev = ring.one()                       # P_(s-1)
+    shells, terms = _f0_shells(spec.A, ring, 0, first)
+    terms += 1  # the constant term
+    us, steps = [], []
+    for s in range(last + 1):
+        if s > first:
+            (shell,), count = _f0_shells(spec.A, ring, s, s)
+            terms += count
+        else:
+            shell = shells[s]
+        values = [v + _shell_value(shell, powers, t, ring)
+                  for v, t in zip(values, shifts)]
+        P = math.prod(values[1:], start=values[0])
+        us.append(P * prev.inverse())
+        prev = P
+        steps.append(_agreement(us[s], us[s - D], ring) if s >= D else None)
+        if s >= first and steps[s] >= N:
+            return RouteA(us[s], steps[s], p ** (s + 1) - 1, tuple(steps), s, D, terms)
     raise PrecisionUnstable(
-        f"route A tail not below the target order within degree {cap}"
-        + ("" if agreed is None else f" (best agreement {agreed} digits)"))
+        f"route A steps {first}..{last} never agreed with the step {D} before "
+        f"(best agreement {max(steps[first:])} digits)")
 
 
 def check_annihilators(A, i, ell, degmax, p):

@@ -425,24 +425,53 @@ def split_p(n, p):
     return v, n
 
 
-class _FactorialTable:
-    """Incremental p-stripped factorials mod p^N: k! = p^vp(k!) * unit."""
+class FactorialUnits:
+    """n! = p^v(n!) * U(n) mod p^N, by the generalized Wilson theorem.
+
+    The multiples of p in 1..n contribute p^floor(n/p) * floor(n/p)!, so
+    U(n) = R(n) * U(floor(n/p)) with R(n) the product of the j <= n prime to
+    p.  R is periodic up to sign: a full block of p^N consecutive units
+    multiplies to -1 mod p^N, except +1 for p = 2, N >= 3.  So
+    R(n) = (+-1)^floor(n/p^N) * T[n mod p^N] with T the prefix products of
+    the units below p^N, grown only as far as the largest residue asked for.
+    Results are kept, so n costs one step once floor(n/p) is known.
+    """
 
     def __init__(self, spec):
-        self.spec = spec
-        self.vp = [0]      # vp(k!)
-        self.unit = [1]    # prod_{j<=k} j/p^vp(j) mod p^N
+        self.p, self.pN = spec.p, spec.pN
+        self.block = 1 if spec.p == 2 and spec.N >= 3 else -1
+        self.prefix = [1]  # prefix[r] = prod_{j <= r, p ∤ j} j mod p^N
+        self.known = {0: (0, 1), 1: (0, 1)}
 
-    def grow(self, k):
-        p, pN = self.spec.p, self.spec.pN
-        while len(self.vp) <= k:
-            v, j = split_p(len(self.vp), p)
-            self.vp.append(self.vp[-1] + v)
-            self.unit.append((self.unit[-1] * j) % pN)
+    def _grow(self, r):
+        p, pN, prefix = self.p, self.pN, self.prefix
+        acc = prefix[-1]
+        for j in range(len(prefix), r + 1):
+            if j % p:
+                acc = acc * j % pN
+            prefix.append(acc)
 
-    def __call__(self, k):
-        self.grow(k)
-        return self.vp[k], self.unit[k]
+    def __call__(self, n):
+        """(v_p(n!), U(n) mod p^N)."""
+        f = self.known.get(n)
+        if f is None:
+            q, r = divmod(n, self.pN)
+            if r >= len(self.prefix):
+                self._grow(r)
+            v, unit = self(n // self.p)
+            unit = unit * self.prefix[r] % self.pN
+            if q & 1 and self.block < 0:
+                unit = self.pN - unit
+            f = self.known[n] = (v + n // self.p, unit)
+        return f
+
+
+def factorial_units(spec):
+    """The ring's FactorialUnits, made on first use."""
+    units = getattr(spec, "_factorial_units", None)
+    if units is None:
+        units = spec._factorial_units = FactorialUnits(spec)
+    return units
 
 
 def pi_pow_over_factorials(spec, k, factorials):
@@ -451,19 +480,17 @@ def pi_pow_over_factorials(spec, k, factorials):
     pi^k = pi^(k mod (p-1)) * (-p)^floor(k/(p-1)); the leftover power of p
     is nonnegative whenever k is the sum of the factorial arguments (the
     base-p digit sums make up the difference), which covers every exp-type
-    coefficient used here.  Factorials enter through p-stripped unit parts
-    mod p^N, so large indices stay cheap.  The result has one nonzero digit,
-    (-1)^e * p^(e_p) / unit, in row k mod (p-1); at p = 2 that row is 0 and
-    (-1)^k 2^k is pi^k for pi = -2.
+    coefficient used here.  Factorials enter through their unit parts mod
+    p^N (FactorialUnits), so large indices stay cheap.  The result has one
+    nonzero digit, (-1)^e * p^(e_p) / unit, in row k mod (p-1); at p = 2
+    that row is 0 and (-1)^k 2^k is pi^k for pi = -2.
     """
-    table = getattr(spec, "_fact_table", None)
-    if table is None:
-        table = spec._fact_table = _FactorialTable(spec)
+    units = factorial_units(spec)
     r, e = k % spec.npi, k // spec.npi
     vsum = 0
     upar = 1
     for f in factorials:
-        v, u = table(f)
+        v, u = units(f)
         vsum += v
         upar = (upar * u) % spec.pN
     e_p = e - vsum

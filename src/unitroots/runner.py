@@ -339,13 +339,17 @@ def run(config):
     if "A" in config.routes:
         t0 = time.perf_counter()
         try:
-            u, agreed, used = hyperg.unit_root_route_A_detailed(
-                spec, degmax, ring, orbit_len)
-            unit_roots["A"] = u
+            res = hyperg.unit_root_route_A_detailed(
+                spec, degmax, ring, orbit_len, D=W.D)
+            unit_roots["A"] = res.u
             report["routes"]["A"] = {
-                "unit_root": u.digits(),
-                "stability_digits": agreed,
-                "degmax_used": used,
+                "unit_root": res.u.digits(),
+                "stability_digits": res.stability_digits,
+                "degmax_used": res.degmax_used,
+                "steps": list(res.steps),
+                "stop_step": res.stop_step,
+                "weight_denominator": res.weight_denominator,
+                "terms": res.terms,
             }
         except PrecisionUnstable as exc:
             report["errors"]["A"] = f"PrecisionUnstable: {exc}"

@@ -4,8 +4,9 @@ Condensed versions of the library's mathematical invariants: ring axioms,
 Teichmueller multiplicativity, weight function properties against the
 definitional oracle, splitting-series and kernel bounds, the vectorized
 kernel sweep against the reference kernel sum, dual-step norm control,
-adjointness, and the exactness of the GEMM product kernel on this
-machine's BLAS.  Each suite returns (name, ok, detail).
+adjointness, the exactness of the GEMM product kernel on this machine's
+BLAS, and route A's digit enumerator and stopping step.  Each suite
+returns (name, ok, detail).
 """
 
 import itertools
@@ -292,6 +293,53 @@ def _suite_exact_matmul(rng):
     return True, "GEMM products equal integer products at the limb boundaries"
 
 
+def surviving_solutions(A, target, degmax, p, order_bound):
+    """Brute-force reference for hyperg.digit_solutions: the solutions of
+    sum u_a a = target with |u| <= degmax, kept while the base-p digit
+    sums of the u_a add up to less than order_bound."""
+    def digit_sum(x):
+        s = 0
+        while x:
+            x, d = divmod(x, p)
+            s += d
+        return s
+    return [u for u in hyperg._solutions(A, target, degmax)
+            if sum(map(digit_sum, u)) < order_bound]
+
+
+def _suite_route_a(rng):
+    from .battery import BATTERY, job_dict
+    from .errors import NotSpanning
+    from .runner import run
+    checked = 0
+    while checked < 40:
+        n = rng.choice((1, 2))
+        vecs = {tuple(rng.randrange(-2, 3) for _ in range(n))
+                for _ in range(rng.randrange(n, n + 3))} - {(0,) * n}
+        try:
+            A = weights.ExponentSet(n, tuple(sorted(vecs)))
+        except (NotSpanning, ValueError):
+            continue
+        p, N = rng.choice((2, 3, 5)), rng.randrange(1, 5)
+        target = tuple(rng.randrange(-3, 4) for _ in range(n))
+        degmax = rng.randrange(12 if len(vecs) < 4 else 8)
+        got = hyperg.digit_solutions(A, target, degmax, p, N * (p - 1))
+        want = surviving_solutions(A, target, degmax, p, N * (p - 1))
+        if len(got) != len(set(got)) or sorted(got) != sorted(want):
+            return False, (f"digit_solutions differs from brute force on A={A.vectors}, "
+                           f"target={target}, degmax={degmax}, p={p}, N={N}")
+        checked += 1
+    for cid in ("p2-skew", "p3-kloosterman-f9"):
+        case = next(c for c in BATTERY if c["id"] == cid)
+        data = run(job_dict(case, routes=("A", "C"))).data
+        route = data["routes"].get("A", {})
+        if route.get("stop_step") != data["weights"]["D"] * 4:
+            return False, f"route A did not stop at step D*N on {cid}"
+        if route["unit_root"] != data["routes"].get("C", {}).get("unit_root"):
+            return False, f"route A's u_(D*N) differs from route C on {cid}"
+    return True, "digit enumerator equals brute force; u_(D*N) equals route C"
+
+
 SUITES = [
     ("ring-laws", _suite_ring_laws),
     ("teichmueller", _suite_teichmueller),
@@ -301,6 +349,7 @@ SUITES = [
     ("dual-operator", _suite_dual_operator),
     ("oracle", _suite_oracle),
     ("exact-matmul", _suite_exact_matmul),
+    ("route-a", _suite_route_a),
 ]
 
 

@@ -11,6 +11,7 @@ search is a brute-force scan over point subsets.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -245,12 +246,19 @@ def _solve_nonneg(cols, target):
 
 
 def enumerate_weighted_monomials(W, wmax):
-    """All mu in M with weight(mu) <= wmax, ordered by (weight, lex)."""
+    """All mu in M with weight(mu) <= wmax, ordered by (weight, lex).
+
+    D times a facet form is an integer vector, so each candidate is
+    compared in integers, max(0, max_f D*form . mu) <= floor(D * wmax),
+    and sorted by that scaled weight.
+    """
     wmax = Fraction(wmax)
     if wmax < 0:
         raise ValueError("wmax must be nonnegative")
     n = W.A.n
     pts = list(W.A.vectors) + [tuple([0] * n)]
+    forms = [tuple(int(W.D * c) for c in form) for form in W.facet_forms]
+    bound = math.floor(W.D * wmax)
     out = []
     ranges = []
     for i in range(n):
@@ -258,10 +266,10 @@ def enumerate_weighted_monomials(W, wmax):
         hi = max(Fraction(x[i]) * wmax for x in pts)
         ranges.append(range(math.floor(lo), math.ceil(hi) + 1))
     for mu in itertools.product(*ranges):
-        if not in_cone(W, mu):
+        if any(sum(map(operator.mul, g, mu)) > 0 for g in W.cone_facets):
             continue
-        w = weight(W, mu)
-        if w <= wmax:
+        w = max(0, max(sum(map(operator.mul, f, mu)) for f in forms))
+        if w <= bound:
             out.append((w, mu))
     out.sort()
     return [mu for _, mu in out]

@@ -3,20 +3,28 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitroots.battery import BATTERY, job_dict
 from unitroots.dwork import default_s_cut
 from unitroots.errors import NotARelation, PrecisionUnstable
 from unitroots.hyperg import (LaurentSpec, MultiSeries, calF_series,
-                              check_annihilators, generating_identity_check,
-                              hyperg_coefficient_series, route_a_once,
-                              unit_root_route_A_detailed)
+                              check_annihilators, digit_solutions,
+                              generating_identity_check,
+                              hyperg_coefficient_series, route_a_last_step,
+                              route_a_once, unit_root_route_A_detailed)
 from unitroots.padic import make_ring
+from unitroots.runner import run
+from unitroots.selftest import surviving_solutions
 from unitroots.weights import ExponentSet
 
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SKEW = ExponentSet(1, ((2,), (-1,)))
 TRIANGLE = ExponentSet(2, ((1, 0), (0, 1), (-1, -1)))
 SINGLE = ExponentSet(1, ((1,),))
+EDGE = ExponentSet(2, ((0, 1), (1, 0), (2, -1)))
+SQUARE = ExponentSet(2, ((1, 0), (0, 1), (-1, 0), (0, -1)))  # rank-2 relations
 
 
 def test_f0_kloosterman_terms(ring3):
@@ -164,3 +172,46 @@ def test_multiseries_truncated():
     s = MultiSeries(1, 6, {(0,): F(1), (3,): F(2), (5,): F(1)})
     t = s.truncated(3)
     assert set(t.terms) == {(0,), (3,)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([SINGLE, KLOOSTERMAN, SKEW, TRIANGLE, EDGE, SQUARE]),
+       st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 14), st.data())
+def test_digit_solutions_are_the_surviving_solutions(A, p, N, degmax, data):
+    # every u with sum u_a a = i and |u| <= degmax whose pi^|u|/prod u_a!
+    # survives mod p^N, each once
+    if len(A.vectors) == 4:
+        degmax = min(degmax, 10)
+    i = tuple(data.draw(st.integers(-4, 4)) for _ in range(A.n))
+    got = digit_solutions(A, i, degmax, p, N * (p - 1))
+    want = surviving_solutions(A, i, degmax, p, N * (p - 1))
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(want)
+
+
+def test_digit_solutions_nonzero_targets():
+    # the carry starts at the target: i = 3 on Kloosterman is u1 - u2 = 3
+    got = digit_solutions(KLOOSTERMAN, (3,), 9, 3, 8)
+    assert sorted(got) == [(3, 0), (4, 1), (5, 2), (6, 3)]
+    # at p = 3, N = 2 the digit sums 2 + 2 of (2, 2) reach N(p-1) = 4
+    assert sorted(digit_solutions(KLOOSTERMAN, (0,), 6, 3, 4)) == [
+        (0, 0), (1, 1), (3, 3)]
+    assert sorted(digit_solutions(SQUARE, (1, -1), 4, 5, 8)) == [
+        (1, 0, 0, 1), (1, 1, 0, 2), (2, 0, 1, 1)]
+
+
+def test_route_a_last_step():
+    # max_rounds steps past the first whose degree p^(s+1) - 1 reaches 4 degmax
+    assert route_a_last_step(5, 4, 2) == 1 + 2
+    assert route_a_last_step(3, 36, 12) == 4 + 12
+    assert route_a_last_step(2, 1, 0) == 2
+
+
+@pytest.mark.parametrize("cid", ["p2-skew", "p3-skew-f9", "p5-triangle"])
+def test_route_a_matches_route_c_at_n6(cid):
+    case = next(c for c in BATTERY if c["id"] == cid)
+    rep = run(job_dict(case, precision=6, routes=("A", "C")))
+    assert rep.exit_code == 0, rep.data["errors"]
+    assert rep.data["agreement"]["pairs"]["A-C"] == 6
+    route = rep.data["routes"]["A"]
+    assert route["stop_step"] == route["weight_denominator"] * 6

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from unitroots.errors import (CompositeP, NonUnitDivision, PrecisionTooLow,
                               ReduciblePolynomial)
-from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
-                             split_p, teichmueller, valuation, zeta_p)
+from unitroots.padic import (FactorialUnits, RingElem, make_ring,
+                             pi_pow_over_factorials, split_p, teichmueller,
+                             valuation, zeta_p)
 
 
 def rand_elem(ring, rng):
@@ -204,3 +205,32 @@ def test_pi_pow_over_factorials_reference(key, fs):
     high = make_ring(ring.p, ring.m, ring.g, ring.N + v)
     ref = (high.pi() ** k).divide_exact_p(v) * high.from_int(u).inverse()
     assert pi_pow_over_factorials(ring, k, fs) == ref.reduce_to(ring)
+
+
+# --- factorial unit parts by the generalized Wilson theorem -----------------
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_factorial_units_match_direct_products(p, N):
+    ring = make_ring(p, 1, None, N)
+    units = FactorialUnits(ring)
+    # the product of the units of one block of p^N is +1 for p = 2, N >= 3
+    block = math.prod(j for j in range(1, ring.pN) if j % p) % ring.pN
+    assert block == (1 if p == 2 and N >= 3 else ring.pN - 1)
+    v, u = 0, 1
+    for n in range(1, 3 * ring.pN + p + 2):
+        dv, du = split_p(n, p)
+        v, u = v + dv, u * du % ring.pN
+        assert units(n) == (v, u), (p, N, n)
+    assert units(0) == units(1) == (0, 1)
+    for n in (p ** (N + 2) + 7, 5 * p ** (N + 1) - 1, 1000):
+        v, u = split_p(math.factorial(n), p)
+        assert units(n) == (v, u % ring.pN), (p, N, n)
+
+
+def test_factorial_units_grow_only_as_needed():
+    # the splitting series asks for small factorials at high precision
+    ring = make_ring(5, 1, None, 11)
+    units = FactorialUnits(ring)
+    units(40)
+    assert len(units.prefix) == 41

@@ -4,11 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitroots.battery import BATTERY, DEGENERATE_BATTERY, QUICK_IDS, job_dict
 from unitroots.cli import main
 from unitroots.errors import CacheUnwritable, ConfigInvalid, NotSpanning
+from unitroots.hyperg import hyperg_coefficient_series
+from unitroots.padic import make_ring
 from unitroots.runner import JobConfig, run
+from unitroots.weights import ExponentSet
 
 CASES = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
 
@@ -75,6 +80,31 @@ def test_config_validation_errors():
             run({**KLOOSTER3, "routes": ["A"], "degmax": degmax})
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+CONFIG_KEYS = sorted(set(JobConfig.__dataclass_fields__) | {"n", "bogus"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=4))
+def test_from_dict_accepts_or_raises_config_invalid(overrides):
+    # any JSON value under any key is either a valid config, which survives
+    # a round trip through canonical(), or ConfigInvalid; never another error
+    try:
+        cfg = JobConfig.from_dict({**KLOOSTER3, **overrides})
+    except ConfigInvalid:
+        return
+    canon = cfg.canonical()
+    assert json.loads(json.dumps(canon)) == canon
+    assert JobConfig.from_dict(canon).canonical() == canon
+    for key in ("p", "epsilon", "field_degree", "precision", "lmax"):
+        assert type(getattr(cfg, key)) is int
+    assert cfg.degmax is None or (type(cfg.degmax) is int and cfg.degmax >= 1)
+    assert cfg.precision >= 1 and cfg.lmax >= 1
+
+
 def test_not_spanning_rejected():
     cfg = {"p": 3, "A": [[1, 0]], "coeffs": [[1]], "precision": 2}
     with pytest.raises((ConfigInvalid, NotSpanning)):
@@ -93,6 +123,30 @@ def test_report_fields(klooster_report):
     assert data["routes"]["C"]["slope_zero_length"] == 1
     assert len(data["oracle"]["rows"]) == 6
     assert all(isinstance(ms, int) for ms in data["timing"].values())
+
+
+def test_route_a_stopping_record(klooster_report):
+    # Kloosterman has D = 1: one step per digit, compared with the step before
+    route = klooster_report.data["routes"]["A"]
+    assert route["weight_denominator"] == klooster_report.data["weights"]["D"] == 1
+    assert route["stop_step"] == 4
+    assert route["steps"][0] is None and len(route["steps"]) == 5
+    assert route["steps"][-1] == route["stability_digits"] == 4
+    assert route["degmax_used"] == 3 ** 5 - 1
+    f0 = hyperg_coefficient_series(ExponentSet(1, ((1,), (-1,))), (0,),
+                                   route["degmax_used"], make_ring(3, 1, None, 4))
+    assert route["terms"] == len(f0.terms)
+
+
+def test_route_a_steps_compare_d_apart():
+    # skew has D = 2: the first comparison is at s = 2, the stop at s = 2N
+    rep = run(job_dict(CASES["p3-skew"], routes=("A",)))
+    route = rep.data["routes"]["A"]
+    assert route["weight_denominator"] == 2
+    assert route["stop_step"] == 8 and route["degmax_used"] == 3 ** 9 - 1
+    assert route["steps"][:2] == [None, None]
+    assert all(isinstance(d, int) for d in route["steps"][2:])
+    assert route["steps"][-1] == 4
 
 
 def test_report_is_deterministic(klooster_report):
