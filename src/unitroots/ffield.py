@@ -5,8 +5,15 @@ here stay desk-scale: multiplicative generators are found by factoring the
 group order with trial division, and subfield embeddings go through a root
 of the subfield's defining polynomial, located by scanning the cyclic
 subgroup of the right order.
+
+Each fact about a field has one rule.  Traces come from the power sums
+Tr(s^e) of the modulus by Newton's identities (FField.traces), polynomials
+over F_p are evaluated by one Horner rule (FField.evaluate), and inverses
+are powers.  A field is hashable by (p, modulus), so its traces and its
+generator are derived once per process.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import gfpoly
@@ -61,45 +68,37 @@ class FField:
     def is_zero(self, a):
         return not any(a)
 
-    def _s(self):
-        """The class of s, valid in any degree."""
-        if self.k == 1:
-            return ((-self.modulus[0]) % self.p,)
-        return (0, 1) + (0,) * (self.k - 2)
+    @functools.cache
+    def traces(self):
+        """Tr(s^e) to F_p for e < 2k - 1, by Newton's identities.
 
-    def trace_vector(self):
-        """Tr(s^e) to F_p for e < k, as traces of multiplication matrices."""
-        out = []
-        x = self.one()
-        s = self._s()
-        for _ in range(self.k):
-            out.append(self._mat_trace(x))
-            x = self.mul(x, s)
+        The conjugates of s are the roots of the modulus x^k + sum c_i x^i,
+        so the power sums P_e = Tr(s^e) satisfy P_0 = k and
+        P_e = -(sum_{0 < i < min(e, k+1)} c_(k-i) P_(e-i) + e c_(k-e) [e <= k]).
+        """
+        k, p, c = self.k, self.p, self.modulus
+        out = [k % p]
+        for e in range(1, 2 * k - 1):
+            acc = sum(c[k - i] * out[e - i] for i in range(1, min(e, k + 1)))
+            if e <= k:
+                acc += e * c[k - e]
+            out.append(-acc % p)
         return tuple(out)
 
-    def _mat_trace(self, x):
-        # trace of y -> x*y equals the field trace of x
-        tr = 0
-        col = x
-        s = self._s()
-        for i in range(self.k):
-            tr = (tr + col[i]) % self.p
-            if i + 1 < self.k:
-                col = self.mul(col, s)
-        return tr
-
     def trace(self, a):
-        tv = self.trace_vector()
-        return sum(c * t for c, t in zip(a, tv)) % self.p
+        return sum(c * t for c, t in zip(a, self.traces())) % self.p
+
+    def evaluate(self, poly, x):
+        """Horner evaluation at x of a polynomial with coefficients in F_p."""
+        acc = self.zero()
+        for c in reversed(poly):
+            acc = self.add(self.mul(acc, x), self.elem((c,)))
+        return acc
 
     def mult_matrix(self, x):
         """Matrix of y -> x*y in the power basis; column j is x * s^j."""
-        cols = []
-        sj = self.one()
-        s = self._s()
-        for _ in range(self.k):
-            cols.append(self.mul(x, sj))
-            sj = self.mul(sj, s)
+        cols = [self.mul(x, tuple(int(i == j) for i in range(self.k)))
+                for j in range(self.k)]
         return [[cols[j][i] for j in range(self.k)] for i in range(self.k)]
 
 
@@ -121,6 +120,7 @@ def factorize(n):
     return out
 
 
+@functools.cache
 def multiplicative_generator(F):
     """Deterministic generator of F*: first element of full order."""
     order = F.size - 1
@@ -157,12 +157,7 @@ def find_root(F, poly):
     x = F.one()
     gs = F.pow(g, step)
     for _ in range(F.p ** deg - 1):
-        # Horner evaluation of poly at x
-        acc = F.zero()
-        for c in reversed(poly):
-            acc = F.mul(acc, x)
-            acc = F.add(acc, F.elem((c,)))
-        if F.is_zero(acc):
+        if F.is_zero(F.evaluate(poly, x)):
             return x
         x = F.mul(x, gs)
     raise AssertionError("irreducible polynomial has no root in its splitting field")

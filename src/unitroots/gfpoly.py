@@ -8,6 +8,8 @@ deterministic search for the lexicographically least irreducible polynomial
 of a given degree.
 """
 
+import functools
+
 from .errors import ReduciblePolynomial
 
 X = (0, 1)  # the monomial x
@@ -105,11 +107,13 @@ def is_irreducible(f, p):
     return True
 
 
+@functools.cache
 def find_irreducible(p, degree):
     """Lexicographically least monic irreducible of given degree over GF(p).
 
     Candidates are ordered by the coefficient tuple (c_0, ..., c_{degree-1});
-    for degree 1 this returns x itself.
+    for degree 1 this returns x itself.  Each (p, degree) is searched once
+    per process.
     """
     if degree < 1:
         raise ValueError("degree must be positive")

@@ -12,8 +12,11 @@ R = q^l - 1.  In two variables with three exponents, two of which form a
 unimodular pair and leave the third a combination whose second coefficient
 is a unit mod R, the counts are cyclic convolutions of trace-value
 indicators over Z/R ("convolution", O(p^2 R + p R log R)).  Every other
-exponent set walks all R^n points ("enumeration").  Each row records which
-method produced it.  The point guard applies to R^n whichever method runs.
+exponent set, in any number of variables, walks all R^n points in numpy
+chunks ("enumeration").  Each row records which method produced it.  The
+point guard applies to R^n whichever method runs.  Fields, their traces
+and their generators come from ffield, which derives each once per
+process; _char_sum_slow is a pure-Python reference kept for the tests.
 """
 
 import itertools
@@ -116,42 +119,18 @@ class FqTower:
         self.base_degree = spec.epsilon * self.d
         pres = ffield.FField(spec.p, _presentation_modulus(spec))
         self.sub_poly = gfpoly.find_irreducible(spec.p, self.base_degree)
-        if self.base_degree == 1:
-            # coefficients are scalars of the prime field
-            self.sub_coords = tuple(
-                (self._prime_value(pres, c),) for c in spec.coeffs)
-        else:
-            rho = ffield.find_root(pres, self.sub_poly)
-            self.sub_coords = tuple(
-                ffield.subfield_coordinates(pres, rho, pres.elem(c), self.base_degree)
-                for c in spec.coeffs)
+        rho = ffield.find_root(pres, self.sub_poly)
+        self.sub_coords = tuple(
+            ffield.subfield_coordinates(pres, rho, pres.elem(c), self.base_degree)
+            for c in spec.coeffs)
         self._levels = {}
-
-    @staticmethod
-    def _prime_value(pres, coeff):
-        x = pres.elem(coeff)
-        if any(x[1:]):
-            raise AssertionError("orbit degree 1 forces prime-field coefficients")
-        return x[0]
 
     def level(self, l):
         """(field, embedded coefficient list) for the degree-l extension."""
         if l not in self._levels:
-            deg = self.base_degree * l
-            F = ffield.FField(self.p, gfpoly.find_irreducible(self.p, deg))
-            if self.base_degree == 1:
-                lams = [F.elem((c[0],)) for c in self.sub_coords]
-            else:
-                rho = ffield.find_root(F, self.sub_poly)
-                lams = []
-                for coords in self.sub_coords:
-                    acc = F.zero()
-                    rpow = F.one()
-                    for c in coords:
-                        acc = F.add(acc, F.mul(F.elem((c,)), rpow))
-                        rpow = F.mul(rpow, rho)
-                    lams.append(acc)
-            self._levels[l] = (F, lams)
+            F = ffield.field(self.p, self.base_degree * l)
+            rho = ffield.find_root(F, self.sub_poly)
+            self._levels[l] = (F, [F.evaluate(c, rho) for c in self.sub_coords])
         return self._levels[l]
 
 
@@ -167,34 +146,14 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
         raise TooLarge(f"{points} torus points exceeds the guard {guard}")
 
     vecs = spec.A.vectors
-    if n > 2:
-        counts = _char_sum_slow(F, lams, vecs, R, p)
-        method = "enumeration"
+    if R * (F.k + 2) > (1 << 26):
+        raise TooLarge("trace tables for this field exceed the memory guard")
+    tables = _trace_tables(F, lams, R)
+    plan = _convolution_plan(vecs, R)
+    if plan is None:
+        counts, method = _enumerated_counts(tables, vecs, R, p), "enumeration"
     else:
-        if R * (F.k + 2) > (1 << 26):
-            raise TooLarge("trace tables for this field exceed the memory guard")
-        tables = _trace_tables(F, lams, R)
-        plan = _convolution_plan(vecs, R)
-        method = "enumeration" if plan is None else "convolution"
-        counts = np.zeros(p, dtype=np.int64)
-        if plan is not None:
-            counts += _convolved_counts(tables, R, p, *plan)
-        elif n == 1:
-            idx = np.arange(R, dtype=np.int64)
-            c = np.zeros(R, dtype=np.int64)
-            for a, t in enumerate(tables):
-                c += t[(idx * vecs[a][0]) % R]
-            counts += np.bincount(c % p, minlength=p)
-        else:
-            chunk = max(1, min(R, (1 << 22) // max(R, 1)))
-            k2 = np.arange(R, dtype=np.int64)
-            for start in range(0, R, chunk):
-                k1 = np.arange(start, min(start + chunk, R), dtype=np.int64)
-                c = np.zeros((len(k1), R), dtype=np.int64)
-                for a, t in enumerate(tables):
-                    idx = (k1[:, None] * vecs[a][0] + k2[None, :] * vecs[a][1]) % R
-                    c += t[idx]
-                counts += np.bincount((c % p).ravel(), minlength=p)
+        counts, method = _convolved_counts(tables, R, p, *plan), "convolution"
     total = int(counts.sum())
     assert total == points, "lost or double-counted torus points"
     return CharSumRow(l, F.k, tuple(int(x) for x in counts),
@@ -260,8 +219,34 @@ def _convolved_counts(tables, R, p, a, b, c, alpha, beta):
     return counts
 
 
+def _enumerated_counts(tables, vecs, R, p):
+    """Trace-value counts of sum_a t_a(v_a . k) over every k in (Z/R)^n.
+
+    Each chunk is a block of rows: the last coordinate of k runs along a
+    row, and the leading ones are the base-R digits of the row index.  A
+    chunk holds about 2^22 points.
+    """
+    n = len(vecs[0])
+    rows = R ** (n - 1)
+    chunk = max(1, (1 << 22) // R)
+    x = np.arange(R, dtype=np.int64)
+    counts = np.zeros(p, dtype=np.int64)
+    for start in range(0, rows, chunk):
+        i = np.arange(start, min(start + chunk, rows), dtype=np.int64)
+        lead = [np.zeros_like(i) for _ in vecs]  # v_a . k over the leading digits
+        for j in range(n - 2, -1, -1):
+            i, digit = np.divmod(i, R)
+            for e, v in zip(lead, vecs):
+                e += v[j] * digit
+        c = np.zeros((len(lead[0]), R), dtype=np.int64)
+        for e, v, t in zip(lead, vecs, tables):
+            c += t[(e[:, None] + v[-1] * x[None, :]) % R]
+        counts += np.bincount((c % p).ravel(), minlength=p)
+    return counts
+
+
 def _char_sum_slow(F, lams, vecs, R, p):
-    """Reference path for n >= 3 (and used in tests as the oracle's oracle)."""
+    """Pure-Python reference for the tests: one field sum per torus point."""
     n = len(vecs[0])
     g = ffield.multiplicative_generator(F)
     counts = [0] * p
@@ -292,11 +277,7 @@ def _trace_tables(F, lams, R):
     """
     k, p = F.k, F.p
     g = ffield.multiplicative_generator(F)
-    tr_vec = np.array(F.trace_vector(), dtype=np.int64)
-    # Tr(s^(k-1+v)) for v < k: traces of the columns of s^(k-1)'s matrix
-    top = np.array(F.mult_matrix(F.elem((0,) * (k - 1) + (1,))),
-                   dtype=np.int64).T @ tr_vec
-    h = np.concatenate([tr_vec, top[1:]]) % p  # Tr(s^e) for e < 2k - 1
+    h = np.array(F.traces(), dtype=np.int64)
     Q = h[np.add.outer(np.arange(k), np.arange(k))]
     B = math.isqrt(R - 1) + 1
     baby = Q @ _generator_power_table(F, g, B).T % p
@@ -310,18 +291,20 @@ def _trace_tables(F, lams, R):
 
 
 def _generator_power_table(F, g, R):
-    """(R x k) array of the coefficient vectors of g^j, built by doubling."""
-    k = F.k
+    """(R x k) array of the coefficient vectors of g^j, built by doubling.
+
+    mm is the multiplication matrix of g^filled; squaring it doubles filled.
+    """
     p = F.p
-    table = np.zeros((R, k), dtype=np.int64)
-    table[0] = np.array(F.one(), dtype=np.int64)
+    table = np.zeros((R, F.k), dtype=np.int64)
+    table[0] = F.one()
+    mm = np.array(F.mult_matrix(g), dtype=np.int64)
     filled = 1
     while filled < R:
-        step = F.pow(g, filled)
-        mm = np.array(F.mult_matrix(step), dtype=np.int64)
         take = min(filled, R - filled)
-        table[filled:filled + take] = (table[:take] @ mm.T) % p
+        table[filled:filled + take] = table[:take] @ mm.T % p
         filled += take
+        mm = mm @ mm % p
     return table
 
 

@@ -12,7 +12,8 @@ valuation() is its rational view, order/(p-1), normalized by ord p = 1.  All
 elements handled here are p-integral.  Division is only provided for units
 (and for exact powers of p, with a divisibility check); anything else raises
 NonUnitDivision rather than degrading precision.  An integer unit's inverse
-is pow(u, -1, p^N).
+is pow(u, -1, p^N); any other unit is inverted in the residue field
+GF(p)[t]/(g mod p) by ffield.FField.inv and lifted by Newton's iteration.
 
 Teichmueller lifting, the primitive p-th root of unity normalized by
 zeta == 1 + pi (mod pi^2), and exact order extraction round out the
@@ -22,9 +23,9 @@ toolkit.
 from fractions import Fraction
 from math import comb
 
-from . import gfpoly
-from .errors import (CompositeP, NonUnitDivision, PrecisionTooLow,
-                     ReduciblePolynomial)
+from . import ffield, gfpoly
+from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
+                     PrecisionTooLow, ReduciblePolynomial)
 
 
 def _is_prime(n):
@@ -117,13 +118,15 @@ def make_ring(p, m=1, g=None, N=4):
     """Validated ring descriptor; deterministic defining polynomial if absent."""
     if not _is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    if m < 1 or N < 1:
-        raise ValueError("need m >= 1 and N >= 1")
+    if N < 1:
+        raise PrecisionTooLow(f"precision N = {N} is below 1")
+    if m < 1:
+        raise ConfigInvalid(f"residue degree m = {m} is below 1")
     if g is None:
         g = gfpoly.find_irreducible(p, m)
     g = tuple(int(c) for c in g)
     if len(g) != m + 1 or g[m] % p ** N != 1:
-        raise ValueError("defining polynomial must be monic of degree m")
+        raise ConfigInvalid(f"defining polynomial {g} is not monic of degree {m}")
     if not gfpoly.is_irreducible(gfpoly.trim(c % p for c in g), p):
         raise ReduciblePolynomial(f"{g} is reducible mod {p}")
     return RingSpec(p, m, g, N)
@@ -260,10 +263,9 @@ class RingElem:
         spec = self.spec
         if not self.is_unit():
             raise NonUnitDivision("element is not a unit")
-        # invert mod (p, pi): extended Euclid in GF(p)[t]/(gbar)
-        a0 = gfpoly.trim(c % spec.p for c in self.rows[0])
-        inv0 = _ff_inverse(a0, spec.gbar, spec.p)
-        y = spec.from_tpoly(inv0 + (0,) * (spec.m - len(inv0)))
+        # invert mod (p, pi) in the residue field GF(p)[t]/(gbar)
+        y = spec.from_tpoly(ffield.FField(spec.p, spec.gbar).inv(
+            tuple(c % spec.p for c in self.rows[0])))
         two = spec.from_int(2)
         steps = (spec.N * spec.npi).bit_length() + 1
         for _ in range(steps):
@@ -322,21 +324,6 @@ class RingElem:
     def digits(self):
         """Canonical integer digit matrix, rows indexed by pi-degree."""
         return [list(r) for r in self.rows]
-
-
-def _ff_inverse(a, modulus, p):
-    """Inverse in GF(p)[t]/(modulus) by extended Euclid."""
-    if not a:
-        raise NonUnitDivision("zero has no inverse in the residue field")
-    r0, r1 = gfpoly.trim(modulus), gfpoly.trim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = gfpoly.divrem(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, gfpoly.add(s0, tuple((-c) % p for c in gfpoly.mul(q, s1, p)), p)
-    # r0 is the gcd, a nonzero constant since the modulus is irreducible
-    c = pow(r0[0], -1, p)
-    return gfpoly.trim((x * c) % p for x in s0)
 
 
 def valuation(x):

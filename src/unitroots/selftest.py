@@ -4,9 +4,10 @@ Condensed versions of the library's mathematical invariants: ring axioms,
 Teichmueller multiplicativity, weight function properties against the
 definitional oracle, splitting-series and kernel bounds, the vectorized
 kernel sweep against the reference kernel sum, dual-step norm control,
-adjointness, the exactness of the GEMM product kernel on this machine's
-BLAS, and route A's digit enumerator and stopping step.  Each suite
-returns (name, ok, detail).
+adjointness, the oracle's torus enumerator against the reference sum and
+its Newton-identity traces against conjugate sums, the exactness of the
+GEMM product kernel on this machine's BLAS, and route A's digit enumerator
+and stopping step.  Each suite returns (name, ok, detail).
 """
 
 import itertools
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dwork, hyperg, oracle, weights
+from . import dwork, ffield, hyperg, oracle, weights
 from .padic import make_ring, teichmueller, valuation, zeta_p
 
 
@@ -211,7 +212,27 @@ def _suite_oracle(rng):
     for r1, r2 in zip(t1.rows, t2.rows):
         if r1.S != r2.S:
             return False, "Frobenius invariance fails"
-    return True, "count conservation, unit sums, Frobenius invariance"
+    # the numpy enumerator against the reference sum in three variables
+    A3 = weights.ExponentSet(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)))
+    for p, l in ((2, 2), (3, 1)):
+        coeffs = tuple((rng.randrange(1, p),) for _ in A3.vectors)
+        spec3 = hyperg.LaurentSpec(A3, p, 1, 1, coeffs)
+        tower = oracle.FqTower(spec3)
+        F, lams = tower.level(l)
+        slow = oracle._char_sum_slow(F, lams, A3.vectors, F.size - 1, p)
+        if oracle.char_sum(spec3, l, tower).counts != tuple(int(x) for x in slow):
+            return False, f"enumeration differs from the reference at p={p}, l={l}"
+    # Newton's-identity traces against conjugate sums, one field per p
+    for p, k in ((2, 5), (3, 4), (5, 3)):
+        F = ffield.field(p, k)
+        for e, t in enumerate(F.traces()):
+            x, conj = F.pow(F.elem((0, 1)), e), F.zero()
+            for i in range(k):
+                conj = F.add(conj, F.pow(x, p ** i))
+            if conj != F.elem((t,)):
+                return False, f"Tr(s^{e}) in F_{p}^{k} differs from its conjugate sum"
+    return True, ("count conservation, unit sums, Frobenius invariance, "
+                  "enumeration against the reference, traces")
 
 
 def limb_boundaries():

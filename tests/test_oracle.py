@@ -11,7 +11,7 @@ import unitroots
 
 from unitroots.errors import TooLarge
 from unitroots.ffield import field, find_root, multiplicative_generator
-from unitroots.gfpoly import find_irreducible
+from unitroots.gfpoly import X, find_irreducible, rem
 from unitroots.hyperg import LaurentSpec
 from unitroots.oracle import (CycloInt, FqTower, _char_sum_slow, _trace_tables,
                               char_sum, char_sum_table, embed_and_estimate,
@@ -22,6 +22,7 @@ KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SINGLE = ExponentSet(1, ((1,),))
 TRIANGLE = ExponentSet(2, ((1, 0), (0, 1), (-1, -1)))
 EDGE = ExponentSet(2, ((0, 1), (1, 0), (2, -1)))
+SIMPLEX3 = ExponentSet(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)))
 
 
 def test_find_irreducible_examples():
@@ -127,6 +128,10 @@ def test_fast_path_matches_slow_path():
         # the only unimodular pair leaves beta = 2: no convolution plan
         (ExponentSet(2, ((1, 0), (0, 1), (2, 2))), 3, ((1,), (1,), (2,)), 1, 2,
          "enumeration"),
+        # one and three variables run the same enumerator
+        (KLOOSTERMAN, 3, ((1,), (2,)), 1, 3, "enumeration"),
+        (SIMPLEX3, 2, ((1,), (1,), (1,), (1,)), 1, 2, "enumeration"),
+        (SIMPLEX3, 3, ((1,), (2,), (1,), (2,)), 1, 1, "enumeration"),
     ]
     for A, p, coeffs, m, l, method in cases:
         spec = LaurentSpec(A, p, m, 1, coeffs)
@@ -148,6 +153,21 @@ def test_trace_tables_match_direct_traces():
         for lam, t in zip(lams, _trace_tables(F, lams, R)):
             assert t.tolist() == [F.trace(F.mul(lam, F.pow(g, j)))
                                   for j in range(R)], (p, k, lam)
+
+
+def test_traces_are_conjugate_sums():
+    # Newton's identities against Tr(x) = sum_{i<k} x^(p^i) for x = s^e
+    for p in (2, 3, 5):
+        for k in range(1, 7):
+            F = field(p, k)
+            s = F.elem(rem(X, F.modulus, p))
+            for e, t in enumerate(F.traces()):
+                x = F.pow(s, e)
+                conj = F.zero()
+                for i in range(k):
+                    conj = F.add(conj, F.pow(x, p ** i))
+                assert conj == F.elem((t,)), (p, k, e)
+            assert len(F.traces()) == 2 * k - 1
 
 
 def test_import_leaves_scipy_out():

@@ -1,5 +1,6 @@
 """Truncated ring arithmetic: construction, lifts, roots of unity, valuation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitroots.errors import (CompositeP, NonUnitDivision, PrecisionTooLow,
-                              ReduciblePolynomial)
+from unitroots.errors import (CompositeP, ConfigInvalid, NonUnitDivision,
+                              PrecisionTooLow, ReduciblePolynomial)
 from unitroots.padic import (FactorialUnits, RingElem, make_ring,
                              pi_pow_over_factorials, split_p, teichmueller,
                              valuation, zeta_p)
@@ -24,6 +25,14 @@ def test_make_ring_validation():
         make_ring(6, 1, None, 2)
     with pytest.raises(ReduciblePolynomial):
         make_ring(3, 2, (0, 0, 1), 2)  # t^2 factors
+    with pytest.raises(PrecisionTooLow):
+        make_ring(3, 1, None, 0)
+    with pytest.raises(ConfigInvalid):
+        make_ring(3, 0, None, 2)
+    with pytest.raises(ConfigInvalid):
+        make_ring(3, 2, (1, 0, 2), 2)  # not monic
+    with pytest.raises(ConfigInvalid):
+        make_ring(3, 2, (1, 1), 2)  # degree 1, not 2
     ring = make_ring(3, 2, (1, 0, 1), 2)  # t^2 + 1 is irreducible mod 3
     assert ring.g == (1, 0, 1)
 
@@ -129,6 +138,22 @@ def test_inverse_and_division_contract(ring3):
         ring3.from_int(3).inverse()
     with pytest.raises(NonUnitDivision):
         ring3.from_fraction(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_inverse_of_every_residue_m2(p, rng):
+    # each nonzero residue of F_(p^2), with random higher pi-digits
+    ring = make_ring(p, 2, None, 3)
+    for a0, a1 in itertools.product(range(p), repeat=2):
+        rows = [[rng.randrange(ring.pN) for _ in range(2)]
+                for _ in range(ring.npi)]
+        rows[0] = [a0 + p * rng.randrange(p ** 2), a1 + p * rng.randrange(p ** 2)]
+        x = RingElem(ring, rows)
+        if (a0, a1) == (0, 0):
+            with pytest.raises(NonUnitDivision):
+                x.inverse()
+        else:
+            assert x * x.inverse() == ring.one(), (p, a0, a1)
 
 
 def test_divide_exact_p(ring3):
