@@ -24,8 +24,10 @@ K * h^2 < 2^53, otherwise left entries are cut by magnitude into limbs of
 the widest k bits with K * (2^k - 1) * h < 2^53, so every partial sum is
 an integer below 2^53.  A GEMM contracts as many slots as keep the limb
 count a single slot (K = dim) needs.  Each GEMM is reduced mod p^N in int64
-and enters with its limb's factor 2^(k*i) mod p^N; dim * (p^N - 1)^2 must
-stay below 2^62 (PrecisionTooLow) so that the int64 recombination holds.
+and enters with its limb's factor 2^(k*i) mod p^N.  That factor, like the
+regular representation's coefficients, is a residue times a residue added
+to a residue, so products hold exactly where ring_dtype's int64 rule below,
+(p^N - 1)^2 + p^N < 2^63, holds, and raise PrecisionTooLow past it.
 RingMatrix builds its regular representation once, on first use as a right
 operand, so route C's trace powers expand the Frobenius matrix once.
 
@@ -52,7 +54,8 @@ from .hyperg import _solutions
 from .oracle import orbit_degree
 from .padic import (RingElem, newton_root, pi_pow_over_factorials, split_p,
                     teichmueller)
-from .weights import enumerate_weighted_monomials, in_cone, weight
+from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
+                      weight)
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,8 @@ class OperatorData:
                                        np.array([v.rows for v in table.values()],
                                                 dtype=dtype))
                        for oi, table in self._btables.items()}
-        od._onestep = {oi: T % ring.pN for oi, T in self._onestep.items()}
+        od._onestep = {oi: (T % ring.pN).astype(ring_dtype(ring.pN), copy=False)
+                       for oi, T in self._onestep.items()}
         return od
 
     def B(self, oi, mu):
@@ -263,7 +267,7 @@ class OperatorData:
             table = self.kernel_table(oi)
             miss = len(table)  # row index of the zero entry
             keys = np.array(list(table), dtype=np.int64)
-            vals = np.zeros((miss + 1, ring.npi, ring.m), dtype=np.int64)
+            vals = np.zeros((miss + 1, ring.npi, ring.m), dtype=ring_dtype(ring.pN))
             vals[:miss] = [e.rows for e in table.values()]
             # dense index of the table over its bounding box
             lo = keys.min(axis=0)
@@ -507,10 +511,9 @@ def _pair_products(spec, A, B, right=None):
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     rows, dim, cols = A.shape[0], A.shape[1], B.shape[1]
-    if dim * (pN - 1) ** 2 >= 2 ** 62:
-        raise PrecisionTooLow(
-            f"dimension {dim} with p^N = {pN}: dim * (p^N - 1)^2 reaches 2^62, "
-            "beyond exact int64 reduction")
+    if ring_dtype(pN) is object:
+        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
+                              "beyond exact int64 reduction")
     slots = _nonzero_slots(A)
     if not len(slots):
         return np.zeros((rows, cols, npi, m), dtype=np.int64)
@@ -689,7 +692,6 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
     contraction diagnostics.
     """
     if odata is None:
-        from .weights import build_weight_data
         W = W or build_weight_data(spec.A)
         odata = OperatorData(spec, W, ring, wmax)
     W = odata.W
@@ -716,7 +718,6 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
 
 def frobenius_matrix(spec, wmax, ring, W=None):
     """Matrix of the composed operator on the weight-truncated basis."""
-    from .weights import build_weight_data
     W = W or build_weight_data(spec.A)
     odata = OperatorData(spec, W, ring, wmax)
     return odata.full_matrix()
@@ -757,6 +758,12 @@ def charpoly_degree_cap(basis_weights, p, N, dim):
     return dim
 
 
+def fredholm_cap(W, basis, p, N):
+    """Trace powers route C forms: two past charpoly_degree_cap, at most dim."""
+    cap = charpoly_degree_cap([weight(W, mu) for mu in basis], p, N, len(basis))
+    return min(cap + 2, len(basis))
+
+
 def charpoly_boost(p, cap):
     """Extra precision absorbing the divisions in the Newton identities."""
     return sum(split_p(k, p)[0] for k in range(2, cap + 1)) + 1
@@ -767,16 +774,13 @@ def fredholm_coefficients(Mx, target_ring, cap=None):
 
     The matrix must live at precision >= N + charpoly_boost so the exact
     integer divisions by k leave every reported digit intact; coefficients
-    beyond the weight-derived cap (two past charpoly_degree_cap, at most
-    dim) vanish mod p^N and are not stored.  A caller that has the cap
-    passes it; otherwise it is computed from the basis weights.
+    beyond fredholm_cap vanish mod p^N and are not stored.  A caller that
+    has the cap passes it.
     """
     ring = Mx.ring
     N = target_ring.N
     if cap is None:
-        cap = charpoly_degree_cap([weight(Mx.W, mu) for mu in Mx.basis],
-                                  ring.p, N, Mx.dim)
-        cap = min(cap + 2, Mx.dim)
+        cap = fredholm_cap(Mx.W, Mx.basis, ring.p, N)
     assert ring.N >= N + charpoly_boost(ring.p, cap), "matrix precision too low"
     traces = []
     Mk = Mx
@@ -938,7 +942,6 @@ def adjoint_check(spec, wmax, ring, W=None):
     w <= wmax/p the two pairings must agree at working precision.  Returns
     the minimal discrepancy order, or None when every difference vanishes.
     """
-    from .weights import build_weight_data
     W = W or build_weight_data(spec.A)
     odata = OperatorData(spec, W, ring, wmax)
     M = odata.full_matrix()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation, PrecisionUnstable
-from .padic import (RingElem, factorial_units, pi_pow_over_factorials, split_p,
+from .padic import (RingElem, pi_pow_digit, pi_pow_over_factorials, split_p,
                     teichmueller)
 from .weights import ExponentSet, build_weight_data
 
@@ -388,14 +388,13 @@ def _f0_shells(A, ring, s_lo, s_hi):
     """The terms of F_0(pi*L) with p^s_lo <= |u| < p^(s_hi+1), by shell.
 
     Shell s holds p^s <= |u| < p^(s+1).  A term pi^|u| / prod u_a! is one
-    integer digit in pi-row |u| mod (p-1), and at a Teichmueller point
+    digit in pi-row |u| mod (p-1) (pi_pow_digit), and at a Teichmueller point
     lambda^u depends only on each u_a mod (q-1) (q = p^m) once u_a > 0, so a
     shell is a dict from that class, with 0 kept for u_a = 0, to its digit
     sums per pi-row.  Returns (shells, number of terms).
     """
-    p, pN, npi = ring.p, ring.pN, ring.npi
+    p, npi = ring.p, ring.npi
     qm1 = p ** ring.m - 1
-    units = factorial_units(ring)
     bounds = [p ** s for s in range(s_lo, s_hi + 2)]
     shells = [{} for _ in range(s_lo, s_hi + 1)]
     count = 0
@@ -403,19 +402,13 @@ def _f0_shells(A, ring, s_lo, s_hi):
         k = sum(u)
         if k < bounds[0]:
             continue
-        v, unit = 0, 1
-        for x in u:
-            fv, fu = units(x)
-            v += fv
-            unit = unit * fu % pN
-        e = k // npi
-        digit = p ** (e - v) * pow(unit, -1, pN)
+        row, digit = pi_pow_digit(ring, k, u)
         key = tuple(x and (x - 1) % qm1 + 1 for x in u)
         shell = shells[bisect.bisect_right(bounds, k) - 1]
         acc = shell.get(key)
         if acc is None:
             acc = shell[key] = [0] * npi
-        acc[k % npi] += -digit if e & 1 else digit
+        acc[row] += digit
         count += 1
     return shells, count
 
@@ -586,7 +579,6 @@ def generating_identity_check(A, irange, degmax, perturb=None):
         c = Fraction(1, math.prod(math.factorial(e) for e in u))
         by_i.setdefault(i, {})[u] = c
     checked = set()
-    import itertools
     for i in itertools.product(range(-irange, irange + 1), repeat=A.n):
         direct = dict(by_i.get(i, {}))
         if perturb:
@@ -603,7 +595,6 @@ def generating_identity_check(A, irange, degmax, perturb=None):
 
 def _solutions_all(A, degmax):
     """Every u >= 0 with |u| <= degmax."""
-    import itertools
     k = len(A.vectors)
     for u in itertools.product(range(degmax + 1), repeat=k):
         if sum(u) <= degmax:

@@ -53,44 +53,10 @@ def _presentation_modulus(spec):
 
 
 @dataclass
-class CycloInt:
-    """Element of Z[zeta_p] as a count vector, normalized so the last entry is 0."""
-    p: int
-    counts: tuple
-
-    @classmethod
-    def from_counts(cls, p, counts):
-        shift = counts[p - 1]
-        return cls(p, tuple(int(c - shift) for c in counts))
-
-    @classmethod
-    def from_int(cls, p, n):
-        return cls.from_counts(p, (n,) + (0,) * (p - 1))
-
-    def __add__(self, other):
-        return CycloInt.from_counts(self.p, tuple(a + b for a, b in
-                                                  zip(self.counts, other.counts)))
-
-    def __sub__(self, other):
-        return CycloInt.from_counts(self.p, tuple(a - b for a, b in
-                                                  zip(self.counts, other.counts)))
-
-    def __eq__(self, other):
-        return isinstance(other, CycloInt) and (self.p, self.counts) == (other.p, other.counts)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.counts)
-
-    def to_ring(self, ring):
-        return horner(self.counts, zeta_p(ring))
-
-
-@dataclass
 class CharSumRow:
     l: int
     field_degree: int       # degree over F_p of the enumerated field
     counts: tuple           # raw trace-value counts, sum = (p^deg - 1)^n
-    S: CycloInt
     method: str             # "convolution" or "enumeration"
 
 
@@ -156,9 +122,7 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
         counts, method = _convolved_counts(tables, R, p, *plan), "convolution"
     total = int(counts.sum())
     assert total == points, "lost or double-counted torus points"
-    return CharSumRow(l, F.k, tuple(int(x) for x in counts),
-                      CycloInt.from_counts(p, tuple(int(x) for x in counts)),
-                      method)
+    return CharSumRow(l, F.k, tuple(int(x) for x in counts), method)
 
 
 def _convolution_plan(vecs, R):
@@ -324,8 +288,13 @@ class OracleEstimates:
 
 
 def embed_and_estimate(table, ring):
-    """Ratio estimates of the unit root from consecutive sums."""
-    elems = [row.S.to_ring(ring) for row in table.rows]
+    """Ratio estimates of the unit root from consecutive sums.
+
+    S_l = sum_c N_c zeta^c is the count vector evaluated at zeta_p; the
+    counts need no normalizing, since sum_c zeta^c = 0.
+    """
+    zeta = zeta_p(ring)
+    elems = [horner(row.counts, zeta) for row in table.rows]
     vals = [e.valuation() for e in elems]
     ratios = []
     for a, b in zip(elems, elems[1:]):

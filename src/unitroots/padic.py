@@ -11,13 +11,19 @@ exact pi-adic order, and every element of order >= N(p-1) is zero.
 valuation() is its rational view, order/(p-1), normalized by ord p = 1.  All
 elements handled here are p-integral.  Division is only provided for units
 (and for exact powers of p, with a divisibility check); anything else raises
-NonUnitDivision rather than degrading precision.  An integer unit's inverse
-is pow(u, -1, p^N); any other unit is inverted in the residue field
-GF(p)[t]/(g mod p) by ffield.FField.inv and lifted by Newton's iteration.
+NonUnitDivision rather than degrading precision.  A fraction's denominator
+prime to p is inverted by pow(d, -1, p^N); a unit is inverted in the
+residue field GF(p)[t]/(g mod p) by ffield.FField.inv and lifted by
+Newton's iteration.
 
-Teichmueller lifting, the primitive p-th root of unity normalized by
-zeta == 1 + pi (mod pi^2), and exact order extraction round out the
-toolkit.
+Every Newton lift here (inverse, newton_root) starts from one correct
+pi-digit and doubles the correct digits each step, so lift_steps(spec) =
+ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result.
+The Teichmueller lift is one Frobenius power of the digit lift, and the
+digit of pi^k / prod(f!) (pi_pow_digit) serves both the splitting series
+and route A's sums.  Together with the primitive p-th root of unity
+normalized by zeta == 1 + pi (mod pi^2) and exact order extraction, they
+make up the toolkit.
 """
 
 from fractions import Fraction
@@ -259,7 +265,11 @@ class RingElem:
         return result
 
     def inverse(self):
-        """Inverse of a unit, by Newton lifting from the residue field."""
+        """Inverse of a unit, by Newton lifting from the residue field.
+
+        The residue-field inverse y is right mod pi, and y -> y(2 - xy)
+        squares the error 1 - xy, so lift_steps(spec) steps make it exact.
+        """
         spec = self.spec
         if not self.is_unit():
             raise NonUnitDivision("element is not a unit")
@@ -267,8 +277,7 @@ class RingElem:
         y = spec.from_tpoly(ffield.FField(spec.p, spec.gbar).inv(
             tuple(c % spec.p for c in self.rows[0])))
         two = spec.from_int(2)
-        steps = (spec.N * spec.npi).bit_length() + 1
-        for _ in range(steps):
+        for _ in range(lift_steps(spec)):
             y = y * (two - self * y)
         assert (self * y - spec.one()).is_zero()
         return y
@@ -333,20 +342,13 @@ def valuation(x):
 def teichmueller(spec, xbar):
     """The root-of-unity (or zero) lift of a residue-field element.
 
-    xbar is an ascending t-coefficient list mod p.  Fixed point of the
-    q-power map, q = p^m; each step gains at least one p-adic digit, so at
-    most N+2 iterations are needed and the equality test makes it exact.
+    xbar is an ascending t-coefficient list mod p, and its digit lift is
+    x = w (1 + p z) with w the lift sought, w^q = w for q = p^m.  Since
+    (1 + p z)^(p^k) = 1 mod p^(k+1), x^(q^j) = w mod p^N as soon as
+    m j >= N - 1: one Frobenius power, j = ceil((N-1)/m).
     """
     x = spec.from_tpoly(tuple(c % spec.p for c in xbar))
-    if x.is_zero():
-        return x
-    q = spec.p ** spec.m
-    for _ in range(spec.N + 2):
-        nxt = x ** q
-        if nxt == x:
-            return x
-        x = nxt
-    raise AssertionError("Teichmueller iteration failed to stabilize")
+    return x ** (spec.p ** spec.m) ** -(-(spec.N - 1) // spec.m)
 
 
 def zeta_p(spec):
@@ -386,15 +388,22 @@ def horner(coeffs, x):
     return acc
 
 
+def lift_steps(spec):
+    """Newton steps that lift one correct pi-digit to all N(p-1) digits of
+    O_N: each step doubles the correct digits, so ceil(log2 N(p-1))."""
+    return (spec.N * spec.npi - 1).bit_length()
+
+
 def newton_root(coeffs, x):
     """The root of the polynomial that is congruent to x, by Newton lifting.
 
     x must be a simple root modulo pi, so the derivative there is a unit and
-    each step doubles the number of correct pi-digits.
+    each of the lift_steps(spec) steps doubles the number of correct
+    pi-digits.
     """
     spec = x.spec
     dcoeffs = [spec.from_int(k) * c for k, c in enumerate(coeffs) if k >= 1]
-    for _ in range((spec.N * spec.npi).bit_length() + 2):
+    for _ in range(lift_steps(spec)):
         val = horner(coeffs, x)
         if val.is_zero():
             break
@@ -461,30 +470,33 @@ def factorial_units(spec):
     return units
 
 
-def pi_pow_over_factorials(spec, k, factorials):
-    """pi^k / prod(f!) as a ring element, for p-integral combinations.
+def pi_pow_digit(spec, k, factorials):
+    """(row, digit) with pi^k / prod(f!) = digit * pi^row, digit mod p^N.
 
     pi^k = pi^(k mod (p-1)) * (-p)^floor(k/(p-1)); the leftover power of p
     is nonnegative whenever k is the sum of the factorial arguments (the
     base-p digit sums make up the difference), which covers every exp-type
     coefficient used here.  Factorials enter through their unit parts mod
-    p^N (FactorialUnits), so large indices stay cheap.  The result has one
-    nonzero digit, (-1)^e * p^(e_p) / unit, in row k mod (p-1); at p = 2
-    that row is 0 and (-1)^k 2^k is pi^k for pi = -2.
+    p^N (FactorialUnits), so large indices stay cheap.  The digit is
+    (-1)^e * p^(e_p) / unit, e = floor(k/(p-1)); at p = 2 the row is 0 and
+    (-1)^k 2^k is pi^k for pi = -2.
     """
-    units = factorial_units(spec)
-    r, e = k % spec.npi, k // spec.npi
-    vsum = 0
-    upar = 1
+    units, pN = factorial_units(spec), spec.pN
+    e_p, upar = k // spec.npi, 1
     for f in factorials:
         v, u = units(f)
-        vsum += v
-        upar = (upar * u) % spec.pN
-    e_p = e - vsum
+        e_p -= v
+        upar = upar * u % pN
     if e_p < 0:
         raise NonUnitDivision("combination is not p-integral")
+    digit = spec.p ** e_p * pow(upar, -1, pN) if e_p < spec.N else 0
+    return k % spec.npi, (-digit if k // spec.npi & 1 else digit) % pN
+
+
+def pi_pow_over_factorials(spec, k, factorials):
+    """pi^k / prod(f!) as a ring element, for p-integral combinations: the
+    one nonzero digit of pi_pow_digit, in its row."""
+    r, digit = pi_pow_digit(spec, k, factorials)
     rows = [(0,) * spec.m] * spec.npi
-    if e_p < spec.N:
-        digit = (-1) ** e * spec.p ** e_p * pow(upar, -1, spec.pN)
-        rows[r] = (digit % spec.pN,) + (0,) * (spec.m - 1)
+    rows[r] = (digit,) + (0,) * (spec.m - 1)
     return RingElem(spec, tuple(rows), check=False)

@@ -8,6 +8,7 @@ are deterministic JSON with integers only (timings are milliseconds).
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -184,7 +185,6 @@ def ring_meta(ring):
 
 def default_wmax(ring, D):
     bound = max(4, Fraction(ring.N * ring.p ** 2, (ring.p - 1) ** 2))
-    import math
     return Fraction(math.ceil(bound * D), D)
 
 
@@ -309,9 +309,7 @@ def run(config):
     degmax = config.degmax if config.degmax is not None \
         else dwork.default_s_cut(ring)
     basis = weights.enumerate_weighted_monomials(W, wmax)
-    cap = dwork.charpoly_degree_cap([weights.weight(W, mu) for mu in basis],
-                                    ring.p, ring.N, len(basis))
-    cap = min(cap + 2, len(basis))
+    cap = dwork.fredholm_cap(W, basis, ring.p, ring.N)
     boost = dwork.charpoly_boost(ring.p, cap)
     report["truncation"] = {
         "wmax": _frac(wmax),

@@ -210,7 +210,7 @@ def _suite_oracle(rng):
     t1 = oracle.char_sum_table(spec1, 3)
     t2 = oracle.char_sum_table(spec2, 3)
     for r1, r2 in zip(t1.rows, t2.rows):
-        if r1.S != r2.S:
+        if r1.counts != r2.counts:
             return False, "Frobenius invariance fails"
     # the numpy enumerator against the reference sum in three variables
     A3 = weights.ExponentSet(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)))
@@ -243,7 +243,10 @@ def limb_boundaries():
     - at the largest N with (p^N - 1)^2 < 2^52, the last dimension with
       dim (p^N - 1)^2 < 2^52 and the next (the rule before centring);
     - at the largest N with 2 (p^N - 1)^2 < 2^62, the last two dimensions
-      under the PrecisionTooLow guard;
+      with dim (p^N - 1)^2 < 2^62, the rule the product kernel once had;
+    - at the largest N before PrecisionTooLow, where
+      (p^N - 1)^2 + p^N < 2^63 (2^31, 3^19, 5^13), the last dimension
+      under that old rule and the next;
     - at the largest N with h^2 < 2^53, the last one-limb dimension and the
       next, where one slot per GEMM turns into all S slots in two limbs;
     - at the next N, the last dimension whose S-slot contraction keeps the
@@ -256,11 +259,15 @@ def limb_boundaries():
     for p in (2, 3, 5):
         N = max(n for n in range(1, 64) if (p ** n - 1) ** 2 < 2 ** 52)
         first = -(-2 ** 52 // (p ** N - 1) ** 2)
-        top = max(n for n in range(1, 64) if 2 * (p ** n - 1) ** 2 < 2 ** 62)
-        last = (2 ** 62 - 1) // (p ** top - 1) ** 2
+        old = max(n for n in range(1, 64) if 2 * (p ** n - 1) ** 2 < 2 ** 62)
+        top = max(n for n in range(1, 64) if dwork.ring_dtype(p ** n) is np.int64)
+        last = {n: (2 ** 62 - 1) // (p ** n - 1) ** 2 for n in (old, top)}
         for m in (1, 2):
-            out += [(p, m, N, first - 1), (p, m, N, first),
-                    (p, m, top, last - 1), (p, m, top, last)]
+            for case in ((p, m, N, first - 1), (p, m, N, first),
+                         (p, m, old, last[old] - 1), (p, m, old, last[old]),
+                         (p, m, top, last[top]), (p, m, top, last[top] + 1)):
+                if case not in out:
+                    out.append(case)
     for p in (2, 3, 5):
         for m in (1, 2):
             S = (p - 1) * m

@@ -1,5 +1,6 @@
 """Dwork operator machinery: splitting series, kernel, both routes, duals."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -342,19 +343,21 @@ def test_adjoint_check_cases(ring3, ring2):
 
 
 def test_matmul_precision_limit():
-    ring = make_ring(5, 1, None, 14)
-    M = RingMatrix(ring, None, None,
-                   np.ones((2, 2, ring.npi, ring.m), dtype=np.int64))
-    with pytest.raises(PrecisionTooLow, match=f"dimension 2 with p\\^N = {5 ** 14}"):
-        M.matmul(M)
-    # the guard reads the contracted dimension, not the row count: at 5^13,
-    # 3 (p^N - 1)^2 < 2^62 <= 4 (p^N - 1)^2
-    ring = make_ring(5, 1, None, 13)
-    ones = [np.ones(s + (ring.npi, ring.m), dtype=np.int64)
-            for s in ((4, 1), (1, 1), (1, 4), (4, 1))]
-    assert _pair_products(ring, ones[0], ones[1]).shape == (4, 1, 4, 1)
-    with pytest.raises(PrecisionTooLow, match="dimension 4 "):
-        _pair_products(ring, ones[2], ones[3])
+    # a product runs, at any dimension, while (p^N - 1)^2 + p^N < 2^63, the
+    # int64 rule of ring_dtype, and raises PrecisionTooLow one digit past it
+    for p, top in ((2, 31), (3, 19), (5, 13)):
+        assert ring_dtype(p ** top) is np.int64 and ring_dtype(p ** (top + 1)) is object
+        ring = make_ring(p, 1, None, top)
+        full = np.full((5, 5, ring.npi, 1), ring.pN - 1, dtype=np.int64)
+        M = RingMatrix(ring, None, None, full)
+        assert np.array_equal(M.matmul(M).tensor,
+                              pair_products_reference(ring, full, full))
+        over = make_ring(p, 1, None, top + 1)
+        M = RingMatrix(over, None, None,
+                       np.ones((2, 2, over.npi, 1), dtype=np.int64))
+        with pytest.raises(PrecisionTooLow, match=re.escape(
+                f"p^N = {over.pN} has (p^N - 1)^2 + p^N >= 2^63")):
+            M.matmul(M)
 
 
 @pytest.mark.parametrize("p, m, N, dim", limb_boundaries(),
@@ -371,8 +374,8 @@ def test_pair_products_extreme_operands(p, m, N, dim):
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 10),
        st.booleans(), st.data())
 def test_pair_products_match_integer_products(p, m, dim, square, data):
-    # precisions from a few digits below the one-limb rule up to the guard
-    top = max(n for n in range(1, 64) if dim * (p ** n - 1) ** 2 < 2 ** 62)
+    # precisions from eight digits below the int64 rule's last one up to it
+    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
     ring = make_ring(p, m, None, data.draw(st.integers(max(1, top - 8), top)))
     cols = dim if square else 1
     entries = st.one_of(st.integers(0, ring.pN - 1), st.just(ring.pN - 1))

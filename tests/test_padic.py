@@ -65,6 +65,20 @@ def test_teichmueller_examples(ring3):
     assert teichmueller(ring3, (0,)).is_zero()
 
 
+@pytest.mark.parametrize("p, m, N", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (3, 2, 1),
+                                     (2, 2, 25), (2, 3, 25), (3, 2, 19), (5, 1, 13)])
+def test_teichmueller_fixed_point(p, m, N):
+    # at N = 1 the lift is the digit itself; at boosted precisions it is
+    # still the q-power map's fixed point over the residue it lifts (at
+    # p = 2, m = 2 every digit lift is one already, as g = t^2 + t + 1)
+    ring = make_ring(p, m, None, N)
+    for xbar in itertools.product(range(p), repeat=m):
+        t = teichmueller(ring, xbar)
+        assert t ** (p ** m) == t, xbar
+        assert tuple(c % p for c in t.rows[0]) == xbar
+        assert not any(any(r) for r in t.rows[1:])
+
+
 def test_teichmueller_multiplicative(rng):
     for p, m in ((3, 1), (5, 1), (3, 2)):
         ring = make_ring(p, m, None, 4)
@@ -140,20 +154,28 @@ def test_inverse_and_division_contract(ring3):
         ring3.from_fraction(Fraction(1, 3))
 
 
+# precisions with N(p-1) a power of two, and the next ones, where the
+# ceil(log2 N(p-1)) Newton steps of a lift are exactly enough
+LIFT_PRECISIONS = {2: (1, 2, 3, 4, 5, 8, 9, 16, 17), 3: (1, 2, 3, 4, 5, 8, 9),
+                   5: (1, 2, 3, 4, 5)}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_inverse_of_every_residue_m2(p, rng):
-    # each nonzero residue of F_(p^2), with random higher pi-digits
-    ring = make_ring(p, 2, None, 3)
-    for a0, a1 in itertools.product(range(p), repeat=2):
-        rows = [[rng.randrange(ring.pN) for _ in range(2)]
-                for _ in range(ring.npi)]
-        rows[0] = [a0 + p * rng.randrange(p ** 2), a1 + p * rng.randrange(p ** 2)]
-        x = RingElem(ring, rows)
-        if (a0, a1) == (0, 0):
-            with pytest.raises(NonUnitDivision):
-                x.inverse()
-        else:
-            assert x * x.inverse() == ring.one(), (p, a0, a1)
+    # each nonzero residue of F_(p^2), with random higher pi-digits, at
+    # every precision of LIFT_PRECISIONS
+    for N in LIFT_PRECISIONS[p]:
+        ring = make_ring(p, 2, None, N)
+        for a0, a1 in itertools.product(range(p), repeat=2):
+            rows = [[rng.randrange(ring.pN) for _ in range(2)]
+                    for _ in range(ring.npi)]
+            rows[0] = [a0 + p * rng.randrange(p ** 2), a1 + p * rng.randrange(p ** 2)]
+            x = RingElem(ring, rows)
+            if (a0, a1) == (0, 0):
+                with pytest.raises(NonUnitDivision):
+                    x.inverse()
+            else:
+                assert x * x.inverse() == ring.one(), (p, N, a0, a1)
 
 
 def test_divide_exact_p(ring3):

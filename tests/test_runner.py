@@ -243,12 +243,29 @@ def test_check_json_records(tmp_path, capsys):
 
 
 def test_matmul_limit_is_a_route_error():
-    # route C forms its trace powers at the boosted precision, where the
-    # exact matmul runs out; route B works at the report precision
-    rep = run({**KLOOSTER3, "precision": 12, "routes": ["B", "C"]})
+    # route C forms its trace powers at the boosted precision, 5^(12 + 3),
+    # past the product kernel's int64 rule; route B works at 5^12
+    rep = run(job_dict(CASES["p5-kloosterman"], precision=12, routes=("B", "C")))
     assert rep.exit_code == 1
-    assert rep.data["errors"]["C"].startswith("PrecisionTooLow")
+    assert rep.data["errors"]["C"] == (
+        f"PrecisionTooLow: p^N = {5 ** 15} has (p^N - 1)^2 + p^N >= 2^63, "
+        "beyond exact int64 reduction")
     assert "B" in rep.data["routes"]
+    # past 2^63 the operator tables hold Python ints: both routes still
+    # end in PrecisionTooLow, not an overflow
+    rep = run(job_dict(CASES["p2-kloosterman"], precision=40, routes=("B", "C")))
+    assert sorted(rep.data["errors"]) == ["B", "C"]
+    assert all(e.startswith("PrecisionTooLow: p^N = ")
+               for e in rep.data["errors"].values())
+
+
+@pytest.mark.parametrize("cid", ["p2-kloosterman", "p3-kloosterman"])
+def test_routes_b_c_at_twelve_digits(cid):
+    # the boosted precisions, 2^28 and 3^18, are inside the int64 rule
+    rep = run(job_dict(CASES[cid], precision=12, routes=("B", "C")))
+    assert rep.data["errors"] == {}
+    assert rep.data["agreement"]["pairs"] == {"B-C": 12}
+    assert rep.exit_code == 0
 
 
 def test_route_c_counters(klooster_report):
