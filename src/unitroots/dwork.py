@@ -18,18 +18,26 @@ integer results.  The left side lays the left operand's nonzero
 (pi, t)-slots side by side along the contraction; the right side is the
 right operand's regular representation (RegularRep), whose row block for
 slot pi^j t^s holds pi^j t^s times the operand, so pi^(p-1) = -p and g(t)
-are folded in and the product comes out reduced.  Residues are centred,
-|x| <= h = floor(p^N/2).  A contraction over K takes one limb while
-K * h^2 < 2^53, otherwise left entries are cut by magnitude into limbs of
-the widest k bits with K * (2^k - 1) * h < 2^53, so every partial sum is
-an integer below 2^53.  A GEMM contracts as many slots as keep the limb
-count a single slot (K = dim) needs.  Each GEMM is reduced mod p^N in int64
-and enters with its limb's factor 2^(k*i) mod p^N.  That factor, like the
-regular representation's coefficients, is a residue times a residue added
-to a residue, so products hold exactly where ring_dtype's int64 rule below,
-(p^N - 1)^2 + p^N < 2^63, holds, and raise PrecisionTooLow past it.
-RingMatrix builds its regular representation once, on first use as a right
-operand, so route C's trace powers expand the Frobenius matrix once.
+are folded in and the product comes out reduced.  Right entries are
+centred, |y| <= h = floor(p^N/2); left entries are cut into centred base-p
+digits (left_limbs), a limb of w digits at most floor(p^w/2), the carry out
+of the top limb, a multiple of p^N, dropped.  Limbs are e digits wide, the
+lowest one narrower, for the widest e with K * floor(p^e/2) * h < 2^53
+(limb_digits), so every partial sum over a contraction K is an integer
+below 2^53; one limb is the rule K * h^2 < 2^53.  A GEMM contracts as many
+slots as keep the limb count a single slot (K = dim) needs.  Each limb's
+GEMM takes only the rows where that limb is nonzero: Dwork's estimate
+ord B_mu >= w(mu)(p-1)/p^2 makes high-weight rows of the Frobenius matrix
+and of its powers divisible by high powers of p, so many rows skip the low
+limbs, and rows that are 0 mod p^N skip every GEMM.  Each GEMM's product is
+reduced mod p^N in int64 and enters its rows with the limb's factor
+p^shift mod p^N.  That factor, like the regular representation's
+coefficients, is a residue times a residue added to a residue, so products
+hold exactly where ring_dtype's int64 rule below, (p^N - 1)^2 + p^N < 2^63,
+holds, and raise PrecisionTooLow past it.  RingMatrix builds its regular
+representation once, on first use as a right operand, so route C's trace
+powers expand the Frobenius matrix once; route B's dual cycle cuts each
+transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
 slot convolution reduced by _fold.  Its entries are int64 while
@@ -55,7 +63,7 @@ from .oracle import orbit_degree
 from .padic import (RingElem, newton_root, pi_pow_over_factorials, split_p,
                     teichmueller)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
-                      weight)
+                      scaled_weights, weight)
 
 
 @dataclass(frozen=True)
@@ -149,10 +157,21 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
         partial = partial[keep]
         budget = (budget[src] - e)[keep]
         mu = (mu[src] + e[:, None] * np.array(vec, dtype=np.int64))[keep]
-    keys, bucket = np.unique(mu, axis=0, return_inverse=True)
+    lo, box = _bounding_box(mu)
+    flat, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box),
+                             return_inverse=True)
+    keys = np.stack(np.unravel_index(flat, box), axis=-1) + lo
     sums = np.zeros((len(keys), ring.npi, ring.m), dtype=dtype)
-    np.add.at(sums, bucket.reshape(-1), partial)
+    np.add.at(sums, bucket, partial)
     return _ring_table(ring, keys.tolist(), sums)
+
+
+def _bounding_box(keys):
+    """(lo, shape) of the box spanned by integer vectors keys (n, d): a
+    vector k has the C-order flat index ravel_multi_index(k - lo, shape),
+    which sorts as the vectors do."""
+    lo = keys.min(axis=0)
+    return lo, tuple(keys.max(axis=0) - lo + 1)
 
 
 def _ring_table(ring, keys, vals):
@@ -224,21 +243,32 @@ class OperatorData:
         self.s_cut = default_s_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}
+        self._higher = {}   # kernel tables at a higher precision (at_precision)
         self._onestep = {}
+        self._dual = {}
 
     def kernel_table(self, oi):
-        """All kernel coefficients at orbit point oi, swept once and kept."""
+        """All kernel coefficients at orbit point oi, swept once and kept; an
+        operator from at_precision reduces its source's table instead, if
+        the source has one."""
         if oi not in self._btables:
-            self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W, self.ring,
-                                             self.sc, self.s_cut)
+            if oi in self._higher:
+                table = self._higher[oi]
+                rows = np.array([v.rows for v in table.values()], dtype=object)
+                self._btables[oi] = _ring_table(self.ring, list(table), rows)
+            else:
+                self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W,
+                                                 self.ring, self.sc, self.s_cut)
         return self._btables[oi]
 
     def at_precision(self, ring):
         """This operator over `ring`, a lower precision of the same ring.
 
-        Every table already computed is reduced, not recomputed.  The kernel
-        cutoff drops to the one `ring` needs: the terms beyond it vanish
-        there, so the reduced tables equal the ones built at `ring` directly.
+        Every table already computed is reduced, not recomputed: the
+        one-step matrices here, the kernel tables on their first use.  The
+        kernel cutoff drops to the one `ring` needs: the terms beyond it
+        vanish there, so the reduced tables equal the ones built at `ring`
+        directly.
         """
         od = copy.copy(self)
         od.ring = ring
@@ -247,13 +277,11 @@ class OperatorData:
                         for lam in self.lam_orbit]
         od.sc = SplittingCoeffs(ring, tuple(b.reduce_to(ring)
                                             for b in self.sc.b[:od.s_cut + 1]))
-        dtype = ring_dtype(self.ring.pN)
-        od._btables = {oi: _ring_table(ring, list(table),
-                                       np.array([v.rows for v in table.values()],
-                                                dtype=dtype))
-                       for oi, table in self._btables.items()}
+        od._higher = self._btables
+        od._btables = {}
         od._onestep = {oi: (T % ring.pN).astype(ring_dtype(ring.pN), copy=False)
                        for oi, T in self._onestep.items()}
+        od._dual = {}
         return od
 
     def B(self, oi, mu):
@@ -270,9 +298,8 @@ class OperatorData:
             vals = np.zeros((miss + 1, ring.npi, ring.m), dtype=ring_dtype(ring.pN))
             vals[:miss] = [e.rows for e in table.values()]
             # dense index of the table over its bounding box
-            lo = keys.min(axis=0)
-            box = keys.max(axis=0) - lo + 1
-            dense = np.full(tuple(box), miss)
+            lo, box = _bounding_box(keys)
+            dense = np.full(box, miss)
             dense[tuple((keys - lo).T)] = np.arange(miss)
             basis = np.array(self.basis, dtype=np.int64)
             diff = ring.p * basis[:, None] - basis[None, :] - lo
@@ -284,20 +311,27 @@ class OperatorData:
 
     def full_matrix(self):
         """Composed operator: one-step at orbit index 0 applied first."""
+        ring = self.ring
         T = self.one_step_matrix(0)
         products = 0
         for oi in range(1, self.orbit_len):
-            T = _pair_products(self.ring, self.one_step_matrix(oi), T)
+            T = _pair_products(ring, self.one_step_matrix(oi), T)
             products += 1
-        limbs = product_limbs(len(self.basis), self.ring.pN) if products else 0
-        return RingMatrix(self.ring, self.W, self.basis, T, products, limbs)
+        limbs = product_limbs(len(self.basis), ring.p, ring.N) if products else 0
+        return RingMatrix(ring, self.W, self.basis, T, products, limbs)
 
     def dual_cycle(self, vec):
-        """One full dual cycle applied to a coefficient tensor (dim, p-1, m)."""
+        """One full dual cycle applied to a coefficient tensor (dim, p-1, m).
+
+        Each one-step matrix's transpose is cut into its LeftLimbs once, on
+        the first cycle, and every later cycle reuses them.
+        """
         col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
-            M = self.one_step_matrix(oi)
-            col = _pair_products(self.ring, np.swapaxes(M, 0, 1), col)
+            if oi not in self._dual:
+                self._dual[oi] = left_limbs(
+                    self.ring, np.swapaxes(self.one_step_matrix(oi), 0, 1))
+            col = _pair_products(self.ring, self._dual[oi], col)
         return col[:, 0]
 
 
@@ -328,7 +362,7 @@ class RingMatrix:
 
     def matmul(self, other):
         T = _pair_products(self.ring, self.tensor, other.tensor, other.right_operand)
-        limbs = product_limbs(self.tensor.shape[1], self.ring.pN)
+        limbs = product_limbs(self.tensor.shape[1], self.ring.p, self.ring.N)
         return RingMatrix(self.ring, self.W, self.basis, T,
                           self.products + other.products + 1,
                           max(self.limbs, other.limbs, limbs))
@@ -338,38 +372,38 @@ class RingMatrix:
         return RingElem(self.ring, diag.sum(axis=2))
 
 
-def limb_bits(K, pN):
-    """Width k of the limbs that split a left operand contracting over K.
+def limb_digits(K, p, N):
+    """Width e, in base-p digits, of the limbs that split a left operand
+    contracting over K.
 
-    Residues are centred, |x| <= h = floor(p^N / 2), and a left entry is cut
-    by magnitude, keeping its sign, so no limb exceeds 2^k - 1 in absolute
-    value.  One limb, all of h, when K * h^2 < 2^53; otherwise the widest k,
-    below the width of h, with K * (2^k - 1) * h < 2^53.  Either way every
-    partial sum of a limb product with a centred right operand is an integer
-    of absolute value below 2^53, exact in float64.
+    _digit_limbs cuts a left entry into L = ceil(N/e) limbs of centred
+    base-p digits, the lowest N - (L-1)e digits wide and every higher one e;
+    a limb of w digits is at most floor(p^w/2) in absolute value, and right
+    entries are centred, at most h = floor(p^N/2).  So e is the widest
+    width, at most N, with K * floor(p^e/2) * h < 2^53: every partial sum
+    of a limb's GEMM is then an integer below 2^53 in absolute value, exact
+    in float64.  One limb, e = N, is the rule K * h^2 < 2^53.
     """
-    h = pN // 2
-    top = h.bit_length()
-    if K * h * h < 2 ** 53:
-        return top
-    assert K * h < 2 ** 53, "no limb width keeps the product exact"
-    k = 1
-    while k + 1 < top and K * (2 ** (k + 1) - 1) * h < 2 ** 53:
-        k += 1
-    return k
+    h = p ** N // 2
+    assert K * (p // 2) * h < 2 ** 53, "no limb width keeps the product exact"
+    e = N
+    while K * (p ** e // 2) * h >= 2 ** 53:
+        e -= 1
+    return e
 
 
-def product_limbs(K, pN):
-    """Limbs, of limb_bits(K, pN) bits each, per entry of a left operand."""
-    return -(-(pN // 2).bit_length() // limb_bits(K, pN))
+def product_limbs(K, p, N):
+    """Limbs, of limb_digits(K, p, N) digits at most, per entry of a left
+    operand."""
+    return -(-N // limb_digits(K, p, N))
 
 
-def slot_group(dim, slots, pN):
+def slot_group(dim, slots, p, N):
     """Left-operand slots one GEMM contracts: the most, up to `slots`, whose
     contraction needs no more limbs than a single slot's (K = dim)."""
-    limbs = product_limbs(dim, pN)
+    limbs = product_limbs(dim, p, N)
     g = max(slots, 1)
-    while g > 1 and product_limbs(g * dim, pN) > limbs:
+    while g > 1 and product_limbs(g * dim, p, N) > limbs:
         g -= 1
     return g
 
@@ -401,13 +435,11 @@ class RegularRep:
     Slot j*m + s stands for pi^j t^s.  Row block n of `matrix`
     (len(slots)*dim, cols*len(kept)), float64, is slots[n] * B with its
     (col, slot) coordinates centred in [-floor(p^N/2), floor(p^N/2)]; only
-    the slots `kept`, the ones some row block can reach, are stored.  colsum
-    (len(slots), cols, len(kept)) holds each row block's column sums.
+    the slots `kept`, the ones some row block can reach, are stored.
     """
     slots: np.ndarray
     kept: np.ndarray
     matrix: np.ndarray
-    colsum: np.ndarray
 
 
 def _regular_terms(spec, slots, present):
@@ -451,7 +483,6 @@ def regular_representation(spec, B, slots):
     kept, src, coef = _regular_terms(spec, slots, set(_nonzero_slots(B).tolist()))
     B = B.reshape(dim, cols, -1)
     blocks = np.empty((len(slots), dim, cols, len(kept)))
-    colsum = np.empty((len(slots), cols, len(kept)), dtype=np.int64)
     for n in range(len(slots)):
         acc = B[:, :, src[0, n]] * coef[0, n]
         for t in range(1, len(src)):
@@ -461,106 +492,153 @@ def regular_representation(spec, B, slots):
         _reduce(acc, pN)
         acc -= pN * (acc > pN // 2)
         blocks[n] = acc
-        colsum[n] = acc.sum(axis=0)
     return RegularRep(np.asarray(slots, dtype=np.int64), kept,
-                      blocks.reshape(len(slots) * dim, -1), colsum)
+                      blocks.reshape(len(slots) * dim, -1))
 
 
-def _limbs(X, k, top):
-    """(shift, float64 limb) for X, |X| < 2^top, cut by magnitude into
-    k-bit limbs that keep the sign of their entry; X itself when one limb
-    holds it.  A multi-limb X is overwritten by its magnitude, and every
-    limb comes in one buffer, valid until the next is made."""
-    if k >= top:
-        yield 0, X
-        return
-    sign = np.sign(X).astype(np.int8)
-    mag = np.abs(X, out=X)
-    bits, limb = np.empty_like(X), np.empty(X.shape)
-    for shift in range(0, top, k):
-        np.right_shift(mag, shift, out=bits)
-        bits &= (1 << k) - 1
-        np.multiply(bits, sign, out=limb)
-        yield shift, limb
+@dataclass(frozen=True)
+class LeftLimbs:
+    """A left operand of _pair_products cut into the limbs its GEMMs take.
 
-
-def _reduce_into(out, prod, factor, base, pN, block=64):
-    """out = (base + factor * prod) mod p^N, `block` rows at a time.
-
-    prod holds exact integers in float64, base and out residues in int64.
-    out may share memory with prod or base: each block is read before its
-    block of out is written.
+    rows is the operand's row count and slots its nonzero (pi, t)-slots.
+    Each of `gemms` is (start, stop, limbs): one GEMM per limb contracts
+    slots[start:stop], and a limb is (factor, live, digits): digits, float64
+    (len(live), (stop - start) * dim), holds the limb on the rows `live`,
+    the only rows where it is nonzero, and enters the product times factor.
     """
-    for r in range(0, len(out), block):
+    rows: int
+    slots: np.ndarray
+    gemms: list
+
+
+def _digit_limbs(X, p, N, e):
+    """(shift, limb) of X (n, K), float64 integers in [0, p^N), cut into
+    centred base-p digits: the lowest limb N - (L-1)e digits wide and every
+    higher one e, so that X = sum limb * p^shift mod p^N.
+
+    A limb of w digits is the centred residue of the carry so far mod p^w,
+    |limb| <= floor(p^w/2), so a multiple of p^j has its digits below j
+    zero; the carry out of the top limb, a multiple of p^N, drops.  Every
+    value is an integer below 2^32 (p^N is, by ring_dtype's int64 rule), so
+    float64 division and rounding to nearest give exact carries.  X is
+    overwritten.
+    """
+    width, shift = N - (-(-N // e) - 1) * e, 0
+    scratch = np.empty_like(X)
+    while shift < N:
+        q = p ** width
+        # the top limb's carry drops, so it may live in the scratch buffer
+        carry = np.divide(X, q, out=scratch if shift + width == N else None)
+        np.rint(carry, out=carry)
+        X -= np.multiply(carry, q, out=scratch)
+        yield shift, X
+        X, shift, width = carry, shift + width, e
+
+
+def left_limbs(spec, A):
+    """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
+
+    Slots go slot_group(dim, ...) to a GEMM, and each entry is cut by
+    _digit_limbs into limbs of limb_digits(K, p, N) digits for the
+    contraction K its GEMM gets.  A row enters a limb's GEMM only where that
+    limb of it is nonzero, so a row that is 0 mod p^N enters none, and one
+    divisible by p^j skips every limb below digit j.
+    """
+    p, N, pN = spec.p, spec.N, spec.pN
+    if ring_dtype(pN) is object:
+        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
+                              "beyond exact int64 reduction")
+    rows, dim = A.shape[:2]
+    slots = _nonzero_slots(A)
+    A = A.reshape(rows, dim, -1)
+    gemms = []
+    g = slot_group(dim, len(slots), p, N)
+    for start in range(0, len(slots), g):
+        group = slots[start:start + g]
+        X = np.empty((rows, len(group), dim))
+        for n, sl in enumerate(group):
+            X[:, n] = A[:, :, sl]
+        X = X.reshape(rows, -1)
+        live = np.flatnonzero(X.any(axis=1))
+        if len(live) < rows:
+            X = X[live]
+        limbs = []
+        for shift, digits in _digit_limbs(X, p, N, limb_digits(X.shape[1], p, N)):
+            factor, nonzero = pow(p, shift, pN), digits.any(axis=1)
+            if nonzero.all():
+                limbs.append((factor, live, digits))
+            elif nonzero.any():
+                limbs.append((factor, live[nonzero], digits[nonzero]))
+        gemms.append((start, start + len(group), limbs))
+    return LeftLimbs(rows, slots, gemms)
+
+
+def _accumulate(out, live, prod, factor, pN, add, block=64):
+    """out[live] = (out[live] if add, else 0, + factor * prod) mod p^N,
+    `block` rows at a time.
+
+    prod holds exact integers in float64, out residues in int64.  out may
+    share memory with prod: each block is read before its rows of out are
+    written.
+    """
+    for r in range(0, len(live), block):
         x = prod[r:r + block].astype(np.int64)
         if factor != 1:
             _reduce(x, pN)
             x *= factor
-        x += base[r:r + block]
+        rows = _run(live[r:r + block])
+        if add:
+            x += out[rows]
         _reduce(x, pN)
-        out[r:r + block] = x
+        out[rows] = x
+
+
+def _contract(left, rep, pN):
+    """LeftLimbs times the rows left.slots of rep, mod p^N, as int64
+    (rows, cols * len(rep.kept))."""
+    width = rep.matrix.shape[1]
+    dim = rep.matrix.shape[0] // len(rep.slots)
+    rowblocks = rep.matrix.reshape(len(rep.slots), dim, width)
+    pos = np.searchsorted(rep.slots, left.slots)
+    out = None
+    for start, stop, limbs in left.gemms:
+        rhs = rowblocks[_run(pos[start:stop])].reshape((stop - start) * dim, width)
+        for factor, live, digits in limbs:
+            prod = digits @ rhs
+            add = out is not None
+            if not add:
+                # a first product over every row holds the result in place
+                out = (prod.view(np.int64) if len(live) == left.rows
+                       else np.zeros((left.rows, width), dtype=np.int64))
+            _accumulate(out, live, prod, factor, pN, add)
+    return out
 
 
 def _pair_products(spec, A, B, right=None):
     """Product of ring matrices in exact float64 GEMMs, reduced mod p^N.
 
     A (rows, dim, p-1, m) times B (dim, cols, p-1, m), entries in [0, p^N),
-    gives (rows, cols, p-1, m).  The left side lays A's nonzero
-    (pi, t)-slots side by side along the contraction; the right side is B's
-    RegularRep for those slots, from right(slots) when the caller keeps it.
+    gives (rows, cols, p-1, m).  The left side is A cut into digit limbs
+    (left_limbs), or A's LeftLimbs when the caller keeps them; the right
+    side is B's RegularRep for A's nonzero slots, from right(slots) when the
+    caller keeps it.  Each limb's GEMM is exact, and its product is reduced
+    mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
-    rows, dim, cols = A.shape[0], A.shape[1], B.shape[1]
-    if ring_dtype(pN) is object:
-        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
-                              "beyond exact int64 reduction")
-    slots = _nonzero_slots(A)
-    if not len(slots):
+    cols = B.shape[1]
+    left = A if isinstance(A, LeftLimbs) else left_limbs(spec, A)
+    rows = left.rows
+    if not len(left.slots):
         return np.zeros((rows, cols, npi, m), dtype=np.int64)
-    rep = regular_representation(spec, B, slots) if right is None else right(slots)
-    # a function of its own, so its buffers are freed before `full` is made
-    out = _contract(A.reshape(rows, dim, -1), slots, rep, pN)
+    rep = (regular_representation(spec, B, left.slots) if right is None
+           else right(left.slots))
+    out = _contract(left, rep, pN)
+    del left  # a left operand made here is freed before `full` is made
     if len(rep.kept) == npi * m:
         return out.reshape(rows, cols, npi, m)
     full = np.zeros((rows, cols, npi * m), dtype=np.int64)
     full[..., rep.kept] = out.reshape(rows, cols, -1)
     return full.reshape(rows, cols, npi, m)
-
-
-def _contract(A, slots, rep, pN):
-    """A (rows, dim, S) times the rows `slots` of rep, mod p^N, as int64
-    (rows, cols * len(rep.kept)).
-
-    Each left entry is less floor(p^N/2) so that it is centred; h times the
-    column sums of the blocks used puts the offset back.  Slots go
-    slot_group(dim, ...) to a GEMM, each entry cut into limbs of
-    limb_bits(K, p^N) bits for the contraction K it gets; each GEMM is
-    exact, and its product is reduced mod p^N in int64 and enters with its
-    limb's factor 2^shift mod p^N.
-    """
-    rows, dim = A.shape[:2]
-    h, top = pN // 2, (pN // 2).bit_length()
-    rowblocks = rep.matrix.reshape(len(rep.slots), dim, -1)
-    pos = np.searchsorted(rep.slots, slots)
-    base = np.broadcast_to(rep.colsum[pos].sum(axis=0).reshape(-1) % pN * h % pN,
-                           (rows, rep.matrix.shape[1]))
-    out = None
-    g = slot_group(dim, len(slots), pN)
-    for i in range(0, len(slots), g):
-        group = slots[i:i + g]
-        K = len(group) * dim
-        k = limb_bits(K, pN)
-        left = np.empty((rows, len(group), dim), dtype=np.float64 if k >= top else np.int64)
-        for n, sl in enumerate(group):
-            np.subtract(A[:, :, sl], h, out=left[:, n])
-        right = rowblocks[_run(pos[i:i + g])].reshape(K, -1)
-        for shift, limb in _limbs(left.reshape(rows, K), k, top):
-            prod = limb @ right
-            if out is None:
-                out = prod.view(np.int64)  # reduced in place: holds the result
-            _reduce_into(out, prod, pow(2, shift, pN), base, pN)
-            base = out
-    return out
 
 
 def pair_products_reference(spec, A, B):
@@ -749,18 +827,18 @@ class NewtonPolygon:
 
 def charpoly_degree_cap(basis_weights, p, N, dim):
     """Least k with (p-1)^2/p^2 * (sum of k smallest weights) >= N."""
-    ws = sorted(basis_weights)
-    acc = Fraction(0)
-    for k, w in enumerate(ws, start=1):
+    acc = 0
+    for k, w in enumerate(sorted(basis_weights), start=1):
         acc += w
-        if Fraction((p - 1) ** 2, p ** 2) * acc >= N:
+        if (p - 1) ** 2 * acc >= N * p * p:
             return min(k, dim)
     return dim
 
 
 def fredholm_cap(W, basis, p, N):
-    """Trace powers route C forms: two past charpoly_degree_cap, at most dim."""
-    cap = charpoly_degree_cap([weight(W, mu) for mu in basis], p, N, len(basis))
+    """Trace powers route C forms: two past charpoly_degree_cap, at most dim.
+    The weights come scaled by D, as integers, so the bound is N * D."""
+    cap = charpoly_degree_cap(scaled_weights(W, basis), p, N * W.D, len(basis))
     return min(cap + 2, len(basis))
 
 

@@ -356,9 +356,9 @@ def run(config):
     if "B" in config.routes:
         t0 = time.perf_counter()
         try:
-            odata_b = _reduced_operator(odata_boost, ring)
-            res = dwork.power_iteration_unit_root(spec, wmax, ring, W=W,
-                                                  odata=odata_b)
+            # not kept: route B's tables are freed before route C runs
+            res = dwork.power_iteration_unit_root(
+                spec, wmax, ring, W=W, odata=_reduced_operator(odata_boost, ring))
             unit_roots["B"] = res.u
             lin = set(map(tuple, _lineality_points(W, res.eigenvector)))
             off = [c for mu, c in res.eigenvector.support.items()

@@ -250,7 +250,9 @@ def limb_boundaries():
     - at the largest N with h^2 < 2^53, the last one-limb dimension and the
       next, where one slot per GEMM turns into all S slots in two limbs;
     - at the next N, the last dimension whose S-slot contraction keeps the
-      limb width of dimension 1, and the next;
+      digit width of dimension 1, K floor(p^e/2) h < 2^53, and the next;
+      and the same for the k-bit limbs the kernel cut before it had digits,
+      K (2^k - 1) h < 2^53;
     - at the largest N with S h^2 < 2^53, the last dimension contracting all
       S slots in one GEMM, and the next, which splits them into groups.
     A case already listed is not repeated.
@@ -273,13 +275,20 @@ def limb_boundaries():
             S = (p - 1) * m
             N1 = max(n for n in range(1, 64) if (p ** n // 2) ** 2 < 2 ** 53)
             d1 = (2 ** 53 - 1) // (p ** N1 // 2) ** 2
-            pN = p ** (N1 + 1)
             dw = next(d for d in range(1, 64)
-                      if dwork.limb_bits(S * (d + 1), pN) < dwork.limb_bits(S, pN))
+                      if dwork.limb_digits(S * (d + 1), p, N1 + 1)
+                      < dwork.limb_digits(S, p, N1 + 1))
+            h = p ** (N1 + 1) // 2
+
+            def bits(K):
+                return max(k for k in range(1, h.bit_length())
+                           if K * (2 ** k - 1) * h < 2 ** 53)
+            db = next(d for d in range(1, 64) if bits(S * (d + 1)) < bits(S))
             Ng = max(n for n in range(1, 64) if S * (p ** n // 2) ** 2 < 2 ** 53)
             dg = (2 ** 53 - 1) // (S * (p ** Ng // 2) ** 2)
             for case in ((p, m, N1, d1), (p, m, N1, d1 + 1),
                          (p, m, N1 + 1, dw), (p, m, N1 + 1, dw + 1),
+                         (p, m, N1 + 1, db), (p, m, N1 + 1, db + 1),
                          (p, m, Ng, dg), (p, m, Ng, dg + 1)):
                 if case not in out:
                     out.append(case)
@@ -289,21 +298,34 @@ def limb_boundaries():
 def extreme_operands(ring, dim, cols):
     """Constant operand pairs (A, B) with the largest partial sums.
 
-    Every entry p^N - 1; A all ones below the top bit of p^N - 1 (every
-    limb full) against B the largest odd entry, so that sums a bit past 2^53
-    are odd and cannot be rounded exactly; and B the centred extremes
-    h = floor(p^N/2) and h + 1 (centred h and -h) against A h, h + 1 and
-    p^N - 1.  The kernel offsets left entries by -h, so A = p^N - 1 against
-    these B gives the largest sums, +-K h^2.
+    The kernel centres every entry, |x| <= h = floor(p^N/2), and cuts left
+    entries into centred base-p digits, a limb of w digits at most
+    floor(p^w/2) in absolute value.  A = h has every digit at that bound at
+    odd p, and its top limb at it at p = 2; h + 1 is -h at odd p.  Against
+    B = h and h + 1 they give the largest sums, +-K floor(p^e/2) h.  A whose
+    every digit is the largest odd one within the bound, against B the
+    largest odd entry up to h, gives odd sums over an odd contraction, and
+    an odd sum a bit past 2^53 cannot be held exactly.  The pairs that were
+    extreme for the kernel's earlier bit limbs stay: every entry p^N - 1;
+    A all ones below the top bit of p^N - 1 against B the largest odd
+    residue; and A = p^N - 1 against B = h and h + 1.
     """
-    pN = ring.pN
+    p, N, pN = ring.p, ring.N, ring.pN
     h = pN // 2
     shapes = ((dim, dim, ring.npi, ring.m), (dim, cols, ring.npi, ring.m))
+    K = dwork.slot_group(dim, ring.npi * ring.m, p, N) * dim
+    e, limbs = dwork.limb_digits(K, p, N), dwork.product_limbs(K, p, N)
+    odd_digits, shift = 0, 0
+    for width in [N - (limbs - 1) * e] + [e] * (limbs - 1):
+        bound = (p ** width - 1) // 2
+        odd_digits += (bound - 1 + bound % 2) * p ** shift
+        shift += width
     ones = 2 ** ((pN - 1).bit_length() - 1) - 1
     odd = pN - 1 if pN % 2 == 0 else pN - 2
-    return [tuple(np.full(s, v, dtype=np.int64) for s, v in zip(shapes, vals))
-            for vals in ((pN - 1, pN - 1), (ones, odd),
-                         (h, h), (h + 1, h + 1), (pN - 1, h), (pN - 1, h + 1))]
+    return [tuple(np.full(s, v % pN, dtype=np.int64) for s, v in zip(shapes, vals))
+            for vals in ((h, h), (h + 1, h + 1), (h, h + 1),
+                         (odd_digits, h - 1 + h % 2), (pN - 1, pN - 1),
+                         (ones, odd), (pN - 1, h), (pN - 1, h + 1))]
 
 
 def _suite_exact_matmul(rng):

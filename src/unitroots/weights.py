@@ -257,22 +257,25 @@ def enumerate_weighted_monomials(W, wmax):
         raise ValueError("wmax must be nonnegative")
     n = W.A.n
     pts = list(W.A.vectors) + [tuple([0] * n)]
-    forms = [tuple(int(W.D * c) for c in form) for form in W.facet_forms]
     bound = math.floor(W.D * wmax)
-    out = []
     ranges = []
     for i in range(n):
         lo = min(Fraction(x[i]) * wmax for x in pts)
         hi = max(Fraction(x[i]) * wmax for x in pts)
         ranges.append(range(math.floor(lo), math.ceil(hi) + 1))
-    for mu in itertools.product(*ranges):
-        if any(sum(map(operator.mul, g, mu)) > 0 for g in W.cone_facets):
-            continue
-        w = max(0, max(sum(map(operator.mul, f, mu)) for f in forms))
-        if w <= bound:
-            out.append((w, mu))
-    out.sort()
+    cone = [mu for mu in itertools.product(*ranges)
+            if all(sum(map(operator.mul, g, mu)) <= 0 for g in W.cone_facets)]
+    out = sorted((w, mu) for w, mu in zip(scaled_weights(W, cone), cone)
+                 if w <= bound)
     return [mu for _, mu in out]
+
+
+def scaled_weights(W, points):
+    """D * weight(mu), an integer, for each mu of `points` in the cone: D
+    times a facet form is an integer vector."""
+    forms = [tuple(int(W.D * c) for c in form) for form in W.facet_forms]
+    return [max(0, max(sum(map(operator.mul, f, mu)) for f in forms))
+            for mu in points]
 
 
 def relation_lattice_basis(A):

@@ -1,7 +1,9 @@
 """Dwork operator machinery: splitting series, kernel, both routes, duals."""
 
+import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              _pair_products, adjoint_check,
                              bigF_coefficient, charpoly_boost,
                              charpoly_degree_cap, default_s_cut,
-                             fredholm_coefficients, fredholm_unit_root,
+                             fredholm_cap, fredholm_coefficients,
+                             fredholm_unit_root,
                              frobenius_matrix, kernel_sweep,
                              lfunction_from_fredholm, newton_polygon,
                              one_step_dual, pair_products_reference,
@@ -35,6 +38,7 @@ from unitroots.weights import (ExponentSet, build_weight_data,
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SINGLE = ExponentSet(1, ((1,),))
 TRIANGLE = ExponentSet(2, ((1, 0), (0, 1), (-1, -1)))
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def boosted_operator(spec, wmax, N=4):
@@ -385,6 +389,72 @@ def test_pair_products_match_integer_products(p, m, dim, square, data):
                           pair_products_reference(ring, A, B))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_digit_limbs_are_centred(p, data):
+    # limbs of e digits, the lowest N - (L-1)e, each the centred residue of
+    # what the lower limbs leave: |limb| <= floor(p^w/2), zero below the
+    # p-order of its entry, and summing to the entry mod p^N
+    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    N = data.draw(st.integers(1, top))
+    e = data.draw(st.integers(1, N))
+    pN, h = p ** N, p ** N // 2
+    entries = st.one_of(st.integers(0, pN - 1),
+                        st.sampled_from([0, 1, h, (h + 1) % pN, pN - 1]),
+                        st.integers(0, N - 1).map(lambda j: p ** j))
+    X = data.draw(arrays(np.int64, (3, 4), elements=entries))
+    limbs = [(s, d.astype(np.int64).astype(object))
+             for s, d in dwork._digit_limbs(X.astype(np.float64), p, N, e)]
+    shifts = [s for s, _ in limbs] + [N]
+    assert len(limbs) == -(-N // e)
+    assert shifts[:2] == [0, N - (len(limbs) - 1) * e]
+    assert all(b - a == e for a, b in zip(shifts[1:], shifts[2:]))
+    total = sum(d * p ** s for s, d in limbs)
+    assert ((total - X.astype(object)) % pN == 0).all()
+    order = np.array([[N if x == 0 else next(j for j in range(N) if x % p ** (j + 1))
+                       for x in row] for row in X.tolist()])
+    for (s, d), w in zip(limbs, np.diff(shifts)):
+        assert (abs(d) <= p ** w // 2).all()
+        assert (d[order >= s + w] == 0).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 8),
+       st.booleans(), st.data())
+def test_pair_products_structured_rows(p, m, dim, square, data):
+    # left rows the digit kernel treats apart: zero rows, which enter no
+    # GEMM; rows divisible by p^j for j on each side of every digit boundary
+    # of the limb layout, which skip the limbs below j; rows of p^N - 1 and
+    # of the centred extremes h and h + 1 (-h at odd p)
+    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    N = data.draw(st.one_of(st.integers(1, top), st.integers(top - 6, top)))
+    ring = make_ring(p, m, None, N)
+    pN, h = ring.pN, ring.pN // 2
+    K = dwork.slot_group(dim, ring.npi * m, p, N) * dim
+    e, limbs = dwork.limb_digits(K, p, N), product_limbs(K, p, N)
+    starts = [N - (limbs - 1 - i) * e for i in range(limbs - 1)]
+    near = {s + d for s in starts for d in (-1, 0, 1)} | {1, N - 1}
+    orders = sorted(j for j in near if 0 < j < N)
+    shape = (dim, ring.npi, m)
+
+    def row():
+        kind = data.draw(st.sampled_from(["zero", "full", "h", "h1", "order"]))
+        if kind == "order" and orders:
+            j = data.draw(st.sampled_from(orders))
+            units = data.draw(arrays(np.int64, shape,
+                                     elements=st.integers(0, p ** (N - j) - 1)))
+            return units * p ** j
+        fill = {"zero": 0, "full": pN - 1, "h": h, "h1": (h + 1) % pN}
+        return np.full(shape, fill.get(kind, 0), dtype=np.int64)
+
+    A = np.stack([row() for _ in range(dim)])
+    entries = st.one_of(st.integers(0, pN - 1), st.sampled_from([h, pN - 1]))
+    B = data.draw(arrays(np.int64, (dim, dim if square else 1, ring.npi, m),
+                         elements=entries))
+    assert np.array_equal(_pair_products(ring, A, B),
+                          pair_products_reference(ring, A, B))
+
+
 @pytest.mark.parametrize("p, N, dim", [(3, 4, 3), (3, 17, 2), (3, 17, 3),
                                       (5, 11, 2), (5, 13, 3)])
 def test_pair_products_all_slots_m2(p, N, dim):
@@ -419,13 +489,13 @@ def test_products_use_no_more_limbs_than_before(monkeypatch):
     # limbs, never more than the uncentred rule needed, and all GEMMs
     # together contract no more than A's slots times dim per limb
     used = []
-    real = dwork._limbs
+    real = dwork._digit_limbs
 
-    def spy(X, k, top):
-        limbs = list(real(X, k, top))
+    def spy(X, p, N, e):
+        limbs = list(real(X, p, N, e))
         used.append((X.shape[1], len(limbs)))
         return iter(limbs)
-    monkeypatch.setattr(dwork, "_limbs", spy)
+    monkeypatch.setattr(dwork, "_digit_limbs", spy)
     rng = np.random.default_rng(7)
     for p, m, N, dim in limb_boundaries() + [(3, 1, 14, 40), (5, 2, 11, 20)]:
         ring = make_ring(p, m, None, N)
@@ -433,7 +503,7 @@ def test_products_use_no_more_limbs_than_before(monkeypatch):
         B = rng.integers(1, ring.pN, size=(dim, dim, ring.npi, m))
         used.clear()
         _pair_products(ring, A, B)
-        limbs = product_limbs(dim, ring.pN)
+        limbs = product_limbs(dim, ring.p, ring.N)
         assert limbs <= _limbs_before(dim, ring.pN)
         assert {n for _, n in used} == {limbs}
         assert sum(K for K, _ in used) == ring.npi * m * dim
@@ -455,7 +525,7 @@ def test_fredholm_expands_the_matrix_once(monkeypatch):
     P = fredholm_coefficients(Mx, ring)
     assert P.products == P.degree_cap - 1 > 1
     assert expanded == [True]
-    assert P.limbs == product_limbs(Mx.dim, Mx.ring.pN) == 1
+    assert P.limbs == product_limbs(Mx.dim, Mx.ring.p, Mx.ring.N) == 1
 
 
 def _battery_operator(case_id, ring, s_cut=None):
@@ -573,7 +643,7 @@ def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data)
     assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
 
 
-def test_at_precision_matches_direct():
+def test_at_precision_matches_direct(monkeypatch):
     # p3-kloosterman-f9: lambda-bar = (t, 1) has orbit length 2
     spec = LaurentSpec(KLOOSTERMAN, 3, 2, 1, ((0, 1), (1,)))
     boosted, ring = boosted_operator(spec, 6)
@@ -586,10 +656,64 @@ def test_at_precision_matches_direct():
     assert reduced.lam_orbit == direct.lam_orbit
     assert reduced.sc.b == direct.sc.b
     for oi in range(boosted.orbit_len):
-        assert oi in reduced._onestep and oi in reduced._btables
+        direct.one_step_matrix(oi)
+    # the reduced operator sweeps nothing: its one-step matrices come reduced
+    # and its kernel tables are reduced from the boosted ones on first use
+    swept = []
+    monkeypatch.setattr(dwork, "kernel_sweep", lambda *args: swept.append(args))
+    for oi in range(boosted.orbit_len):
+        assert oi in reduced._onestep
         assert reduced.kernel_table(oi) == direct.kernel_table(oi)
         assert np.array_equal(reduced.one_step_matrix(oi),
                               direct.one_step_matrix(oi))
+    assert swept == []
+
+
+@pytest.mark.parametrize("case_id", ["p2-triangle", "p3-skew", "p5-kloosterman",
+                                     "p3-kloosterman-f9", "p5-triangle-f25"])
+def test_reduced_kernel_tables_equal_direct(case_id):
+    # at_precision's contract: a kernel table reduced from a higher
+    # precision, with its longer cutoff, equals the one swept at the lower
+    # precision directly
+    p, m = int(case_id[1]), 2 if case_id.endswith(("f9", "f25")) else 1
+    ring = make_ring(p, m, None, 4)
+    high = _battery_operator(case_id, make_ring(p, m, None, 9))
+    for oi in range(high.orbit_len):
+        high.kernel_table(oi)
+    reduced = high.at_precision(ring)
+    direct = _battery_operator(case_id, ring)
+    assert reduced.s_cut == direct.s_cut < high.s_cut
+    for oi in range(high.orbit_len):
+        assert reduced.kernel_table(oi) == direct.kernel_table(oi)
+
+
+def test_fredholm_cap_matches_fraction_weights():
+    # fredholm_cap from D-scaled integer weights equals the cap from Fraction
+    # weights on every battery case and every benchmark pool member at N = 4
+    # and N = 8; a pool member's coefficients do not enter the cap, so each
+    # (A, p, N) is computed once
+    cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
+    configs = [job_dict(c) for c in cases.values()]
+    pools = json.loads(GOLDEN.read_text())["pools"]
+    for pool in pools.values():
+        for case_id, members in pool.items():
+            configs += [job_dict(dict(cases[case_id], coeffs=coeffs))
+                        for coeffs in members]
+    checked = {}
+    for cfg in configs:
+        spec = JobConfig.from_dict(cfg).laurent_spec()
+        for N in (4, 8):
+            key = (spec.A.vectors, spec.p, N)
+            if key not in checked:
+                W = build_weight_data(spec.A)
+                ring = make_ring(spec.p, 1, None, N)
+                basis = enumerate_weighted_monomials(W, default_wmax(ring, W.D))
+                cap = charpoly_degree_cap([weight(W, mu) for mu in basis],
+                                          spec.p, N, len(basis))
+                checked[key] = (fredholm_cap(W, basis, spec.p, N)
+                                == min(cap + 2, len(basis)))
+            assert checked[key], key
+    assert len(configs) > len(cases)
 
 
 def test_charpoly_caps():
