@@ -324,13 +324,15 @@ class OperatorData:
         """One full dual cycle applied to a coefficient tensor (dim, p-1, m).
 
         Each one-step matrix's transpose is cut into its LeftLimbs once, on
-        the first cycle, and every later cycle reuses them.
+        the first cycle, and every later cycle reuses them; the matrix itself
+        is then dropped (one_step_matrix would gather it again).
         """
         col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
             if oi not in self._dual:
                 self._dual[oi] = left_limbs(
                     self.ring, np.swapaxes(self.one_step_matrix(oi), 0, 1))
+                del self._onestep[oi]
             col = _pair_products(self.ring, self._dual[oi], col)
         return col[:, 0]
 
@@ -545,9 +547,7 @@ def left_limbs(spec, A):
     divisible by p^j skips every limb below digit j.
     """
     p, N, pN = spec.p, spec.N, spec.pN
-    if ring_dtype(pN) is object:
-        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
-                              "beyond exact int64 reduction")
+    check_product_precision(pN)
     rows, dim = A.shape[:2]
     slots = _nonzero_slots(A)
     A = A.reshape(rows, dim, -1)
@@ -660,6 +660,15 @@ def ring_dtype(pN):
     """Entry type of ring arrays mod pN: int64 while (pN - 1)^2 + pN < 2^63,
     so a slot product added to a reduced residue fits; Python ints past it."""
     return np.int64 if (pN - 1) ** 2 + pN < 2 ** 63 else object
+
+
+def check_product_precision(pN):
+    """PrecisionTooLow where ring_dtype(pN) is object: a product's GEMMs are
+    reduced and recombined mod pN in int64, so a residue times a residue
+    plus a residue must fit."""
+    if ring_dtype(pN) is object:
+        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
+                              "beyond exact int64 reduction")
 
 
 def ring_array_mul(spec, X, Y):
@@ -805,7 +814,7 @@ def frobenius_matrix(spec, wmax, ring, W=None):
 class FredholmPoly:
     ring: object
     coeffs: list           # RingElem, c_0 = 1
-    degree_cap: int        # coefficients beyond this provably vanish mod p^N
+    degree_cap: int        # traces formed; c_k past it vanish mod p^N (fredholm_cap)
     dim: int
     products: int = 0      # tensor products behind the traces, the matrix's own included
     limbs: int = 0         # most limbs per left entry any of those products used
@@ -836,24 +845,43 @@ def charpoly_degree_cap(basis_weights, p, N, dim):
 
 
 def fredholm_cap(W, basis, p, N):
-    """Trace powers route C forms: two past charpoly_degree_cap, at most dim.
-    The weights come scaled by D, as integers, so the bound is N * D."""
-    cap = charpoly_degree_cap(scaled_weights(W, basis), p, N * W.D, len(basis))
-    return min(cap + 2, len(basis))
+    """Trace powers route C forms, and so the last Fredholm coefficient it
+    computes: charpoly_degree_cap - 1, or all dim when the bound is never
+    reached.
+
+    A one-step entry (omega, nu) = B(p*omega - nu) has
+    ord >= (p-1)/p^2 * w(p*omega - nu) >= (p-1)/p^2 * (p*w(omega) - w(nu)),
+    w being subadditive, and so has the orbit composite.  So every k x k
+    principal minor has ord >= (p-1)^2/p^2 * (sum of w over its rows), and
+    c_k vanishes mod p^N for every k >= charpoly_degree_cap.  The weights
+    come scaled by D, as integers, so the bound is N * D; a fallback of
+    dim + 1 tells a bound reached at k = dim from one never reached.
+    """
+    dim = len(basis)
+    cap = charpoly_degree_cap(scaled_weights(W, basis), p, N * W.D, dim + 1)
+    return min(cap - 1, dim)
 
 
 def charpoly_boost(p, cap):
-    """Extra precision absorbing the divisions in the Newton identities."""
-    return sum(split_p(k, p)[0] for k in range(2, cap + 1)) + 1
+    """Digits the Newton identities lose over cap traces: v_p(cap!).
+
+    Traces exact mod p^N' give c_k exact mod p^(N' - v_p(k!)), each step
+    dividing by k and losing at most v_p(k) digits beyond its inputs; so
+    N' = N + v_p(cap!) keeps every c_k, k <= cap, exact mod p^N.  Before the
+    division by p^(v_p(k)) the error has ord >= N + v_p(k), so the division
+    is exact.
+    """
+    return sum(split_p(k, p)[0] for k in range(2, cap + 1))
 
 
 def fredholm_coefficients(Mx, target_ring, cap=None):
     """det(I - T M) mod p^N via trace power sums.
 
-    The matrix must live at precision >= N + charpoly_boost so the exact
-    integer divisions by k leave every reported digit intact; coefficients
-    beyond fredholm_cap vanish mod p^N and are not stored.  A caller that
-    has the cap passes it.
+    cap traces give c_1 .. c_cap; the matrix must live at precision
+    >= N + charpoly_boost(p, cap) so the exact divisions by k leave every
+    reported digit intact.  The cap defaults to fredholm_cap, past which
+    every c_k vanishes mod p^N; a caller that has it passes it.  Trailing
+    coefficients that vanish mod p^N are not stored.
     """
     ring = Mx.ring
     N = target_ring.N

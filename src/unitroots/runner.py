@@ -17,8 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dwork, hyperg, oracle, weights
-from .errors import (CacheUnwritable, ConfigInvalid, PrecisionUnstable,
-                     UnitRootError)
+from .errors import (CacheUnwritable, ConfigInvalid, PrecisionTooLow,
+                     PrecisionUnstable, UnitRootError)
 from .padic import RingElem, make_ring
 
 SCHEMA_VERSION = 1
@@ -321,17 +321,29 @@ def run(config):
         "power_iteration_budget": dwork.power_iteration_budget(ring, W.D),
     }
 
-    if "B" in config.routes or "C" in config.routes:
-        ring_boost = make_ring(config.p, config.field_degree, config.field_poly,
-                               config.precision + boost)
+    # route B multiplies at N and route C at N + boost; a route past the
+    # product kernel's int64 rule fails before any table is built, and the
+    # tables are built at the highest precision a runnable route needs
+    tensor_precision = {"B": config.precision, "C": config.precision + boost}
+    tensor_routes = []
+    for route in ("B", "C"):
+        if route in config.routes:
+            try:
+                dwork.check_product_precision(config.p ** tensor_precision[route])
+                tensor_routes.append(route)
+            except PrecisionTooLow as exc:
+                report["errors"][route] = f"PrecisionTooLow: {exc}"
+    if tensor_routes:
+        table_ring = make_ring(config.p, config.field_degree, config.field_poly,
+                               max(tensor_precision[r] for r in tensor_routes))
         t0 = time.perf_counter()
-        odata_boost = dwork.OperatorData(spec, W, ring_boost, wmax, basis=basis)
+        odata = dwork.OperatorData(spec, W, table_ring, wmax, basis=basis)
         if config.cache_dir:
             cache = KernelCache(config.cache_dir)
             for oi in range(orbit_len):
-                if not cache.load(odata_boost, oi):
-                    odata_boost.kernel_table(oi)
-                    cache.store(odata_boost, oi)
+                if not cache.load(odata, oi):
+                    odata.kernel_table(oi)
+                    cache.store(odata, oi)
         timing["operator_tables_ms"] = int(1000 * (time.perf_counter() - t0))
 
     if "A" in config.routes:
@@ -353,12 +365,14 @@ def run(config):
             report["errors"]["A"] = f"PrecisionUnstable: {exc}"
         timing["route_a_ms"] = int(1000 * (time.perf_counter() - t0))
 
-    if "B" in config.routes:
+    if "B" in tensor_routes:
         t0 = time.perf_counter()
         try:
             # not kept: route B's tables are freed before route C runs
             res = dwork.power_iteration_unit_root(
-                spec, wmax, ring, W=W, odata=_reduced_operator(odata_boost, ring))
+                spec, wmax, ring, W=W,
+                odata=_reduced_operator(odata, ring) if "C" in tensor_routes
+                else odata)
             unit_roots["B"] = res.u
             lin = set(map(tuple, _lineality_points(W, res.eigenvector)))
             off = [c for mu, c in res.eigenvector.support.items()
@@ -381,10 +395,10 @@ def run(config):
             report["errors"]["B"] = f"{type(exc).__name__}: {exc}"
         timing["route_b_ms"] = int(1000 * (time.perf_counter() - t0))
 
-    if "C" in config.routes:
+    if "C" in tensor_routes:
         t0 = time.perf_counter()
         try:
-            Mx = odata_boost.full_matrix()
+            Mx = odata.full_matrix()
             P, u = dwork.fredholm_unit_root(Mx, ring, cap)
             unit_roots["C"] = u
             poly = dwork.newton_polygon(P)

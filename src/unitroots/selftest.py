@@ -6,8 +6,9 @@ definitional oracle, splitting-series and kernel bounds, the vectorized
 kernel sweep against the reference kernel sum, dual-step norm control,
 adjointness, the oracle's torus enumerator against the reference sum and
 its Newton-identity traces against conjugate sums, the exactness of the
-GEMM product kernel on this machine's BLAS, and route A's digit enumerator
-and stopping step.  Each suite returns (name, ok, detail).
+GEMM product kernel on this machine's BLAS, route A's digit enumerator
+and stopping step, and route C's trace count and precision boost against
+the wider margins they replaced.  Each suite returns (name, ok, detail).
 """
 
 import itertools
@@ -390,6 +391,50 @@ def _suite_route_a(rng):
     return True, "digit enumerator equals brute force; u_(D*N) equals route C"
 
 
+def _suite_fredholm_cap(rng):
+    """Route C under its old margins, charpoly_degree_cap + 2 traces at
+    v_p(cap!) + 1 extra digits, against fredholm_cap traces at
+    charpoly_boost digits: every battery case at N = 4 and the triangle and
+    edge cases of the benchmark's operators-n8 workload at N = 8."""
+    from .battery import BATTERY, DEGENERATE_BATTERY, job_dict
+    from .runner import JobConfig, default_wmax
+    cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
+    jobs = [(c, 4) for c in cases.values()] + [
+        (cases[cid], 8) for cid in ("p3-triangle", "p5-triangle", "p5-triangle-f25",
+                                    "p3-edge-degenerate", "p5-edge-degenerate")]
+    for case, N in jobs:
+        cfg = JobConfig.from_dict(job_dict(case, precision=N, routes=("C",)))
+        spec, p = cfg.laurent_spec(), cfg.p
+        ring = make_ring(p, cfg.field_degree, cfg.field_poly, N)
+        W = weights.build_weight_data(spec.A)
+        wmax = default_wmax(ring, W.D)
+        basis = weights.enumerate_weighted_monomials(W, wmax)
+        ws = sorted(weights.weight(W, mu) for mu in basis)
+        cap = dwork.fredholm_cap(W, basis, p, N)
+        old_cap = min(dwork.charpoly_degree_cap(ws, p, N, len(basis)) + 2, len(basis))
+        wide = make_ring(p, cfg.field_degree, cfg.field_poly,
+                         N + dwork.charpoly_boost(p, old_cap) + 1)
+        Mx = dwork.OperatorData(spec, W, wide, wmax, basis=basis).full_matrix()
+        old = dwork.fredholm_coefficients(Mx, ring, old_cap).coeffs
+        # the matrix at N + charpoly_boost is the wide one reduced
+        boosted = make_ring(p, cfg.field_degree, cfg.field_poly,
+                            N + dwork.charpoly_boost(p, cap))
+        Mx = dwork.RingMatrix(boosted, W, basis, Mx.tensor % boosted.pN)
+        new = dwork.fredholm_coefficients(Mx, ring, cap).coeffs
+        where = f"{case['id']} at N = {N}"
+        # trailing zeros are stripped, so a nonzero c_k past cap shows as length
+        if len(old) > cap + 1:
+            return False, f"c_{len(old) - 1} past the cap {cap} is nonzero on {where}"
+        if old != new:
+            return False, f"Fredholm coefficients differ from the old margins on {where}"
+        for k, c in enumerate(old):
+            v = c.valuation()
+            if v is not None and v * p * p < (p - 1) ** 2 * sum(ws[:k]):
+                return False, f"ord c_{k} = {v} is below Dwork's estimate on {where}"
+    return True, ("fredholm_cap and charpoly_boost give the old margins' coefficients; "
+                  "the dropped ones vanish; ord c_k meets Dwork's estimate")
+
+
 SUITES = [
     ("ring-laws", _suite_ring_laws),
     ("teichmueller", _suite_teichmueller),
@@ -400,6 +445,7 @@ SUITES = [
     ("oracle", _suite_oracle),
     ("exact-matmul", _suite_exact_matmul),
     ("route-a", _suite_route_a),
+    ("fredholm-cap", _suite_fredholm_cap),
 ]
 
 

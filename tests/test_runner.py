@@ -243,12 +243,12 @@ def test_check_json_records(tmp_path, capsys):
 
 
 def test_matmul_limit_is_a_route_error():
-    # route C forms its trace powers at the boosted precision, 5^(12 + 3),
+    # route C forms its trace powers at the boosted precision, 5^(12 + 2),
     # past the product kernel's int64 rule; route B works at 5^12
-    rep = run(job_dict(CASES["p5-kloosterman"], precision=12, routes=("B", "C")))
+    rep = run(job_dict(CASES["p5-triangle"], precision=12, routes=("B", "C")))
     assert rep.exit_code == 1
     assert rep.data["errors"]["C"] == (
-        f"PrecisionTooLow: p^N = {5 ** 15} has (p^N - 1)^2 + p^N >= 2^63, "
+        f"PrecisionTooLow: p^N = {5 ** 14} has (p^N - 1)^2 + p^N >= 2^63, "
         "beyond exact int64 reduction")
     assert "B" in rep.data["routes"]
     # past 2^63 the operator tables hold Python ints: both routes still
@@ -268,6 +268,16 @@ def test_routes_b_c_at_twelve_digits(cid):
     assert rep.exit_code == 0
 
 
+def test_p5_kloosterman_at_twelve_digits():
+    # Newton's identities over its eight traces lose v_5(8!) = 1 digit, so
+    # route C works at 5^13, the last precision inside the int64 rule
+    rep = run(job_dict(CASES["p5-kloosterman"], precision=12, routes=("B", "C")))
+    assert rep.data["truncation"]["charpoly_precision_boost"] == 1
+    assert rep.data["errors"] == {}
+    assert rep.data["agreement"]["pairs"] == {"B-C": 12}
+    assert rep.exit_code == 0
+
+
 def test_route_c_counters(klooster_report):
     # orbit length - 1 products compose the operator, Fredholm cap - 1 form
     # the trace powers; the limb count follows the kernel's float rule
@@ -280,11 +290,11 @@ def test_route_c_counters(klooster_report):
     cap = f9.data["truncation"]["charpoly_degree_cap"]
     assert f9.data["orbit"]["length"] == 2
     assert counters(f9.data) == (1 + cap - 1, 1)
-    # at N = 10 the boosted products need two limbs, and B and C still agree
-    n10 = run({**KLOOSTER3, "precision": 10, "routes": ["B", "C"]})
-    cap = n10.data["truncation"]["charpoly_degree_cap"]
-    assert n10.exit_code == 0
-    assert counters(n10.data) == (cap - 1, 2)
+    # at N = 12 the boosted products need two limbs, and B and C still agree
+    n12 = run({**KLOOSTER3, "precision": 12, "routes": ["B", "C"]})
+    cap = n12.data["truncation"]["charpoly_degree_cap"]
+    assert n12.exit_code == 0
+    assert counters(n12.data) == (cap - 1, 2)
 
 
 def test_battery_definitions_are_wellformed():
