@@ -15,29 +15,36 @@ appear only as valuation bookkeeping, never as ring elements.
 Matrices hold ring elements as integer tensors of shape
 (dim, dim, p-1, m); a product is one float64 BLAS GEMM per limb with exact
 integer results.  The left side lays the left operand's nonzero
-(pi, t)-slots side by side along the contraction; the right side is the
-right operand's regular representation (RegularRep), whose row block for
-slot pi^j t^s holds pi^j t^s times the operand, so pi^(p-1) = -p and g(t)
-are folded in and the product comes out reduced.  Right entries are
+(pi, t)-slots side by side along the contraction in (b, slot) order, b the
+contraction index: the tensor's own memory order, so the left side is a
+reshape of the tensor when every slot is nonzero.  The right side is the
+right operand's regular representation (RegularRep), whose row
+(b, pi^j t^s) holds row b of pi^j t^s times the operand, so pi^(p-1) = -p
+and g(t) are folded in and the product comes out reduced.  In this order a
+contraction over b < K is a prefix of both sides: route C's trace powers
+contract row a only over the band b < K(a) that can still reach a trace
+(trace_band), runs of rows with equal K in one GEMM or, where that is
+cheaper, a few runs together (_row_groups).  Right entries are
 centred, |y| <= h = floor(p^N/2); left entries are cut into centred base-p
 digits (left_limbs), a limb of w digits at most floor(p^w/2), the carry out
 of the top limb, a multiple of p^N, dropped.  Limbs are e digits wide, the
 lowest one narrower, for the widest e with K * floor(p^e/2) * h < 2^53
 (limb_digits), so every partial sum over a contraction K is an integer
-below 2^53; one limb is the rule K * h^2 < 2^53.  A GEMM contracts as many
-slots as keep the limb count a single slot (K = dim) needs.  Each limb's
-GEMM takes only the rows where that limb is nonzero: Dwork's estimate
-ord B_mu >= w(mu)(p-1)/p^2 makes high-weight rows of the Frobenius matrix
-and of its powers divisible by high powers of p, so many rows skip the low
-limbs, and rows that are 0 mod p^N skip every GEMM.  Each GEMM's product is
-reduced mod p^N in int64 and enters its rows with the limb's factor
-p^shift mod p^N.  That factor, like the regular representation's
-coefficients, is a residue times a residue added to a residue, so products
-hold exactly where ring_dtype's int64 rule below, (p^N - 1)^2 + p^N < 2^63,
-holds, and raise PrecisionTooLow past it.  RingMatrix builds its regular
-representation once, on first use as a right operand, so route C's trace
-powers expand the Frobenius matrix once; route B's dual cycle cuts each
-transposed one-step matrix into limbs once (OperatorData.dual_cycle).
+below 2^53; one limb is the rule K * h^2 < 2^53.  The contraction is cut
+along b into blocks of as many columns as keep the limb count a single
+slot (K = dim) needs, one GEMM each.  Each limb's GEMM takes only the rows where
+that limb is nonzero: Dwork's estimate ord B_mu >= w(mu)(p-1)/p^2 makes
+high-weight rows of the Frobenius matrix and of its powers divisible by
+high powers of p, so many rows skip the low limbs, and rows that are
+0 mod p^N skip every GEMM.  Each GEMM's product is reduced mod p^N in int64
+and enters its rows with the limb's factor p^shift mod p^N.  That factor,
+like the regular representation's coefficients, is a residue times a
+residue added to a residue, so products hold exactly where ring_dtype's
+int64 rule below, (p^N - 1)^2 + p^N < 2^63, holds, and raise
+PrecisionTooLow past it.  RingMatrix builds its regular representation
+once, on first use as a right operand, so route C's trace powers expand the
+Frobenius matrix once; route B's dual cycle cuts each transposed one-step
+matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
 slot convolution reduced by _fold.  Its entries are int64 while
@@ -362,8 +369,11 @@ class RingMatrix:
     def entry(self, i, j):
         return RingElem(self.ring, self.tensor[i, j])
 
-    def matmul(self, other):
-        T = _pair_products(self.ring, self.tensor, other.tensor, other.right_operand)
+    def matmul(self, other, band=None):
+        """self times other, each row only in its band (see _pair_products)
+        when one is given."""
+        T = _pair_products(self.ring, self.tensor, other.tensor,
+                           other.right_operand, band)
         limbs = product_limbs(self.tensor.shape[1], self.ring.p, self.ring.N)
         return RingMatrix(self.ring, self.W, self.basis, T,
                           self.products + other.products + 1,
@@ -417,11 +427,14 @@ def _reduce(X, pN):
 
 
 def _nonzero_slots(X):
-    """Indices j*m + s of the nonzero (pi, t)-slots of X (..., p-1, m); one
-    reduction per slot is much faster than one over the leading axes."""
+    """Indices j*m + s of the nonzero (pi, t)-slots of X (rows, ..., p-1, m);
+    one reduction per slot is much faster than one over the leading axes,
+    and the first row alone, nonzero in most slots of route C's matrices,
+    settles most slots."""
     npi, m = X.shape[-2:]
-    return np.array([i for i in range(npi * m) if X[..., i // m, i % m].any()],
-                    dtype=np.int64)
+    planes = [X[..., i // m, i % m] for i in range(npi * m)]
+    return np.array([i for i, plane in enumerate(planes)
+                     if plane[:1].any() or plane.any()], dtype=np.int64)
 
 
 def _run(idx):
@@ -434,10 +447,12 @@ def _run(idx):
 class RegularRep:
     """Rows of B's regular representation: the right operand of _pair_products.
 
-    Slot j*m + s stands for pi^j t^s.  Row block n of `matrix`
-    (len(slots)*dim, cols*len(kept)), float64, is slots[n] * B with its
-    (col, slot) coordinates centred in [-floor(p^N/2), floor(p^N/2)]; only
-    the slots `kept`, the ones some row block can reach, are stored.
+    Slot j*m + s stands for pi^j t^s.  Row b*len(slots) + n of `matrix`
+    (dim*len(slots), cols*len(kept)), float64, is row b of slots[n] * B with
+    its (col, slot) coordinates centred in [-floor(p^N/2), floor(p^N/2)];
+    only the slots `kept`, the ones some row can reach, are stored.  Rows
+    run in (b, slot) order, the order of a left operand's columns, so the
+    rows for b < K are a prefix.
     """
     slots: np.ndarray
     kept: np.ndarray
@@ -484,7 +499,7 @@ def regular_representation(spec, B, slots):
     dim, cols = B.shape[:2]
     kept, src, coef = _regular_terms(spec, slots, set(_nonzero_slots(B).tolist()))
     B = B.reshape(dim, cols, -1)
-    blocks = np.empty((len(slots), dim, cols, len(kept)))
+    blocks = np.empty((dim, len(slots), cols, len(kept)))
     for n in range(len(slots)):
         acc = B[:, :, src[0, n]] * coef[0, n]
         for t in range(1, len(src)):
@@ -493,20 +508,23 @@ def regular_representation(spec, B, slots):
                 acc += B[:, :, src[t, n]] * coef[t, n]
         _reduce(acc, pN)
         acc -= pN * (acc > pN // 2)
-        blocks[n] = acc
+        blocks[:, n] = acc
     return RegularRep(np.asarray(slots, dtype=np.int64), kept,
-                      blocks.reshape(len(slots) * dim, -1))
+                      blocks.reshape(dim * len(slots), -1))
 
 
 @dataclass(frozen=True)
 class LeftLimbs:
     """A left operand of _pair_products cut into the limbs its GEMMs take.
 
-    rows is the operand's row count and slots its nonzero (pi, t)-slots.
-    Each of `gemms` is (start, stop, limbs): one GEMM per limb contracts
-    slots[start:stop], and a limb is (factor, live, digits): digits, float64
-    (len(live), (stop - start) * dim), holds the limb on the rows `live`,
-    the only rows where it is nonzero, and enters the product times factor.
+    rows is the operand's row count and slots its nonzero (pi, t)-slots; its
+    columns are laid out in (b, slot) order, b the contraction index, as
+    the RegularRep's rows are.  Each of `gemms` is (start, stop, cols,
+    limbs): one GEMM per limb contracts columns start:stop against the same
+    rows of the RegularRep, into the output columns below `cols` (all of
+    them when None), and a limb is (factor, live, digits): digits, float64
+    (len(live), stop - start), holds the limb on the rows `live`, the only
+    rows where it is nonzero, and enters the product times factor.
     """
     rows: int
     slots: np.ndarray
@@ -537,39 +555,107 @@ def _digit_limbs(X, p, N, e):
         X, shift, width = carry, shift + width, e
 
 
-def left_limbs(spec, A):
+# A GEMM of r rows against a K x C right side takes about as long as
+# K * C * (r + PACK_ROWS) multiply-adds: BLAS packs the right side once a
+# call, which costs about as much as 24 rows do (OpenBLAS, one thread,
+# x86-64, K and C from 400 to 1028).
+PACK_ROWS = 24
+
+
+def _row_groups(A, band, S):
+    """(rows, K, cols) per GEMM row group of A (n, dim * S), laid out in
+    (b, slot) order: the rows contract over b < K and fill the output
+    columns below cols (every column when None).
+
+    Without a band it is every row over every b.  With one, a row that is
+    0 over its own band, b < band[a], enters no group, and the others go
+    in runs of equal band.  A group is a few adjacent runs: it contracts
+    over its first run's band and fills the columns up to its last row's
+    diagonal.  The runs are split into groups so that the sum of
+    K * cols * (rows + PACK_ROWS) is least, by dynamic programming.
+    """
+    rows, dim = A.shape[0], A.shape[1] // S
+    if band is None:
+        return [(np.arange(rows), dim, None)]
+    cuts = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), rows]
+    runs = [(lo + np.flatnonzero(A[lo:hi, :band[lo] * S].any(axis=1)), int(band[lo]))
+            for lo, hi in zip(cuts, cuts[1:])]
+    runs = [(live, K) for live, K in runs if len(live)]
+    # cost[j], first[j]: the cheapest split of runs[:j], where its last group starts
+    cost, first = [0], [0]
+    for j in range(1, len(runs) + 1):
+        end, n, best = int(runs[j - 1][0][-1]) + 1, 0, None
+        for i in range(j - 1, -1, -1):
+            n += len(runs[i][0])
+            K = runs[i][1]
+            c = cost[i] + K * max(K, end) * (n + PACK_ROWS)
+            if best is None or c < best[0]:
+                best = (c, i)
+        cost.append(best[0])
+        first.append(best[1])
+    groups, j = [], len(runs)
+    while j:
+        i = first[j]
+        live, K = np.concatenate([r for r, _ in runs[i:j]]), runs[i][1]
+        groups.append((live, K, max(K, int(live[-1]) + 1)))
+        j = i
+    return groups[::-1]
+
+
+def left_limbs(spec, A, band=None):
     """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
 
-    Slots go slot_group(dim, ...) to a GEMM, and each entry is cut by
-    _digit_limbs into limbs of limb_digits(K, p, N) digits for the
-    contraction K its GEMM gets.  A row enters a limb's GEMM only where that
-    limb of it is nonzero, so a row that is 0 mod p^N enters none, and one
-    divisible by p^j skips every limb below digit j.
+    A's nonzero slots are laid side by side in (b, slot) order, a reshape
+    when every slot is nonzero.  Row a contracts over b < band[a] (over
+    every b without a band): its entries past that are zeroed in the
+    group _row_groups puts it in.  The contraction is cut into blocks of at
+    most slot_group(dim, ...) * dim columns, one GEMM each, so no block
+    needs more limbs than a single slot (K = dim).  Each entry is cut by
+    _digit_limbs into limbs of limb_digits(K, p, N) digits for the length
+    K of its block.  A row enters a limb's GEMM only where that limb of it is
+    nonzero, so a row that is 0 mod p^N there enters none, and one divisible
+    by p^j skips every limb below digit j.
     """
     p, N, pN = spec.p, spec.N, spec.pN
     check_product_precision(pN)
     rows, dim = A.shape[:2]
     slots = _nonzero_slots(A)
+    S = len(slots)
+    if not S:
+        return LeftLimbs(rows, slots, [])
+    if band is not None and band.min() >= dim:
+        band = None  # a full band is no band
     A = A.reshape(rows, dim, -1)
+    if S < A.shape[2]:
+        A = A[:, :, slots]
+    A = A.reshape(rows, -1)
+    step = slot_group(dim, S, p, N) * dim
     gemms = []
-    g = slot_group(dim, len(slots), p, N)
-    for start in range(0, len(slots), g):
-        group = slots[start:start + g]
-        X = np.empty((rows, len(group), dim))
-        for n, sl in enumerate(group):
-            X[:, n] = A[:, :, sl]
-        X = X.reshape(rows, -1)
-        live = np.flatnonzero(X.any(axis=1))
-        if len(live) < rows:
-            X = X[live]
-        limbs = []
-        for shift, digits in _digit_limbs(X, p, N, limb_digits(X.shape[1], p, N)):
-            factor, nonzero = pow(p, shift, pN), digits.any(axis=1)
-            if nonzero.all():
-                limbs.append((factor, live, digits))
-            elif nonzero.any():
-                limbs.append((factor, live[nonzero], digits[nonzero]))
-        gemms.append((start, start + len(group), limbs))
+    for group, K, cols in _row_groups(A, band, S):
+        ends = None if band is None else band[group] * S
+        for start in range(0, K * S, step):
+            stop = min(start + step, K * S)
+            X = A[_run(group), start:stop].astype(np.float64)
+            live = group
+            if ends is not None:
+                # each run of the group past the first ends at its own band
+                for i in np.flatnonzero(np.diff(ends)) + 1:
+                    X[i:, max(ends[i] - start, 0):] = 0
+            if ends is None or stop - start < K * S:
+                nz = X.any(axis=1)
+                live = group[nz]
+                if not len(live):
+                    continue
+                if len(live) < len(group):
+                    X = X[nz]
+            limbs = []
+            for shift, digits in _digit_limbs(X, p, N, limb_digits(stop - start, p, N)):
+                factor, nonzero = pow(p, shift, pN), digits.any(axis=1)
+                if nonzero.all():
+                    limbs.append((factor, live, digits))
+                elif nonzero.any():
+                    limbs.append((factor, live[nonzero], digits[nonzero]))
+            gemms.append((start, stop, cols, limbs))
     return LeftLimbs(rows, slots, gemms)
 
 
@@ -595,26 +681,28 @@ def _accumulate(out, live, prod, factor, pN, add, block=64):
 
 def _contract(left, rep, pN):
     """LeftLimbs times the rows left.slots of rep, mod p^N, as int64
-    (rows, cols * len(rep.kept))."""
+    (rows, cols * len(rep.kept)); columns a row's GEMMs leave out are 0."""
     width = rep.matrix.shape[1]
-    dim = rep.matrix.shape[0] // len(rep.slots)
-    rowblocks = rep.matrix.reshape(len(rep.slots), dim, width)
-    pos = np.searchsorted(rep.slots, left.slots)
+    rhs = rep.matrix
+    if len(left.slots) < len(rep.slots):
+        pos = np.searchsorted(rep.slots, left.slots)
+        rhs = rhs.reshape(-1, len(rep.slots), width)[:, pos].reshape(-1, width)
     out = None
-    for start, stop, limbs in left.gemms:
-        rhs = rowblocks[_run(pos[start:stop])].reshape((stop - start) * dim, width)
-        for factor, live, digits in limbs:
-            prod = digits @ rhs
-            add = out is not None
-            if not add:
-                # a first product over every row holds the result in place
-                out = (prod.view(np.int64) if len(live) == left.rows
+    for start, stop, cols, limbs in left.gemms:
+        w = width if cols is None else cols * len(rep.kept)
+        for n, (factor, live, digits) in enumerate(limbs):
+            prod = digits @ rhs[start:stop, :w]
+            if out is None:
+                # a first product over every row and column holds the
+                # result in place
+                out = (prod.view(np.int64) if len(live) == left.rows and w == width
                        else np.zeros((left.rows, width), dtype=np.int64))
-            _accumulate(out, live, prod, factor, pN, add)
-    return out
+            # a group's rows are untouched until its first limb at b = 0
+            _accumulate(out[:, :w], live, prod, factor, pN, start > 0 or n > 0)
+    return np.zeros((left.rows, width), dtype=np.int64) if out is None else out
 
 
-def _pair_products(spec, A, B, right=None):
+def _pair_products(spec, A, B, right=None, band=None):
     """Product of ring matrices in exact float64 GEMMs, reduced mod p^N.
 
     A (rows, dim, p-1, m) times B (dim, cols, p-1, m), entries in [0, p^N),
@@ -623,10 +711,15 @@ def _pair_products(spec, A, B, right=None):
     side is B's RegularRep for A's nonzero slots, from right(slots) when the
     caller keeps it.  Each limb's GEMM is exact, and its product is reduced
     mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
+
+    With a band (trace_band, for a square product), row a contracts only
+    over b < band[a].  It is formed on the columns below
+    max(band[a], a + 1), its diagonal among them, and on any others its
+    GEMM group fills (_row_groups); every other entry is 0.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     cols = B.shape[1]
-    left = A if isinstance(A, LeftLimbs) else left_limbs(spec, A)
+    left = A if isinstance(A, LeftLimbs) else left_limbs(spec, A, band)
     rows = left.rows
     if not len(left.slots):
         return np.zeros((rows, cols, npi, m), dtype=np.int64)
@@ -862,6 +955,24 @@ def fredholm_cap(W, basis, p, N):
     return min(cap - 1, dim)
 
 
+def trace_band(W, basis, p, N):
+    """K(a) for each row a of route C's trace powers: the columns c with
+    (p-1)^2 * (w(a) + w(c)) < N * p^2, a prefix of the weight-ordered basis,
+    so K never increases down the rows.
+
+    By the one-step estimate of fredholm_cap, a cycle a_0 -> ... -> a_k = a_0
+    through M has ord >= (p-1)/p^2 * sum(p*w(a_i) - w(a_(i+1))), which is
+    (p-1)^2/p^2 * sum w(a_i).  An entry (a, c) of M^j, j < k, enters tr M^k
+    only through cycles that visit a and c at two distinct positions, so
+    past K(a) it adds nothing mod p^N: M^(j+1) may take row a of M^j over
+    the columns below K(a) alone.  The weights come scaled by D, as
+    integers.
+    """
+    sw = (p - 1) ** 2 * np.array(scaled_weights(W, basis), dtype=np.int64)
+    assert (np.diff(sw) >= 0).all(), "basis not in weight order"
+    return np.searchsorted(sw, N * p * p * W.D - sw)
+
+
 def charpoly_boost(p, cap):
     """Digits the Newton identities lose over cap traces: v_p(cap!).
 
@@ -880,21 +991,24 @@ def fredholm_coefficients(Mx, target_ring, cap=None):
     cap traces give c_1 .. c_cap; the matrix must live at precision
     >= N + charpoly_boost(p, cap) so the exact divisions by k leave every
     reported digit intact.  The cap defaults to fredholm_cap, past which
-    every c_k vanishes mod p^N; a caller that has it passes it.  Trailing
-    coefficients that vanish mod p^N are not stored.
+    every c_k vanishes mod p^N; a caller that has it passes it.  Each trace
+    power forms only the band of its rows that can still reach a trace at
+    the matrix's precision (trace_band).  Trailing coefficients that vanish
+    mod p^N are not stored.
     """
     ring = Mx.ring
     N = target_ring.N
     if cap is None:
         cap = fredholm_cap(Mx.W, Mx.basis, ring.p, N)
     assert ring.N >= N + charpoly_boost(ring.p, cap), "matrix precision too low"
+    band = trace_band(Mx.W, Mx.basis, ring.p, ring.N)
     traces = []
     Mk = Mx
     products = Mx.products
     for _ in range(cap):
         traces.append(Mk.trace())
         if len(traces) < cap:
-            Mk = Mk.matmul(Mx)
+            Mk = Mk.matmul(Mx, band)
             products += 1
     coeffs = [ring.one()]
     for k in range(1, cap + 1):
@@ -996,12 +1110,14 @@ def _series_inverse(ring, a, cap):
     return inv
 
 
-def lfunction_from_fredholm(P, n, s):
+def lfunction_from_fredholm(P, n, s, u0):
     """Apply the root-scaling transform n times: the alternating product
     prod_k P(p^(k*s) T)^((-1)^k binom(n,k)).
 
-    Returns the numerator and denominator polynomials, the expanded series
-    of the processed L-power, and the (preserved) unit root.
+    u0 is P's unit root, as fredholm_unit_root returns it.  Returns the
+    numerator and denominator polynomials, the expanded series of the
+    processed L-power, and the (preserved) unit root with whether it equals
+    u0.
     """
     ring = P.ring
     num = [ring.one()]
@@ -1021,7 +1137,6 @@ def lfunction_from_fredholm(P, n, s):
     # scale reciprocal roots by powers of p^s, so only the k=0 factor is
     # slope-zero; verify by extracting from the numerator directly.
     u = unit_root_of_poly(num, ring)
-    u0 = unit_root_of_poly(P.coeffs, ring)
     return LFunctionData(num, den, series, u, (u - u0).is_zero())
 
 

@@ -402,7 +402,7 @@ def run(config):
             P, u = dwork.fredholm_unit_root(Mx, ring, cap)
             unit_roots["C"] = u
             poly = dwork.newton_polygon(P)
-            lf = dwork.lfunction_from_fredholm(P, spec.A.n, orbit_len)
+            lf = dwork.lfunction_from_fredholm(P, spec.A.n, orbit_len, u)
             report["routes"]["C"] = {
                 "unit_root": u.digits(),
                 "fredholm": [c.digits() for c in P.coeffs],

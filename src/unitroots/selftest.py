@@ -8,7 +8,8 @@ adjointness, the oracle's torus enumerator against the reference sum and
 its Newton-identity traces against conjugate sums, the exactness of the
 GEMM product kernel on this machine's BLAS, route A's digit enumerator
 and stopping step, and route C's trace count and precision boost against
-the wider margins they replaced.  Each suite returns (name, ok, detail).
+the wider margins they replaced and its banded trace powers against dense
+ones.  Each suite returns (name, ok, detail).
 """
 
 import itertools
@@ -391,18 +392,55 @@ def _suite_route_a(rng):
     return True, "digit enumerator equals brute force; u_(D*N) equals route C"
 
 
+def band_mismatch(Mx, cap):
+    """How route C's banded trace powers of Mx depart from dense ones, else
+    None.
+
+    trace_band must not increase down the rows.  The banded M^2 must equal
+    M^2 with row a of the left factor cut to its columns below K(a), on
+    every column below max(K(a), a + 1), the diagonal included; past them
+    an entry is that one or 0.  And tr M^k, k = 1 .. cap, banded must equal
+    tr M^k dense mod p^N', the matrix's precision.
+    """
+    ring, dim = Mx.ring, Mx.dim
+    band = dwork.trace_band(Mx.W, Mx.basis, ring.p, ring.N)
+    if (np.diff(band) > 0).any():
+        return "K(a) increases down the rows"
+    cols = np.arange(dim)
+    cut = Mx.tensor * (cols < band[:, None])[:, :, None, None]
+    want = dwork._pair_products(ring, cut, Mx.tensor)
+    got = Mx.matmul(Mx, band).tensor
+    kept = cols < np.maximum(band, cols + 1)[:, None]
+    if not (np.array_equal(got[kept], want[kept])
+            and ((got == want) | (got == 0)).all()):
+        return "the banded M^2 differs from M^2 with its left rows cut to the band"
+    banded = dense = Mx
+    for k in range(1, cap + 1):
+        if k > 1:
+            banded, dense = banded.matmul(Mx, band), dense.matmul(Mx)
+        if banded.trace() != dense.trace():
+            return f"banded tr M^{k} differs from the dense trace"
+    return None
+
+
+def route_c_jobs():
+    """(case, N): every battery case at N = 4 and the triangle and edge cases
+    of the benchmark's operators-n8 workload at N = 8."""
+    from .battery import BATTERY, DEGENERATE_BATTERY
+    cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
+    return [(c, 4) for c in cases.values()] + [
+        (cases[cid], 8) for cid in ("p3-triangle", "p5-triangle", "p5-triangle-f25",
+                                    "p3-edge-degenerate", "p5-edge-degenerate")]
+
+
 def _suite_fredholm_cap(rng):
     """Route C under its old margins, charpoly_degree_cap + 2 traces at
     v_p(cap!) + 1 extra digits, against fredholm_cap traces at
-    charpoly_boost digits: every battery case at N = 4 and the triangle and
-    edge cases of the benchmark's operators-n8 workload at N = 8."""
-    from .battery import BATTERY, DEGENERATE_BATTERY, job_dict
+    charpoly_boost digits, and its banded trace powers against dense ones
+    (band_mismatch), on route_c_jobs."""
+    from .battery import job_dict
     from .runner import JobConfig, default_wmax
-    cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
-    jobs = [(c, 4) for c in cases.values()] + [
-        (cases[cid], 8) for cid in ("p3-triangle", "p5-triangle", "p5-triangle-f25",
-                                    "p3-edge-degenerate", "p5-edge-degenerate")]
-    for case, N in jobs:
+    for case, N in route_c_jobs():
         cfg = JobConfig.from_dict(job_dict(case, precision=N, routes=("C",)))
         spec, p = cfg.laurent_spec(), cfg.p
         ring = make_ring(p, cfg.field_degree, cfg.field_poly, N)
@@ -422,6 +460,9 @@ def _suite_fredholm_cap(rng):
         Mx = dwork.RingMatrix(boosted, W, basis, Mx.tensor % boosted.pN)
         new = dwork.fredholm_coefficients(Mx, ring, cap).coeffs
         where = f"{case['id']} at N = {N}"
+        miss = band_mismatch(Mx, cap)
+        if miss:
+            return False, f"{miss} on {where}"
         # trailing zeros are stripped, so a nonzero c_k past cap shows as length
         if len(old) > cap + 1:
             return False, f"c_{len(old) - 1} past the cap {cap} is nonzero on {where}"
@@ -432,7 +473,8 @@ def _suite_fredholm_cap(rng):
             if v is not None and v * p * p < (p - 1) ** 2 * sum(ws[:k]):
                 return False, f"ord c_{k} = {v} is below Dwork's estimate on {where}"
     return True, ("fredholm_cap and charpoly_boost give the old margins' coefficients; "
-                  "the dropped ones vanish; ord c_k meets Dwork's estimate")
+                  "the dropped ones vanish; ord c_k meets Dwork's estimate; "
+                  "banded trace powers give the dense traces")
 
 
 SUITES = [

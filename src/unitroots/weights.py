@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import NotSpanning, OutsideCone
 
 
@@ -273,9 +275,10 @@ def enumerate_weighted_monomials(W, wmax):
 def scaled_weights(W, points):
     """D * weight(mu), an integer, for each mu of `points` in the cone: D
     times a facet form is an integer vector."""
-    forms = [tuple(int(W.D * c) for c in form) for form in W.facet_forms]
-    return [max(0, max(sum(map(operator.mul, f, mu)) for f in forms))
-            for mu in points]
+    forms = np.array([[int(W.D * c) for c in form] for form in W.facet_forms],
+                     dtype=np.int64)
+    mus = np.array(points, dtype=np.int64).reshape(-1, forms.shape[1])
+    return (mus @ forms.T).max(axis=1, initial=0).tolist()
 
 
 def relation_lattice_basis(A):

@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.runner import JobConfig, default_wmax
-from unitroots.selftest import extreme_operands, limb_boundaries, sweep_mismatch
+from unitroots.selftest import (band_mismatch, extreme_operands, limb_boundaries,
+                                route_c_jobs, sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -42,11 +44,10 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def boosted_operator(spec, wmax, N=4):
+    # the runner's precision: N plus the digits its fredholm_cap traces lose
     W = build_weight_data(spec.A)
     basis = enumerate_weighted_monomials(W, wmax)
-    cap = charpoly_degree_cap([weight(W, mu) for mu in basis], spec.p, N,
-                              len(basis))
-    boost = charpoly_boost(spec.p, min(cap + 2, len(basis)))
+    boost = charpoly_boost(spec.p, fredholm_cap(W, basis, spec.p, N))
     ring_b = make_ring(spec.p, spec.m, spec.field_poly, N + boost)
     ring = make_ring(spec.p, spec.m, spec.field_poly, N)
     return OperatorData(spec, W, ring_b, wmax), ring
@@ -319,7 +320,7 @@ def test_lfunction_delta_of_linear(ring3):
     # delta of (1 - uT): numerator 1 - uT, denominator 1 - u p^s T
     u = ring3.from_int(2)
     P = FredholmPoly(ring3, [ring3.one(), -u], 1, 1)
-    lf = lfunction_from_fredholm(P, 1, 1)
+    lf = lfunction_from_fredholm(P, 1, 1, u)
     assert lf.numerator == [ring3.one(), -u]
     assert lf.denominator == [ring3.one(), -u * ring3.from_int(3)]
     assert lf.unit_root == u and lf.unit_root_matches
@@ -328,8 +329,8 @@ def test_lfunction_delta_of_linear(ring3):
 def test_lfunction_single_is_one_minus_t(ring2):
     spec = LaurentSpec(SINGLE, 2, 1, 1, ((1,),))
     od, ring = boosted_operator(spec, 16)
-    P, _ = fredholm_unit_root(od.full_matrix(), ring)
-    lf = lfunction_from_fredholm(P, 1, 1)
+    P, u = fredholm_unit_root(od.full_matrix(), ring)
+    lf = lfunction_from_fredholm(P, 1, 1, u)
     assert lf.series[0] == ring.one()
     assert lf.series[1] == -ring.one()
     assert all(c.is_zero() for c in lf.series[2:])
@@ -453,6 +454,52 @@ def test_pair_products_structured_rows(p, m, dim, square, data):
                          elements=entries))
     assert np.array_equal(_pair_products(ring, A, B),
                           pair_products_reference(ring, A, B))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9), st.data())
+def test_banded_products_are_cut_products(p, m, dim, data):
+    # row a of a banded product contracts over b < band[a] only: on the
+    # columns below max(band[a], a + 1) it is the product with row a of A
+    # cut to its first band[a] columns, diagonal included, and past them
+    # that or 0; a full band is the unbanded product.  Precisions reach the
+    # top of the int64 rule, where blocks of the (b, slot) contraction split
+    # mid-row and entries take several limbs; zero entries leave rows that
+    # vanish over their band; PACK_ROWS = 0 puts each run of equal band in
+    # a GEMM of its own, and the default may merge them
+    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
+    entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
+    A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
+    B = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
+    band = np.array(sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
+                                              max_size=dim)), reverse=True))
+    cols = np.arange(dim)
+    want = pair_products_reference(ring, A * (cols < band[:, None])[:, :, None, None], B)
+    with mock.patch.object(dwork, "PACK_ROWS", data.draw(st.sampled_from([0, 24]))):
+        got = _pair_products(ring, A, B, band=band)
+    kept = cols < np.maximum(band, cols + 1)[:, None]
+    assert np.array_equal(got[kept], want[kept])
+    assert ((got == want) | (got == 0)).all()
+    full = _pair_products(ring, A, B, band=np.full(dim, dim))
+    assert np.array_equal(full, _pair_products(ring, A, B))
+    assert np.array_equal(full, pair_products_reference(ring, A, B))
+
+
+def test_trace_band_matches_dense_traces():
+    # route C's banded trace powers equal the dense ones mod p^N' on every
+    # battery case at N = 4 and the operators-n8 cases at N = 8; the band
+    # never grows down the rows and the banded M^2 keeps every diagonal
+    for case, N in route_c_jobs():
+        spec = JobConfig.from_dict(job_dict(case, precision=N)).laurent_spec()
+        W = build_weight_data(spec.A)
+        wmax = default_wmax(make_ring(spec.p, spec.m, spec.field_poly, N), W.D)
+        basis = enumerate_weighted_monomials(W, wmax)
+        cap = fredholm_cap(W, basis, spec.p, N)
+        ring = make_ring(spec.p, spec.m, spec.field_poly,
+                         N + charpoly_boost(spec.p, cap))
+        Mx = OperatorData(spec, W, ring, wmax, basis=basis).full_matrix()
+        assert band_mismatch(Mx, cap) is None, (case["id"], N)
 
 
 @pytest.mark.parametrize("p, N, dim", [(3, 4, 3), (3, 17, 2), (3, 17, 3),

@@ -251,8 +251,8 @@ def test_matmul_limit_is_a_route_error():
         f"PrecisionTooLow: p^N = {5 ** 14} has (p^N - 1)^2 + p^N >= 2^63, "
         "beyond exact int64 reduction")
     assert "B" in rep.data["routes"]
-    # past 2^63 the operator tables hold Python ints: both routes still
-    # end in PrecisionTooLow, not an overflow
+    # past 2^63 both routes fail the int64 rule: the runner records their
+    # PrecisionTooLow before it builds any operator table
     rep = run(job_dict(CASES["p2-kloosterman"], precision=40, routes=("B", "C")))
     assert sorted(rep.data["errors"]) == ["B", "C"]
     assert all(e.startswith("PrecisionTooLow: p^N = ")
@@ -261,8 +261,10 @@ def test_matmul_limit_is_a_route_error():
 
 @pytest.mark.parametrize("cid", ["p2-kloosterman", "p3-kloosterman"])
 def test_routes_b_c_at_twelve_digits(cid):
-    # the boosted precisions, 2^28 and 3^18, are inside the int64 rule
+    # the boosted precisions, 2^22 and 3^16, are inside the int64 rule
     rep = run(job_dict(CASES[cid], precision=12, routes=("B", "C")))
+    boost = {"p2-kloosterman": 10, "p3-kloosterman": 4}[cid]
+    assert rep.data["truncation"]["charpoly_precision_boost"] == boost
     assert rep.data["errors"] == {}
     assert rep.data["agreement"]["pairs"] == {"B-C": 12}
     assert rep.exit_code == 0

@@ -7,8 +7,8 @@ import pytest
 from unitroots.errors import NotSpanning, OutsideCone
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials,
-                               relation_lattice_basis, weight,
-                               weight_definitional)
+                               relation_lattice_basis, scaled_weights,
+                               weight, weight_definitional)
 
 KLOOSTERMAN = ((1,), (-1,))
 SKEW = ((2,), (-1,))
@@ -87,9 +87,11 @@ def test_weight_properties(vecs, rng):
     A = ExponentSet(len(vecs[0]), vecs)
     W = build_weight_data(A)
     n = A.n
+    points = []
     for _ in range(250):
         cs = [rng.randrange(9) for _ in vecs]
         nu = tuple(sum(c * v[i] for c, v in zip(cs, vecs)) for i in range(n))
+        points.append(nu)
         w = weight(W, nu)
         assert w >= 0 and (w == 0) == (not any(nu))
         c = rng.randrange(5)
@@ -99,6 +101,9 @@ def test_weight_properties(vecs, rng):
         assert weight(W, tuple(a + b for a, b in zip(nu, mu))) \
             <= w + weight(W, mu)
         assert (W.D * w).denominator == 1
+    # the integer weights the hot paths use are D times the Fraction ones
+    assert scaled_weights(W, points) == [W.D * weight(W, nu) for nu in points]
+    assert scaled_weights(W, []) == []
 
 
 @pytest.mark.parametrize("vecs", [KLOOSTERMAN, SKEW, TRIANGLE, EDGE])
