@@ -129,6 +129,7 @@ def cmd_check(args):
                  if c["id"] in battery_mod.QUICK_IDS]
     if args.cache_dir:
         runner.KernelCache(args.cache_dir)  # an unusable directory stops here
+    out = args.json_out and runner.open_report(args.json_out)  # so does a bad path
     records = []
     for case in cases:
         cfg = battery_mod.job_dict(case, lmax=args.lmax or 6)
@@ -153,8 +154,9 @@ def cmd_check(args):
                             "timing": {}})
     failures = sum(r["exit_code"] != 0 for r in records)
     print(f"{len(cases) - failures}/{len(cases)} battery cases passed")
-    if args.json_out:
-        Path(args.json_out).write_text(json.dumps(records, sort_keys=True, indent=1))
+    if out:
+        with out:
+            json.dump(records, out, sort_keys=True, indent=1)
     return 0 if failures == 0 else 1
 
 

@@ -19,8 +19,9 @@ integer results.  The left side lays the left operand's nonzero
 contraction index: the tensor's own memory order, so the left side is a
 reshape of the tensor when every slot is nonzero.  The right side is the
 right operand's regular representation (RegularRep), whose row
-(b, pi^j t^s) holds row b of pi^j t^s times the operand, so pi^(p-1) = -p
-and g(t) are folded in and the product comes out reduced.  In this order a
+(b, pi^j t^s) holds row b of pi^j t^s times the operand, read from
+RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, so the
+product comes out reduced.  In this order a
 contraction over b < K is a prefix of both sides: route C's trace powers
 contract row a only over the band b < K(a) that can still reach a trace
 (trace_band), runs of rows with equal K in one GEMM or, where that is
@@ -47,13 +48,14 @@ Frobenius matrix once; route B's dual cycle cuts each transposed one-step
 matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
-slot convolution reduced by _fold.  Its entries are int64 while
+multiply-add per pair of RingSpec.law.  Its entries are int64 while
 (p^N - 1)^2 + p^N < 2^63, so a slot product added to a reduced residue
 fits, and Python ints (object arrays) past that, on the same code path;
 there is no option.  The kernel table B_mu(lambda) is swept with it one
 exponent vector at a time over a batch of partial products (kernel_sweep),
 and route B scales its vector by the normalizer's inverse with it.
-bigF_coefficient and one_step_dual stay the scalar reference paths.
+bigF_coefficient and one_step_dual stay the scalar reference paths, and
+pair_products_reference folds by its own encoding of the law, _fold.
 """
 
 import copy
@@ -250,32 +252,23 @@ class OperatorData:
         self.s_cut = default_s_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}
-        self._higher = {}   # kernel tables at a higher precision (at_precision)
         self._onestep = {}
         self._dual = {}
 
     def kernel_table(self, oi):
-        """All kernel coefficients at orbit point oi, swept once and kept; an
-        operator from at_precision reduces its source's table instead, if
-        the source has one."""
+        """All kernel coefficients at orbit point oi, swept once and kept."""
         if oi not in self._btables:
-            if oi in self._higher:
-                table = self._higher[oi]
-                rows = np.array([v.rows for v in table.values()], dtype=object)
-                self._btables[oi] = _ring_table(self.ring, list(table), rows)
-            else:
-                self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W,
-                                                 self.ring, self.sc, self.s_cut)
+            self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W,
+                                             self.ring, self.sc, self.s_cut)
         return self._btables[oi]
 
     def at_precision(self, ring):
         """This operator over `ring`, a lower precision of the same ring.
 
-        Every table already computed is reduced, not recomputed: the
-        one-step matrices here, the kernel tables on their first use.  The
-        kernel cutoff drops to the one `ring` needs: the terms beyond it
-        vanish there, so the reduced tables equal the ones built at `ring`
-        directly.
+        The one-step matrices already computed are reduced, not recomputed.
+        The orbit, the splitting series and the kernel cutoff drop to the
+        ones `ring` needs, so a kernel table swept here equals the one built
+        at `ring` directly: the terms beyond the lower cutoff vanish there.
         """
         od = copy.copy(self)
         od.ring = ring
@@ -284,7 +277,6 @@ class OperatorData:
                         for lam in self.lam_orbit]
         od.sc = SplittingCoeffs(ring, tuple(b.reduce_to(ring)
                                             for b in self.sc.b[:od.s_cut + 1]))
-        od._higher = self._btables
         od._btables = {}
         od._onestep = {oi: (T % ring.pN).astype(ring_dtype(ring.pN), copy=False)
                        for oi, T in self._onestep.items()}
@@ -422,7 +414,8 @@ def slot_group(dim, slots, p, N):
 
 def _reduce(X, pN):
     """X mod p^N in place, for int64 X (floor division by a scalar is
-    several times faster than np.remainder)."""
+    several times faster than np.remainder); object X, as ring_array_mul
+    passes past the int64 rule, is reduced correctly but more slowly."""
     X -= X // pN * pN
 
 
@@ -462,42 +455,36 @@ class RegularRep:
 def _regular_terms(spec, slots, present):
     """How the rows `slots` of a regular representation are made.
 
-    For an operand B whose nonzero slots are `present`, slot o of
-    pi^j t^s * B (row slot j*m + s) is the sum over B's slots (j0, s0) with
-    j0 = j2 - j mod (p-1), o = j2*m + s2, of B's plane times the t^s2
-    coefficient of t^(s + s0) mod g, and times -p when j + j0 wraps past
-    p - 2.  Returns kept, the slots some row reaches, and src and coef
-    (terms, rows, kept): row n, slot kept[c] is the sum over terms of
-    coef * B[..., src] mod p^N, unused terms having coef 0.
+    Slot o of row slot i, pi^j t^s * B for i = j*m + s, is the sum of f
+    times B's plane k over B's nonzero slots k, the ascending `present`,
+    and the pairs (o, f) of RingSpec.law[i][k].  Returns kept, the slots
+    some row reaches, and src and coef (terms, rows, kept): row n, slot
+    kept[c] is the sum over terms of coef * B[..., src] mod p^N, unused
+    terms having coef 0.
     """
-    npi, m, p, pN = spec.npi, spec.m, spec.p, spec.pN
-    # tpow[e][s2]: coefficient of t^s2 in t^e mod g, e <= 2m - 2
-    tpow = [[int(e == s2) for s2 in range(m)] for e in range(m)] + list(spec._tred)
-
-    def terms(i, o):
-        (j, s), (j2, s2) = divmod(i, m), divmod(o, m)
-        j0, wrap = (j2 - j) % npi, -p if j2 < j else 1
-        return [(wrap * tpow[s + s0][s2] % pN, j0 * m + s0) for s0 in range(m)
-                if tpow[s + s0][s2] and j0 * m + s0 in present]
-
-    rows = [[terms(i, o) for o in range(npi * m)] for i in slots]
-    kept = [o for o in range(npi * m) if any(row[o] for row in rows)]
-    src = np.zeros((m, len(slots), len(kept)), dtype=np.int64)
+    S = spec.npi * spec.m
+    rows = [[[] for _ in range(S)] for _ in slots]
+    for terms, i in zip(rows, slots):
+        for k in present:
+            for o, f in spec.law[i][k]:
+                terms[o].append((f, k))
+    kept = [o for o in range(S) if any(terms[o] for terms in rows)]
+    src = np.zeros((spec.m, len(slots), len(kept)), dtype=np.int64)
     coef = np.zeros_like(src)
-    for n, row in enumerate(rows):
+    for n, terms in enumerate(rows):
         for c, o in enumerate(kept):
-            for t, (f, q) in enumerate(row[o]):
-                coef[t, n, c], src[t, n, c] = f, q
+            for t, (f, k) in enumerate(terms[o]):
+                coef[t, n, c], src[t, n, c] = f, k
     return np.array(kept, dtype=np.int64), src, coef
 
 
 def regular_representation(spec, B, slots):
     """RegularRep of B (dim, cols, p-1, m), entries in [0, p^N), for the
-    sorted `slots`: pi^(p-1) = -p and g(t) are applied here, once, instead
-    of after every product."""
+    sorted `slots`: pi^(p-1) = -p and g(t) enter here, once, through
+    RingSpec.law (_regular_terms), instead of after every product."""
     pN = spec.pN
     dim, cols = B.shape[:2]
-    kept, src, coef = _regular_terms(spec, slots, set(_nonzero_slots(B).tolist()))
+    kept, src, coef = _regular_terms(spec, slots, _nonzero_slots(B).tolist())
     B = B.reshape(dim, cols, -1)
     blocks = np.empty((dim, len(slots), cols, len(kept)))
     for n in range(len(slots)):
@@ -737,7 +724,7 @@ def _pair_products(spec, A, B, right=None, band=None):
 def pair_products_reference(spec, A, B):
     """_pair_products in Python integers (object arrays): the slot
     convolution folded by _fold, the reference the GEMM kernel is checked
-    against."""
+    against; _fold, not RingSpec.law, encodes the ring law here."""
     npi, m = spec.npi, spec.m
     Ao, Bo = A.astype(object), B.astype(object)
     raw = np.zeros((2 * npi - 1, 2 * m - 1, A.shape[0], B.shape[1]), dtype=object)
@@ -768,46 +755,49 @@ def ring_array_mul(spec, X, Y):
     """Elementwise product of ring arrays.
 
     X (..., p-1, m) times Y broadcastable to it, entries in [0, p^N): each
-    pair of nonzero (pi, t)-slots adds its product into the slot-major raw
-    layout, reduced mod p^N after every addition, and _fold reduces the
-    result.  Entries are of ring_dtype(p^N).
+    pair of nonzero (pi, t)-slots i, k adds its product, times f, into slot
+    o for each pair (o, f) of RingSpec.law[i][k], reduced mod p^N after
+    every addition.  Entries are of ring_dtype(p^N).
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     dtype = ring_dtype(pN)
     X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
     shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2])
-    raw = np.zeros((2 * npi - 1, 2 * m - 1) + shape, dtype=dtype)
-    yslots = [(j, k) for j in range(npi) for k in range(m) if Y[..., j, k].any()]
-    for j1 in range(npi):
-        for k1 in range(m):
-            x = X[..., j1, k1]
-            if not x.any():
-                continue
-            for j2, k2 in yslots:
-                acc = raw[j1 + j2, k1 + k2]
-                acc += x * Y[..., j2, k2]
-                acc %= pN
-    return _fold(spec, raw)
+    out = np.zeros((npi * m,) + shape, dtype=dtype)
+    yslots = [k for k in range(npi * m) if Y[..., k // m, k % m].any()]
+    for i, law in enumerate(spec.law):
+        x = X[..., i // m, i % m]
+        if not x.any():
+            continue
+        for k in yslots:
+            xy = x * Y[..., k // m, k % m]
+            if any(f != 1 for _, f in law[k]):
+                _reduce(xy, pN)  # so that xy * f plus a residue fits
+            for o, f in law[k]:
+                acc = out[o]
+                acc += xy if f == 1 else xy * f
+                _reduce(acc, pN)
+    return np.ascontiguousarray(np.moveaxis(out.reshape((npi, m) + shape),
+                                            (0, 1), (-2, -1)))
 
 
 def _fold(spec, raw):
-    """Reduce pi-degrees >= p-1 (factor -p) and t-degrees >= m (mod g).
+    """Reduce pi-degrees >= p-1 (factor -p) and t-degrees >= m (mod g): the
+    reference's own encoding of the ring law, which RingSpec.law is checked
+    against.
 
     raw is slot-major, (2(p-1)-1, 2m-1, ...), and is reduced in place one
-    slot at a time; the result is (..., p-1, m).
+    slot at a time, the t-degrees by long division by g; the result is
+    (..., p-1, m).
     """
     npi, m, pN, p = spec.npi, spec.m, spec.pN, spec.p
     for j in range(raw.shape[0] - 1, npi - 1, -1):
         raw[j - npi] -= p * raw[j]
         raw[j - npi] %= pN
     for k in range(raw.shape[1] - 1, m - 1, -1):
-        red = spec._tred[k - m]
-        for j in range(npi):
-            c = raw[j, k]
-            for i in range(m):
-                if red[i]:
-                    raw[j, i] += c * red[i]
-                    raw[j, i] %= pN
+        for i in range(m):  # t^k = -t^(k-m) (g_0 + ... + g_(m-1) t^(m-1))
+            raw[:npi, k - m + i] -= spec.g[i] * raw[:npi, k]
+            raw[:npi, k - m + i] %= pN
     return np.ascontiguousarray(np.moveaxis(raw[:npi, :m], (0, 1), (-2, -1)))
 
 

@@ -6,6 +6,11 @@ is a (p-1) x m array of residues mod p^N:
 
     sum_{j < p-1} sum_{k < m} c[j][k] * t^k * pi^j.
 
+RingSpec.law is the one place pi^(p-1) = -p and the reduction mod g are
+applied: law[i][k] lists the (slot, coefficient mod p^N) pairs of slot i
+times slot k, slot j*m + k standing for t^k pi^j.  RingElem.__mul__ and
+dwork's products read it; dwork's reference keeps its own encoding, _fold.
+
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
 valuation() is its rational view, order/(p-1), normalized by ord p = 1.  All
@@ -27,6 +32,7 @@ make up the toolkit.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from . import ffield, gfpoly
@@ -56,29 +62,30 @@ class RingSpec:
         self.pN = p ** N
         self.npi = p - 1
         self.gbar = gfpoly.trim(c % p for c in self.g)
-        # t^(m+j) reduction rows, j = 0..m-2, each a length-m vector mod p^N
-        red = []
-        row = [(-self.g[k]) % self.pN for k in range(m)]
-        red.append(tuple(row))
-        for _ in range(m - 2):
-            top = row[-1]
-            row = [0] + row[:-1]
-            if top:
-                base = red[0]
-                for i in range(m):
-                    row[i] = (row[i] + top * base[i]) % self.pN
-            red.append(tuple(row))
-        self._tred = tuple(red)
+        # tpow[e]: t^e mod g for e <= 2m - 2, a length-m vector mod p^N
+        tpow = [tuple(int(e == s) for s in range(m)) for e in range(m)]
+        for _ in range(m - 1):
+            *low, top = tpow[-1]
+            tpow.append(tuple((c - top * b) % self.pN
+                              for c, b in zip([0] + low, self.g)))
+        # law[i][k]: the (slot, coefficient) pairs of slot i times slot k
+        npi, S = self.npi, self.npi * m
+
+        def product(i, k):
+            (j1, s1), (j2, s2) = divmod(i, m), divmod(k, m)
+            j, f = (j1 + j2, 1) if j1 + j2 < npi else (j1 + j2 - npi, -p)
+            return tuple((j * m + s, f * c % self.pN)
+                         for s, c in enumerate(tpow[s1 + s2]) if f * c % self.pN)
+        self.law = tuple(tuple(product(i, k) for k in range(S)) for i in range(S))
+        self.key = (p, m, N, self.g)  # the fields never change
         self._zeta = None
 
-    def key(self):
-        return (self.p, self.m, self.N, self.g)
-
     def __eq__(self, other):
-        return isinstance(other, RingSpec) and self.key() == other.key()
+        return self is other or (isinstance(other, RingSpec)
+                                 and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.key)
 
     def __repr__(self):
         return f"RingSpec(p={self.p}, m={self.m}, N={self.N})"
@@ -91,19 +98,21 @@ class RingSpec:
     def one(self):
         return self.from_int(1)
 
+    def from_slots(self, flat):
+        """Element whose slot j*m + s, the coefficient of pi^j t^s, is
+        flat[j*m + s] mod p^N, for Python ints `flat`; 0 past its end."""
+        m, pN = self.m, self.pN
+        flat = iter([c % pN for c in flat] + [0] * (self.npi * m - len(flat)))
+        return RingElem(self, tuple(zip(*[flat] * m)), check=False)  # rows of m
+
     def from_int(self, n):
-        rows = [[0] * self.m for _ in range(self.npi)]
-        rows[0][0] = n % self.pN
-        return RingElem(self, tuple(tuple(r) for r in rows), check=False)
+        return self.from_slots([n])
 
     def from_tpoly(self, coeffs):
         """Element of Z_q given by an ascending t-coefficient list."""
         if len(coeffs) > self.m:
             raise ValueError("t-polynomial degree exceeds ring degree")
-        rows = [[0] * self.m for _ in range(self.npi)]
-        for k, c in enumerate(coeffs):
-            rows[0][k] = int(c) % self.pN
-        return RingElem(self, tuple(tuple(r) for r in rows), check=False)
+        return self.from_slots([int(c) for c in coeffs])
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
@@ -113,11 +122,7 @@ class RingSpec:
         return self.from_int(fr.numerator * pow(den, -1, self.pN))
 
     def pi(self):
-        if self.p == 2:
-            return self.from_int(-2)
-        rows = [[0] * self.m for _ in range(self.npi)]
-        rows[1][0] = 1
-        return RingElem(self, tuple(tuple(r) for r in rows), check=False)
+        return self.from_int(-2) if self.p == 2 else self.from_slots([0] * self.m + [1])
 
 
 def make_ring(p, m=1, g=None, N=4):
@@ -165,7 +170,7 @@ class RingElem:
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.spec.key(), self.rows))
+        return hash((self.spec.key, self.rows))
 
     def __bool__(self):
         return not self.is_zero()
@@ -177,7 +182,7 @@ class RingElem:
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError("mixed ring specs")
             return other
         if isinstance(other, int):
@@ -213,42 +218,22 @@ class RingElem:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product by RingSpec.law, in Python ints reduced once at the end:
+        rows hold Python ints, as check=True and every check=False caller
+        make sure, so the sums cannot overflow."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        pN, npi, m = spec.pN, spec.npi, spec.m
-        raw = [[0] * (2 * m - 1) for _ in range(2 * npi - 1)]
-        for j1, r1 in enumerate(self.rows):
-            for k1, a in enumerate(r1):
-                if not a:
-                    continue
-                row2 = other.rows
-                for j2 in range(npi):
-                    r2 = row2[j2]
-                    tgt = raw[j1 + j2]
-                    for k2, b in enumerate(r2):
-                        if b:
-                            tgt[k1 + k2] = (tgt[k1 + k2] + a * b) % pN
-        # pi^(p-1) -> -p
-        for j in range(2 * npi - 2, npi - 1, -1):
-            src = raw[j]
-            dst = raw[j - npi]
-            for k in range(2 * m - 1):
-                if src[k]:
-                    dst[k] = (dst[k] - spec.p * src[k]) % pN
-        # t^m and above reduce mod g
-        rows = []
-        for j in range(npi):
-            row = raw[j]
-            for k in range(2 * m - 2, m - 1, -1):
-                c = row[k]
-                if c:
-                    red = spec._tred[k - m]
-                    for i in range(m):
-                        row[i] = (row[i] + c * red[i]) % pN
-            rows.append(tuple(row[:m]))
-        return RingElem(spec, tuple(rows), check=False)
+        ys = [(k, y) for k, y in enumerate(chain.from_iterable(other.rows)) if y]
+        acc = [0] * len(spec.law)
+        for law, x in zip(spec.law, chain.from_iterable(self.rows)):
+            if x:
+                for k, y in ys:
+                    xy = x * y
+                    for o, f in law[k]:
+                        acc[o] += xy * f
+        return spec.from_slots(acc)
 
     __rmul__ = __mul__
 
@@ -304,14 +289,8 @@ class RingElem:
     def order(self):
         """Exact pi-adic order as an int (units of 1/(p-1)); None for zero."""
         npi, p = self.spec.npi, self.spec.p
-        best = None
-        for j, r in enumerate(self.rows):
-            for c in r:
-                if c:
-                    v = npi * split_p(c, p)[0] + j
-                    if best is None or v < best:
-                        best = v
-        return best
+        return min((npi * split_p(c, p)[0] + j
+                    for j, r in enumerate(self.rows) for c in r if c), default=None)
 
     def valuation(self):
         """Rational view of order(): ord p = 1; None for zero (>= N)."""
@@ -497,6 +476,4 @@ def pi_pow_over_factorials(spec, k, factorials):
     """pi^k / prod(f!) as a ring element, for p-integral combinations: the
     one nonzero digit of pi_pow_digit, in its row."""
     r, digit = pi_pow_digit(spec, k, factorials)
-    rows = [(0,) * spec.m] * spec.npi
-    rows[r] = (digit,) + (0,) * (spec.m - 1)
-    return RingElem(spec, tuple(rows), check=False)
+    return spec.from_slots([0] * (r * spec.m) + [digit])

@@ -473,8 +473,17 @@ def run(config):
     report["exit_code"] = 0 if ok else 1
     rep = Report(report)
     if config.output:
-        Path(config.output).write_text(rep.to_json())
+        with open_report(config.output) as f:
+            f.write(rep.to_json())
     return rep
+
+
+def open_report(path):
+    """path opened for writing a report; ConfigInvalid if it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write a report to {path}: {exc.strerror}") from None
 
 
 def _reduced_operator(odata_boost, ring):

@@ -1,6 +1,7 @@
 """Seeded invariant suites runnable from the command line.
 
-Condensed versions of the library's mathematical invariants: ring axioms,
+Condensed versions of the library's mathematical invariants: the ring's
+multiplication table against an independent fold, ring axioms,
 Teichmueller multiplicativity, weight function properties against the
 definitional oracle, splitting-series and kernel bounds, the vectorized
 kernel sweep against the reference kernel sum, dual-step norm control,
@@ -22,8 +23,24 @@ from . import dwork, ffield, hyperg, oracle, weights
 from .padic import make_ring, teichmueller, valuation, zeta_p
 
 
+def law_mismatch(ring):
+    """First slot pair (i, k) where RingSpec.law differs from
+    dwork.pair_products_reference, which folds by _fold, on the units of
+    slots i and k (slot j*m + s is pi^j t^s), else None."""
+    S = ring.npi * ring.m
+    units = np.eye(S, dtype=np.int64).reshape(S, 1, 1, ring.npi, ring.m)
+    for i, k in itertools.product(range(S), repeat=2):
+        ref = dwork.pair_products_reference(ring, units[i], units[k]).ravel().tolist()
+        if dict(ring.law[i][k]) != {o: c for o, c in enumerate(ref) if c}:
+            return i, k
+    return None
+
+
 def _suite_ring_laws(rng):
     from .padic import RingElem
+    for p, m in itertools.product((2, 3, 5), (1, 2, 3)):
+        if law_mismatch(make_ring(p, m, None, 4)) is not None:
+            return False, f"RingSpec.law differs from _fold at p={p}, m={m}"
     for p, m in ((2, 1), (3, 1), (5, 1), (3, 2)):
         ring = make_ring(p, m, None, 4)
         pi = ring.pi()
@@ -45,7 +62,7 @@ def _suite_ring_laws(rng):
                     return False, f"order not additive at p={p}"
             if x.valuation() != (None if ox is None else Fraction(ox, p - 1)):
                 return False, f"valuation is not order/(p-1) at p={p}"
-    return True, "ring laws, pi relation, order additivity, valuation = order/(p-1)"
+    return True, "law = _fold, ring laws, pi relation, order additivity, valuation"
 
 
 def _suite_teichmueller(rng):

@@ -32,8 +32,8 @@ from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.runner import JobConfig, default_wmax
-from unitroots.selftest import (band_mismatch, extreme_operands, limb_boundaries,
-                                route_c_jobs, sweep_mismatch)
+from unitroots.selftest import (band_mismatch, extreme_operands, law_mismatch,
+                                limb_boundaries, route_c_jobs, sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -654,6 +654,18 @@ def test_ring_array_mul_is_elementwise_ring_product(pN, m, broadcast, data):
         y = Y if broadcast else Y[i]
         assert RingElem(ring, Z[i].tolist()) == \
             RingElem(ring, X[i].tolist()) * RingElem(ring, y.tolist())
+        # both products above read RingSpec.law; the reference folds by _fold
+        assert np.array_equal(Z[i], pair_products_reference(
+            ring, X[i][None, None], y[None, None])[0, 0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 4])
+def test_ring_law_is_the_fold_of_the_unit_product(p, m, N):
+    # every slot pair: the law's pairs equal _fold of pi^(j1+j2) t^(s1+s2),
+    # through pair_products_reference; at N = 1 the wrap coefficient vanishes
+    assert law_mismatch(make_ring(p, m, None, N)) is None
 
 
 @pytest.mark.parametrize("case_id, N, s_cut", [
@@ -690,7 +702,7 @@ def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data)
     assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
 
 
-def test_at_precision_matches_direct(monkeypatch):
+def test_at_precision_matches_direct():
     # p3-kloosterman-f9: lambda-bar = (t, 1) has orbit length 2
     spec = LaurentSpec(KLOOSTERMAN, 3, 2, 1, ((0, 1), (1,)))
     boosted, ring = boosted_operator(spec, 6)
@@ -702,26 +714,20 @@ def test_at_precision_matches_direct(monkeypatch):
     assert reduced.ring == ring
     assert reduced.lam_orbit == direct.lam_orbit
     assert reduced.sc.b == direct.sc.b
-    for oi in range(boosted.orbit_len):
-        direct.one_step_matrix(oi)
-    # the reduced operator sweeps nothing: its one-step matrices come reduced
-    # and its kernel tables are reduced from the boosted ones on first use
-    swept = []
-    monkeypatch.setattr(dwork, "kernel_sweep", lambda *args: swept.append(args))
+    # the one-step matrices come reduced; kernel tables are swept afresh
     for oi in range(boosted.orbit_len):
         assert oi in reduced._onestep
-        assert reduced.kernel_table(oi) == direct.kernel_table(oi)
         assert np.array_equal(reduced.one_step_matrix(oi),
                               direct.one_step_matrix(oi))
-    assert swept == []
+        assert reduced.kernel_table(oi) == direct.kernel_table(oi)
 
 
 @pytest.mark.parametrize("case_id", ["p2-triangle", "p3-skew", "p5-kloosterman",
                                      "p3-kloosterman-f9", "p5-triangle-f25"])
 def test_reduced_kernel_tables_equal_direct(case_id):
-    # at_precision's contract: a kernel table reduced from a higher
-    # precision, with its longer cutoff, equals the one swept at the lower
-    # precision directly
+    # at_precision's contract: a kernel table swept by an operator reduced
+    # from a higher precision, whose cutoff drops from the longer one,
+    # equals the one swept at the lower precision directly
     p, m = int(case_id[1]), 2 if case_id.endswith(("f9", "f25")) else 1
     ring = make_ring(p, m, None, 4)
     high = _battery_operator(case_id, make_ring(p, m, None, 9))

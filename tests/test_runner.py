@@ -242,6 +242,25 @@ def test_check_json_records(tmp_path, capsys):
     assert "6/6 battery cases passed" in capsys.readouterr().out
 
 
+def test_unwritable_report_path(tmp_path, capsys):
+    # a report path in a missing directory is ConfigInvalid (exit 2) naming
+    # the path: unit-root finds it when it writes, check before its first case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KLOOSTER3))
+    out = tmp_path / "missing" / "out.json"
+    with pytest.raises(ConfigInvalid, match="missing"):
+        run({**KLOOSTER3, "routes": ["B"], "output": str(out)})
+    assert main(["unit-root", "--config", str(cfg), "--route", "b",
+                 "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and str(out) in err
+    assert main(["check", "--quick", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "ConfigInvalid" in captured.err and str(out) in captured.err
+    assert captured.out == ""  # no case ran
+    assert not out.parent.exists()
+
+
 def test_matmul_limit_is_a_route_error():
     # route C forms its trace powers at the boosted precision, 5^(12 + 2),
     # past the product kernel's int64 rule; route B works at 5^12
