@@ -21,11 +21,10 @@ reshape of the tensor when every slot is nonzero.  The right side is the
 right operand's regular representation (RegularRep), whose row
 (b, pi^j t^s) holds row b of pi^j t^s times the operand, read from
 RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, so the
-product comes out reduced.  In this order a
-contraction over b < K is a prefix of both sides: route C's trace powers
-contract row a only over the band b < K(a) that can still reach a trace
-(trace_band), runs of rows with equal K in one GEMM or, where that is
-cheaper, a few runs together (_row_groups).  Right entries are
+product comes out reduced.  In this order a contraction over lo <= b < hi
+is a slice of both sides: route C's first-return products contract row r
+only over its window r < b < K(r) (first_return_product), a few adjacent
+rows in one GEMM (_row_groups).  Right entries are
 centred, |y| <= h = floor(p^N/2); left entries are cut into centred base-p
 digits (left_limbs), a limb of w digits at most floor(p^w/2), the carry out
 of the top limb, a multiple of p^N, dropped.  Limbs are e digits wide, the
@@ -43,9 +42,10 @@ like the regular representation's coefficients, is a residue times a
 residue added to a residue, so products hold exactly where ring_dtype's
 int64 rule below, (p^N - 1)^2 + p^N < 2^63, holds, and raise
 PrecisionTooLow past it.  RingMatrix builds its regular representation
-once, on first use as a right operand, so route C's trace powers expand the
-Frobenius matrix once; route B's dual cycle cuts each transposed one-step
-matrix into limbs once (OperatorData.dual_cycle).
+once, on first use as a right operand, so route C's first-return products
+expand the leading block of the Frobenius matrix once; route B's dual cycle
+cuts each transposed one-step matrix into limbs once
+(OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
 multiply-add per pair of RingSpec.law.  Its entries are int64 while
@@ -58,7 +58,6 @@ bigF_coefficient and one_step_dual stay the scalar reference paths, and
 pair_products_reference folds by its own encoding of the law, _fold.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -262,27 +261,6 @@ class OperatorData:
                                              self.ring, self.sc, self.s_cut)
         return self._btables[oi]
 
-    def at_precision(self, ring):
-        """This operator over `ring`, a lower precision of the same ring.
-
-        The one-step matrices already computed are reduced, not recomputed.
-        The orbit, the splitting series and the kernel cutoff drop to the
-        ones `ring` needs, so a kernel table swept here equals the one built
-        at `ring` directly: the terms beyond the lower cutoff vanish there.
-        """
-        od = copy.copy(self)
-        od.ring = ring
-        od.s_cut = min(self.s_cut, default_s_cut(ring))
-        od.lam_orbit = [tuple(x.reduce_to(ring) for x in lam)
-                        for lam in self.lam_orbit]
-        od.sc = SplittingCoeffs(ring, tuple(b.reduce_to(ring)
-                                            for b in self.sc.b[:od.s_cut + 1]))
-        od._btables = {}
-        od._onestep = {oi: (T % ring.pN).astype(ring_dtype(ring.pN), copy=False)
-                       for oi, T in self._onestep.items()}
-        od._dual = {}
-        return od
-
     def B(self, oi, mu):
         """Kernel coefficient at orbit point oi (zero off the table)."""
         return self.kernel_table(oi).get(tuple(mu), self.ring.zero())
@@ -324,7 +302,9 @@ class OperatorData:
 
         Each one-step matrix's transpose is cut into its LeftLimbs once, on
         the first cycle, and every later cycle reuses them; the matrix itself
-        is then dropped (one_step_matrix would gather it again).
+        is then dropped, so a caller that wants full_matrix as well composes
+        it first (one_step_matrix would gather it again from the kernel
+        table).
         """
         col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
@@ -352,8 +332,8 @@ class RingMatrix:
 
     def right_operand(self, slots):
         """regular_representation of the tensor for at least `slots`, built
-        on first use and kept: every trace power of route C multiplies by
-        the same matrix."""
+        on first use and kept: every first-return product of route C (and
+        every trace power of its reference) multiplies by the same matrix."""
         if self._right is None or not np.isin(slots, self._right.slots).all():
             self._right = regular_representation(self.ring, self.tensor, slots)
         return self._right
@@ -478,6 +458,12 @@ def _regular_terms(spec, slots, present):
     return np.array(kept, dtype=np.int64), src, coef
 
 
+# Entries per temporary when regular_representation expands B: rows of B
+# are taken a few at a time, so the temporaries stay small beside the
+# representation itself.
+REP_TEMP = 2 ** 21
+
+
 def regular_representation(spec, B, slots):
     """RegularRep of B (dim, cols, p-1, m), entries in [0, p^N), for the
     sorted `slots`: pi^(p-1) = -p and g(t) enter here, once, through
@@ -487,15 +473,18 @@ def regular_representation(spec, B, slots):
     kept, src, coef = _regular_terms(spec, slots, _nonzero_slots(B).tolist())
     B = B.reshape(dim, cols, -1)
     blocks = np.empty((dim, len(slots), cols, len(kept)))
-    for n in range(len(slots)):
-        acc = B[:, :, src[0, n]] * coef[0, n]
-        for t in range(1, len(src)):
-            if coef[t, n].any():
-                _reduce(acc, pN)
-                acc += B[:, :, src[t, n]] * coef[t, n]
-        _reduce(acc, pN)
-        acc -= pN * (acc > pN // 2)
-        blocks[:, n] = acc
+    step = max(1, REP_TEMP // max(cols * len(kept), 1))
+    for lo in range(0, dim, step):
+        Bs = B[lo:lo + step]
+        for n in range(len(slots)):
+            acc = Bs[:, :, src[0, n]] * coef[0, n]
+            for t in range(1, len(src)):
+                if coef[t, n].any():
+                    _reduce(acc, pN)
+                    acc += Bs[:, :, src[t, n]] * coef[t, n]
+            _reduce(acc, pN)
+            acc -= pN * (acc > pN // 2)
+            blocks[lo:lo + step, n] = acc
     return RegularRep(np.asarray(slots, dtype=np.int64), kept,
                       blocks.reshape(dim * len(slots), -1))
 
@@ -506,16 +495,25 @@ class LeftLimbs:
 
     rows is the operand's row count and slots its nonzero (pi, t)-slots; its
     columns are laid out in (b, slot) order, b the contraction index, as
-    the RegularRep's rows are.  Each of `gemms` is (start, stop, cols,
-    limbs): one GEMM per limb contracts columns start:stop against the same
-    rows of the RegularRep, into the output columns below `cols` (all of
-    them when None), and a limb is (factor, live, digits): digits, float64
-    (len(live), stop - start), holds the limb on the rows `live`, the only
-    rows where it is nonzero, and enters the product times factor.
+    the RegularRep's rows are.  Each of `gemms` is a row group (cols,
+    blocks): it fills the output columns cols = (first, stop), every one
+    when None, and each block (start, stop, limbs) contracts columns
+    start:stop against the same rows of the RegularRep, one GEMM per limb.
+    A limb is (factor, live, digits): digits, float64 (len(live),
+    stop - start), holds the limb on the rows `live`, the only rows where
+    it is nonzero, and enters the product times factor.
     """
     rows: int
     slots: np.ndarray
     gemms: list
+
+    def madds(self, rep):
+        """Multiply-adds of this operand's GEMMs against the RegularRep rep."""
+        return sum(len(live) * (stop - start) * (w1 - w0)
+                   for cols, blocks in self.gemms
+                   for w0, w1 in [_out_columns(cols, rep)]
+                   for start, stop, limbs in blocks
+                   for _, live, _ in limbs)
 
 
 def _digit_limbs(X, p, N, e):
@@ -549,59 +547,60 @@ def _digit_limbs(X, p, N, e):
 PACK_ROWS = 24
 
 
-def _row_groups(A, band, S):
-    """(rows, K, cols) per GEMM row group of A (n, dim * S), laid out in
-    (b, slot) order: the rows contract over b < K and fill the output
-    columns below cols (every column when None).
+def _row_groups(A, S, band, lower):
+    """(live, lo, hi, cols) per GEMM row group of A (n, dim * S), laid out
+    in (b, slot) order: the rows `live` contract over lo <= b < hi and fill
+    the output columns cols = (first, stop), every column when None.
 
-    Without a band it is every row over every b.  With one, a row that is
-    0 over its own band, b < band[a], enters no group, and the others go
-    in runs of equal band.  A group is a few adjacent runs: it contracts
-    over its first run's band and fills the columns up to its last row's
-    diagonal.  The runs are split into groups so that the sum of
-    K * cols * (rows + PACK_ROWS) is least, by dynamic programming.
+    Without a band it is every row over every b.  With one, row a contracts
+    over lower[a] <= b < band[a] (lower 0 when None) into the columns from
+    min(lower[a], a) to max(band[a], a + 1); band never increases down the
+    rows nor lower decreases, so a row's window lies in each earlier row's.
+    Rows that are 0 over their window enter no group; the others form runs
+    that contract over their first row's window.  A row joins the run
+    before it while the work spent outside its rows' windows stays within
+    PACK_ROWS rows of the run's, the price of one GEMM more.
     """
     rows, dim = A.shape[0], A.shape[1] // S
     if band is None:
-        return [(np.arange(rows), dim, None)]
-    cuts = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), rows]
-    runs = [(lo + np.flatnonzero(A[lo:hi, :band[lo] * S].any(axis=1)), int(band[lo]))
-            for lo, hi in zip(cuts, cuts[1:])]
-    runs = [(live, K) for live, K in runs if len(live)]
-    # cost[j], first[j]: the cheapest split of runs[:j], where its last group starts
-    cost, first = [0], [0]
-    for j in range(1, len(runs) + 1):
-        end, n, best = int(runs[j - 1][0][-1]) + 1, 0, None
-        for i in range(j - 1, -1, -1):
-            n += len(runs[i][0])
-            K = runs[i][1]
-            c = cost[i] + K * max(K, end) * (n + PACK_ROWS)
-            if best is None or c < best[0]:
-                best = (c, i)
-        cost.append(best[0])
-        first.append(best[1])
-    groups, j = [], len(runs)
-    while j:
-        i = first[j]
-        live, K = np.concatenate([r for r, _ in runs[i:j]]), runs[i][1]
-        groups.append((live, K, max(K, int(live[-1]) + 1)))
-        j = i
-    return groups[::-1]
+        return [(np.arange(rows), 0, dim, None)]
+    lo = np.zeros(rows, dtype=np.int64) if lower is None else lower
+    b = np.arange(dim * S) // S
+    live = np.flatnonzero(np.logical_and(
+        A, (b >= lo[:, None]) & (b < band[:, None])).any(axis=1))
+    index = np.arange(rows)
+    first, top = np.minimum(lo, index).tolist(), np.maximum(band, index + 1).tolist()
+    lo, hi = lo.tolist(), band.tolist()
+    groups = []
+    for a in live.tolist():
+        own = (hi[a] - lo[a]) * (top[a] - first[a])
+        if groups:
+            g = groups[-1]
+            f = g[0][0]
+            stop = max(g[2], top[a])
+            work = (hi[f] - lo[f]) * (stop - first[f])
+            if work * (len(g[0]) + 1) - (g[3] + own) <= PACK_ROWS * work:
+                g[0].append(a)
+                g[2], g[3] = stop, g[3] + own
+                continue
+        groups.append([[a], a, top[a], own])
+    return [(np.array(members), lo[f], hi[f], (first[f], stop))
+            for members, f, stop, _ in groups]
 
 
-def left_limbs(spec, A, band=None):
+def left_limbs(spec, A, band=None, lower=None):
     """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
 
     A's nonzero slots are laid side by side in (b, slot) order, a reshape
-    when every slot is nonzero.  Row a contracts over b < band[a] (over
-    every b without a band): its entries past that are zeroed in the
-    group _row_groups puts it in.  The contraction is cut into blocks of at
-    most slot_group(dim, ...) * dim columns, one GEMM each, so no block
-    needs more limbs than a single slot (K = dim).  Each entry is cut by
-    _digit_limbs into limbs of limb_digits(K, p, N) digits for the length
-    K of its block.  A row enters a limb's GEMM only where that limb of it is
-    nonzero, so a row that is 0 mod p^N there enters none, and one divisible
-    by p^j skips every limb below digit j.
+    when every slot is nonzero.  Row a contracts over lower[a] <= b <
+    band[a] (over every b without a band): its entries outside that window
+    are zeroed in the group _row_groups puts it in.  The contraction is cut
+    into blocks of at most slot_group(dim, ...) * dim columns, one GEMM
+    each, so no block needs more limbs than a single slot (K = dim).  Each
+    entry is cut by _digit_limbs into limbs of limb_digits(K, p, N) digits
+    for the length K of its block.  A row enters a limb's GEMM only where
+    that limb of it is nonzero, so a row that is 0 mod p^N there enters
+    none, and one divisible by p^j skips every limb below digit j.
     """
     p, N, pN = spec.p, spec.N, spec.pN
     check_product_precision(pN)
@@ -610,7 +609,7 @@ def left_limbs(spec, A, band=None):
     S = len(slots)
     if not S:
         return LeftLimbs(rows, slots, [])
-    if band is not None and band.min() >= dim:
+    if band is not None and lower is None and band.min() >= dim:
         band = None  # a full band is no band
     A = A.reshape(rows, dim, -1)
     if S < A.shape[2]:
@@ -618,23 +617,24 @@ def left_limbs(spec, A, band=None):
     A = A.reshape(rows, -1)
     step = slot_group(dim, S, p, N) * dim
     gemms = []
-    for group, K, cols in _row_groups(A, band, S):
-        ends = None if band is None else band[group] * S
-        for start in range(0, K * S, step):
-            stop = min(start + step, K * S)
+    for group, lo, hi, cols in _row_groups(A, S, band, lower):
+        blocks = []
+        for start in range(lo * S, hi * S, step):
+            stop = min(start + step, hi * S)
             X = A[_run(group), start:stop].astype(np.float64)
-            live = group
-            if ends is not None:
-                # each run of the group past the first ends at its own band
-                for i in np.flatnonzero(np.diff(ends)) + 1:
-                    X[i:, max(ends[i] - start, 0):] = 0
-            if ends is None or stop - start < K * S:
-                nz = X.any(axis=1)
-                live = group[nz]
-                if not len(live):
-                    continue
-                if len(live) < len(group):
-                    X = X[nz]
+            if band is not None:
+                # each row contracts over its own window alone
+                b = np.arange(start, stop) // S
+                inside = b < band[group][:, None]
+                if lower is not None:
+                    inside &= b >= lower[group][:, None]
+                X *= inside
+            nz = X.any(axis=1)
+            live = group[nz]
+            if not len(live):
+                continue
+            if len(live) < len(group):
+                X = X[nz]
             limbs = []
             for shift, digits in _digit_limbs(X, p, N, limb_digits(stop - start, p, N)):
                 factor, nonzero = pow(p, shift, pN), digits.any(axis=1)
@@ -642,7 +642,9 @@ def left_limbs(spec, A, band=None):
                     limbs.append((factor, live, digits))
                 elif nonzero.any():
                     limbs.append((factor, live[nonzero], digits[nonzero]))
-            gemms.append((start, stop, cols, limbs))
+            blocks.append((start, stop, limbs))
+        if blocks:
+            gemms.append((cols, blocks))
     return LeftLimbs(rows, slots, gemms)
 
 
@@ -666,6 +668,12 @@ def _accumulate(out, live, prod, factor, pN, add, block=64):
         out[rows] = x
 
 
+def _out_columns(cols, rep):
+    """Columns (w0, w1) of rep.matrix for the output columns cols, all if None."""
+    n = len(rep.kept)
+    return (0, rep.matrix.shape[1]) if cols is None else (cols[0] * n, cols[1] * n)
+
+
 def _contract(left, rep, pN):
     """LeftLimbs times the rows left.slots of rep, mod p^N, as int64
     (rows, cols * len(rep.kept)); columns a row's GEMMs leave out are 0."""
@@ -675,17 +683,19 @@ def _contract(left, rep, pN):
         pos = np.searchsorted(rep.slots, left.slots)
         rhs = rhs.reshape(-1, len(rep.slots), width)[:, pos].reshape(-1, width)
     out = None
-    for start, stop, cols, limbs in left.gemms:
-        w = width if cols is None else cols * len(rep.kept)
-        for n, (factor, live, digits) in enumerate(limbs):
-            prod = digits @ rhs[start:stop, :w]
-            if out is None:
-                # a first product over every row and column holds the
-                # result in place
-                out = (prod.view(np.int64) if len(live) == left.rows and w == width
-                       else np.zeros((left.rows, width), dtype=np.int64))
-            # a group's rows are untouched until its first limb at b = 0
-            _accumulate(out[:, :w], live, prod, factor, pN, start > 0 or n > 0)
+    for cols, blocks in left.gemms:
+        w0, w1 = _out_columns(cols, rep)
+        for i, (start, stop, limbs) in enumerate(blocks):
+            for n, (factor, live, digits) in enumerate(limbs):
+                prod = digits @ rhs[start:stop, w0:w1]
+                if out is None:
+                    # a first product over every row and column holds the
+                    # result in place
+                    out = (prod.view(np.int64)
+                           if len(live) == left.rows and w1 - w0 == width
+                           else np.zeros((left.rows, width), dtype=np.int64))
+                # a group's rows are untouched until its first limb
+                _accumulate(out[:, w0:w1], live, prod, factor, pN, i > 0 or n > 0)
     return np.zeros((left.rows, width), dtype=np.int64) if out is None else out
 
 
@@ -699,10 +709,11 @@ def _pair_products(spec, A, B, right=None, band=None):
     caller keeps it.  Each limb's GEMM is exact, and its product is reduced
     mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
 
-    With a band (trace_band, for a square product), row a contracts only
-    over b < band[a].  It is formed on the columns below
-    max(band[a], a + 1), its diagonal among them, and on any others its
-    GEMM group fills (_row_groups); every other entry is 0.
+    With a band (for a square product), row a contracts only over
+    b < band[a].  It is formed on the columns below max(band[a], a + 1),
+    its diagonal among them, and on any others its GEMM group fills
+    (_row_groups); every other entry is 0.  A caller that also wants a
+    lower edge passes left_limbs(spec, A, band, lower) as A.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     cols = B.shape[1]
@@ -897,10 +908,12 @@ def frobenius_matrix(spec, wmax, ring, W=None):
 class FredholmPoly:
     ring: object
     coeffs: list           # RingElem, c_0 = 1
-    degree_cap: int        # traces formed; c_k past it vanish mod p^N (fredholm_cap)
+    degree_cap: int        # last c_k computed; those past it vanish mod p^N (fredholm_cap)
     dim: int
-    products: int = 0      # tensor products behind the traces, the matrix's own included
+    products: int = 0      # tensor products behind coeffs, the matrix's own included
     limbs: int = 0         # most limbs per left entry any of those products used
+    factors: int = 0       # first-return factors f_r formed, K(0) (first_return_product)
+    madds: int = 0         # multiply-adds the first-return products' GEMMs ran
 
     def __len__(self):
         return len(self.coeffs)
@@ -946,16 +959,17 @@ def fredholm_cap(W, basis, p, N):
 
 
 def trace_band(W, basis, p, N):
-    """K(a) for each row a of route C's trace powers: the columns c with
+    """K(a) for each basis index a: the columns c with
     (p-1)^2 * (w(a) + w(c)) < N * p^2, a prefix of the weight-ordered basis,
     so K never increases down the rows.
 
     By the one-step estimate of fredholm_cap, a cycle a_0 -> ... -> a_k = a_0
     through M has ord >= (p-1)/p^2 * sum(p*w(a_i) - w(a_(i+1))), which is
-    (p-1)^2/p^2 * sum w(a_i).  An entry (a, c) of M^j, j < k, enters tr M^k
-    only through cycles that visit a and c at two distinct positions, so
-    past K(a) it adds nothing mod p^N: M^(j+1) may take row a of M^j over
-    the columns below K(a) alone.  The weights come scaled by D, as
+    (p-1)^2/p^2 * sum w(a_i).  So a cycle that visits a and some c >= K(a)
+    at two distinct positions is 0 mod p^N: the first-return series of a
+    need only the vertices below K(a) (first_return_product), and a trace
+    power M^(j+1) may take row a of M^j over the columns below K(a) alone
+    (RingMatrix.matmul with this band).  The weights come scaled by D, as
     integers.
     """
     sw = (p - 1) ** 2 * np.array(scaled_weights(W, basis), dtype=np.int64)
@@ -964,59 +978,89 @@ def trace_band(W, basis, p, N):
 
 
 def charpoly_boost(p, cap):
-    """Digits the Newton identities lose over cap traces: v_p(cap!).
+    """Digits Newton's identities lose over cap traces: v_p(cap!).
 
     Traces exact mod p^N' give c_k exact mod p^(N' - v_p(k!)), each step
     dividing by k and losing at most v_p(k) digits beyond its inputs; so
     N' = N + v_p(cap!) keeps every c_k, k <= cap, exact mod p^N.  Before the
     division by p^(v_p(k)) the error has ord >= N + v_p(k), so the division
-    is exact.
+    is exact.  Route C divides by nothing; only the trace-power reference
+    (selftest.trace_power_coefficients) needs this.
     """
     return sum(split_p(k, p)[0] for k in range(2, cap + 1))
 
 
-def fredholm_coefficients(Mx, target_ring, cap=None):
-    """det(I - T M) mod p^N via trace power sums.
+def first_return_product(spec, M, band, cap):
+    """(c, madds): c (cap + 1, p-1, m) holds det(I - T M) mod (p^N, T^(cap+1))
+    and madds the multiply-adds of the GEMMs that formed it.
 
-    cap traces give c_1 .. c_cap; the matrix must live at precision
-    >= N + charpoly_boost(p, cap) so the exact divisions by k leave every
-    reported digit intact.  The cap defaults to fredholm_cap, past which
-    every c_k vanishes mod p^N; a caller that has it passes it.  Each trace
-    power forms only the band of its rows that can still reach a trace at
-    the matrix's precision (trace_band).  Trailing coefficients that vanish
-    mod p^N are not stored.
+    det(I - T M) is the product over r of f_r = 1 - M_rr T -
+    sum_k s_(r,k) T^(k+2), s_(r,k) = M[r, >r] (M_>r)^k M[>r, r] summing the
+    cycles through r whose other vertices lie above r (README, "Route C").
+    band is K (trace_band; the dimension everywhere keeps every cycle): f_r
+    is 1 for r >= K(0), and f_r's other vertices lie in the window
+    r < c < K(r).  In rows, Y_0 = M, Z = Y_k M, s_(r,k) = Z[r, r] and
+    Y_(k+1) = Z, each row read on its window alone (left_limbs with lower
+    edge r + 1): cap - 1 products within the leading K(0) x K(0) block.
+    """
+    pN, K0 = spec.pN, int(band[0])
+    M = M[:K0, :K0]
+    rows = np.arange(K0)
+    hi = np.asarray(band[:K0], dtype=np.int64)
+    f = np.zeros((K0, cap + 1, spec.npi, spec.m), dtype=np.int64)
+    f[:, 0, 0, 0] = 1
+    if cap:
+        f[:, 1] = -M[rows, rows] % pN
+    right = RingMatrix(spec, None, None, M).right_operand
+    Y, madds = M, 0
+    for k in range(cap - 1):
+        # left_limbs reads row r of Y on its window alone: Y_k is Y there
+        left = left_limbs(spec, Y, hi, rows + 1)
+        del Y  # freed before the product is made
+        if len(left.slots):
+            madds += left.madds(right(left.slots))
+        Y = _pair_products(spec, left, M, right)
+        f[:, k + 2] = -Y[rows, rows] % pN
+    return _series_product(spec, f), madds
+
+
+def _series_product(spec, F):
+    """Product of the polynomials F (n, d + 1, p-1, m) in T, mod T^(d+1), by
+    a product tree: one ring_array_mul a level over the coefficient pairs of
+    adjacent factors, up to the last coefficient nonzero in any."""
+    d = F.shape[1] - 1
+    while len(F) > 1:
+        if len(F) % 2:
+            F = np.concatenate([F, np.zeros_like(F[:1])])
+            F[-1, 0, 0, 0] = 1
+        e = int(np.flatnonzero(F.any(axis=(0, 2, 3)))[-1]) + 1
+        prod = ring_array_mul(spec, F[0::2, :e, None], F[1::2, None, :e])
+        F = np.zeros((len(prod), d + 1) + F.shape[2:], dtype=np.int64)
+        for i in range(e):
+            j = min(e, d + 1 - i)
+            F[:, i:i + j] += prod[:, i, :j]
+        _reduce(F, spec.pN)
+    return F[0]
+
+
+def fredholm_coefficients(Mx, cap=None):
+    """det(I - T M) mod p^N, p^N Mx's own precision, by first_return_product
+    over trace_band: no division, so no digits beyond N.  The cap defaults
+    to fredholm_cap, past which every c_k vanishes mod p^N.  Trailing
+    coefficients that vanish mod p^N are not stored.
     """
     ring = Mx.ring
-    N = target_ring.N
     if cap is None:
-        cap = fredholm_cap(Mx.W, Mx.basis, ring.p, N)
-    assert ring.N >= N + charpoly_boost(ring.p, cap), "matrix precision too low"
+        cap = fredholm_cap(Mx.W, Mx.basis, ring.p, ring.N)
     band = trace_band(Mx.W, Mx.basis, ring.p, ring.N)
-    traces = []
-    Mk = Mx
-    products = Mx.products
-    for _ in range(cap):
-        traces.append(Mk.trace())
-        if len(traces) < cap:
-            Mk = Mk.matmul(Mx, band)
-            products += 1
-    coeffs = [ring.one()]
-    for k in range(1, cap + 1):
-        acc = ring.zero()
-        for j in range(1, k + 1):
-            acc = acc + traces[j - 1] * coeffs[k - j]
-        acc = -acc
-        # exact division by k
-        v, kk = split_p(k, ring.p)
-        acc = acc * pow(kk, -1, ring.pN)
-        if v:
-            acc = acc.divide_exact_p(v)
-        coeffs.append(acc)
-    reduced = [c.reduce_to(target_ring) for c in coeffs]
-    # trailing coefficients should be invisible at target precision
-    while len(reduced) > 1 and reduced[-1].is_zero():
-        reduced.pop()
-    return FredholmPoly(target_ring, reduced, cap, Mx.dim, products, Mk.limbs)
+    c, madds = first_return_product(ring, Mx.tensor, band, cap)
+    coeffs = [RingElem(ring, x) for x in c.tolist()]
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    products, K0 = max(cap - 1, 0), int(band[0])
+    limbs = max(Mx.limbs, product_limbs(K0, ring.p, ring.N) if products else 0)
+    return FredholmPoly(ring, coeffs, cap, Mx.dim, Mx.products + products, limbs,
+                        K0, madds)
 
 
 def newton_polygon(P):
@@ -1047,14 +1091,15 @@ def newton_polygon(P):
     return NewtonPolygon(segments)
 
 
-def fredholm_unit_root(Mx, ring, cap=None):
-    """(Fredholm polynomial mod p^N, unit root) from a boosted matrix.
+def fredholm_unit_root(Mx, cap=None):
+    """(Fredholm polynomial mod p^N, unit root) from the matrix Mx at the
+    report precision p^N.
 
     The Newton polygon must show exactly one slope-zero segment of length
     one; the corresponding simple zero 1/u is lifted by Newton iteration.
     """
-    P = fredholm_coefficients(Mx, ring, cap)
-    return P, unit_root_of_poly(P.coeffs, ring)
+    P = fredholm_coefficients(Mx, cap)
+    return P, unit_root_of_poly(P.coeffs, Mx.ring)
 
 
 @dataclass

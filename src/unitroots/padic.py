@@ -271,7 +271,8 @@ class RingElem:
         """Exact division by p^k; raises if any coefficient is not divisible.
 
         The result is only trustworthy modulo p^(N-k); callers are expected
-        to run at boosted precision when they use this.
+        to run at boosted precision when they use this (Newton's identities
+        in selftest.newton_coefficients).
         """
         pk = self.spec.p ** k
         rows = []

@@ -8,9 +8,10 @@ kernel sweep against the reference kernel sum, dual-step norm control,
 adjointness, the oracle's torus enumerator against the reference sum and
 its Newton-identity traces against conjugate sums, the exactness of the
 GEMM product kernel on this machine's BLAS, route A's digit enumerator
-and stopping step, and route C's trace count and precision boost against
-the wider margins they replaced and its banded trace powers against dense
-ones.  Each suite returns (name, ok, detail).
+and stopping step, and route C's first-return coefficients against trace
+powers and Newton's identities under the trace count and precision boost
+and the wider margins those replaced, and its banded trace powers against
+dense ones.  Each suite returns (name, ok, detail).
 """
 
 import itertools
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dwork, ffield, hyperg, oracle, weights
-from .padic import make_ring, teichmueller, valuation, zeta_p
+from .padic import make_ring, split_p, teichmueller, valuation, zeta_p
 
 
 def law_mismatch(ring):
@@ -450,11 +451,43 @@ def route_c_jobs():
                                     "p3-edge-degenerate", "p5-edge-degenerate")]
 
 
+def newton_coefficients(traces, ring):
+    """c_0 .. c_k of det(I - T M) in ring, trailing zeros dropped, from
+    tr M^1 .. tr M^k by Newton's identities k c_k = -sum_j tr(M^j) c_(k-j);
+    exact when the traces carry charpoly_boost(p, k) digits beyond ring's."""
+    wide = traces[0].spec if traces else ring
+    coeffs = [wide.one()]
+    for k in range(1, len(traces) + 1):
+        acc = -sum((traces[j - 1] * coeffs[k - j] for j in range(1, k + 1)),
+                   wide.zero())
+        v, unit = split_p(k, wide.p)
+        acc = acc * pow(unit, -1, wide.pN)
+        coeffs.append(acc.divide_exact_p(v) if v else acc)
+    coeffs = [c.reduce_to(ring) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def trace_power_coefficients(Mx, ring, cap):
+    """Route C's reference encoding: newton_coefficients over cap trace
+    powers of Mx, banded by trace_band at Mx's precision, which must exceed
+    ring's by charpoly_boost(p, cap) digits."""
+    band = dwork.trace_band(Mx.W, Mx.basis, Mx.ring.p, Mx.ring.N)
+    traces, Mk = [], Mx
+    for k in range(cap):
+        if k:
+            Mk = Mk.matmul(Mx, band)
+        traces.append(Mk.trace())
+    return newton_coefficients(traces, ring)
+
+
 def _suite_fredholm_cap(rng):
-    """Route C under its old margins, charpoly_degree_cap + 2 traces at
-    v_p(cap!) + 1 extra digits, against fredholm_cap traces at
-    charpoly_boost digits, and its banded trace powers against dense ones
-    (band_mismatch), on route_c_jobs."""
+    """Route C's first-return coefficients against trace powers at
+    N + charpoly_boost digits (trace_power_coefficients), and those against
+    the old margins, charpoly_degree_cap + 2 traces at v_p(cap!) + 1 extra
+    digits; and banded trace powers against dense ones (band_mismatch), on
+    route_c_jobs."""
     from .battery import job_dict
     from .runner import JobConfig, default_wmax
     for case, N in route_c_jobs():
@@ -470,12 +503,14 @@ def _suite_fredholm_cap(rng):
         wide = make_ring(p, cfg.field_degree, cfg.field_poly,
                          N + dwork.charpoly_boost(p, old_cap) + 1)
         Mx = dwork.OperatorData(spec, W, wide, wmax, basis=basis).full_matrix()
-        old = dwork.fredholm_coefficients(Mx, ring, old_cap).coeffs
-        # the matrix at N + charpoly_boost is the wide one reduced
+        old = trace_power_coefficients(Mx, ring, old_cap)
+        # the matrices at N + charpoly_boost and at N are the wide one reduced
         boosted = make_ring(p, cfg.field_degree, cfg.field_poly,
                             N + dwork.charpoly_boost(p, cap))
         Mx = dwork.RingMatrix(boosted, W, basis, Mx.tensor % boosted.pN)
-        new = dwork.fredholm_coefficients(Mx, ring, cap).coeffs
+        traced = trace_power_coefficients(Mx, ring, cap)
+        first = dwork.fredholm_coefficients(
+            dwork.RingMatrix(ring, W, basis, Mx.tensor % ring.pN), cap).coeffs
         where = f"{case['id']} at N = {N}"
         miss = band_mismatch(Mx, cap)
         if miss:
@@ -483,15 +518,18 @@ def _suite_fredholm_cap(rng):
         # trailing zeros are stripped, so a nonzero c_k past cap shows as length
         if len(old) > cap + 1:
             return False, f"c_{len(old) - 1} past the cap {cap} is nonzero on {where}"
-        if old != new:
-            return False, f"Fredholm coefficients differ from the old margins on {where}"
+        if old != traced:
+            return False, f"trace-power coefficients differ from the old margins on {where}"
+        if first != traced:
+            return False, f"first-return coefficients differ from trace powers on {where}"
         for k, c in enumerate(old):
             v = c.valuation()
             if v is not None and v * p * p < (p - 1) ** 2 * sum(ws[:k]):
                 return False, f"ord c_{k} = {v} is below Dwork's estimate on {where}"
-    return True, ("fredholm_cap and charpoly_boost give the old margins' coefficients; "
-                  "the dropped ones vanish; ord c_k meets Dwork's estimate; "
-                  "banded trace powers give the dense traces")
+    return True, ("first-return coefficients equal trace powers at charpoly_boost "
+                  "digits, and those the old margins'; the dropped ones vanish; "
+                  "ord c_k meets Dwork's estimate; banded trace powers give the "
+                  "dense traces")
 
 
 SUITES = [

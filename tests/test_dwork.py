@@ -33,7 +33,8 @@ from unitroots.hyperg import LaurentSpec
 from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.runner import JobConfig, default_wmax
 from unitroots.selftest import (band_mismatch, extreme_operands, law_mismatch,
-                                limb_boundaries, route_c_jobs, sweep_mismatch)
+                                limb_boundaries, newton_coefficients,
+                                route_c_jobs, sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -43,14 +44,10 @@ TRIANGLE = ExponentSet(2, ((1, 0), (0, 1), (-1, -1)))
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
-def boosted_operator(spec, wmax, N=4):
-    # the runner's precision: N plus the digits its fredholm_cap traces lose
-    W = build_weight_data(spec.A)
-    basis = enumerate_weighted_monomials(W, wmax)
-    boost = charpoly_boost(spec.p, fredholm_cap(W, basis, spec.p, N))
-    ring_b = make_ring(spec.p, spec.m, spec.field_poly, N + boost)
+def report_operator(spec, wmax, N=4):
+    # the runner's operator: routes B and C both work at the report precision
     ring = make_ring(spec.p, spec.m, spec.field_poly, N)
-    return OperatorData(spec, W, ring_b, wmax), ring
+    return OperatorData(spec, build_weight_data(spec.A), ring, wmax), ring
 
 
 def test_splitting_coefficients(ring3):
@@ -233,8 +230,8 @@ def test_matrix_entries_nonunit_off_corner(ring3):
 def test_fredholm_single_matches_product(ring2):
     # A = {1}, lam = 1: det(I - T alpha) = prod_k (1 - 2^k T) at precision
     spec = LaurentSpec(SINGLE, 2, 1, 1, ((1,),))
-    od, ring = boosted_operator(spec, 16)
-    P, u = fredholm_unit_root(od.full_matrix(), ring)
+    od, ring = report_operator(spec, 16)
+    P, u = fredholm_unit_root(od.full_matrix())
     assert u == ring.one()
     expect = [ring.one()]
     for k in range(4):
@@ -254,8 +251,8 @@ def test_fredholm_single_matches_product(ring2):
 
 def test_fredholm_kloosterman_routes_agree(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
-    od, ring = boosted_operator(spec, 9)
-    P, u = fredholm_unit_root(od.full_matrix(), ring)
+    od, ring = report_operator(spec, 9)
+    P, u = fredholm_unit_root(od.full_matrix())
     assert u.rows == ((16,), (0,))
     assert newton_polygon(P).slope_zero_length() == 1
 
@@ -265,8 +262,8 @@ def test_fredholm_composition_order_pinned():
     # which the character-sum oracle confirms independently
     ring = make_ring(2, 2, None, 4)
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
-    od, ring_t = boosted_operator(spec, 16)
-    P, u = fredholm_unit_root(od.full_matrix(), ring_t)
+    od, _ = report_operator(spec, 16)
+    P, u = fredholm_unit_root(od.full_matrix())
     assert u.rows[0] == (13, 0)
     res = power_iteration_unit_root(spec, 16, ring)
     assert res.u.rows[0] == (13, 0)
@@ -328,8 +325,8 @@ def test_lfunction_delta_of_linear(ring3):
 
 def test_lfunction_single_is_one_minus_t(ring2):
     spec = LaurentSpec(SINGLE, 2, 1, 1, ((1,),))
-    od, ring = boosted_operator(spec, 16)
-    P, u = fredholm_unit_root(od.full_matrix(), ring)
+    od, ring = report_operator(spec, 16)
+    P, u = fredholm_unit_root(od.full_matrix())
     lf = lfunction_from_fredholm(P, 1, 1, u)
     assert lf.series[0] == ring.one()
     assert lf.series[1] == -ring.one()
@@ -486,6 +483,57 @@ def test_banded_products_are_cut_products(p, m, dim, data):
     assert np.array_equal(full, pair_products_reference(ring, A, B))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9),
+       st.booleans(), st.data())
+def test_windowed_products_are_cut_products(p, m, dim, first_return, data):
+    # with a lower edge as well, row a contracts over lower[a] <= b < band[a]
+    # only: on the columns from min(lower[a], a) up to max(band[a], a + 1)
+    # it is the product with row a of A cut to that window, and past them
+    # that or 0.  Route C's first-return products take lower[a] = a + 1
+    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
+    entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
+    A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
+    B = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
+    edges = st.lists(st.integers(0, dim), min_size=dim, max_size=dim)
+    band = np.array(sorted(data.draw(edges), reverse=True))
+    rows = np.arange(dim)
+    lower = rows + 1 if first_return else np.array(sorted(data.draw(edges)))
+    inside = (rows >= lower[:, None]) & (rows < band[:, None])
+    want = pair_products_reference(ring, A * inside[:, :, None, None], B)
+    with mock.patch.object(dwork, "PACK_ROWS", data.draw(st.sampled_from([0, 24]))):
+        got = _pair_products(ring, dwork.left_limbs(ring, A, band, lower), B)
+    kept = ((rows >= np.minimum(lower, rows)[:, None])
+            & (rows < np.maximum(band, rows + 1)[:, None]))
+    assert np.array_equal(got[kept], want[kept])
+    assert ((got == want) | (got == 0)).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(6, 9), st.data())
+def test_first_return_product_is_the_newton_determinant(dim, data):
+    # the identity alone, with no Dwork structure and no window (K(r) = dim
+    # for every r): the product of the first-return series f_r of a random
+    # matrix equals det(I - T M) from Newton's identities over the traces
+    # of its pair_products_reference powers, at the v_3(dim!) digits more
+    # those need
+    ring = make_ring(3, 2, None, 4)
+    wide = make_ring(3, 2, None, 4 + charpoly_boost(3, dim))
+    M = data.draw(arrays(np.int64, (dim, dim, wide.npi, wide.m),
+                         elements=st.integers(0, wide.pN - 1)))
+    traces, Mk = [], M
+    for k in range(dim):
+        if k:
+            Mk = pair_products_reference(wide, Mk, M).astype(np.int64)
+        traces.append(RingElem(wide, Mk.diagonal(axis1=0, axis2=1).sum(axis=2)))
+    want = newton_coefficients(traces, ring)
+    c, _ = dwork.first_return_product(ring, M % ring.pN, np.full(dim, dim), dim)
+    got = [RingElem(ring, x) for x in c.tolist()]
+    assert got[:len(want)] == want
+    assert all(x.is_zero() for x in got[len(want):])
+
+
 def test_trace_band_matches_dense_traces():
     # route C's banded trace powers equal the dense ones mod p^N' on every
     # battery case at N = 4 and the operators-n8 cases at N = 8; the band
@@ -508,14 +556,16 @@ def test_pair_products_all_slots_m2(p, N, dim):
     # m = 2 with every (pi, t)-slot of both operands nonzero: t-products
     # reduce mod g inside the regular representation; (3, 17, 2) contracts
     # one slot per GEMM, (5, 11, 2) splits the eight slots into GEMMs of
-    # seven and one, and (3, 17, 3) and (5, 13, 3) take two limbs
+    # seven and one, and (3, 17, 3) and (5, 13, 3) take two limbs.  A
+    # REP_TEMP of 1 expands B one row at a time
     ring = make_ring(p, 2, None, N)
     rng = np.random.default_rng(p * N + dim)
-    for cols in (dim, 1):
+    for cols, temp in ((dim, dwork.REP_TEMP), (1, dwork.REP_TEMP), (dim, 1)):
         A = rng.integers(1, ring.pN, size=(dim, dim, ring.npi, 2))
         B = rng.integers(1, ring.pN, size=(dim, cols, ring.npi, 2))
-        assert np.array_equal(_pair_products(ring, A, B),
-                              pair_products_reference(ring, A, B))
+        with mock.patch.object(dwork, "REP_TEMP", temp):
+            got = _pair_products(ring, A, B)
+        assert np.array_equal(got, pair_products_reference(ring, A, B))
 
 
 def _limbs_before(dim, pN):
@@ -557,22 +607,26 @@ def test_products_use_no_more_limbs_than_before(monkeypatch):
 
 
 def test_fredholm_expands_the_matrix_once(monkeypatch):
-    # route C's trace powers all multiply by Mx: its regular representation
-    # is built once and kept, and the limbs its products used are reported
+    # route C's first-return products all multiply by the leading K(0) x K(0)
+    # block of Mx: its regular representation is built once and kept, and
+    # the limbs its products used are reported
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
-    od, ring = boosted_operator(spec, 9)
+    od, ring = report_operator(spec, 9)
     Mx = od.full_matrix()
     expanded = []
     real = dwork.regular_representation
 
     def spy(spec, B, slots):
-        expanded.append(B is Mx.tensor)
+        expanded.append(B.shape[:2])
         return real(spec, B, slots)
     monkeypatch.setattr(dwork, "regular_representation", spy)
-    P = fredholm_coefficients(Mx, ring)
+    P = fredholm_coefficients(Mx)
+    K0 = dwork.trace_band(Mx.W, Mx.basis, ring.p, ring.N)[0]
     assert P.products == P.degree_cap - 1 > 1
-    assert expanded == [True]
-    assert P.limbs == product_limbs(Mx.dim, Mx.ring.p, Mx.ring.N) == 1
+    assert P.factors == K0 < Mx.dim
+    assert expanded == [(K0, K0)]
+    assert P.limbs == product_limbs(K0, ring.p, ring.N) == 1
+    assert P.madds > 0
 
 
 def _battery_operator(case_id, ring, s_cut=None):
@@ -608,10 +662,6 @@ def test_one_step_matrix_is_kernel_gather(case_id):
     _check_gather(od)
     if case_id.endswith("f9"):
         assert od.orbit_len == 2
-    # reduced from a higher precision: gathered before and after reducing
-    high = _battery_operator(case_id, make_ring(3, ring.m, None, 6))
-    high.one_step_matrix(0)
-    _check_gather(high.at_precision(ring))
 
 
 def test_one_step_gather_outside_the_table():
@@ -702,42 +752,26 @@ def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data)
     assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
 
 
-def test_at_precision_matches_direct():
-    # p3-kloosterman-f9: lambda-bar = (t, 1) has orbit length 2
-    spec = LaurentSpec(KLOOSTERMAN, 3, 2, 1, ((0, 1), (1,)))
-    boosted, ring = boosted_operator(spec, 6)
-    assert boosted.orbit_len == 2
-    for oi in range(boosted.orbit_len):
-        boosted.one_step_matrix(oi)
-    reduced = boosted.at_precision(ring)
-    direct = OperatorData(spec, boosted.W, ring, 6)
-    assert reduced.ring == ring
-    assert reduced.lam_orbit == direct.lam_orbit
-    assert reduced.sc.b == direct.sc.b
-    # the one-step matrices come reduced; kernel tables are swept afresh
-    for oi in range(boosted.orbit_len):
-        assert oi in reduced._onestep
-        assert np.array_equal(reduced.one_step_matrix(oi),
-                              direct.one_step_matrix(oi))
-        assert reduced.kernel_table(oi) == direct.kernel_table(oi)
-
-
 @pytest.mark.parametrize("case_id", ["p2-triangle", "p3-skew", "p5-kloosterman",
                                      "p3-kloosterman-f9", "p5-triangle-f25"])
 def test_reduced_kernel_tables_equal_direct(case_id):
-    # at_precision's contract: a kernel table swept by an operator reduced
-    # from a higher precision, whose cutoff drops from the longer one,
-    # equals the one swept at the lower precision directly
+    # a kernel table swept at a higher precision, with its longer cutoff,
+    # reduces to the one swept at the lower precision directly: the terms
+    # past the shorter cutoff vanish there.  So do the one-step matrices,
+    # on the lower precision's basis, a prefix of the higher one's
     p, m = int(case_id[1]), 2 if case_id.endswith(("f9", "f25")) else 1
     ring = make_ring(p, m, None, 4)
     high = _battery_operator(case_id, make_ring(p, m, None, 9))
-    for oi in range(high.orbit_len):
-        high.kernel_table(oi)
-    reduced = high.at_precision(ring)
     direct = _battery_operator(case_id, ring)
-    assert reduced.s_cut == direct.s_cut < high.s_cut
+    assert direct.s_cut < high.s_cut
+    dim = len(direct.basis)
+    assert high.basis[:dim] == direct.basis
     for oi in range(high.orbit_len):
-        assert reduced.kernel_table(oi) == direct.kernel_table(oi)
+        reduced = {mu: v.reduce_to(ring) for mu, v in high.kernel_table(oi).items()}
+        assert {mu: v for mu, v in reduced.items() if not v.is_zero()} == \
+            direct.kernel_table(oi)
+        assert np.array_equal(high.one_step_matrix(oi)[:dim, :dim] % ring.pN,
+                              direct.one_step_matrix(oi))
 
 
 def test_fredholm_cap_matches_fraction_weights():

@@ -1,12 +1,14 @@
 """Orchestration: config validation, reports, determinism, cache, CLI."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitroots import dwork, hyperg, oracle
 from unitroots.battery import BATTERY, DEGENERATE_BATTERY, QUICK_IDS, job_dict
 from unitroots.cli import main
 from unitroots.errors import CacheUnwritable, ConfigInvalid, NotSpanning
@@ -242,14 +244,29 @@ def test_check_json_records(tmp_path, capsys):
     assert "6/6 battery cases passed" in capsys.readouterr().out
 
 
-def test_unwritable_report_path(tmp_path, capsys):
-    # a report path in a missing directory is ConfigInvalid (exit 2) naming
-    # the path: unit-root finds it when it writes, check before its first case
+def test_unwritable_report_path(tmp_path, capsys, monkeypatch):
+    # a report path in a missing directory, or one that is a directory, is
+    # ConfigInvalid (exit 2) naming the path, found before any table is
+    # built or any route runs; check finds it before its first case
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(KLOOSTER3))
     out = tmp_path / "missing" / "out.json"
-    with pytest.raises(ConfigInvalid, match="missing"):
-        run({**KLOOSTER3, "routes": ["B"], "output": str(out)})
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("work began before the report path was checked")
+    with monkeypatch.context() as patch:
+        for name in ("OperatorData", "power_iteration_unit_root"):
+            patch.setattr(dwork, name, too_early)
+        patch.setattr(hyperg, "unit_root_route_A_detailed", too_early)
+        patch.setattr(oracle, "char_sum_table", too_early)
+        for path in (out, tmp_path):
+            with pytest.raises(ConfigInvalid, match=re.escape(str(path))):
+                run({**KLOOSTER3, "output": str(path)})
+        # a writable path is only checked: a job that then raises leaves no file
+        good = tmp_path / "rep.json"
+        with pytest.raises(AssertionError, match="work began"):
+            run({**KLOOSTER3, "output": str(good)})
+        assert not good.exists()
     assert main(["unit-root", "--config", str(cfg), "--route", "b",
                  "--json", str(out)]) == 2
     err = capsys.readouterr().err
@@ -262,14 +279,12 @@ def test_unwritable_report_path(tmp_path, capsys):
 
 
 def test_matmul_limit_is_a_route_error():
-    # route C forms its trace powers at the boosted precision, 5^(12 + 2),
-    # past the product kernel's int64 rule; route B works at 5^12
+    # route C divides by nothing, so it works at 5^12 beside route B, inside
+    # the product kernel's int64 rule
     rep = run(job_dict(CASES["p5-triangle"], precision=12, routes=("B", "C")))
-    assert rep.exit_code == 1
-    assert rep.data["errors"]["C"] == (
-        f"PrecisionTooLow: p^N = {5 ** 14} has (p^N - 1)^2 + p^N >= 2^63, "
-        "beyond exact int64 reduction")
-    assert "B" in rep.data["routes"]
+    assert rep.data["errors"] == {}
+    assert rep.data["agreement"]["pairs"] == {"B-C": 12}
+    assert rep.exit_code == 0
     # past 2^63 both routes fail the int64 rule: the runner records their
     # PrecisionTooLow before it builds any operator table
     rep = run(job_dict(CASES["p2-kloosterman"], precision=40, routes=("B", "C")))
@@ -280,20 +295,28 @@ def test_matmul_limit_is_a_route_error():
 
 @pytest.mark.parametrize("cid", ["p2-kloosterman", "p3-kloosterman"])
 def test_routes_b_c_at_twelve_digits(cid):
-    # the boosted precisions, 2^22 and 3^16, are inside the int64 rule
+    # both routes work at 2^12 and 3^12: route C needs no precision boost
     rep = run(job_dict(CASES[cid], precision=12, routes=("B", "C")))
-    boost = {"p2-kloosterman": 10, "p3-kloosterman": 4}[cid]
-    assert rep.data["truncation"]["charpoly_precision_boost"] == boost
+    assert rep.data["truncation"]["charpoly_precision_boost"] == 0
     assert rep.data["errors"] == {}
     assert rep.data["agreement"]["pairs"] == {"B-C": 12}
     assert rep.exit_code == 0
 
 
 def test_p5_kloosterman_at_twelve_digits():
-    # Newton's identities over its eight traces lose v_5(8!) = 1 digit, so
-    # route C works at 5^13, the last precision inside the int64 rule
+    # the product of first-return series divides by nothing, where Newton's
+    # identities over its eight traces lost v_5(8!) = 1 digit
     rep = run(job_dict(CASES["p5-kloosterman"], precision=12, routes=("B", "C")))
-    assert rep.data["truncation"]["charpoly_precision_boost"] == 1
+    assert rep.data["truncation"]["charpoly_precision_boost"] == 0
+    assert rep.data["errors"] == {}
+    assert rep.data["agreement"]["pairs"] == {"B-C": 12}
+    assert rep.exit_code == 0
+
+
+@pytest.mark.parametrize("cid", ["p5-edge-degenerate", "p5-skew"])
+def test_p5_reach_at_twelve_digits(cid):
+    # past the old ceiling: route C at 5^(12 + boost) raised PrecisionTooLow
+    rep = run(job_dict(CASES[cid], precision=12, routes=("B", "C")))
     assert rep.data["errors"] == {}
     assert rep.data["agreement"]["pairs"] == {"B-C": 12}
     assert rep.exit_code == 0
@@ -301,21 +324,31 @@ def test_p5_kloosterman_at_twelve_digits():
 
 def test_route_c_counters(klooster_report):
     # orbit length - 1 products compose the operator, Fredholm cap - 1 form
-    # the trace powers; the limb count follows the kernel's float rule
+    # the first-return series; the limb count follows the kernel's float
+    # rule; K(0) factors are formed, and their GEMMs' multiply-adds counted
     def counters(data):
         c = data["routes"]["C"]
         return c["matrix_products"], c["product_limbs"]
+
+    def first_return(data):
+        c = data["routes"]["C"]
+        return c["first_return_factors"], c["gemm_madds"]
     cap = klooster_report.data["truncation"]["charpoly_degree_cap"]
     assert counters(klooster_report.data) == (cap - 1, 1)
+    factors, madds = first_return(klooster_report.data)
+    assert 0 < factors < klooster_report.data["truncation"]["basis_size"]
+    assert madds > 0
     f9 = run(job_dict(CASES["p3-kloosterman-f9"], routes=("B", "C")))
     cap = f9.data["truncation"]["charpoly_degree_cap"]
     assert f9.data["orbit"]["length"] == 2
     assert counters(f9.data) == (1 + cap - 1, 1)
-    # at N = 12 the boosted products need two limbs, and B and C still agree
+    # at N = 12 the products work at 3^12, in one limb, and B and C agree
     n12 = run({**KLOOSTER3, "precision": 12, "routes": ["B", "C"]})
     cap = n12.data["truncation"]["charpoly_degree_cap"]
     assert n12.exit_code == 0
-    assert counters(n12.data) == (cap - 1, 2)
+    assert counters(n12.data) == (cap - 1, 1)
+    assert first_return(n12.data) == first_return(
+        run({**KLOOSTER3, "precision": 12, "routes": ["C"]}).data)
 
 
 def test_battery_definitions_are_wellformed():
