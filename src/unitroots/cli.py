@@ -127,14 +127,16 @@ def cmd_check(args):
     if args.quick:
         cases = [c for c in battery_mod.BATTERY
                  if c["id"] in battery_mod.QUICK_IDS]
+    lmax = 6 if args.lmax is None else args.lmax
+    extra = {"cache_dir": args.cache_dir} if args.cache_dir else {}
+    # a bad option is one ConfigInvalid before the first case, not one per case
+    jobs = [runner.JobConfig.from_dict(
+        {**battery_mod.job_dict(case, lmax=lmax), **extra}) for case in cases]
     if args.cache_dir:
         runner.KernelCache(args.cache_dir)  # an unusable directory stops here
     out = args.json_out and runner.open_report(args.json_out)  # so does a bad path
     records = []
-    for case in cases:
-        cfg = battery_mod.job_dict(case, lmax=args.lmax or 6)
-        if args.cache_dir:
-            cfg["cache_dir"] = args.cache_dir
+    for case, cfg in zip(cases, jobs):
         t0 = time.perf_counter()
         try:
             report = runner.run(cfg)

@@ -22,30 +22,30 @@ right operand's regular representation (RegularRep), whose row
 (b, pi^j t^s) holds row b of pi^j t^s times the operand, read from
 RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, so the
 product comes out reduced.  In this order a contraction over lo <= b < hi
-is a slice of both sides: route C's first-return products contract row r
-only over its window r < b < K(r) (first_return_product), a few adjacent
-rows in one GEMM (_row_groups).  Right entries are
-centred, |y| <= h = floor(p^N/2); left entries are cut into centred base-p
-digits (left_limbs), a limb of w digits at most floor(p^w/2), the carry out
-of the top limb, a multiple of p^N, dropped.  Limbs are e digits wide, the
-lowest one narrower, for the widest e with K * floor(p^e/2) * h < 2^53
-(limb_digits), so every partial sum over a contraction K is an integer
-below 2^53; one limb is the rule K * h^2 < 2^53.  The contraction is cut
-along b into blocks of as many columns as keep the limb count a single
-slot (K = dim) needs, one GEMM each.  Each limb's GEMM takes only the rows where
-that limb is nonzero: Dwork's estimate ord B_mu >= w(mu)(p-1)/p^2 makes
-high-weight rows of the Frobenius matrix and of its powers divisible by
-high powers of p, so many rows skip the low limbs, and rows that are
-0 mod p^N skip every GEMM.  Each GEMM's product is reduced mod p^N in int64
-and enters its rows with the limb's factor p^shift mod p^N.  That factor,
-like the regular representation's coefficients, is a residue times a
-residue added to a residue, so products hold exactly where ring_dtype's
-int64 rule below, (p^N - 1)^2 + p^N < 2^63, holds, and raise
-PrecisionTooLow past it.  RingMatrix builds its regular representation
-once, on first use as a right operand, so route C's first-return products
-expand the leading block of the Frobenius matrix once; route B's dual cycle
-cuts each transposed one-step matrix into limbs once
-(OperatorData.dual_cycle).
+is a slice of both sides.  Every product contracts each row over every b
+but route C's first-return products, which contract row r only over its
+window r < b < K(r) (first_return_product), a few adjacent rows in one
+GEMM (_row_groups).  Right entries are centred, |y| <= h = floor(p^N/2);
+left entries are cut into centred base-p digits (left_limbs), a limb of w
+digits at most floor(p^w/2), the carry out of the top limb, a multiple of
+p^N, dropped.  Limbs are e digits wide, the lowest one narrower, for the
+widest e with K * floor(p^e/2) * h < 2^53 (limb_digits), so every partial
+sum over a contraction K is an integer below 2^53; one limb is the rule
+K * h^2 < 2^53.  The contraction is cut along b into blocks of as many
+columns as keep the limb count a single slot (K = dim) needs, one GEMM
+each.  Each limb's GEMM takes only the rows where that limb is nonzero:
+Dwork's estimate ord B_mu >= w(mu)(p-1)/p^2 makes high-weight rows of the
+Frobenius matrix and of its powers divisible by high powers of p, so many
+rows skip the low limbs, and rows that are 0 mod p^N skip every GEMM.
+Each GEMM's product is reduced mod p^N in int64 and enters its rows with
+the limb's factor p^shift mod p^N.  That factor, like the regular
+representation's coefficients, is a residue times a residue added to a
+residue, so products hold exactly where ring_dtype's int64 rule below,
+(p^N - 1)^2 + p^N < 2^63, holds, and raise PrecisionTooLow past it.
+RingMatrix builds its regular representation once, on first use as a
+right operand, so route C's first-return products expand the leading
+block of the Frobenius matrix once; route B's dual cycle cuts each
+transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
 multiply-add per pair of RingSpec.law.  Its entries are int64 while
@@ -322,7 +322,7 @@ class RingMatrix:
     W: object
     basis: list
     tensor: np.ndarray
-    products: int = 0      # tensor products in the expression that computed it
+    products: int = 0      # tensor products that composed it (full_matrix)
     limbs: int = 0         # most limbs per left entry any of those products used
     _right: "RegularRep" = field(default=None, init=False, repr=False, compare=False)
 
@@ -332,8 +332,9 @@ class RingMatrix:
 
     def right_operand(self, slots):
         """regular_representation of the tensor for at least `slots`, built
-        on first use and kept: every first-return product of route C (and
-        every trace power of its reference) multiplies by the same matrix."""
+        on first use and kept: every first-return product of route C
+        multiplies by the same matrix, and so does every power M^(k+1) =
+        M^k.matmul(M) of the selftest's dense trace-power reference."""
         if self._right is None or not np.isin(slots, self._right.slots).all():
             self._right = regular_representation(self.ring, self.tensor, slots)
         return self._right
@@ -341,15 +342,11 @@ class RingMatrix:
     def entry(self, i, j):
         return RingElem(self.ring, self.tensor[i, j])
 
-    def matmul(self, other, band=None):
-        """self times other, each row only in its band (see _pair_products)
-        when one is given."""
-        T = _pair_products(self.ring, self.tensor, other.tensor,
-                           other.right_operand, band)
-        limbs = product_limbs(self.tensor.shape[1], self.ring.p, self.ring.N)
-        return RingMatrix(self.ring, self.W, self.basis, T,
-                          self.products + other.products + 1,
-                          max(self.limbs, other.limbs, limbs))
+    def matmul(self, other):
+        """self times other, through other's kept right operand."""
+        return RingMatrix(self.ring, self.W, self.basis,
+                          _pair_products(self.ring, self.tensor, other.tensor,
+                                         other.right_operand))
 
     def trace(self):
         diag = self.tensor.diagonal(axis1=0, axis2=1)  # (npi, m, dim)
@@ -547,54 +544,58 @@ def _digit_limbs(X, p, N, e):
 PACK_ROWS = 24
 
 
-def _row_groups(A, S, band, lower):
+def _window(rows, b, band):
+    """Mask (len(rows), len(b)) of the contraction indices b in each row
+    a's window a < b < band[a]."""
+    return (b > rows[:, None]) & (b < band[rows][:, None])
+
+
+def _row_groups(A, S, band):
     """(live, lo, hi, cols) per GEMM row group of A (n, dim * S), laid out
     in (b, slot) order: the rows `live` contract over lo <= b < hi and fill
     the output columns cols = (first, stop), every column when None.
 
     Without a band it is every row over every b.  With one, row a contracts
-    over lower[a] <= b < band[a] (lower 0 when None) into the columns from
-    min(lower[a], a) to max(band[a], a + 1); band never increases down the
-    rows nor lower decreases, so a row's window lies in each earlier row's.
-    Rows that are 0 over their window enter no group; the others form runs
-    that contract over their first row's window.  A row joins the run
-    before it while the work spent outside its rows' windows stays within
-    PACK_ROWS rows of the run's, the price of one GEMM more.
+    over its window a < b < band[a] into the columns from a to
+    max(band[a], a + 1); band never increases down the rows, so a row's
+    window lies in each earlier row's.  Rows that are 0 over their window
+    enter no group; the others form runs that contract over their first
+    row's window.  A row joins the run before it while the work spent
+    outside its rows' windows stays within PACK_ROWS rows of the run's, the
+    price of one GEMM more.
     """
     rows, dim = A.shape[0], A.shape[1] // S
-    if band is None:
-        return [(np.arange(rows), 0, dim, None)]
-    lo = np.zeros(rows, dtype=np.int64) if lower is None else lower
-    b = np.arange(dim * S) // S
-    live = np.flatnonzero(np.logical_and(
-        A, (b >= lo[:, None]) & (b < band[:, None])).any(axis=1))
     index = np.arange(rows)
-    first, top = np.minimum(lo, index).tolist(), np.maximum(band, index + 1).tolist()
-    lo, hi = lo.tolist(), band.tolist()
+    if band is None:
+        return [(index, 0, dim, None)]
+    live = np.flatnonzero(np.logical_and(
+        A, _window(index, np.arange(dim * S) // S, band)).any(axis=1))
+    top, hi = np.maximum(band, index + 1).tolist(), band.tolist()
     groups = []
     for a in live.tolist():
-        own = (hi[a] - lo[a]) * (top[a] - first[a])
+        own = (hi[a] - a - 1) * (top[a] - a)
         if groups:
             g = groups[-1]
             f = g[0][0]
             stop = max(g[2], top[a])
-            work = (hi[f] - lo[f]) * (stop - first[f])
+            work = (hi[f] - f - 1) * (stop - f)
             if work * (len(g[0]) + 1) - (g[3] + own) <= PACK_ROWS * work:
                 g[0].append(a)
                 g[2], g[3] = stop, g[3] + own
                 continue
         groups.append([[a], a, top[a], own])
-    return [(np.array(members), lo[f], hi[f], (first[f], stop))
+    return [(np.array(members), f + 1, hi[f], (f, stop))
             for members, f, stop, _ in groups]
 
 
-def left_limbs(spec, A, band=None, lower=None):
+def left_limbs(spec, A, band=None):
     """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
 
     A's nonzero slots are laid side by side in (b, slot) order, a reshape
-    when every slot is nonzero.  Row a contracts over lower[a] <= b <
-    band[a] (over every b without a band): its entries outside that window
-    are zeroed in the group _row_groups puts it in.  The contraction is cut
+    when every slot is nonzero.  With a band, row a contracts over route
+    C's window a < b < band[a] alone (first_return_product): its entries
+    outside it are zeroed in the group _row_groups puts it in; without
+    one, every row contracts over every b.  The contraction is cut
     into blocks of at most slot_group(dim, ...) * dim columns, one GEMM
     each, so no block needs more limbs than a single slot (K = dim).  Each
     entry is cut by _digit_limbs into limbs of limb_digits(K, p, N) digits
@@ -609,26 +610,20 @@ def left_limbs(spec, A, band=None, lower=None):
     S = len(slots)
     if not S:
         return LeftLimbs(rows, slots, [])
-    if band is not None and lower is None and band.min() >= dim:
-        band = None  # a full band is no band
     A = A.reshape(rows, dim, -1)
     if S < A.shape[2]:
         A = A[:, :, slots]
     A = A.reshape(rows, -1)
     step = slot_group(dim, S, p, N) * dim
     gemms = []
-    for group, lo, hi, cols in _row_groups(A, S, band, lower):
+    for group, lo, hi, cols in _row_groups(A, S, band):
         blocks = []
         for start in range(lo * S, hi * S, step):
             stop = min(start + step, hi * S)
             X = A[_run(group), start:stop].astype(np.float64)
             if band is not None:
                 # each row contracts over its own window alone
-                b = np.arange(start, stop) // S
-                inside = b < band[group][:, None]
-                if lower is not None:
-                    inside &= b >= lower[group][:, None]
-                X *= inside
+                X *= _window(group, np.arange(start, stop) // S, band)
             nz = X.any(axis=1)
             live = group[nz]
             if not len(live):
@@ -699,7 +694,7 @@ def _contract(left, rep, pN):
     return np.zeros((left.rows, width), dtype=np.int64) if out is None else out
 
 
-def _pair_products(spec, A, B, right=None, band=None):
+def _pair_products(spec, A, B, right=None):
     """Product of ring matrices in exact float64 GEMMs, reduced mod p^N.
 
     A (rows, dim, p-1, m) times B (dim, cols, p-1, m), entries in [0, p^N),
@@ -709,15 +704,14 @@ def _pair_products(spec, A, B, right=None, band=None):
     caller keeps it.  Each limb's GEMM is exact, and its product is reduced
     mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
 
-    With a band (for a square product), row a contracts only over
-    b < band[a].  It is formed on the columns below max(band[a], a + 1),
-    its diagonal among them, and on any others its GEMM group fills
-    (_row_groups); every other entry is 0.  A caller that also wants a
-    lower edge passes left_limbs(spec, A, band, lower) as A.
+    A windowed caller passes left_limbs(spec, A, band) as A: row a then
+    contracts only over a < b < band[a], and is formed on the columns from
+    a to max(band[a], a + 1), its diagonal among them, and on any others
+    its GEMM group fills (_row_groups); every other entry is 0.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     cols = B.shape[1]
-    left = A if isinstance(A, LeftLimbs) else left_limbs(spec, A, band)
+    left = A if isinstance(A, LeftLimbs) else left_limbs(spec, A)
     rows = left.rows
     if not len(left.slots):
         return np.zeros((rows, cols, npi, m), dtype=np.int64)
@@ -897,13 +891,6 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
 
 
-def frobenius_matrix(spec, wmax, ring, W=None):
-    """Matrix of the composed operator on the weight-truncated basis."""
-    W = W or build_weight_data(spec.A)
-    odata = OperatorData(spec, W, ring, wmax)
-    return odata.full_matrix()
-
-
 @dataclass
 class FredholmPoly:
     ring: object
@@ -967,10 +954,8 @@ def trace_band(W, basis, p, N):
     through M has ord >= (p-1)/p^2 * sum(p*w(a_i) - w(a_(i+1))), which is
     (p-1)^2/p^2 * sum w(a_i).  So a cycle that visits a and some c >= K(a)
     at two distinct positions is 0 mod p^N: the first-return series of a
-    need only the vertices below K(a) (first_return_product), and a trace
-    power M^(j+1) may take row a of M^j over the columns below K(a) alone
-    (RingMatrix.matmul with this band).  The weights come scaled by D, as
-    integers.
+    need only the vertices below K(a), its window a < c < K(a)
+    (first_return_product).  The weights come scaled by D, as integers.
     """
     sw = (p - 1) ** 2 * np.array(scaled_weights(W, basis), dtype=np.int64)
     assert (np.diff(sw) >= 0).all(), "basis not in weight order"
@@ -984,8 +969,8 @@ def charpoly_boost(p, cap):
     dividing by k and losing at most v_p(k) digits beyond its inputs; so
     N' = N + v_p(cap!) keeps every c_k, k <= cap, exact mod p^N.  Before the
     division by p^(v_p(k)) the error has ord >= N + v_p(k), so the division
-    is exact.  Route C divides by nothing; only the trace-power reference
-    (selftest.trace_power_coefficients) needs this.
+    is exact.  Route C divides by nothing; only the fredholm-cap selftest's
+    dense trace-power reference (selftest.newton_coefficients) needs this.
     """
     return sum(split_p(k, p)[0] for k in range(2, cap + 1))
 
@@ -1000,8 +985,8 @@ def first_return_product(spec, M, band, cap):
     band is K (trace_band; the dimension everywhere keeps every cycle): f_r
     is 1 for r >= K(0), and f_r's other vertices lie in the window
     r < c < K(r).  In rows, Y_0 = M, Z = Y_k M, s_(r,k) = Z[r, r] and
-    Y_(k+1) = Z, each row read on its window alone (left_limbs with lower
-    edge r + 1): cap - 1 products within the leading K(0) x K(0) block.
+    Y_(k+1) = Z, each row read on its window alone (left_limbs with the
+    band): cap - 1 products within the leading K(0) x K(0) block.
     """
     pN, K0 = spec.pN, int(band[0])
     M = M[:K0, :K0]
@@ -1015,7 +1000,7 @@ def first_return_product(spec, M, band, cap):
     Y, madds = M, 0
     for k in range(cap - 1):
         # left_limbs reads row r of Y on its window alone: Y_k is Y there
-        left = left_limbs(spec, Y, hi, rows + 1)
+        left = left_limbs(spec, Y, hi)
         del Y  # freed before the product is made
         if len(left.slots):
             madds += left.madds(right(left.slots))

@@ -283,9 +283,11 @@ def run(config):
     config.validate()
     if config.output:
         check_report_path(config.output)
-    spec = config.laurent_spec()
+    # the ring first: it raises CompositeP on a p (0 among them) that
+    # laurent_spec cannot reduce by
     ring = make_ring(config.p, config.field_degree, config.field_poly,
                      config.precision)
+    spec = config.laurent_spec()
     W = weights.build_weight_data(spec.A)
     d = oracle.orbit_degree(spec)
     orbit_len = config.epsilon * d

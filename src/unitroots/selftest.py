@@ -8,10 +8,10 @@ kernel sweep against the reference kernel sum, dual-step norm control,
 adjointness, the oracle's torus enumerator against the reference sum and
 its Newton-identity traces against conjugate sums, the exactness of the
 GEMM product kernel on this machine's BLAS, route A's digit enumerator
-and stopping step, and route C's first-return coefficients against trace
-powers and Newton's identities under the trace count and precision boost
-and the wider margins those replaced, and its banded trace powers against
-dense ones.  Each suite returns (name, ok, detail).
+and stopping step, and route C's first-return coefficients against
+Newton's identities over dense trace powers, two more than the cap and
+carrying the digits the divisions lose.  Each suite returns
+(name, ok, detail).
 """
 
 import itertools
@@ -410,37 +410,6 @@ def _suite_route_a(rng):
     return True, "digit enumerator equals brute force; u_(D*N) equals route C"
 
 
-def band_mismatch(Mx, cap):
-    """How route C's banded trace powers of Mx depart from dense ones, else
-    None.
-
-    trace_band must not increase down the rows.  The banded M^2 must equal
-    M^2 with row a of the left factor cut to its columns below K(a), on
-    every column below max(K(a), a + 1), the diagonal included; past them
-    an entry is that one or 0.  And tr M^k, k = 1 .. cap, banded must equal
-    tr M^k dense mod p^N', the matrix's precision.
-    """
-    ring, dim = Mx.ring, Mx.dim
-    band = dwork.trace_band(Mx.W, Mx.basis, ring.p, ring.N)
-    if (np.diff(band) > 0).any():
-        return "K(a) increases down the rows"
-    cols = np.arange(dim)
-    cut = Mx.tensor * (cols < band[:, None])[:, :, None, None]
-    want = dwork._pair_products(ring, cut, Mx.tensor)
-    got = Mx.matmul(Mx, band).tensor
-    kept = cols < np.maximum(band, cols + 1)[:, None]
-    if not (np.array_equal(got[kept], want[kept])
-            and ((got == want) | (got == 0)).all()):
-        return "the banded M^2 differs from M^2 with its left rows cut to the band"
-    banded = dense = Mx
-    for k in range(1, cap + 1):
-        if k > 1:
-            banded, dense = banded.matmul(Mx, band), dense.matmul(Mx)
-        if banded.trace() != dense.trace():
-            return f"banded tr M^{k} differs from the dense trace"
-    return None
-
-
 def route_c_jobs():
     """(case, N): every battery case at N = 4 and the triangle and edge cases
     of the benchmark's operators-n8 workload at N = 8."""
@@ -469,25 +438,14 @@ def newton_coefficients(traces, ring):
     return coeffs
 
 
-def trace_power_coefficients(Mx, ring, cap):
-    """Route C's reference encoding: newton_coefficients over cap trace
-    powers of Mx, banded by trace_band at Mx's precision, which must exceed
-    ring's by charpoly_boost(p, cap) digits."""
-    band = dwork.trace_band(Mx.W, Mx.basis, Mx.ring.p, Mx.ring.N)
-    traces, Mk = [], Mx
-    for k in range(cap):
-        if k:
-            Mk = Mk.matmul(Mx, band)
-        traces.append(Mk.trace())
-    return newton_coefficients(traces, ring)
-
-
 def _suite_fredholm_cap(rng):
-    """Route C's first-return coefficients against trace powers at
-    N + charpoly_boost digits (trace_power_coefficients), and those against
-    the old margins, charpoly_degree_cap + 2 traces at v_p(cap!) + 1 extra
-    digits; and banded trace powers against dense ones (band_mismatch), on
-    route_c_jobs."""
+    """Route C's first-return coefficients on route_c_jobs against
+    newton_coefficients over min(cap + 2, dim) dense trace powers at
+    N + charpoly_boost digits, an encoding that shares neither the window
+    nor the cap with the code it checks: equal lists, trailing zeros
+    stripped, so c_(cap+1) and c_(cap+2) vanish.  The cap is where Dwork's
+    estimate reaches N, every ord c_k meets that estimate, and K never
+    increases down the rows."""
     from .battery import job_dict
     from .runner import JobConfig, default_wmax
     for case, N in route_c_jobs():
@@ -499,37 +457,35 @@ def _suite_fredholm_cap(rng):
         basis = weights.enumerate_weighted_monomials(W, wmax)
         ws = sorted(weights.weight(W, mu) for mu in basis)
         cap = dwork.fredholm_cap(W, basis, p, N)
-        old_cap = min(dwork.charpoly_degree_cap(ws, p, N, len(basis)) + 2, len(basis))
+        traced = min(cap + 2, len(basis))
         wide = make_ring(p, cfg.field_degree, cfg.field_poly,
-                         N + dwork.charpoly_boost(p, old_cap) + 1)
+                         N + dwork.charpoly_boost(p, traced))
         Mx = dwork.OperatorData(spec, W, wide, wmax, basis=basis).full_matrix()
-        old = trace_power_coefficients(Mx, ring, old_cap)
-        # the matrices at N + charpoly_boost and at N are the wide one reduced
-        boosted = make_ring(p, cfg.field_degree, cfg.field_poly,
-                            N + dwork.charpoly_boost(p, cap))
-        Mx = dwork.RingMatrix(boosted, W, basis, Mx.tensor % boosted.pN)
-        traced = trace_power_coefficients(Mx, ring, cap)
-        first = dwork.fredholm_coefficients(
+        traces, Mk = [Mx.trace()], Mx
+        for _ in range(traced - 1):
+            Mk = Mk.matmul(Mx)
+            traces.append(Mk.trace())
+        want = newton_coefficients(traces, ring)
+        # the matrix at N is the wide one reduced
+        got = dwork.fredholm_coefficients(
             dwork.RingMatrix(ring, W, basis, Mx.tensor % ring.pN), cap).coeffs
         where = f"{case['id']} at N = {N}"
-        miss = band_mismatch(Mx, cap)
-        if miss:
-            return False, f"{miss} on {where}"
-        # trailing zeros are stripped, so a nonzero c_k past cap shows as length
-        if len(old) > cap + 1:
-            return False, f"c_{len(old) - 1} past the cap {cap} is nonzero on {where}"
-        if old != traced:
-            return False, f"trace-power coefficients differ from the old margins on {where}"
-        if first != traced:
+        # the last k before Dwork's estimate over the k + 1 smallest weights
+        # reaches N; c_k vanish past it
+        if cap != next((k for k in range(len(ws))
+                        if (p - 1) ** 2 * sum(ws[:k + 1]) >= N * p * p), len(ws)):
+            return False, f"cap {cap} is not where Dwork's estimate reaches N on {where}"
+        if (np.diff(dwork.trace_band(W, basis, p, N)) > 0).any():
+            return False, f"K(a) increases down the rows on {where}"
+        if got != want:
             return False, f"first-return coefficients differ from trace powers on {where}"
-        for k, c in enumerate(old):
+        for k, c in enumerate(want):
             v = c.valuation()
             if v is not None and v * p * p < (p - 1) ** 2 * sum(ws[:k]):
                 return False, f"ord c_{k} = {v} is below Dwork's estimate on {where}"
-    return True, ("first-return coefficients equal trace powers at charpoly_boost "
-                  "digits, and those the old margins'; the dropped ones vanish; "
-                  "ord c_k meets Dwork's estimate; banded trace powers give the "
-                  "dense traces")
+    return True, ("first-return coefficients equal Newton's identities over "
+                  "cap + 2 dense trace powers; the cap and ord c_k meet Dwork's "
+                  "estimate; K never increases down the rows")
 
 
 SUITES = [

@@ -20,8 +20,7 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              bigF_coefficient, charpoly_boost,
                              charpoly_degree_cap, default_s_cut,
                              fredholm_cap, fredholm_coefficients,
-                             fredholm_unit_root,
-                             frobenius_matrix, kernel_sweep,
+                             fredholm_unit_root, kernel_sweep,
                              lfunction_from_fredholm, newton_polygon,
                              one_step_dual, pair_products_reference,
                              power_iteration_budget, power_iteration_unit_root,
@@ -32,9 +31,8 @@ from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.runner import JobConfig, default_wmax
-from unitroots.selftest import (band_mismatch, extreme_operands, law_mismatch,
-                                limb_boundaries, newton_coefficients,
-                                route_c_jobs, sweep_mismatch)
+from unitroots.selftest import (extreme_operands, law_mismatch, limb_boundaries,
+                                newton_coefficients, sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -194,7 +192,7 @@ def test_eigenvector_wmax_stability(ring3):
 
 def test_frobenius_matrix_single(ring2):
     spec = LaurentSpec(SINGLE, 2, 1, 1, ((1,),))
-    Mx = frobenius_matrix(spec, 3, ring2)
+    Mx = OperatorData(spec, build_weight_data(SINGLE), ring2, 3).full_matrix()
     sc = splitting_coefficients(ring2, default_s_cut(ring2))
     assert Mx.dim == 4
     for iw in range(4):
@@ -455,59 +453,35 @@ def test_pair_products_structured_rows(p, m, dim, square, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9), st.data())
-def test_banded_products_are_cut_products(p, m, dim, data):
-    # row a of a banded product contracts over b < band[a] only: on the
-    # columns below max(band[a], a + 1) it is the product with row a of A
-    # cut to its first band[a] columns, diagonal included, and past them
-    # that or 0; a full band is the unbanded product.  Precisions reach the
-    # top of the int64 rule, where blocks of the (b, slot) contraction split
-    # mid-row and entries take several limbs; zero entries leave rows that
-    # vanish over their band; PACK_ROWS = 0 puts each run of equal band in
-    # a GEMM of its own, and the default may merge them
+def test_windowed_products_are_cut_products(p, m, dim, data):
+    # row a of route C's windowed product contracts over a < b < band[a]
+    # only: on the columns from a up to max(band[a], a + 1), diagonal
+    # included, it is the product with row a of A cut to that window, and
+    # past them that or 0.  Each example takes a drawn band and the full
+    # one, band = dim, whose kept entries are also the unwindowed product of
+    # the cut A.  Precisions reach the top of the int64 rule, where blocks
+    # of the (b, slot) contraction split mid-row and entries take several
+    # limbs; zero entries leave rows that vanish over their window;
+    # PACK_ROWS = 0 puts each row in a GEMM of its own, and 24 may merge them
     top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
     ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
     entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
     A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
     B = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
-    band = np.array(sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
-                                              max_size=dim)), reverse=True))
-    cols = np.arange(dim)
-    want = pair_products_reference(ring, A * (cols < band[:, None])[:, :, None, None], B)
-    with mock.patch.object(dwork, "PACK_ROWS", data.draw(st.sampled_from([0, 24]))):
-        got = _pair_products(ring, A, B, band=band)
-    kept = cols < np.maximum(band, cols + 1)[:, None]
-    assert np.array_equal(got[kept], want[kept])
-    assert ((got == want) | (got == 0)).all()
-    full = _pair_products(ring, A, B, band=np.full(dim, dim))
-    assert np.array_equal(full, _pair_products(ring, A, B))
-    assert np.array_equal(full, pair_products_reference(ring, A, B))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9),
-       st.booleans(), st.data())
-def test_windowed_products_are_cut_products(p, m, dim, first_return, data):
-    # with a lower edge as well, row a contracts over lower[a] <= b < band[a]
-    # only: on the columns from min(lower[a], a) up to max(band[a], a + 1)
-    # it is the product with row a of A cut to that window, and past them
-    # that or 0.  Route C's first-return products take lower[a] = a + 1
-    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
-    ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
-    entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
-    A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
-    B = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
-    edges = st.lists(st.integers(0, dim), min_size=dim, max_size=dim)
-    band = np.array(sorted(data.draw(edges), reverse=True))
+    drawn = sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
+                                      max_size=dim)), reverse=True)
+    pack = data.draw(st.sampled_from([0, 24]))
     rows = np.arange(dim)
-    lower = rows + 1 if first_return else np.array(sorted(data.draw(edges)))
-    inside = (rows >= lower[:, None]) & (rows < band[:, None])
-    want = pair_products_reference(ring, A * inside[:, :, None, None], B)
-    with mock.patch.object(dwork, "PACK_ROWS", data.draw(st.sampled_from([0, 24]))):
-        got = _pair_products(ring, dwork.left_limbs(ring, A, band, lower), B)
-    kept = ((rows >= np.minimum(lower, rows)[:, None])
-            & (rows < np.maximum(band, rows + 1)[:, None]))
-    assert np.array_equal(got[kept], want[kept])
-    assert ((got == want) | (got == 0)).all()
+    for band in (np.array(drawn), np.full(dim, dim)):
+        inside = (rows > rows[:, None]) & (rows < band[:, None])
+        cut = A * inside[:, :, None, None]
+        want = pair_products_reference(ring, cut, B)
+        with mock.patch.object(dwork, "PACK_ROWS", pack):
+            got = _pair_products(ring, dwork.left_limbs(ring, A, band), B)
+        kept = (rows >= rows[:, None]) & (rows < np.maximum(band, rows + 1)[:, None])
+        assert np.array_equal(got[kept], want[kept])
+        assert ((got == want) | (got == 0)).all()
+    assert np.array_equal(got[kept], _pair_products(ring, cut, B)[kept])
 
 
 @settings(max_examples=20, deadline=None)
@@ -532,22 +506,6 @@ def test_first_return_product_is_the_newton_determinant(dim, data):
     got = [RingElem(ring, x) for x in c.tolist()]
     assert got[:len(want)] == want
     assert all(x.is_zero() for x in got[len(want):])
-
-
-def test_trace_band_matches_dense_traces():
-    # route C's banded trace powers equal the dense ones mod p^N' on every
-    # battery case at N = 4 and the operators-n8 cases at N = 8; the band
-    # never grows down the rows and the banded M^2 keeps every diagonal
-    for case, N in route_c_jobs():
-        spec = JobConfig.from_dict(job_dict(case, precision=N)).laurent_spec()
-        W = build_weight_data(spec.A)
-        wmax = default_wmax(make_ring(spec.p, spec.m, spec.field_poly, N), W.D)
-        basis = enumerate_weighted_monomials(W, wmax)
-        cap = fredholm_cap(W, basis, spec.p, N)
-        ring = make_ring(spec.p, spec.m, spec.field_poly,
-                         N + charpoly_boost(spec.p, cap))
-        Mx = OperatorData(spec, W, ring, wmax, basis=basis).full_matrix()
-        assert band_mismatch(Mx, cap) is None, (case["id"], N)
 
 
 @pytest.mark.parametrize("p, N, dim", [(3, 4, 3), (3, 17, 2), (3, 17, 3),

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitroots import dwork, hyperg, oracle
+from unitroots import dwork, hyperg, oracle, runner
 from unitroots.battery import BATTERY, DEGENERATE_BATTERY, QUICK_IDS, job_dict
 from unitroots.cli import main
-from unitroots.errors import CacheUnwritable, ConfigInvalid, NotSpanning
+from unitroots.errors import (CacheUnwritable, CompositeP, ConfigInvalid,
+                              NotSpanning)
 from unitroots.hyperg import hyperg_coefficient_series
 from unitroots.padic import make_ring
 from unitroots.runner import JobConfig, run
@@ -80,6 +81,9 @@ def test_config_validation_errors():
     for degmax in (0, -5):
         with pytest.raises(ConfigInvalid):
             run({**KLOOSTER3, "routes": ["A"], "degmax": degmax})
+    # p = 0 is not prime: the ring says so before the spec reduces mod p
+    with pytest.raises(CompositeP):
+        run({**KLOOSTER3, "p": 0})
 
 
 JSON_VALUES = st.recursive(
@@ -398,15 +402,27 @@ def test_cli_lfunction(tmp_path, capsys):
     assert "unit root preserved: True" in capsys.readouterr().out
 
 
-def test_cli_bad_config(tmp_path, capsys):
+def test_cli_bad_config(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     for text in (json.dumps({"p": 3}), json.dumps({**KLOOSTER3, "epsilon": 0}),
                  '{"p": 3, "A": [[1], [-1]]', "[1, 2]",
-                 json.dumps({**KLOOSTER3, "precision": "x"})):
+                 json.dumps({**KLOOSTER3, "precision": "x"}),
+                 json.dumps({**KLOOSTER3, "p": 0})):
         cfg.write_text(text)
         assert main(["unit-root", "--config", str(cfg)]) == 2
     for path in (tmp_path / "missing.json", tmp_path):
         assert main(["unit-root", "--config", str(path)]) == 2
+    capsys.readouterr()
+    # check --lmax 0 and 1 leave the oracle no ratio: one ConfigInvalid,
+    # exit 2, and no case runs
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("a case ran before --lmax was checked")
+    monkeypatch.setattr(runner, "run", too_early)
+    for lmax in ("0", "1"):
+        assert main(["check", "--lmax", lmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("ConfigInvalid") == 1
 
 
 def test_route_subset_and_precision_override():
