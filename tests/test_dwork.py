@@ -451,36 +451,56 @@ def test_pair_products_structured_rows(p, m, dim, square, data):
                           pair_products_reference(ring, A, B))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9), st.data())
-def test_windowed_products_are_cut_products(p, m, dim, data):
-    # row a of route C's windowed product contracts over a < b < band[a]
-    # only: on the columns from a up to max(band[a], a + 1), diagonal
-    # included, it is the product with row a of A cut to that window, and
-    # past them that or 0.  Each example takes a drawn band and the full
-    # one, band = dim, whose kept entries are also the unwindowed product of
-    # the cut A.  Precisions reach the top of the int64 rule, where blocks
+def _windowed_case(p, m, dim, data):
+    # a ring whose precision reaches the top of the int64 rule, where blocks
     # of the (b, slot) contraction split mid-row and entries take several
-    # limbs; zero entries leave rows that vanish over their window;
-    # PACK_ROWS = 0 puts each row in a GEMM of its own, and 24 may merge them
+    # limbs, and operands whose zero entries leave rows that vanish over
+    # their window; PACK_ROWS = 0 puts each row in a GEMM of its own, and
+    # 24 may merge them
     top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
     ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
     entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
     A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
     B = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
-    drawn = sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
-                                      max_size=dim)), reverse=True)
-    pack = data.draw(st.sampled_from([0, 24]))
-    rows = np.arange(dim)
-    for band in (np.array(drawn), np.full(dim, dim)):
-        inside = (rows > rows[:, None]) & (rows < band[:, None])
-        cut = A * inside[:, :, None, None]
-        want = pair_products_reference(ring, cut, B)
-        with mock.patch.object(dwork, "PACK_ROWS", pack):
-            got = _pair_products(ring, dwork.left_limbs(ring, A, band), B)
-        kept = (rows >= rows[:, None]) & (rows < np.maximum(band, rows + 1)[:, None])
-        assert np.array_equal(got[kept], want[kept])
-        assert ((got == want) | (got == 0)).all()
+    return ring, A, B, data.draw(st.sampled_from([0, 24]))
+
+
+def _check_window(ring, A, B, band, pack):
+    # row a contracts over a < b < band[a] only: on the columns from a up
+    # to max(band[a], a + 1), diagonal included, the product is the one with
+    # row a of A cut to that window, and past them that or 0.  Returns the
+    # cut A, the product and the kept entries
+    rows = np.arange(len(band))
+    inside = (rows > rows[:, None]) & (rows < band[:, None])
+    cut = A * inside[:, :, None, None]
+    want = pair_products_reference(ring, cut, B)
+    with mock.patch.object(dwork, "PACK_ROWS", pack):
+        got = _pair_products(ring, dwork.left_limbs(ring, A, band), B)
+    kept = (rows >= rows[:, None]) & (rows < np.maximum(band, rows + 1)[:, None])
+    assert np.array_equal(got[kept], want[kept])
+    assert ((got == want) | (got == 0)).all()
+    return cut, got, kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9), st.data())
+def test_banded_products_are_cut_products(p, m, dim, data):
+    # the band's upper edge: a drawn non-increasing band[a] = K(a), rows
+    # whose band ends at or before their diagonal included
+    ring, A, B, pack = _windowed_case(p, m, dim, data)
+    band = np.array(sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
+                                              max_size=dim)), reverse=True))
+    _check_window(ring, A, B, band, pack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 9), st.data())
+def test_windowed_products_are_cut_products(p, m, dim, data):
+    # the window's lower edge alone: with the full band, band = dim, row a
+    # contracts over b > a, and its kept entries are also the unwindowed
+    # product of the cut A
+    ring, A, B, pack = _windowed_case(p, m, dim, data)
+    cut, got, kept = _check_window(ring, A, B, np.full(dim, dim), pack)
     assert np.array_equal(got[kept], _pair_products(ring, cut, B)[kept])
 
 
