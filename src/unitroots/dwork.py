@@ -51,10 +51,12 @@ Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
 multiply-add per pair of RingSpec.law.  Its entries are int64 while
 (p^N - 1)^2 + p^N < 2^63, so a slot product added to a reduced residue
 fits, and Python ints (object arrays) past that, on the same code path;
-there is no option.  The kernel table B_mu(lambda) is swept with it one
+there is no option.  With it the kernel table B_mu(lambda) is swept one
 exponent vector at a time over a batch of partial products (kernel_sweep),
-and route B scales its vector by the normalizer's inverse with it.
-bigF_coefficient and one_step_dual stay the scalar reference paths, and
+route B scales its vector by the normalizer's inverse, and route C
+multiplies its polynomials in T, the first-return factors and the
+L-function's alike, in a product tree (_series_product).  bigF_coefficient
+and one_step_dual stay the scalar reference paths, and
 pair_products_reference folds by its own encoding of the law, _fold.
 """
 
@@ -68,8 +70,7 @@ from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM,
                      PrecisionTooLow)
 from .hyperg import _solutions
 from .oracle import orbit_degree
-from .padic import (RingElem, newton_root, pi_pow_over_factorials, split_p,
-                    teichmueller)
+from .padic import RingElem, newton_root, pi_pow_digit, split_p, teichmueller
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -89,20 +90,19 @@ class SplittingCoeffs:
 def splitting_coefficients(ring, imax):
     """Coefficients b_0..b_imax of exp(pi(t - t^p)).
 
-    b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!); every term is
-    p-integral, and ord b_i >= i(p-1)/p^2 is asserted for each i.
+    b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!), and every term is one
+    p-integral digit in pi-row i mod (p-1) (pi_pow_digit); so b_i is the
+    sum of those digits in that row.  ord b_i >= i(p-1)/p^2 is asserted for
+    each i.
     """
     p = ring.p
     out = []
     for i in range(imax + 1):
-        acc = ring.zero()
-        for j in range(i // p + 1):
-            term = pi_pow_over_factorials(ring, i - (p - 1) * j, (j, i - p * j))
-            if j % 2:
-                term = -term
-            acc = acc + term
-        assert acc.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
-        out.append(acc)
+        digit = sum((-1) ** j * pi_pow_digit(ring, i - (p - 1) * j, (j, i - p * j))[1]
+                    for j in range(i // p + 1))
+        b = ring.from_slots([0] * (i % (p - 1) * ring.m) + [digit])
+        assert b.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
+        out.append(b)
     assert out[0] == ring.one()
     return SplittingCoeffs(ring, tuple(out))
 
@@ -185,9 +185,13 @@ def _bounding_box(keys):
 def _ring_table(ring, keys, vals):
     """{key: RingElem} of the rows of vals (n, p-1, m) nonzero mod p^N."""
     vals = vals % ring.pN
-    nonzero = vals.any(axis=(-2, -1))
-    return {tuple(k): RingElem(ring, tuple(map(tuple, v)), check=False)
-            for k, v, keep in zip(keys, vals.tolist(), nonzero) if keep}
+    keep = np.flatnonzero(vals.any(axis=(-2, -1)))
+    return dict(zip((tuple(keys[i]) for i in keep), _ring_elems(ring, vals[keep])))
+
+
+def _ring_elems(ring, X):
+    """RingElem of each row of X (n, p-1, m), entries reduced mod p^N."""
+    return [RingElem(ring, tuple(map(tuple, x)), check=False) for x in X.tolist()]
 
 
 def _power_list(x, emax):
@@ -807,13 +811,10 @@ def _fold(spec, raw):
 
 
 def _vec_to_xseries(odata, vec):
-    ring = odata.ring
-    out = {}
-    for i, mu in enumerate(odata.basis):
-        e = RingElem(ring, vec[i])
-        if not e.is_zero():
-            out[mu] = e
-    return XSeries(out, odata.wmax, "B*")
+    """Route B's eigenvector: an element per nonzero row of vec, reduced."""
+    rows = np.flatnonzero(vec.any(axis=(-2, -1)))
+    return XSeries(dict(zip((odata.basis[i] for i in rows),
+                            _ring_elems(odata.ring, vec[rows]))), odata.wmax, "B*")
 
 
 def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
@@ -870,8 +871,7 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
         W = W or build_weight_data(spec.A)
         odata = OperatorData(spec, W, ring, wmax)
     W = odata.W
-    dim = len(odata.basis)
-    vec = np.zeros((dim, ring.npi, ring.m), dtype=np.int64)
+    vec = np.zeros((len(odata.basis), ring.npi, ring.m), dtype=np.int64)
     vec[0, 0, 0] = 1
     assert odata.basis[0] == (0,) * spec.A.n
     budget = power_iteration_budget(ring, W.D)
@@ -879,8 +879,7 @@ def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
     for cycle in range(1, budget + 1):
         vec = odata.dual_cycle(vec)
         c = RingElem(ring, vec[0])
-        cinv = c.inverse()
-        vec = ring_array_mul(ring, vec, np.array(cinv.rows))
+        vec = ring_array_mul(ring, vec, np.array(c.inverse().rows))
         normalizers.append(c)
         if len(normalizers) >= 2:
             diff = (normalizers[-1] - normalizers[-2]).valuation()
@@ -1039,7 +1038,7 @@ def fredholm_coefficients(Mx, cap=None):
         cap = fredholm_cap(Mx.W, Mx.basis, ring.p, ring.N)
     band = trace_band(Mx.W, Mx.basis, ring.p, ring.N)
     c, madds = first_return_product(ring, Mx.tensor, band, cap)
-    coeffs = [RingElem(ring, x) for x in c.tolist()]
+    coeffs = _ring_elems(ring, c)
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
     products, K0 = max(cap - 1, 0), int(band[0])
@@ -1096,68 +1095,40 @@ class LFunctionData:
     unit_root_matches: bool
 
 
-def _poly_mul(ring, a, b, cap=None):
-    out = [ring.zero()] * (len(a) + len(b) - 1 if cap is None
-                           else min(len(a) + len(b) - 1, cap + 1))
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= len(out):
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _poly_scale_T(ring, a, factor):
-    out = []
-    f = ring.one()
-    for c in a:
-        out.append(c * f)
-        f = f * factor
-    return out
-
-
-def _series_inverse(ring, a, cap):
-    assert a[0] == ring.one()
-    inv = [ring.zero()] * (cap + 1)
-    inv[0] = ring.one()
-    for k in range(1, cap + 1):
-        acc = ring.zero()
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc = acc + a[j] * inv[k - j]
-        inv[k] = -acc
-    return inv
-
-
 def lfunction_from_fredholm(P, n, s, u0):
     """Apply the root-scaling transform n times: the alternating product
     prod_k P(p^(k*s) T)^((-1)^k binom(n,k)).
 
-    u0 is P's unit root, as fredholm_unit_root returns it.  Returns the
-    numerator and denominator polynomials, the expanded series of the
-    processed L-power, and the (preserved) unit root with whether it equals
-    u0.
+    P(p^(ks) T) scales c_i by the integer p^(ksi) mod p^N.  The numerator
+    (k even) and the denominator (k odd) are each one _series_product of
+    their binom(n, k) copies, every factor padded with zeros to the side's
+    full degree d * count, d = deg P.  The series is num / den mod T^(d+1),
+    q_k = num_k - sum_(1 <= j <= min(k, deg den)) den_j q_(k-j).  u0 is P's
+    unit root, as fredholm_unit_root returns it.  Returns the numerator and
+    denominator polynomials, the series of the processed L-power, and the
+    (preserved) unit root with whether it equals u0.
     """
     ring = P.ring
-    num = [ring.one()]
-    den = [ring.one()]
-    for k in range(n + 1):
-        factor = ring.from_int(ring.p) ** (k * s)
-        scaled = _poly_scale_T(ring, P.coeffs, factor)
-        tgt = math.comb(n, k)
-        for _ in range(tgt):
-            if k % 2 == 0:
-                num = _poly_mul(ring, num, scaled)
-            else:
-                den = _poly_mul(ring, den, scaled)
-    cap = len(P.coeffs) - 1
-    series = _poly_mul(ring, num, _series_inverse(ring, den, cap), cap)
-    # unit root of the processed power equals that of P: the k>0 factors
-    # scale reciprocal roots by powers of p^s, so only the k=0 factor is
-    # slope-zero; verify by extracting from the numerator directly.
+    p, pN, d = ring.p, ring.pN, len(P.coeffs) - 1
+    c = np.array([x.rows for x in P.coeffs], dtype=ring_dtype(pN))
+    sides = []
+    for parity in (0, 1):
+        ks = [k for k in range(parity, n + 1, 2) for _ in range(math.comb(n, k))]
+        F = np.zeros((len(ks), d * len(ks) + 1) + c.shape[1:], dtype=c.dtype)
+        F[:, :d + 1] = c * np.array([[pow(p, k * s * i, pN) for i in range(d + 1)]
+                                     for k in ks], dtype=c.dtype)[..., None, None] % pN
+        sides.append(_series_product(ring, F))
+    num, den = sides
+    q = num[:d + 1].copy()
+    for k in range(1, d + 1):
+        j = min(k, len(den) - 1)
+        q[k] -= ring_array_mul(ring, den[1:j + 1], q[k - j:k][::-1]).sum(axis=0)
+        _reduce(q[k], pN)
+    num, den = _ring_elems(ring, num), _ring_elems(ring, den)
+    # the k > 0 factors scale reciprocal roots by powers of p^s, so the unit
+    # root is P's alone; it is read off the numerator as a check
     u = unit_root_of_poly(num, ring)
-    return LFunctionData(num, den, series, u, (u - u0).is_zero())
+    return LFunctionData(num, den, _ring_elems(ring, q), u, (u - u0).is_zero())
 
 
 def unit_root_of_poly(coeffs, ring):

@@ -287,6 +287,10 @@ def run(config):
     # laurent_spec cannot reduce by
     ring = make_ring(config.p, config.field_degree, config.field_poly,
                      config.precision)
+    bound = Fraction(ring.N * ring.p ** 2, (ring.p - 1) ** 2)  # as in default_wmax
+    if config.wmax is not None and config.wmax < bound and {"B", "C"} & set(config.routes):
+        raise ConfigInvalid(f"wmax = {config.wmax} is below N p^2/(p-1)^2 = {bound}, "
+                            "Dwork's bound that routes B and C need")
     spec = config.laurent_spec()
     W = weights.build_weight_data(spec.A)
     d = oracle.orbit_degree(spec)

@@ -1,6 +1,8 @@
 """Dwork operator machinery: splitting series, kernel, both routes, duals."""
 
+import itertools
 import json
+import math
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
@@ -29,7 +31,8 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
 from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
-from unitroots.padic import RingElem, make_ring, teichmueller
+from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
+                             teichmueller)
 from unitroots.runner import JobConfig, default_wmax
 from unitroots.selftest import (extreme_operands, law_mismatch, limb_boundaries,
                                 newton_coefficients, sweep_mismatch)
@@ -56,6 +59,16 @@ def test_splitting_coefficients(ring3):
     assert sc[3].val_at_least(F(2, 3))
     for i, b in enumerate(sc.b):
         assert b.val_at_least(F(i * 2, 9))
+    # each b_i against its terms summed one ring element at a time
+    for p, m, N in itertools.product((2, 3, 5), (1, 2), (4, 8)):
+        ring = make_ring(p, m, None, N)
+        s_cut = default_s_cut(ring)
+        sc = splitting_coefficients(ring, s_cut)
+        for i in range(s_cut + 1):
+            terms = [(-1) ** j * pi_pow_over_factorials(ring, i - (p - 1) * j,
+                                                         (j, i - p * j))
+                     for j in range(i // p + 1)]
+            assert sc[i] == sum(terms, ring.zero()), (p, m, N, i)
 
 
 def test_splitting_p2(ring2):
@@ -319,6 +332,55 @@ def test_lfunction_delta_of_linear(ring3):
     assert lf.numerator == [ring3.one(), -u]
     assert lf.denominator == [ring3.one(), -u * ring3.from_int(3)]
     assert lf.unit_root == u and lf.unit_root_matches
+
+
+LF_RINGS = {(p, m): make_ring(p, m, None, 3) for p in (2, 3, 5) for m in (1, 2)}
+
+
+def _poly_mul_reference(ring, a, b):
+    out = [ring.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+# digits of P's higher coefficients, cut to the ring's p-1 x m slots
+LF_DIGITS = st.lists(st.lists(st.integers(0, 5 ** 3), min_size=8, max_size=8), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(LF_RINGS)), st.integers(1, 3), st.integers(1, 2),
+       LF_DIGITS, st.booleans())
+@example((3, 1), 2, 1, [], False)  # P = [1]
+@example((5, 2), 3, 2, [[1] * 8, [7] * 8], True)  # top coefficient 0 mod p^N
+def test_lfunction_matches_ringelem_reference(pm, n, s, digits, zero_top):
+    # the ring-array L-function against products and a series division in
+    # RingElem arithmetic, term by term
+    ring = LF_RINGS[pm]
+    coeffs = ([ring.one()] + [ring.from_slots(c[:ring.npi * ring.m]) for c in digits]
+              + [ring.from_int(ring.pN)] * zero_top)
+    P = FredholmPoly(ring, coeffs, len(coeffs) - 1, 1)
+    d = len(coeffs) - 1
+    sides = [[ring.one()], [ring.one()]]
+    for k in range(n + 1):
+        scaled = [c * ring.from_int(ring.p ** (k * s * i)) for i, c in enumerate(coeffs)]
+        for _ in range(math.comb(n, k)):
+            sides[k % 2] = _poly_mul_reference(ring, sides[k % 2], scaled)
+    num, den = sides
+    inv = [ring.one()]
+    for k in range(1, d + 1):
+        inv.append(-sum((den[j] * inv[k - j] for j in range(1, k + 1)), ring.zero()))
+    series = _poly_mul_reference(ring, num, inv)[:d + 1]
+    # the unit root is checked elsewhere: a random P need not have one
+    with mock.patch.object(dwork, "unit_root_of_poly", return_value=ring.one()) as root:
+        lf = lfunction_from_fredholm(P, n, s, ring.one())
+    root.assert_called_once_with(lf.numerator, ring)
+    count = 2 ** (n - 1)  # copies on each side
+    assert len(lf.numerator) == len(lf.denominator) == d * count + 1
+    assert lf.numerator == num and lf.denominator == den
+    assert lf.series == series
+    assert _poly_mul_reference(ring, lf.series, lf.denominator)[:d + 1] == num[:d + 1]
 
 
 def test_lfunction_single_is_one_minus_t(ring2):

@@ -84,6 +84,13 @@ def test_config_validation_errors():
     # p = 0 is not prime: the ring says so before the spec reduces mod p
     with pytest.raises(CompositeP):
         run({**KLOOSTER3, "p": 0})
+    # below Dwork's bound N p^2/(p-1)^2, 9 here, routes B and C share a
+    # truncated operator and agreed on wrong digits ([[34], [0]] at wmax 0,
+    # [[43], [0]] at 1 and 2); 3 happens to be right but is not covered
+    for wmax, routes in ((0, ["B", "C"]), (1, ["B", "C"]), (2, ["B", "C"]),
+                         (3, ["B", "C"]), (3, ["B"]), (3, ["C"]), ([17, 2], ["C"])):
+        with pytest.raises(ConfigInvalid, match="Dwork's bound"):
+            run({**KLOOSTER3, "wmax": wmax, "routes": routes})
 
 
 JSON_VALUES = st.recursive(
@@ -402,8 +409,22 @@ def test_cli_lfunction(tmp_path, capsys):
     assert "unit root preserved: True" in capsys.readouterr().out
 
 
+def test_wmax_at_dwork_bound(klooster_report):
+    # the bound itself is accepted and gives the default's digits; route A
+    # alone takes any wmax
+    rep = run({**KLOOSTER3, "wmax": 9, "routes": ["B", "C"]})
+    assert rep.exit_code == 0
+    for route in ("B", "C"):
+        assert (rep.data["routes"][route]["unit_root"]
+                == klooster_report.data["routes"][route]["unit_root"] == [[16], [0]])
+    assert run({**KLOOSTER3, "wmax": 0, "routes": ["A"]}).exit_code == 0
+
+
 def test_cli_bad_config(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KLOOSTER3))
+    assert main(["unit-root", "--config", str(cfg), "--wmax", "1"]) == 2
+    assert "Dwork's bound" in capsys.readouterr().err
     for text in (json.dumps({"p": 3}), json.dumps({**KLOOSTER3, "epsilon": 0}),
                  '{"p": 3, "A": [[1], [-1]]', "[1, 2]",
                  json.dumps({**KLOOSTER3, "precision": "x"}),
