@@ -203,26 +203,23 @@ def _power_list(x, emax):
 
 @dataclass
 class XSeries:
-    """Finitely supported coefficient vector on {mu in M : w(mu) <= wmax}.
-
-    side "B" stores the coefficient of X^mu, side "B*" that of X^(-mu); in
-    the weighted metric both carry an implicit normalization p^(±w(mu)(p-1)/p^2)
-    accounted for in norm_order.
+    """Finitely supported dual vector on {mu in M : w(mu) <= wmax}: support
+    maps mu to the coefficient of X^(-mu), which in the weighted metric
+    carries the normalization p^(w(mu)(p-1)/p^2) accounted for in
+    norm_order.
     """
     support: dict
     wmax: Fraction
-    side: str
 
     def norm_order(self, W, ring):
         """Order of the weighted sup-norm; None for the zero vector."""
-        sign = 1 if self.side == "B*" else -1
         wfac = Fraction(ring.p - 1, ring.p ** 2)
         best = None
         for mu, c in self.support.items():
             v = c.valuation()
             if v is None:
                 continue
-            v = v + sign * wfac * weight(W, mu)
+            v = v + wfac * weight(W, mu)
             if best is None or v < best:
                 best = v
         return best
@@ -244,9 +241,7 @@ class OperatorData:
         self.wmax = Fraction(wmax)
         self.basis = (enumerate_weighted_monomials(W, self.wmax) if basis is None
                       else basis)
-        self.index = {mu: i for i, mu in enumerate(self.basis)}
-        self.d = orbit_degree(spec)
-        self.orbit_len = spec.epsilon * self.d
+        self.orbit_len = spec.epsilon * orbit_degree(spec)
         lam = tuple(teichmueller(ring, cf) for cf in spec.coeffs)
         self.lam_orbit = [lam]
         for _ in range(self.orbit_len - 1):
@@ -264,10 +259,6 @@ class OperatorData:
             self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W,
                                              self.ring, self.sc, self.s_cut)
         return self._btables[oi]
-
-    def B(self, oi, mu):
-        """Kernel coefficient at orbit point oi (zero off the table)."""
-        return self.kernel_table(oi).get(tuple(mu), self.ring.zero())
 
     def one_step_matrix(self, oi):
         """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu)."""
@@ -814,7 +805,7 @@ def _vec_to_xseries(odata, vec):
     """Route B's eigenvector: an element per nonzero row of vec, reduced."""
     rows = np.flatnonzero(vec.any(axis=(-2, -1)))
     return XSeries(dict(zip((odata.basis[i] for i in rows),
-                            _ring_elems(odata.ring, vec[rows]))), odata.wmax, "B*")
+                            _ring_elems(odata.ring, vec[rows]))), odata.wmax)
 
 
 def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
@@ -839,7 +830,7 @@ def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
                 acc = acc + b * c
         if not acc.is_zero():
             out[om] = acc
-    eta = XSeries(out, xi.wmax, "B*")
+    eta = XSeries(out, xi.wmax)
     nin, nout = xi.norm_order(W, ring), eta.norm_order(W, ring)
     assert nout is None or (nin is not None and nout >= nin), "dual step grew the norm"
     return eta
@@ -859,22 +850,19 @@ def power_iteration_budget(ring, D):
     return math.ceil(ring.N * D * ring.p ** 2 / (ring.p - 1) ** 2) + 3
 
 
-def power_iteration_unit_root(spec, wmax, ring, W=None, odata=None):
-    """Unit eigenvalue and fixed vector of the dual operator.
+def power_iteration_unit_root(odata):
+    """Unit eigenvalue and fixed vector of the dual of odata's operator.
 
     Starting from the delta vector at X^0, apply the full orbit cycle, divide
     by the X^0 coefficient (a unit), and repeat until the normalizers agree
-    at working precision.  The normalizer sequence is returned for the
-    contraction diagnostics.
+    at odata's precision, within power_iteration_budget cycles.  The
+    normalizer sequence is returned for the contraction diagnostics.
     """
-    if odata is None:
-        W = W or build_weight_data(spec.A)
-        odata = OperatorData(spec, W, ring, wmax)
-    W = odata.W
+    ring = odata.ring
     vec = np.zeros((len(odata.basis), ring.npi, ring.m), dtype=np.int64)
     vec[0, 0, 0] = 1
-    assert odata.basis[0] == (0,) * spec.A.n
-    budget = power_iteration_budget(ring, W.D)
+    assert not any(odata.basis[0])
+    budget = power_iteration_budget(ring, odata.W.D)
     normalizers = []
     for cycle in range(1, budget + 1):
         vec = odata.dual_cycle(vec)
@@ -916,32 +904,25 @@ class NewtonPolygon:
         return 0
 
 
-def charpoly_degree_cap(basis_weights, p, N, dim):
-    """Least k with (p-1)^2/p^2 * (sum of k smallest weights) >= N."""
-    acc = 0
-    for k, w in enumerate(sorted(basis_weights), start=1):
-        acc += w
-        if (p - 1) ** 2 * acc >= N * p * p:
-            return min(k, dim)
-    return dim
-
-
 def fredholm_cap(W, basis, p, N):
-    """Trace powers route C forms, and so the last Fredholm coefficient it
-    computes: charpoly_degree_cap - 1, or all dim when the bound is never
-    reached.
+    """The last Fredholm coefficient c_k route C computes: the first k with
+    (p-1)^2 * (w_0 + ... + w_k) >= N * p^2, w_0 <= w_1 <= ... the basis
+    weights in order, or dim = len(basis) when no k reaches it.
 
     A one-step entry (omega, nu) = B(p*omega - nu) has
     ord >= (p-1)/p^2 * w(p*omega - nu) >= (p-1)/p^2 * (p*w(omega) - w(nu)),
-    w being subadditive, and so has the orbit composite.  So every k x k
-    principal minor has ord >= (p-1)^2/p^2 * (sum of w over its rows), and
-    c_k vanishes mod p^N for every k >= charpoly_degree_cap.  The weights
-    come scaled by D, as integers, so the bound is N * D; a fallback of
-    dim + 1 tells a bound reached at k = dim from one never reached.
+    w being subadditive, and so has the orbit composite.  So every j x j
+    principal minor has ord >= (p-1)^2/p^2 * (sum of w over its rows), at
+    least the sum of the j smallest weights; c_j vanishes mod p^N for every
+    j > k, and c_j for j > dim is 0.  The weights come scaled by D, as
+    integers, so the bound is N * D * p^2.
     """
-    dim = len(basis)
-    cap = charpoly_degree_cap(scaled_weights(W, basis), p, N * W.D, dim + 1)
-    return min(cap - 1, dim)
+    acc = 0
+    for k, w in enumerate(sorted(scaled_weights(W, basis))):
+        acc += w
+        if (p - 1) ** 2 * acc >= N * W.D * p * p:
+            return k
+    return len(basis)
 
 
 def trace_band(W, basis, p, N):
@@ -1027,15 +1008,14 @@ def _series_product(spec, F):
     return F[0]
 
 
-def fredholm_coefficients(Mx, cap=None):
+def fredholm_coefficients(Mx):
     """det(I - T M) mod p^N, p^N Mx's own precision, by first_return_product
-    over trace_band: no division, so no digits beyond N.  The cap defaults
-    to fredholm_cap, past which every c_k vanishes mod p^N.  Trailing
+    over trace_band: no division, so no digits beyond N.  It stops at
+    fredholm_cap, past which every c_k vanishes mod p^N.  Trailing
     coefficients that vanish mod p^N are not stored.
     """
     ring = Mx.ring
-    if cap is None:
-        cap = fredholm_cap(Mx.W, Mx.basis, ring.p, ring.N)
+    cap = fredholm_cap(Mx.W, Mx.basis, ring.p, ring.N)
     band = trace_band(Mx.W, Mx.basis, ring.p, ring.N)
     c, madds = first_return_product(ring, Mx.tensor, band, cap)
     coeffs = _ring_elems(ring, c)
@@ -1075,14 +1055,13 @@ def newton_polygon(P):
     return NewtonPolygon(segments)
 
 
-def fredholm_unit_root(Mx, cap=None):
-    """(Fredholm polynomial mod p^N, unit root) from the matrix Mx at the
-    report precision p^N.
+def fredholm_unit_root(Mx):
+    """(fredholm_coefficients(Mx), unit root) at Mx's precision p^N.
 
     The Newton polygon must show exactly one slope-zero segment of length
     one; the corresponding simple zero 1/u is lifted by Newton iteration.
     """
-    P = fredholm_coefficients(Mx, cap)
+    P = fredholm_coefficients(Mx)
     return P, unit_root_of_poly(P.coeffs, Mx.ring)
 
 
@@ -1157,18 +1136,19 @@ def adjoint_check(spec, wmax, ring, W=None):
     W = W or build_weight_data(spec.A)
     odata = OperatorData(spec, W, ring, wmax)
     M = odata.full_matrix()
+    index = {mu: i for i, mu in enumerate(odata.basis)}
     interior = [mu for mu in odata.basis
                 if weight(W, mu) <= Fraction(wmax) / ring.p]
     worst = None
     for mu in interior:
-        xi = XSeries({mu: ring.one()}, Fraction(wmax), "B*")
+        xi = XSeries({mu: ring.one()}, Fraction(wmax))
         for oi in range(odata.orbit_len - 1, -1, -1):
             table = odata.kernel_table(oi)
             xi = one_step_dual(odata.lam_orbit[oi], xi, W, ring, odata.sc,
                                odata.s_cut, lookup=table.get)
         for nu in interior:
             lhs = xi.support.get(nu, ring.zero())
-            rhs = M.entry(odata.index[mu], odata.index[nu])
+            rhs = M.entry(index[mu], index[nu])
             v = (lhs - rhs).valuation()
             if v is not None and (worst is None or v < worst):
                 worst = v

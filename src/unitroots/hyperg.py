@@ -124,9 +124,6 @@ class MultiSeries:
         return MultiSeries(self.nvars, self.degmax * k,
                            {tuple(k * e for e in u): c for u, c in self.terms.items()})
 
-    def truncated(self, degmax):
-        return MultiSeries(self.nvars, degmax, self.terms)
-
     def inverse(self):
         """Inverse of a ring series with constant term 1, by degree-shell
         recurrence, skipping pairs of order >= N(p-1) like mul.
@@ -440,7 +437,7 @@ def route_a_last_step(p, degmax, max_rounds):
     return s + max_rounds
 
 
-def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12, D=None):
+def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
     """The unit root by Dwork's truncated ratios, with its stopping record.
 
     With lambda_i = lambda^(p^i) and lambda_L = lambda for the orbit length
@@ -468,11 +465,10 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12, 
     route_a_last_step(p, degmax, max_rounds), max_rounds past the first
     whose truncation degree reaches 4 * degmax.  PrecisionUnstable is raised
     at once if that is below D*N, or when no step up to it agrees.  D is
-    computed from spec.A unless given.
+    computed from spec.A.
     """
     p, N = ring.p, ring.N
-    if D is None:
-        D = build_weight_data(spec.A).D
+    D = build_weight_data(spec.A).D
     first = D * N
     last = route_a_last_step(p, degmax, max_rounds)
     if last < first:

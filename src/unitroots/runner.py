@@ -317,13 +317,12 @@ def run(config):
     degmax = config.degmax if config.degmax is not None \
         else dwork.default_s_cut(ring)
     basis = weights.enumerate_weighted_monomials(W, wmax)
-    cap = dwork.fredholm_cap(W, basis, ring.p, ring.N)
     report["truncation"] = {
         "wmax": _frac(wmax),
         "degmax_initial": degmax,
         "basis_size": len(basis),
         "s_cut": dwork.default_s_cut(ring),
-        "charpoly_degree_cap": cap,
+        "charpoly_degree_cap": dwork.fredholm_cap(W, basis, ring.p, ring.N),
         # route C divides by nothing, so it needs no digits beyond N
         "charpoly_precision_boost": 0,
         "power_iteration_budget": dwork.power_iteration_budget(ring, W.D),
@@ -359,8 +358,7 @@ def run(config):
     if "A" in config.routes:
         t0 = time.perf_counter()
         try:
-            res = hyperg.unit_root_route_A_detailed(
-                spec, degmax, ring, orbit_len, D=W.D)
+            res = hyperg.unit_root_route_A_detailed(spec, degmax, ring, orbit_len)
             unit_roots["A"] = res.u
             report["routes"]["A"] = {
                 "unit_root": res.u.digits(),
@@ -378,7 +376,7 @@ def run(config):
     if "B" in tensor_routes:
         t0 = time.perf_counter()
         try:
-            res = dwork.power_iteration_unit_root(spec, wmax, ring, W=W, odata=odata)
+            res = dwork.power_iteration_unit_root(odata)
             unit_roots["B"] = res.u
             lin = set(map(tuple, _lineality_points(W, res.eigenvector)))
             off = [c for mu, c in res.eigenvector.support.items()
@@ -405,7 +403,7 @@ def run(config):
     if "C" in tensor_routes:
         t0 = time.perf_counter()
         try:
-            P, u = dwork.fredholm_unit_root(Mx, cap)
+            P, u = dwork.fredholm_unit_root(Mx)
             unit_roots["C"] = u
             poly = dwork.newton_polygon(P)
             lf = dwork.lfunction_from_fredholm(P, spec.A.n, orbit_len, u)
@@ -512,12 +510,7 @@ def _reduced_operator(odata, ring):
 
 
 def _lineality_points(W, xseries):
-    """Support points lying in the lineality lattice."""
-    if not W.lineality_basis:
-        return [mu for mu in xseries.support if not any(mu)]
-    # mu is in the lineality lattice iff every cone facet vanishes on it
-    out = []
-    for mu in xseries.support:
-        if all(sum(g * x for g, x in zip(row, mu)) == 0 for row in W.cone_facets):
-            out.append(mu)
-    return out
+    """Support points lying in the lineality lattice: those on which every
+    cone facet vanishes (only mu = 0 when the facets span)."""
+    return [mu for mu in xseries.support
+            if all(sum(g * x for g, x in zip(row, mu)) == 0 for row in W.cone_facets)]

@@ -201,7 +201,7 @@ def _suite_dual_operator(rng):
                     ring, [[rng.randrange(ring.pN)] for _ in range(ring.npi)])
         if not support:
             continue
-        xi = dwork.XSeries(support, Fraction(6), "B*")
+        xi = dwork.XSeries(support, Fraction(6))
         eta = dwork.one_step_dual(od.lam_orbit[0], xi, W, ring, od.sc,
                                   od.s_cut, lookup=od.kernel_table(0).get)
         nin, nout = xi.norm_order(W, ring), eta.norm_order(W, ring)
@@ -468,7 +468,7 @@ def _suite_fredholm_cap(rng):
         want = newton_coefficients(traces, ring)
         # the matrix at N is the wide one reduced
         got = dwork.fredholm_coefficients(
-            dwork.RingMatrix(ring, W, basis, Mx.tensor % ring.pN), cap).coeffs
+            dwork.RingMatrix(ring, W, basis, Mx.tensor % ring.pN)).coeffs
         where = f"{case['id']} at N = {N}"
         # the last k before Dwork's estimate over the k + 1 smallest weights
         # reaches N; c_k vanish past it

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from unitroots.battery import BATTERY, job_dict
 from unitroots.dwork import default_s_cut
 from unitroots.errors import NotARelation, PrecisionUnstable
-from unitroots.hyperg import (LaurentSpec, MultiSeries, calF_series,
+from unitroots.hyperg import (LaurentSpec, calF_series,
                               check_annihilators, digit_solutions,
                               generating_identity_check,
                               hyperg_coefficient_series, route_a_last_step,
@@ -166,12 +166,6 @@ def test_ratio_times_denominator_is_numerator(p):
         den = hyperg_coefficient_series(A, zero, cap // p, ring).subst_power(p)
         assert len(den.terms) > 1
         assert calF_series(A, cap, ring).mul(den, cap).terms == num.terms, (p, A)
-
-
-def test_multiseries_truncated():
-    s = MultiSeries(1, 6, {(0,): F(1), (3,): F(2), (5,): F(1)})
-    t = s.truncated(3)
-    assert set(t.terms) == {(0,), (3,)}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,11 @@
 """Orchestration: config validation, reports, determinism, cache, CLI."""
 
+import itertools
 import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from unitroots.errors import (CacheUnwritable, CompositeP, ConfigInvalid,
 from unitroots.hyperg import hyperg_coefficient_series
 from unitroots.padic import make_ring
 from unitroots.runner import JobConfig, run
-from unitroots.weights import ExponentSet
+from unitroots.weights import ExponentSet, build_weight_data
 
 CASES = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
 
@@ -481,3 +483,23 @@ def test_zero_coefficients_give_unit_root_one():
     for row in rep.data["oracle"]["rows"]:
         assert row["counts"][0] == 3 ** row["field_degree"] - 1
         assert all(c == 0 for c in row["counts"][1:])
+
+
+@pytest.mark.parametrize("vectors, rank", [
+    (((0, 1), (1, 0), (2, -1)), 0),  # pointed: the facets span
+    (((1,), (-1,)), 1),              # Kloosterman: no facets
+    (((1, 0), (-1, 0), (0, 1)), 1),  # half-plane with a lineality line
+], ids=["pointed", "kloosterman", "half-plane"])
+def test_lineality_points_are_the_lineality_span(vectors, rank):
+    # the facet rule alone picks the support points in the span of
+    # W.lineality_basis, mu = 0 alone when that basis is empty
+    n = len(vectors[0])
+    W = build_weight_data(ExponentSet(n, vectors))
+    assert len(W.lineality_basis) == rank
+    box = list(itertools.product(range(-3, 4), repeat=n))
+    xs = dwork.XSeries({mu: None for mu in box}, Fraction(0))
+    basis = np.array(W.lineality_basis, dtype=np.int64).reshape(rank, n)
+    want = [mu for mu in box
+            if np.linalg.matrix_rank(np.vstack([basis, mu])) == rank]
+    assert runner._lineality_points(W, xs) == want
+    assert (0,) * n in want and len(want) == 7 ** rank
