@@ -25,12 +25,13 @@ product comes out reduced.  In this order a contraction over lo <= b < hi
 is a slice of both sides.  Every product contracts each row over every b
 but route C's first-return products, which contract row r only over its
 window r < b < K(r) (first_return_product), a few adjacent rows in one
-GEMM (_row_groups).  Right entries are centred, |y| <= h = floor(p^N/2);
-left entries are cut into centred base-p digits (left_limbs), a limb of w
-digits at most floor(p^w/2), the carry out of the top limb, a multiple of
-p^N, dropped.  Limbs are e digits wide, the lowest one narrower, for the
-widest e with K * floor(p^e/2) * h < 2^53 (limb_digits), so every partial
-sum over a contraction K is an integer below 2^53; one limb is the rule
+GEMM (_row_groups), planned once per call (WindowPlan).  Right entries
+are centred, |y| <= h = floor(p^N/2); left entries are cut into centred
+base-p digits (left_limbs), a limb of w digits at most floor(p^w/2), the
+carry out of the top limb, a multiple of p^N, dropped.  Limbs are e
+digits wide, the lowest one narrower, for the widest e with
+K * floor(p^e/2) * h < 2^53 (limb_digits), so every partial sum over a
+contraction K is an integer below 2^53; one limb is the rule
 K * h^2 < 2^53.  The contraction is cut along b into blocks of as many
 columns as keep the limb count a single slot (K = dim) needs, one GEMM
 each.  Each limb's GEMM takes only the rows where that limb is nonzero:
@@ -52,15 +53,18 @@ multiply-add per pair of RingSpec.law.  Its entries are int64 while
 (p^N - 1)^2 + p^N < 2^63, so a slot product added to a reduced residue
 fits, and Python ints (object arrays) past that, on the same code path;
 there is no option.  With it the kernel table B_mu(lambda) is swept one
-exponent vector at a time over a batch of partial products (kernel_sweep),
-route B scales its vector by the normalizer's inverse, and route C
-multiplies its polynomials in T, the first-return factors and the
-L-function's alike, in a product tree (_series_product).  bigF_coefficient
+exponent vector at a time over a batch of partial products (kernel_sweep)
+and kept as two arrays, its points and its coefficients (KernelTable), from
+which one_step_matrix gathers by flat index; route B scales its vector by
+the normalizer's inverse, and route C multiplies its polynomials in T, the
+first-return factors and the L-function's alike, in a product tree
+(_series_product).  bigF_coefficient
 and one_step_dual stay the scalar reference paths, and
 pair_products_reference folds by its own encoding of the law, _fold.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -137,7 +141,8 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None):
 
 
 def kernel_sweep(lam, W, ring, sc, s_cut):
-    """{mu: B_mu(lam)} for every mu with a nonzero coefficient mod p^N.
+    """KernelTable of B_mu(lam) for every mu with a nonzero coefficient mod
+    p^N: points (k, n), the mu in sorted order, and coeffs (k, p-1, m).
 
     Every multi-index nu with |nu| <= s_cut contributes
     prod_a b_(nu_a) lam_a^(nu_a) to the bucket mu = sum nu_a a; indices
@@ -146,7 +151,10 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     batch of states (partial product, remaining budget, mu): each state
     expands by e = 0..budget into its partial times b_e lam_a^e, one
     ring_array_mul per level, and zero partials drop out.  One scatter-add
-    sums the last level's partials into their buckets.
+    sums the last level's partials into their buckets, which are reduced
+    mod p^N and kept where nonzero; the arrays are the table, with no
+    RingElem per entry.  Entries are of ring_dtype(p^N), Python ints past
+    the int64 rule, on the same code path.
     """
     dtype = ring_dtype(ring.pN)
     b = np.array([x.rows for x in sc.b[:s_cut + 1]], dtype=dtype)
@@ -165,28 +173,52 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
         partial = partial[keep]
         budget = (budget[src] - e)[keep]
         mu = (mu[src] + e[:, None] * np.array(vec, dtype=np.int64))[keep]
-    lo, box = _bounding_box(mu)
+    lo = mu.min(axis=0)
+    box = tuple(mu.max(axis=0) - lo + 1)
+    # C-order flat indices of the box sort as the vectors do
     flat, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box),
                              return_inverse=True)
-    keys = np.stack(np.unravel_index(flat, box), axis=-1) + lo
-    sums = np.zeros((len(keys), ring.npi, ring.m), dtype=dtype)
+    sums = np.zeros((len(flat), ring.npi, ring.m), dtype=dtype)
     np.add.at(sums, bucket, partial)
-    return _ring_table(ring, keys.tolist(), sums)
+    _reduce(sums, ring.pN)
+    keep = sums.any(axis=(-2, -1))
+    points = np.stack(np.unravel_index(flat[keep], box), axis=-1) + lo
+    return KernelTable(ring, points, sums[keep])
 
 
-def _bounding_box(keys):
-    """(lo, shape) of the box spanned by integer vectors keys (n, d): a
-    vector k has the C-order flat index ravel_multi_index(k - lo, shape),
-    which sorts as the vectors do."""
-    lo = keys.min(axis=0)
-    return lo, tuple(keys.max(axis=0) - lo + 1)
+class KernelTable(Mapping):
+    """Read-only mapping {mu: B_mu(lam)} over two arrays: points (k, n), the
+    exponent vectors mu, and coeffs (k, p-1, m), their coefficients reduced
+    mod p^N, of ring_dtype(p^N).  one_step_matrix gathers from the arrays;
+    a RingElem is made only when an entry is read through the mapping, and
+    the index from mu to row only on the first such read.
+    """
 
+    def __init__(self, ring, points, coeffs):
+        self.ring = ring
+        self.points = points
+        self.coeffs = coeffs
+        self._rows = None
 
-def _ring_table(ring, keys, vals):
-    """{key: RingElem} of the rows of vals (n, p-1, m) nonzero mod p^N."""
-    vals = vals % ring.pN
-    keep = np.flatnonzero(vals.any(axis=(-2, -1)))
-    return dict(zip((tuple(keys[i]) for i in keep), _ring_elems(ring, vals[keep])))
+    @classmethod
+    def of_elements(cls, ring, points, elems):
+        """The table {points[i]: elems[i]}, points integer vectors of one
+        length, elems RingElems of ring."""
+        coeffs = np.array([e.rows for e in elems], dtype=ring_dtype(ring.pN))
+        return cls(ring, np.array(points, dtype=np.int64).reshape(len(points), -1),
+                   coeffs.reshape(len(elems), ring.npi, ring.m))
+
+    def __getitem__(self, mu):
+        if self._rows is None:
+            self._rows = {key: i for i, key in enumerate(self)}
+        i = self._rows[tuple(mu)]
+        return _ring_elems(self.ring, self.coeffs[i:i + 1])[0]
+
+    def __iter__(self):
+        return map(tuple, self.points.tolist())
+
+    def __len__(self):
+        return len(self.points)
 
 
 def _ring_elems(ring, X):
@@ -254,31 +286,45 @@ class OperatorData:
         self._dual = {}
 
     def kernel_table(self, oi):
-        """All kernel coefficients at orbit point oi, swept once and kept."""
+        """The KernelTable of orbit point oi, swept once and kept: a
+        read-only mapping {mu: B_mu(lambda)} over kernel_sweep's arrays."""
         if oi not in self._btables:
             self._btables[oi] = kernel_sweep(self.lam_orbit[oi], self.W,
                                              self.ring, self.sc, self.s_cut)
         return self._btables[oi]
 
     def one_step_matrix(self, oi):
-        """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu)."""
+        """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu).
+
+        The gather reads the kernel table's arrays through one flat index
+        per (omega, nu).  Every p*omega - nu lies in the box lo <= mu < lo +
+        box, lo = p*min - max and box = (p+1)(max - min) + 1 per coordinate,
+        min and max the basis's extremes there; an index over that box holds
+        each table point's row and the zero row elsewhere.  Its flat index
+        is a row term of omega minus a column term of nu, so no (omega, nu)
+        needs a range test.  The index has prod((p+1)(max - min) + 1) int32
+        entries, whatever the table's size: for n = 3 that is about the cube
+        of (p+1)(max - min), 4 MB when (p+1)(max - min) is 100 in every
+        coordinate.
+        """
         if oi not in self._onestep:
             ring = self.ring
             table = self.kernel_table(oi)
-            miss = len(table)  # row index of the zero entry
-            keys = np.array(list(table), dtype=np.int64)
-            vals = np.zeros((miss + 1, ring.npi, ring.m), dtype=ring_dtype(ring.pN))
-            vals[:miss] = [e.rows for e in table.values()]
-            # dense index of the table over its bounding box
-            lo, box = _bounding_box(keys)
-            dense = np.full(box, miss)
-            dense[tuple((keys - lo).T)] = np.arange(miss)
             basis = np.array(self.basis, dtype=np.int64)
-            diff = ring.p * basis[:, None] - basis[None, :] - lo
-            inside = ((diff >= 0) & (diff < box)).all(axis=-1)
-            idx = np.full(inside.shape, miss)
-            idx[inside] = dense[tuple(diff[inside].T)]
-            self._onestep[oi] = vals[idx]
+            top = ring.p * basis
+            lo = top.min(axis=0) - basis.max(axis=0)
+            box = top.max(axis=0) - basis.min(axis=0) - lo + 1
+            stride = np.cumprod(np.append(1, box[:0:-1]))[::-1]  # C order
+            keys = table.points - lo
+            inside = ((keys >= 0) & (keys < box)).all(axis=1)
+            miss = len(table)  # row of the zero entry
+            dense = np.full(int(box.prod()), miss, dtype=np.int32)
+            dense[keys[inside] @ stride] = np.flatnonzero(inside)
+            vals = np.concatenate([table.coeffs, np.zeros(
+                (1,) + table.coeffs.shape[1:], dtype=table.coeffs.dtype)])
+            idx = dense[((top - lo) @ stride)[:, None] - (basis @ stride)[None, :]]
+            # np.take copies whole rows, several times faster than vals[idx]
+            self._onestep[oi] = np.take(vals, idx, axis=0)
         return self._onestep[oi]
 
     def full_matrix(self):
@@ -451,9 +497,11 @@ def _regular_terms(spec, slots, present):
 
 
 # Entries per temporary when regular_representation expands B: rows of B
-# are taken a few at a time, so the temporaries stay small beside the
-# representation itself.
-REP_TEMP = 2 ** 21
+# are taken a few at a time, so the temporaries, 512 KB each in int64, stay
+# small beside the representation itself (3-7 MB for route C's leading
+# block on the benchmark's N = 8 cases), which would otherwise set route
+# C's memory peak.
+REP_TEMP = 2 ** 16
 
 
 def regular_representation(spec, B, slots):
@@ -545,26 +593,25 @@ def _window(rows, b, band):
     return (b > rows[:, None]) & (b < band[rows][:, None])
 
 
-def _row_groups(A, S, band):
-    """(live, lo, hi, cols) per GEMM row group of A (n, dim * S), laid out
-    in (b, slot) order: the rows `live` contract over lo <= b < hi and fill
-    the output columns cols = (first, stop), every column when None.
+def _row_groups(M, band):
+    """(live, lo, hi, cols) per GEMM row group of route C's first-return
+    products Y_k M, planned from M (K, K, p-1, m): the rows `live`
+    contract over lo <= b < hi and fill the output columns cols = (first,
+    stop).
 
-    Without a band it is every row over every b.  With one, row a contracts
-    over its window a < b < band[a] into the columns from a to
-    max(band[a], a + 1); band never increases down the rows, so a row's
-    window lies in each earlier row's.  Rows that are 0 over their window
-    enter no group; the others form runs that contract over their first
-    row's window.  A row joins the run before it while the work spent
-    outside its rows' windows stays within PACK_ROWS rows of the run's, the
-    price of one GEMM more.
+    Row a contracts over its window a < b < band[a] into the columns from
+    a to max(band[a], a + 1); band never increases down the rows, so a
+    row's window lies in each earlier row's.  Rows of M that are 0 over
+    their window enter no group: such a row of Y_k M is 0, so it stays 0
+    over its window in every later Y_k, and the plan from M holds for the
+    whole call.  The others form runs that contract over their first row's
+    window.  A row joins the run before it while the work spent outside its
+    rows' windows stays within PACK_ROWS rows of the run's, the price of
+    one GEMM more.
     """
-    rows, dim = A.shape[0], A.shape[1] // S
-    index = np.arange(rows)
-    if band is None:
-        return [(index, 0, dim, None)]
+    index = np.arange(len(M))
     live = np.flatnonzero(np.logical_and(
-        A, _window(index, np.arange(dim * S) // S, band)).any(axis=1))
+        M.any(axis=(2, 3)), _window(index, index, band)).any(axis=1))
     top, hi = np.maximum(band, index + 1).tolist(), band.tolist()
     groups = []
     for a in live.tolist():
@@ -583,20 +630,42 @@ def _row_groups(A, S, band):
             for members, f, stop, _ in groups]
 
 
-def left_limbs(spec, A, band=None):
+class WindowPlan:
+    """Route C's row groups (_row_groups) for one first_return_product call,
+    with the window mask of each (group, block) made on first use and kept:
+    every first-return product of the call reuses both."""
+
+    def __init__(self, M, band):
+        self.band = band
+        self.groups = _row_groups(M, band)
+        self._masks = {}
+
+    def mask(self, g, start, stop, S):
+        """Window mask of group g's rows over the columns start:stop of a
+        left operand of S slots in (b, slot) order."""
+        key = (g, start, stop, S)
+        if key not in self._masks:
+            self._masks[key] = _window(self.groups[g][0],
+                                       np.arange(start, stop) // S, self.band)
+        return self._masks[key]
+
+
+def left_limbs(spec, A, plan=None):
     """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
 
     A's nonzero slots are laid side by side in (b, slot) order, a reshape
-    when every slot is nonzero.  With a band, row a contracts over route
-    C's window a < b < band[a] alone (first_return_product): its entries
-    outside it are zeroed in the group _row_groups puts it in; without
-    one, every row contracts over every b.  The contraction is cut
-    into blocks of at most slot_group(dim, ...) * dim columns, one GEMM
-    each, so no block needs more limbs than a single slot (K = dim).  Each
-    entry is cut by _digit_limbs into limbs of limb_digits(K, p, N) digits
-    for the length K of its block.  A row enters a limb's GEMM only where
-    that limb of it is nonzero, so a row that is 0 mod p^N there enters
-    none, and one divisible by p^j skips every limb below digit j.
+    when every slot is nonzero.  With route C's WindowPlan, row a
+    contracts over its window a < b < band[a] alone (first_return_product):
+    its entries outside it are zeroed, by the plan's kept mask, in the
+    group the plan puts it in, and a row that is 0 there enters no GEMM of
+    that block; without one, every row contracts over every b.  The
+    contraction is cut into blocks of at most slot_group(dim, ...) * dim
+    columns, one GEMM each, so no block needs more limbs than a single slot
+    (K = dim).  Each entry is cut by _digit_limbs into limbs of
+    limb_digits(K, p, N) digits for the length K of its block.  A row
+    enters a limb's GEMM only where that limb of it is nonzero, so a row
+    that is 0 mod p^N there enters none, and one divisible by p^j skips
+    every limb below digit j.
     """
     p, N, pN = spec.p, spec.N, spec.pN
     check_product_precision(pN)
@@ -610,15 +679,15 @@ def left_limbs(spec, A, band=None):
         A = A[:, :, slots]
     A = A.reshape(rows, -1)
     step = slot_group(dim, S, p, N) * dim
+    groups = [(np.arange(rows), 0, dim, None)] if plan is None else plan.groups
     gemms = []
-    for group, lo, hi, cols in _row_groups(A, S, band):
+    for g, (group, lo, hi, cols) in enumerate(groups):
         blocks = []
         for start in range(lo * S, hi * S, step):
             stop = min(start + step, hi * S)
             X = A[_run(group), start:stop].astype(np.float64)
-            if band is not None:
-                # each row contracts over its own window alone
-                X *= _window(group, np.arange(start, stop) // S, band)
+            if plan is not None:
+                X *= plan.mask(g, start, stop, S)
             nz = X.any(axis=1)
             live = group[nz]
             if not len(live):
@@ -699,10 +768,11 @@ def _pair_products(spec, A, B, right=None):
     caller keeps it.  Each limb's GEMM is exact, and its product is reduced
     mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
 
-    A windowed caller passes left_limbs(spec, A, band) as A: row a then
-    contracts only over a < b < band[a], and is formed on the columns from
-    a to max(band[a], a + 1), its diagonal among them, and on any others
-    its GEMM group fills (_row_groups); every other entry is 0.
+    A windowed caller passes left_limbs(spec, A, plan) as A, plan its
+    WindowPlan: row a then contracts only over a < b < band[a], and is
+    formed on the columns from a to max(band[a], a + 1), its diagonal among
+    them, and on any others its GEMM group fills (_row_groups); every other
+    entry is 0.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     cols = B.shape[1]
@@ -965,22 +1035,25 @@ def first_return_product(spec, M, band, cap):
     band is K (trace_band; the dimension everywhere keeps every cycle): f_r
     is 1 for r >= K(0), and f_r's other vertices lie in the window
     r < c < K(r).  In rows, Y_0 = M, Z = Y_k M, s_(r,k) = Z[r, r] and
-    Y_(k+1) = Z, each row read on its window alone (left_limbs with the
-    band): cap - 1 products within the leading K(0) x K(0) block.
+    Y_(k+1) = Z, each row read on its window alone: cap - 1 products within
+    the leading K(0) x K(0) block.  One WindowPlan, made from M, serves
+    them all (left_limbs): its row groups, and each (group, block)'s
+    window mask, are planned once per call, since a row of M that is 0
+    over its window stays 0 there in every Y_k.
     """
     pN, K0 = spec.pN, int(band[0])
     M = M[:K0, :K0]
     rows = np.arange(K0)
-    hi = np.asarray(band[:K0], dtype=np.int64)
     f = np.zeros((K0, cap + 1, spec.npi, spec.m), dtype=np.int64)
     f[:, 0, 0, 0] = 1
     if cap:
         f[:, 1] = -M[rows, rows] % pN
     right = RingMatrix(spec, None, None, M).right_operand
+    plan = WindowPlan(M, np.asarray(band[:K0], dtype=np.int64))
     Y, madds = M, 0
     for k in range(cap - 1):
         # left_limbs reads row r of Y on its window alone: Y_k is Y there
-        left = left_limbs(spec, Y, hi)
+        left = left_limbs(spec, Y, plan)
         del Y  # freed before the product is made
         if len(left.slots):
             madds += left.madds(right(left.slots))

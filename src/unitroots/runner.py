@@ -228,10 +228,13 @@ class KernelCache:
             payload = data["table"]
             if data["sha256"] != _digest(payload):
                 return False
-            table = {tuple(int(c) for c in mu.split(",")): RingElem(odata.ring, rows)
-                     for mu, rows in payload.items()}
+            table = dwork.KernelTable.of_elements(
+                odata.ring, [[int(c) for c in mu.split(",")] for mu in payload],
+                [RingElem(odata.ring, rows) for rows in payload.values()])
         except (OSError, ValueError, TypeError, KeyError, AttributeError):
             return False  # unreadable, unparseable or wrongly shaped
+        if table.points.shape[1] != odata.W.A.n:
+            return False
         odata._btables[oi] = table
         return True
 

@@ -537,7 +537,8 @@ def _check_window(ring, A, B, band, pack):
     cut = A * inside[:, :, None, None]
     want = pair_products_reference(ring, cut, B)
     with mock.patch.object(dwork, "PACK_ROWS", pack):
-        got = _pair_products(ring, dwork.left_limbs(ring, A, band), B)
+        left = dwork.left_limbs(ring, A, dwork.WindowPlan(A, band))
+        got = _pair_products(ring, left, B)
     kept = (rows >= rows[:, None]) & (rows < np.maximum(band, rows + 1)[:, None])
     assert np.array_equal(got[kept], want[kept])
     assert ((got == want) | (got == 0)).all()
@@ -564,6 +565,74 @@ def test_windowed_products_are_cut_products(p, m, dim, data):
     ring, A, B, pack = _windowed_case(p, m, dim, data)
     cut, got, kept = _check_window(ring, A, B, np.full(dim, dim), pack)
     assert np.array_equal(got[kept], _pair_products(ring, cut, B)[kept])
+
+
+def _first_return_reference(ring, M, band, cap, lo=1, hi=0):
+    # det(I - T M) mod T^(cap+1) from its definition, in Python integers:
+    # the product over r < band[0] of f_r = 1 - M_rr T -
+    # sum_k s_(r,k) T^(k+2), s_(r,k) = M[r,W] (M[W,W])^k M[W,r] over the
+    # window W = {c : r + lo <= c < band[r] + hi}, so (lo, hi) = (1, 0) is
+    # route C's window r < c < band[r]
+    Mo = M.astype(object)
+    poly = [ring.one()] + [ring.zero()] * cap
+    for r in range(band[0]):
+        f = [ring.one()] + [ring.zero()] * cap
+        if cap:
+            f[1] = -RingElem(ring, M[r, r].tolist())
+        W = list(range(r + lo, min(band[r] + hi, len(M))))
+        v = Mo[[r]][:, W]
+        for k in range(cap - 1):
+            if not W:
+                break
+            s = pair_products_reference(ring, v, Mo[W][:, [r]])[0, 0]
+            f[k + 2] = -RingElem(ring, s.tolist())
+            v = pair_products_reference(ring, v, Mo[W][:, W])
+        poly = [sum((poly[i] * f[j - i] for i in range(j + 1)), ring.zero())
+                for j in range(cap + 1)]
+    return poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 8), st.data())
+def test_first_return_product_is_the_first_return_definition(p, m, dim, data):
+    # a drawn non-increasing band, and a sparse operand: zero rows, and
+    # zero entries elsewhere, so that rows live over their window in M
+    # vanish there after one or two products while the plan made from M
+    # still holds them
+    ring = make_ring(p, m, None, data.draw(st.integers(1, 4)))
+    band = sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
+                                     max_size=dim)), reverse=True)
+    band[0] = max(band[0], 1)  # trace_band's K(0) >= 1: w(0) = 0
+    M = data.draw(arrays(np.int64, (dim, dim, ring.npi, m),
+                         elements=st.integers(0, ring.pN - 1)))
+    support = data.draw(arrays(np.bool_, (dim, dim),
+                               elements=st.sampled_from([True, True, False])))
+    support &= ~data.draw(arrays(np.bool_, (dim, 1)))
+    M *= support[:, :, None, None]
+    cap = dim - data.draw(st.integers(0, dim))  # shrinks to the full cap
+    c, _ = dwork.first_return_product(ring, M, np.array(band), cap)
+    assert [RingElem(ring, x) for x in c.tolist()] == \
+        _first_return_reference(ring, M, band, cap)
+
+
+@pytest.mark.parametrize("lo, hi, agrees", [(1, 0, True), (0, 0, False),
+                                            (1, 1, False)])
+def test_first_return_product_window_edges(lo, hi, agrees):
+    # windows r < c < band[r], band (6, 6, 5, 5, 5, 2).  Row 3 (window {4})
+    # is live in M but 0 over its window after one product (M[4, 4] = 0),
+    # row 2 (window {3, 4}) after two (M[3, 3] = M[4, 3] = M[4, 4] = 0),
+    # while s_(2,0) and s_(2,1) run through M[3, 2] and M[4, 2]; M[2, 5]
+    # and M[5, 2] close a cycle just past row 2's upper edge, and M[0, 0]
+    # one on row 0's lower edge, so the reference with either edge moved
+    # by one differs
+    ring = make_ring(3, 2, None, 3)
+    rng = np.random.default_rng(20)
+    M = rng.integers(1, ring.pN, size=(6, 6, ring.npi, ring.m))
+    M[2, [0, 1, 4]] = M[3, 3] = M[4, [3, 4]] = 0
+    band = np.array([6, 6, 5, 5, 5, 2])
+    c, _ = dwork.first_return_product(ring, M, band, 5)
+    want = _first_return_reference(ring, M, band, 5, lo, hi)
+    assert ([RingElem(ring, x) for x in c.tolist()] == want) == agrees
 
 
 @settings(max_examples=20, deadline=None)
@@ -669,11 +738,12 @@ def test_fredholm_expands_the_matrix_once(monkeypatch):
     assert P.madds > 0
 
 
-def _battery_operator(case_id, ring, s_cut=None):
+def _battery_operator(case_id, ring, s_cut=None, wmax=None):
     case = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}[case_id]
     spec = JobConfig.from_dict(job_dict(case)).laurent_spec()
     W = build_weight_data(spec.A)
-    return OperatorData(spec, W, ring, default_wmax(ring, W.D), s_cut)
+    wmax = default_wmax(ring, W.D) if wmax is None else wmax
+    return OperatorData(spec, W, ring, wmax, s_cut)
 
 
 def _check_gather(od):
@@ -711,6 +781,49 @@ def test_one_step_gather_outside_the_table():
     od = _battery_operator("p3-triangle", make_ring(3, 1, None, 3), s_cut=2)
     outside, below = _check_gather(od)
     assert below > 0 and outside > below
+
+
+def test_one_step_gather_past_the_int64_rule():
+    # at 3^20 the kernel table and the one-step matrix hold Python ints
+    # (object arrays), gathered on the same code path; the basis is the one
+    # of N = 3, wmax 7, and the short cutoff leaves points outside the table
+    od = _battery_operator("p3-triangle", make_ring(3, 1, None, 20), s_cut=4,
+                           wmax=7)
+    assert od.kernel_table(0).coeffs.dtype == object
+    assert od.one_step_matrix(0).dtype == object
+    outside, below = _check_gather(od)
+    assert below > 0 and outside > below
+
+
+@pytest.mark.parametrize("case_id, N, s_cut", [
+    ("p3-triangle", 3, None), ("p3-kloosterman-f9", 3, None),
+    ("p5-kloosterman", 15, 6)])
+def test_kernel_table_mapping_is_the_sweep(case_id, N, s_cut):
+    # the mapping reads the sweep's arrays entry for entry: one key per
+    # point, in the points' (sorted) order, each value that point's
+    # coefficient row, nonzero and reduced (RingElem reduces what it is
+    # given); a point missing from the table is a KeyError, so .get gives
+    # its default, and the mapping cannot be written.  5^15 is an object
+    # modulus
+    ring = make_ring(int(case_id[1]), 2 if case_id.endswith("f9") else 1, None, N)
+    od = _battery_operator(case_id, ring, s_cut)
+    for oi in range(od.orbit_len):
+        table = od.kernel_table(oi)
+        assert table is od.kernel_table(oi)
+        assert table.coeffs.dtype == ring_dtype(ring.pN)
+        points = [tuple(mu) for mu in table.points.tolist()]
+        assert list(table) == points == sorted(set(points))
+        for mu, coeff in zip(points, table.coeffs.tolist()):
+            assert table[mu] == RingElem(ring, coeff) and not table[mu].is_zero()
+        assert dict(table.items()) == {mu: table[mu] for mu in points}
+        missing = tuple(int(c) + 1 for c in table.points.max(axis=0))
+        zero = ring.zero()
+        assert missing not in table and table.get(missing) is None
+        assert table.get(missing, zero) is zero
+        with pytest.raises(KeyError):
+            table[missing]
+        with pytest.raises(TypeError):
+            table[missing] = zero
 
 
 def test_ring_dtype_threshold():

@@ -218,6 +218,22 @@ def test_cache_roundtrip(tmp_path):
     assert run(cfg).without_timing() == cold.without_timing()
 
 
+def test_cache_entry_of_another_dimension_is_a_miss(tmp_path):
+    # a well-formed entry with a valid checksum whose points have one
+    # coordinate too many is a miss too: recomputed and rewritten, not a
+    # broadcasting error in the gather
+    cfg = {**job_dict(CASES["p3-kloosterman"], routes=("B", "C")),
+           "cache_dir": str(tmp_path)}
+    cold = run(cfg)
+    [path] = tmp_path.glob("kernel-*.json")
+    payload = {mu + ",0": rows
+               for mu, rows in json.loads(path.read_text())["table"].items()}
+    path.write_text(json.dumps({"table": payload,
+                                "sha256": runner._digest(payload)}))
+    assert run(cfg).without_timing() == cold.without_timing()
+    assert ",0" not in path.read_text()
+
+
 def test_cache_dir_that_is_a_file(tmp_path, capsys):
     path = tmp_path / "taken"
     path.write_text("")
