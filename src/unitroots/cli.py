@@ -36,7 +36,7 @@ def _load_config(args, default_routes=None):
     elif default_routes is not None and raw.get("routes") is None:
         raw["routes"] = list(default_routes)
     for key in ("precision", "wmax", "degmax", "lmax", "cache_dir"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
     if getattr(args, "json_out", None):

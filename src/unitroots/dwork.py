@@ -74,7 +74,7 @@ from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM,
                      PrecisionTooLow)
 from .hyperg import _solutions
 from .oracle import orbit_degree
-from .padic import RingElem, newton_root, pi_pow_digit, split_p, teichmueller
+from .padic import RingElem, newton_root, pi_pow_digit, teichmueller
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -345,7 +345,7 @@ class OperatorData:
         the first cycle, and every later cycle reuses them; the matrix itself
         is then dropped, so a caller that wants full_matrix as well composes
         it first (one_step_matrix would gather it again from the kernel
-        table).
+        table).  The runner does so by running route C before route B.
         """
         col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
@@ -910,7 +910,6 @@ def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
 class PowerIterationResult:
     u: RingElem
     eigenvector: XSeries
-    normalizers: list
     normalizer_diff_orders: list
     cycles: int
     budget: int
@@ -925,8 +924,9 @@ def power_iteration_unit_root(odata):
 
     Starting from the delta vector at X^0, apply the full orbit cycle, divide
     by the X^0 coefficient (a unit), and repeat until the normalizers agree
-    at odata's precision, within power_iteration_budget cycles.  The
-    normalizer sequence is returned for the contraction diagnostics.
+    at odata's precision, within power_iteration_budget cycles.  The orders
+    of successive normalizer differences are returned for the contraction
+    diagnostics.
     """
     ring = odata.ring
     vec = np.zeros((len(odata.basis), ring.npi, ring.m), dtype=np.int64)
@@ -944,7 +944,7 @@ def power_iteration_unit_root(odata):
             if diff is None:
                 diffs = [(b - a).valuation() for a, b in zip(normalizers, normalizers[1:])]
                 return PowerIterationResult(c, _vec_to_xseries(odata, vec),
-                                            normalizers, diffs, cycle, budget)
+                                            diffs, cycle, budget)
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
 
 
@@ -1010,19 +1010,6 @@ def trace_band(W, basis, p, N):
     sw = (p - 1) ** 2 * np.array(scaled_weights(W, basis), dtype=np.int64)
     assert (np.diff(sw) >= 0).all(), "basis not in weight order"
     return np.searchsorted(sw, N * p * p * W.D - sw)
-
-
-def charpoly_boost(p, cap):
-    """Digits Newton's identities lose over cap traces: v_p(cap!).
-
-    Traces exact mod p^N' give c_k exact mod p^(N' - v_p(k!)), each step
-    dividing by k and losing at most v_p(k) digits beyond its inputs; so
-    N' = N + v_p(cap!) keeps every c_k, k <= cap, exact mod p^N.  Before the
-    division by p^(v_p(k)) the error has ord >= N + v_p(k), so the division
-    is exact.  Route C divides by nothing; only the fredholm-cap selftest's
-    dense trace-power reference (selftest.newton_coefficients) needs this.
-    """
-    return sum(split_p(k, p)[0] for k in range(2, cap + 1))
 
 
 def first_return_product(spec, M, band, cap):

@@ -39,28 +39,21 @@ def mul(a, b, p):
     return trim(out)
 
 
-def divrem(a, b, p):
-    """(quotient, remainder) of a by b; b need not be monic."""
+def rem(a, b, p):
+    """Remainder of a modulo b; b need not be monic."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(trim(a))
     db = len(b) - 1
     inv_lb = pow(b[-1], -1, p)
-    q = [0] * max(len(r) - db, 0)
     while len(r) > db:
         f = (r[-1] * inv_lb) % p
-        sh = len(r) - 1 - db
-        q[sh] = f
         if f:
+            sh = len(r) - 1 - db
             for i in range(db + 1):
                 r[sh + i] = (r[sh + i] - f * b[i]) % p
         r.pop()
-    return trim(q), trim(r)
-
-
-def rem(a, b, p):
-    """Remainder of a modulo b; b need not be monic."""
-    return divrem(a, b, p)[1]
+    return trim(r)
 
 
 def gcd(a, b, p):

@@ -62,7 +62,6 @@ class CharSumRow:
 
 @dataclass
 class CharSumTable:
-    spec: object
     d: int                  # orbit degree of the coefficients
     rows: list = field(default_factory=list)
 
@@ -274,7 +273,7 @@ def _generator_power_table(F, g, R):
 
 def char_sum_table(spec, lmax, guard=ENUMERATION_GUARD, override=False):
     tower = FqTower(spec)
-    table = CharSumTable(spec, tower.d)
+    table = CharSumTable(tower.d)
     for l in range(1, lmax + 1):
         table.rows.append(char_sum(spec, l, tower, guard, override))
     return table

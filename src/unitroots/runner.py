@@ -6,6 +6,7 @@ character-sum oracle and cross-checks the results digit by digit.  Reports
 are deterministic JSON with integers only (timings are milliseconds).
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import dwork, hyperg, oracle, weights
 from .errors import (CacheUnwritable, ConfigInvalid, PrecisionTooLow,
-                     PrecisionUnstable, UnitRootError)
+                     UnitRootError)
 from .padic import RingElem, make_ring
 
 SCHEMA_VERSION = 1
@@ -351,16 +352,20 @@ def run(config):
                     odata.kernel_table(oi)
                     cache.store(odata, oi)
         timing["operator_tables_ms"] = int(1000 * (time.perf_counter() - t0))
-    route_c_s = 0.0
-    if "C" in tensor_routes:
-        # composed before route B's dual cycles drop the one-step matrices
-        t0 = time.perf_counter()
-        Mx = odata.full_matrix()
-        route_c_s = time.perf_counter() - t0
 
-    if "A" in config.routes:
+    @contextlib.contextmanager
+    def attempt(name, key):
+        """The one rule for every route: its time goes to timing[key], and a
+        UnitRootError it raises is recorded as errors[name], not raised."""
         t0 = time.perf_counter()
         try:
+            yield
+        except UnitRootError as exc:
+            report["errors"][name] = f"{type(exc).__name__}: {exc}"
+        timing[key] = int(1000 * (time.perf_counter() - t0))
+
+    if "A" in config.routes:
+        with attempt("A", "route_a_ms"):
             res = hyperg.unit_root_route_A_detailed(spec, degmax, ring, orbit_len)
             unit_roots["A"] = res.u
             report["routes"]["A"] = {
@@ -372,41 +377,12 @@ def run(config):
                 "weight_denominator": res.weight_denominator,
                 "terms": res.terms,
             }
-        except PrecisionUnstable as exc:
-            report["errors"]["A"] = f"PrecisionUnstable: {exc}"
-        timing["route_a_ms"] = int(1000 * (time.perf_counter() - t0))
 
-    if "B" in tensor_routes:
-        t0 = time.perf_counter()
-        try:
-            res = dwork.power_iteration_unit_root(odata)
-            unit_roots["B"] = res.u
-            lin = set(map(tuple, _lineality_points(W, res.eigenvector)))
-            off = [c for mu, c in res.eigenvector.support.items()
-                   if mu not in lin]
-            off_ord = None
-            for c in off:
-                v = c.valuation()
-                if v is not None and (off_ord is None or v < off_ord):
-                    off_ord = v
-            report["routes"]["B"] = {
-                "unit_root": res.u.digits(),
-                "cycles": res.cycles,
-                "budget": res.budget,
-                "normalizer_diff_orders": [_ord_field(v)
-                                           for v in res.normalizer_diff_orders],
-                "eigenvector_support_size": len(res.eigenvector.support),
-                "off_lineality_min_order": _ord_field(off_ord),
-            }
-        except UnitRootError as exc:
-            report["errors"]["B"] = f"{type(exc).__name__}: {exc}"
-        timing["route_b_ms"] = int(1000 * (time.perf_counter() - t0))
-    odata = None  # route B's tables and limbs are freed before route C's products
-
+    # route C composes the orbit before route B's dual cycles drop the
+    # one-step matrices
     if "C" in tensor_routes:
-        t0 = time.perf_counter()
-        try:
-            P, u = dwork.fredholm_unit_root(Mx)
+        with attempt("C", "route_c_ms"):
+            P, u = dwork.fredholm_unit_root(odata.full_matrix())
             unit_roots["C"] = u
             poly = dwork.newton_polygon(P)
             lf = dwork.lfunction_from_fredholm(P, spec.A.n, orbit_len, u)
@@ -426,13 +402,32 @@ def run(config):
                 "first_return_factors": P.factors,
                 "gemm_madds": P.madds,
             }
-        except UnitRootError as exc:
-            report["errors"]["C"] = f"{type(exc).__name__}: {exc}"
-        timing["route_c_ms"] = int(1000 * (route_c_s + time.perf_counter() - t0))
+
+    if "B" in tensor_routes:
+        with attempt("B", "route_b_ms"):
+            res = dwork.power_iteration_unit_root(odata)
+            unit_roots["B"] = res.u
+            lin = set(map(tuple, _lineality_points(W, res.eigenvector)))
+            off = [c for mu, c in res.eigenvector.support.items()
+                   if mu not in lin]
+            off_ord = None
+            for c in off:
+                v = c.valuation()
+                if v is not None and (off_ord is None or v < off_ord):
+                    off_ord = v
+            report["routes"]["B"] = {
+                "unit_root": res.u.digits(),
+                "cycles": res.cycles,
+                "budget": res.budget,
+                "normalizer_diff_orders": [_ord_field(v)
+                                           for v in res.normalizer_diff_orders],
+                "eigenvector_support_size": len(res.eigenvector.support),
+                "off_lineality_min_order": _ord_field(off_ord),
+            }
+    odata = None  # routes B and C are done: their tables go before the oracle
 
     if "oracle" in config.routes:
-        t0 = time.perf_counter()
-        try:
+        with attempt("oracle", "oracle_ms"):
             table = oracle.char_sum_table(
                 spec, config.lmax,
                 override=config.override_enumeration_guard)
@@ -448,12 +443,10 @@ def run(config):
                 "s_valuations": [_ord_field(v) for v in est.s_valuations],
             }
             if unit_roots:
-                consensus = next(iter(unit_roots.values()))
+                # the first of A, B and C present, whatever order they ran in
+                consensus = next(unit_roots[r] for r in ROUTES if r in unit_roots)
                 report["oracle"]["consensus_orders"] = [
                     _ord_field((u - consensus).valuation()) for u in est.ratios]
-        except UnitRootError as exc:
-            report["errors"]["oracle"] = f"{type(exc).__name__}: {exc}"
-        timing["oracle_ms"] = int(1000 * (time.perf_counter() - t0))
 
     # pairwise agreement of the analytic routes
     pairs = {}

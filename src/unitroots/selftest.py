@@ -420,6 +420,19 @@ def route_c_jobs():
                                     "p3-edge-degenerate", "p5-edge-degenerate")]
 
 
+def charpoly_boost(p, cap):
+    """Digits Newton's identities lose over cap traces: v_p(cap!).
+
+    Traces exact mod p^N' give c_k exact mod p^(N' - v_p(k!)), each step
+    dividing by k and losing at most v_p(k) digits beyond its inputs; so
+    N' = N + v_p(cap!) keeps every c_k, k <= cap, exact mod p^N.  Before the
+    division by p^(v_p(k)) the error has ord >= N + v_p(k), so the division
+    is exact.  Route C divides by nothing; only newton_coefficients, the
+    fredholm-cap suite's dense trace-power reference, needs this.
+    """
+    return sum(split_p(k, p)[0] for k in range(2, cap + 1))
+
+
 def newton_coefficients(traces, ring):
     """c_0 .. c_k of det(I - T M) in ring, trailing zeros dropped, from
     tr M^1 .. tr M^k by Newton's identities k c_k = -sum_j tr(M^j) c_(k-j);
@@ -459,7 +472,7 @@ def _suite_fredholm_cap(rng):
         cap = dwork.fredholm_cap(W, basis, p, N)
         traced = min(cap + 2, len(basis))
         wide = make_ring(p, cfg.field_degree, cfg.field_poly,
-                         N + dwork.charpoly_boost(p, traced))
+                         N + charpoly_boost(p, traced))
         Mx = dwork.OperatorData(spec, W, wide, wmax, basis=basis).full_matrix()
         traces, Mk = [Mx.trace()], Mx
         for _ in range(traced - 1):

@@ -217,31 +217,13 @@ def weight_definitional(A, nu):
 def _solve_nonneg(cols, target):
     """Unique solution of sum s_i cols[i] = target with all s_i >= 0, if any."""
     ncols = len(cols)
-    mat = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(len(target))]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [a / inv for a in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < ncols:
+    mat, pivots = _rref([[c[i] for c in cols] + [t] for i, t in enumerate(target)],
+                        ncols + 1)
+    if ncols in pivots:
+        return None  # a pivot on the target column: inconsistent
+    if len(pivots) < ncols:
         return None  # dependent columns; a smaller subset covers this case
-    for i in range(rank, len(mat)):
-        if mat[i][ncols] != 0:
-            return None  # inconsistent
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = mat[r][ncols]
+    sol = [mat[r][ncols] for r in range(ncols)]
     if any(s < 0 for s in sol):
         return None
     return sol

@@ -19,8 +19,7 @@ from unitroots import dwork
 from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_dict
 from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              _pair_products, adjoint_check,
-                             bigF_coefficient, charpoly_boost,
-                             default_s_cut,
+                             bigF_coefficient, default_s_cut,
                              fredholm_cap, fredholm_coefficients,
                              fredholm_unit_root, kernel_sweep,
                              lfunction_from_fredholm, newton_polygon,
@@ -34,8 +33,9 @@ from unitroots.hyperg import LaurentSpec
 from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
                              teichmueller)
 from unitroots.runner import JobConfig, default_wmax
-from unitroots.selftest import (extreme_operands, law_mismatch, limb_boundaries,
-                                newton_coefficients, sweep_mismatch)
+from unitroots.selftest import (charpoly_boost, extreme_operands, law_mismatch,
+                                limb_boundaries, newton_coefficients,
+                                sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 

@@ -14,7 +14,7 @@ from unitroots import dwork, hyperg, oracle, runner
 from unitroots.battery import BATTERY, DEGENERATE_BATTERY, QUICK_IDS, job_dict
 from unitroots.cli import main
 from unitroots.errors import (CacheUnwritable, CompositeP, ConfigInvalid,
-                              NotSpanning)
+                              NonUnitDivision, NotSpanning)
 from unitroots.hyperg import hyperg_coefficient_series
 from unitroots.padic import make_ring
 from unitroots.runner import JobConfig, run
@@ -320,6 +320,32 @@ def test_matmul_limit_is_a_route_error():
     assert sorted(rep.data["errors"]) == ["B", "C"]
     assert all(e.startswith("PrecisionTooLow: p^N = ")
                for e in rep.data["errors"].values())
+
+
+def test_routes_b_c_do_not_depend_on_the_route_set():
+    # orbit length 2: route C composes both one-step matrices before route
+    # B's dual cycles drop them, so each route reports the same whether it
+    # runs alone, beside the other or beside route A and the oracle
+    sets = [("B",), ("C",), ("B", "C"), ("A", "B", "C", "oracle")]
+    reports = [run(job_dict(CASES["p3-kloosterman-f9"], routes=s)).data
+               for s in sets]
+    assert reports[2]["orbit"]["length"] == 2
+    routes = [data["routes"] for data in reports]
+    assert routes[2]["B"] == routes[0]["B"] == routes[3]["B"]
+    assert routes[2]["C"] == routes[1]["C"] == routes[3]["C"]
+
+
+def test_route_a_error_is_reported(monkeypatch):
+    # any UnitRootError inside route A is recorded, not only
+    # PrecisionUnstable, and the other routes still report
+    def refuse(*args):
+        raise NonUnitDivision("refused")
+    monkeypatch.setattr(hyperg, "unit_root_route_A_detailed", refuse)
+    rep = run(dict(KLOOSTER3))
+    assert rep.data["errors"] == {"A": "NonUnitDivision: refused"}
+    assert set(rep.data["routes"]) == {"B", "C"}
+    assert "consensus_orders" in rep.data["oracle"]
+    assert rep.exit_code == 1
 
 
 @pytest.mark.parametrize("cid", ["p2-kloosterman", "p3-kloosterman"])
