@@ -19,15 +19,15 @@ series inverse.
 calF_series, route_a_once and MultiSeries keep the series form of the same
 ratio as the analytic-continuation witness: the ratio as a truncated
 power series, evaluated on the orbit.  Series are dictionaries from exponent
-tuples to nonzero coefficients, with a total-degree cap; coefficients are
-either RingElem (pi-scaled series) or Fraction (exact series for the
-differential-system checks).  The product and the inverse are for ring
-series only.  They skip every pair of terms whose pi-orders sum to N(p-1)
-or more: such a product is zero mod p^N, so skipping it changes no digit.
+tuples to nonzero coefficients, with a total-degree cap.  Series arithmetic
+is for ring series (RingElem coefficients, pi-scaled) only: the product and
+the inverse skip every pair of terms whose pi-orders sum to N(p-1) or more,
+since such a product is zero mod p^N and skipping it changes no digit.
+Fraction series are coefficient holders for the GKZ and generating-identity
+checks, which read their terms directly.
 """
 
 import bisect
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,21 +81,6 @@ class MultiSeries:
                 if sum(u) <= degmax and c:
                     self.terms[tuple(u)] = c
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars)
-
-    def add(self, other):
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = out[u] + c if u in out else c
-        return MultiSeries(self.nvars, min(self.degmax, other.degmax), out)
-
-    def neg(self):
-        return MultiSeries(self.nvars, self.degmax, {u: -c for u, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
-
     def mul(self, other, degmax=None):
         """Truncated product of ring series, skipping pairs of order >= N(p-1)."""
         cap = min(self.degmax, other.degmax) if degmax is None else degmax
@@ -115,10 +100,6 @@ class MultiSeries:
                 out[u] = out[u] + prod if u in out else prod
         return MultiSeries(self.nvars, cap, out)
 
-    def scale(self, c):
-        return MultiSeries(self.nvars, self.degmax,
-                           {u: c * v for u, v in self.terms.items()})
-
     def subst_power(self, k):
         """Substitute each variable by its k-th power (degree cap scales too)."""
         return MultiSeries(self.nvars, self.degmax * k,
@@ -128,11 +109,13 @@ class MultiSeries:
         """Inverse of a ring series with constant term 1, by degree-shell
         recurrence, skipping pairs of order >= N(p-1) like mul.
 
-        Work is proportional to the nonzero shell structure: finished inverse
-        shells scatter products forward through a pending-contribution heap,
-        so degrees whose coefficients all vanish cost nothing.
+        Work is proportional to the nonzero shell structure: the degrees
+        1..degmax are taken in order, and each finished inverse shell
+        scatters its products forward into the pending sums of higher
+        degrees, so a degree with no pending sum costs nothing (no heap).
         """
-        one = self.constant_term()
+        zero = (0,) * self.nvars
+        one = self.terms.get(zero)
         assert one is not None and one == one.spec.one(), "constant term must be 1"
         floor = one.spec.N * one.spec.npi
         shells = {}
@@ -141,9 +124,8 @@ class MultiSeries:
             if d:
                 shells.setdefault(d, []).append((u, c, c.order()))
         degrees = sorted(shells)
-        out = {(0,) * self.nvars: one}
+        out = {zero: one}
         pending = {}
-        heap = []
 
         def scatter(d_src, shell):
             for e in degrees:
@@ -153,7 +135,6 @@ class MultiSeries:
                 acc = pending.get(d)
                 if acc is None:
                     acc = pending[d] = {}
-                    heapq.heappush(heap, d)
                 for u1, c1, v1 in shells[e]:
                     for u2, (c2, v2) in shell.items():
                         if v1 + v2 >= floor:
@@ -162,12 +143,11 @@ class MultiSeries:
                         prod = c1 * c2
                         acc[u] = acc[u] + prod if u in acc else prod
 
-        scatter(0, {(0,) * self.nvars: (one, 0)})
-        while heap:
-            d = heapq.heappop(heap)
+        scatter(0, {zero: (one, 0)})
+        for d in range(1, self.degmax + 1):
             acc = pending.pop(d, None)
-            if acc is None:
-                continue  # duplicate heap entry
+            if not acc:
+                continue
             shell = {u: (-c, c.order()) for u, c in acc.items() if c}
             if not shell:
                 continue
@@ -198,17 +178,6 @@ class MultiSeries:
                 term = term * pows[a][e]
             acc = term if acc is None else acc + term
         return acc
-
-    def differentiate(self, var):
-        out = {}
-        for u, c in self.terms.items():
-            if u[var] == 0:
-                continue
-            v = list(u)
-            e = v[var]
-            v[var] -= 1
-            out[tuple(v)] = c * e
-        return MultiSeries(self.nvars, self.degmax, out)
 
     def shell_min_valuations(self):
         """Per-total-degree minimum valuation of a ring series; a degree
@@ -367,7 +336,6 @@ class RouteA:
     steps[s] is the number of digits on which u_s and u_(s-D) agree (None
     for s < D); the run stopped at step stop_step, having summed `terms`
     nonzero terms of F_0 up to degree degmax_used = p^(stop_step+1) - 1.
-    Unpacks as (u, stability_digits, degmax_used).
     """
     u: object
     stability_digits: int
@@ -376,9 +344,6 @@ class RouteA:
     stop_step: int
     weight_denominator: int
     terms: int
-
-    def __iter__(self):
-        return iter((self.u, self.stability_digits, self.degmax_used))
 
 
 def _f0_shells(A, ring, s_lo, s_hi):
@@ -508,12 +473,23 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
         f"(best agreement {max(steps[first:])} digits)")
 
 
-def check_annihilators(A, i, ell, degmax, p):
-    """Apply the lattice-relation and Euler operators to the exact F_i.
+def _derivative(terms, k):
+    """prod_a (d/dL_a)^k_a of a series' terms: c L^u goes to
+    c prod_a u_a!/(u_a-k_a)! L^(u-k), and to nothing if some u_a < k_a."""
+    return {tuple(x - y for x, y in zip(u, k)): c * math.prod(map(math.perm, u, k))
+            for u, c in terms.items() if all(x >= y for x, y in zip(u, k))}
 
-    Returns the minimal p-valuation over all residual coefficients within the
-    degree range where the truncated computation is exact, or None when every
-    residual vanishes identically (the expected outcome).
+
+def check_annihilators(A, i, ell, degmax, p):
+    """Apply the box operator of the relation ell and the Euler operators
+    to the exact F_i.
+
+    F_i is expanded to degree degmax + reach, reach the larger of the sums
+    of ell's positive and negative parts (the most degrees a side of the
+    box operator lowers by), so every residual through degree degmax is
+    exact, and each one is examined.  Returns the minimal p-valuation over
+    those residual coefficients, or None when every one vanishes (the
+    expected outcome).
     """
     if not isinstance(A, ExponentSet):
         A = ExponentSet(len(A[0]), tuple(A))
@@ -523,32 +499,18 @@ def check_annihilators(A, i, ell, degmax, p):
     if any(sum(l * a[j] for l, a in zip(ell, A.vectors)) != 0 for j in range(A.n)):
         raise NotARelation(f"{ell} is not a relation of A")
     i = tuple(int(c) for c in i) if hasattr(i, "__len__") else (int(i),)
-    F = hyperg_coefficient_series(A, i, degmax)
+    plus = tuple(max(l, 0) for l in ell)
+    minus = tuple(max(-l, 0) for l in ell)
+    F = hyperg_coefficient_series(A, i, degmax + max(sum(plus), sum(minus))).terms
 
-    plus = F
-    minus = F
-    dplus = dminus = 0
-    for a, l in enumerate(ell):
-        for _ in range(max(l, 0)):
-            plus = plus.differentiate(a)
-            dplus += 1
-        for _ in range(max(-l, 0)):
-            minus = minus.differentiate(a)
-            dminus += 1
-    box = plus.sub(minus)
-    valid = degmax - max(dplus, dminus)
-    residuals = [c for u, c in box.terms.items() if sum(u) <= valid]
-
+    dplus, dminus = _derivative(F, plus), _derivative(F, minus)
+    residuals = [dplus.get(u, 0) - dminus.get(u, 0)
+                 for u in dplus.keys() | dminus.keys() if sum(u) <= degmax]
+    # the j-th Euler operator sum_a a_j L_a d/dL_a - i_j scales c L^u
+    # by sum_a u_a a_j - i_j
     for j in range(A.n):
-        zj = MultiSeries(len(A.vectors), degmax)
-        for a, vec in enumerate(A.vectors):
-            if vec[j] == 0:
-                continue
-            # L_a d/dL_a multiplies each term by its a-exponent
-            part = {u: c * (u[a] * vec[j]) for u, c in F.terms.items() if u[a]}
-            zj = zj.add(MultiSeries(len(A.vectors), degmax, part))
-        zj = zj.sub(F.scale(Fraction(i[j])))
-        residuals.extend(zj.terms.values())
+        residuals += [c * (sum(x * a[j] for x, a in zip(u, A.vectors)) - i[j])
+                      for u, c in F.items() if sum(u) <= degmax]
 
     worst = None
     for c in residuals:
@@ -560,12 +522,11 @@ def check_annihilators(A, i, ell, degmax, p):
     return worst
 
 
-def generating_identity_check(A, irange, degmax, perturb=None):
+def generating_identity_check(A, irange, degmax):
     """Expand prod_a exp(L_a X^a) directly and compare coefficient series.
 
     Checks every X-exponent i with |i|_inf <= irange against the per-i
-    series; `perturb` optionally maps (i, u) pairs to an additive Fraction
-    defect, as a negative control for the test harness.
+    series.
     """
     if not isinstance(A, ExponentSet):
         A = ExponentSet(len(A[0]), tuple(A))
@@ -576,14 +537,8 @@ def generating_identity_check(A, irange, degmax, perturb=None):
         by_i.setdefault(i, {})[u] = c
     checked = set()
     for i in itertools.product(range(-irange, irange + 1), repeat=A.n):
-        direct = dict(by_i.get(i, {}))
-        if perturb:
-            for u in list(direct):
-                d = perturb(i, u)
-                if d:
-                    direct[u] = direct[u] + d
         formula = hyperg_coefficient_series(A, i, degmax)
-        if direct != formula.terms:
+        if by_i.get(i, {}) != formula.terms:
             return False
         checked.add(i)
     return bool(checked)

@@ -40,17 +40,6 @@ from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
                      PrecisionTooLow, ReduciblePolynomial)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class RingSpec:
     """Descriptor of one working ring O_N; immutable after construction."""
 
@@ -127,7 +116,7 @@ class RingSpec:
 
 def make_ring(p, m=1, g=None, N=4):
     """Validated ring descriptor; deterministic defining polynomial if absent."""
-    if not _is_prime(p):
+    if ffield.factorize(p) != {p: 1}:
         raise CompositeP(f"{p} is not prime")
     if N < 1:
         raise PrecisionTooLow(f"precision N = {N} is below 1")

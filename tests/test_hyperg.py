@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitroots import hyperg
 from unitroots.battery import BATTERY, job_dict
 from unitroots.dwork import default_s_cut
 from unitroots.errors import NotARelation, PrecisionUnstable
@@ -64,14 +65,26 @@ def test_coefficients_p_integral(ring5):
         assert c.val_at_least(F(nonzero, ring5.p - 1))
 
 
-def test_generating_identity():
+def _with_defect(monkeypatch, target, u, defect):
+    """Make hyperg_coefficient_series add `defect` to F_target's L^u term."""
+    exact = hyperg.hyperg_coefficient_series
+
+    def defective(A, i, degmax, ring=None):
+        series = exact(A, i, degmax, ring)
+        if tuple(i) == target:
+            series.terms[u] = series.terms.get(u, 0) + defect
+        return series
+
+    monkeypatch.setattr(hyperg, "hyperg_coefficient_series", defective)
+
+
+def test_generating_identity(monkeypatch):
     assert generating_identity_check(SINGLE, 3, 6)
     assert generating_identity_check(KLOOSTERMAN, 3, 6)
     assert generating_identity_check(TRIANGLE, 2, 5)
     # negative control: a perturbed coefficient must be detected
-    assert not generating_identity_check(
-        KLOOSTERMAN, 3, 6,
-        perturb=lambda i, u: F(1, 7) if i == (0,) and u == (1, 1) else 0)
+    _with_defect(monkeypatch, (0,), (1, 1), F(1, 7))
+    assert not generating_identity_check(KLOOSTERMAN, 3, 6)
 
 
 @pytest.mark.parametrize("A,i,ell", [
@@ -85,6 +98,22 @@ def test_generating_identity():
 ])
 def test_annihilators_vanish(A, i, ell):
     assert check_annihilators(A, i, ell, 8, 3) is None
+
+
+@pytest.mark.parametrize("A,u,ells", [
+    # box residuals: an on-support defect keeps the Euler operators happy
+    (KLOOSTERMAN, (2, 2), [(1, 1), (2, 2), (-1, -1)]),
+    # reach 9 at degree 8: the residuals come from F_0 past degree 8
+    (TRIANGLE, (1, 1, 1), [(3, 3, 3)]),
+    (SKEW, (1, 2), [(-3, -6)]),
+    # Euler residual: an off-support term; the zero relation has no box residual
+    (KLOOSTERMAN, (1, 0), [(0, 0), (1, 1)]),
+], ids=["kloosterman-box", "triangle-reach-9", "skew-reach-9", "kloosterman-euler"])
+def test_annihilators_see_a_defect(monkeypatch, A, u, ells):
+    zero = (0,) * A.n
+    _with_defect(monkeypatch, zero, u, 1)
+    for ell in ells:
+        assert check_annihilators(A, zero, ell, 8, 3) == 0, ell
 
 
 def test_annihilator_zero_relation():
@@ -111,18 +140,17 @@ def test_route_a_kloosterman_p2(ring2):
 def test_route_a_orbit_product_f4():
     ring = make_ring(2, 2, None, 4)
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
-    u, agreed, _ = unit_root_route_A_detailed(spec, 16, ring, 2)
-    assert u.rows[0] == (13, 0)  # frozen: quadratic z^2 - z + 4, unit branch
-    assert agreed >= 4
+    res = unit_root_route_A_detailed(spec, 16, ring, 2)
+    assert res.u.rows[0] == (13, 0)  # frozen: quadratic z^2 - z + 4, unit branch
+    assert res.stability_digits >= 4
 
 
 def test_route_a_stabilization_policy(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
-    u, agreed, used = unit_root_route_A_detailed(
-        spec, default_s_cut(ring3), ring3, 1)
-    assert agreed >= ring3.N
-    u2 = route_a_once(spec, 2 * used, ring3, 1)
-    assert u == u2  # doubling beyond the accepted cap changes nothing
+    res = unit_root_route_A_detailed(spec, default_s_cut(ring3), ring3, 1)
+    assert res.stability_digits >= ring3.N
+    u2 = route_a_once(spec, 2 * res.degmax_used, ring3, 1)
+    assert res.u == u2  # doubling beyond the accepted cap changes nothing
 
 
 def test_route_a_rejects_tiny_budget(ring5):

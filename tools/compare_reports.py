@@ -12,9 +12,15 @@ one job set:
 The job list is built once, from ROOT_A, and both trees run the same
 configs.  A job matches when `Report.without_timing()` is equal and the
 `timing` block has the same keys; a job that raises records its exception.
-Prints each job that differs and exits 1 if any does, else 0.
+
+Route A reaches no series code, so the same subprocess also dumps a fixed
+series grid (`series_entries`): `calF_series` digits, `route_a_once`
+digits, and the results of `check_annihilators` and
+`generating_identity_check`.  Prints each report or series entry that
+differs and exits 1 if any does, else 0.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -43,17 +49,73 @@ def list_jobs():
     return jobs
 
 
-def dump(jobs):
-    """{name: outcome} for the jobs, run by the tree on the path."""
+def outcome(fn):
+    """fn()'s value, or the exception it raises: that is an outcome too."""
+    try:
+        return fn()
+    except Exception as exc:
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+
+
+def report_outcome(config):
     from unitroots import runner
+    rep = runner.run(config)
+    return {"report": rep.without_timing(),
+            "timing_keys": sorted(rep.data["timing"])}
+
+
+def series_entries():
+    """{name: outcome} for the series grid, from the tree on the path:
+    - calF_series digits on every battery exponent set, p in {2, 3, 5},
+      N in {2, 4, 6}, degree in {8, 20, 40};
+    - route_a_once digits on the prime-field Kloosterman and skew battery
+      cases at N = 4 and degree 40;
+    - check_annihilators at degree 8 on the zero relation and on every
+      relation-basis vector times 1, 2 and -1, at i = 0 and i = (1, 0, ...),
+      p in {2, 3, 5};
+    - generating_identity_check(A, 2, 6) on every battery exponent set.
+    """
+    from unitroots import hyperg, oracle
+    from unitroots.battery import BATTERY, EXPONENT_SETS
+    from unitroots.padic import make_ring
+    from unitroots.weights import ExponentSet, relation_lattice_basis
+
+    def digits(series):
+        return {str(u): c.digits() for u, c in series.terms.items()}
+
+    sets = {name: ExponentSet(len(vecs[0]), vecs) for name, vecs in EXPONENT_SETS.items()}
     out = {}
-    for name, config in jobs:
-        try:
-            rep = runner.run(config)
-            out[name] = {"report": rep.without_timing(),
-                         "timing_keys": sorted(rep.data["timing"])}
-        except Exception as exc:  # a raise is an outcome to compare too
-            out[name] = {"raised": f"{type(exc).__name__}: {exc}"}
+    for (name, A), p, N, degree in itertools.product(
+            sets.items(), (2, 3, 5), (2, 4, 6), (8, 20, 40)):
+        ring = make_ring(p, 1, None, N)
+        out[f"calF:{name}:p{p}:N{N}:d{degree}"] = outcome(
+            lambda: digits(hyperg.calF_series(A, degree, ring)))
+    for case in BATTERY:
+        if case["A_name"] in ("kloosterman", "skew") and case["field_degree"] == 1:
+            spec = hyperg.LaurentSpec(sets[case["A_name"]], case["p"], 1, 1,
+                                      case["coeffs"])
+            ring = make_ring(case["p"], 1, None, 4)
+            out[f"route_a_once:{case['id']}:N4:d40"] = outcome(
+                lambda: hyperg.route_a_once(spec, 40, ring,
+                                            oracle.orbit_degree(spec)).digits())
+    for name, A in sets.items():
+        k = len(A.vectors)
+        ells = [(0,) * k] + [tuple(m * x for x in ell)
+                             for ell in relation_lattice_basis(A) for m in (1, 2, -1)]
+        for ell, i, p in itertools.product(
+                ells, [(0,) * A.n, (1,) + (0,) * (A.n - 1)], (2, 3, 5)):
+            out[f"annihilators:{name}:{ell}:i{i}:p{p}"] = outcome(
+                lambda: hyperg.check_annihilators(A, i, ell, 8, p))
+        out[f"generating_identity:{name}"] = outcome(
+            lambda: hyperg.generating_identity_check(A, 2, 6))
+    return out
+
+
+def dump(jobs):
+    """{name: outcome} for the jobs and the series grid, run by the tree
+    on the path."""
+    out = {name: outcome(lambda: report_outcome(config)) for name, config in jobs}
+    out.update((f"series:{name}", value) for name, value in series_entries().items())
     return out
 
 
@@ -86,10 +148,14 @@ def main(argv):
         sys.exit(__doc__)
     jobs = in_tree(argv[0], "--list")
     a, b = (json.loads(in_tree(root, "--dump", jobs)) for root in argv)
-    differ = [name for name, _ in json.loads(jobs) if a[name] != b[name]]
+    names = sorted(a.keys() | b.keys())
+    differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
         print(f"differs: {name}")
-    print(f"{len(a) - len(differ)} of {len(a)} jobs match")
+    for kind, is_series in (("reports", False), ("series entries", True)):
+        total = [n for n in names if n.startswith("series:") == is_series]
+        same = [n for n in total if n not in differ]
+        print(f"{len(same)} of {len(total)} {kind} match")
     return 1 if differ else 0
 
 
