@@ -1,6 +1,6 @@
 """Frobenius operator on weight-truncated monomial spaces.
 
-Route B and C machinery: the exponential splitting series
+Route B and C machinery: over padic's splitting series
 theta(t) = exp(pi(t - t^p)), the twisted kernel F(lambda, X) with
 coefficients B_mu(lambda), truncated matrices of the composed operator
 Psi^(eps*d) o prod F(lambda^(p^i), X^(p^i)) on the monomial basis
@@ -74,47 +74,10 @@ from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM,
                      PrecisionTooLow)
 from .hyperg import _solutions
 from .oracle import orbit_degree
-from .padic import RingElem, newton_root, pi_pow_digit, teichmueller
+from .padic import (RingElem, default_s_cut, newton_root, powers,
+                    splitting_coefficients, teichmueller)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
-
-
-@dataclass(frozen=True)
-class SplittingCoeffs:
-    ring: object
-    b: tuple
-
-    def __getitem__(self, i):
-        return self.b[i]
-
-    def __len__(self):
-        return len(self.b)
-
-
-def splitting_coefficients(ring, imax):
-    """Coefficients b_0..b_imax of exp(pi(t - t^p)).
-
-    b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!), and every term is one
-    p-integral digit in pi-row i mod (p-1) (pi_pow_digit); so b_i is the
-    sum of those digits in that row.  ord b_i >= i(p-1)/p^2 is asserted for
-    each i.
-    """
-    p = ring.p
-    out = []
-    for i in range(imax + 1):
-        digit = sum((-1) ** j * pi_pow_digit(ring, i - (p - 1) * j, (j, i - p * j))[1]
-                    for j in range(i // p + 1))
-        b = ring.from_slots([0] * (i % (p - 1) * ring.m) + [digit])
-        assert b.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
-        out.append(b)
-    assert out[0] == ring.one()
-    return SplittingCoeffs(ring, tuple(out))
-
-
-def default_s_cut(ring):
-    """Kernel-sum cutoff making every omitted term vanish mod p^N; route A
-    starts its series degree cap at the same value."""
-    return math.ceil(ring.N * ring.p ** 2 / (ring.p - 1))
 
 
 def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None):
@@ -126,7 +89,7 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None):
     s_cut = default_s_cut(ring) if s_cut is None else s_cut
     if len(sc) <= s_cut:
         raise ValueError("splitting series too short for the requested cutoff")
-    pows = [_power_list(x, s_cut) for x in lam]
+    pows = [powers(x, s_cut) for x in lam]
     acc = ring.zero()
     for nu in _solutions(W.A, mu, s_cut):
         term = ring.one()
@@ -162,7 +125,7 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     budget = np.array([s_cut])
     mu = np.zeros((1, W.A.n), dtype=np.int64)
     for x, vec in zip(lam, W.A.vectors):
-        pows = np.array([y.rows for y in _power_list(x, s_cut)], dtype=dtype)
+        pows = np.array([y.rows for y in powers(x, s_cut)], dtype=dtype)
         row = ring_array_mul(ring, b, pows)  # b_e * lam_a^e
         # state i expands to e = 0..budget[i]
         counts = budget + 1
@@ -224,13 +187,6 @@ class KernelTable(Mapping):
 def _ring_elems(ring, X):
     """RingElem of each row of X (n, p-1, m), entries reduced mod p^N."""
     return [RingElem(ring, tuple(map(tuple, x)), check=False) for x in X.tolist()]
-
-
-def _power_list(x, emax):
-    out = [x.spec.one()]
-    for _ in range(emax):
-        out.append(out[-1] * x)
-    return out
 
 
 @dataclass

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation, PrecisionUnstable
-from .padic import (RingElem, pi_pow_digit, pi_pow_over_factorials, split_p,
-                    teichmueller)
+from .padic import (RingElem, pi_pow_digit, pi_pow_over_factorials, powers,
+                    split_p, teichmueller)
 from .weights import ExponentSet, build_weight_data
 
 
@@ -158,24 +158,16 @@ class MultiSeries:
 
     def evaluate(self, point):
         """Sum of coeff * prod(point_a^u_a); point entries are ring elements."""
-        maxdeg = [0] * self.nvars
-        for u in self.terms:
-            for i, e in enumerate(u):
-                maxdeg[i] = max(maxdeg[i], e)
-        pows = []
-        for a in range(self.nvars):
-            row = [None] * (maxdeg[a] + 1)
-            pows.append(row)
+        pows = {}  # (a, e): point[a]^e
         acc = None
         for u in sorted(self.terms):
-            c = self.terms[u]
-            term = c
+            term = self.terms[u]
             for a, e in enumerate(u):
                 if e == 0:
                     continue
-                if pows[a][e] is None:
-                    pows[a][e] = point[a] ** e
-                term = term * pows[a][e]
+                if (a, e) not in pows:
+                    pows[a, e] = point[a] ** e
+                term = term * pows[a, e]
             acc = term if acc is None else acc + term
         return acc
 
@@ -375,13 +367,13 @@ def _f0_shells(A, ring, s_lo, s_hi):
     return shells, count
 
 
-def _shell_value(shell, powers, shift, ring):
+def _shell_value(shell, lam_powers, shift, ring):
     """A shell of _f0_shells evaluated at lambda^shift, from lambda's powers."""
-    pN, qm1, pad = ring.pN, len(powers[0]) - 1, (0,) * (ring.m - 1)
+    pN, qm1, pad = ring.pN, len(lam_powers[0]) - 1, (0,) * (ring.m - 1)
     total = ring.zero()
     for key, digits in shell.items():
         term = RingElem(ring, tuple((d % pN,) + pad for d in digits), check=False)
-        for pw, c in zip(powers, key):
+        for pw, c in zip(lam_powers, key):
             if c:
                 term = term * pw[(c * shift - 1) % qm1 + 1]
         total = total + term
@@ -442,12 +434,7 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
             f"{p ** (first + 1) - 1}) but degmax {degmax} and max_rounds "
             f"{max_rounds} allow steps up to {last}")
     lam = _teichmueller_orbit(spec, ring, 1)[0]
-    powers = []
-    for x in lam:
-        row = [ring.one()]
-        for _ in range(p ** ring.m - 1):
-            row.append(row[-1] * x)
-        powers.append(row)
+    lam_powers = [powers(x, p ** ring.m - 1) for x in lam]
     shifts = [p ** i for i in range(orbit_length)]
     values = [ring.one()] * orbit_length  # F_0^(<p^s)(pi*lambda_i); F_0^(<1) = 1
     prev = ring.one()                       # P_(s-1)
@@ -460,7 +447,7 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
             terms += count
         else:
             shell = shells[s]
-        values = [v + _shell_value(shell, powers, t, ring)
+        values = [v + _shell_value(shell, lam_powers, t, ring)
                   for v, t in zip(values, shifts)]
         P = math.prod(values[1:], start=values[0])
         us.append(P * prev.inverse())

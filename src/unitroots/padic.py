@@ -21,19 +21,20 @@ prime to p is inverted by pow(d, -1, p^N); a unit is inverted in the
 residue field GF(p)[t]/(g mod p) by ffield.FField.inv and lifted by
 Newton's iteration.
 
-Every Newton lift here (inverse, newton_root) starts from one correct
-pi-digit and doubles the correct digits each step, so lift_steps(spec) =
+The Newton lifts here, inverse and newton_root, start from one correct
+pi-digit and double the correct digits each step, so lift_steps(spec) =
 ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result.
 The Teichmueller lift is one Frobenius power of the digit lift, and the
-digit of pi^k / prod(f!) (pi_pow_digit) serves both the splitting series
-and route A's sums.  Together with the primitive p-th root of unity
-normalized by zeta == 1 + pi (mod pi^2) and exact order extraction, they
-make up the toolkit.
+digit of pi^k / prod(f!) (pi_pow_digit) serves both Dwork's splitting
+series theta(t) = exp(pi(t - t^p)) (splitting_coefficients) and route A's
+sums.  The primitive p-th root of unity is theta(1) (zeta_p), Dwork's
+additive character, with zeta == 1 + pi (mod pi^2).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import ceil
 
 from . import ffield, gfpoly
 from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
@@ -41,7 +42,8 @@ from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
 
 
 class RingSpec:
-    """Descriptor of one working ring O_N; immutable after construction."""
+    """Descriptor of one working ring O_N.  Its fields never change after
+    construction; factorials, the ring's FactorialUnits memo, only grows."""
 
     def __init__(self, p, m, g, N):
         self.p = p
@@ -66,8 +68,8 @@ class RingSpec:
             return tuple((j * m + s, f * c % self.pN)
                          for s, c in enumerate(tpow[s1 + s2]) if f * c % self.pN)
         self.law = tuple(tuple(product(i, k) for k in range(S)) for i in range(S))
-        self.key = (p, m, N, self.g)  # the fields never change
-        self._zeta = None
+        self.key = (p, m, N, self.g)
+        self.factorials = FactorialUnits(self)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RingSpec)
@@ -323,29 +325,18 @@ def teichmueller(spec, xbar):
 def zeta_p(spec):
     """Primitive p-th root of unity with zeta == 1 + pi (mod pi^2).
 
-    Writing zeta = 1 + pi*y, the cyclotomic equation becomes
-        G(y) = 1 - y^(p-1) + sum_{k=2}^{p-1} (C(p,k)/p) pi^(k-1) y^(k-1) = 0,
-    which has a simple root at y == 1 mod pi; Newton iteration on G converges
-    quadratically from y = 1.
+    It is Dwork's theta(1) = sum_i b_i, summed through default_s_cut(spec),
+    past which every b_i vanishes mod p^N (B. Dwork, "On the zeta function
+    of a hypersurface", Publ. Math. IHES 12, 1962).  The sum reads about
+    N^2 p^3 / (2(p-1)^2) factorial digits, so its cost grows as N^2, where
+    a Newton solve of the cyclotomic equation takes O(log N) ring steps;
+    that is cheaper only past about N = 12, and the oracle, its one caller,
+    runs at smaller N.
     """
     if spec.N * spec.npi < 2:
         raise PrecisionTooLow("cannot separate zeta_p from 1 at this precision")
-    if spec._zeta is not None:
-        return spec._zeta
-    p = spec.p
-    if p == 2:
-        z = spec.from_int(-1)
-        spec._zeta = z
-        return z
-    pi = spec.pi()
-    # G as coefficient list in y (ascending); degree p-1 term is -y^(p-1)
-    coeffs = [spec.one()]
-    for k in range(2, p):
-        coeffs.append(spec.from_int(comb(p, k) // p) * pi ** (k - 1))
-    coeffs.append(-spec.one())
-    z = spec.one() + pi * newton_root(coeffs, spec.one())
-    assert (z ** p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
-    spec._zeta = z
+    z = sum(splitting_coefficients(spec, default_s_cut(spec)).b, spec.zero())
+    assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
     return z
 
 
@@ -431,14 +422,6 @@ class FactorialUnits:
         return f
 
 
-def factorial_units(spec):
-    """The ring's FactorialUnits, made on first use."""
-    units = getattr(spec, "_factorial_units", None)
-    if units is None:
-        units = spec._factorial_units = FactorialUnits(spec)
-    return units
-
-
 def pi_pow_digit(spec, k, factorials):
     """(row, digit) with pi^k / prod(f!) = digit * pi^row, digit mod p^N.
 
@@ -450,7 +433,7 @@ def pi_pow_digit(spec, k, factorials):
     (-1)^e * p^(e_p) / unit, e = floor(k/(p-1)); at p = 2 the row is 0 and
     (-1)^k 2^k is pi^k for pi = -2.
     """
-    units, pN = factorial_units(spec), spec.pN
+    units, pN = spec.factorials, spec.pN
     e_p, upar = k // spec.npi, 1
     for f in factorials:
         v, u = units(f)
@@ -467,3 +450,49 @@ def pi_pow_over_factorials(spec, k, factorials):
     one nonzero digit of pi_pow_digit, in its row."""
     r, digit = pi_pow_digit(spec, k, factorials)
     return spec.from_slots([0] * (r * spec.m) + [digit])
+
+
+@dataclass(frozen=True)
+class SplittingCoeffs:
+    ring: object
+    b: tuple
+
+    def __getitem__(self, i):
+        return self.b[i]
+
+    def __len__(self):
+        return len(self.b)
+
+
+def splitting_coefficients(ring, imax):
+    """Coefficients b_0..b_imax of exp(pi(t - t^p)).
+
+    b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!), and every term is one
+    p-integral digit in pi-row i mod (p-1) (pi_pow_digit); so b_i is the
+    sum of those digits in that row.  ord b_i >= i(p-1)/p^2 is asserted for
+    each i.
+    """
+    p = ring.p
+    out = []
+    for i in range(imax + 1):
+        digit = sum((-1) ** j * pi_pow_digit(ring, i - (p - 1) * j, (j, i - p * j))[1]
+                    for j in range(i // p + 1))
+        b = ring.from_slots([0] * (i % (p - 1) * ring.m) + [digit])
+        assert b.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
+        out.append(b)
+    assert out[0] == ring.one()
+    return SplittingCoeffs(ring, tuple(out))
+
+
+def default_s_cut(ring):
+    """Kernel-sum cutoff making every omitted term vanish mod p^N; route A
+    starts its series degree cap at the same value."""
+    return ceil(ring.N * ring.p ** 2 / (ring.p - 1))
+
+
+def powers(x, e):
+    """[x^0, x^1, ..., x^e], each one product from the last."""
+    out = [x.spec.one()]
+    for _ in range(e):
+        out.append(out[-1] * x)
+    return out

@@ -68,11 +68,7 @@ class JobConfig:
         if raw.get("field_poly") is not None:
             kw["field_poly"] = _ints("field_poly", raw["field_poly"])
         if raw.get("routes") is not None:
-            routes = _list("routes", raw["routes"])
-            bad = [r for r in routes if r not in ROUTES]
-            if bad:
-                raise ConfigInvalid(f"unknown routes: {bad}")
-            kw["routes"] = routes
+            kw["routes"] = _list("routes", raw["routes"])
         if raw.get("wmax") is not None:
             kw["wmax"] = _wmax(raw["wmax"])
         for key in ("cache_dir", "output"):
@@ -109,6 +105,9 @@ class JobConfig:
             raise ConfigInvalid("degmax must be at least 1")
         if self.wmax is not None and self.wmax < 0:
             raise ConfigInvalid("wmax must be nonnegative")
+        bad = [r for r in self.routes if r not in ROUTES]
+        if bad:
+            raise ConfigInvalid(f"unknown routes: {bad}")
         if self.lmax < 1:
             raise ConfigInvalid("lmax must be at least 1")
         if "oracle" in self.routes and self.lmax < 2:

@@ -91,21 +91,22 @@ def test_teichmueller_multiplicative(rng):
                 teichmueller(ring, ab)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_zeta_p(p):
-    ring = make_ring(p, 1, None, 4)
-    z = zeta_p(ring)
-    assert (z ** p - ring.one()).is_zero()
-    assert not (z - ring.one()).is_zero()
-    # zeta == 1 + pi mod pi^2
-    assert (z - ring.one() - ring.pi()).val_at_least(Fraction(2, p - 1))
-    # cyclotomic polynomial vanishes
-    phi = ring.zero()
-    for k in range(p):
-        phi = phi + z ** k
-    assert phi.is_zero()
-    # (zeta - 1)/pi is a unit: the orders coincide
-    assert valuation(z - ring.one()) == Fraction(1, p - 1)
+    for m, N in itertools.product([1, 2], [2, 4, 8, 13]):
+        ring = make_ring(p, m, None, N)
+        z = zeta_p(ring)
+        assert (z ** p - ring.one()).is_zero()
+        assert not (z - ring.one()).is_zero()
+        # zeta == 1 + pi mod pi^2
+        assert (z - ring.one() - ring.pi()).val_at_least(Fraction(2, p - 1))
+        # cyclotomic polynomial vanishes
+        phi = ring.zero()
+        for k in range(p):
+            phi = phi + z ** k
+        assert phi.is_zero()
+        # (zeta - 1)/pi is a unit: the orders coincide
+        assert valuation(z - ring.one()) == Fraction(1, p - 1)
 
 
 def test_zeta_p2_is_minus_one(ring2):

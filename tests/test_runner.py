@@ -1,5 +1,6 @@
 """Orchestration: config validation, reports, determinism, cache, CLI."""
 
+import gc
 import itertools
 import json
 import re
@@ -16,7 +17,7 @@ from unitroots.cli import main
 from unitroots.errors import (CacheUnwritable, CompositeP, ConfigInvalid,
                               NonUnitDivision, NotSpanning)
 from unitroots.hyperg import hyperg_coefficient_series
-from unitroots.padic import make_ring
+from unitroots.padic import RingSpec, make_ring
 from unitroots.runner import JobConfig, run
 from unitroots.weights import ExponentSet, build_weight_data
 
@@ -93,6 +94,32 @@ def test_config_validation_errors():
                          (3, ["B", "C"]), (3, ["B"]), (3, ["C"]), ([17, 2], ["C"])):
         with pytest.raises(ConfigInvalid, match="Dwork's bound"):
             run({**KLOOSTER3, "wmax": wmax, "routes": routes})
+
+
+def test_unknown_route_on_a_built_config():
+    """validate() rejects an unknown route however the config was built;
+    a directly built JobConfig with one ran as an empty job."""
+    with pytest.raises(ConfigInvalid, match="unknown routes"):
+        run(JobConfig(p=3, A=((1,), (-1,)), coeffs=((1,), (1,)), routes=("X",)))
+
+
+def test_job_leaves_no_ring_in_a_cycle():
+    """With the cyclic collector off, a full A/B/C/oracle job leaves no
+    RingSpec of its own alive: reference counting frees every ring it made,
+    with its factorial memo."""
+    def rings():
+        return sum(isinstance(o, RingSpec) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = rings()  # the session's ring fixtures, if made
+        rep = run(job_dict(CASES["p5-kloosterman"], precision=4, lmax=3))
+        assert set(rep.data["routes"]) == {"A", "B", "C"} and "oracle" in rep.data
+        assert not rep.data["errors"]
+        assert rings() == before
+    finally:
+        gc.enable()
 
 
 JSON_VALUES = st.recursive(

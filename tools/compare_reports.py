@@ -16,8 +16,10 @@ configs.  A job matches when `Report.without_timing()` is equal and the
 Route A reaches no series code, so the same subprocess also dumps a fixed
 series grid (`series_entries`): `calF_series` digits, `route_a_once`
 digits, and the results of `check_annihilators` and
-`generating_identity_check`.  Prints each report or series entry that
-differs and exits 1 if any does, else 0.
+`generating_identity_check`.  The oracle, the one caller of `zeta_p`, runs
+only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
+`zeta_p` digits up to N = 20.  Prints each report, series or padic entry
+that differs and exits 1 if any does, else 0.
 """
 
 import itertools
@@ -111,11 +113,26 @@ def series_entries():
     return out
 
 
+def padic_entries():
+    """{name: outcome} for the padic grid, from the tree on the path:
+    zeta_p digits for p in {2, 3, 5, 7}, m in {1, 2} and
+    N in {1, 2, 3, 4, 6, 8, 10, 12, 13, 16, 20} with N(p - 1) >= 2, and at
+    p = 2, m = 1, N = 1, where it raises PrecisionTooLow."""
+    from unitroots.padic import make_ring, zeta_p
+    grid = [(2, 1, 1)] + [
+        (p, m, N) for p, m, N in itertools.product(
+            (2, 3, 5, 7), (1, 2), (1, 2, 3, 4, 6, 8, 10, 12, 13, 16, 20))
+        if N * (p - 1) >= 2]
+    return {f"zeta_p:p{p}:m{m}:N{N}": outcome(
+        lambda: zeta_p(make_ring(p, m, None, N)).digits()) for p, m, N in grid}
+
+
 def dump(jobs):
-    """{name: outcome} for the jobs and the series grid, run by the tree
-    on the path."""
+    """{name: outcome} for the jobs and the series and padic grids, run by
+    the tree on the path."""
     out = {name: outcome(lambda: report_outcome(config)) for name, config in jobs}
     out.update((f"series:{name}", value) for name, value in series_entries().items())
+    out.update((f"padic:{name}", value) for name, value in padic_entries().items())
     return out
 
 
@@ -152,8 +169,9 @@ def main(argv):
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
         print(f"differs: {name}")
-    for kind, is_series in (("reports", False), ("series entries", True)):
-        total = [n for n in names if n.startswith("series:") == is_series]
+    kinds = {"series": "series entries", "padic": "padic entries"}
+    for kind in ("reports", *kinds.values()):
+        total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
         print(f"{len(same)} of {len(total)} {kind} match")
     return 1 if differ else 0
