@@ -136,7 +136,8 @@ def cmd_check(args):
         runner.KernelCache(args.cache_dir)  # an unusable directory stops here
     out = args.json_out and runner.open_report(args.json_out)  # so does a bad path
     records = []
-    for case, cfg in zip(cases, jobs):
+    for i, (case, cfg) in enumerate(zip(cases, jobs), 1):
+        print(f"[{i}/{len(cases)}] {case['id']}", file=sys.stderr, flush=True)
         t0 = time.perf_counter()
         try:
             report = runner.run(cfg)

@@ -6,19 +6,26 @@ stored as an integer count vector.  Embedding zeta_p into the working ring
 turns consecutive ratios S_{l+1}/S_l into p-adic approximations of the unit
 root.
 
-Torus points are powers of a multiplicative generator g, so each monomial's
-trace is a precomputed table on the exponent linear form v_a . k mod R,
-R = q^l - 1.  In two variables with three exponents, two of which form a
-unimodular pair and leave the third a combination whose second coefficient
-is a unit mod R, the counts are cyclic convolutions of trace-value
-indicators over Z/R ("convolution", O(p^2 R + p R log R)).  Every other
-exponent set, in any number of variables, walks all R^n points in numpy
-chunks ("enumeration").  Each row records which method produced it.  The
-point guard applies to R^n whichever method runs.  Fields, their traces
-and their generators come from ffield, which derives each once per
-process; _char_sum_slow is a pure-Python reference kept for the tests.
+Torus points are powers of a multiplicative generator g, and so is every
+nonzero coefficient, lambda_a = g^(e_a).  A monomial's trace is therefore
+Tr(g^(v_a . k + e_a)): one table t[j] = Tr(g^j), j < R = q^l - 1, read at
+the exponent linear form shifted by the coefficient's discrete log e_a, and
+lambda enters the sum only through these offsets.  The table depends on the
+field alone, so each field adds one table of R bytes per process, the
+largest in the battery being F_{3^12}'s 531 440; a zero coefficient
+contributes trace 0.  In two variables with three exponents, two of which
+form a unimodular pair and leave the third a combination whose second
+coefficient is a unit mod R, the counts are cyclic convolutions of
+trace-value indicators over Z/p x Z/R ("convolution", O(p R log pR)).
+Every other exponent set, in any number of variables, walks all R^n points
+in numpy chunks ("enumeration").  Each row records which method produced
+it.  The point guard applies to R^n whichever method runs.  Fields, their
+traces and their generators come from ffield, which derives each once per
+process, and each subfield root once per field and polynomial;
+_char_sum_slow is a pure-Python reference kept for the tests.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,6 +73,12 @@ class CharSumTable:
     rows: list = field(default_factory=list)
 
 
+@functools.cache
+def _subfield_root(F, poly):
+    """ffield.find_root(F, poly), found once per field and polynomial."""
+    return ffield.find_root(F, poly)
+
+
 class FqTower:
     """Per-extension enumeration data above the field generated by lambda-bar.
 
@@ -73,8 +86,8 @@ class FqTower:
     for level l runs over the torus of F_{p^(epsilon*d*l)}.  Each level is
     built as an independent F_p[s]/(h) model with the coefficients embedded
     through a root of the standard subfield polynomial, which is chosen once
-    in the presentation field and once per level; any root gives the same
-    sums because they differ by a power Frobenius.
+    in the presentation field and once per level field and process; any root
+    gives the same sums because they differ by a power Frobenius.
     """
 
     def __init__(self, spec):
@@ -84,7 +97,7 @@ class FqTower:
         self.base_degree = spec.epsilon * self.d
         pres = ffield.FField(spec.p, _presentation_modulus(spec))
         self.sub_poly = gfpoly.find_irreducible(spec.p, self.base_degree)
-        rho = ffield.find_root(pres, self.sub_poly)
+        rho = _subfield_root(pres, self.sub_poly)
         self.sub_coords = tuple(
             ffield.subfield_coordinates(pres, rho, pres.elem(c), self.base_degree)
             for c in spec.coeffs)
@@ -94,7 +107,7 @@ class FqTower:
         """(field, embedded coefficient list) for the degree-l extension."""
         if l not in self._levels:
             F = ffield.field(self.p, self.base_degree * l)
-            rho = ffield.find_root(F, self.sub_poly)
+            rho = _subfield_root(F, self.sub_poly)
             self._levels[l] = (F, [F.evaluate(c, rho) for c in self.sub_coords])
         return self._levels[l]
 
@@ -113,12 +126,13 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
     vecs = spec.A.vectors
     if R * (F.k + 2) > (1 << 26):
         raise TooLarge("trace tables for this field exceed the memory guard")
-    tables = _trace_tables(F, lams, R)
+    t = _trace_table(F)
+    offsets = [_log_offset(F, lam, tower.base_degree) for lam in lams]
     plan = _convolution_plan(vecs, R)
     if plan is None:
-        counts, method = _enumerated_counts(tables, vecs, R, p), "enumeration"
+        counts, method = _enumerated_counts(t, offsets, vecs, p), "enumeration"
     else:
-        counts, method = _convolved_counts(tables, R, p, *plan), "convolution"
+        counts, method = _convolved_counts(t, offsets, p, *plan), "convolution"
     total = int(counts.sum())
     assert total == points, "lost or double-counted torus points"
     return CharSumRow(l, F.k, tuple(int(x) for x in counts), method)
@@ -145,66 +159,88 @@ def _convolution_plan(vecs, R):
     return None
 
 
-def _convolved_counts(tables, R, p, a, b, c, alpha, beta):
-    """Trace-value counts of t_a(x) + t_b(y) + t_c(alpha x + beta y) over (Z/R)^2.
+def _traces_at(t, idx, e):
+    """Tr(lambda g^idx) = t[(idx + e) mod R] for an index array idx and
+    lambda = g^e; zeros for lambda = 0 (e None).
+
+    np.take's wrap mode reduces idx + e mod R; it steps by whole periods,
+    so it is cheap while |idx + e| is a few multiples of R, as at every
+    caller.
+    """
+    if e is None:
+        return np.zeros(idx.shape, dtype=t.dtype)
+    return np.take(t, idx + e, mode="wrap")
+
+
+def _convolved_counts(t, offsets, p, a, b, c, alpha, beta):
+    """Trace-value counts of t_a(x) + t_b(y) + t_c(alpha x + beta y) over (Z/R)^2,
+    t_a(x) = Tr(lambda_a g^x) = t[x + e_a].
 
     With w = beta y the sum runs over (x, w) of t_a(x) + t_b(w / beta) +
-    t_c(alpha x + w).  For each s in F_p,
-        h_s(z) = #{(x, w) : alpha x + w = z, t_a(x) + t_b(w / beta) = s}
-    is the sum over j of the cyclic convolution of the pushforward of
-    [t_a = j] along x -> alpha x with [t_b(./beta) = s - j].  One float64
-    FFT convolution per s computes it, and N_c is the sum over s of h_s
-    on {t_c = c - s}.
+    t_c(alpha x + w).  Let A[j, z] = #{x : alpha x = z, t_a(x) = j}, one
+    bincount, and B[j, w] = [t_b(w / beta) = j].  Their cyclic convolution
+    over Z/p x Z/R,
+        h[s, z] = #{(x, w) : alpha x + w = z, t_a(x) + t_b(w / beta) = s},
+    is one 2-D float64 FFT per side and one inverse, and N_c is the sum of
+    h[s, z] over t_c(z) = c - s, one weighted bincount.
 
-    Exactness: every h_s(z) is an integer in [0, R], since each x fixes w.
-    The float64 FFT error of an entry is of order eps * log2(R) times the
-    sum over j of the products of the two inputs' 2-norms, which is at most
-    R * sqrt(gcd(alpha, R)) <= R^(3/2).  The table guard R * (k + 2) <= 2^26
-    keeps R below 2^24 for k >= 2 (R = p - 1 for k = 1), so the error is of
-    order 10^-4 at worst, and rounding recovers h_s exactly.  The residual
-    max |h_s - rint(h_s)| < 1/4 is checked on every output.
+    Exactness: every h[s, z] is an integer in [0, R], since each x fixes w.
+    The float64 FFT error of an entry is of order eps * log2(pR) times the
+    product of the inputs' 2-norms, sqrt(sum A^2) * sqrt(sum B^2) <=
+    sqrt(gcd(alpha, R) R) * sqrt(R) <= R^(3/2).  The table guard
+    R * (k + 2) <= 2^26 keeps R below 2^24 for k >= 2 (R = p - 1 for
+    k = 1), so the error is of order 10^-4 at worst, and rounding recovers
+    h exactly.  The residual max |h - rint(h)| < 1/4 is checked on every
+    output.  The weighted bincount adds integers below R^2 < 2^48 in
+    float64, exactly.
     """
+    R = len(t)
     x = np.arange(R, dtype=np.int64)
-    ta, tc = tables[a], tables[c]
-    tb = tables[b][x * pow(beta, -1, R) % R]
-    ax = x * alpha % R
-    fa = [np.fft.rfft(np.bincount(ax[ta == j], minlength=R)) for j in range(p)]
-    fb = [np.fft.rfft(tb == j) for j in range(p)]
-    tc_masks = [tc == j for j in range(p)]
-    counts = np.zeros(p, dtype=np.int64)
-    for s in range(p):
-        h = np.fft.irfft(sum(fa[j] * fb[(s - j) % p] for j in range(p)), n=R)
-        hi = np.rint(h)
-        assert np.abs(h - hi).max() < 0.25, "convolution count is not exact"
-        hi = hi.astype(np.int64)
-        for j, mask in enumerate(tc_masks):
-            counts[(s + j) % p] += hi[mask].sum()
-    return counts
+    ta = _traces_at(t, x, offsets[a]).astype(np.int64)
+    tb = _traces_at(t, x * pow(beta, -1, R) % R, offsets[b])
+    tc = _traces_at(t, x, offsets[c])
+    s = np.arange(p)[:, None]
+    A = np.bincount(ta * R + x * alpha % R, minlength=p * R).reshape(p, R)
+    B = tb == s
+    h = np.fft.irfft2(np.fft.rfft2(A.astype(np.float64))
+                      * np.fft.rfft2(B.astype(np.float64)), s=(p, R))
+    hi = np.rint(h)
+    assert np.abs(h - hi).max() < 0.25, "convolution count is not exact"
+    counts = np.bincount(((s + tc) % p).ravel(), weights=hi.ravel(), minlength=p)
+    return np.rint(counts).astype(np.int64)
 
 
-def _enumerated_counts(tables, vecs, R, p):
-    """Trace-value counts of sum_a t_a(v_a . k) over every k in (Z/R)^n.
+def _enumerated_counts(t, offsets, vecs, p):
+    """Trace-value counts of sum_a t[v_a . k + e_a] over every k in (Z/R)^n.
 
-    Each chunk is a block of rows: the last coordinate of k runs along a
-    row, and the leading ones are the base-R digits of the row index.  A
-    chunk holds about 2^22 points.
+    Each monomial reads the table through an n-D view with strides v_a, so
+    no index array is formed.  The views lie in one copy of t tiled
+    max_a |v_a|_1 + 1 times, each starting at e_a + R * (the sum of v_a's
+    negative entries' sizes): every unreduced e_a + v_a . k then falls in
+    the tile, at a position congruent to it mod R.  Chunks split the first
+    coordinate of k and hold about 2^22 points, or R^(n-1) when that is
+    more.  Zero coefficients (offset None) are left out, and the sums, at
+    most p - 1 per monomial, are held in the narrowest unsigned dtype and
+    counted value by value.
     """
+    R = len(t)
     n = len(vecs[0])
-    rows = R ** (n - 1)
-    chunk = max(1, (1 << 22) // R)
-    x = np.arange(R, dtype=np.int64)
+    terms = [(v, e) for v, e in zip(vecs, offsets) if e is not None]
+    top = len(terms) * (p - 1)
+    tile = np.tile(t, max((sum(map(abs, v)) + 1 for v, _ in terms), default=1))
+    views = [np.lib.stride_tricks.as_strided(
+        tile[e + R * sum(-c for c in v if c < 0):], shape=(R,) * n,
+        strides=tuple(c * tile.itemsize for c in v), writeable=False)
+        for v, e in terms]
+    chunk = max(1, (1 << 22) // R ** (n - 1))
     counts = np.zeros(p, dtype=np.int64)
-    for start in range(0, rows, chunk):
-        i = np.arange(start, min(start + chunk, rows), dtype=np.int64)
-        lead = [np.zeros_like(i) for _ in vecs]  # v_a . k over the leading digits
-        for j in range(n - 2, -1, -1):
-            i, digit = np.divmod(i, R)
-            for e, v in zip(lead, vecs):
-                e += v[j] * digit
-        c = np.zeros((len(lead[0]), R), dtype=np.int64)
-        for e, v, t in zip(lead, vecs, tables):
-            c += t[(e[:, None] + v[-1] * x[None, :]) % R]
-        counts += np.bincount((c % p).ravel(), minlength=p)
+    for start in range(0, R, chunk):
+        c = np.zeros((min(chunk, R - start),) + (R,) * (n - 1),
+                     dtype=np.min_scalar_type(top))
+        for view in views:
+            c += view[start:start + chunk]
+        for value in range(top + 1):
+            counts[value % p] += np.count_nonzero(c == value)
     return counts
 
 
@@ -227,30 +263,65 @@ def _char_sum_slow(F, lams, vecs, R, p):
     return np.array(counts, dtype=np.int64)
 
 
-def _trace_tables(F, lams, R):
-    """t_a[j] = Tr(lambda_a g^j) for j < R, g the generator of F*, as int16.
+def _trace_form(F):
+    """Q[u][v] = Tr(s^(u+v)), the trace form of the power basis, so that
+    Tr(x y) = x^T Q y on coordinate vectors."""
+    h = np.array(F.traces(), dtype=np.int64)
+    return h[np.add.outer(np.arange(F.k), np.arange(F.k))]
+
+
+@functools.cache
+def _trace_table(F):
+    """t[j] = Tr(g^j) for j < R = |F*|, g the generator of F*, read-only.
 
     Baby steps and giant steps: with B = ceil(sqrt(R)) and j = i + B m,
-    Tr(lambda g^(Bm) g^i) = c_m^T Q b_i, where b_i and c_m are the
-    coordinate vectors of g^i and lambda g^(Bm) and Q[u][v] = Tr(s^(u+v))
-    is the trace form of the power basis.  Only ceil(R/B) + B coordinate
-    vectors are built, and each table is one (R/B x k) by (k x B) product:
-    O(R k) per coefficient where all R coordinate vectors cost O(R k^2).
-    A zero coefficient gives a table of zeros.
+    Tr(g^(Bm) g^i) = c_m^T Q b_i, where b_i and c_m are the coordinate
+    vectors of g^i and g^(Bm) and Q is the trace form.  Only ceil(R/B) + B
+    coordinate vectors are built, and the table is one (R/B x k) by (k x B)
+    product: O(R k) where all R coordinate vectors cost O(R k^2).  Entries
+    are held in the narrowest unsigned dtype that holds p - 1, one byte for
+    p < 256.  Built once per field and process.
     """
-    k, p = F.k, F.p
+    p, R = F.p, F.size - 1
     g = ffield.multiplicative_generator(F)
-    h = np.array(F.traces(), dtype=np.int64)
-    Q = h[np.add.outer(np.arange(k), np.arange(k))]
     B = math.isqrt(R - 1) + 1
-    baby = Q @ _generator_power_table(F, g, B).T % p
+    baby = _trace_form(F) @ _generator_power_table(F, g, B).T % p
     giant = _generator_power_table(F, F.pow(g, B), -(-R // B))
-    tables = []
-    for lam in lams:
-        mm = np.array(F.mult_matrix(lam), dtype=np.int64)
-        t = (giant @ mm.T % p) @ baby % p
-        tables.append(t.ravel()[:R].astype(np.int16))
-    return tables
+    t = (giant @ baby % p).ravel()[:R].astype(np.min_scalar_type(p - 1))
+    t.flags.writeable = False
+    return t
+
+
+@functools.cache
+def _power_traces(F):
+    """W with (W lam)[j] = Tr(lam g^j) mod p for j < k, read-only: row j is
+    Q b_j, b_j the coordinate vector of g^j.  Built once per field."""
+    g = ffield.multiplicative_generator(F)
+    W = _generator_power_table(F, g, F.k) @ _trace_form(F) % F.p
+    W.flags.writeable = False
+    return W
+
+
+def _log_offset(F, lam, sub_degree):
+    """The e < R with lam = g^e, read off the trace table; None for lam = 0.
+
+    lam lies in the subfield of order q0 = p^sub_degree, whose nonzero
+    elements are the g^e with e a multiple of R/(q0 - 1).  Candidates are
+    kept while t[e + j] = Tr(lam g^j), for j = 0, ..., k - 1 in turn, and
+    exactly one survives.  lam's own log does.  Any survivor e has
+    Tr((g^e - lam) g^j) = 0 for j < k; since g generates F over F_p,
+    1, g, ..., g^(k-1) is a basis, so (g^e - lam) y has trace 0 for every y
+    in F, and the trace form (x, y) -> Tr(xy) of the separable extension F
+    is nondegenerate, so g^e = lam; distinct e < R give distinct g^e.
+    """
+    if F.is_zero(lam):
+        return None
+    t = _trace_table(F)
+    e = np.arange(0, len(t), len(t) // (F.p ** sub_degree - 1))
+    for j, trace in enumerate(_power_traces(F) @ np.array(lam) % F.p):
+        e = e[_traces_at(t, e, j) == trace]
+    assert len(e) == 1, "a nonzero coefficient has exactly one discrete log"
+    return int(e[0])
 
 
 def _generator_power_table(F, g, R):

@@ -322,6 +322,9 @@ def teichmueller(spec, xbar):
     return x ** (spec.p ** spec.m) ** -(-(spec.N - 1) // spec.m)
 
 
+_ZETA_ROWS = {}  # RingSpec.key -> zeta_p's rows, int tuples only
+
+
 def zeta_p(spec):
     """Primitive p-th root of unity with zeta == 1 + pi (mod pi^2).
 
@@ -331,13 +334,18 @@ def zeta_p(spec):
     N^2 p^3 / (2(p-1)^2) factorial digits, so its cost grows as N^2, where
     a Newton solve of the cyclotomic equation takes O(log N) ring steps;
     that is cheaper only past about N = 12, and the oracle, its one caller,
-    runs at smaller N.
+    runs at smaller N.  The digits are summed and checked once per
+    RingSpec.key and process and memoized as int tuples, so the memo keeps
+    no ring alive; later calls on an equal ring only wrap them.
     """
     if spec.N * spec.npi < 2:
         raise PrecisionTooLow("cannot separate zeta_p from 1 at this precision")
-    z = sum(splitting_coefficients(spec, default_s_cut(spec)).b, spec.zero())
-    assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
-    return z
+    rows = _ZETA_ROWS.get(spec.key)
+    if rows is None:
+        z = sum(splitting_coefficients(spec, default_s_cut(spec)).b, spec.zero())
+        assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
+        rows = _ZETA_ROWS[spec.key] = z.rows
+    return RingElem(spec, rows, check=False)
 
 
 def horner(coeffs, x):

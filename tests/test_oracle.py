@@ -1,5 +1,6 @@
 """Character-sum oracle: exact counts, embeddings, towers, invariance."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -13,8 +14,11 @@ from unitroots.errors import TooLarge
 from unitroots.ffield import field, find_root, multiplicative_generator
 from unitroots.gfpoly import X, find_irreducible, rem
 from unitroots.hyperg import LaurentSpec
-from unitroots.oracle import (FqTower, _char_sum_slow, _trace_tables, char_sum,
-                              char_sum_table, embed_and_estimate, orbit_degree)
+from unitroots import oracle
+from unitroots.battery import BATTERY
+from unitroots.oracle import (FqTower, _char_sum_slow, _log_offset, _trace_table,
+                              char_sum, char_sum_table, embed_and_estimate,
+                              orbit_degree)
 from unitroots.padic import horner, zeta_p
 from unitroots.weights import ExponentSet
 
@@ -152,16 +156,78 @@ def test_fast_path_matches_slow_path():
         assert row.method == method, (A.vectors, p, l)
 
 
+def test_enumeration_past_one_chunk_equals_convolution():
+    # at R = 4095 a chunk of 2^22 points holds 1024 of the 4095 first
+    # coordinates, so the enumerator runs four chunks; the convolution
+    # counts the same sum independently
+    tower = FqTower(LaurentSpec(TRIANGLE, 2, 2, 1, ((0, 1), (1,), (1, 1))))
+    F, lams = tower.level(6)
+    t = _trace_table(F)
+    offsets = [_log_offset(F, lam, tower.base_degree) for lam in lams]
+    plan = oracle._convolution_plan(TRIANGLE.vectors, len(t))
+    enumerated = oracle._enumerated_counts(t, offsets, TRIANGLE.vectors, 2)
+    assert len(t) == 4095 and sum(enumerated) == 4095 ** 2
+    assert enumerated.tolist() == oracle._convolved_counts(t, offsets, 2, *plan).tolist()
+
+
 def test_trace_tables_match_direct_traces():
-    for p, k in ((2, 1), (3, 1), (2, 4), (3, 3), (5, 2)):
-        F = field(p, k)
+    # the field's one table read at a coefficient's discrete log is that
+    # coefficient's traces: Tr(lam g^j) = t[(j + log lam) mod R] for all j < R
+    def check(F, lam, sub_degree):
         R = F.size - 1
         g = multiplicative_generator(F)
+        direct, y = [], lam
+        for _ in range(R):
+            direct.append(F.trace(y))
+            y = F.mul(y, g)
+        e = _log_offset(F, lam, sub_degree)
+        if e is None:  # a zero coefficient contributes trace 0
+            assert F.is_zero(lam) and not any(direct)
+            return
+        assert F.pow(g, e) == lam
+        t = _trace_table(F)
+        assert [int(t[(j + e) % R]) for j in range(R)] == direct, (F, lam)
+
+    for p, k in ((2, 1), (3, 1), (2, 4), (3, 3), (5, 2)):
+        F = field(p, k)
         lams = [F.zero(), F.one(), tuple(range(1, k + 1)), (p - 1,) * k]
-        lams = [F.elem(tuple(c % p for c in lam)) for lam in lams]
-        for lam, t in zip(lams, _trace_tables(F, lams, R)):
-            assert t.tolist() == [F.trace(F.mul(lam, F.pow(g, j)))
-                                  for j in range(R)], (p, k, lam)
+        for lam in lams:
+            check(F, F.elem(tuple(c % p for c in lam)), k)
+        check(F, F.elem((p - 1,)), 1)  # from F_p inside F_{p^k}
+    for p in (2, 3):
+        # (0, 1) generates F_{p^2}; (1,) lies in F_p
+        tower = FqTower(LaurentSpec(KLOOSTERMAN, p, 2, 1, ((0, 1), (1,))))
+        F, (gen, one) = tower.level(3)
+        assert F.k == 6 and tower.base_degree == 2
+        check(F, gen, 2)
+        check(F, one, 2)
+        check(F, one, 1)
+
+
+def test_each_field_table_built_once(monkeypatch):
+    # two coefficient choices over the same six fields build each field's
+    # table once: count the memo's misses, the builder's runs, per field
+    memo = oracle._trace_table
+    memo.cache_clear()
+    builds = collections.Counter()
+
+    def counted(F):
+        misses = memo.cache_info().misses
+        t = memo(F)
+        builds[F] += memo.cache_info().misses - misses
+        return t
+    monkeypatch.setattr(oracle, "_trace_table", counted)
+    cases = {c["id"]: c for c in BATTERY}
+    tables = []
+    for cid in ("p3-kloosterman-f9", "p3-skew-f9"):
+        case = cases[cid]
+        A = ExponentSet(len(case["A"][0]), case["A"])
+        spec = LaurentSpec(A, 3, case["field_degree"], 1, case["coeffs"])
+        tables.append(char_sum_table(spec, 6))
+    assert sorted(F.k for F in builds) == [2, 4, 6, 8, 10, 12]
+    assert set(builds.values()) == {1}
+    assert tables[0].rows != tables[1].rows
+    assert not memo(field(3, 12)).flags.writeable
 
 
 def test_traces_are_conjugate_sums():

@@ -1,5 +1,6 @@
 """Truncated ring arithmetic: construction, lifts, roots of unity, valuation."""
 
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitroots import padic
 from unitroots.errors import (CompositeP, ConfigInvalid, NonUnitDivision,
                               PrecisionTooLow, ReduciblePolynomial)
-from unitroots.padic import (FactorialUnits, RingElem, make_ring,
+from unitroots.padic import (FactorialUnits, RingElem, RingSpec, make_ring,
                              pi_pow_over_factorials, split_p, teichmueller,
                              valuation, zeta_p)
 
@@ -111,6 +113,28 @@ def test_zeta_p(p):
 
 def test_zeta_p2_is_minus_one(ring2):
     assert zeta_p(ring2) == ring2.from_int(-1)
+
+
+def test_zeta_p_memo_keeps_no_ring():
+    # equal-key rings get equal roots, the second from the memo, and with the
+    # cyclic collector off no ring outlives its last reference
+    def rings():
+        return sum(isinstance(o, RingSpec) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = rings()
+        first, second = make_ring(5, 2, None, 7), make_ring(5, 2, None, 7)
+        assert first is not second and first.key == second.key
+        padic._ZETA_ROWS.pop(first.key, None)
+        z1, z2 = zeta_p(first), zeta_p(second)
+        assert z1 == z2 and z2.spec is second
+        assert first.key in padic._ZETA_ROWS
+        del first, second, z1, z2
+        assert rings() == before
+    finally:
+        gc.enable()
 
 
 def test_zeta_precision_too_low():

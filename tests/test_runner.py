@@ -300,6 +300,23 @@ def test_check_json_records(tmp_path, capsys):
     assert "6/6 battery cases passed" in capsys.readouterr().out
 
 
+def test_check_prints_progress_to_stderr(capsys, monkeypatch):
+    # one "[i/n] <case id>" line on stderr before each case, none on stdout
+    ids = [c["id"] for c in BATTERY if c["id"] in QUICK_IDS]
+    ran = []
+
+    def fake_run(cfg):
+        assert capsys.readouterr().err == f"[{len(ran) + 1}/6] {ids[len(ran)]}\n"
+        ran.append(cfg)
+        raise ConfigInvalid("not run")
+    monkeypatch.setattr(runner, "run", fake_run)
+    assert main(["check", "--quick", "--lmax", "2"]) == 1
+    assert len(ran) == 6
+    out = capsys.readouterr()
+    assert out.err == "" and "[" not in out.out
+    assert "0/6 battery cases passed" in out.out
+
+
 def test_unwritable_report_path(tmp_path, capsys, monkeypatch):
     # a report path in a missing directory, or one that is a directory, is
     # ConfigInvalid (exit 2) naming the path, found before any table is

@@ -18,10 +18,13 @@ series grid (`series_entries`): `calF_series` digits, `route_a_once`
 digits, and the results of `check_annihilators` and
 `generating_identity_check`.  The oracle, the one caller of `zeta_p`, runs
 only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
-`zeta_p` digits up to N = 20.  Prints each report, series or padic entry
-that differs and exits 1 if any does, else 0.
+`zeta_p` digits up to N = 20.  The jobs reach the oracle only on battery
+coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
+`char_sum` counts and method past them.  Prints each report, series, padic
+or oracle entry that differs and exits 1 if any does, else 0.
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -127,12 +130,43 @@ def padic_entries():
         lambda: zeta_p(make_ring(p, m, None, N)).digits()) for p, m, N in grid}
 
 
+def oracle_entries():
+    """{name: outcome} for the oracle grid, from the tree on the path:
+    char_sum rows (counts, method) at p in {2, 3, 5} and every l with
+    R^n <= 10^6, on every battery exponent set, the three-variable simplex
+    and ((1, 0), (0, 1), (2, 2)), which has no convolution plan, each with
+    four coefficient choices: all 1; the first 0; F_p values in F_{p^2},
+    the last p - 1; the first the generator (0, 1) of F_{p^2}."""
+    from unitroots import hyperg, oracle
+    from unitroots.battery import EXPONENT_SETS
+    from unitroots.weights import ExponentSet
+    sets = dict(EXPONENT_SETS, fallback=((1, 0), (0, 1), (2, 2)),
+                simplex3=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)))
+    out = {}
+    for (name, vecs), p in itertools.product(sets.items(), (2, 3, 5)):
+        A = ExponentSet(len(vecs[0]), vecs)
+        ones = ((1,),) * len(vecs)
+        choices = {"ones": (1, ones), "zero": (1, ((0,),) + ones[1:]),
+                   "fp-in-fp2": (2, ones[:-1] + ((p - 1,),)),
+                   "gen-fp2": (2, ((0, 1),) + ones[1:])}
+        for choice, (m, coeffs) in choices.items():
+            spec = hyperg.LaurentSpec(A, p, m, 1, coeffs)
+            tower = oracle.FqTower(spec)
+            l = 1
+            while (p ** (tower.base_degree * l) - 1) ** A.n <= 10 ** 6:
+                out[f"{name}:{choice}:p{p}:l{l}"] = outcome(
+                    lambda: dataclasses.asdict(oracle.char_sum(spec, l, tower)))
+                l += 1
+    return out
+
+
 def dump(jobs):
-    """{name: outcome} for the jobs and the series and padic grids, run by
-    the tree on the path."""
+    """{name: outcome} for the jobs and the series, padic and oracle grids,
+    run by the tree on the path."""
     out = {name: outcome(lambda: report_outcome(config)) for name, config in jobs}
     out.update((f"series:{name}", value) for name, value in series_entries().items())
     out.update((f"padic:{name}", value) for name, value in padic_entries().items())
+    out.update((f"oracle:{name}", value) for name, value in oracle_entries().items())
     return out
 
 
@@ -169,7 +203,8 @@ def main(argv):
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
         print(f"differs: {name}")
-    kinds = {"series": "series entries", "padic": "padic entries"}
+    kinds = {"series": "series entries", "padic": "padic entries",
+             "oracle": "oracle entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
