@@ -35,7 +35,7 @@ def _load_config(args, default_routes=None):
             raw["routes"] = [routes[args.route]]
     elif default_routes is not None and raw.get("routes") is None:
         raw["routes"] = list(default_routes)
-    for key in ("precision", "wmax", "degmax", "lmax", "cache_dir"):
+    for key in ("precision", "wmax", "degmax", "lmax"):
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
@@ -52,7 +52,6 @@ def _add_common(sub):
     sub.add_argument("--wmax", type=int, default=None)
     sub.add_argument("--degmax", type=int, default=None)
     sub.add_argument("--lmax", type=int, default=None)
-    sub.add_argument("--cache-dir", dest="cache_dir", default=None)
     sub.add_argument("--json", dest="json_out", default=None,
                      help="write the full JSON report here")
     sub.add_argument("--override-enumeration-guard", action="store_true")
@@ -128,12 +127,9 @@ def cmd_check(args):
         cases = [c for c in battery_mod.BATTERY
                  if c["id"] in battery_mod.QUICK_IDS]
     lmax = 6 if args.lmax is None else args.lmax
-    extra = {"cache_dir": args.cache_dir} if args.cache_dir else {}
     # a bad option is one ConfigInvalid before the first case, not one per case
-    jobs = [runner.JobConfig.from_dict(
-        {**battery_mod.job_dict(case, lmax=lmax), **extra}) for case in cases]
-    if args.cache_dir:
-        runner.KernelCache(args.cache_dir)  # an unusable directory stops here
+    jobs = [runner.JobConfig.from_dict(battery_mod.job_dict(case, lmax=lmax))
+            for case in cases]
     out = args.json_out and runner.open_report(args.json_out)  # so does a bad path
     records = []
     for i, (case, cfg) in enumerate(zip(cases, jobs), 1):
@@ -199,7 +195,6 @@ def main(argv=None):
     sub.add_argument("--quick", action="store_true",
                      help="six representative cases only")
     sub.add_argument("--lmax", type=int, default=None)
-    sub.add_argument("--cache-dir", dest="cache_dir", default=None)
     sub.add_argument("--json", dest="json_out", default=None,
                      help="write one JSON record per case here")
     sub.set_defaults(fn=cmd_check)

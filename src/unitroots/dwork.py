@@ -223,7 +223,6 @@ class OperatorData:
     """
 
     def __init__(self, spec, W, ring, wmax, s_cut=None, basis=None):
-        self.spec = spec
         self.W = W
         self.ring = ring
         self.wmax = Fraction(wmax)
@@ -909,14 +908,10 @@ class FredholmPoly:
     ring: object
     coeffs: list           # RingElem, c_0 = 1
     degree_cap: int        # last c_k computed; those past it vanish mod p^N (fredholm_cap)
-    dim: int
     products: int = 0      # tensor products behind coeffs, the matrix's own included
     limbs: int = 0         # most limbs per left entry any of those products used
     factors: int = 0       # first-return factors f_r formed, K(0) (first_return_product)
     madds: int = 0         # multiply-adds the first-return products' GEMMs ran
-
-    def __len__(self):
-        return len(self.coeffs)
 
 
 @dataclass
@@ -1039,8 +1034,7 @@ def fredholm_coefficients(Mx):
         coeffs.pop()
     products, K0 = max(cap - 1, 0), int(band[0])
     limbs = max(Mx.limbs, product_limbs(K0, ring.p, ring.N) if products else 0)
-    return FredholmPoly(ring, coeffs, cap, Mx.dim, Mx.products + products, limbs,
-                        K0, madds)
+    return FredholmPoly(ring, coeffs, cap, Mx.products + products, limbs, K0, madds)
 
 
 def newton_polygon(P):
@@ -1130,7 +1124,12 @@ def unit_root_of_poly(coeffs, ring):
     """The reciprocal of the unique unit zero of a polynomial with c_0 = 1.
 
     With c_0 = 1 and integral coefficients, the slope-zero segment of the
-    Newton polygon ends at the last unit coefficient.
+    Newton polygon ends at the last unit coefficient.  When that is c_1, the
+    reciprocal u is lifted directly as a root of the reversal
+    T^d P(1/T) = coeffs[::-1], which is T^(d-1) (T + c_1) mod pi: its root
+    -c_1 there is simple, so no inverse is needed.  Trailing zero
+    coefficients put a factor T^z in the reversal, which does not vanish at
+    a unit, so the same root is lifted.
     """
     last = max((k for k in range(1, len(coeffs)) if coeffs[k].is_unit()),
                default=None)
@@ -1138,10 +1137,10 @@ def unit_root_of_poly(coeffs, ring):
         raise NoUnitRoot("no slope-zero segment")
     if last > 1:
         raise MultipleUnitRoots("slope-zero segment longer than one")
-    return newton_root(coeffs, -(coeffs[1].inverse())).inverse()
+    return newton_root(coeffs[::-1], -coeffs[1])
 
 
-def adjoint_check(spec, wmax, ring, W=None):
+def adjoint_check(spec, wmax, ring):
     """Worst pairing discrepancy between the operator and its dual.
 
     The dual side is applied through the dictionary path (one_step_dual),
@@ -1149,7 +1148,7 @@ def adjoint_check(spec, wmax, ring, W=None):
     w <= wmax/p the two pairings must agree at working precision.  Returns
     the minimal discrepancy order, or None when every difference vanishes.
     """
-    W = W or build_weight_data(spec.A)
+    W = build_weight_data(spec.A)
     odata = OperatorData(spec, W, ring, wmax)
     M = odata.full_matrix()
     index = {mu: i for i, mu in enumerate(odata.basis)}

@@ -81,9 +81,8 @@ class MultiSeries:
                 if sum(u) <= degmax and c:
                     self.terms[tuple(u)] = c
 
-    def mul(self, other, degmax=None):
+    def mul(self, other, cap):
         """Truncated product of ring series, skipping pairs of order >= N(p-1)."""
-        cap = min(self.degmax, other.degmax) if degmax is None else degmax
         if not self.terms or not other.terms:
             return MultiSeries(self.nvars, cap)
         spec = next(iter(self.terms.values())).spec
@@ -217,6 +216,7 @@ def _solutions(A, target, degmax):
                 tuple(residual[i] - c * a[i] for i in range(n)), prefix + [c])
 
     rec(0, degmax, tuple(target), [])
+    del rec  # rec's cell holds rec: a cycle that would keep out alive
     return out
 
 
@@ -271,6 +271,7 @@ def digit_solutions(A, target, degmax, p, order_bound):
 
     if degmax >= 0 and order_bound > 0:
         rec(0, 1, tuple(target), order_bound - 1, (0,) * k, 0)
+    del rec, extend  # their cells hold each other: a cycle that would keep out alive
     return out
 
 

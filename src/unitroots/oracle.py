@@ -342,11 +342,11 @@ def _generator_power_table(F, g, R):
     return table
 
 
-def char_sum_table(spec, lmax, guard=ENUMERATION_GUARD, override=False):
+def char_sum_table(spec, lmax, override=False):
     tower = FqTower(spec)
     table = CharSumTable(tower.d)
     for l in range(1, lmax + 1):
-        table.rows.append(char_sum(spec, l, tower, guard, override))
+        table.rows.append(char_sum(spec, l, tower, override=override))
     return table
 
 

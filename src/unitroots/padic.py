@@ -462,7 +462,6 @@ def pi_pow_over_factorials(spec, k, factorials):
 
 @dataclass(frozen=True)
 class SplittingCoeffs:
-    ring: object
     b: tuple
 
     def __getitem__(self, i):
@@ -489,7 +488,7 @@ def splitting_coefficients(ring, imax):
         assert b.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
         out.append(b)
     assert out[0] == ring.one()
-    return SplittingCoeffs(ring, tuple(out))
+    return SplittingCoeffs(tuple(out))
 
 
 def default_s_cut(ring):

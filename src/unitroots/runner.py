@@ -1,9 +1,10 @@
-"""Job orchestration: configuration, route execution, reporting, caching.
+"""Job orchestration: configuration, route execution, reporting.
 
 A job names a prime power, an exponent set, residue-field coefficients and a
 precision, then runs any subset of the three analytic routes plus the exact
 character-sum oracle and cross-checks the results digit by digit.  Reports
-are deterministic JSON with integers only (timings are milliseconds).
+are deterministic JSON with integers only (timings are milliseconds).  Every
+kernel table comes from the sweep: no job reads or writes a cache.
 """
 
 import contextlib
@@ -39,7 +40,6 @@ class JobConfig:
     degmax: int = None
     wmax: Fraction = None
     lmax: int = 6
-    cache_dir: str = None
     override_enumeration_guard: bool = False
     output: str = None
 
@@ -71,11 +71,10 @@ class JobConfig:
             kw["routes"] = _list("routes", raw["routes"])
         if raw.get("wmax") is not None:
             kw["wmax"] = _wmax(raw["wmax"])
-        for key in ("cache_dir", "output"):
-            if raw.get(key) is not None:
-                if not isinstance(raw[key], str):
-                    raise ConfigInvalid(f"{key} must be a path string, not {raw[key]!r}")
-                kw[key] = raw[key]
+        if raw.get("output") is not None:
+            if not isinstance(raw["output"], str):
+                raise ConfigInvalid(f"output must be a path string, not {raw['output']!r}")
+            kw["output"] = raw["output"]
         if raw.get("override_enumeration_guard") is not None:
             guard = raw["override_enumeration_guard"]
             if not isinstance(guard, bool):
@@ -190,6 +189,9 @@ def default_wmax(ring, D):
 
 class KernelCache:
     """Content-addressed store for kernel coefficient tables.
+
+    No job uses it, since a hit costs more than the sweep it skips; it is
+    kept only because perfbench/micro.py times its store and load.
 
     Each file holds one table and the SHA-256 of its JSON payload.  An
     entry that cannot be read, does not parse, has the wrong shape or fails
@@ -344,12 +346,6 @@ def run(config):
     if tensor_routes:
         t0 = time.perf_counter()
         odata = dwork.OperatorData(spec, W, ring, wmax, basis=basis)
-        if config.cache_dir:
-            cache = KernelCache(config.cache_dir)
-            for oi in range(orbit_len):
-                if not cache.load(odata, oi):
-                    odata.kernel_table(oi)
-                    cache.store(odata, oi)
         timing["operator_tables_ms"] = int(1000 * (time.perf_counter() - t0))
 
     @contextlib.contextmanager

@@ -283,11 +283,11 @@ def test_fredholm_composition_order_pinned():
 def test_newton_polygon_shapes(ring3):
     one = ring3.one()
     p3 = ring3.from_int(3)
-    P = FredholmPoly(ring3, [one, -one], 1, 1)
+    P = FredholmPoly(ring3, [one, -one], 1)
     assert newton_polygon(P).segments == [(F(0), 1)]
-    P = FredholmPoly(ring3, [one, -one, -p3], 2, 2)
+    P = FredholmPoly(ring3, [one, -one, -p3], 2)
     assert newton_polygon(P).segments == [(F(0), 1), (F(1), 1)]
-    P = FredholmPoly(ring3, [one], 0, 0)
+    P = FredholmPoly(ring3, [one], 0)
     assert newton_polygon(P).segments == []
 
 
@@ -314,20 +314,21 @@ def _elem9(digits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ELEM9, st.lists(ELEM9, max_size=4))
-def test_unit_root_of_linear_factor(u_digits, q_digits):
-    # (1 - uT) Q with Q(0) = 1 and every higher coefficient of Q a non-unit
+@given(ELEM9, st.lists(ELEM9, max_size=4), st.integers(0, 2))
+def test_unit_root_of_linear_factor(u_digits, q_digits, zeros):
+    # (1 - uT) Q with Q(0) = 1 and every higher coefficient of Q a non-unit,
+    # padded with trailing zero coefficients as the L-function numerator is
     u = _elem9(u_digits)
     assume(u.is_unit())
     Q = [RING9.one()] + [RING9.pi() * _elem9(d) for d in q_digits]
     poly = [Q[0]] + [Q[k] - u * Q[k - 1] for k in range(1, len(Q))] + [-u * Q[-1]]
-    assert unit_root_of_poly(poly, RING9) == u
+    assert unit_root_of_poly(poly + [RING9.zero()] * zeros, RING9) == u
 
 
 def test_lfunction_delta_of_linear(ring3):
     # delta of (1 - uT): numerator 1 - uT, denominator 1 - u p^s T
     u = ring3.from_int(2)
-    P = FredholmPoly(ring3, [ring3.one(), -u], 1, 1)
+    P = FredholmPoly(ring3, [ring3.one(), -u], 1)
     lf = lfunction_from_fredholm(P, 1, 1, u)
     assert lf.numerator == [ring3.one(), -u]
     assert lf.denominator == [ring3.one(), -u * ring3.from_int(3)]
@@ -360,7 +361,7 @@ def test_lfunction_matches_ringelem_reference(pm, n, s, digits, zero_top):
     ring = LF_RINGS[pm]
     coeffs = ([ring.one()] + [ring.from_slots(c[:ring.npi * ring.m]) for c in digits]
               + [ring.from_int(ring.pN)] * zero_top)
-    P = FredholmPoly(ring, coeffs, len(coeffs) - 1, 1)
+    P = FredholmPoly(ring, coeffs, len(coeffs) - 1)
     d = len(coeffs) - 1
     sides = [[ring.one()], [ring.one()]]
     for k in range(n + 1):

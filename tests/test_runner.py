@@ -12,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitroots import dwork, hyperg, oracle, runner
-from unitroots.battery import BATTERY, DEGENERATE_BATTERY, QUICK_IDS, job_dict
+from unitroots.battery import (BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS,
+                               QUICK_IDS, job_dict)
 from unitroots.cli import main
 from unitroots.errors import (CacheUnwritable, CompositeP, ConfigInvalid,
                               NonUnitDivision, NotSpanning)
 from unitroots.hyperg import hyperg_coefficient_series
 from unitroots.padic import RingSpec, make_ring
 from unitroots.runner import JobConfig, run
-from unitroots.weights import ExponentSet, build_weight_data
+from unitroots.weights import (ExponentSet, build_weight_data,
+                               relation_lattice_basis)
 
 CASES = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
 
@@ -120,6 +122,30 @@ def test_job_leaves_no_ring_in_a_cycle():
         assert rings() == before
     finally:
         gc.enable()
+
+
+def _cyclic_garbage(fn):
+    """The objects gc.collect() finds after fn() runs with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_jobs_leave_no_cyclic_garbage():
+    """Reference counting frees all a job makes, route A's term lists
+    included: its enumerators return without a closure cycle."""
+    triangle = ExponentSet(2, EXPONENT_SETS["triangle"])
+    ell = relation_lattice_basis(triangle)[0]
+    assert _cyclic_garbage(
+        lambda: run(job_dict(CASES["p5-skew"], precision=4, lmax=3))) == 0
+    assert _cyclic_garbage(lambda: run(job_dict(
+        CASES["p3-kloosterman"], precision=8, routes=("A",)))) == 0
+    assert _cyclic_garbage(
+        lambda: hyperg.check_annihilators(triangle, (0, 0), ell, 8, 3)) == 0
 
 
 JSON_VALUES = st.recursive(
@@ -225,65 +251,100 @@ def test_output_written(tmp_path):
     assert json.loads(out.read_text()) == rep.data
 
 
+def _operator(case_id):
+    """A fresh OperatorData for the battery case at N = 4, as run() builds it."""
+    cfg = JobConfig.from_dict(job_dict(CASES[case_id], routes=("B", "C")))
+    ring = make_ring(cfg.p, cfg.field_degree, cfg.field_poly, cfg.precision)
+    spec = cfg.laurent_spec()
+    W = build_weight_data(spec.A)
+    return dwork.OperatorData(spec, W, ring, runner.default_wmax(ring, W.D))
+
+
+def _table(odata, oi):
+    return dict(odata.kernel_table(oi).items())
+
+
+# no job reads or writes the kernel cache; perfbench/micro.py times it
+
+
 def test_cache_roundtrip(tmp_path):
     # p3-kloosterman-f9 has orbit length 2, so the cache holds two tables
-    cfg = {**job_dict(CASES["p3-kloosterman-f9"], routes=("B", "C")),
-           "cache_dir": str(tmp_path)}
-    cold = run(cfg)
+    cache, cold = runner.KernelCache(tmp_path), _operator("p3-kloosterman-f9")
+    for oi in range(2):
+        cache.store(cold, oi)
     files = sorted(tmp_path.glob("kernel-*.json"))
     assert len(files) == 2
-    warm = run(cfg)
-    assert cold.without_timing() == warm.without_timing()
+    warm = _operator("p3-kloosterman-f9")
+    assert cache.load(warm, 0) and cache.load(warm, 1)
+    assert [_table(warm, oi) for oi in range(2)] == [_table(cold, oi) for oi in range(2)]
     # a truncated file and a flipped digit are both misses: recomputed, rewritten
     files[0].write_text(files[0].read_text()[:100])
     text = files[1].read_text()
     i = text.index("[[", text.index('"table"')) + 2
     flipped = "8" if text[i] == "9" else str(int(text[i]) + 1)
     files[1].write_text(text[:i] + flipped + text[i + 1:])
-    assert run(cfg).without_timing() == cold.without_timing()
+    missed = _operator("p3-kloosterman-f9")
+    assert not cache.load(missed, 0) and not cache.load(missed, 1)
+    for oi in range(2):
+        cache.store(missed, oi)
     assert sorted(tmp_path.iterdir()) == files
-    assert run(cfg).without_timing() == cold.without_timing()
+    warm = _operator("p3-kloosterman-f9")
+    assert cache.load(warm, 0) and cache.load(warm, 1)
+    assert [_table(warm, oi) for oi in range(2)] == [_table(cold, oi) for oi in range(2)]
 
 
 def test_cache_entry_of_another_dimension_is_a_miss(tmp_path):
     # a well-formed entry with a valid checksum whose points have one
     # coordinate too many is a miss too: recomputed and rewritten, not a
     # broadcasting error in the gather
-    cfg = {**job_dict(CASES["p3-kloosterman"], routes=("B", "C")),
-           "cache_dir": str(tmp_path)}
-    cold = run(cfg)
+    cache = runner.KernelCache(tmp_path)
+    cache.store(_operator("p3-kloosterman"), 0)
     [path] = tmp_path.glob("kernel-*.json")
     payload = {mu + ",0": rows
                for mu, rows in json.loads(path.read_text())["table"].items()}
     path.write_text(json.dumps({"table": payload,
                                 "sha256": runner._digest(payload)}))
-    assert run(cfg).without_timing() == cold.without_timing()
+    odata = _operator("p3-kloosterman")
+    assert not cache.load(odata, 0)
+    cache.store(odata, 0)
     assert ",0" not in path.read_text()
+    assert cache.load(_operator("p3-kloosterman"), 0)
 
 
-def test_cache_dir_that_is_a_file(tmp_path, capsys):
+def test_cache_dir_that_is_a_file(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")
     with pytest.raises(ConfigInvalid, match="cache_dir .*taken"):
-        run({**KLOOSTER3, "routes": ["B"], "cache_dir": str(path)})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(KLOOSTER3))
-    assert main(["unit-root", "--config", str(cfg), "--cache-dir", str(path)]) == 2
-    assert main(["check", "--quick", "--cache-dir", str(path)]) == 2
-    assert "ConfigInvalid" in capsys.readouterr().err
+        runner.KernelCache(path)
 
 
 def test_cache_entry_that_is_a_directory(tmp_path):
     # the entry cannot be read, so it is a miss; it cannot be replaced
     # either, so storing the recomputed table fails naming the entry
-    cfg = {**KLOOSTER3, "routes": ["B"], "cache_dir": str(tmp_path)}
-    run(cfg)
+    cache = runner.KernelCache(tmp_path)
+    cache.store(_operator("p3-kloosterman"), 0)
     (entry,) = tmp_path.glob("kernel-*.json")
     entry.unlink()
     entry.mkdir()
+    odata = _operator("p3-kloosterman")
+    assert not cache.load(odata, 0)
     with pytest.raises(CacheUnwritable, match=entry.name):
-        run(cfg)
+        cache.store(odata, 0)
     assert sorted(tmp_path.iterdir()) == [entry]
+
+
+def test_no_cache_option(tmp_path, capsys):
+    # tables always come from the sweep: the config key and the flag are gone
+    with pytest.raises(ConfigInvalid, match="unknown config keys.*cache_dir"):
+        JobConfig.from_dict({**KLOOSTER3, "cache_dir": str(tmp_path)})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KLOOSTER3))
+    for argv in (["unit-root", "--config", str(cfg)], ["check", "--quick"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+    assert not list(tmp_path.glob("kernel-*"))
 
 
 def test_check_json_records(tmp_path, capsys):

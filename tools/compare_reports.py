@@ -22,9 +22,15 @@ only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
 coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
 `char_sum` counts and method past them.  Prints each report, series, padic
 or oracle entry that differs and exits 1 if any does, else 0.
+
+Each job runs with the cyclic collector off, and `gc.collect()` is read
+right after it: for each tree the script also prints how many jobs left
+cyclic garbage and how many objects in all.  That line does not change the
+exit code.
 """
 
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -63,10 +69,22 @@ def outcome(fn):
 
 
 def report_outcome(config):
+    """(the job's outcome, the objects gc.collect() finds right after it),
+    the job run with the cyclic collector off.  Only runner.run is inside
+    that window: Report.to_json's indenting encoder leaves a cycle of its
+    own."""
     from unitroots import runner
-    rep = runner.run(config)
-    return {"report": rep.without_timing(),
-            "timing_keys": sorted(rep.data["timing"])}
+    gc.collect()
+    gc.disable()
+    try:
+        rep = outcome(lambda: runner.run(config))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    if isinstance(rep, runner.Report):
+        rep = {"report": rep.without_timing(),
+               "timing_keys": sorted(rep.data["timing"])}
+    return rep, garbage
 
 
 def series_entries():
@@ -161,13 +179,16 @@ def oracle_entries():
 
 
 def dump(jobs):
-    """{name: outcome} for the jobs and the series, padic and oracle grids,
-    run by the tree on the path."""
-    out = {name: outcome(lambda: report_outcome(config)) for name, config in jobs}
+    """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
+    jobs and the series, padic and oracle grids, run by the tree on the
+    path."""
+    out, garbage = {}, {}
+    for name, config in jobs:
+        out[name], garbage[name] = report_outcome(config)
     out.update((f"series:{name}", value) for name, value in series_entries().items())
     out.update((f"padic:{name}", value) for name, value in padic_entries().items())
     out.update((f"oracle:{name}", value) for name, value in oracle_entries().items())
-    return out
+    return {"entries": out, "garbage": garbage}
 
 
 def in_tree(root, mode, stdin=None):
@@ -199,6 +220,11 @@ def main(argv):
         sys.exit(__doc__)
     jobs = in_tree(argv[0], "--list")
     a, b = (json.loads(in_tree(root, "--dump", jobs)) for root in argv)
+    for root, side in zip(argv, (a, b)):
+        left = [k for k in side["garbage"].values() if k]
+        print(f"{root}: {len(left)} of {len(side['garbage'])} jobs left cyclic "
+              f"garbage, {sum(left)} objects")
+    a, b = a["entries"], b["entries"]
     names = sorted(a.keys() | b.keys())
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
