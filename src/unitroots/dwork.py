@@ -74,7 +74,7 @@ from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM,
                      PrecisionTooLow)
 from .hyperg import _solutions
 from .oracle import orbit_degree
-from .padic import (RingElem, default_s_cut, newton_root, powers,
+from .padic import (RingElem, default_s_cut, horner, newton_root, powers,
                     splitting_coefficients, teichmueller)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
@@ -877,11 +877,18 @@ def power_iteration_budget(ring, D):
 def power_iteration_unit_root(odata):
     """Unit eigenvalue and fixed vector of the dual of odata's operator.
 
-    Starting from the delta vector at X^0, apply the full orbit cycle, divide
-    by the X^0 coefficient (a unit), and repeat until the normalizers agree
-    at odata's precision, within power_iteration_budget cycles.  The orders
-    of successive normalizer differences are returned for the contraction
-    diagnostics.
+    Starting from the delta vector at X^0, apply the full orbit cycle M and
+    divide by the X^0 coefficient c (a unit), until the normalized vector v
+    and c both repeat mod p^N, within power_iteration_budget cycles.  That
+    stop is a certificate: a repeated v gives M v = c v with v_0 = 1, so
+    det(M - c) = 0 mod p^N (multiply by the adjugate).  Every eigenvalue of
+    M but the unit root u is a non-unit, so its difference from c is a
+    unit, and ord(c - u) = ord det(M - c) >= N.  A repeated v makes the
+    next c repeat, so the second condition costs at most one cycle; it
+    keeps the last normalizer difference None.  A repeated c alone proves
+    nothing: at p = 2 the normalizers can repeat before they converge.  The
+    orders of successive normalizer differences are returned for the
+    contraction diagnostics.
     """
     ring = odata.ring
     vec = np.zeros((len(odata.basis), ring.npi, ring.m), dtype=np.int64)
@@ -890,16 +897,15 @@ def power_iteration_unit_root(odata):
     budget = power_iteration_budget(ring, odata.W.D)
     normalizers = []
     for cycle in range(1, budget + 1):
-        vec = odata.dual_cycle(vec)
+        prev, vec = vec, odata.dual_cycle(vec)
         c = RingElem(ring, vec[0])
         vec = ring_array_mul(ring, vec, np.array(c.inverse().rows))
         normalizers.append(c)
-        if len(normalizers) >= 2:
-            diff = (normalizers[-1] - normalizers[-2]).valuation()
-            if diff is None:
-                diffs = [(b - a).valuation() for a, b in zip(normalizers, normalizers[1:])]
-                return PowerIterationResult(c, _vec_to_xseries(odata, vec),
-                                            diffs, cycle, budget)
+        if (len(normalizers) >= 2 and (c - normalizers[-2]).is_zero()
+                and np.array_equal(vec, prev)):
+            diffs = [(b - a).valuation() for a, b in zip(normalizers, normalizers[1:])]
+            return PowerIterationResult(c, _vec_to_xseries(odata, vec),
+                                        diffs, cycle, budget)
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
 
 
@@ -1072,7 +1078,7 @@ def fredholm_unit_root(Mx):
     one; the corresponding simple zero 1/u is lifted by Newton iteration.
     """
     P = fredholm_coefficients(Mx)
-    return P, unit_root_of_poly(P.coeffs, Mx.ring)
+    return P, unit_root_of_poly(P.coeffs)
 
 
 @dataclass
@@ -1080,7 +1086,6 @@ class LFunctionData:
     numerator: list        # polynomial coefficients, constant 1
     denominator: list
     series: list           # the processed L-power expanded mod T^(len)
-    unit_root: RingElem
     unit_root_matches: bool
 
 
@@ -1094,8 +1099,15 @@ def lfunction_from_fredholm(P, n, s, u0):
     full degree d * count, d = deg P.  The series is num / den mod T^(d+1),
     q_k = num_k - sum_(1 <= j <= min(k, deg den)) den_j q_(k-j).  u0 is P's
     unit root, as fredholm_unit_root returns it.  Returns the numerator and
-    denominator polynomials, the series of the processed L-power, and the
-    (preserved) unit root with whether it equals u0.
+    denominator polynomials, the series of the processed L-power, and
+    whether u0 is the numerator's unit root too.
+
+    The k > 0 factors scale reciprocal roots by powers of p^s, so the unit
+    root is P's alone, and one evaluation decides it.  The reversed
+    numerator R = num[::-1] is T^z prod_i (T - alpha_i) over its reciprocal
+    roots, the unit one u among them: T^(e-1) (T + c_1) mod pi.  At u0 = u
+    mod pi every other factor is a unit, so ord R(u0) = ord(u0 - u) and R(u0)
+    vanishes mod p^N exactly when u0 = u; otherwise R(u0) is a unit.
     """
     ring = P.ring
     p, pN, d = ring.p, ring.pN, len(P.coeffs) - 1
@@ -1114,13 +1126,11 @@ def lfunction_from_fredholm(P, n, s, u0):
         q[k] -= ring_array_mul(ring, den[1:j + 1], q[k - j:k][::-1]).sum(axis=0)
         _reduce(q[k], pN)
     num, den = _ring_elems(ring, num), _ring_elems(ring, den)
-    # the k > 0 factors scale reciprocal roots by powers of p^s, so the unit
-    # root is P's alone; it is read off the numerator as a check
-    u = unit_root_of_poly(num, ring)
-    return LFunctionData(num, den, _ring_elems(ring, q), u, (u - u0).is_zero())
+    return LFunctionData(num, den, _ring_elems(ring, q),
+                         horner(num[::-1], u0).is_zero())
 
 
-def unit_root_of_poly(coeffs, ring):
+def unit_root_of_poly(coeffs):
     """The reciprocal of the unique unit zero of a polynomial with c_0 = 1.
 
     With c_0 = 1 and integral coefficients, the slope-zero segment of the

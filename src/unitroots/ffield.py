@@ -2,15 +2,17 @@
 
 Elements are coefficient tuples of length k (ascending powers of s).  Fields
 here stay desk-scale: multiplicative generators are found by factoring the
-group order with trial division, and subfield embeddings go through a root
-of the subfield's defining polynomial, located by scanning the cyclic
-subgroup of the right order.
+group order with trial division.  Subfields are placed by discrete logs: a
+root of a primitive polynomial of degree deg generates F_{p^deg}^*, and
+root_log finds the least e with g^e one of its roots by scanning the cyclic
+subgroup of order p^deg - 1, so a root rho of the same polynomial in
+another field embeds as rho^j -> g^(e*j).
 
 Each fact about a field has one rule.  Traces come from the power sums
 Tr(s^e) of the modulus by Newton's identities (FField.traces), polynomials
 over F_p are evaluated by one Horner rule (FField.evaluate), and inverses
-are powers.  A field is hashable by (p, modulus), so its traces and its
-generator are derived once per process.
+are powers.  A field is hashable by (p, modulus), so its traces, its
+generator and its roots' logs are derived once per process.
 """
 
 import functools
@@ -139,59 +141,45 @@ def multiplicative_generator(F):
     raise AssertionError("no generator found")
 
 
-def find_root(F, poly):
-    """A root in F of an irreducible monic poly over F_p whose degree divides k.
+@functools.cache
+def primitive_poly(p, deg):
+    """Least monic primitive polynomial of degree deg over F_p.
 
-    Roots lie in the subfield of order p^deg; its elements are the powers
-    g^(j * (size-1)/(p^deg - 1)), scanned in order of j (plus zero for the
-    degree-1 polynomial x).
+    Candidates are scanned in find_irreducible's order.  An irreducible f
+    with f(0) != 0 is primitive when x has order p^deg - 1 mod f, that is
+    when x^((p^deg - 1)/r) != 1 mod f for each prime r | p^deg - 1; its
+    roots then generate the multiplicative group of F_{p^deg}.  Each
+    (p, deg) is searched once per process.
     """
-    poly = gfpoly.trim(poly)
+    order = p ** deg - 1
+    primes = list(factorize(order))
+    for idx in range(p ** deg):
+        cand = tuple(idx // p ** i % p for i in range(deg)) + (1,)
+        if cand[0] and gfpoly.is_irreducible(cand, p) and all(
+                gfpoly.powmod(gfpoly.X, order // r, cand, p) != (1,)
+                for r in primes):
+            return cand
+    raise AssertionError("F_p^deg has a primitive element")
+
+
+@functools.cache
+def root_log(F, poly):
+    """The least e with g^e a root of poly, g = multiplicative_generator(F).
+
+    poly is monic irreducible over F_p of a degree deg dividing k, with a
+    nonzero constant term, so its roots lie in the subfield of order p^deg,
+    whose nonzero elements are the g^e with e a multiple of
+    (size - 1)/(p^deg - 1); they are scanned in order of e.  Found once per
+    field and polynomial.
+    """
     deg = len(poly) - 1
     if F.k % deg:
         raise ValueError("no subfield of that degree")
-    if deg == 1:
-        return F.elem(((-poly[0]) % F.p,))
-    g = multiplicative_generator(F)
     step = (F.size - 1) // (F.p ** deg - 1)
+    gs = F.pow(multiplicative_generator(F), step)
     x = F.one()
-    gs = F.pow(g, step)
-    for _ in range(F.p ** deg - 1):
+    for j in range(F.p ** deg - 1):
         if F.is_zero(F.evaluate(poly, x)):
-            return x
+            return j * step
         x = F.mul(x, gs)
     raise AssertionError("irreducible polynomial has no root in its splitting field")
-
-
-def subfield_coordinates(F, rho, x, deg):
-    """Coordinates of x in the basis 1, rho, ..., rho^(deg-1) over F_p."""
-    basis = []
-    r = F.one()
-    for _ in range(deg):
-        basis.append(r)
-        r = F.mul(r, rho)
-    # solve sum c_j basis[j] = x over F_p
-    rows = [[basis[j][i] for j in range(deg)] + [x[i]] for i in range(F.k)]
-    p = F.p
-    pivots = []
-    rank = 0
-    for col in range(deg):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][deg] % p:
-            raise ValueError("element is not in the subfield")
-    sol = [0] * deg
-    for r_, col in enumerate(pivots):
-        sol[col] = rows[r_][deg]
-    return tuple(sol)

@@ -7,10 +7,12 @@ turns consecutive ratios S_{l+1}/S_l into p-adic approximations of the unit
 root.
 
 Torus points are powers of a multiplicative generator g, and so is every
-nonzero coefficient, lambda_a = g^(e_a).  A monomial's trace is therefore
-Tr(g^(v_a . k + e_a)): one table t[j] = Tr(g^j), j < R = q^l - 1, read at
-the exponent linear form shifted by the coefficient's discrete log e_a, and
-lambda enters the sum only through these offsets.  The table depends on the
+nonzero coefficient: lambda_a = rho^(j_a) for a root rho of a primitive
+polynomial h, and rho embeds as g^e, a root of h in the level field, so
+lambda_a = g^(e_a) with e_a = e j_a mod R (FqTower).  A monomial's trace is
+therefore Tr(g^(v_a . k + e_a)): one table t[j] = Tr(g^j), j < R = q^l - 1,
+read at the exponent linear form shifted by the offset e_a, and lambda
+enters the sum only through these offsets.  The table depends on the
 field alone, so each field adds one table of R bytes per process, the
 largest in the battery being F_{3^12}'s 531 440; a zero coefficient
 contributes trace 0.  In two variables with three exponents, two of which
@@ -20,9 +22,9 @@ trace-value indicators over Z/p x Z/R ("convolution", O(p R log pR)).
 Every other exponent set, in any number of variables, walks all R^n points
 in numpy chunks ("enumeration").  Each row records which method produced
 it.  The point guard applies to R^n whichever method runs.  Fields, their
-traces and their generators come from ffield, which derives each once per
-process, and each subfield root once per field and polynomial;
-_char_sum_slow is a pure-Python reference kept for the tests.
+traces, their generators and the logs of h's roots come from ffield, which
+derives each once per process; _char_sum_slow is a pure-Python reference
+kept for the tests.
 """
 
 import functools
@@ -53,9 +55,7 @@ def orbit_degree(spec):
 
 
 def _presentation_modulus(spec):
-    g = getattr(spec, "field_poly", None)
-    if g is None:
-        g = gfpoly.find_irreducible(spec.p, spec.m)
+    g = spec.field_poly or gfpoly.find_irreducible(spec.p, spec.m)
     return gfpoly.trim(c % spec.p for c in g)
 
 
@@ -73,21 +73,23 @@ class CharSumTable:
     rows: list = field(default_factory=list)
 
 
-@functools.cache
-def _subfield_root(F, poly):
-    """ffield.find_root(F, poly), found once per field and polynomial."""
-    return ffield.find_root(F, poly)
-
-
 class FqTower:
     """Per-extension enumeration data above the field generated by lambda-bar.
 
     The coefficients, given in F_{p^m}, generate F_{p^(epsilon*d)}; the sum
-    for level l runs over the torus of F_{p^(epsilon*d*l)}.  Each level is
-    built as an independent F_p[s]/(h) model with the coefficients embedded
-    through a root of the standard subfield polynomial, which is chosen once
-    in the presentation field and once per level field and process; any root
-    gives the same sums because they differ by a power Frobenius.
+    for level l runs over the torus of F_{p^(epsilon*d*l)}, an independent
+    F_p[s]/(modulus) model.  h is the least primitive polynomial of degree
+    epsilon*d and rho its first root in the presentation field; logs[a] is
+    the j_a with lambda_a = rho^(j_a), None for lambda_a = 0.  Level l's
+    field holds a root g^e of h (ffield.root_log), and lambda_a embeds
+    there as g^(e j_a):
+    - rho -> g^e extends to a field embedding F_p(rho) -> F, since both
+      are roots of the irreducible h;
+    - every nonzero coefficient is a power of rho, since h is primitive and
+      the coefficients lie in F_p(rho) = F_{p^(epsilon*d)};
+    - so rho^j maps to g^(e j), and zero coefficients keep offset None.
+    Another root of h composes the embedding with a power of Frobenius,
+    which fixes every trace-value count.
     """
 
     def __init__(self, spec):
@@ -96,26 +98,30 @@ class FqTower:
         self.d = orbit_degree(spec)
         self.base_degree = spec.epsilon * self.d
         pres = ffield.FField(spec.p, _presentation_modulus(spec))
-        self.sub_poly = gfpoly.find_irreducible(spec.p, self.base_degree)
-        rho = _subfield_root(pres, self.sub_poly)
-        self.sub_coords = tuple(
-            ffield.subfield_coordinates(pres, rho, pres.elem(c), self.base_degree)
-            for c in spec.coeffs)
+        self.h = ffield.primitive_poly(spec.p, self.base_degree)
+        rho = pres.pow(ffield.multiplicative_generator(pres),
+                       ffield.root_log(pres, self.h))
+        log, x = {}, pres.one()
+        for j in range(spec.p ** self.base_degree - 1):
+            log[x] = j
+            x = pres.mul(x, rho)
+        self.logs = tuple(log.get(pres.elem(c)) for c in spec.coeffs)
         self._levels = {}
 
     def level(self, l):
-        """(field, embedded coefficient list) for the degree-l extension."""
+        """(field, offsets e_a with lambda_a = g^(e_a), None for 0) at degree l."""
         if l not in self._levels:
             F = ffield.field(self.p, self.base_degree * l)
-            rho = _subfield_root(F, self.sub_poly)
-            self._levels[l] = (F, [F.evaluate(c, rho) for c in self.sub_coords])
+            e, R = ffield.root_log(F, self.h), F.size - 1
+            self._levels[l] = (F, [None if j is None else e * j % R
+                                   for j in self.logs])
         return self._levels[l]
 
 
 def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
     """Exact trace-value counts over the torus of the degree-l extension."""
     tower = tower or FqTower(spec)
-    F, lams = tower.level(l)
+    F, offsets = tower.level(l)
     n = spec.A.n
     p = spec.p
     R = F.size - 1
@@ -127,7 +133,6 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
     if R * (F.k + 2) > (1 << 26):
         raise TooLarge("trace tables for this field exceed the memory guard")
     t = _trace_table(F)
-    offsets = [_log_offset(F, lam, tower.base_degree) for lam in lams]
     plan = _convolution_plan(vecs, R)
     if plan is None:
         counts, method = _enumerated_counts(t, offsets, vecs, p), "enumeration"
@@ -244,8 +249,9 @@ def _enumerated_counts(t, offsets, vecs, p):
     return counts
 
 
-def _char_sum_slow(F, lams, vecs, R, p):
-    """Pure-Python reference for the tests: one field sum per torus point."""
+def _char_sum_slow(F, offsets, vecs, R, p):
+    """Pure-Python reference for the tests: one field sum per torus point,
+    lambda_a g^(v_a . k) = g^(v_a . k + e_a), lambda_a = 0 for e_a None."""
     n = len(vecs[0])
     g = ffield.multiplicative_generator(F)
     counts = [0] * p
@@ -254,11 +260,9 @@ def _char_sum_slow(F, lams, vecs, R, p):
         powers.append(F.mul(powers[-1], g))
     for ks in itertools.product(range(R), repeat=n):
         val = F.zero()
-        for a, lam in enumerate(lams):
-            if F.is_zero(lam):
-                continue
-            e = sum(k * v for k, v in zip(ks, vecs[a])) % R
-            val = F.add(val, F.mul(lam, powers[e]))
+        for v, e in zip(vecs, offsets):
+            if e is not None:
+                val = F.add(val, powers[(sum(k * c for k, c in zip(ks, v)) + e) % R])
         counts[F.trace(val)] += 1
     return np.array(counts, dtype=np.int64)
 
@@ -290,38 +294,6 @@ def _trace_table(F):
     t = (giant @ baby % p).ravel()[:R].astype(np.min_scalar_type(p - 1))
     t.flags.writeable = False
     return t
-
-
-@functools.cache
-def _power_traces(F):
-    """W with (W lam)[j] = Tr(lam g^j) mod p for j < k, read-only: row j is
-    Q b_j, b_j the coordinate vector of g^j.  Built once per field."""
-    g = ffield.multiplicative_generator(F)
-    W = _generator_power_table(F, g, F.k) @ _trace_form(F) % F.p
-    W.flags.writeable = False
-    return W
-
-
-def _log_offset(F, lam, sub_degree):
-    """The e < R with lam = g^e, read off the trace table; None for lam = 0.
-
-    lam lies in the subfield of order q0 = p^sub_degree, whose nonzero
-    elements are the g^e with e a multiple of R/(q0 - 1).  Candidates are
-    kept while t[e + j] = Tr(lam g^j), for j = 0, ..., k - 1 in turn, and
-    exactly one survives.  lam's own log does.  Any survivor e has
-    Tr((g^e - lam) g^j) = 0 for j < k; since g generates F over F_p,
-    1, g, ..., g^(k-1) is a basis, so (g^e - lam) y has trace 0 for every y
-    in F, and the trace form (x, y) -> Tr(xy) of the separable extension F
-    is nondegenerate, so g^e = lam; distinct e < R give distinct g^e.
-    """
-    if F.is_zero(lam):
-        return None
-    t = _trace_table(F)
-    e = np.arange(0, len(t), len(t) // (F.p ** sub_degree - 1))
-    for j, trace in enumerate(_power_traces(F) @ np.array(lam) % F.p):
-        e = e[_traces_at(t, e, j) == trace]
-    assert len(e) == 1, "a nonzero coefficient has exactly one discrete log"
-    return int(e[0])
 
 
 def _generator_power_table(F, g, R):

@@ -276,7 +276,9 @@ class Report:
         return json.dumps(self.data, sort_keys=True, indent=1)
 
     def without_timing(self):
-        clone = json.loads(self.to_json())
+        # compact dumps use the C encoder; indent=1 would run the pure-Python
+        # one, whose nested closures leave a reference cycle on every call
+        clone = json.loads(json.dumps(self.data, sort_keys=True))
         clone.pop("timing", None)
         return clone
 

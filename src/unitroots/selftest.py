@@ -238,8 +238,8 @@ def _suite_oracle(rng):
         coeffs = tuple((rng.randrange(1, p),) for _ in A3.vectors)
         spec3 = hyperg.LaurentSpec(A3, p, 1, 1, coeffs)
         tower = oracle.FqTower(spec3)
-        F, lams = tower.level(l)
-        slow = oracle._char_sum_slow(F, lams, A3.vectors, F.size - 1, p)
+        F, offsets = tower.level(l)
+        slow = oracle._char_sum_slow(F, offsets, A3.vectors, F.size - 1, p)
         if oracle.char_sum(spec3, l, tower).counts != tuple(int(x) for x in slow):
             return False, f"enumeration differs from the reference at p={p}, l={l}"
     # Newton's-identity traces against conjugate sums, one field per p

@@ -32,7 +32,7 @@ from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
                              teichmueller)
-from unitroots.runner import JobConfig, default_wmax
+from unitroots.runner import JobConfig, default_wmax, run
 from unitroots.selftest import (charpoly_boost, extreme_operands, law_mismatch,
                                 limb_boundaries, newton_coefficients,
                                 sweep_mismatch)
@@ -179,6 +179,21 @@ def test_power_iteration_kloosterman_p3(ring3):
         prev = v
 
 
+def test_power_iteration_stops_on_a_certificate():
+    # p = 2, f = 1/x + x + x^2 at N = 4: the normalizers repeat at 9 after
+    # three cycles, before they converge; a stop on that repeat alone
+    # reported [[9]] with no error.  Route C and the oracle give 1.
+    cfg = {"p": 2, "A": [[-1], [1], [2]], "coeffs": [[1], [1], [1]],
+           "precision": 4, "routes": ["B"]}
+    rep = run(cfg)
+    route = rep.data["routes"]["B"]
+    assert not rep.data["errors"] and rep.exit_code == 0
+    assert route["unit_root"] == [[1]]
+    assert route["normalizer_diff_orders"] == [[2, 1], None, [3, 1]] + [None] * 4
+    assert route["cycles"] == 8
+    assert run({**cfg, "routes": ["C"]}).data["routes"]["C"]["unit_root"] == [[1]]
+
+
 def test_power_iteration_budget_formula(ring3, ring2):
     assert power_iteration_budget(ring3, 1) == 9 + 3
     assert power_iteration_budget(ring2, 1) == 16 + 3
@@ -295,12 +310,12 @@ def test_unit_root_errors(ring3):
     one = ring3.one()
     p3 = ring3.from_int(3)
     with pytest.raises(NoUnitRoot):
-        unit_root_of_poly([one, p3], ring3)
+        unit_root_of_poly([one, p3])
     with pytest.raises(MultipleUnitRoots):
-        unit_root_of_poly([one, one, one], ring3)
+        unit_root_of_poly([one, one, one])
     # Newton polygon [(0, 2)]: c_1 is not a unit but c_2 is
     with pytest.raises(MultipleUnitRoots):
-        unit_root_of_poly([one, ring3.zero(), ring3.from_int(-4)], ring3)
+        unit_root_of_poly([one, ring3.zero(), ring3.from_int(-4)])
 
 
 RING9 = make_ring(3, 2, None, 4)
@@ -322,7 +337,7 @@ def test_unit_root_of_linear_factor(u_digits, q_digits, zeros):
     assume(u.is_unit())
     Q = [RING9.one()] + [RING9.pi() * _elem9(d) for d in q_digits]
     poly = [Q[0]] + [Q[k] - u * Q[k - 1] for k in range(1, len(Q))] + [-u * Q[-1]]
-    assert unit_root_of_poly(poly + [RING9.zero()] * zeros, RING9) == u
+    assert unit_root_of_poly(poly + [RING9.zero()] * zeros) == u
 
 
 def test_lfunction_delta_of_linear(ring3):
@@ -332,7 +347,9 @@ def test_lfunction_delta_of_linear(ring3):
     lf = lfunction_from_fredholm(P, 1, 1, u)
     assert lf.numerator == [ring3.one(), -u]
     assert lf.denominator == [ring3.one(), -u * ring3.from_int(3)]
-    assert lf.unit_root == u and lf.unit_root_matches
+    assert lf.unit_root_matches
+    # a root that differs at order 1 < N is not the numerator's
+    assert not lfunction_from_fredholm(P, 1, 1, u + ring3.from_int(3)).unit_root_matches
 
 
 LF_RINGS = {(p, m): make_ring(p, m, None, 3) for p in (2, 3, 5) for m in (1, 2)}
@@ -373,10 +390,10 @@ def test_lfunction_matches_ringelem_reference(pm, n, s, digits, zero_top):
     for k in range(1, d + 1):
         inv.append(-sum((den[j] * inv[k - j] for j in range(1, k + 1)), ring.zero()))
     series = _poly_mul_reference(ring, num, inv)[:d + 1]
-    # the unit root is checked elsewhere: a random P need not have one
-    with mock.patch.object(dwork, "unit_root_of_poly", return_value=ring.one()) as root:
-        lf = lfunction_from_fredholm(P, n, s, ring.one())
-    root.assert_called_once_with(lf.numerator, ring)
+    # a random P need not have a unit root; at u0 = 1 the check evaluates
+    # the reversed numerator at 1, which is the sum of its coefficients
+    lf = lfunction_from_fredholm(P, n, s, ring.one())
+    assert lf.unit_root_matches == sum(num, ring.zero()).is_zero()
     count = 2 ** (n - 1)  # copies on each side
     assert len(lf.numerator) == len(lf.denominator) == d * count + 1
     assert lf.numerator == num and lf.denominator == den

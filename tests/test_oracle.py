@@ -1,7 +1,10 @@
 """Character-sum oracle: exact counts, embeddings, towers, invariance."""
 
 import collections
+import functools
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +14,14 @@ import pytest
 import unitroots
 
 from unitroots.errors import TooLarge
-from unitroots.ffield import field, find_root, multiplicative_generator
+from unitroots.ffield import (FField, field, multiplicative_generator, primitive_poly,
+                              root_log)
 from unitroots.gfpoly import X, find_irreducible, rem
 from unitroots.hyperg import LaurentSpec
 from unitroots import oracle
 from unitroots.battery import BATTERY
-from unitroots.oracle import (FqTower, _char_sum_slow, _log_offset, _trace_table,
-                              char_sum, char_sum_table, embed_and_estimate,
-                              orbit_degree)
+from unitroots.oracle import (FqTower, _char_sum_slow, _trace_table, char_sum,
+                              char_sum_table, embed_and_estimate, orbit_degree)
 from unitroots.padic import horner, zeta_p
 from unitroots.weights import ExponentSet
 
@@ -150,8 +153,8 @@ def test_fast_path_matches_slow_path():
         spec = LaurentSpec(A, p, m, 1, coeffs)
         tower = FqTower(spec)
         row = char_sum(spec, l, tower)
-        F, lams = tower.level(l)
-        slow = _char_sum_slow(F, lams, A.vectors, F.size - 1, p)
+        F, offsets = tower.level(l)
+        slow = _char_sum_slow(F, offsets, A.vectors, F.size - 1, p)
         assert tuple(int(x) for x in slow) == row.counts, (A.vectors, p, l)
         assert row.method == method, (A.vectors, p, l)
 
@@ -161,9 +164,8 @@ def test_enumeration_past_one_chunk_equals_convolution():
     # coordinates, so the enumerator runs four chunks; the convolution
     # counts the same sum independently
     tower = FqTower(LaurentSpec(TRIANGLE, 2, 2, 1, ((0, 1), (1,), (1, 1))))
-    F, lams = tower.level(6)
+    F, offsets = tower.level(6)
     t = _trace_table(F)
-    offsets = [_log_offset(F, lam, tower.base_degree) for lam in lams]
     plan = oracle._convolution_plan(TRIANGLE.vectors, len(t))
     enumerated = oracle._enumerated_counts(t, offsets, TRIANGLE.vectors, 2)
     assert len(t) == 4095 and sum(enumerated) == 4095 ** 2
@@ -171,37 +173,31 @@ def test_enumeration_past_one_chunk_equals_convolution():
 
 
 def test_trace_tables_match_direct_traces():
-    # the field's one table read at a coefficient's discrete log is that
-    # coefficient's traces: Tr(lam g^j) = t[(j + log lam) mod R] for all j < R
-    def check(F, lam, sub_degree):
+    # the field's one table read at an offset e gives the traces of
+    # lambda = g^e: Tr(lambda g^j) = t[(j + e) mod R] for all j < R
+    def check(F, e):
         R = F.size - 1
         g = multiplicative_generator(F)
-        direct, y = [], lam
+        direct, y = [], F.pow(g, e)
         for _ in range(R):
             direct.append(F.trace(y))
             y = F.mul(y, g)
-        e = _log_offset(F, lam, sub_degree)
-        if e is None:  # a zero coefficient contributes trace 0
-            assert F.is_zero(lam) and not any(direct)
-            return
-        assert F.pow(g, e) == lam
         t = _trace_table(F)
-        assert [int(t[(j + e) % R]) for j in range(R)] == direct, (F, lam)
+        assert [int(t[(j + e) % R]) for j in range(R)] == direct, (F, e)
 
     for p, k in ((2, 1), (3, 1), (2, 4), (3, 3), (5, 2)):
         F = field(p, k)
-        lams = [F.zero(), F.one(), tuple(range(1, k + 1)), (p - 1,) * k]
-        for lam in lams:
-            check(F, F.elem(tuple(c % p for c in lam)), k)
-        check(F, F.elem((p - 1,)), 1)  # from F_p inside F_{p^k}
+        R = F.size - 1
+        for e in sorted({0, 1, R // 2, R - 1}):
+            check(F, e)
     for p in (2, 3):
-        # (0, 1) generates F_{p^2}; (1,) lies in F_p
+        # (0, 1) generates F_{p^2}; (1,) lies in F_p and embeds as g^0
         tower = FqTower(LaurentSpec(KLOOSTERMAN, p, 2, 1, ((0, 1), (1,))))
         F, (gen, one) = tower.level(3)
-        assert F.k == 6 and tower.base_degree == 2
-        check(F, gen, 2)
-        check(F, one, 2)
-        check(F, one, 1)
+        assert F.k == 6 and tower.base_degree == 2 and one == 0
+        check(F, gen)
+        g = multiplicative_generator(F)
+        assert F.is_zero(F.evaluate(find_irreducible(p, 2), F.pow(g, gen)))
 
 
 def test_each_field_table_built_once(monkeypatch):
@@ -271,14 +267,14 @@ def test_tower_levels():
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
     tower = FqTower(spec)
     assert tower.d == 2 and tower.base_degree == 2
-    F, lams = tower.level(3)
-    assert F.k == 6
-    # the embedded coefficient satisfies the subfield polynomial
-    acc = F.zero()
-    for c in reversed(tower.sub_poly):
-        acc = F.mul(acc, lams[0])
-        acc = F.add(acc, F.elem((c,)))
-    assert F.is_zero(acc)
+    F, offsets = tower.level(3)
+    assert F.k == 6 and tower.h == primitive_poly(2, 2)
+    # the embedded generator t is a root of the presentation modulus
+    # t^2 + t + 1, and 1 = rho^0 embeds as g^0
+    g = multiplicative_generator(F)
+    assert F.is_zero(F.evaluate(find_irreducible(2, 2), F.pow(g, offsets[0])))
+    assert offsets[1] == 0
+    assert tower.level(3)[1] is offsets  # built once per level
 
 
 def test_ffield_basics():
@@ -289,12 +285,64 @@ def test_ffield_basics():
     # trace of t in F9 with t^2 = -1: t + t^3 = t + 2t = 0
     assert F9.trace((0, 1)) == 0
     assert F9.trace((1, 0)) == 2
-    root = find_root(F9, find_irreducible(3, 2))
-    acc = F9.zero()
-    for c in reversed(find_irreducible(3, 2)):
-        acc = F9.mul(acc, root)
-        acc = F9.add(acc, F9.elem((c,)))
-    assert F9.is_zero(acc)
+    # x^2 + 1 has roots of order 4 only; x^2 + x + 2 is the least primitive
+    h = primitive_poly(3, 2)
+    assert h == (2, 1, 1)
+    e = root_log(F9, h)
+    g = multiplicative_generator(F9)
+    assert F9.is_zero(F9.evaluate(h, F9.pow(g, e)))
+    assert not any(F9.is_zero(F9.evaluate(h, F9.pow(g, j))) for j in range(e))
+    # in F_{3^4} the roots lie in the subfield of order 9: e is a multiple of 10
+    F81 = field(3, 4)
+    e = root_log(F81, h)
+    assert e % 10 == 0
+    assert F81.is_zero(F81.evaluate(h, F81.pow(multiplicative_generator(F81), e)))
+
+
+def test_primitive_poly_root_has_full_order():
+    # in F_p[s]/(h) the powers s^0, ..., s^(R-1) are distinct and s^R = 1,
+    # R = p^deg - 1: the units number R, so h is irreducible and s generates
+    for p, deg in itertools.product((2, 3, 5), (1, 2, 3, 4)):
+        h = primitive_poly(p, deg)
+        assert len(h) == deg + 1 and h[-1] == 1
+        F = FField(p, h)
+        s = F.elem((-h[0],)) if deg == 1 else F.elem((0, 1))
+        R = F.size - 1
+        seen, x = set(), F.one()
+        for _ in range(R):
+            seen.add(x)
+            x = F.mul(x, s)
+        assert x == F.one() and len(seen) == R, (p, deg)
+
+
+def test_embedding_is_additive():
+    # every element of F_{p^m} as a coefficient: its offset e(x) at level 2
+    # places it as g^e(x), 0 for e(x) None, and the placement is additive,
+    # g^e(x) + g^e(y) = g^e(x + y), over all pairs of F_{p^m} or a seeded
+    # sample of 400 where there are more than 64^2
+    rng = random.Random(26)
+    for p, m in itertools.product((2, 3, 5), (1, 2, 3, 4)):
+        elems = [tuple(i // p ** j % p for j in range(m)) for i in range(p ** m)]
+        A = ExponentSet(1, tuple((i + 1,) for i in range(len(elems))))
+        tower = FqTower(LaurentSpec(A, p, m, 1, elems))
+        assert tower.base_degree == m
+        F, offsets = tower.level(2)
+        g = multiplicative_generator(F)
+
+        @functools.cache
+        def place(i):
+            return F.zero() if offsets[i] is None else F.pow(g, offsets[i])
+
+        def index_of_sum(x, y):
+            return sum((a + b) % p * p ** j for j, (a, b) in enumerate(zip(x, y)))
+
+        pairs = list(itertools.product(range(len(elems)), repeat=2))
+        if len(pairs) > 64 ** 2:
+            pairs = rng.sample(pairs, 400)
+        assert offsets[0] is None and len(set(offsets)) == len(elems)
+        for i, j in pairs:
+            k = index_of_sum(elems[i], elems[j])
+            assert F.add(place(i), place(j)) == place(k), (p, m, elems[i], elems[j])
 
 
 def test_guard_override():

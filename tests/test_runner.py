@@ -148,6 +148,16 @@ def test_jobs_leave_no_cyclic_garbage():
         lambda: hyperg.check_annihilators(triangle, (0, 0), ell, 8, 3)) == 0
 
 
+def test_without_timing_leaves_no_cyclic_garbage(klooster_report):
+    """without_timing round-trips the report through the compact C encoder:
+    the indenting pure-Python one left 33 objects in a cycle per call."""
+    clone = {}
+    assert _cyclic_garbage(lambda: clone.update(klooster_report.without_timing())) == 0
+    assert "timing" not in clone and "timing" in klooster_report.data
+    assert clone == {k: v for k, v in json.loads(klooster_report.to_json()).items()
+                     if k != "timing"}
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),

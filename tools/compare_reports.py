@@ -23,10 +23,10 @@ coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
 `char_sum` counts and method past them.  Prints each report, series, padic
 or oracle entry that differs and exits 1 if any does, else 0.
 
-Each job runs with the cyclic collector off, and `gc.collect()` is read
-right after it: for each tree the script also prints how many jobs left
-cyclic garbage and how many objects in all.  That line does not change the
-exit code.
+Each job, with its `Report.without_timing()`, runs with the cyclic
+collector off, and `gc.collect()` is read right after it: for each tree
+the script also prints how many jobs left cyclic garbage and how many
+objects in all.  That line does not change the exit code.
 """
 
 import dataclasses
@@ -70,20 +70,19 @@ def outcome(fn):
 
 def report_outcome(config):
     """(the job's outcome, the objects gc.collect() finds right after it),
-    the job run with the cyclic collector off.  Only runner.run is inside
-    that window: Report.to_json's indenting encoder leaves a cycle of its
-    own."""
+    the job and its Report.without_timing() run with the cyclic collector
+    off."""
     from unitroots import runner
     gc.collect()
     gc.disable()
     try:
         rep = outcome(lambda: runner.run(config))
+        if isinstance(rep, runner.Report):
+            rep = {"report": rep.without_timing(),
+                   "timing_keys": sorted(rep.data["timing"])}
         garbage = gc.collect()
     finally:
         gc.enable()
-    if isinstance(rep, runner.Report):
-        rep = {"report": rep.without_timing(),
-               "timing_keys": sorted(rep.data["timing"])}
     return rep, garbage
 
 
@@ -154,13 +153,26 @@ def oracle_entries():
     R^n <= 10^6, on every battery exponent set, the three-variable simplex
     and ((1, 0), (0, 1), (2, 2)), which has no convolution plan, each with
     four coefficient choices: all 1; the first 0; F_p values in F_{p^2},
-    the last p - 1; the first the generator (0, 1) of F_{p^2}."""
+    the last p - 1; the first the generator (0, 1) of F_{p^2}.  Past base
+    degree 2, the Kloosterman and triangle sets also run with the first
+    coefficient the generator (0, 1) of F_{2^3}, F_{2^4} and F_{3^3}, the
+    rest 1."""
     from unitroots import hyperg, oracle
     from unitroots.battery import EXPONENT_SETS
     from unitroots.weights import ExponentSet
     sets = dict(EXPONENT_SETS, fallback=((1, 0), (0, 1), (2, 2)),
                 simplex3=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)))
     out = {}
+
+    def rows(key, A, p, m, coeffs):
+        spec = hyperg.LaurentSpec(A, p, m, 1, coeffs)
+        tower = oracle.FqTower(spec)
+        l = 1
+        while (p ** (tower.base_degree * l) - 1) ** A.n <= 10 ** 6:
+            out[f"{key}:l{l}"] = outcome(
+                lambda: dataclasses.asdict(oracle.char_sum(spec, l, tower)))
+            l += 1
+
     for (name, vecs), p in itertools.product(sets.items(), (2, 3, 5)):
         A = ExponentSet(len(vecs[0]), vecs)
         ones = ((1,),) * len(vecs)
@@ -168,13 +180,12 @@ def oracle_entries():
                    "fp-in-fp2": (2, ones[:-1] + ((p - 1,),)),
                    "gen-fp2": (2, ((0, 1),) + ones[1:])}
         for choice, (m, coeffs) in choices.items():
-            spec = hyperg.LaurentSpec(A, p, m, 1, coeffs)
-            tower = oracle.FqTower(spec)
-            l = 1
-            while (p ** (tower.base_degree * l) - 1) ** A.n <= 10 ** 6:
-                out[f"{name}:{choice}:p{p}:l{l}"] = outcome(
-                    lambda: dataclasses.asdict(oracle.char_sum(spec, l, tower)))
-                l += 1
+            rows(f"{name}:{choice}:p{p}", A, p, m, coeffs)
+    for name, (p, m) in itertools.product(("kloosterman", "triangle"),
+                                          ((2, 3), (2, 4), (3, 3))):
+        vecs = sets[name]
+        rows(f"{name}:gen-f{p}^{m}:p{p}", ExponentSet(len(vecs[0]), vecs), p, m,
+             ((0, 1),) + ((1,),) * (len(vecs) - 1))
     return out
 
 
