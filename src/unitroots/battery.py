@@ -3,10 +3,9 @@
 Four exponent sets at p = 2, 3, 5, each with coefficients presented over the
 prime field and over its quadratic extension; seven of the quadratic cases
 have coefficients generating the full extension, which forces a Frobenius
-orbit of length two.  The two largest oracle enumerations exceed the default
-point guard and carry an explicit override.  A separate pair of degenerate
-cases puts three exponents on one edge of the polytope with coefficients
-whose edge polynomial has a double root on the torus.
+orbit of length two.  A separate pair of degenerate cases puts three
+exponents on one edge of the polytope with coefficients whose edge
+polynomial has a double root on the torus.
 """
 
 EXPONENT_SETS = {
@@ -18,7 +17,7 @@ EXPONENT_SETS = {
 }
 
 
-def _case(cid, p, aname, coeffs, m=1, expected_d=1, override=False):
+def _case(cid, p, aname, coeffs, m=1, expected_d=1):
     return {
         "id": cid,
         "p": p,
@@ -28,7 +27,6 @@ def _case(cid, p, aname, coeffs, m=1, expected_d=1, override=False):
         "field_degree": m,
         "epsilon": 1,
         "expected_d": expected_d,
-        "override_enumeration_guard": override,
     }
 
 
@@ -44,7 +42,7 @@ BATTERY = [
     _case("p5-single", 5, "single", ((2,),)),
     _case("p5-kloosterman", 5, "kloosterman", ((1,), (3,))),
     _case("p5-skew", 5, "skew", ((2,), (1,))),
-    _case("p5-triangle", 5, "triangle", ((1,), (1,), (1,)), override=True),
+    _case("p5-triangle", 5, "triangle", ((1,), (1,), (1,))),
     _case("p2-single-f4", 2, "single", ((0, 1),), m=2, expected_d=2),
     _case("p2-kloosterman-f4", 2, "kloosterman", ((0, 1), (1,)), m=2, expected_d=2),
     _case("p2-skew-f4", 2, "skew", ((0, 1), (1, 1)), m=2, expected_d=2),
@@ -58,13 +56,12 @@ BATTERY = [
     _case("p5-single-f25", 5, "single", ((2,),), m=2),
     _case("p5-kloosterman-f25", 5, "kloosterman", ((1,), (3,)), m=2),
     _case("p5-skew-f25", 5, "skew", ((2,), (1,)), m=2),
-    _case("p5-triangle-f25", 5, "triangle", ((1,), (1,), (1,)), m=2,
-          override=True),
+    _case("p5-triangle-f25", 5, "triangle", ((1,), (1,), (1,)), m=2),
 ]
 
 DEGENERATE_BATTERY = [
     _case("p3-edge-degenerate", 3, "edge", ((1,), (2,), (1,))),
-    _case("p5-edge-degenerate", 5, "edge", ((1,), (2,), (1,)), override=True),
+    _case("p5-edge-degenerate", 5, "edge", ((1,), (2,), (1,))),
 ]
 
 QUICK_IDS = [
@@ -83,5 +80,4 @@ def job_dict(case, precision=4, routes=("A", "B", "C", "oracle"), lmax=6):
         "precision": precision,
         "routes": list(routes),
         "lmax": lmax,
-        "override_enumeration_guard": case["override_enumeration_guard"],
     }

@@ -35,26 +35,22 @@ def _load_config(args, default_routes=None):
             raw["routes"] = [routes[args.route]]
     elif default_routes is not None and raw.get("routes") is None:
         raw["routes"] = list(default_routes)
-    for key in ("precision", "wmax", "degmax", "lmax"):
+    for key in ("precision", "degmax", "lmax"):
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
     if getattr(args, "json_out", None):
         raw["output"] = args.json_out
-    if getattr(args, "override_enumeration_guard", False):
-        raw["override_enumeration_guard"] = True
     return runner.JobConfig.from_dict(raw)
 
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to a JSON job config")
     sub.add_argument("--precision", type=int, default=None)
-    sub.add_argument("--wmax", type=int, default=None)
     sub.add_argument("--degmax", type=int, default=None)
     sub.add_argument("--lmax", type=int, default=None)
     sub.add_argument("--json", dest="json_out", default=None,
                      help="write the full JSON report here")
-    sub.add_argument("--override-enumeration-guard", action="store_true")
 
 
 def _print_unit_root_summary(report):

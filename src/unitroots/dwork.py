@@ -41,26 +41,27 @@ rows skip the low limbs, and rows that are 0 mod p^N skip every GEMM.
 Each GEMM's product is reduced mod p^N in int64 and enters its rows with
 the limb's factor p^shift mod p^N.  That factor, like the regular
 representation's coefficients, is a residue times a residue added to a
-residue, so products hold exactly where ring_dtype's int64 rule below,
-(p^N - 1)^2 + p^N < 2^63, holds, and raise PrecisionTooLow past it.
+residue, so products hold exactly where the int64 rule of
+check_product_precision, (p^N - 1)^2 + p^N < 2^63, holds, and raise
+PrecisionTooLow past it.
 RingMatrix builds its regular representation once, on first use as a
 right operand, so route C's first-return products expand the leading
 block of the Frobenius matrix once; route B's dual cycle cuts each
 transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
-Ring arrays (..., p-1, m) multiply elementwise through ring_array_mul, one
-multiply-add per pair of RingSpec.law.  Its entries are int64 while
-(p^N - 1)^2 + p^N < 2^63, so a slot product added to a reduced residue
-fits, and Python ints (object arrays) past that, on the same code path;
-there is no option.  With it the kernel table B_mu(lambda) is swept one
-exponent vector at a time over a batch of partial products (kernel_sweep)
-and kept as two arrays, its points and its coefficients (KernelTable), from
-which one_step_matrix gathers by flat index; route B scales its vector by
-the normalizer's inverse, and route C multiplies its polynomials in T, the
-first-return factors and the L-function's alike, in a product tree
-(_series_product).  bigF_coefficient
-and one_step_dual stay the scalar reference paths, and
-pair_products_reference folds by its own encoding of the law, _fold.
+Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
+through ring_array_mul, one multiply-add per pair of RingSpec.law, under
+the same rule: a slot product added to a reduced residue fits, and past
+the rule ring_array_mul raises PrecisionTooLow.  With it the kernel table
+B_mu(lambda) is swept one exponent vector at a time over a batch of partial
+products (kernel_sweep) and kept as two arrays, its points and its
+coefficients (KernelTable), from which one_step_matrix gathers by flat
+index; route B scales its vector by the normalizer's inverse, and route C
+multiplies its polynomials in T, the first-return factors and the
+L-function's alike, in a product tree (_series_product).
+bigF_coefficient and one_step_dual stay the scalar reference paths, and
+pair_products_reference, in Python integers, folds by its own encoding of
+the law, _fold.
 """
 
 import math
@@ -116,16 +117,15 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     ring_array_mul per level, and zero partials drop out.  One scatter-add
     sums the last level's partials into their buckets, which are reduced
     mod p^N and kept where nonzero; the arrays are the table, with no
-    RingElem per entry.  Entries are of ring_dtype(p^N), Python ints past
-    the int64 rule, on the same code path.
+    RingElem per entry.  Entries are int64; past the int64 rule
+    ring_array_mul raises PrecisionTooLow.
     """
-    dtype = ring_dtype(ring.pN)
-    b = np.array([x.rows for x in sc.b[:s_cut + 1]], dtype=dtype)
-    partial = np.array([ring.one().rows], dtype=dtype)
+    b = np.array([x.rows for x in sc.b[:s_cut + 1]], dtype=np.int64)
+    partial = np.array([ring.one().rows], dtype=np.int64)
     budget = np.array([s_cut])
     mu = np.zeros((1, W.A.n), dtype=np.int64)
     for x, vec in zip(lam, W.A.vectors):
-        pows = np.array([y.rows for y in powers(x, s_cut)], dtype=dtype)
+        pows = np.array([y.rows for y in powers(x, s_cut)], dtype=np.int64)
         row = ring_array_mul(ring, b, pows)  # b_e * lam_a^e
         # state i expands to e = 0..budget[i]
         counts = budget + 1
@@ -141,7 +141,7 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     # C-order flat indices of the box sort as the vectors do
     flat, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box),
                              return_inverse=True)
-    sums = np.zeros((len(flat), ring.npi, ring.m), dtype=dtype)
+    sums = np.zeros((len(flat), ring.npi, ring.m), dtype=np.int64)
     np.add.at(sums, bucket, partial)
     _reduce(sums, ring.pN)
     keep = sums.any(axis=(-2, -1))
@@ -152,7 +152,7 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
 class KernelTable(Mapping):
     """Read-only mapping {mu: B_mu(lam)} over two arrays: points (k, n), the
     exponent vectors mu, and coeffs (k, p-1, m), their coefficients reduced
-    mod p^N, of ring_dtype(p^N).  one_step_matrix gathers from the arrays;
+    mod p^N, int64.  one_step_matrix gathers from the arrays;
     a RingElem is made only when an entry is read through the mapping, and
     the index from mu to row only on the first such read.
     """
@@ -167,7 +167,7 @@ class KernelTable(Mapping):
     def of_elements(cls, ring, points, elems):
         """The table {points[i]: elems[i]}, points integer vectors of one
         length, elems RingElems of ring."""
-        coeffs = np.array([e.rows for e in elems], dtype=ring_dtype(ring.pN))
+        coeffs = np.array([e.rows for e in elems], dtype=np.int64)
         return cls(ring, np.array(points, dtype=np.int64).reshape(len(points), -1),
                    coeffs.reshape(len(elems), ring.npi, ring.m))
 
@@ -386,9 +386,8 @@ def slot_group(dim, slots, p, N):
 
 
 def _reduce(X, pN):
-    """X mod p^N in place, for int64 X (floor division by a scalar is
-    several times faster than np.remainder); object X, as ring_array_mul
-    passes past the int64 rule, is reduced correctly but more slowly."""
+    """int64 X mod p^N in place (floor division by a scalar is several
+    times faster than np.remainder)."""
     X -= X // pN * pN
 
 
@@ -519,7 +518,7 @@ def _digit_limbs(X, p, N, e):
     A limb of w digits is the centred residue of the carry so far mod p^w,
     |limb| <= floor(p^w/2), so a multiple of p^j has its digits below j
     zero; the carry out of the top limb, a multiple of p^N, drops.  Every
-    value is an integer below 2^32 (p^N is, by ring_dtype's int64 rule), so
+    value is an integer below 2^32 (p^N is, by check_product_precision), so
     float64 division and rounding to nearest give exact carries.  X is
     overwritten.
     """
@@ -761,17 +760,11 @@ def pair_products_reference(spec, A, B):
     return _fold(spec, raw % spec.pN)
 
 
-def ring_dtype(pN):
-    """Entry type of ring arrays mod pN: int64 while (pN - 1)^2 + pN < 2^63,
-    so a slot product added to a reduced residue fits; Python ints past it."""
-    return np.int64 if (pN - 1) ** 2 + pN < 2 ** 63 else object
-
-
 def check_product_precision(pN):
-    """PrecisionTooLow where ring_dtype(pN) is object: a product's GEMMs are
-    reduced and recombined mod pN in int64, so a residue times a residue
-    plus a residue must fit."""
-    if ring_dtype(pN) is object:
+    """PrecisionTooLow unless (pN - 1)^2 + pN < 2^63, the one int64 rule:
+    ring arrays and a product's GEMMs are reduced and recombined mod pN in
+    int64, so a residue times a residue plus a residue must fit."""
+    if (pN - 1) ** 2 + pN >= 2 ** 63:
         raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
                               "beyond exact int64 reduction")
 
@@ -782,13 +775,13 @@ def ring_array_mul(spec, X, Y):
     X (..., p-1, m) times Y broadcastable to it, entries in [0, p^N): each
     pair of nonzero (pi, t)-slots i, k adds its product, times f, into slot
     o for each pair (o, f) of RingSpec.law[i][k], reduced mod p^N after
-    every addition.  Entries are of ring_dtype(p^N).
+    every addition.  Entries are int64; PrecisionTooLow past the int64 rule
+    of check_product_precision, where they would overflow silently.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
-    dtype = ring_dtype(pN)
-    X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
+    check_product_precision(pN)
     shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2])
-    out = np.zeros((npi * m,) + shape, dtype=dtype)
+    out = np.zeros((npi * m,) + shape, dtype=np.int64)
     yslots = [k for k in range(npi * m) if Y[..., k // m, k % m].any()]
     for i, law in enumerate(spec.law):
         x = X[..., i // m, i % m]
@@ -1111,7 +1104,7 @@ def lfunction_from_fredholm(P, n, s, u0):
     """
     ring = P.ring
     p, pN, d = ring.p, ring.pN, len(P.coeffs) - 1
-    c = np.array([x.rows for x in P.coeffs], dtype=ring_dtype(pN))
+    c = np.array([x.rows for x in P.coeffs], dtype=np.int64)
     sides = []
     for parity in (0, 1):
         ks = [k for k in range(parity, n + 1, 2) for _ in range(math.comb(n, k))]

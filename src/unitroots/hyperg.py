@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation, PrecisionUnstable
-from .padic import (RingElem, pi_pow_digit, pi_pow_over_factorials, powers,
-                    split_p, teichmueller)
+from .padic import (RingElem, agreement, pi_pow_digit, pi_pow_over_factorials,
+                    powers, split_p, teichmueller)
 from .weights import ExponentSet, build_weight_data
 
 
@@ -381,11 +381,6 @@ def _shell_value(shell, lam_powers, shift, ring):
     return total
 
 
-def _agreement(x, y, ring):
-    diff = (x - y).order()
-    return ring.N if diff is None else diff // ring.npi
-
-
 def route_a_last_step(p, degmax, max_rounds):
     """The last step route A may take: max_rounds past the first step s whose
     truncation degree p^(s+1) - 1 reaches 4 * degmax."""
@@ -453,7 +448,7 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
         P = math.prod(values[1:], start=values[0])
         us.append(P * prev.inverse())
         prev = P
-        steps.append(_agreement(us[s], us[s - D], ring) if s >= D else None)
+        steps.append(agreement(us[s], us[s - D]) if s >= D else None)
         if s >= first and steps[s] >= N:
             return RouteA(us[s], steps[s], p ** (s + 1) - 1, tuple(steps), s, D, terms)
     raise PrecisionUnstable(

@@ -21,7 +21,8 @@ coefficient is a unit mod R, the counts are cyclic convolutions of
 trace-value indicators over Z/p x Z/R ("convolution", O(p R log pR)).
 Every other exponent set, in any number of variables, walks all R^n points
 in numpy chunks ("enumeration").  Each row records which method produced
-it.  The point guard applies to R^n whichever method runs.  Fields, their
+it.  The guard charges each row the cells its method touches: R^n points
+for an enumeration, p R for a convolution's (p, R) FFT arrays.  Fields, their
 traces, their generators and the logs of h's roots come from ffield, which
 derives each once per process; _char_sum_slow is a pure-Python reference
 kept for the tests.
@@ -119,27 +120,29 @@ class FqTower:
 
 
 def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
-    """Exact trace-value counts over the torus of the degree-l extension."""
+    """Exact trace-value counts over the torus of the degree-l extension.
+
+    TooLarge, unless override, when the method's cells pass guard: R^n
+    torus points for an enumeration, p R FFT cells for a convolution.
+    """
     tower = tower or FqTower(spec)
     F, offsets = tower.level(l)
     n = spec.A.n
     p = spec.p
     R = F.size - 1
-    points = R ** n
-    if points > guard and not override:
-        raise TooLarge(f"{points} torus points exceeds the guard {guard}")
-
     vecs = spec.A.vectors
+    plan = _convolution_plan(vecs, R)
+    method, cells = ("enumeration", R ** n) if plan is None else ("convolution", p * R)
+    if cells > guard and not override:
+        raise TooLarge(f"the {method} touches {cells} cells, past the guard {guard}")
     if R * (F.k + 2) > (1 << 26):
         raise TooLarge("trace tables for this field exceed the memory guard")
     t = _trace_table(F)
-    plan = _convolution_plan(vecs, R)
     if plan is None:
-        counts, method = _enumerated_counts(t, offsets, vecs, p), "enumeration"
+        counts = _enumerated_counts(t, offsets, vecs, p)
     else:
-        counts, method = _convolved_counts(t, offsets, p, *plan), "convolution"
-    total = int(counts.sum())
-    assert total == points, "lost or double-counted torus points"
+        counts = _convolved_counts(t, offsets, p, *plan)
+    assert int(counts.sum()) == R ** n, "lost or double-counted torus points"
     return CharSumRow(l, F.k, tuple(int(x) for x in counts), method)
 
 
@@ -314,11 +317,11 @@ def _generator_power_table(F, g, R):
     return table
 
 
-def char_sum_table(spec, lmax, override=False):
+def char_sum_table(spec, lmax):
     tower = FqTower(spec)
     table = CharSumTable(tower.d)
     for l in range(1, lmax + 1):
-        table.rows.append(char_sum(spec, l, tower, override=override))
+        table.rows.append(char_sum(spec, l, tower))
     return table
 
 

@@ -310,6 +310,12 @@ def valuation(x):
     return x.valuation()
 
 
+def agreement(x, y):
+    """The digits on which x and y agree, floor(ord(x - y)); N when x = y."""
+    v = (x - y).order()
+    return x.spec.N if v is None else v // x.spec.npi
+
+
 def teichmueller(spec, xbar):
     """The root-of-unity (or zero) lift of a residue-field element.
 

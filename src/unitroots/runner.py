@@ -21,7 +21,7 @@ from pathlib import Path
 from . import dwork, hyperg, oracle, weights
 from .errors import (CacheUnwritable, ConfigInvalid, PrecisionTooLow,
                      UnitRootError)
-from .padic import RingElem, make_ring
+from .padic import RingElem, agreement, make_ring
 
 SCHEMA_VERSION = 1
 ROUTES = ("A", "B", "C", "oracle")
@@ -38,9 +38,7 @@ class JobConfig:
     precision: int = 4
     routes: tuple = ROUTES
     degmax: int = None
-    wmax: Fraction = None
     lmax: int = 6
-    override_enumeration_guard: bool = False
     output: str = None
 
     @classmethod
@@ -69,18 +67,10 @@ class JobConfig:
             kw["field_poly"] = _ints("field_poly", raw["field_poly"])
         if raw.get("routes") is not None:
             kw["routes"] = _list("routes", raw["routes"])
-        if raw.get("wmax") is not None:
-            kw["wmax"] = _wmax(raw["wmax"])
         if raw.get("output") is not None:
             if not isinstance(raw["output"], str):
                 raise ConfigInvalid(f"output must be a path string, not {raw['output']!r}")
             kw["output"] = raw["output"]
-        if raw.get("override_enumeration_guard") is not None:
-            guard = raw["override_enumeration_guard"]
-            if not isinstance(guard, bool):
-                raise ConfigInvalid(
-                    f"override_enumeration_guard must be true or false, not {guard!r}")
-            kw["override_enumeration_guard"] = guard
         cfg = cls(p=p, A=A, coeffs=coeffs, **kw)
         cfg.validate()
         return cfg
@@ -102,8 +92,6 @@ class JobConfig:
             raise ConfigInvalid("precision must be at least 1")
         if self.degmax is not None and self.degmax < 1:
             raise ConfigInvalid("degmax must be at least 1")
-        if self.wmax is not None and self.wmax < 0:
-            raise ConfigInvalid("wmax must be nonnegative")
         bad = [r for r in self.routes if r not in ROUTES]
         if bad:
             raise ConfigInvalid(f"unknown routes: {bad}")
@@ -134,9 +122,7 @@ class JobConfig:
             "precision": self.precision,
             "routes": list(self.routes),
             "degmax": self.degmax,
-            "wmax": _frac(self.wmax) if self.wmax is not None else None,
             "lmax": self.lmax,
-            "override_enumeration_guard": self.override_enumeration_guard,
         }
 
 
@@ -157,17 +143,6 @@ def _ints(key, value):
     return tuple(_int(key, c) for c in _list(key, value))
 
 
-def _wmax(value):
-    """An integer, or a [numerator, denominator] pair with denominator > 0."""
-    if not isinstance(value, (list, tuple)):
-        return Fraction(_int("wmax", value))
-    num, den = _ints("wmax", value) if len(value) == 2 else (0, 0)
-    if den <= 0:
-        raise ConfigInvalid("wmax must be an integer or a [num, den] pair "
-                            f"with den > 0, not {value!r}")
-    return Fraction(num, den)
-
-
 def _frac(x):
     x = Fraction(x)
     return [x.numerator, x.denominator]
@@ -183,6 +158,11 @@ def ring_meta(ring):
 
 
 def default_wmax(ring, D):
+    """The weight bound of every job's basis: Dwork's bound N p^2/(p-1)^2,
+    at least 4, rounded up to a multiple of 1/D.  Since
+    ord B_mu >= w(mu)(p-1)/p^2, routes B and C get exact digits from any
+    bound at or past it (B. Dwork, "On the zeta function of a
+    hypersurface", Publ. Math. IHES 12, 1962)."""
     bound = max(4, Fraction(ring.N * ring.p ** 2, (ring.p - 1) ** 2))
     return Fraction(math.ceil(bound * D), D)
 
@@ -294,10 +274,6 @@ def run(config):
     # laurent_spec cannot reduce by
     ring = make_ring(config.p, config.field_degree, config.field_poly,
                      config.precision)
-    bound = Fraction(ring.N * ring.p ** 2, (ring.p - 1) ** 2)  # as in default_wmax
-    if config.wmax is not None and config.wmax < bound and {"B", "C"} & set(config.routes):
-        raise ConfigInvalid(f"wmax = {config.wmax} is below N p^2/(p-1)^2 = {bound}, "
-                            "Dwork's bound that routes B and C need")
     spec = config.laurent_spec()
     W = weights.build_weight_data(spec.A)
     d = oracle.orbit_degree(spec)
@@ -320,7 +296,7 @@ def run(config):
     }
     unit_roots = {}
 
-    wmax = config.wmax if config.wmax is not None else default_wmax(ring, W.D)
+    wmax = default_wmax(ring, W.D)
     degmax = config.degmax if config.degmax is not None \
         else dwork.default_s_cut(ring)
     basis = weights.enumerate_weighted_monomials(W, wmax)
@@ -425,9 +401,7 @@ def run(config):
 
     if "oracle" in config.routes:
         with attempt("oracle", "oracle_ms"):
-            table = oracle.char_sum_table(
-                spec, config.lmax,
-                override=config.override_enumeration_guard)
+            table = oracle.char_sum_table(spec, config.lmax)
             est = oracle.embed_and_estimate(table, ring)
             report["oracle"] = {
                 "d": table.d,
@@ -451,8 +425,7 @@ def run(config):
     digits = None
     for i, r1 in enumerate(names):
         for r2 in names[i + 1:]:
-            v = (unit_roots[r1] - unit_roots[r2]).valuation()
-            agree = ring.N if v is None else int(v)
+            agree = agreement(unit_roots[r1], unit_roots[r2])
             pairs[f"{r1}-{r2}"] = agree
             digits = agree if digits is None else min(digits, agree)
     requested = [r for r in config.routes if r != "oracle"]

@@ -21,7 +21,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import dwork, ffield, hyperg, oracle, weights
+from .errors import PrecisionTooLow
 from .padic import make_ring, split_p, teichmueller, valuation, zeta_p
+
+
+def int64_top(p):
+    """The last N whose p^N check_product_precision accepts: 31, 19 and 13
+    at p = 2, 3 and 5."""
+    for N in itertools.count(1):
+        try:
+            dwork.check_product_precision(p ** (N + 1))
+        except PrecisionTooLow:
+            return N
 
 
 def law_mismatch(ring):
@@ -161,14 +172,13 @@ def sweep_mismatch(table, lam, W, ring, sc, s_cut):
 def _suite_kernel_sweep(rng):
     from .battery import EXPONENT_SETS
     from .padic import RingElem
-    # 3^19 is the last int64 modulus of ring_dtype, 3^20 the first object
-    # one; at p = 2 an int64 overflow wraps mod 2^64 and stays right mod 2^N
+    # 3^19 and 5^13 are the last moduli of the int64 rule; at p = 2 an
+    # int64 overflow wraps mod 2^64 and stays right mod 2^N
     for p, m, N, aname, s_cut in ((2, 2, 3, "kloosterman", None),
                                   (3, 1, 19, "kloosterman", 20),
-                                  (3, 1, 20, "kloosterman", 20),
                                   (3, 2, 3, "triangle", 5),
                                   (5, 1, 2, "edge", None),
-                                  (5, 1, 14, "skew", 12)):
+                                  (5, 1, 13, "skew", 12)):
         ring = make_ring(p, m, None, N)
         s_cut = dwork.default_s_cut(ring) if s_cut is None else s_cut
         sc = dwork.splitting_coefficients(ring, s_cut)
@@ -179,9 +189,8 @@ def _suite_kernel_sweep(rng):
         table = dwork.kernel_sweep(lam, W, ring, sc, s_cut)
         mu = sweep_mismatch(table, lam, W, ring, sc, s_cut)
         if mu is not None:
-            return False, (f"sweep differs from bigF at {mu}, p={p}, m={m}, N={N}, "
-                           f"{aname} ({np.dtype(dwork.ring_dtype(ring.pN)).name})")
-    return True, "kernel sweep equals bigF on int64 and object moduli"
+            return False, f"sweep differs from bigF at {mu}, p={p}, m={m}, N={N}, {aname}"
+    return True, "kernel sweep equals bigF up to the last int64 moduli"
 
 
 def _suite_dual_operator(rng):
@@ -282,7 +291,7 @@ def limb_boundaries():
         N = max(n for n in range(1, 64) if (p ** n - 1) ** 2 < 2 ** 52)
         first = -(-2 ** 52 // (p ** N - 1) ** 2)
         old = max(n for n in range(1, 64) if 2 * (p ** n - 1) ** 2 < 2 ** 62)
-        top = max(n for n in range(1, 64) if dwork.ring_dtype(p ** n) is np.int64)
+        top = int64_top(p)
         last = {n: (2 ** 62 - 1) // (p ** n - 1) ** 2 for n in (old, top)}
         for m in (1, 2):
             for case in ((p, m, N, first - 1), (p, m, N, first),

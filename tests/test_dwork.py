@@ -25,17 +25,18 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              lfunction_from_fredholm, newton_polygon,
                              one_step_dual, pair_products_reference,
                              power_iteration_budget, power_iteration_unit_root,
-                             product_limbs, ring_array_mul, ring_dtype,
-                             splitting_coefficients, unit_root_of_poly)
+                             check_product_precision, product_limbs,
+                             ring_array_mul, splitting_coefficients,
+                             unit_root_of_poly)
 from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
 from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
                              teichmueller)
 from unitroots.runner import JobConfig, default_wmax, run
-from unitroots.selftest import (charpoly_boost, extreme_operands, law_mismatch,
-                                limb_boundaries, newton_coefficients,
-                                sweep_mismatch)
+from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
+                                law_mismatch, limb_boundaries,
+                                newton_coefficients, sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -424,9 +425,9 @@ def test_adjoint_check_cases(ring3, ring2):
 
 def test_matmul_precision_limit():
     # a product runs, at any dimension, while (p^N - 1)^2 + p^N < 2^63, the
-    # int64 rule of ring_dtype, and raises PrecisionTooLow one digit past it
+    # int64 rule of check_product_precision, and raises PrecisionTooLow one
+    # digit past it
     for p, top in ((2, 31), (3, 19), (5, 13)):
-        assert ring_dtype(p ** top) is np.int64 and ring_dtype(p ** (top + 1)) is object
         ring = make_ring(p, 1, None, top)
         full = np.full((5, 5, ring.npi, 1), ring.pN - 1, dtype=np.int64)
         M = RingMatrix(ring, None, None, full)
@@ -455,7 +456,7 @@ def test_pair_products_extreme_operands(p, m, N, dim):
        st.booleans(), st.data())
 def test_pair_products_match_integer_products(p, m, dim, square, data):
     # precisions from eight digits below the int64 rule's last one up to it
-    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    top = int64_top(p)
     ring = make_ring(p, m, None, data.draw(st.integers(max(1, top - 8), top)))
     cols = dim if square else 1
     entries = st.one_of(st.integers(0, ring.pN - 1), st.just(ring.pN - 1))
@@ -471,7 +472,7 @@ def test_digit_limbs_are_centred(p, data):
     # limbs of e digits, the lowest N - (L-1)e, each the centred residue of
     # what the lower limbs leave: |limb| <= floor(p^w/2), zero below the
     # p-order of its entry, and summing to the entry mod p^N
-    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    top = int64_top(p)
     N = data.draw(st.integers(1, top))
     e = data.draw(st.integers(1, N))
     pN, h = p ** N, p ** N // 2
@@ -502,7 +503,7 @@ def test_pair_products_structured_rows(p, m, dim, square, data):
     # GEMM; rows divisible by p^j for j on each side of every digit boundary
     # of the limb layout, which skip the limbs below j; rows of p^N - 1 and
     # of the centred extremes h and h + 1 (-h at odd p)
-    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    top = int64_top(p)
     N = data.draw(st.one_of(st.integers(1, top), st.integers(top - 6, top)))
     ring = make_ring(p, m, None, N)
     pN, h = ring.pN, ring.pN // 2
@@ -537,7 +538,7 @@ def _windowed_case(p, m, dim, data):
     # limbs, and operands whose zero entries leave rows that vanish over
     # their window; PACK_ROWS = 0 puts each row in a GEMM of its own, and
     # 24 may merge them
-    top = max(n for n in range(1, 64) if ring_dtype(p ** n) is np.int64)
+    top = int64_top(p)
     ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
     entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
     A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
@@ -802,33 +803,38 @@ def test_one_step_gather_outside_the_table():
 
 
 def test_one_step_gather_past_the_int64_rule():
-    # at 3^20 the kernel table and the one-step matrix hold Python ints
-    # (object arrays), gathered on the same code path; the basis is the one
-    # of N = 3, wmax 7, and the short cutoff leaves points outside the table
-    od = _battery_operator("p3-triangle", make_ring(3, 1, None, 20), s_cut=4,
+    # at 3^19, the last int64 modulus, the kernel table and the one-step
+    # matrix are int64 and gathered exactly; the basis is the one of N = 3,
+    # wmax 7, and the short cutoff leaves points outside the table.  One
+    # digit past it the sweep's first ring_array_mul raises PrecisionTooLow,
+    # where int64 products would overflow silently
+    od = _battery_operator("p3-triangle", make_ring(3, 1, None, 19), s_cut=4,
                            wmax=7)
-    assert od.kernel_table(0).coeffs.dtype == object
-    assert od.one_step_matrix(0).dtype == object
+    assert od.kernel_table(0).coeffs.dtype == od.one_step_matrix(0).dtype == np.int64
     outside, below = _check_gather(od)
     assert below > 0 and outside > below
+    od = _battery_operator("p3-triangle", make_ring(3, 1, None, 20), s_cut=4,
+                           wmax=7)
+    with pytest.raises(PrecisionTooLow, match=re.escape(f"p^N = {3 ** 20}")):
+        od.one_step_matrix(0)
 
 
 @pytest.mark.parametrize("case_id, N, s_cut", [
     ("p3-triangle", 3, None), ("p3-kloosterman-f9", 3, None),
-    ("p5-kloosterman", 15, 6)])
+    ("p5-kloosterman", 13, 6)])
 def test_kernel_table_mapping_is_the_sweep(case_id, N, s_cut):
     # the mapping reads the sweep's arrays entry for entry: one key per
     # point, in the points' (sorted) order, each value that point's
     # coefficient row, nonzero and reduced (RingElem reduces what it is
     # given); a point missing from the table is a KeyError, so .get gives
-    # its default, and the mapping cannot be written.  5^15 is an object
-    # modulus
+    # its default, and the mapping cannot be written.  5^13 is the last
+    # int64 modulus
     ring = make_ring(int(case_id[1]), 2 if case_id.endswith("f9") else 1, None, N)
     od = _battery_operator(case_id, ring, s_cut)
     for oi in range(od.orbit_len):
         table = od.kernel_table(oi)
         assert table is od.kernel_table(oi)
-        assert table.coeffs.dtype == ring_dtype(ring.pN)
+        assert table.coeffs.dtype == np.int64
         points = [tuple(mu) for mu in table.points.tolist()]
         assert list(table) == points == sorted(set(points))
         for mu, coeff in zip(points, table.coeffs.tolist()):
@@ -844,13 +850,26 @@ def test_kernel_table_mapping_is_the_sweep(case_id, N, s_cut):
             table[missing] = zero
 
 
-def test_ring_dtype_threshold():
-    # int64 while (p^N - 1)^2 + p^N < 2^63: p = 2 up to N = 31, p = 5 up to 13
+def test_product_precision_threshold():
+    # accepted while (p^N - 1)^2 + p^N < 2^63: p = 2 up to N = 31, p = 5 up
+    # to 13; PrecisionTooLow one digit past, naming p^N and the rule.  There
+    # a slot product plus a residue overflows int64, so ring_array_mul
+    # raises before any product, and so does the product tree of route C's
+    # polynomials, which multiplies through it
     for p, last in ((2, 31), (3, 19), (5, 13)):
-        assert ring_dtype(p ** last) is np.int64
-        assert ring_dtype(p ** (last + 1)) is object
+        check_product_precision(p ** last)
+        with pytest.raises(PrecisionTooLow, match=re.escape(
+                f"p^N = {p ** (last + 1)} has (p^N - 1)^2 + p^N >= 2^63")):
+            check_product_precision(p ** (last + 1))
+        assert int64_top(p) == last
         assert (p ** last - 1) ** 2 + p ** last < 2 ** 63
         assert (p ** (last + 1) - 1) ** 2 + p ** (last + 1) >= 2 ** 63
+        ring = make_ring(p, 1, None, last + 1)
+        X = np.ones((2, ring.npi, 1), dtype=np.int64)
+        with pytest.raises(PrecisionTooLow, match=re.escape(f"p^N = {ring.pN}")):
+            ring_array_mul(ring, X, X)
+        with pytest.raises(PrecisionTooLow):
+            dwork._series_product(ring, np.ones((2, 3, ring.npi, 1), dtype=np.int64))
 
 
 def _random_ring_array(data, ring, shape):
@@ -858,20 +877,20 @@ def _random_ring_array(data, ring, shape):
     size = int(np.prod(shape))
     digits = st.one_of(st.integers(0, ring.pN - 1), st.just(ring.pN - 1))
     flat = data.draw(st.lists(digits, min_size=size, max_size=size))
-    return np.array(flat, dtype=ring_dtype(ring.pN)).reshape(shape)
+    return np.array(flat, dtype=np.int64).reshape(shape)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 31), (2, 32), (3, 3), (3, 20), (5, 2), (5, 14)]),
+@given(st.sampled_from([(2, 31), (3, 3), (3, 19), (5, 2), (5, 13)]),
        st.integers(1, 2), st.booleans(), st.data())
 def test_ring_array_mul_is_elementwise_ring_product(pN, m, broadcast, data):
-    # both sides of the int64/object threshold; Y either matches X's batch
-    # shape or is one element broadcast over it
+    # small moduli and the last one of the int64 rule at each p; Y either
+    # matches X's batch shape or is one element broadcast over it
     ring = make_ring(pN[0], m, None, pN[1])
     X = _random_ring_array(data, ring, (3,))
     Y = _random_ring_array(data, ring, () if broadcast else (3,))
     Z = ring_array_mul(ring, X, Y)
-    assert Z.shape == X.shape and Z.dtype == ring_dtype(ring.pN)
+    assert Z.shape == X.shape and Z.dtype == np.int64
     for i in range(3):
         y = Y if broadcast else Y[i]
         assert RingElem(ring, Z[i].tolist()) == \
@@ -893,12 +912,12 @@ def test_ring_law_is_the_fold_of_the_unit_product(p, m, N):
 @pytest.mark.parametrize("case_id, N, s_cut", [
     ("p2-triangle", 3, None), ("p3-skew", 3, None), ("p5-kloosterman", 3, None),
     ("p3-kloosterman-f9", 3, None), ("p3-triangle", 3, 2),
-    ("p3-kloosterman", 19, None), ("p3-kloosterman", 20, None),
-    ("p5-kloosterman", 15, None)])
+    ("p2-kloosterman", 31, None), ("p3-kloosterman", 19, None),
+    ("p5-kloosterman", 13, None)])
 def test_kernel_table_matches_bigF(case_id, N, s_cut):
     # every entry equals the reference sum, and every cone point that the
-    # cutoff reaches but the table leaves out has a zero coefficient; 3^19
-    # and 3^20 straddle the int64/object threshold, 5^15 is object
+    # cutoff reaches but the table leaves out has a zero coefficient; 2^31,
+    # 3^19 and 5^13 are the last moduli of the int64 rule
     ring = make_ring(int(case_id[1]), 2 if case_id.endswith("f9") else 1, None, N)
     od = _battery_operator(case_id, ring, s_cut)
     assert od.orbit_len == (2 if case_id.endswith("f9") else 1)

@@ -258,9 +258,32 @@ def test_zero_coefficient_contributes_trace_zero():
 
 
 def test_enumeration_guard():
+    # each row is charged the cells its own method touches.  The set
+    # ((1, 0), (0, 1), (2, 2)) has no convolution plan, so at p = 3, l = 4
+    # (R = 80) its enumeration walks 80^2 points; the p = 5 triangle at
+    # l = 6 (R = 15624) convolves (5, R) arrays, 78 120 cells
+    spec = LaurentSpec(ExponentSet(2, ((1, 0), (0, 1), (2, 2))), 3, 1, 1,
+                       ((1,), (1,), (1,)))
+    assert char_sum(spec, 4, guard=80 ** 2).method == "enumeration"
+    with pytest.raises(TooLarge, match="the enumeration touches 6400 cells"):
+        char_sum(spec, 4, guard=80 ** 2 - 1)
     spec = LaurentSpec(TRIANGLE, 5, 1, 1, ((1,), (1,), (1,)))
-    with pytest.raises(TooLarge):
-        char_sum(spec, 6, guard=10 ** 6)
+    with pytest.raises(TooLarge, match="the convolution touches 78120 cells"):
+        char_sum(spec, 6, guard=5 * 15624 - 1)
+
+
+def test_convolution_rows_are_charged_their_fft_cells():
+    # the battery's p = 5 triangle and edge rows at l = 6 run under the
+    # default guard, though their R^2 = 2.4e8 torus points pass it
+    for A, coeffs in ((TRIANGLE, ((1,), (1,), (1,))), (EDGE, ((1,), (2,), (1,)))):
+        row = char_sum(LaurentSpec(A, 5, 1, 1, coeffs), 6)
+        assert row.method == "convolution" and sum(row.counts) == 15624 ** 2
+    # at p = 1009, l = 2 the trace table would fit (R (k + 2) = 4.1e6 <
+    # 2^26), but the FFT arrays would hold p R = 1.03e9 cells, about 8 GB
+    spec = LaurentSpec(TRIANGLE, 1009, 1, 1, ((1,), (1,), (1,)))
+    assert char_sum(spec, 1).method == "convolution"
+    with pytest.raises(TooLarge, match="the convolution touches 1027242720 cells"):
+        char_sum(spec, 2)
 
 
 def test_tower_levels():

@@ -1,5 +1,6 @@
 """Orchestration: config validation, reports, determinism, cache, CLI."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -64,8 +65,6 @@ def test_config_validation_errors():
         JobConfig.from_dict({**KLOOSTER3, "field_degree": 2,
                              "field_poly": [1, 1]})
     with pytest.raises(ConfigInvalid):
-        run({**KLOOSTER3, "wmax": -1, "routes": ["B"]})
-    with pytest.raises(ConfigInvalid):
         JobConfig.from_dict({**KLOOSTER3, "lmax": 0, "routes": ["B"]})
     with pytest.raises(ConfigInvalid):
         JobConfig.from_dict({**KLOOSTER3, "lmax": 1})  # one sum, no ratio
@@ -74,14 +73,11 @@ def test_config_validation_errors():
     for key in ("precision", "lmax", "degmax", "epsilon", "field_degree", "n"):
         with pytest.raises(ConfigInvalid):
             JobConfig.from_dict({**KLOOSTER3, key: "x"})
-    for key, value in (("field_poly", "ab"), ("wmax", [1, 0]), ("wmax", "abc"),
-                       ("wmax", [1, 2, 3]), ("wmax", 1.5), ("routes", 5),
-                       ("routes", "BC"), ("precision", 4.7), ("precision", True),
-                       ("override_enumeration_guard", "no"), ("output", True),
+    for key, value in (("field_poly", "ab"), ("routes", 5), ("routes", "BC"),
+                       ("precision", 4.7), ("precision", True), ("output", True),
                        ("cache_dir", 5)):
         with pytest.raises(ConfigInvalid):
             JobConfig.from_dict({**KLOOSTER3, key: value})
-    assert JobConfig.from_dict({**KLOOSTER3, "wmax": [9, 2]}).wmax == Fraction(9, 2)
     # a zero cap made route A compare the constant term with itself
     for degmax in (0, -5):
         with pytest.raises(ConfigInvalid):
@@ -89,13 +85,24 @@ def test_config_validation_errors():
     # p = 0 is not prime: the ring says so before the spec reduces mod p
     with pytest.raises(CompositeP):
         run({**KLOOSTER3, "p": 0})
-    # below Dwork's bound N p^2/(p-1)^2, 9 here, routes B and C share a
-    # truncated operator and agreed on wrong digits ([[34], [0]] at wmax 0,
-    # [[43], [0]] at 1 and 2); 3 happens to be right but is not covered
-    for wmax, routes in ((0, ["B", "C"]), (1, ["B", "C"]), (2, ["B", "C"]),
-                         (3, ["B", "C"]), (3, ["B"]), (3, ["C"]), ([17, 2], ["C"])):
-        with pytest.raises(ConfigInvalid, match="Dwork's bound"):
-            run({**KLOOSTER3, "wmax": wmax, "routes": routes})
+
+
+def test_no_wmax_or_guard_override(tmp_path, capsys):
+    # every basis is cut at default_wmax and every oracle row obeys the
+    # guard: the config keys and the flags are gone, whatever their value
+    assert len(dataclasses.fields(JobConfig)) == 11
+    for key, value in (("wmax", 9), ("wmax", [17, 2]), ("wmax", None),
+                       ("override_enumeration_guard", True),
+                       ("override_enumeration_guard", False)):
+        with pytest.raises(ConfigInvalid, match=f"unknown config keys.*{key}"):
+            JobConfig.from_dict({**KLOOSTER3, key: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KLOOSTER3))
+    for flag in (["--wmax", "9"], ["--override-enumeration-guard"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["unit-root", "--config", str(cfg)] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_unknown_route_on_a_built_config():
@@ -569,21 +576,23 @@ def test_cli_lfunction(tmp_path, capsys):
 
 
 def test_wmax_at_dwork_bound(klooster_report):
-    # the bound itself is accepted and gives the default's digits; route A
-    # alone takes any wmax
-    rep = run({**KLOOSTER3, "wmax": 9, "routes": ["B", "C"]})
-    assert rep.exit_code == 0
+    # every report cuts its basis at default_wmax: Dwork's bound
+    # N p^2/(p-1)^2, at least 4, rounded up to a multiple of 1/D, and the
+    # config records no wmax of its own
+    for case in CASES.values():
+        for N in (4, 8):
+            rep = run(job_dict(case, precision=N, routes=()))
+            ring = make_ring(case["p"], case["field_degree"], None, N)
+            wmax = runner.default_wmax(ring, rep.data["weights"]["D"])
+            assert rep.data["truncation"]["wmax"] == [wmax.numerator, wmax.denominator]
+            assert wmax >= Fraction(N * case["p"] ** 2, (case["p"] - 1) ** 2)
+            assert "wmax" not in rep.data["config"]
     for route in ("B", "C"):
-        assert (rep.data["routes"][route]["unit_root"]
-                == klooster_report.data["routes"][route]["unit_root"] == [[16], [0]])
-    assert run({**KLOOSTER3, "wmax": 0, "routes": ["A"]}).exit_code == 0
+        assert klooster_report.data["routes"][route]["unit_root"] == [[16], [0]]
 
 
 def test_cli_bad_config(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(KLOOSTER3))
-    assert main(["unit-root", "--config", str(cfg), "--wmax", "1"]) == 2
-    assert "Dwork's bound" in capsys.readouterr().err
     for text in (json.dumps({"p": 3}), json.dumps({**KLOOSTER3, "epsilon": 0}),
                  '{"p": 3, "A": [[1], [-1]]', "[1, 2]",
                  json.dumps({**KLOOSTER3, "precision": "x"}),

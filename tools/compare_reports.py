@@ -9,9 +9,11 @@ one job set:
 - routes B and C at N = 8 on all 26 battery cases;
 - routes B, C and the oracle at N = 4 on the battery's quick cases.
 
-The job list is built once, from ROOT_A, and both trees run the same
-configs.  A job matches when `Report.without_timing()` is equal and the
-`timing` block has the same keys; a job that raises records its exception.
+Each tree lists its own jobs and runs their configs, so a change to the
+config schema runs too; jobs are paired by name, and a name that one tree
+lists and the other does not is a difference.  A job matches when
+`Report.without_timing()` is equal and the `timing` block has the same
+keys; a job that raises records its exception.
 
 Route A reaches no series code, so the same subprocess also dumps a fixed
 series grid (`series_entries`): `calF_series` digits, `route_a_once`
@@ -21,7 +23,9 @@ only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
 `zeta_p` digits up to N = 20.  The jobs reach the oracle only on battery
 coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
 `char_sum` counts and method past them.  Prints each report, series, padic
-or oracle entry that differs and exits 1 if any does, else 0.
+or oracle entry that differs, with the dotted key paths that were added
+(`+`), removed (`-`) or changed (`~`) in it (a list is one value), then
+how many entries each path moved in; exits 1 if any entry differs, else 0.
 
 Each job, with its `Report.without_timing()`, runs with the cyclic
 collector off, and `gc.collect()` is read right after it: for each tree
@@ -29,6 +33,7 @@ the script also prints how many jobs left cyclic garbage and how many
 objects in all.  That line does not change the exit code.
 """
 
+import collections
 import dataclasses
 import gc
 import itertools
@@ -202,6 +207,23 @@ def dump(jobs):
     return {"entries": out, "garbage": garbage}
 
 
+def key_changes(a, b, path=""):
+    """[(mark, dotted path)] of the keys added (+), removed (-) or whose
+    value changed (~) from a to b, descending into dicts only."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [("~", path)]
+    out = []
+    for key in sorted(a.keys() | b.keys()):
+        sub = f"{path}.{key}" if path else key
+        if key not in b:
+            out.append(("-", sub))
+        elif key not in a:
+            out.append(("+", sub))
+        else:
+            out += key_changes(a[key], b[key], sub)
+    return out
+
+
 def in_tree(root, mode, stdin=None):
     """Run this script in `mode` with root's sources first on the path."""
     root = Path(root).resolve()
@@ -229,8 +251,8 @@ def main(argv):
         return 0
     if len(argv) != 2:
         sys.exit(__doc__)
-    jobs = in_tree(argv[0], "--list")
-    a, b = (json.loads(in_tree(root, "--dump", jobs)) for root in argv)
+    a, b = (json.loads(in_tree(root, "--dump", in_tree(root, "--list")))
+            for root in argv)
     for root, side in zip(argv, (a, b)):
         left = [k for k in side["garbage"].values() if k]
         print(f"{root}: {len(left)} of {len(side['garbage'])} jobs left cyclic "
@@ -238,8 +260,17 @@ def main(argv):
     a, b = a["entries"], b["entries"]
     names = sorted(a.keys() | b.keys())
     differ = [name for name in names if a.get(name) != b.get(name)]
+    tally = collections.Counter()
     for name in differ:
+        if name not in a or name not in b:
+            print(f"differs: {name} (only in {argv[name in b]})")
+            continue
         print(f"differs: {name}")
+        for mark, path in key_changes(a[name], b[name]):
+            print(f"  {mark} {path}")
+            tally[mark, path] += 1
+    for (mark, path), count in sorted(tally.items(), key=lambda kv: kv[0][::-1]):
+        print(f"{mark} {path}: {count} entries")
     kinds = {"series": "series entries", "padic": "padic entries",
              "oracle": "oracle entries"}
     for kind in ("reports", *kinds.values()):
