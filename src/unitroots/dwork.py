@@ -71,12 +71,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM,
-                     PrecisionTooLow)
+from .errors import MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM
 from .hyperg import _solutions
 from .oracle import orbit_degree
-from .padic import (RingElem, default_s_cut, horner, newton_root, powers,
-                    splitting_coefficients, teichmueller)
+from .padic import (RingElem, check_product_precision, default_s_cut, horner,
+                    newton_root, powers, splitting_coefficients, teichmueller)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -758,15 +757,6 @@ def pair_products_reference(spec, A, B):
                 for k2 in range(m):
                     raw[j1 + j2, k1 + k2] += Ao[:, :, j1, k1] @ Bo[:, :, j2, k2]
     return _fold(spec, raw % spec.pN)
-
-
-def check_product_precision(pN):
-    """PrecisionTooLow unless (pN - 1)^2 + pN < 2^63, the one int64 rule:
-    ring arrays and a product's GEMMs are reduced and recombined mod pN in
-    int64, so a residue times a residue plus a residue must fit."""
-    if (pN - 1) ** 2 + pN >= 2 ** 63:
-        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
-                              "beyond exact int64 reduction")
 
 
 def ring_array_mul(spec, X, Y):

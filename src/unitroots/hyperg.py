@@ -5,7 +5,8 @@ coefficient series F_i, supported on {u >= 0 : sum u_a a = i} with terms
 L^u / prod(u_a!).  In F_i(pi*L) the term pi^|u| / prod(u_a!) has pi-order
 sum_a s_p(u_a), the base-p digit sums, so it vanishes mod p^N unless that
 sum is below N(p-1); digit_solutions enumerates exactly the surviving u,
-digit by digit in base p.
+digit by digit in base p, one digit position per level of numpy int64
+arrays (_digit_levels).
 
 Route A (unit_root_route_A_detailed) follows Dwork's "p-adic cycles":
 the unit root is the special value of the continuation of
@@ -13,8 +14,13 @@ F_0(pi*L) / F_0(pi*L^p) over the Frobenius orbit of the Teichmueller point,
 and step s evaluates it as a ratio of truncated sums,
 prod_i F_0^(<p^(s+1))(pi*lambda_i) / F_0^(<p^s)(pi*lambda_(i+1)), summed
 directly over F_0's surviving terms and grouped by the class of u mod
-(q-1).  It stops by an empirical rule (see that function) and needs no
-series inverse.
+(q-1).  The terms are read level by level as arrays: their digits come
+from the factorial-unit tables (padic.FactorialUnits, padic.pi_pow_digits)
+and are summed per shell, class and pi-row (_f0_shells), with no Python
+object per term.  It stops by an empirical rule (see that function),
+compares steps without dividing, and inverts one ring element per run, at
+the stop; it needs no series inverse.  Its arrays are int64, so past the
+int64 rule (padic.check_product_precision) it raises PrecisionTooLow.
 
 calF_series, route_a_once and MultiSeries keep the series form of the same
 ratio as the analytic-continuation witness: the ratio as a truncated
@@ -27,15 +33,17 @@ Fraction series are coefficient holders for the GKZ and generating-identity
 checks, which read their terms directly.
 """
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotARelation, PrecisionUnstable
-from .padic import (RingElem, agreement, pi_pow_digit, pi_pow_over_factorials,
-                    powers, split_p, teichmueller)
+import numpy as np
+
+from .errors import NotARelation, PrecisionUnstable, TooLarge
+from .padic import (RingElem, agreement, check_product_precision,
+                    pi_pow_digits, pi_pow_over_factorials, powers, split_p,
+                    teichmueller)
 from .weights import ExponentSet, build_weight_data
 
 
@@ -220,9 +228,85 @@ def _solutions(A, target, degmax):
     return out
 
 
+def _digit_table(A, p, order_bound):
+    """The digit vectors d in [0, p)^k with sum(d) < order_bound, sorted by
+    the residue class of their contribution sum_a d_a a mod p and, within a
+    class, by their digit sum: (digits, sums, contributions, sort keys),
+    the key of d being its class index times order_bound plus its sum."""
+    vecs = np.array(A.vectors, dtype=np.int64)
+    k, n = vecs.shape
+    d = np.indices((p,) * k).reshape(k, -1).T
+    sums = d.sum(axis=1)
+    d, sums = d[sums < order_bound], sums[sums < order_bound]
+    contrib = d @ vecs
+    keys = (contrib % p) @ p ** np.arange(n) * order_bound + sums
+    order = np.argsort(keys, kind="stable")
+    return d[order], sums[order], contrib[order], keys[order]
+
+
+# states in one block of _digit_levels, terms in one batch of _f0_shells
+BLOCK_STATES = 1 << 13
+BATCH_TERMS = 1 << 16
+
+
+def _digit_levels(A, target, degmax, p, order_bound):
+    """digit_solutions' u, one base-p digit position per level: yields
+    (u, |u|) as int64 arrays of shape (S, k) and (S,) for each block of
+    states that finishes a solution.
+
+    A block holds states of one level as arrays: carry c, digit-sum budget,
+    u and degree.  A state's children take every digit vector of the table
+    whose contribution is c mod p (_digit_table) and that fits the budget
+    and the degree left, found by two searchsorted calls on the sorted
+    keys; they form the next level's block.  A state whose carry is 0 is a
+    solution; it is emitted when it is new and carried forward, by the zero
+    digit vector, while it has budget and degree left for a nonzero digit
+    at the next position.  Blocks wait on a stack, deepest first, and one
+    of more than BLOCK_STATES states is split before it is expanded, so
+    memory grows with BLOCK_STATES and the number of levels, not with the
+    widest level.
+    """
+    vecs = A.vectors
+    k, n = len(vecs), A.n
+    if degmax < 0 or order_bound <= 0:
+        return
+    amax = max(abs(c) for a in vecs for c in a)
+    digits, sums, contrib, keys = _digit_table(A, p, order_bound)
+    radix = p ** np.arange(n)
+    stack = [(1, np.array([target], dtype=np.int64), np.array([order_bound - 1]),
+              np.zeros((1, k), dtype=np.int64), np.zeros(1, dtype=np.int64),
+              np.ones(1, dtype=bool))]
+    while stack:
+        pj, carry, budget, u, deg, fresh = block = stack.pop()
+        if len(carry) > BLOCK_STATES:
+            stack += [(pj, *(x[i:i + BLOCK_STATES] for x in block[1:]))
+                      for i in range(0, len(carry), BLOCK_STATES)]
+            continue
+        zero = ~carry.any(axis=1)
+        if (done := zero & fresh).any():
+            yield u[done], deg[done]
+        room = degmax - deg
+        limit = np.minimum(budget, room // pj)
+        # a solution goes on only if a nonzero digit still fits
+        limit[zero & (limit < 1)] = -1
+        limit[~zero & (np.abs(carry).max(axis=1) * pj > amax * room)] = -1
+        base = (carry % p) @ radix * order_bound
+        first = np.searchsorted(keys, base)
+        count = np.maximum(np.searchsorted(keys, base + limit, side="right") - first, 0)
+        if not count.any():
+            continue
+        parent = np.repeat(np.arange(len(carry)), count)
+        pick = (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+                + first[parent])
+        stack.append((pj * p, (carry[parent] - contrib[pick]) // p,
+                      budget[parent] - sums[pick], u[parent] + digits[pick] * pj,
+                      deg[parent] + sums[pick] * pj, ~zero[parent] | (sums[pick] > 0)))
+
+
 def digit_solutions(A, target, degmax, p, order_bound):
     """Every u >= 0 with sum_a u_a a = target, |u| <= degmax and
-    sum_a s_p(u_a) < order_bound, where s_p is the base-p digit sum.
+    sum_a s_p(u_a) < order_bound, where s_p is the base-p digit sum, as a
+    list of tuples in no fixed order.
 
     pi^|u| / prod u_a! has pi-order sum_a s_p(u_a), so with
     order_bound = N(p-1) these are exactly the terms of F_target(pi*L)
@@ -230,49 +314,14 @@ def digit_solutions(A, target, degmax, p, order_bound):
     base-p position j, carrying c = (target - sum_a (u_a mod p^j) a) / p^j:
     the digits d at position j must have sum_a d_a a = c mod p, and the next
     carry is (c - sum_a d_a a) / p.  A carry of 0 ends a solution (all higher
-    digits zero) or jumps to the next nonzero digit.  A branch is cut once
-    its digit sums reach order_bound, its degree passes degmax, or its carry
-    is too large for the degree left to cancel, |c| p^j > max|a| (degmax - |u|).
+    digits zero) or goes on to a nonzero digit at a higher position.  A
+    branch is cut once its digit sums reach order_bound, its degree passes
+    degmax, or its carry is too large for the degree left to cancel,
+    |c| p^j > max|a| (degmax - |u|).  The branches at position j are
+    expanded together, as arrays in blocks (_digit_levels).
     """
-    vecs = A.vectors
-    k, n = len(vecs), A.n
-    amax = max(abs(c) for a in vecs for c in a)
-    # digit vectors by the residue of their contribution, cheapest first
-    by_res = {}
-    for d in itertools.product(range(p), repeat=k):
-        s = sum(d)
-        if s < order_bound:
-            contrib = tuple(sum(x * a[i] for x, a in zip(d, vecs)) for i in range(n))
-            by_res.setdefault(tuple(c % p for c in contrib), []).append((s, d, contrib))
-    for digits in by_res.values():
-        digits.sort()
-    nonzero = [e for e in by_res[(0,) * n] if e[0]]
-    out = []
-
-    def extend(j, pj, carry, budget, u, deg, digits):
-        for s, d, contrib in digits:
-            if s > budget or s * pj > degmax - deg:
-                break
-            rec(j + 1, pj * p, tuple((c - x) // p for c, x in zip(carry, contrib)),
-                budget - s, tuple(x + y * pj for x, y in zip(u, d)), deg + s * pj)
-
-    def rec(j, pj, carry, budget, u, deg):
-        if not any(carry):
-            out.append(u)
-            while budget and pj <= degmax - deg:
-                extend(j, pj, carry, budget, u, deg, nonzero)
-                j, pj = j + 1, pj * p
-            return
-        if max(map(abs, carry)) * pj > amax * (degmax - deg):
-            return
-        digits = by_res.get(tuple(c % p for c in carry))
-        if digits:
-            extend(j, pj, carry, budget, u, deg, digits)
-
-    if degmax >= 0 and order_bound > 0:
-        rec(0, 1, tuple(target), order_bound - 1, (0,) * k, 0)
-    del rec, extend  # their cells hold each other: a cycle that would keep out alive
-    return out
+    return [tuple(x) for u, _ in _digit_levels(A, target, degmax, p, order_bound)
+            for x in u.tolist()]
 
 
 def hyperg_coefficient_series(A, i, degmax, ring=None):
@@ -339,41 +388,80 @@ class RouteA:
     terms: int
 
 
+def _batched(levels):
+    """The (u, |u|) arrays of levels, consecutive ones joined until they
+    hold at least BATCH_TERMS terms, so small levels share their array
+    steps."""
+    us, degs, held = [], [], 0
+    for u, deg in levels:
+        us.append(u)
+        degs.append(deg)
+        held += len(deg)
+        if held >= BATCH_TERMS:
+            yield np.concatenate(us), np.concatenate(degs)
+            us, degs, held = [], [], 0
+    if us:
+        yield np.concatenate(us), np.concatenate(degs)
+
+
 def _f0_shells(A, ring, s_lo, s_hi):
     """The terms of F_0(pi*L) with p^s_lo <= |u| < p^(s_hi+1), by shell.
 
     Shell s holds p^s <= |u| < p^(s+1).  A term pi^|u| / prod u_a! is one
-    digit in pi-row |u| mod (p-1) (pi_pow_digit), and at a Teichmueller point
-    lambda^u depends only on each u_a mod (q-1) (q = p^m) once u_a > 0, so a
-    shell is a dict from that class, with 0 kept for u_a = 0, to its digit
-    sums per pi-row.  Returns (shells, number of terms).
+    digit in pi-row |u| mod (p-1) (pi_pow_digits), and at a Teichmueller
+    point lambda^u depends only on each u_a mod (q-1) (q = p^m) once
+    u_a > 0, so a shell is summed per class: that residue in 1..q-1 for each
+    u_a > 0, and 0 for u_a = 0.  The blocks of _digit_levels, joined into
+    batches of at least BATCH_TERMS terms (_batched), are read as arrays (shell,
+    class, row and digit per term) and reduced at once, by one np.unique of
+    a combined key, to one digit sum mod p^N per (shell, class, row); no
+    term is kept past its batch.  Returns (shells, number of terms),
+    shells[s - s_lo] a pair of arrays: the classes (G, k) and their digit
+    sums per pi-row (G, p-1).  TooLarge if the combined key would not fit
+    in int64.
     """
-    p, npi = ring.p, ring.npi
-    qm1 = p ** ring.m - 1
-    bounds = [p ** s for s in range(s_lo, s_hi + 2)]
-    shells = [{} for _ in range(s_lo, s_hi + 1)]
+    p, npi, pN = ring.p, ring.npi, ring.pN
+    q, k = p ** ring.m, len(A.vectors)
+    nshells = s_hi - s_lo + 1
+    # a term's key: ((shell * q + class_0) * q + ... + class_(k-1)) * (p-1) + row
+    if nshells * q ** k * npi >= 2 ** 63:
+        raise TooLarge(f"route A's shell keys need {nshells} * {q}^{k} * {npi} "
+                       ">= 2^63 values")
+    radix = q ** np.arange(k - 1, -1, -1, dtype=np.int64) * npi
+    bounds = np.array([p ** s for s in range(s_lo, s_hi + 2)], dtype=np.int64)
+    keys = sums = np.zeros(0, dtype=np.int64)
     count = 0
-    for u in digit_solutions(A, (0,) * A.n, bounds[-1] - 1, p, ring.N * npi):
-        k = sum(u)
-        if k < bounds[0]:
-            continue
-        row, digit = pi_pow_digit(ring, k, u)
-        key = tuple(x and (x - 1) % qm1 + 1 for x in u)
-        shell = shells[bisect.bisect_right(bounds, k) - 1]
-        acc = shell.get(key)
-        if acc is None:
-            acc = shell[key] = [0] * npi
-        acc[row] += digit
-        count += 1
+    levels = _digit_levels(A, (0,) * A.n, int(bounds[-1]) - 1, p, ring.N * npi)
+    for u, deg in _batched((u[deg >= bounds[0]], deg[deg >= bounds[0]])
+                           for u, deg in levels):
+        count += len(deg)
+        row, digit = pi_pow_digits(ring, deg, u)
+        cls = np.where(u > 0, (u - 1) % (q - 1) + 1, 0)
+        shell = np.searchsorted(bounds, deg, side="right") - 1
+        key = shell * (q ** k * npi) + cls @ radix + row
+        keys, where = np.unique(np.concatenate([keys, key]), return_inverse=True)
+        total = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(total, where, np.concatenate([sums, digit]))
+        sums = total % pN
+    shell, rest = np.divmod(keys, q ** k * npi)
+    cls, row = np.divmod(rest, npi)
+    shells = []
+    for s in range(nshells):
+        mine = shell == s
+        classes, where = np.unique(cls[mine], return_inverse=True)
+        digits = np.zeros((len(classes), npi), dtype=np.int64)
+        digits[where, row[mine]] = sums[mine]
+        classes = classes[:, None] // (radix // npi) % q
+        shells.append((classes, digits))
     return shells, count
 
 
 def _shell_value(shell, lam_powers, shift, ring):
     """A shell of _f0_shells evaluated at lambda^shift, from lambda's powers."""
-    pN, qm1, pad = ring.pN, len(lam_powers[0]) - 1, (0,) * (ring.m - 1)
+    qm1, pad = len(lam_powers[0]) - 1, (0,) * (ring.m - 1)
     total = ring.zero()
-    for key, digits in shell.items():
-        term = RingElem(ring, tuple((d % pN,) + pad for d in digits), check=False)
+    for key, digits in zip(*(x.tolist() for x in shell)):
+        term = RingElem(ring, tuple((d,) + pad for d in digits), check=False)
         for pw, c in zip(lam_powers, key):
             if c:
                 term = term * pw[(c * shift - 1) % qm1 + 1]
@@ -414,13 +502,20 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
     and p3-skew-f9 at N = 4.  The cross-route agreement checks are the
     backstop.
 
+    steps[s] is read without dividing: u_s - u_(s-D) is
+    (P_s P_(s-D-1) - P_(s-D) P_(s-1)) over the unit P_(s-1) P_(s-D-1),
+    with P_(-1) = 1, so the numerator has the same order.  u_s itself is
+    formed once, at the stop, with the run's one inverse.
+
     degmax and max_rounds bound the steps: the last step allowed is
     route_a_last_step(p, degmax, max_rounds), max_rounds past the first
     whose truncation degree reaches 4 * degmax.  PrecisionUnstable is raised
-    at once if that is below D*N, or when no step up to it agrees.  D is
-    computed from spec.A.
+    at once if that is below D*N, or when no step up to it agrees, and
+    PrecisionTooLow at once past the int64 rule.  D is computed from
+    spec.A.
     """
     p, N = ring.p, ring.N
+    check_product_precision(ring.pN)
     D = build_weight_data(spec.A).D
     first = D * N
     last = route_a_last_step(p, degmax, max_rounds)
@@ -433,10 +528,10 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
     lam_powers = [powers(x, p ** ring.m - 1) for x in lam]
     shifts = [p ** i for i in range(orbit_length)]
     values = [ring.one()] * orbit_length  # F_0^(<p^s)(pi*lambda_i); F_0^(<1) = 1
-    prev = ring.one()                       # P_(s-1)
+    P = [ring.one()]                        # P_(-1), P_0, ..., P_s
     shells, terms = _f0_shells(spec.A, ring, 0, first)
     terms += 1  # the constant term
-    us, steps = [], []
+    steps = []
     for s in range(last + 1):
         if s > first:
             (shell,), count = _f0_shells(spec.A, ring, s, s)
@@ -445,12 +540,14 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
             shell = shells[s]
         values = [v + _shell_value(shell, lam_powers, t, ring)
                   for v, t in zip(values, shifts)]
-        P = math.prod(values[1:], start=values[0])
-        us.append(P * prev.inverse())
-        prev = P
-        steps.append(agreement(us[s], us[s - D]) if s >= D else None)
+        P.append(math.prod(values[1:], start=values[0]))
+        # u_s - u_(s-D) = (P_s P_(s-D-1) - P_(s-D) P_(s-1)) / (P_(s-1) P_(s-D-1)),
+        # and the P are units: the numerator has the difference's order
+        steps.append(agreement(P[s + 1] * P[s - D], P[s + 1 - D] * P[s])
+                     if s >= D else None)
         if s >= first and steps[s] >= N:
-            return RouteA(us[s], steps[s], p ** (s + 1) - 1, tuple(steps), s, D, terms)
+            u = P[s + 1] * P[s].inverse()
+            return RouteA(u, steps[s], p ** (s + 1) - 1, tuple(steps), s, D, terms)
     raise PrecisionUnstable(
         f"route A steps {first}..{last} never agreed with the step {D} before "
         f"(best agreement {max(steps[first:])} digits)")

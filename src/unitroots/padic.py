@@ -25,16 +25,22 @@ The Newton lifts here, inverse and newton_root, start from one correct
 pi-digit and double the correct digits each step, so lift_steps(spec) =
 ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result.
 The Teichmueller lift is one Frobenius power of the digit lift, and the
-digit of pi^k / prod(f!) (pi_pow_digit) serves both Dwork's splitting
-series theta(t) = exp(pi(t - t^p)) (splitting_coefficients) and route A's
-sums.  The primitive p-th root of unity is theta(1) (zeta_p), Dwork's
-additive character, with zeta == 1 + pi (mod pi^2).
+digit of pi^k / prod(f!) (pi_pow_digit, and pi_pow_digits for arrays)
+serves both Dwork's splitting series theta(t) = exp(pi(t - t^p))
+(splitting_coefficients) and route A's sums.  Its factorial unit parts
+come from the prefix tables of FactorialUnits, by the generalized Wilson
+theorem.  Arrays of residues are int64 only under the one int64 rule,
+(p^N - 1)^2 + p^N < 2^63 (int64_exact, check_product_precision).  The
+primitive p-th root of unity is theta(1) (zeta_p), Dwork's additive
+character, with zeta == 1 + pi (mod pi^2).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import ceil
+from math import ceil, isqrt
+
+import numpy as np
 
 from . import ffield, gfpoly
 from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
@@ -43,7 +49,7 @@ from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
 
 class RingSpec:
     """Descriptor of one working ring O_N.  Its fields never change after
-    construction; factorials, the ring's FactorialUnits memo, only grows."""
+    construction; factorials, the ring's FactorialUnits tables, only grow."""
 
     def __init__(self, p, m, g, N):
         self.p = p
@@ -395,6 +401,45 @@ def split_p(n, p):
     return v, n
 
 
+def int64_exact(pN):
+    """Whether (pN - 1)^2 + pN < 2^63, the one int64 rule: ring arrays,
+    factorial-unit tables and a product's GEMMs are reduced and recombined
+    mod pN in int64, so a residue times a residue plus a residue must fit."""
+    return (pN - 1) ** 2 + pN < 2 ** 63
+
+
+def check_product_precision(pN):
+    """PrecisionTooLow unless int64_exact(pN)."""
+    if not int64_exact(pN):
+        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
+                              "beyond exact int64 reduction")
+
+
+def running_products(f, pN):
+    """out[i] = f[0] * ... * f[i] mod pN for a 1-D array f of residues.
+
+    The array is cut into rows of w = sqrt(len f / 16) + 1 entries; the rows
+    are scanned together, column by column, in w array steps, and each row
+    is then scaled by the product of the rows above it, which one Python
+    loop over the row totals forms.  Entries multiply in f's dtype: int64
+    under the int64 rule, Python integers (object) past it.
+    """
+    n = len(f)
+    width = isqrt(n // 16) + 1
+    rows = -(-n // width)
+    x = np.ones(rows * width, dtype=f.dtype)
+    x[:n] = f
+    x = x.reshape(rows, width)
+    for c in range(1, width):
+        x[:, c] = x[:, c] * x[:, c - 1] % pN
+    above, acc = [], 1
+    for total in x[:, -1].tolist():
+        above.append(acc)
+        acc = acc * total % pN
+    x = x * np.array(above, dtype=f.dtype)[:, None] % pN
+    return x.reshape(-1)[:n]
+
+
 class FactorialUnits:
     """n! = p^v(n!) * U(n) mod p^N, by the generalized Wilson theorem.
 
@@ -403,37 +448,74 @@ class FactorialUnits:
     p.  R is periodic up to sign: a full block of p^N consecutive units
     multiplies to -1 mod p^N, except +1 for p = 2, N >= 3.  So
     R(n) = (+-1)^floor(n/p^N) * T[n mod p^N] with T the prefix products of
-    the units below p^N, grown only as far as the largest residue asked for.
-    Results are kept, so n costs one step once floor(n/p) is known.
+    the units below p^N, and U(n) is the product of log_p n such factors.
+
+    prefix holds T and inverse_prefix the inverses T[r]^-1, both grown only
+    as far as the largest residue asked for; a growth step inverts one
+    residue, its last T, and reads the other inverses off suffix products
+    (running_products).  The tables are int64 under the int64 rule
+    (int64_exact) and Python integers past it.  The scalar call reads T in
+    Python integers; inverses reads T^-1 for an array of n in log_p(max n)
+    array steps.  Neither keeps a result per n.
     """
 
     def __init__(self, spec):
         self.p, self.pN = spec.p, spec.pN
         self.block = 1 if spec.p == 2 and spec.N >= 3 else -1
-        self.prefix = [1]  # prefix[r] = prod_{j <= r, p ∤ j} j mod p^N
-        self.known = {0: (0, 1), 1: (0, 1)}
+        dtype = np.int64 if int64_exact(self.pN) else object
+        self.prefix = np.ones(1, dtype=dtype)          # T[r] = prod_{j <= r, p ∤ j} j
+        self.inverse_prefix = np.ones(1, dtype=dtype)  # T[r]^-1 mod p^N
 
     def _grow(self, r):
-        p, pN, prefix = self.p, self.pN, self.prefix
-        acc = prefix[-1]
-        for j in range(len(prefix), r + 1):
-            if j % p:
-                acc = acc * j % pN
-            prefix.append(acc)
+        """Extend both tables through residue r."""
+        start = len(self.prefix)
+        if r < start:
+            return
+        pN, dtype = self.pN, self.prefix.dtype
+        f = np.arange(start, r + 1, dtype=np.int64)
+        f[f % self.p == 0] = 1
+        f = f.astype(dtype)
+        top = np.concatenate([self.prefix[-1:], f])
+        prefix = running_products(top, pN)[1:]
+        # T[j]^-1 = T[r]^-1 * f[j+1] * ... * f[r]: running products from the top
+        last = np.array([pow(int(prefix[-1]), -1, pN)], dtype=dtype)
+        inverse = running_products(np.concatenate([last, f[:0:-1]]), pN)[::-1]
+        self.prefix = np.concatenate([self.prefix, prefix])
+        self.inverse_prefix = np.concatenate([self.inverse_prefix, inverse])
 
     def __call__(self, n):
-        """(v_p(n!), U(n) mod p^N)."""
-        f = self.known.get(n)
-        if f is None:
-            q, r = divmod(n, self.pN)
+        """(v_p(n!), U(n) mod p^N), in Python integers."""
+        p, pN = self.p, self.pN
+        v, unit = 0, 1
+        while n > 1:
+            q, r = divmod(n, pN)
             if r >= len(self.prefix):
                 self._grow(r)
-            v, unit = self(n // self.p)
-            unit = unit * self.prefix[r] % self.pN
+            unit = unit * self.prefix.item(r) % pN
             if q & 1 and self.block < 0:
-                unit = self.pN - unit
-            f = self.known[n] = (v + n // self.p, unit)
-        return f
+                unit = pN - unit
+            n //= p
+            v += n
+        return v, unit
+
+    def inverses(self, n):
+        """(v_p(n!), U(n)^-1 mod p^N) for an int64 array n, elementwise, in
+        log_p(max n) array steps; the units come in the tables' dtype."""
+        p, pN = self.p, self.pN
+        span = min(pN, np.iinfo(np.int64).max)  # an int64 n is below a larger p^N
+        n = np.asarray(n, dtype=np.int64)
+        v = np.zeros_like(n)
+        inv = np.ones_like(n)
+        while n.size and n.max() > 1:
+            q, r = np.divmod(n, span)
+            self._grow(int(r.max()))
+            t = self.inverse_prefix[r]
+            if self.block < 0:
+                t = np.where(q & 1, pN - t, t)
+            inv = inv * t % pN
+            n = n // p
+            v += n
+        return v, inv
 
 
 def pi_pow_digit(spec, k, factorials):
@@ -459,6 +541,26 @@ def pi_pow_digit(spec, k, factorials):
     return k % spec.npi, (-digit if k // spec.npi & 1 else digit) % pN
 
 
+def pi_pow_digits(spec, k, factorials):
+    """pi_pow_digit for arrays: (rows, digits) for k of shape (S,) and
+    factorials of shape (S, r), both int64.  The unit parts come as
+    inverses (FactorialUnits.inverses), so no term is inverted; the digits
+    are int64 under the int64 rule and Python integers past it."""
+    N, npi, pN = spec.N, spec.npi, spec.pN
+    v, inv = spec.factorials.inverses(factorials)
+    upar = np.ones(len(k), dtype=np.int64)
+    for col in inv.T:
+        upar = upar * col % pN
+    e = k // npi
+    e_p = e - v.sum(axis=1)
+    if (e_p < 0).any():
+        raise NonUnitDivision("combination is not p-integral")
+    ppow = np.array([spec.p ** i for i in range(N)] + [0],
+                    dtype=spec.factorials.prefix.dtype)
+    digits = ppow[np.minimum(e_p, N)] * upar % pN
+    return k % npi, np.where(e & 1, -digits, digits) % pN
+
+
 def pi_pow_over_factorials(spec, k, factorials):
     """pi^k / prod(f!) as a ring element, for p-integral combinations: the
     one nonzero digit of pi_pow_digit, in its row."""
@@ -481,15 +583,19 @@ def splitting_coefficients(ring, imax):
     """Coefficients b_0..b_imax of exp(pi(t - t^p)).
 
     b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!), and every term is one
-    p-integral digit in pi-row i mod (p-1) (pi_pow_digit); so b_i is the
-    sum of those digits in that row.  ord b_i >= i(p-1)/p^2 is asserted for
-    each i.
+    p-integral digit in pi-row i mod (p-1); the digits of all (i, j) come
+    from one pi_pow_digits call, and b_i is their signed sum in that row.
+    ord b_i >= i(p-1)/p^2 is asserted for each i.
     """
     p = ring.p
+    count = np.arange(imax + 1) // p + 1  # the j of each i
+    i = np.repeat(np.arange(imax + 1), count)
+    start = np.cumsum(count) - count
+    j = np.arange(len(i)) - np.repeat(start, count)
+    _, digits = pi_pow_digits(ring, i - (p - 1) * j, np.column_stack([j, i - p * j]))
+    sums = np.add.reduceat(np.where(j & 1, -digits, digits), start) % ring.pN
     out = []
-    for i in range(imax + 1):
-        digit = sum((-1) ** j * pi_pow_digit(ring, i - (p - 1) * j, (j, i - p * j))[1]
-                    for j in range(i // p + 1))
+    for i, digit in enumerate(sums.tolist()):
         b = ring.from_slots([0] * (i % (p - 1) * ring.m) + [digit])
         assert b.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
         out.append(b)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitroots import hyperg
-from unitroots.battery import BATTERY, job_dict
+from unitroots.battery import BATTERY, EXPONENT_SETS, job_dict
 from unitroots.dwork import default_s_cut
 from unitroots.errors import NotARelation, PrecisionUnstable
-from unitroots.hyperg import (LaurentSpec, calF_series,
+from unitroots.padic import RingElem, pi_pow_digit
+from unitroots.hyperg import (LaurentSpec, _f0_shells, calF_series,
                               check_annihilators, digit_solutions,
                               generating_identity_check,
                               hyperg_coefficient_series, route_a_last_step,
@@ -198,7 +199,7 @@ def test_ratio_times_denominator_is_numerator(p):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([SINGLE, KLOOSTERMAN, SKEW, TRIANGLE, EDGE, SQUARE]),
-       st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 14), st.data())
+       st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(0, 14), st.data())
 def test_digit_solutions_are_the_surviving_solutions(A, p, N, degmax, data):
     # every u with sum u_a a = i and |u| <= degmax whose pi^|u|/prod u_a!
     # survives mod p^N, each once
@@ -237,3 +238,92 @@ def test_route_a_matches_route_c_at_n6(cid):
     assert rep.data["agreement"]["pairs"]["A-C"] == 6
     route = rep.data["routes"]["A"]
     assert route["stop_step"] == route["weight_denominator"] * 6
+
+
+def _shells_reference(A, ring, s_lo, s_hi):
+    """_f0_shells term by term: brute-force solutions, scalar digits."""
+    p, npi = ring.p, ring.npi
+    qm1 = p ** ring.m - 1
+    shells = [{} for _ in range(s_lo, s_hi + 1)]
+    terms = 0
+    for u in surviving_solutions(A, (0,) * A.n, p ** (s_hi + 1) - 1, p, ring.N * npi):
+        k = sum(u)
+        if k < p ** s_lo:
+            continue
+        shell = max(s for s in range(s_hi + 1) if p ** s <= k)
+        row, digit = pi_pow_digit(ring, k, u)
+        key = tuple(x and (x - 1) % qm1 + 1 for x in u)
+        acc = shells[shell - s_lo].setdefault(key, [0] * npi)
+        acc[row] = (acc[row] + digit) % ring.pN
+        terms += 1
+    return shells, terms
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_SETS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [2, 4])
+def test_f0_shells_match_term_by_term_reference(name, p, m, N):
+    vecs = EXPONENT_SETS[name]
+    A = ExponentSet(len(vecs[0]), vecs)
+    ring = make_ring(p, m, None, N)
+    s_hi = {2: 4, 3: 3, 5: 2}[p]  # degrees through 31, 80 and 124
+    for s_lo in (0, 1):
+        shells, terms = _f0_shells(A, ring, s_lo, s_hi)
+        got = [{tuple(c): d for c, d in zip(classes.tolist(), digits.tolist())}
+               for classes, digits in shells]
+        assert (got, terms) == _shells_reference(A, ring, s_lo, s_hi), s_lo
+
+
+def test_route_a_past_the_int64_rule_refuses_at_once(monkeypatch):
+    # 5^14 is past the int64 rule: route A records PrecisionTooLow, naming
+    # the bound, before it enumerates a single term
+    def never(*args):
+        raise AssertionError("route A enumerated past the int64 rule")
+
+    monkeypatch.setattr(hyperg, "_digit_levels", never)
+    case = next(c for c in BATTERY if c["id"] == "p5-kloosterman")
+    rep = run(job_dict(case, precision=14, routes=("A",)))
+    assert rep.data["errors"]["A"].startswith("PrecisionTooLow: p^N = 6103515625 ")
+    assert "A" not in rep.data["routes"]
+
+
+# unit_root, steps, stop_step and terms as recorded before route A lost its
+# inverse per step; p2-skew at N = 8 is the D = 2 plateau case
+ROUTE_A_RECORDS = {
+    ("p2-skew", 8): ([[165]], [None, None, 2, 3, 3, 8, 5, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8],
+                     16, 681),
+    ("p5-skew", 4): ([[551], [360], [435], [311]], [None, None, 1, 1, 2, 2, 3, 3, 4],
+                     8, 4115),
+}
+
+
+@pytest.mark.parametrize("cid,N", sorted(ROUTE_A_RECORDS))
+def test_route_a_record_is_pinned(monkeypatch, cid, N):
+    inverses = []
+    inverse = RingElem.inverse
+    monkeypatch.setattr(RingElem, "inverse",
+                        lambda self: inverses.append(self) or inverse(self))
+    case = next(c for c in BATTERY if c["id"] == cid)
+    route = run(job_dict(case, precision=N, routes=("A",))).data["routes"]["A"]
+    assert (route["unit_root"], route["steps"], route["stop_step"],
+            route["terms"]) == ROUTE_A_RECORDS[cid, N]
+    assert len(inverses) == 1  # one inverse, at the stop
+
+
+def test_blocks_and_batches_do_not_change_the_terms(monkeypatch):
+    # tiny blocks and batches split every level and join every batch, as
+    # the large runs do: the same solutions, the same shells
+    monkeypatch.setattr(hyperg, "BLOCK_STATES", 2)
+    monkeypatch.setattr(hyperg, "BATCH_TERMS", 3)
+    for A, p, N, m in [(KLOOSTERMAN, 3, 4, 2), (SKEW, 5, 2, 1), (TRIANGLE, 2, 4, 1),
+                       (SQUARE, 3, 2, 1)]:
+        i = (0,) * A.n
+        got = digit_solutions(A, i, 30, p, N * (p - 1))
+        assert sorted(got) == sorted(surviving_solutions(A, i, 30, p, N * (p - 1)))
+        ring = make_ring(p, m, None, N)
+        s_hi = {2: 4, 3: 3, 5: 2}[p]
+        shells, terms = _f0_shells(A, ring, 1, s_hi)
+        got = [{tuple(c): d for c, d in zip(classes.tolist(), digits.tolist())}
+               for classes, digits in shells]
+        assert (got, terms) == _shells_reference(A, ring, 1, s_hi), (A, p)

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,20 +285,45 @@ def test_pi_pow_over_factorials_reference(key, fs):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_factorial_units_match_direct_products(p, N):
+    # n runs over three blocks of p^N and past them, so the block sign
+    # enters at each Wilson step, for the scalar call and the array lookup
     ring = make_ring(p, 1, None, N)
     units = FactorialUnits(ring)
     # the product of the units of one block of p^N is +1 for p = 2, N >= 3
     block = math.prod(j for j in range(1, ring.pN) if j % p) % ring.pN
     assert block == (1 if p == 2 and N >= 3 else ring.pN - 1)
-    v, u = 0, 1
+    want, v, u = [(0, 1)], 0, 1
     for n in range(1, 3 * ring.pN + p + 2):
         dv, du = split_p(n, p)
         v, u = v + dv, u * du % ring.pN
-        assert units(n) == (v, u), (p, N, n)
-    assert units(0) == units(1) == (0, 1)
-    for n in (p ** (N + 2) + 7, 5 * p ** (N + 1) - 1, 1000):
+        want.append((v, u))
+    big = [p ** (N + 2) + 7, 5 * p ** (N + 1) - 1, 1000]
+    for n in big:
         v, u = split_p(math.factorial(n), p)
-        assert units(n) == (v, u % ring.pN), (p, N, n)
+        want.append((v, u % ring.pN))
+    ns = list(range(3 * ring.pN + p + 2)) + big
+    assert [units(n) for n in ns] == want
+    assert units(1) == (0, 1)
+    v, inv = units.inverses(np.array(ns))
+    for n, (dv, du), got_v, got_inv in zip(ns, want, v.tolist(), inv.tolist()):
+        assert (got_v, got_inv * du % ring.pN) == (dv, 1), (p, N, n)
+    # the inverse table inverts the prefix table entry by entry
+    assert len(units.inverse_prefix) == len(units.prefix) == ring.pN
+    assert (units.prefix * units.inverse_prefix % ring.pN == 1).all()
+
+
+def test_factorial_units_past_the_int64_rule():
+    # past the rule the tables hold Python integers, and both lookups stay
+    # exact: 3^40 squared is past 2^63
+    ring = make_ring(3, 1, None, 40)
+    units = FactorialUnits(ring)
+    n = [0, 1, 2, 40, 200, 3 ** 5 + 5]
+    v, inv = units.inverses(np.array(n))
+    for x, got_v, got_inv in zip(n, v.tolist(), inv.tolist()):
+        dv, du = split_p(math.factorial(x), 3)
+        assert units(x) == (dv, du % ring.pN)
+        assert (got_v, got_inv * du % ring.pN) == (dv, 1), x
+    assert units.prefix.dtype == object
 
 
 def test_factorial_units_grow_only_as_needed():

@@ -22,10 +22,15 @@ digits, and the results of `check_annihilators` and
 only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
 `zeta_p` digits up to N = 20.  The jobs reach the oracle only on battery
 coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
-`char_sum` counts and method past them.  Prints each report, series, padic
-or oracle entry that differs, with the dotted key paths that were added
-(`+`), removed (`-`) or changed (`~`) in it (a list is one value), then
-how many entries each path moved in; exits 1 if any entry differs, else 0.
+`char_sum` counts and method past them.  The jobs run route A only at
+N = 4, so it also dumps a route-A grid (`route_a_entries`): the full route-A
+record, or its error, at N = 6 and 8 on five cases, and a digit grid
+(`digit_entries`): `digit_solutions` as sorted lists on a fixed grid of
+targets.  Prints each report, series, padic, oracle, route-A or digit entry
+that differs, with the dotted key paths that were added (`+`), removed (`-`)
+or changed (`~`) in it (a list is one value), then how many entries each
+path moved in, then the matches per kind; exits 1 if any entry differs,
+else 0.
 
 Each job, with its `Report.without_timing()`, runs with the cyclic
 collector off, and `gc.collect()` is read right after it: for each tree
@@ -194,16 +199,60 @@ def oracle_entries():
     return out
 
 
+ROUTE_A_CASES = ("p2-skew", "p3-kloosterman", "p3-kloosterman-f9", "p3-triangle",
+                 "p5-kloosterman")
+
+
+def route_a_record(case, N):
+    """The report's route-A record and route A's error (None when it has
+    none) for route A alone on one battery case at precision N."""
+    from unitroots import runner
+    from unitroots.battery import job_dict
+    data = runner.run(job_dict(case, precision=N, routes=("A",))).data
+    return {"route": data["routes"].get("A"), "error": data["errors"].get("A")}
+
+
+def route_a_entries():
+    """{name: outcome} for the route-A grid, from the tree on the path:
+    route_a_record (unit root digits, steps, stop_step, degmax_used, terms
+    and the rest) on ROUTE_A_CASES at N in {6, 8}."""
+    from unitroots.battery import BATTERY
+    cases = {c["id"]: c for c in BATTERY}
+    return {f"{cid}:N{N}": outcome(lambda: route_a_record(cases[cid], N))
+            for cid, N in itertools.product(ROUTE_A_CASES, (6, 8))}
+
+
+def digit_entries():
+    """{name: outcome} for the digit grid, from the tree on the path:
+    sorted digit_solutions(A, i, degmax, p, N(p - 1)) on every battery
+    exponent set, p in {2, 3, 5, 7}, N in {2, 4}, degmax in {12, 40} and
+    every target i with |i|_inf <= 2."""
+    from unitroots import hyperg
+    from unitroots.battery import EXPONENT_SETS
+    from unitroots.weights import ExponentSet
+    out = {}
+    for (name, vecs), p, N, degmax in itertools.product(
+            EXPONENT_SETS.items(), (2, 3, 5, 7), (2, 4), (12, 40)):
+        A = ExponentSet(len(vecs[0]), vecs)
+        for i in itertools.product(range(-2, 3), repeat=A.n):
+            out[f"{name}:p{p}:N{N}:d{degmax}:i{i}"] = outcome(
+                lambda: sorted(map(list, hyperg.digit_solutions(
+                    A, i, degmax, p, N * (p - 1)))))
+    return out
+
+
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
-    jobs and the series, padic and oracle grids, run by the tree on the
-    path."""
+    jobs and the series, padic, oracle, route-A and digit grids, run by the
+    tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
     out.update((f"series:{name}", value) for name, value in series_entries().items())
     out.update((f"padic:{name}", value) for name, value in padic_entries().items())
     out.update((f"oracle:{name}", value) for name, value in oracle_entries().items())
+    out.update((f"route_a:{name}", value) for name, value in route_a_entries().items())
+    out.update((f"digits:{name}", value) for name, value in digit_entries().items())
     return {"entries": out, "garbage": garbage}
 
 
@@ -272,7 +321,8 @@ def main(argv):
     for (mark, path), count in sorted(tally.items(), key=lambda kv: kv[0][::-1]):
         print(f"{mark} {path}: {count} entries")
     kinds = {"series": "series entries", "padic": "padic entries",
-             "oracle": "oracle entries"}
+             "oracle": "oracle entries", "route_a": "route-A entries",
+             "digits": "digit_solutions entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
