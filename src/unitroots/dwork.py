@@ -23,9 +23,11 @@ right operand's regular representation (RegularRep), whose row
 RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, so the
 product comes out reduced.  In this order a contraction over lo <= b < hi
 is a slice of both sides.  Every product contracts each row over every b
-but route C's first-return products, which contract row r only over its
-window r < b < K(r) (first_return_product), a few adjacent rows in one
-GEMM (_row_groups), planned once per call (WindowPlan).  Right entries
+but route C's first-return products: product k contracts row r only over
+its window r < b < K_k(r), cut by Dwork's cycle bound (trace_band), and
+keeps only the rows still live (first_return_product), a few adjacent
+rows in one GEMM (_row_groups), planned per product from its windows
+(WindowPlan).  Right entries
 are centred, |y| <= h = floor(p^N/2); left entries are cut into centred
 base-p digits (left_limbs), a limb of w digits at most floor(p^w/2), the
 carry out of the top limb, a multiple of p^N, dropped.  Limbs are e
@@ -460,24 +462,46 @@ REP_TEMP = 2 ** 16
 def regular_representation(spec, B, slots):
     """RegularRep of B (dim, cols, p-1, m), entries in [0, p^N), for the
     sorted `slots`: pi^(p-1) = -p and g(t) enter here, once, through
-    RingSpec.law (_regular_terms), instead of after every product."""
-    pN = spec.pN
+    RingSpec.law (_regular_terms), instead of after every product.
+
+    Most of its planes are a plane of B, the one term of law coefficient 1:
+    each block of rows of B is centred once, and those planes are copied
+    from it.  Only the others, the terms that wrap past pi^(p-2) (-p) or
+    t^(m-1) (g's coefficients), are multiplied, reduced and centred.
+    """
+    pN, h = spec.pN, spec.pN // 2
     dim, cols = B.shape[:2]
     kept, src, coef = _regular_terms(spec, slots, _nonzero_slots(B).tolist())
+    plain = (coef[0] == 1) & ~coef[1:].any(axis=0)
+    copied, wrapped = [], []
+    for n in range(len(slots)):
+        c = np.flatnonzero(plain[n])
+        copied.append((_run(c), _run(src[0, n, c])) if len(c) else None)
+        wrapped.append([(c, [(k, f) for k, f in zip(src[:, n, c].tolist(),
+                                                     coef[:, n, c].tolist()) if f])
+                        for c in np.flatnonzero(~plain[n]).tolist()])
     B = B.reshape(dim, cols, -1)
     blocks = np.empty((dim, len(slots), cols, len(kept)))
-    step = max(1, REP_TEMP // max(cols * len(kept), 1))
+    step = max(1, REP_TEMP // max(cols * max(len(kept), B.shape[2]), 1))
     for lo in range(0, dim, step):
         Bs = B[lo:lo + step]
-        for n in range(len(slots)):
-            acc = Bs[:, :, src[0, n]] * coef[0, n]
-            for t in range(1, len(src)):
-                if coef[t, n].any():
+        centred = Bs.astype(np.float64)
+        centred -= pN * (Bs > h)
+        for n, terms_of in enumerate(wrapped):
+            out = blocks[lo:lo + step, n]
+            if copied[n] is not None:
+                out[..., copied[n][0]] = centred[..., copied[n][1]]
+            for c, terms in terms_of:
+                if not terms:
+                    out[..., c] = 0
+                    continue
+                acc = Bs[..., terms[0][0]] * terms[0][1]
+                for k, f in terms[1:]:
                     _reduce(acc, pN)
-                    acc += Bs[:, :, src[t, n]] * coef[t, n]
-            _reduce(acc, pN)
-            acc -= pN * (acc > pN // 2)
-            blocks[lo:lo + step, n] = acc
+                    acc += Bs[..., k] * f
+                _reduce(acc, pN)
+                acc -= pN * (acc > h)
+                out[..., c] = acc
     return RegularRep(np.asarray(slots, dtype=np.int64), kept,
                       blocks.reshape(dim * len(slots), -1))
 
@@ -546,26 +570,25 @@ def _window(rows, b, band):
     return (b > rows[:, None]) & (b < band[rows][:, None])
 
 
-def _row_groups(M, band):
-    """(live, lo, hi, cols) per GEMM row group of route C's first-return
-    products Y_k M, planned from M (K, K, p-1, m): the rows `live`
+def _row_groups(band, out, alive):
+    """(live, lo, hi, cols) per GEMM row group of one of route C's
+    first-return products Y_k M, planned from its windows: the rows `live`
     contract over lo <= b < hi and fill the output columns cols = (first,
     stop).
 
     Row a contracts over its window a < b < band[a] into the columns from
-    a to max(band[a], a + 1); band never increases down the rows, so a
-    row's window lies in each earlier row's.  Rows of M that are 0 over
-    their window enter no group: such a row of Y_k M is 0, so it stays 0
-    over its window in every later Y_k, and the plan from M holds for the
-    whole call.  The others form runs that contract over their first row's
-    window.  A row joins the run before it while the work spent outside its
-    rows' windows stays within PACK_ROWS rows of the run's, the price of
-    one GEMM more.
+    a to max(out[a], a + 1); band never increases down the rows, so a row's
+    window lies in each earlier row's.  The rows that enter a group are
+    those whose window is not empty, a prefix, and that are `alive`: a row
+    known to be 0 over its window enters none, so that it cannot lead a
+    group and widen it.  They form runs that contract over their first
+    row's window.  A row joins the run before it while the work spent
+    outside its rows' windows stays within PACK_ROWS rows of the run's, the
+    price of one GEMM more.
     """
-    index = np.arange(len(M))
-    live = np.flatnonzero(np.logical_and(
-        M.any(axis=(2, 3)), _window(index, index, band)).any(axis=1))
-    top, hi = np.maximum(band, index + 1).tolist(), band.tolist()
+    index = np.arange(len(band))
+    live = np.flatnonzero((band > index + 1) & alive)
+    top, hi = np.maximum(out, index + 1).tolist(), band.tolist()
     groups = []
     for a in live.tolist():
         own = (hi[a] - a - 1) * (top[a] - a)
@@ -584,34 +607,32 @@ def _row_groups(M, band):
 
 
 class WindowPlan:
-    """Route C's row groups (_row_groups) for one first_return_product call,
-    with the window mask of each (group, block) made on first use and kept:
-    every first-return product of the call reuses both."""
+    """One first-return product's windows and row groups (_row_groups):
+    row a contracts over a < b < band[a] and is formed on the columns from
+    a to max(out[a], a + 1), if it is `alive` and its window is not empty.
+    The rows past `rows`, a prefix, enter no group."""
 
-    def __init__(self, M, band):
+    def __init__(self, band, out, alive):
         self.band = band
-        self.groups = _row_groups(M, band)
-        self._masks = {}
+        self.groups = _row_groups(band, out, alive)
+        self.rows = int(self.groups[-1][0][-1]) + 1 if self.groups else 0
 
     def mask(self, g, start, stop, S):
         """Window mask of group g's rows over the columns start:stop of a
         left operand of S slots in (b, slot) order."""
-        key = (g, start, stop, S)
-        if key not in self._masks:
-            self._masks[key] = _window(self.groups[g][0],
-                                       np.arange(start, stop) // S, self.band)
-        return self._masks[key]
+        return _window(self.groups[g][0], np.arange(start, stop) // S, self.band)
 
 
 def left_limbs(spec, A, plan=None):
     """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
 
     A's nonzero slots are laid side by side in (b, slot) order, a reshape
-    when every slot is nonzero.  With route C's WindowPlan, row a
-    contracts over its window a < b < band[a] alone (first_return_product):
-    its entries outside it are zeroed, by the plan's kept mask, in the
-    group the plan puts it in, and a row that is 0 there enters no GEMM of
-    that block; without one, every row contracts over every b.  The
+    when every slot is nonzero.  With the WindowPlan of one of route C's
+    first-return products, row a contracts over its window a < b < band[a]
+    alone (first_return_product): its entries outside it are zeroed, by
+    the plan's mask, in the group the plan puts it in, and a row that is 0
+    there enters no GEMM of that block; rows past the plan's live prefix
+    enter no group.  Without one, every row contracts over every b.  The
     contraction is cut into blocks of at most slot_group(dim, ...) * dim
     columns, one GEMM each, so no block needs more limbs than a single slot
     (K = dim).  Each entry is cut by _digit_limbs into limbs of
@@ -722,8 +743,8 @@ def _pair_products(spec, A, B, right=None):
     mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
 
     A windowed caller passes left_limbs(spec, A, plan) as A, plan its
-    WindowPlan: row a then contracts only over a < b < band[a], and is
-    formed on the columns from a to max(band[a], a + 1), its diagonal among
+    WindowPlan: row a then contracts only over a < b < plan.band[a], and is
+    formed on the columns from a to max(out[a], a + 1), its diagonal among
     them, and on any others its GEMM group fills (_row_groups); every other
     entry is 0.
     """
@@ -899,7 +920,7 @@ class FredholmPoly:
     degree_cap: int        # last c_k computed; those past it vanish mod p^N (fredholm_cap)
     products: int = 0      # tensor products behind coeffs, the matrix's own included
     limbs: int = 0         # most limbs per left entry any of those products used
-    factors: int = 0       # first-return factors f_r formed, K(0) (first_return_product)
+    factors: int = 0       # first-return factors f_r formed, K_0(0) (first_return_product)
     madds: int = 0         # multiply-adds the first-return products' GEMMs ran
 
 
@@ -935,21 +956,31 @@ def fredholm_cap(W, basis, p, N):
     return len(basis)
 
 
-def trace_band(W, basis, p, N):
-    """K(a) for each basis index a: the columns c with
-    (p-1)^2 * (w(a) + w(c)) < N * p^2, a prefix of the weight-ordered basis,
-    so K never increases down the rows.
+def trace_band(W, basis, p, N, products):
+    """K_k(a) for k < max(products, 1) and each basis index a, as an array
+    (k, a): the columns c with
+    (p-1)^2 * (w(a) + k * w(a + 1) + w(c)) < N * p^2, a prefix of the
+    weight-ordered basis, w(a + 1) read as w(a) past the last index.  K_k
+    never increases down the rows, since w(a) and w(a + 1) do not decrease,
+    nor in k; K_0 is the window of every cycle through a.
 
-    By the one-step estimate of fredholm_cap, a cycle a_0 -> ... -> a_k = a_0
-    through M has ord >= (p-1)/p^2 * sum(p*w(a_i) - w(a_(i+1))), which is
-    (p-1)^2/p^2 * sum w(a_i).  So a cycle that visits a and some c >= K(a)
-    at two distinct positions is 0 mod p^N: the first-return series of a
-    need only the vertices below K(a), its window a < c < K(a)
-    (first_return_product).  The weights come scaled by D, as integers.
+    By the one-step estimate of fredholm_cap, a cycle a_0 -> ... -> a_j =
+    a_0 through M has ord >= (p-1)/p^2 * sum(p*w(a_i) - w(a_(i+1))), which
+    is (p-1)^2/p^2 * sum w(a_i) over its vertices, counted with
+    multiplicity; it is 0 mod p^N once (p-1)^2 * sum w >= N * p^2.  The
+    cycles of s_(a,j) (first_return_product) visit a once and j + 1
+    vertices above a, each of weight at least w(a + 1).  Product k of
+    first_return_product contracts over the (k+1)-th of them, c: every
+    cycle through c there has weight at least w(a) + k * w(a + 1) + w(c),
+    so it vanishes when c >= K_k(a).  The weights come scaled by D, as
+    integers.
     """
-    sw = (p - 1) ** 2 * np.array(scaled_weights(W, basis), dtype=np.int64)
+    sw = np.array(scaled_weights(W, basis), dtype=np.int64)
     assert (np.diff(sw) >= 0).all(), "basis not in weight order"
-    return np.searchsorted(sw, N * p * p * W.D - sw)
+    q, bound = (p - 1) ** 2, N * p * p * W.D
+    above = np.append(sw[1:], sw[-1:])
+    k = np.arange(max(products, 1))[:, None]
+    return np.searchsorted(q * sw, bound - q * (sw + k * above))
 
 
 def first_return_product(spec, M, band, cap):
@@ -959,33 +990,51 @@ def first_return_product(spec, M, band, cap):
     det(I - T M) is the product over r of f_r = 1 - M_rr T -
     sum_k s_(r,k) T^(k+2), s_(r,k) = M[r, >r] (M_>r)^k M[>r, r] summing the
     cycles through r whose other vertices lie above r (README, "Route C").
-    band is K (trace_band; the dimension everywhere keeps every cycle): f_r
-    is 1 for r >= K(0), and f_r's other vertices lie in the window
-    r < c < K(r).  In rows, Y_0 = M, Z = Y_k M, s_(r,k) = Z[r, r] and
-    Y_(k+1) = Z, each row read on its window alone: cap - 1 products within
-    the leading K(0) x K(0) block.  One WindowPlan, made from M, serves
-    them all (left_limbs): its row groups, and each (group, block)'s
-    window mask, are planned once per call, since a row of M that is 0
-    over its window stays 0 there in every Y_k.
+    band is K_k (trace_band), one row per product, or one row that serves
+    every product (the dimension everywhere keeps every cycle): f_r is 1
+    for r >= K_0(0).  In rows, Y_0 = M, Z = Y_k M, s_(r,k) = Z[r, r] and
+    Y_(k+1) = Z: product k contracts row r over its window r < b < K_k(r)
+    alone, and forms it on the columns [r, max(K_(k+1)(r), r + 1)), the
+    next window and the diagonal, the last product on its diagonal alone.
+    Every cycle of s_(r,j), j >= k, whose (k+1)-th vertex after r is some
+    b >= K_k(r) vanishes mod p^N, so the cut changes no s_(r,j); an entry
+    of Z off those columns ends at a vertex below r (no cycle of f_r passes
+    there) or past the next window.  K_k never increases down the rows or
+    in k, so a row whose window is empty in product k is empty in every
+    later one: its later s_(r,j) vanish, and Y keeps only the rows still
+    live, a prefix.  A row of M that is 0 over its first window is 0 in
+    every Y_k, found once per call, and enters no row group.  All cap - 1
+    products stay within the leading K_0(0) x K_0(0) block of M, expanded
+    once (RingMatrix.right_operand), and each plans its own row groups
+    from its windows (WindowPlan).
     """
-    pN, K0 = spec.pN, int(band[0])
-    M = M[:K0, :K0]
+    pN = spec.pN
+    band = np.asarray(band, dtype=np.int64)
+    bands = np.broadcast_to(band, (max(cap - 1, 1), band.shape[-1]))
+    K0 = int(bands[0, 0])
+    M, bands = M[:K0, :K0], bands[:, :K0]
     rows = np.arange(K0)
     f = np.zeros((K0, cap + 1, spec.npi, spec.m), dtype=np.int64)
     f[:, 0, 0, 0] = 1
     if cap:
         f[:, 1] = -M[rows, rows] % pN
     right = RingMatrix(spec, None, None, M).right_operand
-    plan = WindowPlan(M, np.asarray(band[:K0], dtype=np.int64))
+    outs = np.concatenate([bands[1:cap - 1], np.zeros((1, K0), dtype=np.int64)])
+    # a row of M that is 0 over its first window is 0 in every Y_k (one
+    # slice a row: a reduction over the slot axes of all of M is 8x slower)
+    alive = np.array([M[r, r + 1:b].any() for r, b in enumerate(bands[0].tolist())],
+                     dtype=bool)
     Y, madds = M, 0
     for k in range(cap - 1):
+        plan = WindowPlan(bands[k], outs[k], alive)
         # left_limbs reads row r of Y on its window alone: Y_k is Y there
-        left = left_limbs(spec, Y, plan)
+        left = left_limbs(spec, Y[:plan.rows], plan)
         del Y  # freed before the product is made
         if len(left.slots):
             madds += left.madds(right(left.slots))
         Y = _pair_products(spec, left, M, right)
-        f[:, k + 2] = -Y[rows, rows] % pN
+        live = rows[:len(Y)]
+        f[live, k + 2] = -Y[live, live] % pN
     return _series_product(spec, f), madds
 
 
@@ -1010,18 +1059,18 @@ def _series_product(spec, F):
 
 def fredholm_coefficients(Mx):
     """det(I - T M) mod p^N, p^N Mx's own precision, by first_return_product
-    over trace_band: no division, so no digits beyond N.  It stops at
-    fredholm_cap, past which every c_k vanishes mod p^N.  Trailing
-    coefficients that vanish mod p^N are not stored.
+    over trace_band, one window per product: no division, so no digits
+    beyond N.  It stops at fredholm_cap, past which every c_k vanishes mod
+    p^N.  Trailing coefficients that vanish mod p^N are not stored.
     """
     ring = Mx.ring
     cap = fredholm_cap(Mx.W, Mx.basis, ring.p, ring.N)
-    band = trace_band(Mx.W, Mx.basis, ring.p, ring.N)
+    band = trace_band(Mx.W, Mx.basis, ring.p, ring.N, cap - 1)
     c, madds = first_return_product(ring, Mx.tensor, band, cap)
     coeffs = _ring_elems(ring, c)
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
-    products, K0 = max(cap - 1, 0), int(band[0])
+    products, K0 = max(cap - 1, 0), int(band[0, 0])
     limbs = max(Mx.limbs, product_limbs(K0, ring.p, ring.N) if products else 0)
     return FredholmPoly(ring, coeffs, cap, Mx.products + products, limbs, K0, madds)
 

@@ -44,7 +44,7 @@ from .errors import NotARelation, PrecisionUnstable, TooLarge
 from .padic import (RingElem, agreement, check_product_precision,
                     pi_pow_digits, pi_pow_over_factorials, powers, split_p,
                     teichmueller)
-from .weights import ExponentSet, build_weight_data
+from .weights import ExponentSet
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,7 @@ def route_a_last_step(p, degmax, max_rounds):
     return s + max_rounds
 
 
-def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
+def unit_root_route_A_detailed(spec, W, degmax, ring, orbit_length, max_rounds=12):
     """The unit root by Dwork's truncated ratios, with its stopping record.
 
     With lambda_i = lambda^(p^i) and lambda_L = lambda for the orbit length
@@ -511,12 +511,12 @@ def unit_root_route_A_detailed(spec, degmax, ring, orbit_length, max_rounds=12):
     route_a_last_step(p, degmax, max_rounds), max_rounds past the first
     whose truncation degree reaches 4 * degmax.  PrecisionUnstable is raised
     at once if that is below D*N, or when no step up to it agrees, and
-    PrecisionTooLow at once past the int64 rule.  D is computed from
-    spec.A.
+    PrecisionTooLow at once past the int64 rule.  D is W.D, W the weight
+    data of spec.A (weights.build_weight_data) that the caller has built.
     """
     p, N = ring.p, ring.N
     check_product_precision(ring.pN)
-    D = build_weight_data(spec.A).D
+    D = W.D
     first = D * N
     last = route_a_last_step(p, degmax, max_rounds)
     if last < first:

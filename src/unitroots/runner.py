@@ -339,7 +339,7 @@ def run(config):
 
     if "A" in config.routes:
         with attempt("A", "route_a_ms"):
-            res = hyperg.unit_root_route_A_detailed(spec, degmax, ring, orbit_len)
+            res = hyperg.unit_root_route_A_detailed(spec, W, degmax, ring, orbit_len)
             unit_roots["A"] = res.u
             report["routes"]["A"] = {
                 "unit_root": res.u.digits(),

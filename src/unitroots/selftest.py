@@ -466,8 +466,9 @@ def _suite_fredholm_cap(rng):
     N + charpoly_boost digits, an encoding that shares neither the window
     nor the cap with the code it checks: equal lists, trailing zeros
     stripped, so c_(cap+1) and c_(cap+2) vanish.  The cap is where Dwork's
-    estimate reaches N, every ord c_k meets that estimate, and K never
-    increases down the rows."""
+    estimate reaches N, every ord c_k meets that estimate, and every
+    product's band K_k (trace_band) never increases down the rows, nor
+    from one product to the next."""
     from .battery import job_dict
     from .runner import JobConfig, default_wmax
     for case, N in route_c_jobs():
@@ -497,8 +498,11 @@ def _suite_fredholm_cap(rng):
         if cap != next((k for k in range(len(ws))
                         if (p - 1) ** 2 * sum(ws[:k + 1]) >= N * p * p), len(ws)):
             return False, f"cap {cap} is not where Dwork's estimate reaches N on {where}"
-        if (np.diff(dwork.trace_band(W, basis, p, N)) > 0).any():
-            return False, f"K(a) increases down the rows on {where}"
+        bands = dwork.trace_band(W, basis, p, N, cap - 1)
+        if (np.diff(bands, axis=1) > 0).any():
+            return False, f"some K_k(a) increases down the rows on {where}"
+        if (np.diff(bands, axis=0) > 0).any():
+            return False, f"K_k(a) increases with k on {where}"
         if got != want:
             return False, f"first-return coefficients differ from trace powers on {where}"
         for k, c in enumerate(want):
@@ -507,7 +511,7 @@ def _suite_fredholm_cap(rng):
                 return False, f"ord c_{k} = {v} is below Dwork's estimate on {where}"
     return True, ("first-return coefficients equal Newton's identities over "
                   "cap + 2 dense trace powers; the cap and ord c_k meet Dwork's "
-                  "estimate; K never increases down the rows")
+                  "estimate; every K_k never increases down the rows or in k")
 
 
 SUITES = [

@@ -36,7 +36,8 @@ from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
 from unitroots.runner import JobConfig, default_wmax, run
 from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
                                 law_mismatch, limb_boundaries,
-                                newton_coefficients, sweep_mismatch)
+                                newton_coefficients, route_c_jobs,
+                                sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
@@ -556,7 +557,7 @@ def _check_window(ring, A, B, band, pack):
     cut = A * inside[:, :, None, None]
     want = pair_products_reference(ring, cut, B)
     with mock.patch.object(dwork, "PACK_ROWS", pack):
-        left = dwork.left_limbs(ring, A, dwork.WindowPlan(A, band))
+        left = dwork.left_limbs(ring, A, dwork.WindowPlan(band, band, True))
         got = _pair_products(ring, left, B)
     kept = (rows >= rows[:, None]) & (rows < np.maximum(band, rows + 1)[:, None])
     assert np.array_equal(got[kept], want[kept])
@@ -588,24 +589,29 @@ def test_windowed_products_are_cut_products(p, m, dim, data):
 
 def _first_return_reference(ring, M, band, cap, lo=1, hi=0):
     # det(I - T M) mod T^(cap+1) from its definition, in Python integers:
-    # the product over r < band[0] of f_r = 1 - M_rr T -
-    # sum_k s_(r,k) T^(k+2), s_(r,k) = M[r,W] (M[W,W])^k M[W,r] over the
-    # window W = {c : r + lo <= c < band[r] + hi}, so (lo, hi) = (1, 0) is
-    # route C's window r < c < band[r]
+    # the product over r < band[0][0] of f_r = 1 - M_rr T -
+    # sum_k s_(r,k) T^(k+2), s_(r,k) summing the paths
+    # r -> b_1 -> ... -> b_(k+1) -> r whose vertex b_(j+1) lies in product
+    # j's window W_j = {c : r + lo <= c < band[j][r] + hi}, so (lo, hi) =
+    # (1, 0) is route C's window r < c < K_j(r).  A 1-D band is every
+    # product's
+    bands = np.broadcast_to(band, (max(cap - 1, 1), len(M)))
     Mo = M.astype(object)
     poly = [ring.one()] + [ring.zero()] * cap
-    for r in range(band[0]):
+    for r in range(bands[0][0]):
         f = [ring.one()] + [ring.zero()] * cap
         if cap:
             f[1] = -RingElem(ring, M[r, r].tolist())
-        W = list(range(r + lo, min(band[r] + hi, len(M))))
-        v = Mo[[r]][:, W]
+        Ws = [list(range(r + lo, min(b[r] + hi, len(M)))) for b in bands]
+        v = Mo[[r]][:, Ws[0]]  # the paths r -> ... -> b_(k+1), over W_k
         for k in range(cap - 1):
+            W = Ws[k]
             if not W:
                 break
             s = pair_products_reference(ring, v, Mo[W][:, [r]])[0, 0]
             f[k + 2] = -RingElem(ring, s.tolist())
-            v = pair_products_reference(ring, v, Mo[W][:, W])
+            if k + 2 < cap:
+                v = pair_products_reference(ring, v, Mo[W][:, Ws[k + 1]])
         poly = [sum((poly[i] * f[j - i] for i in range(j + 1)), ring.zero())
                 for j in range(cap + 1)]
     return poly
@@ -652,6 +658,124 @@ def test_first_return_product_window_edges(lo, hi, agrees):
     c, _ = dwork.first_return_product(ring, M, band, 5)
     want = _first_return_reference(ring, M, band, 5, lo, hi)
     assert ([RingElem(ring, x) for x in c.tolist()] == want) == agrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 8), st.data())
+def test_first_return_product_takes_a_window_per_product(p, m, dim, data):
+    # a drawn band per product, never increasing down the rows or in k, so
+    # that windows shrink from one product to the next and rows die at
+    # different products, over a sparse operand as above
+    ring = make_ring(p, m, None, data.draw(st.integers(1, 4)))
+    cap = data.draw(st.integers(0, dim))
+    band = data.draw(arrays(np.int64, (max(cap - 1, 1), dim),
+                            elements=st.integers(0, dim)))
+    band = np.minimum.accumulate(-np.sort(-band, axis=1), axis=0)
+    band[0, 0] = max(band[0, 0], 1)  # trace_band's K_0(0) >= 1: w(0) = 0
+    M = data.draw(arrays(np.int64, (dim, dim, ring.npi, m),
+                         elements=st.integers(0, ring.pN - 1)))
+    M *= data.draw(arrays(np.bool_, (dim, dim, 1, 1),
+                          elements=st.sampled_from([True, True, False])))
+    c, _ = dwork.first_return_product(ring, M, band, cap)
+    assert [RingElem(ring, x) for x in c.tolist()] == \
+        _first_return_reference(ring, M, band, cap)
+
+
+def _tight_operator(p, N, dim):
+    # entries exactly at Dwork's estimate: on the basis X^(p^2 a), a < dim,
+    # of x alone (w(a) = p^2 a, D = 1), M[a, b] is p^((p-1)^2 a) times a
+    # unit, so a cycle's term has ord (p-1)^2 times the sum of its
+    # vertices, and vanishes mod p^N exactly when Dwork's cycle bound,
+    # (p-1)^2 * sum w >= N * p^2, says it does.  Returns the ring, W, the
+    # basis and M
+    ring = make_ring(p, 1, None, N)
+    U = np.random.default_rng(p).integers(0, ring.pN, size=(dim, dim, ring.npi, 1))
+    U[..., 0, 0] = U[..., 0, 0] // p * p + 1
+    scale = [pow(p, (p - 1) ** 2 * a, ring.pN) for a in range(dim)]
+    M = U * np.array(scale)[:, None, None, None] % ring.pN
+    return ring, build_weight_data(SINGLE), [(p * p * a,) for a in range(dim)], M
+
+
+@pytest.mark.parametrize("p, N, dim", [(2, 12, 8), (3, 17, 6)])
+def test_first_return_windows_are_tight_at_dwork_bound(p, N, dim):
+    # on the tight operator, trace_band's K_k(r) counts the c with
+    # (p-1)^2 (r + k(r+1) + c) < N, and its windows keep every term of
+    # det(I - T M) that the full dimension keeps.  A band one column
+    # tighter at (r, k) drops the path r -> (r+1)^k -> c -> r,
+    # c = K_k(r) - 1: of order (p-1)^2 (r + k(r+1) + c) < N, the least
+    # among the paths the cut drops and the only one of that order, so
+    # det changes, first at T^(k+2); K_0(0) also counts the factors, and
+    # one fewer drops the loop M_cc, at T
+    ring, W, basis, M = _tight_operator(p, N, dim)
+    cap = dim
+    bands = dwork.trace_band(W, basis, p, N, cap - 1)
+    for k, r in itertools.product(range(cap - 1), range(dim)):
+        above = min(r + 1, dim - 1)
+        assert bands[k, r] == sum((p - 1) ** 2 * (r + k * above + c) < N
+                                  for c in range(dim))
+    exact, _ = dwork.first_return_product(ring, M, bands, cap)
+    full, _ = dwork.first_return_product(ring, M, np.full(dim, dim), cap)
+    assert np.array_equal(exact, full)
+    tightened = set()
+    for k, r in itertools.product(range(cap - 1), range(dim)):
+        tight = bands.copy()
+        tight[k, r] -= 1
+        if tight[k, r] <= r or (np.diff(tight, axis=0) > 0).any() \
+                or (np.diff(tight, axis=1) > 0).any():
+            continue  # an empty window, or the band would increase
+        c, _ = dwork.first_return_product(ring, M, tight, cap)
+        changed = np.flatnonzero((c != exact).any(axis=(1, 2)))
+        assert changed.size and changed[0] == (1 if k == r == 0 else k + 2)
+        tightened.add(k)
+    assert len(tightened) > 2
+
+
+def test_first_return_products_form_only_the_next_window(monkeypatch):
+    # one row per GEMM (PACK_ROWS = 0): product k forms row r of Y_(k+1)
+    # on the columns [r, max(K_(k+1)(r), r + 1)) alone, the last product on
+    # its diagonal alone, and only the rows whose window in product k is
+    # not empty; on the tight operator the others would be nonzero
+    ring, W, basis, M = _tight_operator(2, 12, 8)
+    cap = 8
+    bands = dwork.trace_band(W, basis, 2, 12, cap - 1)
+    formed = []
+    real = dwork._pair_products
+
+    def spy(*args):
+        formed.append(real(*args))
+        return formed[-1]
+    monkeypatch.setattr(dwork, "_pair_products", spy)
+    monkeypatch.setattr(dwork, "PACK_ROWS", 0)
+    dwork.first_return_product(ring, M, bands, cap)
+    assert len(formed) == cap - 1
+    rows = np.arange(8)
+    for k, Z in enumerate(formed):
+        out = bands[k + 1] if k + 2 < cap else np.zeros(8, dtype=np.int64)
+        assert len(Z) == np.count_nonzero(bands[k] > rows + 1)
+        live = rows[:len(Z)]
+        top = np.maximum(out, rows + 1)[live]
+        kept = (rows >= live[:, None]) & (rows < top[:, None])
+        assert not Z[~kept].any()
+        assert Z[live, live].any()
+
+
+def test_per_product_bands_keep_det_on_battery_operators():
+    # every battery operator at N = 4 and the operators-n8 cases at N = 8
+    # (selftest.route_c_jobs): the per-product bands of trace_band give the
+    # det(I - T M) that K_0 for every product gives, in no more
+    # multiply-adds
+    for case, N in route_c_jobs():
+        cfg = JobConfig.from_dict(job_dict(case, precision=N, routes=("C",)))
+        spec = cfg.laurent_spec()
+        ring = make_ring(cfg.p, cfg.field_degree, cfg.field_poly, N)
+        W = build_weight_data(spec.A)
+        Mx = OperatorData(spec, W, ring, default_wmax(ring, W.D)).full_matrix()
+        cap = fredholm_cap(W, Mx.basis, ring.p, N)
+        bands = dwork.trace_band(W, Mx.basis, ring.p, N, cap - 1)
+        c, madds = dwork.first_return_product(ring, Mx.tensor, bands, cap)
+        c0, madds0 = dwork.first_return_product(ring, Mx.tensor, bands[0], cap)
+        assert np.array_equal(c, c0), (case["id"], N)
+        assert madds <= madds0
 
 
 @settings(max_examples=20, deadline=None)
@@ -749,7 +873,7 @@ def test_fredholm_expands_the_matrix_once(monkeypatch):
         return real(spec, B, slots)
     monkeypatch.setattr(dwork, "regular_representation", spy)
     P = fredholm_coefficients(Mx)
-    K0 = dwork.trace_band(Mx.W, Mx.basis, ring.p, ring.N)[0]
+    K0 = dwork.trace_band(Mx.W, Mx.basis, ring.p, ring.N, 1)[0, 0]
     assert P.products == P.degree_cap - 1 > 1
     assert P.factors == K0 < Mx.dim
     assert expanded == [(K0, K0)]

@@ -19,7 +19,7 @@ from unitroots.hyperg import (LaurentSpec, _f0_shells, calF_series,
 from unitroots.padic import make_ring
 from unitroots.runner import run
 from unitroots.selftest import surviving_solutions
-from unitroots.weights import ExponentSet
+from unitroots.weights import ExponentSet, build_weight_data
 
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SKEW = ExponentSet(1, ((2,), (-1,)))
@@ -141,14 +141,16 @@ def test_route_a_kloosterman_p2(ring2):
 def test_route_a_orbit_product_f4():
     ring = make_ring(2, 2, None, 4)
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
-    res = unit_root_route_A_detailed(spec, 16, ring, 2)
+    res = unit_root_route_A_detailed(spec, build_weight_data(spec.A), 16, ring,
+                                     2)
     assert res.u.rows[0] == (13, 0)  # frozen: quadratic z^2 - z + 4, unit branch
     assert res.stability_digits >= 4
 
 
 def test_route_a_stabilization_policy(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
-    res = unit_root_route_A_detailed(spec, default_s_cut(ring3), ring3, 1)
+    res = unit_root_route_A_detailed(spec, build_weight_data(spec.A),
+                                     default_s_cut(ring3), ring3, 1)
     assert res.stability_digits >= ring3.N
     u2 = route_a_once(spec, 2 * res.degmax_used, ring3, 1)
     assert res.u == u2  # doubling beyond the accepted cap changes nothing
@@ -157,7 +159,8 @@ def test_route_a_stabilization_policy(ring3):
 def test_route_a_rejects_tiny_budget(ring5):
     spec = LaurentSpec(SKEW, 5, 1, 1, ((2,), (1,)))
     with pytest.raises(PrecisionUnstable):
-        unit_root_route_A_detailed(spec, 4, ring5, 1, max_rounds=2)
+        unit_root_route_A_detailed(spec, build_weight_data(spec.A), 4, ring5, 1,
+                                   max_rounds=2)
 
 
 def test_route_a_degenerate_is_one(ring3):

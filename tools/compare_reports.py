@@ -26,11 +26,14 @@ coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
 N = 4, so it also dumps a route-A grid (`route_a_entries`): the full route-A
 record, or its error, at N = 6 and 8 on five cases, and a digit grid
 (`digit_entries`): `digit_solutions` as sorted lists on a fixed grid of
-targets.  Prints each report, series, padic, oracle, route-A or digit entry
-that differs, with the dotted key paths that were added (`+`), removed (`-`)
-or changed (`~`) in it (a list is one value), then how many entries each
-path moved in, then the matches per kind; exits 1 if any entry differs,
-else 0.
+targets.  Route C's windows shrink most at high precision, which the jobs
+reach only at N = 8, so it also dumps a route-C grid (`route_c_entries`):
+routes B and C at N = 12 on the triangle and edge cases, the route-C record
+without `gemm_madds` and route B's unit root.  Prints each report, series,
+padic, oracle, route-A, digit or route-C entry that differs, with the dotted
+key paths that were added (`+`), removed (`-`) or changed (`~`) in it (a
+list is one value), then how many entries each path moved in, then the
+matches per kind; exits 1 if any entry differs, else 0.
 
 Each job, with its `Report.without_timing()`, runs with the cyclic
 collector off, and `gc.collect()` is read right after it: for each tree
@@ -241,10 +244,37 @@ def digit_entries():
     return out
 
 
+ROUTE_C_CASES = ("p2-triangle", "p3-triangle", "p5-triangle", "p3-edge-degenerate",
+                 "p5-edge-degenerate")
+
+
+def route_c_record(case, N):
+    """Routes B and C on one case at precision N: the report's route-C
+    record without gemm_madds, which counts work and not digits, route B's
+    unit root, and the errors."""
+    from unitroots import runner
+    from unitroots.battery import job_dict
+    data = runner.run(job_dict(case, precision=N, routes=("B", "C"))).data
+    route = data["routes"].get("C")
+    if route is not None:
+        route = {k: v for k, v in route.items() if k != "gemm_madds"}
+    return {"route": route, "B_unit_root": data["routes"].get("B", {}).get("unit_root"),
+            "errors": data["errors"]}
+
+
+def route_c_entries():
+    """{name: outcome} for the route-C grid, from the tree on the path:
+    route_c_record on ROUTE_C_CASES at N = 12."""
+    from unitroots.battery import BATTERY, DEGENERATE_BATTERY
+    cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
+    return {f"{cid}:N12": outcome(lambda: route_c_record(cases[cid], 12))
+            for cid in ROUTE_C_CASES}
+
+
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
-    jobs and the series, padic, oracle, route-A and digit grids, run by the
-    tree on the path."""
+    jobs and the series, padic, oracle, route-A, digit and route-C grids,
+    run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -253,6 +283,7 @@ def dump(jobs):
     out.update((f"oracle:{name}", value) for name, value in oracle_entries().items())
     out.update((f"route_a:{name}", value) for name, value in route_a_entries().items())
     out.update((f"digits:{name}", value) for name, value in digit_entries().items())
+    out.update((f"route_c:{name}", value) for name, value in route_c_entries().items())
     return {"entries": out, "garbage": garbage}
 
 
@@ -322,7 +353,7 @@ def main(argv):
         print(f"{mark} {path}: {count} entries")
     kinds = {"series": "series entries", "padic": "padic entries",
              "oracle": "oracle entries", "route_a": "route-A entries",
-             "digits": "digit_solutions entries"}
+             "digits": "digit_solutions entries", "route_c": "route-C entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
