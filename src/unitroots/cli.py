@@ -35,7 +35,7 @@ def _load_config(args, default_routes=None):
             raw["routes"] = [routes[args.route]]
     elif default_routes is not None and raw.get("routes") is None:
         raw["routes"] = list(default_routes)
-    for key in ("precision", "degmax", "lmax"):
+    for key in ("precision", "lmax"):
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
@@ -47,7 +47,6 @@ def _load_config(args, default_routes=None):
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to a JSON job config")
     sub.add_argument("--precision", type=int, default=None)
-    sub.add_argument("--degmax", type=int, default=None)
     sub.add_argument("--lmax", type=int, default=None)
     sub.add_argument("--json", dest="json_out", default=None,
                      help="write the full JSON report here")
@@ -151,7 +150,7 @@ def cmd_check(args):
     print(f"{len(cases) - failures}/{len(cases)} battery cases passed")
     if out:
         with out:
-            json.dump(records, out, sort_keys=True, indent=1)
+            out.write(json.dumps(records, sort_keys=True))  # see Report.to_json
     return 0 if failures == 0 else 1
 
 

@@ -74,8 +74,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM
-from .hyperg import _solutions
+from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
+# teichmueller is unused here; perfbench/tracing.py patches it by name
 from .padic import (RingElem, check_product_precision, default_s_cut, horner,
                     newton_root, powers, splitting_coefficients, teichmueller)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
@@ -230,11 +231,7 @@ class OperatorData:
         self.basis = (enumerate_weighted_monomials(W, self.wmax) if basis is None
                       else basis)
         self.orbit_len = spec.epsilon * orbit_degree(spec)
-        lam = tuple(teichmueller(ring, cf) for cf in spec.coeffs)
-        self.lam_orbit = [lam]
-        for _ in range(self.orbit_len - 1):
-            lam = tuple(x ** ring.p for x in lam)
-            self.lam_orbit.append(lam)
+        self.lam_orbit = _teichmueller_orbit(spec, ring, self.orbit_len)
         self.s_cut = default_s_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}

@@ -15,22 +15,26 @@ and step s evaluates it as a ratio of truncated sums,
 prod_i F_0^(<p^(s+1))(pi*lambda_i) / F_0^(<p^s)(pi*lambda_(i+1)), summed
 directly over F_0's surviving terms and grouped by the class of u mod
 (q-1).  The terms are read level by level as arrays: their digits come
-from the factorial-unit tables (padic.FactorialUnits, padic.pi_pow_digits)
-and are summed per shell, class and pi-row (_f0_shells), with no Python
-object per term.  It stops by an empirical rule (see that function),
-compares steps without dividing, and inverts one ring element per run, at
-the stop; it needs no series inverse.  Its arrays are int64, so past the
-int64 rule (padic.check_product_precision) it raises PrecisionTooLow.
+from the one array rule padic.pi_pow_digits, which reads the factorial
+units' inverse table (padic.FactorialUnits), and are summed per shell, class
+and pi-row (_f0_shells), with no Python object per term.  Its last step is
+a function of p and N alone (route_a_last_step).  It stops by an empirical
+rule (see that function), compares steps without dividing, and inverts one
+ring element per run, at the stop; it needs no series inverse.  Its arrays
+are int64, so past the int64 rule (padic.check_product_precision) it raises
+PrecisionTooLow.
 
 calF_series, route_a_once and MultiSeries keep the series form of the same
 ratio as the analytic-continuation witness: the ratio as a truncated
-power series, evaluated on the orbit.  Series are dictionaries from exponent
-tuples to nonzero coefficients, with a total-degree cap.  Series arithmetic
-is for ring series (RingElem coefficients, pi-scaled) only: the product and
-the inverse skip every pair of terms whose pi-orders sum to N(p-1) or more,
-since such a product is zero mod p^N and skipping it changes no digit.
-Fraction series are coefficient holders for the GKZ and generating-identity
-checks, which read their terms directly.
+power series, evaluated on the orbit.  Its coefficients come from the same
+digit rule, one pi_pow_digits call per block of _digit_levels.  Series are
+dictionaries from exponent tuples to nonzero coefficients, with a
+total-degree cap.  Series arithmetic is for ring series (RingElem
+coefficients, pi-scaled) only: the product and the inverse skip every pair
+of terms whose pi-orders sum to N(p-1) or more, since such a product is
+zero mod p^N and skipping it changes no digit.  Fraction series are
+coefficient holders for the GKZ and generating-identity checks, which read
+their terms directly.
 """
 
 import itertools
@@ -42,8 +46,7 @@ import numpy as np
 
 from .errors import NotARelation, PrecisionUnstable, TooLarge
 from .padic import (RingElem, agreement, check_product_precision,
-                    pi_pow_digits, pi_pow_over_factorials, powers, split_p,
-                    teichmueller)
+                    default_s_cut, pi_pow_digits, powers, split_p, teichmueller)
 from .weights import ExponentSet
 
 
@@ -328,9 +331,10 @@ def hyperg_coefficient_series(A, i, degmax, ring=None):
     """F_i, truncated at total degree degmax.
 
     With a ring given, returns F_i(pi*L): coefficient pi^|u| / prod(u_a!),
-    always p-integral, over digit_solutions, so only the terms that survive
-    mod p^N are visited.  Without a ring, returns the exact rational series
-    F_i(L) used by the differential-system checks.
+    always p-integral, over the blocks of _digit_levels (digit_solutions'
+    enumeration), so only the terms that survive mod p^N are visited, each
+    block's digits from one pi_pow_digits call.  Without a ring, returns the
+    exact rational series F_i(L) used by the differential-system checks.
     """
     if not isinstance(A, ExponentSet):
         A = ExponentSet(len(A[0]), tuple(A))
@@ -339,8 +343,11 @@ def hyperg_coefficient_series(A, i, degmax, ring=None):
         terms = {u: Fraction(1, math.prod(math.factorial(e) for e in u))
                  for u in _solutions(A, i, degmax)}
     else:
-        terms = {u: pi_pow_over_factorials(ring, sum(u), u)
-                 for u in digit_solutions(A, i, degmax, ring.p, ring.N * ring.npi)}
+        terms = {}
+        for u, deg in _digit_levels(A, i, degmax, ring.p, ring.N * ring.npi):
+            rows, digits = pi_pow_digits(ring, deg, u)
+            for x, r, d in zip(u.tolist(), rows.tolist(), digits.tolist()):
+                terms[tuple(x)] = ring.from_slots([0] * (r * ring.m) + [d])
     return MultiSeries(len(A.vectors), degmax, terms)
 
 
@@ -469,16 +476,17 @@ def _shell_value(shell, lam_powers, shift, ring):
     return total
 
 
-def route_a_last_step(p, degmax, max_rounds):
-    """The last step route A may take: max_rounds past the first step s whose
-    truncation degree p^(s+1) - 1 reaches 4 * degmax."""
+def route_a_last_step(ring):
+    """The last step route A may take, a function of p and N alone: 12 past
+    the first step s whose truncation degree p^(s+1) - 1 reaches
+    4 * default_s_cut(ring) = 4 * ceil(N p^2 / (p-1))."""
     s = 0
-    while p ** (s + 1) - 1 < 4 * degmax:
+    while ring.p ** (s + 1) - 1 < 4 * default_s_cut(ring):
         s += 1
-    return s + max_rounds
+    return s + 12
 
 
-def unit_root_route_A_detailed(spec, W, degmax, ring, orbit_length, max_rounds=12):
+def unit_root_route_A_detailed(spec, W, ring, orbit_length):
     """The unit root by Dwork's truncated ratios, with its stopping record.
 
     With lambda_i = lambda^(p^i) and lambda_L = lambda for the orbit length
@@ -507,23 +515,23 @@ def unit_root_route_A_detailed(spec, W, degmax, ring, orbit_length, max_rounds=1
     with P_(-1) = 1, so the numerator has the same order.  u_s itself is
     formed once, at the stop, with the run's one inverse.
 
-    degmax and max_rounds bound the steps: the last step allowed is
-    route_a_last_step(p, degmax, max_rounds), max_rounds past the first
-    whose truncation degree reaches 4 * degmax.  PrecisionUnstable is raised
-    at once if that is below D*N, or when no step up to it agrees, and
-    PrecisionTooLow at once past the int64 rule.  D is W.D, W the weight
-    data of spec.A (weights.build_weight_data) that the caller has built.
+    The last step allowed is route_a_last_step(ring), 12 past the first
+    whose truncation degree reaches 4 * ceil(N p^2 / (p-1)).
+    PrecisionUnstable is raised at once if that is below D*N, or when no
+    step up to it agrees, and PrecisionTooLow at once past the int64 rule.
+    D is W.D, W the weight data of spec.A (weights.build_weight_data) that
+    the caller has built.
     """
     p, N = ring.p, ring.N
     check_product_precision(ring.pN)
     D = W.D
     first = D * N
-    last = route_a_last_step(p, degmax, max_rounds)
+    last = route_a_last_step(ring)
     if last < first:
         raise PrecisionUnstable(
             f"route A stops no earlier than step {first} (degree "
-            f"{p ** (first + 1) - 1}) but degmax {degmax} and max_rounds "
-            f"{max_rounds} allow steps up to {last}")
+            f"{p ** (first + 1) - 1}) but takes steps up to {last} at "
+            f"p = {p}, N = {N}")
     lam = _teichmueller_orbit(spec, ring, 1)[0]
     lam_powers = [powers(x, p ** ring.m - 1) for x in lam]
     shifts = [p ** i for i in range(orbit_length)]

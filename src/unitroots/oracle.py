@@ -123,20 +123,20 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
     """Exact trace-value counts over the torus of the degree-l extension.
 
     TooLarge, unless override, when the method's cells pass guard: R^n
-    torus points for an enumeration, p R FFT cells for a convolution.
+    torus points for an enumeration, p R FFT cells for a convolution; both
+    guards run before the level's field is built.
     """
     tower = tower or FqTower(spec)
-    F, offsets = tower.level(l)
-    n = spec.A.n
-    p = spec.p
-    R = F.size - 1
-    vecs = spec.A.vectors
+    n, p, vecs = spec.A.n, spec.p, spec.A.vectors
+    k = tower.base_degree * l
+    R = p ** k - 1
     plan = _convolution_plan(vecs, R)
     method, cells = ("enumeration", R ** n) if plan is None else ("convolution", p * R)
     if cells > guard and not override:
         raise TooLarge(f"the {method} touches {cells} cells, past the guard {guard}")
-    if R * (F.k + 2) > (1 << 26):
+    if R * (k + 2) > (1 << 26):
         raise TooLarge("trace tables for this field exceed the memory guard")
+    F, offsets = tower.level(l)
     t = _trace_table(F)
     if plan is None:
         counts = _enumerated_counts(t, offsets, vecs, p)

@@ -24,12 +24,12 @@ Newton's iteration.
 The Newton lifts here, inverse and newton_root, start from one correct
 pi-digit and double the correct digits each step, so lift_steps(spec) =
 ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result.
-The Teichmueller lift is one Frobenius power of the digit lift, and the
-digit of pi^k / prod(f!) (pi_pow_digit, and pi_pow_digits for arrays)
-serves both Dwork's splitting series theta(t) = exp(pi(t - t^p))
-(splitting_coefficients) and route A's sums.  Its factorial unit parts
-come from the prefix tables of FactorialUnits, by the generalized Wilson
-theorem.  Arrays of residues are int64 only under the one int64 rule,
+The Teichmueller lift is one Frobenius power of the digit lift, and one
+array rule, pi_pow_digits, gives the digits of pi^k / prod(f!) for Dwork's
+splitting series theta(t) = exp(pi(t - t^p)) (splitting_coefficients) and
+for route A's sums.  Its factorial unit parts come as inverses, from the
+one prefix table of FactorialUnits, by the generalized Wilson theorem.
+Arrays of residues are int64 only under the one int64 rule,
 (p^N - 1)^2 + p^N < 2^63 (int64_exact, check_product_precision).  The
 primitive p-th root of unity is theta(1) (zeta_p), Dwork's additive
 character, with zeta == 1 + pi (mod pi^2).
@@ -49,7 +49,7 @@ from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
 
 class RingSpec:
     """Descriptor of one working ring O_N.  Its fields never change after
-    construction; factorials, the ring's FactorialUnits tables, only grow."""
+    construction; factorials, the ring's FactorialUnits table, only grows."""
 
     def __init__(self, p, m, g, N):
         self.p = p
@@ -450,57 +450,41 @@ class FactorialUnits:
     R(n) = (+-1)^floor(n/p^N) * T[n mod p^N] with T the prefix products of
     the units below p^N, and U(n) is the product of log_p n such factors.
 
-    prefix holds T and inverse_prefix the inverses T[r]^-1, both grown only
-    as far as the largest residue asked for; a growth step inverts one
-    residue, its last T, and reads the other inverses off suffix products
-    (running_products).  The tables are int64 under the int64 rule
-    (int64_exact) and Python integers past it.  The scalar call reads T in
-    Python integers; inverses reads T^-1 for an array of n in log_p(max n)
-    array steps.  Neither keeps a result per n.
+    inverse_prefix holds the inverses T[r]^-1, grown only as far as the
+    largest residue asked for, and last the T of its last entry, where growth
+    resumes; a growth step inverts one residue, its new last T, and reads the
+    other inverses off suffix products (running_products).  The table is
+    int64 under the int64 rule (int64_exact) and Python integers past it.
+    inverses reads U(n)^-1 for an array of n in log_p(max n) array steps and
+    keeps no result per n.
     """
 
     def __init__(self, spec):
         self.p, self.pN = spec.p, spec.pN
         self.block = 1 if spec.p == 2 and spec.N >= 3 else -1
         dtype = np.int64 if int64_exact(self.pN) else object
-        self.prefix = np.ones(1, dtype=dtype)          # T[r] = prod_{j <= r, p ∤ j} j
         self.inverse_prefix = np.ones(1, dtype=dtype)  # T[r]^-1 mod p^N
+        self.last = 1  # T[r] = prod_{j <= r, p ∤ j} j at the table's last r
 
     def _grow(self, r):
-        """Extend both tables through residue r."""
-        start = len(self.prefix)
+        """Extend the table through residue r."""
+        start = len(self.inverse_prefix)
         if r < start:
             return
-        pN, dtype = self.pN, self.prefix.dtype
+        pN, dtype = self.pN, self.inverse_prefix.dtype
         f = np.arange(start, r + 1, dtype=np.int64)
         f[f % self.p == 0] = 1
         f = f.astype(dtype)
-        top = np.concatenate([self.prefix[-1:], f])
-        prefix = running_products(top, pN)[1:]
+        top = np.concatenate([np.array([self.last], dtype=dtype), f])
+        self.last = int(running_products(top, pN)[-1])
         # T[j]^-1 = T[r]^-1 * f[j+1] * ... * f[r]: running products from the top
-        last = np.array([pow(int(prefix[-1]), -1, pN)], dtype=dtype)
+        last = np.array([pow(self.last, -1, pN)], dtype=dtype)
         inverse = running_products(np.concatenate([last, f[:0:-1]]), pN)[::-1]
-        self.prefix = np.concatenate([self.prefix, prefix])
         self.inverse_prefix = np.concatenate([self.inverse_prefix, inverse])
-
-    def __call__(self, n):
-        """(v_p(n!), U(n) mod p^N), in Python integers."""
-        p, pN = self.p, self.pN
-        v, unit = 0, 1
-        while n > 1:
-            q, r = divmod(n, pN)
-            if r >= len(self.prefix):
-                self._grow(r)
-            unit = unit * self.prefix.item(r) % pN
-            if q & 1 and self.block < 0:
-                unit = pN - unit
-            n //= p
-            v += n
-        return v, unit
 
     def inverses(self, n):
         """(v_p(n!), U(n)^-1 mod p^N) for an int64 array n, elementwise, in
-        log_p(max n) array steps; the units come in the tables' dtype."""
+        log_p(max n) array steps; the units come in the table's dtype."""
         p, pN = self.p, self.pN
         span = min(pN, np.iinfo(np.int64).max)  # an int64 n is below a larger p^N
         n = np.asarray(n, dtype=np.int64)
@@ -518,34 +502,20 @@ class FactorialUnits:
         return v, inv
 
 
-def pi_pow_digit(spec, k, factorials):
-    """(row, digit) with pi^k / prod(f!) = digit * pi^row, digit mod p^N.
+def pi_pow_digits(spec, k, factorials):
+    """(rows, digits) with pi^k / prod_j f_j! = digits * pi^rows, digits mod
+    p^N, elementwise for k of shape (S,) and factorials of shape (S, r),
+    both int64.
 
     pi^k = pi^(k mod (p-1)) * (-p)^floor(k/(p-1)); the leftover power of p
     is nonnegative whenever k is the sum of the factorial arguments (the
     base-p digit sums make up the difference), which covers every exp-type
-    coefficient used here.  Factorials enter through their unit parts mod
-    p^N (FactorialUnits), so large indices stay cheap.  The digit is
-    (-1)^e * p^(e_p) / unit, e = floor(k/(p-1)); at p = 2 the row is 0 and
+    coefficient used here, and NonUnitDivision otherwise.  The unit parts
+    come as inverses (FactorialUnits.inverses), so no term is inverted; the
+    digits come in the dtype of its inverse_prefix, int64 under the int64
+    rule and Python integers past it.  At p = 2 the row is 0 and
     (-1)^k 2^k is pi^k for pi = -2.
     """
-    units, pN = spec.factorials, spec.pN
-    e_p, upar = k // spec.npi, 1
-    for f in factorials:
-        v, u = units(f)
-        e_p -= v
-        upar = upar * u % pN
-    if e_p < 0:
-        raise NonUnitDivision("combination is not p-integral")
-    digit = spec.p ** e_p * pow(upar, -1, pN) if e_p < spec.N else 0
-    return k % spec.npi, (-digit if k // spec.npi & 1 else digit) % pN
-
-
-def pi_pow_digits(spec, k, factorials):
-    """pi_pow_digit for arrays: (rows, digits) for k of shape (S,) and
-    factorials of shape (S, r), both int64.  The unit parts come as
-    inverses (FactorialUnits.inverses), so no term is inverted; the digits
-    are int64 under the int64 rule and Python integers past it."""
     N, npi, pN = spec.N, spec.npi, spec.pN
     v, inv = spec.factorials.inverses(factorials)
     upar = np.ones(len(k), dtype=np.int64)
@@ -556,16 +526,9 @@ def pi_pow_digits(spec, k, factorials):
     if (e_p < 0).any():
         raise NonUnitDivision("combination is not p-integral")
     ppow = np.array([spec.p ** i for i in range(N)] + [0],
-                    dtype=spec.factorials.prefix.dtype)
+                    dtype=spec.factorials.inverse_prefix.dtype)
     digits = ppow[np.minimum(e_p, N)] * upar % pN
     return k % npi, np.where(e & 1, -digits, digits) % pN
-
-
-def pi_pow_over_factorials(spec, k, factorials):
-    """pi^k / prod(f!) as a ring element, for p-integral combinations: the
-    one nonzero digit of pi_pow_digit, in its row."""
-    r, digit = pi_pow_digit(spec, k, factorials)
-    return spec.from_slots([0] * (r * spec.m) + [digit])
 
 
 @dataclass(frozen=True)

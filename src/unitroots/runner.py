@@ -37,7 +37,6 @@ class JobConfig:
     field_poly: tuple = None
     precision: int = 4
     routes: tuple = ROUTES
-    degmax: int = None
     lmax: int = 6
     output: str = None
 
@@ -60,7 +59,7 @@ class JobConfig:
             if any(len(v) != n for v in A):
                 raise ConfigInvalid("exponent vectors do not match the declared n")
         kw = {}
-        for key in ("epsilon", "field_degree", "precision", "lmax", "degmax"):
+        for key in ("epsilon", "field_degree", "precision", "lmax"):
             if raw.get(key) is not None:
                 kw[key] = _int(key, raw[key])
         if raw.get("field_poly") is not None:
@@ -90,8 +89,6 @@ class JobConfig:
             raise ConfigInvalid("field_poly must be monic of degree field_degree")
         if self.precision < 1:
             raise ConfigInvalid("precision must be at least 1")
-        if self.degmax is not None and self.degmax < 1:
-            raise ConfigInvalid("degmax must be at least 1")
         bad = [r for r in self.routes if r not in ROUTES]
         if bad:
             raise ConfigInvalid(f"unknown routes: {bad}")
@@ -121,7 +118,6 @@ class JobConfig:
             "field_poly": list(self.field_poly) if self.field_poly else None,
             "precision": self.precision,
             "routes": list(self.routes),
-            "degmax": self.degmax,
             "lmax": self.lmax,
         }
 
@@ -253,12 +249,12 @@ class Report:
         return self.data.get("exit_code", 1)
 
     def to_json(self):
-        return json.dumps(self.data, sort_keys=True, indent=1)
+        # compact dumps use json's C encoder; indent (or json.dump) runs the
+        # pure-Python one, whose nested closures leave a cycle on every call
+        return json.dumps(self.data, sort_keys=True)
 
     def without_timing(self):
-        # compact dumps use the C encoder; indent=1 would run the pure-Python
-        # one, whose nested closures leave a reference cycle on every call
-        clone = json.loads(json.dumps(self.data, sort_keys=True))
+        clone = json.loads(self.to_json())
         clone.pop("timing", None)
         return clone
 
@@ -297,12 +293,9 @@ def run(config):
     unit_roots = {}
 
     wmax = default_wmax(ring, W.D)
-    degmax = config.degmax if config.degmax is not None \
-        else dwork.default_s_cut(ring)
     basis = weights.enumerate_weighted_monomials(W, wmax)
     report["truncation"] = {
         "wmax": _frac(wmax),
-        "degmax_initial": degmax,
         "basis_size": len(basis),
         "s_cut": dwork.default_s_cut(ring),
         "charpoly_degree_cap": dwork.fredholm_cap(W, basis, ring.p, ring.N),
@@ -339,7 +332,7 @@ def run(config):
 
     if "A" in config.routes:
         with attempt("A", "route_a_ms"):
-            res = hyperg.unit_root_route_A_detailed(spec, W, degmax, ring, orbit_len)
+            res = hyperg.unit_root_route_A_detailed(spec, W, ring, orbit_len)
             unit_roots["A"] = res.u
             report["routes"]["A"] = {
                 "unit_root": res.u.digits(),

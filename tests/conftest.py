@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,3 +25,11 @@ def ring5():
 @pytest.fixture()
 def rng():
     return random.Random(987123)
+
+
+def pi_pow_reference(ring, k, fs):
+    """pi^k / prod f! from its definition, with no factorial-unit table:
+    pi^k = pi^(k mod (p-1)) (-p)^floor(k/(p-1)), so it is the rational
+    (-p)^floor(k/(p-1)) / prod f! in pi-row k mod (p-1)."""
+    fr = Fraction((-ring.p) ** (k // ring.npi), math.prod(map(math.factorial, fs)))
+    return ring.from_fraction(fr) * ring.pi() ** (k % ring.npi)

@@ -31,8 +31,7 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
 from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
-from unitroots.padic import (RingElem, make_ring, pi_pow_over_factorials,
-                             teichmueller)
+from unitroots.padic import RingElem, make_ring, teichmueller
 from unitroots.runner import JobConfig, default_wmax, run
 from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
                                 law_mismatch, limb_boundaries,
@@ -40,6 +39,8 @@ from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
                                 sweep_mismatch)
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
+
+from conftest import pi_pow_reference
 
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SINGLE = ExponentSet(1, ((1,),))
@@ -62,14 +63,15 @@ def test_splitting_coefficients(ring3):
     assert sc[3].val_at_least(F(2, 3))
     for i, b in enumerate(sc.b):
         assert b.val_at_least(F(i * 2, 9))
-    # each b_i against its terms summed one ring element at a time
+    # each b_i against its terms, each from the rational reference, summed
+    # one ring element at a time
     for p, m, N in itertools.product((2, 3, 5), (1, 2), (4, 8)):
         ring = make_ring(p, m, None, N)
         s_cut = default_s_cut(ring)
         sc = splitting_coefficients(ring, s_cut)
         for i in range(s_cut + 1):
-            terms = [(-1) ** j * pi_pow_over_factorials(ring, i - (p - 1) * j,
-                                                         (j, i - p * j))
+            terms = [(-1) ** j * pi_pow_reference(ring, i - (p - 1) * j,
+                                                  (j, i - p * j))
                      for j in range(i // p + 1)]
             assert sc[i] == sum(terms, ring.zero()), (p, m, N, i)
 

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from unitroots import hyperg
 from unitroots.battery import BATTERY, EXPONENT_SETS, job_dict
-from unitroots.dwork import default_s_cut
 from unitroots.errors import NotARelation, PrecisionUnstable
-from unitroots.padic import RingElem, pi_pow_digit
+from unitroots.padic import RingElem
 from unitroots.hyperg import (LaurentSpec, _f0_shells, calF_series,
                               check_annihilators, digit_solutions,
                               generating_identity_check,
@@ -20,6 +19,8 @@ from unitroots.padic import make_ring
 from unitroots.runner import run
 from unitroots.selftest import surviving_solutions
 from unitroots.weights import ExponentSet, build_weight_data
+
+from conftest import pi_pow_reference
 
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SKEW = ExponentSet(1, ((2,), (-1,)))
@@ -141,26 +142,33 @@ def test_route_a_kloosterman_p2(ring2):
 def test_route_a_orbit_product_f4():
     ring = make_ring(2, 2, None, 4)
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
-    res = unit_root_route_A_detailed(spec, build_weight_data(spec.A), 16, ring,
-                                     2)
+    res = unit_root_route_A_detailed(spec, build_weight_data(spec.A), ring, 2)
     assert res.u.rows[0] == (13, 0)  # frozen: quadratic z^2 - z + 4, unit branch
     assert res.stability_digits >= 4
 
 
 def test_route_a_stabilization_policy(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
-    res = unit_root_route_A_detailed(spec, build_weight_data(spec.A),
-                                     default_s_cut(ring3), ring3, 1)
+    res = unit_root_route_A_detailed(spec, build_weight_data(spec.A), ring3, 1)
     assert res.stability_digits >= ring3.N
     u2 = route_a_once(spec, 2 * res.degmax_used, ring3, 1)
     assert res.u == u2  # doubling beyond the accepted cap changes nothing
 
 
-def test_route_a_rejects_tiny_budget(ring5):
-    spec = LaurentSpec(SKEW, 5, 1, 1, ((2,), (1,)))
-    with pytest.raises(PrecisionUnstable):
-        unit_root_route_A_detailed(spec, build_weight_data(spec.A), 4, ring5, 1,
-                                   max_rounds=2)
+def test_route_a_rejects_tiny_budget(monkeypatch):
+    # skew has D = 2, so at N = 8 route A stops no earlier than step 16, and
+    # at p = 5 it takes steps only up to 15: it refuses before it enumerates
+    # a single term
+    def never(*args):
+        raise AssertionError("route A enumerated past its last step")
+
+    monkeypatch.setattr(hyperg, "_digit_levels", never)
+    case = next(c for c in BATTERY if c["id"] == "p5-skew")
+    rep = run(job_dict(case, precision=8, routes=("A",)))
+    assert rep.data["errors"]["A"] == (
+        "PrecisionUnstable: route A stops no earlier than step 16 (degree "
+        f"{5 ** 17 - 1}) but takes steps up to 15 at p = 5, N = 8")
+    assert "A" not in rep.data["routes"]
 
 
 def test_route_a_degenerate_is_one(ring3):
@@ -227,10 +235,13 @@ def test_digit_solutions_nonzero_targets():
 
 
 def test_route_a_last_step():
-    # max_rounds steps past the first whose degree p^(s+1) - 1 reaches 4 degmax
-    assert route_a_last_step(5, 4, 2) == 1 + 2
-    assert route_a_last_step(3, 36, 12) == 4 + 12
-    assert route_a_last_step(2, 1, 0) == 2
+    # 12 steps past the first whose degree p^(s+1) - 1 reaches
+    # 4 ceil(N p^2 / (p-1)): 4 * 36 at p = 3, N = 8 and 4 * 50 at p = 5,
+    # N = 8, reached at s = 4 (242) and s = 3 (624); 4 * 16 at p = 2, N = 4
+    # at s = 6 (127)
+    assert route_a_last_step(make_ring(3, 1, None, 8)) == 4 + 12
+    assert route_a_last_step(make_ring(5, 1, None, 8)) == 3 + 12
+    assert route_a_last_step(make_ring(2, 2, None, 4)) == 6 + 12
 
 
 @pytest.mark.parametrize("cid", ["p2-skew", "p3-skew-f9", "p5-triangle"])
@@ -244,7 +255,7 @@ def test_route_a_matches_route_c_at_n6(cid):
 
 
 def _shells_reference(A, ring, s_lo, s_hi):
-    """_f0_shells term by term: brute-force solutions, scalar digits."""
+    """_f0_shells term by term: brute-force solutions, rational digits."""
     p, npi = ring.p, ring.npi
     qm1 = p ** ring.m - 1
     shells = [{} for _ in range(s_lo, s_hi + 1)]
@@ -254,7 +265,8 @@ def _shells_reference(A, ring, s_lo, s_hi):
         if k < p ** s_lo:
             continue
         shell = max(s for s in range(s_hi + 1) if p ** s <= k)
-        row, digit = pi_pow_digit(ring, k, u)
+        row = k % npi
+        digit = pi_pow_reference(ring, k, u).rows[row][0]
         key = tuple(x and (x - 1) % qm1 + 1 for x in u)
         acc = shells[shell - s_lo].setdefault(key, [0] * npi)
         acc[row] = (acc[row] + digit) % ring.pN
@@ -276,6 +288,27 @@ def test_f0_shells_match_term_by_term_reference(name, p, m, N):
         got = [{tuple(c): d for c, d in zip(classes.tolist(), digits.tolist())}
                for classes, digits in shells]
         assert (got, terms) == _shells_reference(A, ring, s_lo, s_hi), s_lo
+
+
+def _series_reference(A, i, degmax, ring):
+    """F_i(pi*L)'s terms one by one: brute-force solutions, rational digits."""
+    return {u: pi_pow_reference(ring, sum(u), u)
+            for u in surviving_solutions(A, i, degmax, ring.p, ring.N * ring.npi)}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_SETS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [2, 4])
+def test_series_match_term_by_term_reference(name, p, m, N):
+    # the series witness reads its digits from the same array rule as
+    # route A; each term equals pi^|u| / prod u_a! from its definition
+    vecs = EXPONENT_SETS[name]
+    A = ExponentSet(len(vecs[0]), vecs)
+    ring = make_ring(p, m, None, N)
+    for i in ((0,) * A.n, (1,) + (0,) * (A.n - 1)):
+        got = hyperg_coefficient_series(A, i, 30, ring).terms
+        assert got == _series_reference(A, i, 30, ring), i
 
 
 def test_route_a_past_the_int64_rule_refuses_at_once(monkeypatch):
@@ -316,7 +349,7 @@ def test_route_a_record_is_pinned(monkeypatch, cid, N):
 
 def test_blocks_and_batches_do_not_change_the_terms(monkeypatch):
     # tiny blocks and batches split every level and join every batch, as
-    # the large runs do: the same solutions, the same shells
+    # the large runs do: the same solutions, the same shells, the same series
     monkeypatch.setattr(hyperg, "BLOCK_STATES", 2)
     monkeypatch.setattr(hyperg, "BATCH_TERMS", 3)
     for A, p, N, m in [(KLOOSTERMAN, 3, 4, 2), (SKEW, 5, 2, 1), (TRIANGLE, 2, 4, 1),
@@ -325,6 +358,8 @@ def test_blocks_and_batches_do_not_change_the_terms(monkeypatch):
         got = digit_solutions(A, i, 30, p, N * (p - 1))
         assert sorted(got) == sorted(surviving_solutions(A, i, 30, p, N * (p - 1)))
         ring = make_ring(p, m, None, N)
+        assert hyperg_coefficient_series(A, i, 30, ring).terms == \
+            _series_reference(A, i, 30, ring)
         s_hi = {2: 4, 3: 3, 5: 2}[p]
         shells, terms = _f0_shells(A, ring, 1, s_hi)
         got = [{tuple(c): d for c, d in zip(classes.tolist(), digits.tolist())}

@@ -272,6 +272,27 @@ def test_enumeration_guard():
         char_sum(spec, 6, guard=5 * 15624 - 1)
 
 
+def test_refused_level_builds_no_field(monkeypatch):
+    # both guards read only the level's degree and R, so a refused level
+    # never reaches FqTower.level, which searches the field's generator and
+    # h's root log (at base degree 12, level 2 spent 18.6 s building
+    # F_{3^24} on a 2-core Intel Xeon before its guard refused it)
+    def never(self, l):
+        raise AssertionError(f"level {l} was built before its guard refused it")
+
+    enum = LaurentSpec(ExponentSet(2, ((1, 0), (0, 1), (2, 2))), 3, 1, 1,
+                       ((1,), (1,), (1,)))
+    kloo = LaurentSpec(KLOOSTERMAN, 2, 1, 1, ((1,), (1,)))
+    towers = FqTower(enum), FqTower(kloo)
+    monkeypatch.setattr(FqTower, "level", never)
+    with pytest.raises(TooLarge, match="the enumeration touches 6400 cells"):
+        char_sum(enum, 4, towers[0], guard=80 ** 2 - 1)
+    # at p = 2, l = 22 the convolution's 2 R = 8.4e6 cells pass the guard,
+    # but the trace table's R (k + 2) = 1.0e8 entries do not
+    with pytest.raises(TooLarge, match="memory guard"):
+        char_sum(kloo, 22, towers[1])
+
+
 def test_convolution_rows_are_charged_their_fft_cells():
     # the battery's p = 5 triangle and edge rows at l = 6 run under the
     # default guard, though their R^2 = 2.4e8 torus points pass it

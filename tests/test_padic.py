@@ -14,8 +14,10 @@ from unitroots import padic
 from unitroots.errors import (CompositeP, ConfigInvalid, NonUnitDivision,
                               PrecisionTooLow, ReduciblePolynomial)
 from unitroots.padic import (FactorialUnits, RingElem, RingSpec, make_ring,
-                             pi_pow_over_factorials, split_p, teichmueller,
-                             valuation, zeta_p)
+                             pi_pow_digits, split_p, teichmueller, valuation,
+                             zeta_p)
+
+from conftest import pi_pow_reference
 
 
 def rand_elem(ring, rng):
@@ -211,14 +213,25 @@ def test_divide_exact_p(ring3):
         ring3.from_int(2).divide_exact_p(1)
 
 
+def pi_pow_elems(ring, ks, fss):
+    """pi_pow_digits' (row, digit) pairs for the k and factorial tuples, as
+    ring elements."""
+    rows, digits = pi_pow_digits(ring, np.array(ks), np.array(fss))
+    return [ring.from_slots([0] * (r * ring.m) + [d])
+            for r, d in zip(rows.tolist(), digits.tolist())]
+
+
 def test_pi_pow_over_factorials(ring3):
     # ord(pi^k / k!) = digit_sum_3(k) / 2
-    for k, s in ((1, 1), (3, 1), (4, 2), (9, 1), (13, 3)):
-        e = pi_pow_over_factorials(ring3, k, (k,))
+    cases = ((1, 1), (3, 1), (4, 2), (9, 1), (13, 3))
+    got = pi_pow_elems(ring3, [k for k, _ in cases], [(k,) for k, _ in cases])
+    for (k, s), e in zip(cases, got):
         assert valuation(e) == Fraction(s, 2)
+        assert e == pi_pow_reference(ring3, k, (k,))
     # multi-factorial combination from the splitting series
-    e = pi_pow_over_factorials(ring3, 5, (1, 4))
+    e, = pi_pow_elems(ring3, [5], [(1, 4)])
     assert valuation(e) == Fraction(1 + 2, 2)
+    assert e == pi_pow_reference(ring3, 5, (1, 4))
 
 
 def test_reduce_to(ring3):
@@ -277,7 +290,8 @@ def test_pi_pow_over_factorials_reference(key, fs):
     v, u = split_p(math.prod(math.factorial(f) for f in fs), ring.p)
     high = make_ring(ring.p, ring.m, ring.g, ring.N + v)
     ref = (high.pi() ** k).divide_exact_p(v) * high.from_int(u).inverse()
-    assert pi_pow_over_factorials(ring, k, fs) == ref.reduce_to(ring)
+    assert pi_pow_reference(ring, k, fs) == ref.reduce_to(ring)
+    assert pi_pow_elems(ring, [k], [fs]) == [ref.reduce_to(ring)]
 
 
 # --- factorial unit parts by the generalized Wilson theorem -----------------
@@ -286,7 +300,7 @@ def test_pi_pow_over_factorials_reference(key, fs):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_factorial_units_match_direct_products(p, N):
     # n runs over three blocks of p^N and past them, so the block sign
-    # enters at each Wilson step, for the scalar call and the array lookup
+    # enters at each Wilson step of the array lookup
     ring = make_ring(p, 1, None, N)
     units = FactorialUnits(ring)
     # the product of the units of one block of p^N is +1 for p = 2, N >= 3
@@ -302,18 +316,20 @@ def test_factorial_units_match_direct_products(p, N):
         v, u = split_p(math.factorial(n), p)
         want.append((v, u % ring.pN))
     ns = list(range(3 * ring.pN + p + 2)) + big
-    assert [units(n) for n in ns] == want
-    assert units(1) == (0, 1)
     v, inv = units.inverses(np.array(ns))
     for n, (dv, du), got_v, got_inv in zip(ns, want, v.tolist(), inv.tolist()):
         assert (got_v, got_inv * du % ring.pN) == (dv, 1), (p, N, n)
-    # the inverse table inverts the prefix table entry by entry
-    assert len(units.inverse_prefix) == len(units.prefix) == ring.pN
-    assert (units.prefix * units.inverse_prefix % ring.pN == 1).all()
+    # the one table inverts the prefix products of the units, entry by entry
+    prefix = list(itertools.accumulate((j if j % p else 1 for j in range(ring.pN)),
+                                       lambda a, j: a * j % ring.pN))
+    assert len(units.inverse_prefix) == ring.pN
+    assert [t * i % ring.pN for t, i in zip(prefix, units.inverse_prefix.tolist())] \
+        == [1] * ring.pN
+    assert units.last == prefix[-1]
 
 
 def test_factorial_units_past_the_int64_rule():
-    # past the rule the tables hold Python integers, and both lookups stay
+    # past the rule the table holds Python integers, and the lookup stays
     # exact: 3^40 squared is past 2^63
     ring = make_ring(3, 1, None, 40)
     units = FactorialUnits(ring)
@@ -321,14 +337,13 @@ def test_factorial_units_past_the_int64_rule():
     v, inv = units.inverses(np.array(n))
     for x, got_v, got_inv in zip(n, v.tolist(), inv.tolist()):
         dv, du = split_p(math.factorial(x), 3)
-        assert units(x) == (dv, du % ring.pN)
         assert (got_v, got_inv * du % ring.pN) == (dv, 1), x
-    assert units.prefix.dtype == object
+    assert units.inverse_prefix.dtype == object
 
 
 def test_factorial_units_grow_only_as_needed():
     # the splitting series asks for small factorials at high precision
     ring = make_ring(5, 1, None, 11)
     units = FactorialUnits(ring)
-    units(40)
-    assert len(units.prefix) == 41
+    units.inverses(np.array([40]))
+    assert len(units.inverse_prefix) == 41

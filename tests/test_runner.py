@@ -70,7 +70,7 @@ def test_config_validation_errors():
         JobConfig.from_dict({**KLOOSTER3, "lmax": 1})  # one sum, no ratio
     JobConfig.from_dict({**KLOOSTER3, "lmax": 1, "routes": ["B"]})
     # malformed values are ConfigInvalid, never a bare error or a silent cast
-    for key in ("precision", "lmax", "degmax", "epsilon", "field_degree", "n"):
+    for key in ("precision", "lmax", "epsilon", "field_degree", "n"):
         with pytest.raises(ConfigInvalid):
             JobConfig.from_dict({**KLOOSTER3, key: "x"})
     for key, value in (("field_poly", "ab"), ("routes", 5), ("routes", "BC"),
@@ -78,27 +78,27 @@ def test_config_validation_errors():
                        ("cache_dir", 5)):
         with pytest.raises(ConfigInvalid):
             JobConfig.from_dict({**KLOOSTER3, key: value})
-    # a zero cap made route A compare the constant term with itself
-    for degmax in (0, -5):
-        with pytest.raises(ConfigInvalid):
-            run({**KLOOSTER3, "routes": ["A"], "degmax": degmax})
     # p = 0 is not prime: the ring says so before the spec reduces mod p
     with pytest.raises(CompositeP):
         run({**KLOOSTER3, "p": 0})
 
 
 def test_no_wmax_or_guard_override(tmp_path, capsys):
-    # every basis is cut at default_wmax and every oracle row obeys the
-    # guard: the config keys and the flags are gone, whatever their value
-    assert len(dataclasses.fields(JobConfig)) == 11
+    # every basis is cut at default_wmax, every oracle row obeys the guard
+    # and route A's last step is a function of p and N: the config keys and
+    # the flags are gone, whatever their value
+    assert len(dataclasses.fields(JobConfig)) == 10
     for key, value in (("wmax", 9), ("wmax", [17, 2]), ("wmax", None),
                        ("override_enumeration_guard", True),
-                       ("override_enumeration_guard", False)):
+                       ("override_enumeration_guard", False),
+                       ("degmax", 40), ("degmax", 0), ("degmax", -5),
+                       ("degmax", None)):
         with pytest.raises(ConfigInvalid, match=f"unknown config keys.*{key}"):
             JobConfig.from_dict({**KLOOSTER3, key: value})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(KLOOSTER3))
-    for flag in (["--wmax", "9"], ["--override-enumeration-guard"]):
+    for flag in (["--wmax", "9"], ["--override-enumeration-guard"],
+                 ["--degmax", "40"]):
         with pytest.raises(SystemExit) as exc:
             main(["unit-root", "--config", str(cfg)] + flag)
         assert exc.value.code == 2
@@ -155,6 +155,15 @@ def test_jobs_leave_no_cyclic_garbage():
         lambda: hyperg.check_annihilators(triangle, (0, 0), ell, 8, 3)) == 0
 
 
+def test_written_report_leaves_no_cyclic_garbage(tmp_path):
+    """A job that writes its report dumps it compactly, with json's C
+    encoder: the indenting pure-Python one left 33 objects in a cycle."""
+    out = tmp_path / "report.json"
+    config = job_dict(CASES["p2-kloosterman"], routes=("A",), lmax=2)
+    assert _cyclic_garbage(lambda: run({**config, "output": str(out)})) == 0
+    assert json.loads(out.read_text())["routes"]["A"]
+
+
 def test_without_timing_leaves_no_cyclic_garbage(klooster_report):
     """without_timing round-trips the report through the compact C encoder:
     the indenting pure-Python one left 33 objects in a cycle per call."""
@@ -186,7 +195,6 @@ def test_from_dict_accepts_or_raises_config_invalid(overrides):
     assert JobConfig.from_dict(canon).canonical() == canon
     for key in ("p", "epsilon", "field_degree", "precision", "lmax"):
         assert type(getattr(cfg, key)) is int
-    assert cfg.degmax is None or (type(cfg.degmax) is int and cfg.degmax >= 1)
     assert cfg.precision >= 1 and cfg.lmax >= 1
 
 

@@ -24,7 +24,8 @@ only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
 coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
 `char_sum` counts and method past them.  The jobs run route A only at
 N = 4, so it also dumps a route-A grid (`route_a_entries`): the full route-A
-record, or its error, at N = 6 and 8 on five cases, and a digit grid
+record, or its error, at N = 6 and 8 on six cases (`p5-skew` at N = 8 is
+route A's refusal, its last step below its first), and a digit grid
 (`digit_entries`): `digit_solutions` as sorted lists on a fixed grid of
 targets.  Route C's windows shrink most at high precision, which the jobs
 reach only at N = 8, so it also dumps a route-C grid (`route_c_entries`):
@@ -203,7 +204,7 @@ def oracle_entries():
 
 
 ROUTE_A_CASES = ("p2-skew", "p3-kloosterman", "p3-kloosterman-f9", "p3-triangle",
-                 "p5-kloosterman")
+                 "p5-kloosterman", "p5-skew")
 
 
 def route_a_record(case, N):
