@@ -78,7 +78,8 @@ from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 from .padic import (RingElem, check_product_precision, default_s_cut, horner,
-                    newton_root, powers, splitting_coefficients, teichmueller)
+                    newton_root, powers, ring_array, ring_elems,
+                    splitting_coefficients, teichmueller)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -122,12 +123,12 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     RingElem per entry.  Entries are int64; past the int64 rule
     ring_array_mul raises PrecisionTooLow.
     """
-    b = np.array([x.rows for x in sc.b[:s_cut + 1]], dtype=np.int64)
-    partial = np.array([ring.one().rows], dtype=np.int64)
+    b = ring_array(sc.b[:s_cut + 1])
+    partial = ring_array([ring.one()])
     budget = np.array([s_cut])
     mu = np.zeros((1, W.A.n), dtype=np.int64)
     for x, vec in zip(lam, W.A.vectors):
-        pows = np.array([y.rows for y in powers(x, s_cut)], dtype=np.int64)
+        pows = ring_array(powers(x, s_cut))
         row = ring_array_mul(ring, b, pows)  # b_e * lam_a^e
         # state i expands to e = 0..budget[i]
         counts = budget + 1
@@ -163,32 +164,26 @@ class KernelTable(Mapping):
         self.ring = ring
         self.points = points
         self.coeffs = coeffs
-        self._rows = None
+        self._index = None
 
     @classmethod
     def of_elements(cls, ring, points, elems):
         """The table {points[i]: elems[i]}, points integer vectors of one
         length, elems RingElems of ring."""
-        coeffs = np.array([e.rows for e in elems], dtype=np.int64)
-        return cls(ring, np.array(points, dtype=np.int64).reshape(len(points), -1),
-                   coeffs.reshape(len(elems), ring.npi, ring.m))
+        points = np.array(points, dtype=np.int64).reshape(len(points), -1)
+        return cls(ring, points, ring_array(elems))
 
     def __getitem__(self, mu):
-        if self._rows is None:
-            self._rows = {key: i for i, key in enumerate(self)}
-        i = self._rows[tuple(mu)]
-        return _ring_elems(self.ring, self.coeffs[i:i + 1])[0]
+        if self._index is None:
+            self._index = {key: i for i, key in enumerate(self)}
+        i = self._index[tuple(mu)]
+        return ring_elems(self.ring, self.coeffs[i])[0]
 
     def __iter__(self):
         return map(tuple, self.points.tolist())
 
     def __len__(self):
         return len(self.points)
-
-
-def _ring_elems(ring, X):
-    """RingElem of each row of X (n, p-1, m), entries reduced mod p^N."""
-    return [RingElem(ring, tuple(map(tuple, x)), check=False) for x in X.tolist()]
 
 
 @dataclass
@@ -334,7 +329,7 @@ class RingMatrix:
         return self._right
 
     def entry(self, i, j):
-        return RingElem(self.ring, self.tensor[i, j])
+        return ring_elems(self.ring, self.tensor[i, j])[0]
 
     def matmul(self, other):
         """self times other, through other's kept right operand."""
@@ -344,7 +339,7 @@ class RingMatrix:
 
     def trace(self):
         diag = self.tensor.diagonal(axis1=0, axis2=1)  # (npi, m, dim)
-        return RingElem(self.ring, diag.sum(axis=2))
+        return ring_elems(self.ring, diag.sum(axis=2))[0]
 
 
 def limb_digits(K, p, N):
@@ -831,7 +826,7 @@ def _vec_to_xseries(odata, vec):
     """Route B's eigenvector: an element per nonzero row of vec, reduced."""
     rows = np.flatnonzero(vec.any(axis=(-2, -1)))
     return XSeries(dict(zip((odata.basis[i] for i in rows),
-                            _ring_elems(odata.ring, vec[rows]))), odata.wmax)
+                            ring_elems(odata.ring, vec[rows]))), odata.wmax)
 
 
 def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
@@ -899,8 +894,8 @@ def power_iteration_unit_root(odata):
     normalizers = []
     for cycle in range(1, budget + 1):
         prev, vec = vec, odata.dual_cycle(vec)
-        c = RingElem(ring, vec[0])
-        vec = ring_array_mul(ring, vec, np.array(c.inverse().rows))
+        c = ring_elems(ring, vec[0])[0]
+        vec = ring_array_mul(ring, vec, ring_array([c.inverse()])[0])
         normalizers.append(c)
         if (len(normalizers) >= 2 and (c - normalizers[-2]).is_zero()
                 and np.array_equal(vec, prev)):
@@ -1064,7 +1059,7 @@ def fredholm_coefficients(Mx):
     cap = fredholm_cap(Mx.W, Mx.basis, ring.p, ring.N)
     band = trace_band(Mx.W, Mx.basis, ring.p, ring.N, cap - 1)
     c, madds = first_return_product(ring, Mx.tensor, band, cap)
-    coeffs = _ring_elems(ring, c)
+    coeffs = ring_elems(ring, c)
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
     products, K0 = max(cap - 1, 0), int(band[0, 0])
@@ -1140,7 +1135,7 @@ def lfunction_from_fredholm(P, n, s, u0):
     """
     ring = P.ring
     p, pN, d = ring.p, ring.pN, len(P.coeffs) - 1
-    c = np.array([x.rows for x in P.coeffs], dtype=np.int64)
+    c = ring_array(P.coeffs)
     sides = []
     for parity in (0, 1):
         ks = [k for k in range(parity, n + 1, 2) for _ in range(math.comb(n, k))]
@@ -1154,8 +1149,8 @@ def lfunction_from_fredholm(P, n, s, u0):
         j = min(k, len(den) - 1)
         q[k] -= ring_array_mul(ring, den[1:j + 1], q[k - j:k][::-1]).sum(axis=0)
         _reduce(q[k], pN)
-    num, den = _ring_elems(ring, num), _ring_elems(ring, den)
-    return LFunctionData(num, den, _ring_elems(ring, q),
+    num, den = ring_elems(ring, num), ring_elems(ring, den)
+    return LFunctionData(num, den, ring_elems(ring, q),
                          horner(num[::-1], u0).is_zero())
 
 

@@ -6,7 +6,9 @@ group order with trial division.  Subfields are placed by discrete logs: a
 root of a primitive polynomial of degree deg generates F_{p^deg}^*, and
 root_log finds the least e with g^e one of its roots by scanning the cyclic
 subgroup of order p^deg - 1, so a root rho of the same polynomial in
-another field embeds as rho^j -> g^(e*j).
+another field embeds as rho^j -> g^(e*j).  The log j of an element to base
+rho comes from baby steps and giant steps (discrete_log), in O(sqrt(p^deg))
+field products.
 
 Each fact about a field has one rule.  Traces come from the power sums
 Tr(s^e) of the modulus by Newton's identities (FField.traces), polynomials
@@ -17,6 +19,7 @@ generator and its roots' logs are derived once per process.
 
 import functools
 from dataclasses import dataclass
+from math import isqrt
 
 from . import gfpoly
 
@@ -183,3 +186,27 @@ def root_log(F, poly):
             return j * step
         x = F.mul(x, gs)
     raise AssertionError("irreducible polynomial has no root in its splitting field")
+
+
+def discrete_log(F, base, order, x):
+    """The j in [0, order) with base^j = x, for base of multiplicative order
+    `order`; None for x = 0, ValueError when x is no power of base.
+
+    Baby steps and giant steps: a table of base^j for j < M =
+    ceil(sqrt(order)), then x base^(-M i) for i = 0, 1, ... until one is in
+    it, at i < M since order <= M^2.  So at most 2M field products (F.mul)
+    and one inversion, where a walk over the powers of base takes order.
+    """
+    if F.is_zero(x):
+        return None
+    M = isqrt(order - 1) + 1
+    baby, y = {}, F.one()
+    for j in range(M):
+        baby[y] = j
+        y = F.mul(y, base)
+    giant, y = F.inv(y), x  # base^(-M)
+    for i in range(M):
+        if y in baby:
+            return i * M + baby[y]
+        y = F.mul(y, giant)
+    raise ValueError(f"{x} is not a power of {base}")

@@ -45,8 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotARelation, PrecisionUnstable, TooLarge
-from .padic import (RingElem, agreement, check_product_precision,
-                    default_s_cut, pi_pow_digits, powers, split_p, teichmueller)
+from .padic import (agreement, check_product_precision, default_s_cut,
+                    pi_pow_digits, powers, ring_elems, split_p, teichmueller)
 from .weights import ExponentSet
 
 
@@ -465,10 +465,12 @@ def _f0_shells(A, ring, s_lo, s_hi):
 
 def _shell_value(shell, lam_powers, shift, ring):
     """A shell of _f0_shells evaluated at lambda^shift, from lambda's powers."""
-    qm1, pad = len(lam_powers[0]) - 1, (0,) * (ring.m - 1)
+    classes, digits = shell
+    qm1 = len(lam_powers[0]) - 1
     total = ring.zero()
-    for key, digits in zip(*(x.tolist() for x in shell)):
-        term = RingElem(ring, tuple((d,) + pad for d in digits), check=False)
+    # each pi-row's digit sum is the coefficient of t^0
+    at_t0 = np.pad(digits[..., None], [(0, 0), (0, 0), (0, ring.m - 1)])
+    for key, term in zip(classes.tolist(), ring_elems(ring, at_t0)):
         for pw, c in zip(lam_powers, key):
             if c:
                 term = term * pw[(c * shift - 1) % qm1 + 1]

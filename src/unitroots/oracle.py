@@ -81,7 +81,8 @@ class FqTower:
     for level l runs over the torus of F_{p^(epsilon*d*l)}, an independent
     F_p[s]/(modulus) model.  h is the least primitive polynomial of degree
     epsilon*d and rho its first root in the presentation field; logs[a] is
-    the j_a with lambda_a = rho^(j_a), None for lambda_a = 0.  Level l's
+    the j_a with lambda_a = rho^(j_a), None for lambda_a = 0, each found by
+    baby steps and giant steps (ffield.discrete_log).  Level l's
     field holds a root g^e of h (ffield.root_log), and lambda_a embeds
     there as g^(e j_a):
     - rho -> g^e extends to a field embedding F_p(rho) -> F, since both
@@ -102,11 +103,9 @@ class FqTower:
         self.h = ffield.primitive_poly(spec.p, self.base_degree)
         rho = pres.pow(ffield.multiplicative_generator(pres),
                        ffield.root_log(pres, self.h))
-        log, x = {}, pres.one()
-        for j in range(spec.p ** self.base_degree - 1):
-            log[x] = j
-            x = pres.mul(x, rho)
-        self.logs = tuple(log.get(pres.elem(c)) for c in spec.coeffs)
+        R = spec.p ** self.base_degree - 1  # the order of rho
+        self.logs = tuple(ffield.discrete_log(pres, rho, R, pres.elem(c))
+                          for c in spec.coeffs)
         self._levels = {}
 
     def level(self, l):

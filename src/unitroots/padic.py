@@ -2,14 +2,16 @@
 
 Elements live in O_N = (Z_q[pi] / (pi^(p-1) + p)) mod p^N, where
 Z_q = Z_p[t]/(g) is the unramified extension of residue degree m.  An element
-is a (p-1) x m array of residues mod p^N:
+is (p-1) m residues mod p^N, its slots, in RingSpec.law's order:
 
-    sum_{j < p-1} sum_{k < m} c[j][k] * t^k * pi^j.
+    sum_{j < p-1} sum_{k < m} slots[j*m + k] * t^k * pi^j.
 
 RingSpec.law is the one place pi^(p-1) = -p and the reduction mod g are
 applied: law[i][k] lists the (slot, coefficient mod p^N) pairs of slot i
-times slot k, slot j*m + k standing for t^k pi^j.  RingElem.__mul__ and
-dwork's products read it; dwork's reference keeps its own encoding, _fold.
+times slot k.  RingElem.__mul__ and dwork's products read it; dwork's
+reference keeps its own encoding, _fold.  A (p-1) x m digit matrix, rows by
+pi-degree, is read only by RingElem() and written only by digits(); int64
+ring arrays (n, p-1, m) meet elements only in ring_array and ring_elems.
 
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
@@ -37,8 +39,8 @@ character, with zeta == 1 + pi (mod pi^2).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import ceil, isqrt
+from operator import index
 
 import numpy as np
 
@@ -52,9 +54,7 @@ class RingSpec:
     construction; factorials, the ring's FactorialUnits table, only grows."""
 
     def __init__(self, p, m, g, N):
-        self.p = p
-        self.m = m
-        self.N = N
+        self.p, self.m, self.N = p, m, N
         self.g = tuple(int(c) for c in g)  # monic, length m+1
         self.pN = p ** N
         self.npi = p - 1
@@ -90,7 +90,7 @@ class RingSpec:
     # --- element constructors -------------------------------------------
 
     def zero(self):
-        return RingElem(self, ((0,) * self.m,) * self.npi, check=False)
+        return self.from_slots([])
 
     def one(self):
         return self.from_int(1)
@@ -98,9 +98,10 @@ class RingSpec:
     def from_slots(self, flat):
         """Element whose slot j*m + s, the coefficient of pi^j t^s, is
         flat[j*m + s] mod p^N, for Python ints `flat`; 0 past its end."""
-        m, pN = self.m, self.pN
-        flat = iter([c % pN for c in flat] + [0] * (self.npi * m - len(flat)))
-        return RingElem(self, tuple(zip(*[flat] * m)), check=False)  # rows of m
+        slots = [c % self.pN for c in flat]
+        x = object.__new__(RingElem)
+        x.spec, x.slots = self, tuple(slots + [0] * (self.npi * self.m - len(slots)))
+        return x
 
     def from_int(self, n):
         return self.from_slots([n])
@@ -113,8 +114,7 @@ class RingSpec:
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
-        den = fr.denominator
-        if den % self.p == 0:
+        if (den := fr.denominator) % self.p == 0:
             raise NonUnitDivision(f"denominator {den} is divisible by p={self.p}")
         return self.from_int(fr.numerator * pow(den, -1, self.pN))
 
@@ -141,39 +141,42 @@ def make_ring(p, m=1, g=None, N=4):
 
 
 class RingElem:
-    """Value type; all operations return new elements."""
+    """Value type; all operations return new elements.  RingElem(spec,
+    digits) reads a (p-1) x m integer matrix, rows by pi-degree, mod p^N;
+    ValueError for another shape or a non-integer entry (operator.index).
+    Inside the package elements come from RingSpec.from_slots."""
 
-    __slots__ = ("spec", "rows")
+    __slots__ = ("spec", "slots")
 
-    def __init__(self, spec, rows, check=True):
-        if check:
-            pN = spec.pN
-            rows = tuple(tuple(int(c) % pN for c in r) for r in rows)
-            if len(rows) != spec.npi or any(len(r) != spec.m for r in rows):
-                raise ValueError("coefficient array has wrong shape")
-        self.spec = spec
-        self.rows = rows
+    def __init__(self, spec, digits):
+        try:
+            rows = [[index(c) % spec.pN for c in r] for r in digits]
+        except TypeError:
+            rows = []  # not a matrix of integers: no shape fits
+        if len(rows) != spec.npi or any(len(r) != spec.m for r in rows):
+            raise ValueError("digits are not a (p-1) x m matrix of integers")
+        self.spec, self.slots = spec, tuple(c for r in rows for c in r)
 
     # --- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for r in self.rows for c in r)
+        return not any(self.slots)
 
     def is_unit(self):
-        return any(c % self.spec.p != 0 for c in self.rows[0])
+        return any(c % self.spec.p for c in self.slots[:self.spec.m])
 
     def __eq__(self, other):
         return (isinstance(other, RingElem) and self.spec == other.spec
-                and self.rows == other.rows)
+                and self.slots == other.slots)
 
     def __hash__(self):
-        return hash((self.spec.key, self.rows))
+        return hash((self.spec.key, self.slots))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
-        return f"RingElem({self.rows})"
+        return f"RingElem({self.digits()})"
 
     # --- arithmetic ------------------------------------------------------
 
@@ -192,39 +195,33 @@ class RingElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        pN = self.spec.pN
-        rows = tuple(tuple((a + b) % pN for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.rows, other.rows))
-        return RingElem(self.spec, rows, check=False)
+        return self.spec.from_slots([a + b for a, b in zip(self.slots, other.slots)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        pN = self.spec.pN
-        return RingElem(self.spec,
-                        tuple(tuple((-c) % pN for c in r) for r in self.rows),
-                        check=False)
+        return self.spec.from_slots([-c for c in self.slots])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self.spec.from_slots([a - b for a, b in zip(self.slots, other.slots)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         """Product by RingSpec.law, in Python ints reduced once at the end:
-        rows hold Python ints, as check=True and every check=False caller
-        make sure, so the sums cannot overflow."""
+        slots hold Python ints, as both constructors make sure, so the sums
+        cannot overflow."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        ys = [(k, y) for k, y in enumerate(chain.from_iterable(other.rows)) if y]
+        ys = [(k, y) for k, y in enumerate(other.slots) if y]
         acc = [0] * len(spec.law)
-        for law, x in zip(spec.law, chain.from_iterable(self.rows)):
+        for law, x in zip(spec.law, self.slots):
             if x:
                 for k, y in ys:
                     xy = x * y
@@ -237,8 +234,7 @@ class RingElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
+        result, base = self.spec.one(), self
         while e:
             if e & 1:
                 result = result * base
@@ -257,7 +253,7 @@ class RingElem:
             raise NonUnitDivision("element is not a unit")
         # invert mod (p, pi) in the residue field GF(p)[t]/(gbar)
         y = spec.from_tpoly(ffield.FField(spec.p, spec.gbar).inv(
-            tuple(c % spec.p for c in self.rows[0])))
+            tuple(c % spec.p for c in self.slots[:spec.m])))
         two = spec.from_int(2)
         for _ in range(lift_steps(spec)):
             y = y * (two - self * y)
@@ -272,23 +268,18 @@ class RingElem:
         in selftest.newton_coefficients).
         """
         pk = self.spec.p ** k
-        rows = []
-        for r in self.rows:
-            row = []
-            for c in r:
-                if c % pk:
-                    raise NonUnitDivision(f"coefficient {c} not divisible by p^{k}")
-                row.append(c // pk)
-            rows.append(tuple(row))
-        return RingElem(self.spec, tuple(rows), check=False)
+        for c in self.slots:
+            if c % pk:
+                raise NonUnitDivision(f"coefficient {c} not divisible by p^{k}")
+        return self.spec.from_slots([c // pk for c in self.slots])
 
     # --- valuation and serialization --------------------------------------
 
     def order(self):
         """Exact pi-adic order as an int (units of 1/(p-1)); None for zero."""
-        npi, p = self.spec.npi, self.spec.p
-        return min((npi * split_p(c, p)[0] + j
-                    for j, r in enumerate(self.rows) for c in r if c), default=None)
+        npi, p, m = self.spec.npi, self.spec.p, self.spec.m
+        return min((npi * split_p(c, p)[0] + i // m
+                    for i, c in enumerate(self.slots) if c), default=None)
 
     def valuation(self):
         """Rational view of order(): ord p = 1; None for zero (>= N)."""
@@ -303,17 +294,26 @@ class RingElem:
         """Image in a ring of lower precision (same p, m, g mod p^N')."""
         if (spec.p, spec.m) != (self.spec.p, self.spec.m) or spec.N > self.spec.N:
             raise ValueError("not a precision reduction of the same ring")
-        pN = spec.pN
-        return RingElem(spec, tuple(tuple(c % pN for c in r) for r in self.rows),
-                        check=False)
+        return spec.from_slots(self.slots)
 
     def digits(self):
         """Canonical integer digit matrix, rows indexed by pi-degree."""
-        return [list(r) for r in self.rows]
+        return [list(r) for r in zip(*[iter(self.slots)] * self.spec.m)]  # rows of m
 
 
 def valuation(x):
     return x.valuation()
+
+
+def ring_array(elems):
+    """int64 ring array (n, p-1, m) of n >= 1 elements of one ring."""
+    spec = elems[0].spec
+    return np.array([x.slots for x in elems], dtype=np.int64).reshape(-1, spec.npi, spec.m)
+
+
+def ring_elems(spec, X):
+    """The element of each trailing (p-1, m) block of an integer array X."""
+    return [spec.from_slots(x) for x in X.reshape(-1, spec.npi * spec.m).tolist()]
 
 
 def agreement(x, y):
@@ -334,7 +334,7 @@ def teichmueller(spec, xbar):
     return x ** (spec.p ** spec.m) ** -(-(spec.N - 1) // spec.m)
 
 
-_ZETA_ROWS = {}  # RingSpec.key -> zeta_p's rows, int tuples only
+_ZETA_SLOTS = {}  # RingSpec.key -> zeta_p's slots, int tuples only
 
 
 def zeta_p(spec):
@@ -352,12 +352,12 @@ def zeta_p(spec):
     """
     if spec.N * spec.npi < 2:
         raise PrecisionTooLow("cannot separate zeta_p from 1 at this precision")
-    rows = _ZETA_ROWS.get(spec.key)
-    if rows is None:
+    slots = _ZETA_SLOTS.get(spec.key)
+    if slots is None:
         z = sum(splitting_coefficients(spec, default_s_cut(spec)).b, spec.zero())
         assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
-        rows = _ZETA_ROWS[spec.key] = z.rows
-    return RingElem(spec, rows, check=False)
+        slots = _ZETA_SLOTS[spec.key] = z.slots
+    return spec.from_slots(slots)
 
 
 def horner(coeffs, x):

@@ -130,20 +130,20 @@ def test_not_a_relation():
 def test_route_a_kloosterman_p3(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
     u = route_a_once(spec, 18, ring3, 1)
-    assert u.rows == ((16,), (0,))  # frozen: quadratic z^2 - z + 3, unit branch
+    assert u.digits() == [[16], [0]]  # frozen: quadratic z^2 - z + 3, unit branch
 
 
 def test_route_a_kloosterman_p2(ring2):
     spec = LaurentSpec(KLOOSTERMAN, 2, 1, 1, ((1,), (1,)))
     u = route_a_once(spec, 16, ring2, 1)
-    assert u.rows == ((5,),)  # frozen: quadratic z^2 + z + 2, unit branch
+    assert u.digits() == [[5]]  # frozen: quadratic z^2 + z + 2, unit branch
 
 
 def test_route_a_orbit_product_f4():
     ring = make_ring(2, 2, None, 4)
     spec = LaurentSpec(KLOOSTERMAN, 2, 2, 1, ((0, 1), (1,)))
     res = unit_root_route_A_detailed(spec, build_weight_data(spec.A), ring, 2)
-    assert res.u.rows[0] == (13, 0)  # frozen: quadratic z^2 - z + 4, unit branch
+    assert res.u.digits()[0] == [13, 0]  # frozen: quadratic z^2 - z + 4, unit branch
     assert res.stability_digits >= 4
 
 
@@ -266,7 +266,7 @@ def _shells_reference(A, ring, s_lo, s_hi):
             continue
         shell = max(s for s in range(s_hi + 1) if p ** s <= k)
         row = k % npi
-        digit = pi_pow_reference(ring, k, u).rows[row][0]
+        digit = pi_pow_reference(ring, k, u).digits()[row][0]
         key = tuple(x and (x - 1) % qm1 + 1 for x in u)
         acc = shells[shell - s_lo].setdefault(key, [0] * npi)
         acc[row] = (acc[row] + digit) % ring.pN

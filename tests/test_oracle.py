@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,12 +15,12 @@ import pytest
 import unitroots
 
 from unitroots.errors import TooLarge
-from unitroots.ffield import (FField, field, multiplicative_generator, primitive_poly,
-                              root_log)
+from unitroots.ffield import (FField, discrete_log, field, multiplicative_generator,
+                              primitive_poly, root_log)
 from unitroots.gfpoly import X, find_irreducible, rem
 from unitroots.hyperg import LaurentSpec
 from unitroots import oracle
-from unitroots.battery import BATTERY
+from unitroots.battery import BATTERY, DEGENERATE_BATTERY
 from unitroots.oracle import (FqTower, _char_sum_slow, _trace_table, char_sum,
                               char_sum_table, embed_and_estimate, orbit_degree)
 from unitroots.padic import horner, zeta_p
@@ -123,7 +124,7 @@ def test_embed_and_estimate_kloosterman(ring3):
         if prev is not None:
             assert v > prev
         prev = v
-    assert est.ratios[-1].rows == ((16,), (0,))
+    assert est.ratios[-1].digits() == [[16], [0]]
 
 
 def test_fast_path_matches_slow_path():
@@ -357,6 +358,62 @@ def test_primitive_poly_root_has_full_order():
             seen.add(x)
             x = F.mul(x, s)
         assert x == F.one() and len(seen) == R, (p, deg)
+
+
+def _walked_logs(spec, tower):
+    """The logs of spec's coefficients to base rho, the tower's root of h in
+    the presentation field, by a walk over all powers of rho."""
+    pres = FField(spec.p, oracle._presentation_modulus(spec))
+    rho = pres.pow(multiplicative_generator(pres), root_log(pres, tower.h))
+    walk, x = {}, pres.one()
+    for j in range(spec.p ** tower.base_degree - 1):
+        walk[x] = j
+        x = pres.mul(x, rho)
+    return tuple(walk.get(pres.elem(c)) for c in spec.coeffs)
+
+
+def test_tower_logs_match_a_walk():
+    # every battery case, and base degrees up to 6: the generator t of
+    # F_{p^m}, a seeded element of it and a zero coefficient
+    rng = random.Random(31)
+    specs = [LaurentSpec(ExponentSet(len(c["A"][0]), c["A"]), c["p"],
+                         c["field_degree"], c["epsilon"], c["coeffs"])
+             for c in BATTERY + DEGENERATE_BATTERY]
+    for p, m in itertools.product((2, 3, 5), range(1, 7)):
+        if p ** m < 5000:
+            elem = tuple(rng.randrange(p) for _ in range(m))
+            specs.append(LaurentSpec(TRIANGLE, p, m, 1, ((0, 1)[:m], elem, (0,))))
+    for spec in specs:
+        tower = FqTower(spec)
+        assert tower.logs == _walked_logs(spec, tower), (spec.p, spec.m, spec.coeffs)
+    assert tower.base_degree == 5 and tower.logs[2] is None
+
+
+def test_discrete_log_product_bound(monkeypatch):
+    # at most 2 ceil(sqrt(R)) + 1 field products per log (F.mul, and F.pow
+    # for the one inversion), counted on the elements of F_{3^6}, R = 728
+    F = field(3, 6)
+    R, g = F.size - 1, multiplicative_generator(F)
+    M = math.isqrt(R - 1) + 1
+    # R - 1 takes the last giant step, i = M - 1
+    exps = [0, 1, M - 1, M, R - 1] + random.Random(6).sample(range(R), 60)
+    targets = [(j, F.pow(g, j)) for j in exps]
+    # a base of smaller order: the generator of F_9^* inside F_{3^6}
+    rho = F.pow(g, R // 8)
+    products = collections.Counter()
+    for name in ("mul", "pow"):
+        def counted(self, *args, _f=getattr(FField, name)):
+            products["all"] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(FField, name, counted)
+    for j, x in targets:
+        products.clear()
+        assert discrete_log(F, g, R, x) == j
+        assert products["all"] <= 2 * M + 1, j
+    assert discrete_log(F, g, R, F.zero()) is None
+    assert discrete_log(F, rho, 8, F.pow(rho, 5)) == 5
+    with pytest.raises(ValueError):
+        discrete_log(F, rho, 8, g)
 
 
 def test_embedding_is_additive():

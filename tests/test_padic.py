@@ -1,6 +1,7 @@
 """Truncated ring arithmetic: construction, lifts, roots of unity, valuation."""
 
 import gc
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -64,9 +65,9 @@ def test_teichmueller_examples(ring3):
     # 2 in F_3 lifts to the order-2 root of unity, i.e. -1
     assert teichmueller(ring3, (2,)) == ring3.from_int(-1)
     r33 = make_ring(3, 1, None, 3)
-    assert teichmueller(r33, (2,)).rows[0][0] == 26
+    assert teichmueller(r33, (2,)).slots[0] == 26
     r5 = make_ring(5, 1, None, 2)
-    assert teichmueller(r5, (2,)).rows[0][0] == 7
+    assert teichmueller(r5, (2,)).slots[0] == 7
     assert teichmueller(ring3, (0,)).is_zero()
 
 
@@ -80,8 +81,8 @@ def test_teichmueller_fixed_point(p, m, N):
     for xbar in itertools.product(range(p), repeat=m):
         t = teichmueller(ring, xbar)
         assert t ** (p ** m) == t, xbar
-        assert tuple(c % p for c in t.rows[0]) == xbar
-        assert not any(any(r) for r in t.rows[1:])
+        assert tuple(c % p for c in t.digits()[0]) == xbar
+        assert not any(t.slots[m:])
 
 
 def test_teichmueller_multiplicative(rng):
@@ -91,7 +92,7 @@ def test_teichmueller_multiplicative(rng):
             a = [rng.randrange(p) for _ in range(m)]
             b = [rng.randrange(p) for _ in range(m)]
             ab_bar = ring.from_tpoly(a) * ring.from_tpoly(b)
-            ab = tuple(c % p for c in ab_bar.rows[0])
+            ab = tuple(c % p for c in ab_bar.digits()[0])
             assert teichmueller(ring, a) * teichmueller(ring, b) == \
                 teichmueller(ring, ab)
 
@@ -130,10 +131,10 @@ def test_zeta_p_memo_keeps_no_ring():
         before = rings()
         first, second = make_ring(5, 2, None, 7), make_ring(5, 2, None, 7)
         assert first is not second and first.key == second.key
-        padic._ZETA_ROWS.pop(first.key, None)
+        padic._ZETA_SLOTS.pop(first.key, None)
         z1, z2 = zeta_p(first), zeta_p(second)
         assert z1 == z2 and z2.spec is second
-        assert first.key in padic._ZETA_ROWS
+        assert first.key in padic._ZETA_SLOTS
         del first, second, z1, z2
         assert rings() == before
     finally:
@@ -208,7 +209,7 @@ def test_inverse_of_every_residue_m2(p, rng):
 
 def test_divide_exact_p(ring3):
     x = ring3.from_int(18)
-    assert x.divide_exact_p(1).rows[0][0] == 6
+    assert x.divide_exact_p(1).slots[0] == 6
     with pytest.raises(NonUnitDivision):
         ring3.from_int(2).divide_exact_p(1)
 
@@ -237,7 +238,7 @@ def test_pi_pow_over_factorials(ring3):
 def test_reduce_to(ring3):
     low = make_ring(3, 1, None, 2)
     x = ring3.from_int(77)
-    assert x.reduce_to(low).rows[0][0] == 77 % 9
+    assert x.reduce_to(low).slots[0] == 77 % 9
 
 
 def test_digit_serialization(ring3):
@@ -245,6 +246,38 @@ def test_digit_serialization(ring3):
     digs = x.digits()
     assert digs == [[5], [11]]
     assert RingElem(ring3, digs) == x
+
+
+def test_digit_matrix_constructor_validates(ring3):
+    # entries are read through operator.index: numpy integers pass and are
+    # stored as Python ints; floats, strings and other shapes raise
+    x = RingElem(ring3, np.array([[7], [-1]], dtype=np.int64))
+    assert x.slots == (7, 80) and all(type(c) is int for c in x.slots)
+    for bad in ([[1.5], [0]], [["7"], [0]], [[1], [0], [0]], [[1, 0], [0, 0]],
+                [1, 0]):
+        with pytest.raises(ValueError):
+            RingElem(ring3, bad)
+
+
+def test_ring_elem_has_one_storage(ring3):
+    # the flat slots are the only storage, and the digit-matrix constructor
+    # takes no flag that skips its validation
+    assert RingElem.__slots__ == ("spec", "slots")
+    assert not hasattr(ring3.one(), "rows")
+    assert list(inspect.signature(RingElem).parameters) == ["spec", "digits"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_ring_array_round_trip(p, m):
+    # ring arrays and elements share the slot order j*m + s of RingSpec.law
+    spec = make_ring(p, m, None, 4)
+    X = np.random.default_rng(p * 10 + m).integers(0, spec.pN, (9, spec.npi, m))
+    elems = padic.ring_elems(spec, X)
+    assert np.array_equal(padic.ring_array(elems), X)
+    for x, block in zip(elems, X):
+        assert x.slots == tuple(block.ravel().tolist())
+        assert x == RingElem(spec, block)
 
 
 # --- integer pi-orders, property-based -------------------------------------
@@ -278,6 +311,15 @@ def test_order_laws(key, data):
                      data.draw(st.integers(1, 6)))
     val = x.valuation()
     assert x.val_at_least(bound) == (val is None or val >= bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RING_KEYS, st.data())
+def test_subtraction_adds_the_negative(key, data):
+    ring = RINGS[key]
+    x, y = data.draw(ring_elems(ring)), data.draw(ring_elems(ring))
+    assert x - y == x + (-y)
+    assert (x - y) + y == x and -(-x) == x
 
 
 @settings(max_examples=150, deadline=None)

@@ -30,8 +30,14 @@ route A's refusal, its last step below its first), and a digit grid
 targets.  Route C's windows shrink most at high precision, which the jobs
 reach only at N = 8, so it also dumps a route-C grid (`route_c_entries`):
 routes B and C at N = 12 on the triangle and edge cases, the route-C record
-without `gemm_madds` and route B's unit root.  Prints each report, series,
-padic, oracle, route-A, digit or route-C entry that differs, with the dotted
+without `gemm_madds` and route B's unit root.  The jobs reach the scalar
+ring (`RingElem`) only at N = 4, 8 and 12, so it also dumps a ring grid
+(`ring_entries`): seeded elements' digits, orders, sums, differences,
+products, powers and inverses, with `teichmueller`, `reduce_to`,
+`divide_exact_p` and `newton_root`, at p in {2, 3, 5}, m in {1, 2} and
+N in {1, 4, 8, 20}, from public API alone, so that a tree that stores
+elements another way runs it too.  Prints each report, series, padic,
+oracle, route-A, digit, route-C or ring entry that differs, with the dotted
 key paths that were added (`+`), removed (`-`) or changed (`~`) in it (a
 list is one value), then how many entries each path moved in, then the
 matches per kind; exits 1 if any entry differs, else 0.
@@ -272,10 +278,55 @@ def route_c_entries():
             for cid in ROUTE_C_CASES}
 
 
+def ring_entries():
+    """{name: outcome} for the ring grid, from the tree on the path: at
+    p in {2, 3, 5}, m in {1, 2} and N in {1, 4, 8, 20}, seeded units times
+    pi^0, pi^0, pi^1, pi^(p-1) and pi^(N(p-1) - 1), then p times the first
+    and 0.  For each element x, with y the next one: the digits of x, -x,
+    x + y, x - y, x y, x^5, x's inverse, (p x) / p (divide_exact_p) and x
+    at precision ceil(N/2) (reduce_to), x's order, valuation and is_unit,
+    each an outcome of its own; and per ring the Teichmueller lifts of
+    every residue of F_p and of t, and the root of z^(p^m) - z that
+    newton_root lifts from the first element."""
+    import random
+    from unitroots.padic import RingElem, make_ring, newton_root, teichmueller
+    out = {}
+    for p, m, N in itertools.product((2, 3, 5), (1, 2), (1, 4, 8, 20)):
+        ring, rng = make_ring(p, m, None, N), random.Random(100 * p + 10 * m + N)
+        low = make_ring(p, m, None, -(-N // 2))
+
+        def unit():
+            digits = [[rng.randrange(ring.pN) for _ in range(m)]
+                      for _ in range(ring.npi)]
+            digits[0][0] += rng.randrange(1, p) - digits[0][0] % p
+            return RingElem(ring, digits)
+
+        xs = [unit() * ring.pi() ** k
+              for k in (0, 0, 1, p - 1, N * (p - 1) - 1)]
+        xs += [xs[0] * p, ring.zero()]
+        for i, (x, y) in enumerate(zip(xs, xs[1:] + xs[:1])):
+            ops = {"x": x.digits, "neg": lambda: (-x).digits(),
+                   "add": lambda: (x + y).digits(), "sub": lambda: (x - y).digits(),
+                   "mul": lambda: (x * y).digits(), "pow5": lambda: (x ** 5).digits(),
+                   "inverse": lambda: x.inverse().digits(),
+                   "divide_exact_p": lambda: (x * p).divide_exact_p(1).digits(),
+                   "reduce_to": lambda: x.reduce_to(low).digits(),
+                   "order": x.order, "valuation": lambda: str(x.valuation()),
+                   "is_unit": x.is_unit}
+            out[f"p{p}:m{m}:N{N}:x{i}"] = {k: outcome(f) for k, f in ops.items()}
+        residues = [(a,) for a in range(p)] + [(0, 1)[:m]]
+        out[f"p{p}:m{m}:N{N}:teichmueller"] = [
+            outcome(lambda: teichmueller(ring, r).digits()) for r in residues]
+        q = p ** m
+        out[f"p{p}:m{m}:N{N}:newton_root"] = outcome(
+            lambda: newton_root([0, -1] + [0] * (q - 2) + [1], xs[0]).digits())
+    return out
+
+
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
-    jobs and the series, padic, oracle, route-A, digit and route-C grids,
-    run by the tree on the path."""
+    jobs and the series, padic, oracle, route-A, digit, route-C and ring
+    grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -285,6 +336,7 @@ def dump(jobs):
     out.update((f"route_a:{name}", value) for name, value in route_a_entries().items())
     out.update((f"digits:{name}", value) for name, value in digit_entries().items())
     out.update((f"route_c:{name}", value) for name, value in route_c_entries().items())
+    out.update((f"ring:{name}", value) for name, value in ring_entries().items())
     return {"entries": out, "garbage": garbage}
 
 
@@ -354,7 +406,8 @@ def main(argv):
         print(f"{mark} {path}: {count} entries")
     kinds = {"series": "series entries", "padic": "padic entries",
              "oracle": "oracle entries", "route_a": "route-A entries",
-             "digits": "digit_solutions entries", "route_c": "route-C entries"}
+             "digits": "digit_solutions entries", "route_c": "route-C entries",
+             "ring": "ring entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
