@@ -57,10 +57,10 @@ the same rule: a slot product added to a reduced residue fits, and past
 the rule ring_array_mul raises PrecisionTooLow.  With it the kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
 products (kernel_sweep) and kept as two arrays, its points and its
-coefficients (KernelTable), from which one_step_matrix gathers by flat
-index; route B scales its vector by the normalizer's inverse, and route C
-multiplies its polynomials in T, the first-return factors and the
-L-function's alike, in a product tree (_series_product).
+coefficients (KernelTable), from which the one-step matrices are gathered
+by flat index; route B cross-multiplies its vectors by their X^0 terms,
+and route C multiplies its polynomials in T, the first-return factors and
+the L-function's alike, in a product tree (_series_product).
 bigF_coefficient and one_step_dual stay the scalar reference paths, and
 pair_products_reference, in Python integers, folds by its own encoding of
 the law, _fold.
@@ -73,7 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MultipleUnitRoots, NoConvergence, NoUnitRoot, OutsideM
+from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoot, OutsideM
 from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
@@ -213,10 +213,11 @@ class XSeries:
 class OperatorData:
     """Shared tables for one (A, lambda-bar, ring) instance.
 
-    Holds the Teichmueller orbit, splitting series, memoized kernel
-    coefficients and the weight-truncated basis (enumerated here unless the
-    caller passes it), plus the one-step matrices of the operator and its
-    dual as integer tensors.
+    Holds the Teichmueller orbit, splitting series and the weight-truncated
+    basis (enumerated here unless the caller passes it), and keeps two
+    things: the kernel table of each orbit point and route B's LeftLimbs of
+    each transposed one-step matrix.  One-step matrices are gathered from
+    the tables on every call and not kept.
     """
 
     def __init__(self, spec, W, ring, wmax, s_cut=None, basis=None):
@@ -230,7 +231,6 @@ class OperatorData:
         self.s_cut = default_s_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}
-        self._onestep = {}
         self._dual = {}
 
     def kernel_table(self, oi):
@@ -241,39 +241,39 @@ class OperatorData:
                                              self.ring, self.sc, self.s_cut)
         return self._btables[oi]
 
-    def one_step_matrix(self, oi):
-        """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu).
-
-        The gather reads the kernel table's arrays through one flat index
-        per (omega, nu).  Every p*omega - nu lies in the box lo <= mu < lo +
-        box, lo = p*min - max and box = (p+1)(max - min) + 1 per coordinate,
-        min and max the basis's extremes there; an index over that box holds
-        each table point's row and the zero row elsewhere.  Its flat index
-        is a row term of omega minus a column term of nu, so no (omega, nu)
-        needs a range test.  The index has prod((p+1)(max - min) + 1) int32
-        entries, whatever the table's size: for n = 3 that is about the cube
-        of (p+1)(max - min), 4 MB when (p+1)(max - min) is 100 in every
-        coordinate.
+    def _gather_index(self, oi):
+        """(vals, dense, r, c) of orbit point oi: the kernel table's
+        coefficients and a zero row, and a flat index over a box, with
+        B(p*omega - nu) = vals[dense[r - c]], r the row terms of omega and c
+        the column terms of nu.  Every p*omega - nu lies in the box lo <= mu
+        < lo + box, lo = p*min - max and box = (p+1)(max - min) + 1 per
+        coordinate, min and max the basis's extremes there, so no (omega,
+        nu) needs a range test.  dense holds each table point's row and the
+        zero row elsewhere: prod((p+1)(max - min) + 1) int32 entries,
+        whatever the table's size, for n = 3 about the cube of (p+1)(max -
+        min), 4 MB when that is 100 in every coordinate.
         """
-        if oi not in self._onestep:
-            ring = self.ring
-            table = self.kernel_table(oi)
-            basis = np.array(self.basis, dtype=np.int64)
-            top = ring.p * basis
-            lo = top.min(axis=0) - basis.max(axis=0)
-            box = top.max(axis=0) - basis.min(axis=0) - lo + 1
-            stride = np.cumprod(np.append(1, box[:0:-1]))[::-1]  # C order
-            keys = table.points - lo
-            inside = ((keys >= 0) & (keys < box)).all(axis=1)
-            miss = len(table)  # row of the zero entry
-            dense = np.full(int(box.prod()), miss, dtype=np.int32)
-            dense[keys[inside] @ stride] = np.flatnonzero(inside)
-            vals = np.concatenate([table.coeffs, np.zeros(
-                (1,) + table.coeffs.shape[1:], dtype=table.coeffs.dtype)])
-            idx = dense[((top - lo) @ stride)[:, None] - (basis @ stride)[None, :]]
-            # np.take copies whole rows, several times faster than vals[idx]
-            self._onestep[oi] = np.take(vals, idx, axis=0)
-        return self._onestep[oi]
+        table = self.kernel_table(oi)
+        basis = np.array(self.basis, dtype=np.int64)
+        top = self.ring.p * basis
+        lo = top.min(axis=0) - basis.max(axis=0)
+        box = top.max(axis=0) - basis.min(axis=0) - lo + 1
+        stride = np.cumprod(np.append(1, box[:0:-1]))[::-1]  # C order
+        keys = table.points - lo
+        inside = ((keys >= 0) & (keys < box)).all(axis=1)
+        miss = len(table)  # row of the zero entry
+        dense = np.full(int(box.prod()), miss, dtype=np.int32)
+        dense[keys[inside] @ stride] = np.flatnonzero(inside)
+        vals = np.concatenate([table.coeffs, np.zeros(
+            (1,) + table.coeffs.shape[1:], dtype=table.coeffs.dtype)])
+        return vals, dense, (top - lo) @ stride, basis @ stride
+
+    def one_step_matrix(self, oi):
+        """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu),
+        gathered from the kernel table (_gather_index) on every call."""
+        vals, dense, r, c = self._gather_index(oi)
+        # np.take copies whole rows, several times faster than vals[idx]
+        return np.take(vals, dense[r[:, None] - c[None, :]], axis=0)
 
     def full_matrix(self):
         """Composed operator: one-step at orbit index 0 applied first."""
@@ -289,18 +289,17 @@ class OperatorData:
     def dual_cycle(self, vec):
         """One full dual cycle applied to a coefficient tensor (dim, p-1, m).
 
-        Each one-step matrix's transpose is cut into its LeftLimbs once, on
-        the first cycle, and every later cycle reuses them; the matrix itself
-        is then dropped, so a caller that wants full_matrix as well composes
-        it first (one_step_matrix would gather it again from the kernel
-        table).  The runner does so by running route C before route B.
+        Each one-step matrix is gathered already transposed, entry (nu,
+        omega) = B(p*omega - nu), C-contiguous, so left_limbs lays it out
+        with no copy; it is cut into its LeftLimbs on the first cycle, and
+        every later cycle reuses them.
         """
         col = vec[:, None]
         for oi in range(self.orbit_len - 1, -1, -1):
             if oi not in self._dual:
+                vals, dense, r, c = self._gather_index(oi)
                 self._dual[oi] = left_limbs(
-                    self.ring, np.swapaxes(self.one_step_matrix(oi), 0, 1))
-                del self._onestep[oi]
+                    self.ring, np.take(vals, dense[r[None, :] - c[:, None]], axis=0))
             col = _pair_products(self.ring, self._dual[oi], col)
         return col[:, 0]
 
@@ -873,35 +872,43 @@ def power_iteration_budget(ring, D):
 def power_iteration_unit_root(odata):
     """Unit eigenvalue and fixed vector of the dual of odata's operator.
 
-    Starting from the delta vector at X^0, apply the full orbit cycle M and
-    divide by the X^0 coefficient c (a unit), until the normalized vector v
-    and c both repeat mod p^N, within power_iteration_budget cycles.  That
-    stop is a certificate: a repeated v gives M v = c v with v_0 = 1, so
-    det(M - c) = 0 mod p^N (multiply by the adjugate).  Every eigenvalue of
-    M but the unit root u is a non-unit, so its difference from c is a
-    unit, and ord(c - u) = ord det(M - c) >= N.  A repeated v makes the
-    next c repeat, so the second condition costs at most one cycle; it
-    keeps the last normalizer difference None.  A repeated c alone proves
-    nothing: at p = 2 the normalizers can repeat before they converge.  The
-    orders of successive normalizer differences are returned for the
-    contraction diagnostics.
+    Apply the full orbit cycle M to the delta vector at X^0, keeping
+    v_k = M^k e_0 and its X^0 coefficient a_k (a_0 = 1), a unit or
+    NonUnitDivision.  Stop, within power_iteration_budget cycles, when the
+    normalizer c_k = a_k/a_(k-1) and the normalized vector v_k/a_k both
+    repeat mod p^N, tested by cross-multiplying: a_k a_(k-2) = a_(k-1)^2,
+    then v_k a_(k-1) = v_(k-1) a_k.  Only the stop K inverts: c = a_K/a_(K-1)
+    and the eigenvector v_K/a_K.  That stop is a certificate: w =
+    v_(K-1)/a_(K-1) has M w = c w with w_0 = 1, so det(M - c) = 0 mod p^N
+    (multiply by the adjugate).  Every eigenvalue of M but the unit root u
+    is a non-unit, so its difference from c is a unit, and ord(c - u) =
+    ord det(M - c) >= N.  A repeated vector makes the next c repeat, so the
+    second condition costs at most one cycle; it keeps the last normalizer
+    difference None.  A repeated c alone proves nothing: at p = 2 the
+    normalizers can repeat before they converge.  The orders ord(c_(k+1) -
+    c_k) = ord(a_(k+1) a_(k-1) - a_k^2) are returned for the diagnostics.
     """
     ring = odata.ring
     vec = np.zeros((len(odata.basis), ring.npi, ring.m), dtype=np.int64)
     vec[0, 0, 0] = 1
     assert not any(odata.basis[0])
     budget = power_iteration_budget(ring, odata.W.D)
-    normalizers = []
+    a = [ring.one()]
+    diffs = []
     for cycle in range(1, budget + 1):
         prev, vec = vec, odata.dual_cycle(vec)
-        c = ring_elems(ring, vec[0])[0]
-        vec = ring_array_mul(ring, vec, ring_array([c.inverse()])[0])
-        normalizers.append(c)
-        if (len(normalizers) >= 2 and (c - normalizers[-2]).is_zero()
-                and np.array_equal(vec, prev)):
-            diffs = [(b - a).valuation() for a, b in zip(normalizers, normalizers[1:])]
-            return PowerIterationResult(c, _vec_to_xseries(odata, vec),
-                                        diffs, cycle, budget)
+        a.append(ring_elems(ring, vec[0])[0])
+        if not a[-1].is_unit():
+            raise NonUnitDivision("element is not a unit")
+        if cycle < 2:
+            continue
+        diffs.append((a[-1] * a[-3] - a[-2] * a[-2]).valuation())
+        if diffs[-1] is None and np.array_equal(
+                ring_array_mul(ring, vec, ring_array([a[-2]])[0]),
+                ring_array_mul(ring, prev, ring_array([a[-1]])[0])):
+            vec = ring_array_mul(ring, vec, ring_array([a[-1].inverse()])[0])
+            return PowerIterationResult(a[-1] * a[-2].inverse(),
+                                        _vec_to_xseries(odata, vec), diffs, cycle, budget)
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
 
 

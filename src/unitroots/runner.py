@@ -344,8 +344,6 @@ def run(config):
                 "terms": res.terms,
             }
 
-    # route C composes the orbit before route B's dual cycles drop the
-    # one-step matrices
     if "C" in tensor_routes:
         with attempt("C", "route_c_ms"):
             P, u = dwork.fredholm_unit_root(odata.full_matrix())

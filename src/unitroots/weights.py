@@ -5,8 +5,11 @@ A together with the origin and the cone C is generated by A.  The weight of
 a lattice point nu in C is the least c >= 0 with nu in c*polytope; it is
 computed as the maximum of the facet forms normalized to 1 on the facets
 missing the origin.  Cone membership uses the facets through the origin.
-Everything is Fraction-exact; dimensions of interest are small, so facet
-search is a brute-force scan over point subsets.
+The integer Hermite form (_hnf_transform) alone reduces the lattice: the
+rank of A, each hyperplane through n points (a saturated, so primitive,
+kernel), the lineality and the relation lattices.  Fractions appear only in
+the views facet_forms and weight and in weight_definitional's reference
+solver.  Dimensions are small: facet search scans the point subsets.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -33,7 +36,8 @@ class ExponentSet:
             raise ValueError("exponent vectors have inconsistent dimension")
         if len(set(vecs)) != len(vecs):
             raise ValueError("duplicate exponent vectors")
-        if len(_rref(vecs, self.n)[1]) < self.n:
+        H, _ = _hnf_transform(vecs)
+        if sum(any(r) for r in H) < self.n:
             raise NotSpanning(f"exponents do not span R^{self.n}")
 
 
@@ -47,7 +51,8 @@ class WeightData:
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form over Q: (matrix, pivot columns)."""
+    """Reduced row echelon form over Q: (matrix, pivot columns), for the
+    definitional reference's solver, _solve_nonneg."""
     mat = [[Fraction(c) for c in r] for r in rows]
     pivots = []
     for col in range(ncols):
@@ -64,22 +69,6 @@ def _rref(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
     return mat, pivots
-
-
-def _nullspace_1d(rows, ncols):
-    """One integer basis vector of the nullspace if it is 1-dimensional."""
-    mat, pivots = _rref(rows, ncols)
-    if ncols - len(pivots) != 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -mat[r][free]
-    den = lcm(*(f.denominator for f in vec))
-    ints = [int(f * den) for f in vec]
-    g = gcd(*(abs(c) for c in ints))
-    return [c // g for c in ints]
 
 
 def _hnf_transform(mat):
@@ -144,12 +133,12 @@ def build_weight_data(A):
     cone_facets = []
     seen = set()
     for subset in itertools.combinations(pts, n):
-        # hyperplane g.x = c through the subset: nullspace of [x | -1]
-        rows = [list(x) + [-1] for x in subset]
-        sol = _nullspace_1d(rows, n + 1)
-        if sol is None:
+        # hyperplane g.x = c through the subset: the kernel of [x | -1],
+        # saturated, so (g, c) is primitive
+        sol = _integer_kernel([list(x) + [-1] for x in subset], n + 1)
+        if len(sol) != 1:
             continue
-        g, c = sol[:n], sol[n]
+        g, c = sol[0][:n], sol[0][n]
         vals = [sum(gi * xi for gi, xi in zip(g, x)) for x in pts]
         if all(v <= c for v in vals):
             pass

@@ -28,10 +28,10 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              check_product_precision, product_limbs,
                              ring_array_mul, splitting_coefficients,
                              unit_root_of_poly)
-from unitroots.errors import (MultipleUnitRoots, NoUnitRoot, OutsideM,
+from unitroots.errors import (MultipleUnitRoots, NonUnitDivision, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
-from unitroots.padic import RingElem, make_ring, teichmueller
+from unitroots.padic import RingElem, make_ring, ring_array, teichmueller
 from unitroots.runner import JobConfig, default_wmax, run
 from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
                                 law_mismatch, limb_boundaries,
@@ -297,6 +297,118 @@ def test_fredholm_composition_order_pinned():
     assert u.digits()[0] == [13, 0]
     res = power_iteration_unit_root(od)
     assert res.u.digits()[0] == [13, 0]
+
+
+CERTIFICATE_JOB = {"p": 2, "A": [[-1], [1], [2]], "coeffs": [[1], [1], [1]],
+                   "precision": 4}
+ROUTE_B_JOBS = {"certificate": CERTIFICATE_JOB} | {
+    cid: job_dict({c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}[cid])
+    for cid in ("p3-kloosterman", "p3-triangle", "p5-edge-degenerate",
+                "p2-kloosterman-f4")}
+
+
+def job_operator(cfg):
+    # the runner's operator for a job config
+    spec = JobConfig.from_dict(cfg).laurent_spec()
+    W = build_weight_data(spec.A)
+    ring = make_ring(spec.p, spec.m, spec.field_poly, cfg["precision"])
+    return OperatorData(spec, W, ring, default_wmax(ring, W.D))
+
+
+def divide_every_cycle(odata):
+    # route B as it was: normalize by the X^0 coefficient's inverse each
+    # cycle, stop when the normalizer and the normalized vector repeat
+    ring = odata.ring
+    vec = np.zeros((len(odata.basis), ring.npi, ring.m), dtype=np.int64)
+    vec[0, 0, 0] = 1
+    normalizers = []
+    for cycle in range(1, power_iteration_budget(ring, odata.W.D) + 1):
+        prev, vec = vec, odata.dual_cycle(vec)
+        c = RingElem(ring, vec[0])
+        vec = ring_array_mul(ring, vec, ring_array([c.inverse()])[0])
+        normalizers.append(c)
+        if len(normalizers) >= 2 and c == normalizers[-2] and np.array_equal(vec, prev):
+            rows = np.flatnonzero(vec.any(axis=(-2, -1)))
+            support = {odata.basis[i]: RingElem(ring, vec[i]) for i in rows}
+            diffs = [(b - a).valuation() for a, b in zip(normalizers, normalizers[1:])]
+            return c, support, diffs, cycle
+    raise AssertionError("no stop within the budget")
+
+
+@pytest.mark.parametrize("name", ROUTE_B_JOBS)
+def test_power_iteration_divides_once(name):
+    # cross-multiplying gives the unit root, eigenvector, normalizer
+    # differences and cycle count of a loop that divides every cycle, with
+    # at most two inverses in all, and one tensor product per orbit point
+    # per cycle; p2-kloosterman-f4's orbit has two points
+    odata = job_operator(ROUTE_B_JOBS[name])
+    want = divide_every_cycle(odata)
+    with mock.patch.object(RingElem, "inverse", autospec=True,
+                           side_effect=RingElem.inverse) as inverse, \
+            mock.patch.object(dwork, "_pair_products",
+                              side_effect=dwork._pair_products) as products:
+        res = power_iteration_unit_root(odata)
+    assert (res.u, res.eigenvector.support, res.normalizer_diff_orders,
+            res.cycles) == want
+    assert inverse.call_count <= 2
+    assert products.call_count == odata.orbit_len * res.cycles
+    if name == "certificate":
+        assert res.u.digits() == [[1]] and res.cycles == 8
+    assert odata.orbit_len == (2 if name.endswith("f4") else 1)
+
+
+def test_power_iteration_non_unit_raises():
+    # an X^0 coefficient that is not a unit at cycle 2 is NonUnitDivision
+    # there, as the normalizer's inverse was
+    odata = job_operator(ROUTE_B_JOBS["p3-kloosterman"])
+    cycle, p = odata.dual_cycle, odata.ring.p
+    calls = []
+
+    def dual_cycle(vec):
+        calls.append(vec)
+        out = cycle(vec)
+        if len(calls) == 2:
+            out[0] = out[0] * p % odata.ring.pN
+        return out
+    odata.dual_cycle = dual_cycle
+    with pytest.raises(NonUnitDivision):
+        power_iteration_unit_root(odata)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cid", ["p3-triangle", "p2-kloosterman-f4"])
+def test_routes_share_an_operator_in_either_order(cid):
+    # route B before route C on one operator gives the digits of the usual
+    # order, and the operator keeps no one-step matrix
+    usual, swapped = job_operator(ROUTE_B_JOBS[cid]), job_operator(ROUTE_B_JOBS[cid])
+    P1, u1 = fredholm_unit_root(usual.full_matrix())
+    b1 = power_iteration_unit_root(usual)
+    b2 = power_iteration_unit_root(swapped)
+    P2, u2 = fredholm_unit_root(swapped.full_matrix())
+    assert (u1, P1.coeffs, b1.u, b1.eigenvector.support, b1.cycles) == \
+        (u2, P2.coeffs, b2.u, b2.eigenvector.support, b2.cycles)
+    assert u1 == b1.u
+    assert not hasattr(usual, "_onestep") and not hasattr(swapped, "_onestep")
+
+
+def test_dual_cycle_gathers_the_transpose():
+    # route B's operand at each orbit point is one_step_matrix(oi) transposed,
+    # entry for entry, and C-contiguous, so left_limbs lays it out in place
+    odata = job_operator(ROUTE_B_JOBS["p2-kloosterman-f4"])
+    assert odata.orbit_len == 2
+    seen, real = [], dwork.left_limbs
+
+    def capture(spec, A, plan=None):
+        seen.append(A)
+        return real(spec, A, plan)
+    with mock.patch.object(dwork, "left_limbs", capture):
+        odata.dual_cycle(np.zeros((len(odata.basis), odata.ring.npi, odata.ring.m),
+                                  dtype=np.int64))
+    # dual_cycle runs the orbit from its last point down to 0
+    assert len(seen) == 2
+    for oi, A in zip((1, 0), seen):
+        assert A.flags.c_contiguous
+        assert np.array_equal(A, odata.one_step_matrix(oi).swapaxes(0, 1))
 
 
 def test_newton_polygon_shapes(ring3):

@@ -1,12 +1,16 @@
 """Polytope weights: facet forms, cone membership, enumeration, properties."""
 
+import itertools
+import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
+from unitroots.battery import EXPONENT_SETS
 from unitroots.errors import NotSpanning, OutsideCone
-from unitroots.weights import (ExponentSet, build_weight_data,
-                               enumerate_weighted_monomials,
+from unitroots.weights import (ExponentSet, _integer_kernel, _rref,
+                               build_weight_data, enumerate_weighted_monomials,
                                relation_lattice_basis, scaled_weights,
                                weight, weight_definitional)
 
@@ -138,3 +142,93 @@ def test_relation_lattices():
     basis = relation_lattice_basis(TRIANGLE)
     assert len(basis) == 1 and tuple(abs(c) for c in basis[0]) == (1, 1, 1)
     assert relation_lattice_basis(((1,),)) == []
+
+
+SIMPLEX = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+
+
+def lattice_sets():
+    """The battery's exponent sets, the simplex, and 50 seeded draws of
+    distinct vectors in [-3, 3]^n, n <= 3: every fifth draw in the
+    hyperplane x_n = 0, so it spans only at n = 1 (and not at all there,
+    being {0}); the others spanning or not, dependent or not, as drawn."""
+    sets = list(EXPONENT_SETS.values()) + [SIMPLEX]
+    rng = random.Random(20261019)
+    for i in range(50):
+        n = rng.randint(1, 3)
+        vecs = {tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))}
+        if i % 5 == 0:
+            vecs = {v[:-1] + (0,) for v in vecs}
+        sets.append(tuple(sorted(vecs)))
+    return sets
+
+
+def _nullspace_1d(rows, ncols):
+    """One primitive integer basis vector of the nullspace, by Fraction row
+    reduction, if it is 1-dimensional."""
+    mat, pivots = _rref(rows, ncols)
+    if ncols - len(pivots) != 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    vec = [F(0)] * ncols
+    vec[free] = F(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -mat[r][free]
+    den = lcm(*(f.denominator for f in vec))
+    ints = [int(f * den) for f in vec]
+    g = gcd(*(abs(c) for c in ints))
+    return [c // g for c in ints]
+
+
+def reference_weight_data(A):
+    """(facet_forms, cone_facets, D, lineality_basis) with each hyperplane
+    through n points found by Fraction row reduction; the lineality lattice
+    is the cone facets' integer kernel, as in build_weight_data."""
+    n = A.n
+    pts = sorted(set(A.vectors) | {(0,) * n})
+    forms, cone = set(), set()
+    for subset in itertools.combinations(pts, n):
+        sol = _nullspace_1d([list(x) + [-1] for x in subset], n + 1)
+        if sol is None:
+            continue
+        g, c = sol[:n], sol[n]
+        vals = [sum(a * b for a, b in zip(g, x)) for x in pts]
+        if all(v >= c for v in vals):
+            g, c = [-a for a in g], -c
+        elif not all(v <= c for v in vals):
+            continue
+        if c == 0:
+            cone.add(tuple(g))
+        else:
+            forms.add(tuple(F(a, c) for a in g))
+    D = lcm(*(f.denominator for form in forms for f in form))
+    lineality = _integer_kernel([list(g) for g in cone], n)
+    return tuple(sorted(forms)), tuple(sorted(cone)), D, tuple(sorted(lineality))
+
+
+def test_lattice_sets_cover_the_cases():
+    # the draws hold spanning sets with more vectors than n (dependent ones),
+    # and non-spanning sets both shorter than n and of n or more vectors
+    rank = {vecs: len(_rref(vecs, len(vecs[0]))[1]) for vecs in lattice_sets()}
+    n = {vecs: len(vecs[0]) for vecs in rank}
+    assert any(rank[v] == n[v] < len(v) for v in rank)
+    assert any(rank[v] < n[v] <= len(v) for v in rank)
+    assert any(len(v) < n[v] for v in rank)
+    assert {n[v] for v in rank} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("vecs", lattice_sets())
+def test_hermite_form_matches_fraction_reduction(vecs):
+    # ExponentSet refuses exactly the sets of Fraction rank below n, and on
+    # the others build_weight_data's hyperplanes, read off saturated integer
+    # kernels, are those of Fraction row reduction
+    n = len(vecs[0])
+    if len(_rref(vecs, n)[1]) < n:
+        with pytest.raises(NotSpanning):
+            ExponentSet(n, vecs)
+        return
+    A = ExponentSet(n, vecs)
+    W = build_weight_data(A)
+    assert (W.facet_forms, W.cone_facets, W.D, W.lineality_basis) == \
+        reference_weight_data(A)

@@ -36,8 +36,15 @@ ring (`RingElem`) only at N = 4, 8 and 12, so it also dumps a ring grid
 products, powers and inverses, with `teichmueller`, `reduce_to`,
 `divide_exact_p` and `newton_root`, at p in {2, 3, 5}, m in {1, 2} and
 N in {1, 4, 8, 20}, from public API alone, so that a tree that stores
-elements another way runs it too.  Prints each report, series, padic,
-oracle, route-A, digit, route-C or ring entry that differs, with the dotted
+elements another way runs it too.  The jobs reach `weights` only through
+the battery's five exponent sets, so it also dumps a weight grid
+(`weight_entries`), from public API alone: on the battery's sets, the
+three-variable simplex and 50 seeded random sets in [-3, 3]^n, n <= 3 (the
+lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
+and lineality basis, `relation_lattice_basis`, and the basis at
+wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
+raises.  Prints each report, series, padic, oracle, route-A, digit, route-C,
+ring or weight entry that differs, with the dotted
 key paths that were added (`+`), removed (`-`) or changed (`~`) in it (a
 list is one value), then how many entries each path moved in, then the
 matches per kind; exits 1 if any entry differs, else 0.
@@ -323,10 +330,60 @@ def ring_entries():
     return out
 
 
+def lattice_sets():
+    """The exponent sets of the lattice tests (tests/test_weights.py): the
+    battery's, the simplex ((1,0,0),(0,1,0),(0,0,1),(-1,-1,-1)), and 50
+    seeded draws of distinct vectors in [-3, 3]^n, n <= 3, every fifth in
+    the hyperplane x_n = 0."""
+    import random
+    from unitroots.battery import EXPONENT_SETS
+    sets = list(EXPONENT_SETS.values()) + [((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                             (-1, -1, -1))]
+    rng = random.Random(20261019)
+    for i in range(50):
+        n = rng.randint(1, 3)
+        vecs = {tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))}
+        if i % 5 == 0:
+            vecs = {v[:-1] + (0,) for v in vecs}
+        sets.append(tuple(sorted(vecs)))
+    return sets
+
+
+WEIGHT_WMAX = ("0", "1/2", "3/2", "4", "7")
+
+
+def weight_record(vecs):
+    """build_weight_data's facet_forms (as strings), cone_facets, D and
+    lineality_basis, relation_lattice_basis, and the basis at each wmax of
+    WEIGHT_WMAX, for one exponent set."""
+    from fractions import Fraction
+    from unitroots.weights import (ExponentSet, build_weight_data,
+                                   enumerate_weighted_monomials,
+                                   relation_lattice_basis)
+    A = ExponentSet(len(vecs[0]), vecs)
+    W = build_weight_data(A)
+    rec = {"facet_forms": [list(map(str, form)) for form in W.facet_forms],
+           "cone_facets": W.cone_facets, "D": W.D,
+           "lineality_basis": W.lineality_basis,
+           "relation_lattice_basis": relation_lattice_basis(A)}
+    for wmax in WEIGHT_WMAX:
+        rec[f"basis:{wmax}"] = enumerate_weighted_monomials(W, Fraction(wmax))
+    return rec
+
+
+def weight_entries():
+    """{name: outcome} for the weight grid, from the tree on the path:
+    weight_record on every set of lattice_sets(), or the NotSpanning or
+    ValueError the set raises."""
+    return {f"{i}:{vecs}": outcome(lambda: weight_record(vecs))
+            for i, vecs in enumerate(lattice_sets())}
+
+
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
-    jobs and the series, padic, oracle, route-A, digit, route-C and ring
-    grids, run by the tree on the path."""
+    jobs and the series, padic, oracle, route-A, digit, route-C, ring and
+    weight grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -337,6 +394,7 @@ def dump(jobs):
     out.update((f"digits:{name}", value) for name, value in digit_entries().items())
     out.update((f"route_c:{name}", value) for name, value in route_c_entries().items())
     out.update((f"ring:{name}", value) for name, value in ring_entries().items())
+    out.update((f"weights:{name}", value) for name, value in weight_entries().items())
     return {"entries": out, "garbage": garbage}
 
 
@@ -407,7 +465,7 @@ def main(argv):
     kinds = {"series": "series entries", "padic": "padic entries",
              "oracle": "oracle entries", "route_a": "route-A entries",
              "digits": "digit_solutions entries", "route_c": "route-C entries",
-             "ring": "ring entries"}
+             "ring": "ring entries", "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
