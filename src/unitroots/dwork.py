@@ -53,14 +53,16 @@ transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
 through ring_array_mul, one multiply-add per pair of RingSpec.law, under
-the same rule: a slot product added to a reduced residue fits, and past
-the rule ring_array_mul raises PrecisionTooLow.  With it the kernel table
+the same rule: a slot product added to a reduced residue fits.  Past the
+rule padic.ring_array, which makes them from elements, raises
+PrecisionTooLow, and so does ring_array_mul.  With it the kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
 products (kernel_sweep) and kept as two arrays, its points and its
 coefficients (KernelTable), from which the one-step matrices are gathered
-by flat index; route B cross-multiplies its vectors by their X^0 terms,
-and route C multiplies its polynomials in T, the first-return factors and
-the L-function's alike, in a product tree (_series_product).
+by flat index; route B cross-multiplies its vectors by their X^0 terms
+and returns its eigenvector as a ring array on the basis, and route C
+multiplies its polynomials in T, the first-return factors and the
+L-function's alike, in a product tree (_series_product).
 bigF_coefficient and one_step_dual stay the scalar reference paths, and
 pair_products_reference, in Python integers, folds by its own encoding of
 the law, _fold.
@@ -121,7 +123,7 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     sums the last level's partials into their buckets, which are reduced
     mod p^N and kept where nonzero; the arrays are the table, with no
     RingElem per entry.  Entries are int64; past the int64 rule
-    ring_array_mul raises PrecisionTooLow.
+    ring_array raises PrecisionTooLow before the first product.
     """
     b = ring_array(sc.b[:s_cut + 1])
     partial = ring_array([ring.one()])
@@ -223,8 +225,7 @@ class OperatorData:
     def __init__(self, spec, W, ring, wmax, s_cut=None, basis=None):
         self.W = W
         self.ring = ring
-        self.wmax = Fraction(wmax)
-        self.basis = (enumerate_weighted_monomials(W, self.wmax) if basis is None
+        self.basis = (enumerate_weighted_monomials(W, wmax) if basis is None
                       else basis)
         self.orbit_len = spec.epsilon * orbit_degree(spec)
         self.lam_orbit = _teichmueller_orbit(spec, ring, self.orbit_len)
@@ -821,13 +822,6 @@ def _fold(spec, raw):
     return np.ascontiguousarray(np.moveaxis(raw[:npi, :m], (0, 1), (-2, -1)))
 
 
-def _vec_to_xseries(odata, vec):
-    """Route B's eigenvector: an element per nonzero row of vec, reduced."""
-    rows = np.flatnonzero(vec.any(axis=(-2, -1)))
-    return XSeries(dict(zip((odata.basis[i] for i in rows),
-                            ring_elems(odata.ring, vec[rows]))), odata.wmax)
-
-
 def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
     """Dual one-step operator on a B*-vector, dictionary path.
 
@@ -859,14 +853,14 @@ def one_step_dual(lam, xi, W, ring, sc, s_cut=None, lookup=None):
 @dataclass
 class PowerIterationResult:
     u: RingElem
-    eigenvector: XSeries
+    eigenvector: np.ndarray  # (dim, p-1, m), row i the coefficient of X^(-basis[i])
     normalizer_diff_orders: list
     cycles: int
     budget: int
 
 
 def power_iteration_budget(ring, D):
-    return math.ceil(ring.N * D * ring.p ** 2 / (ring.p - 1) ** 2) + 3
+    return -(-ring.N * D * ring.p ** 2 // (ring.p - 1) ** 2) + 3
 
 
 def power_iteration_unit_root(odata):
@@ -878,13 +872,13 @@ def power_iteration_unit_root(odata):
     normalizer c_k = a_k/a_(k-1) and the normalized vector v_k/a_k both
     repeat mod p^N, tested by cross-multiplying: a_k a_(k-2) = a_(k-1)^2,
     then v_k a_(k-1) = v_(k-1) a_k.  Only the stop K inverts: c = a_K/a_(K-1)
-    and the eigenvector v_K/a_K.  That stop is a certificate: w =
-    v_(K-1)/a_(K-1) has M w = c w with w_0 = 1, so det(M - c) = 0 mod p^N
-    (multiply by the adjugate).  Every eigenvalue of M but the unit root u
-    is a non-unit, so its difference from c is a unit, and ord(c - u) =
-    ord det(M - c) >= N.  A repeated vector makes the next c repeat, so the
-    second condition costs at most one cycle; it keeps the last normalizer
-    difference None.  A repeated c alone proves nothing: at p = 2 the
+    and the eigenvector v_K/a_K, a ring array on odata.basis.  That stop is
+    a certificate: w = v_(K-1)/a_(K-1) has M w = c w with w_0 = 1, so
+    det(M - c) = 0 mod p^N (multiply by the adjugate).  Every eigenvalue of
+    M but the unit root u is a non-unit, so its difference from c is a unit,
+    and ord(c - u) = ord det(M - c) >= N.  A repeated vector makes the next
+    c repeat, so the second condition costs at most one cycle; it keeps the
+    last normalizer difference None.  A repeated c alone proves nothing: at p = 2 the
     normalizers can repeat before they converge.  The orders ord(c_(k+1) -
     c_k) = ord(a_(k+1) a_(k-1) - a_k^2) are returned for the diagnostics.
     """
@@ -907,8 +901,8 @@ def power_iteration_unit_root(odata):
                 ring_array_mul(ring, vec, ring_array([a[-2]])[0]),
                 ring_array_mul(ring, prev, ring_array([a[-1]])[0])):
             vec = ring_array_mul(ring, vec, ring_array([a[-1].inverse()])[0])
-            return PowerIterationResult(a[-1] * a[-2].inverse(),
-                                        _vec_to_xseries(odata, vec), diffs, cycle, budget)
+            return PowerIterationResult(a[-1] * a[-2].inverse(), vec, diffs,
+                                        cycle, budget)
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
 
 

@@ -32,14 +32,15 @@ splitting series theta(t) = exp(pi(t - t^p)) (splitting_coefficients) and
 for route A's sums.  Its factorial unit parts come as inverses, from the
 one prefix table of FactorialUnits, by the generalized Wilson theorem.
 Arrays of residues are int64 only under the one int64 rule,
-(p^N - 1)^2 + p^N < 2^63 (int64_exact, check_product_precision).  The
-primitive p-th root of unity is theta(1) (zeta_p), Dwork's additive
-character, with zeta == 1 + pi (mod pi^2).
+(p^N - 1)^2 + p^N < 2^63 (int64_exact, check_product_precision), and
+ring_array, the one way from elements into int64 ring arrays, raises
+PrecisionTooLow past it.  The primitive p-th root of unity is theta(1)
+(zeta_p), Dwork's additive character, with zeta == 1 + pi (mod pi^2).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import isqrt
 from operator import index
 
 import numpy as np
@@ -306,8 +307,11 @@ def valuation(x):
 
 
 def ring_array(elems):
-    """int64 ring array (n, p-1, m) of n >= 1 elements of one ring."""
+    """int64 ring array (n, p-1, m) of n >= 1 elements of one ring; the one
+    bridge into ring arrays, so PrecisionTooLow past the int64 rule
+    (check_product_precision), where residues no longer fit."""
     spec = elems[0].spec
+    check_product_precision(spec.pN)
     return np.array([x.slots for x in elems], dtype=np.int64).reshape(-1, spec.npi, spec.m)
 
 
@@ -569,7 +573,7 @@ def splitting_coefficients(ring, imax):
 def default_s_cut(ring):
     """Kernel-sum cutoff making every omitted term vanish mod p^N; route A
     starts its series degree cap at the same value."""
-    return ceil(ring.N * ring.p ** 2 / (ring.p - 1))
+    return -(-ring.N * ring.p ** 2 // (ring.p - 1))
 
 
 def powers(x, e):

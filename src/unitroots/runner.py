@@ -9,6 +9,7 @@ kernel table comes from the sweep: no job reads or writes a cache.
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,10 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import dwork, hyperg, oracle, weights
-from .errors import (CacheUnwritable, ConfigInvalid, PrecisionTooLow,
-                     UnitRootError)
-from .padic import RingElem, agreement, make_ring
+from .errors import CacheUnwritable, ConfigInvalid, UnitRootError
+from .padic import RingElem, agreement, make_ring, ring_elems
 
 SCHEMA_VERSION = 1
 ROUTES = ("A", "B", "C", "oracle")
@@ -304,17 +306,9 @@ def run(config):
         "power_iteration_budget": dwork.power_iteration_budget(ring, W.D),
     }
 
-    # routes B and C share one operator at N; past the product kernel's
-    # int64 rule both fail before any table is built
-    tensor_routes = [r for r in ("B", "C") if r in config.routes]
-    if tensor_routes:
-        try:
-            dwork.check_product_precision(ring.pN)
-        except PrecisionTooLow as exc:
-            for route in tensor_routes:
-                report["errors"][route] = f"PrecisionTooLow: {exc}"
-            tensor_routes = []
-    if tensor_routes:
+    # routes B and C share one operator at N; past the int64 rule its
+    # tables' ring arrays raise PrecisionTooLow inside each route's attempt
+    if "B" in config.routes or "C" in config.routes:
         t0 = time.perf_counter()
         odata = dwork.OperatorData(spec, W, ring, wmax, basis=basis)
         timing["operator_tables_ms"] = int(1000 * (time.perf_counter() - t0))
@@ -344,7 +338,7 @@ def run(config):
                 "terms": res.terms,
             }
 
-    if "C" in tensor_routes:
+    if "C" in config.routes:
         with attempt("C", "route_c_ms"):
             P, u = dwork.fredholm_unit_root(odata.full_matrix())
             unit_roots["C"] = u
@@ -367,25 +361,22 @@ def run(config):
                 "gemm_madds": P.madds,
             }
 
-    if "B" in tensor_routes:
+    if "B" in config.routes:
         with attempt("B", "route_b_ms"):
             res = dwork.power_iteration_unit_root(odata)
             unit_roots["B"] = res.u
-            lin = set(map(tuple, _lineality_points(W, res.eigenvector)))
-            off = [c for mu, c in res.eigenvector.support.items()
-                   if mu not in lin]
-            off_ord = None
-            for c in off:
-                v = c.valuation()
-                if v is not None and (off_ord is None or v < off_ord):
-                    off_ord = v
+            vec = res.eigenvector
+            rows = np.flatnonzero(vec.any(axis=(-2, -1)))
+            off = rows[~_lineality_points(W, np.array(basis, dtype=np.int64)[rows])]
+            off_ord = min((c.valuation() for c in ring_elems(ring, vec[off])),
+                          default=None)
             report["routes"]["B"] = {
                 "unit_root": res.u.digits(),
                 "cycles": res.cycles,
                 "budget": res.budget,
                 "normalizer_diff_orders": [_ord_field(v)
                                            for v in res.normalizer_diff_orders],
-                "eigenvector_support_size": len(res.eigenvector.support),
+                "eigenvector_support_size": len(rows),
                 "off_lineality_min_order": _ord_field(off_ord),
             }
     odata = None  # routes B and C are done: their tables go before the oracle
@@ -411,17 +402,13 @@ def run(config):
                     _ord_field((u - consensus).valuation()) for u in est.ratios]
 
     # pairwise agreement of the analytic routes
-    pairs = {}
     names = sorted(unit_roots)
-    digits = None
-    for i, r1 in enumerate(names):
-        for r2 in names[i + 1:]:
-            agree = agreement(unit_roots[r1], unit_roots[r2])
-            pairs[f"{r1}-{r2}"] = agree
-            digits = agree if digits is None else min(digits, agree)
+    pairs = {f"{r1}-{r2}": agreement(unit_roots[r1], unit_roots[r2])
+             for r1, r2 in itertools.combinations(names, 2)}
+    digits = min(pairs.values(), default=None)
     requested = [r for r in config.routes if r != "oracle"]
     ok = (not report["errors"]
-          and (len(names) < 2 or digits >= config.precision)
+          and (digits is None or digits >= config.precision)
           and set(requested) == set(names))
     report["agreement"] = {
         "pairs": pairs,
@@ -429,7 +416,7 @@ def run(config):
         "requested_digits": config.precision,
         "ok": bool(ok),
     }
-    if digits is not None and digits < config.precision and len(names) >= 2:
+    if digits is not None and digits < config.precision:
         report["agreement"]["diff_digits"] = {
             name: u.digits() for name, u in sorted(unit_roots.items())}
     report["timing"] = timing
@@ -466,8 +453,9 @@ def _reduced_operator(odata, ring):
     return odata
 
 
-def _lineality_points(W, xseries):
-    """Support points lying in the lineality lattice: those on which every
-    cone facet vanishes (only mu = 0 when the facets span)."""
-    return [mu for mu in xseries.support
-            if all(sum(g * x for g, x in zip(row, mu)) == 0 for row in W.cone_facets)]
+def _lineality_points(W, points):
+    """Mask of the rows of the integer array points (k, n) lying in the
+    lineality lattice: those on which every cone facet vanishes (only
+    mu = 0 when the facets span)."""
+    facets = np.array(W.cone_facets, dtype=np.int64).reshape(-1, W.A.n)
+    return ~(points @ facets.T).any(axis=1)

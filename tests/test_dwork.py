@@ -55,6 +55,13 @@ def report_operator(spec, wmax, N=4):
     return OperatorData(spec, build_weight_data(spec.A), ring, wmax), ring
 
 
+def support(odata, vec):
+    # route B's eigenvector, a ring array on odata.basis, as {mu: coefficient}
+    # over its nonzero rows
+    return {odata.basis[i]: RingElem(odata.ring, vec[i])
+            for i in np.flatnonzero(vec.any(axis=(-2, -1)))}
+
+
 def test_splitting_coefficients(ring3):
     sc = splitting_coefficients(ring3, 12)
     assert sc[0] == ring3.one()
@@ -163,9 +170,10 @@ def test_one_step_dual_norm_nonincrease(ring3, rng):
 
 def test_power_iteration_single(ring3):
     spec = LaurentSpec(SINGLE, 3, 1, 1, ((1,),))
-    res = power_iteration_unit_root(report_operator(spec, 6)[0])
+    odata = report_operator(spec, 6)[0]
+    res = power_iteration_unit_root(odata)
     assert res.u == ring3.one()
-    assert res.eigenvector.support == {(0,): ring3.one()}
+    assert support(odata, res.eigenvector) == {(0,): ring3.one()}
 
 
 def test_power_iteration_kloosterman_p3(ring3):
@@ -204,22 +212,36 @@ def test_power_iteration_budget_formula(ring3, ring2):
     assert power_iteration_budget(ring2, 2) == 32 + 3
 
 
+def test_truncation_bounds_are_exact_ceilings():
+    # the kernel cutoff and route B's budget round up in integers: the exact
+    # ceilings of N p^2/(p-1) and N D p^2/(p-1)^2
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for N in range(1, 200):
+            ring = make_ring(p, 1, None, N)
+            assert default_s_cut(ring) == math.ceil(F(N * p * p, p - 1))
+            for D in range(1, 13):
+                assert power_iteration_budget(ring, D) == \
+                    math.ceil(F(N * D * p * p, (p - 1) ** 2)) + 3
+
+
 def test_eigenvector_supported_on_lineality(ring3):
     # pointed-cone case: fixed vector collapses to the constant
     A = ExponentSet(2, ((0, 1), (1, 0), (2, -1)))
     spec = LaurentSpec(A, 3, 1, 1, ((1,), (2,), (1,)))
-    res = power_iteration_unit_root(report_operator(spec, 6)[0])
+    odata = report_operator(spec, 6)[0]
+    res = power_iteration_unit_root(odata)
     assert res.u == ring3.one()
-    assert set(res.eigenvector.support) == {(0, 0)}
+    assert set(support(odata, res.eigenvector)) == {(0, 0)}
 
 
 def test_eigenvector_wmax_stability(ring3):
     spec = LaurentSpec(KLOOSTERMAN, 3, 1, 1, ((1,), (1,)))
-    r1 = power_iteration_unit_root(report_operator(spec, 6)[0])
-    r2 = power_iteration_unit_root(report_operator(spec, 12)[0])
+    o1, o2 = report_operator(spec, 6)[0], report_operator(spec, 12)[0]
+    r1, r2 = power_iteration_unit_root(o1), power_iteration_unit_root(o2)
     assert r1.u == r2.u
-    for mu, c in r1.eigenvector.support.items():
-        c2 = r2.eigenvector.support.get(mu, ring3.zero())
+    s2 = support(o2, r2.eigenvector)
+    for mu, c in support(o1, r1.eigenvector).items():
+        c2 = s2.get(mu, ring3.zero())
         assert (c - c2).valuation() is None or (c - c2).valuation() >= ring3.N - 1
 
 
@@ -348,7 +370,7 @@ def test_power_iteration_divides_once(name):
             mock.patch.object(dwork, "_pair_products",
                               side_effect=dwork._pair_products) as products:
         res = power_iteration_unit_root(odata)
-    assert (res.u, res.eigenvector.support, res.normalizer_diff_orders,
+    assert (res.u, support(odata, res.eigenvector), res.normalizer_diff_orders,
             res.cycles) == want
     assert inverse.call_count <= 2
     assert products.call_count == odata.orbit_len * res.cycles
@@ -385,8 +407,8 @@ def test_routes_share_an_operator_in_either_order(cid):
     b1 = power_iteration_unit_root(usual)
     b2 = power_iteration_unit_root(swapped)
     P2, u2 = fredholm_unit_root(swapped.full_matrix())
-    assert (u1, P1.coeffs, b1.u, b1.eigenvector.support, b1.cycles) == \
-        (u2, P2.coeffs, b2.u, b2.eigenvector.support, b2.cycles)
+    assert (u1, P1.coeffs, b1.u, support(usual, b1.eigenvector), b1.cycles) == \
+        (u2, P2.coeffs, b2.u, support(swapped, b2.eigenvector), b2.cycles)
     assert u1 == b1.u
     assert not hasattr(usual, "_onestep") and not hasattr(swapped, "_onestep")
 
@@ -1044,7 +1066,7 @@ def test_one_step_gather_past_the_int64_rule():
     # at 3^19, the last int64 modulus, the kernel table and the one-step
     # matrix are int64 and gathered exactly; the basis is the one of N = 3,
     # wmax 7, and the short cutoff leaves points outside the table.  One
-    # digit past it the sweep's first ring_array_mul raises PrecisionTooLow,
+    # digit past it the sweep's first ring_array raises PrecisionTooLow,
     # where int64 products would overflow silently
     od = _battery_operator("p3-triangle", make_ring(3, 1, None, 19), s_cut=4,
                            wmax=7)
@@ -1055,6 +1077,24 @@ def test_one_step_gather_past_the_int64_rule():
                            wmax=7)
     with pytest.raises(PrecisionTooLow, match=re.escape(f"p^N = {3 ** 20}")):
         od.one_step_matrix(0)
+
+
+def test_operator_past_2_63_is_precision_too_low():
+    # at 2^70 a residue no longer fits int64: the kernel table, both
+    # matrices and the adjoint check raise PrecisionTooLow naming p^N, from
+    # the first ring_array, not a bare OverflowError from int64 conversion
+    ring = make_ring(2, 1, None, 70)
+    od = _battery_operator("p2-kloosterman", ring)
+    spec = JobConfig.from_dict(job_dict(
+        {c["id"]: c for c in BATTERY}["p2-kloosterman"])).laurent_spec()
+    calls = {"kernel_table": lambda: od.kernel_table(0),
+             "one_step_matrix": lambda: od.one_step_matrix(0),
+             "full_matrix": od.full_matrix,
+             "adjoint_check": lambda: adjoint_check(spec, 4, ring)}
+    for name, call in calls.items():
+        with pytest.raises(PrecisionTooLow, match=re.escape(
+                f"p^N = {2 ** 70} has (p^N - 1)^2 + p^N >= 2^63")):
+            call()
 
 
 @pytest.mark.parametrize("case_id, N, s_cut", [

@@ -4,6 +4,7 @@ import gc
 import inspect
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,20 @@ def test_ring_array_round_trip(p, m):
     for x, block in zip(elems, X):
         assert x.slots == tuple(block.ravel().tolist())
         assert x == RingElem(spec, block)
+
+
+def test_ring_array_past_the_int64_rule():
+    # ring_array is the one bridge into int64 ring arrays: it converts at
+    # 5^13, the last int64 modulus, and raises PrecisionTooLow naming p^N one
+    # digit past it and past 2^63, where a residue no longer fits int64
+    last = make_ring(5, 1, None, 13)
+    assert padic.ring_array([last.from_int(-1)]).tolist() == \
+        [[[5 ** 13 - 1], [0], [0], [0]]]
+    for p, N in ((5, 14), (2, 70)):
+        ring = make_ring(p, 1, None, N)
+        with pytest.raises(PrecisionTooLow, match=re.escape(
+                f"p^N = {p ** N} has (p^N - 1)^2 + p^N >= 2^63")):
+            padic.ring_array([ring.from_int(-1)])
 
 
 # --- integer pi-orders, property-based -------------------------------------

@@ -444,18 +444,23 @@ def test_matmul_limit_is_a_route_error():
     assert rep.data["errors"] == {}
     assert rep.data["agreement"]["pairs"] == {"B-C": 12}
     assert rep.exit_code == 0
-    # past 2^63 both routes fail the int64 rule: the runner records their
-    # PrecisionTooLow before it builds any operator table
-    rep = run(job_dict(CASES["p2-kloosterman"], precision=40, routes=("B", "C")))
-    assert sorted(rep.data["errors"]) == ["B", "C"]
-    assert all(e.startswith("PrecisionTooLow: p^N = ")
-               for e in rep.data["errors"].values())
+    # past the int64 rule both routes record PrecisionTooLow inside their own
+    # attempt, from the first ring array of their shared tables, at 2^40 and
+    # past 2^63, where residues no longer fit int64; nothing escapes run
+    for N in (40, 70):
+        rep = run(job_dict(CASES["p2-kloosterman"], precision=N, routes=("B", "C")))
+        assert rep.data["errors"] == {
+            r: f"PrecisionTooLow: p^N = {2 ** N} has (p^N - 1)^2 + p^N >= 2^63, "
+               "beyond exact int64 reduction" for r in ("B", "C")}
+        assert rep.data["routes"] == {} and rep.exit_code == 1
+        assert {"operator_tables_ms", "route_b_ms", "route_c_ms"} <= set(
+            rep.data["timing"])
 
 
 def test_routes_b_c_do_not_depend_on_the_route_set():
-    # orbit length 2: route C composes both one-step matrices before route
-    # B's dual cycles drop them, so each route reports the same whether it
-    # runs alone, beside the other or beside route A and the oracle
+    # orbit length 2: both routes gather from the same two kernel tables and
+    # keep nothing the other reads, so each route reports the same whether
+    # it runs alone, beside the other or beside route A and the oracle
     sets = [("B",), ("C",), ("B", "C"), ("A", "B", "C", "oracle")]
     reports = [run(job_dict(CASES["p3-kloosterman-f9"], routes=s)).data
                for s in sets]
@@ -463,6 +468,29 @@ def test_routes_b_c_do_not_depend_on_the_route_set():
     routes = [data["routes"] for data in reports]
     assert routes[2]["B"] == routes[0]["B"] == routes[3]["B"]
     assert routes[2]["C"] == routes[1]["C"] == routes[3]["C"]
+
+
+def test_route_b_reports_off_lineality_rows(monkeypatch):
+    # p3-edge-degenerate's lineality lattice is {0}, and its fixed vector is
+    # supported there alone; one with rows off it, which no battery job
+    # has, reports their count in the support and their least order
+    case = job_dict(CASES["p3-edge-degenerate"], routes=("B",))
+    route = run(case).data["routes"]["B"]
+    assert route["eigenvector_support_size"] == 1
+    assert route["off_lineality_min_order"] is None
+    real = dwork.power_iteration_unit_root
+
+    def spread(odata):
+        res = real(odata)
+        vec = res.eigenvector.copy()
+        vec[1, 0, 0] = 3  # order 1 at basis[1]
+        vec[5, 1, 0] = 1  # pi, order 1/2, at basis[5]
+        return dataclasses.replace(res, eigenvector=vec)
+    monkeypatch.setattr(dwork, "power_iteration_unit_root", spread)
+    rep = run(case)
+    assert rep.data["weights"]["lineality_basis"] == []
+    assert rep.data["routes"]["B"] == {**route, "eigenvector_support_size": 3,
+                                       "off_lineality_min_order": [1, 2]}
 
 
 def test_route_a_error_is_reported(monkeypatch):
@@ -665,15 +693,15 @@ def test_zero_coefficients_give_unit_root_one():
     (((1, 0), (-1, 0), (0, 1)), 1),  # half-plane with a lineality line
 ], ids=["pointed", "kloosterman", "half-plane"])
 def test_lineality_points_are_the_lineality_span(vectors, rank):
-    # the facet rule alone picks the support points in the span of
+    # the facet rule alone picks the rows of a points array in the span of
     # W.lineality_basis, mu = 0 alone when that basis is empty
     n = len(vectors[0])
     W = build_weight_data(ExponentSet(n, vectors))
     assert len(W.lineality_basis) == rank
-    box = list(itertools.product(range(-3, 4), repeat=n))
-    xs = dwork.XSeries({mu: None for mu in box}, Fraction(0))
+    box = np.array(list(itertools.product(range(-3, 4), repeat=n)), dtype=np.int64)
     basis = np.array(W.lineality_basis, dtype=np.int64).reshape(rank, n)
-    want = [mu for mu in box
-            if np.linalg.matrix_rank(np.vstack([basis, mu])) == rank]
-    assert runner._lineality_points(W, xs) == want
-    assert (0,) * n in want and len(want) == 7 ** rank
+    want = [np.linalg.matrix_rank(np.vstack([basis, mu])) == rank for mu in box]
+    mask = runner._lineality_points(W, box)
+    assert mask.dtype == bool and mask.tolist() == want
+    assert mask[len(box) // 2] and not box[len(box) // 2].any()
+    assert mask.sum() == 7 ** rank

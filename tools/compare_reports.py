@@ -7,7 +7,9 @@ one job set:
 - every job of both benchmark workloads (`perfbench/workloads.py`) at seeds
   0, 3 and 7;
 - routes B and C at N = 8 on all 26 battery cases;
-- routes B, C and the oracle at N = 4 on the battery's quick cases.
+- routes B, C and the oracle at N = 4 on the battery's quick cases;
+- routes B and C past the int64 rule, on p5-kloosterman at N = 14 and on
+  p2-kloosterman at N = 70, where a residue no longer fits int64.
 
 Each tree lists its own jobs and runs their configs, so a change to the
 config schema runs too; jobs are paired by name, and a name that one tree
@@ -84,6 +86,9 @@ def list_jobs():
     jobs += [[f"bc-oracle-n4:{cid}",
               job_dict(cases[cid], precision=4, routes=("B", "C", "oracle"))]
              for cid in QUICK_IDS]
+    jobs += [[f"bc-past-int64:{cid}:N{N}",
+              job_dict(cases[cid], precision=N, routes=("B", "C"))]
+             for cid, N in (("p5-kloosterman", 14), ("p2-kloosterman", 70))]
     return jobs
 
 
