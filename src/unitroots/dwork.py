@@ -24,7 +24,7 @@ RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, so the
 product comes out reduced.  In this order a contraction over lo <= b < hi
 is a slice of both sides.  Every product contracts each row over every b
 but route C's first-return products: product k contracts row r only over
-its window r < b < K_k(r), cut by Dwork's cycle bound (trace_band), and
+its window r < b < K_k(r), cut by Dwork's cycle bound (cycle_bound, trace_band), and
 keeps only the rows still live (first_return_product), a few adjacent
 rows in one GEMM (_row_groups), planned per product from its windows
 (WindowPlan).  Right entries
@@ -860,7 +860,7 @@ class PowerIterationResult:
 
 
 def power_iteration_budget(ring, D):
-    return -(-ring.N * D * ring.p ** 2 // (ring.p - 1) ** 2) + 3
+    return cycle_bound(ring.p, ring.N, D) + 3
 
 
 def power_iteration_unit_root(odata):
@@ -913,7 +913,6 @@ class FredholmPoly:
     degree_cap: int        # last c_k computed; those past it vanish mod p^N (fredholm_cap)
     products: int = 0      # tensor products behind coeffs, the matrix's own included
     limbs: int = 0         # most limbs per left entry any of those products used
-    factors: int = 0       # first-return factors f_r formed, K_0(0) (first_return_product)
     madds: int = 0         # multiply-adds the first-return products' GEMMs ran
 
 
@@ -928,52 +927,52 @@ class NewtonPolygon:
         return 0
 
 
+def cycle_bound(p, N, D):
+    """B = ceil(N D p^2/(p-1)^2): a cycle of the Frobenius matrix vanishes
+    mod p^N once the integer sum(D * w) over its vertices reaches B, and
+    every basis the runner builds is {mu : D * w(mu) < B} (default_wmax).
+
+    A one-step entry B(p*omega - nu) has ord >= (p-1)/p^2 * (p*w(omega) -
+    w(nu)), w being subadditive (B. Dwork, Publ. Math. IHES 12, 1962), and
+    so has the orbit composite; over a cycle a_0 -> ... -> a_j = a_0 these
+    sum to (p-1)^2/p^2 * sum w(a_i), vertices counted with multiplicity.
+    """
+    return -(-N * D * p * p // (p - 1) ** 2)
+
+
 def fredholm_cap(W, basis, p, N):
     """The last Fredholm coefficient c_k route C computes: the first k with
-    (p-1)^2 * (w_0 + ... + w_k) >= N * p^2, w_0 <= w_1 <= ... the basis
+    D * (w_0 + ... + w_k) >= B (cycle_bound), w_0 <= w_1 <= ... the basis
     weights in order, or dim = len(basis) when no k reaches it.
 
-    A one-step entry (omega, nu) = B(p*omega - nu) has
-    ord >= (p-1)/p^2 * w(p*omega - nu) >= (p-1)/p^2 * (p*w(omega) - w(nu)),
-    w being subadditive, and so has the orbit composite.  So every j x j
-    principal minor has ord >= (p-1)^2/p^2 * (sum of w over its rows), at
-    least the sum of the j smallest weights; c_j vanishes mod p^N for every
-    j > k, and c_j for j > dim is 0.  The weights come scaled by D, as
-    integers, so the bound is N * D * p^2.
+    A j x j principal minor is a sum over sets of disjoint cycles covering
+    its rows, so its ord is at least (p-1)^2/p^2 * (sum of w over its rows),
+    at least that of the j smallest weights: c_j vanishes mod p^N for every
+    j > k, and c_j for j > dim is 0.
     """
-    acc = 0
-    for k, w in enumerate(sorted(scaled_weights(W, basis))):
-        acc += w
-        if (p - 1) ** 2 * acc >= N * W.D * p * p:
-            return k
-    return len(basis)
+    acc = np.cumsum(np.sort(scaled_weights(W, basis)))
+    return int(np.searchsorted(acc, cycle_bound(p, N, W.D)))
 
 
 def trace_band(W, basis, p, N, products):
     """K_k(a) for k < max(products, 1) and each basis index a, as an array
-    (k, a): the columns c with
-    (p-1)^2 * (w(a) + k * w(a + 1) + w(c)) < N * p^2, a prefix of the
-    weight-ordered basis, w(a + 1) read as w(a) past the last index.  K_k
-    never increases down the rows, since w(a) and w(a + 1) do not decrease,
-    nor in k; K_0 is the window of every cycle through a.
+    (k, a): the columns c with D * (w(a) + k * w(a + 1) + w(c)) < B
+    (cycle_bound), a prefix of the weight-ordered basis, w(a + 1) read as
+    w(a) past the last index.  K_k never increases down the rows, since
+    w(a) and w(a + 1) do not decrease, nor in k; K_0 is the window of every
+    cycle through a, and K_0(0) is the whole of a basis cut below B.
 
-    By the one-step estimate of fredholm_cap, a cycle a_0 -> ... -> a_j =
-    a_0 through M has ord >= (p-1)/p^2 * sum(p*w(a_i) - w(a_(i+1))), which
-    is (p-1)^2/p^2 * sum w(a_i) over its vertices, counted with
-    multiplicity; it is 0 mod p^N once (p-1)^2 * sum w >= N * p^2.  The
-    cycles of s_(a,j) (first_return_product) visit a once and j + 1
+    The cycles of s_(a,j) (first_return_product) visit a once and j + 1
     vertices above a, each of weight at least w(a + 1).  Product k of
     first_return_product contracts over the (k+1)-th of them, c: every
     cycle through c there has weight at least w(a) + k * w(a + 1) + w(c),
-    so it vanishes when c >= K_k(a).  The weights come scaled by D, as
-    integers.
+    so it vanishes when c >= K_k(a).
     """
     sw = np.array(scaled_weights(W, basis), dtype=np.int64)
     assert (np.diff(sw) >= 0).all(), "basis not in weight order"
-    q, bound = (p - 1) ** 2, N * p * p * W.D
     above = np.append(sw[1:], sw[-1:])
     k = np.arange(max(products, 1))[:, None]
-    return np.searchsorted(q * sw, bound - q * (sw + k * above))
+    return np.searchsorted(sw, cycle_bound(p, N, W.D) - sw - k * above)
 
 
 def first_return_product(spec, M, band, cap):
@@ -1065,7 +1064,7 @@ def fredholm_coefficients(Mx):
         coeffs.pop()
     products, K0 = max(cap - 1, 0), int(band[0, 0])
     limbs = max(Mx.limbs, product_limbs(K0, ring.p, ring.N) if products else 0)
-    return FredholmPoly(ring, coeffs, cap, Mx.products + products, limbs, K0, madds)
+    return FredholmPoly(ring, coeffs, cap, Mx.products + products, limbs, madds)
 
 
 def newton_polygon(P):

@@ -134,7 +134,8 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
     if cells > guard and not override:
         raise TooLarge(f"the {method} touches {cells} cells, past the guard {guard}")
     if R * (k + 2) > (1 << 26):
-        raise TooLarge("trace tables for this field exceed the memory guard")
+        raise TooLarge(f"level {l}, field degree k = {k}: the trace tables' R (k + 2) = "
+                       f"{R * (k + 2)} entries pass the memory guard 2^26 = {1 << 26}")
     F, offsets = tower.level(l)
     t = _trace_table(F)
     if plan is None:

@@ -11,7 +11,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import math
 import os
 import tempfile
 import time
@@ -156,13 +155,12 @@ def ring_meta(ring):
 
 
 def default_wmax(ring, D):
-    """The weight bound of every job's basis: Dwork's bound N p^2/(p-1)^2,
-    at least 4, rounded up to a multiple of 1/D.  Since
-    ord B_mu >= w(mu)(p-1)/p^2, routes B and C get exact digits from any
-    bound at or past it (B. Dwork, "On the zeta function of a
-    hypersurface", Publ. Math. IHES 12, 1962)."""
-    bound = max(4, Fraction(ring.N * ring.p ** 2, (ring.p - 1) ** 2))
-    return Fraction(math.ceil(bound * D), D)
+    """The weight bound of every job's basis, (B - 1)/D for Dwork's cycle
+    bound B (dwork.cycle_bound): the basis is {mu : D * w(mu) < B}.  Every
+    cycle of the Frobenius matrix through a monomial past it vanishes mod
+    p^N, so the truncated det(I - T M), and with it the unit root, is exact
+    mod p^N (README, "Route C")."""
+    return Fraction(dwork.cycle_bound(ring.p, ring.N, D) - 1, D)
 
 
 class KernelCache:
@@ -357,7 +355,6 @@ def run(config):
                 },
                 "matrix_products": P.products,
                 "product_limbs": P.limbs,
-                "first_return_factors": P.factors,
                 "gemm_madds": P.madds,
             }
 

@@ -290,8 +290,11 @@ def test_refused_level_builds_no_field(monkeypatch):
         char_sum(enum, 4, towers[0], guard=80 ** 2 - 1)
     # at p = 2, l = 22 the convolution's 2 R = 8.4e6 cells pass the guard,
     # but the trace table's R (k + 2) = 1.0e8 entries do not
-    with pytest.raises(TooLarge, match="memory guard"):
+    with pytest.raises(TooLarge) as refused:
         char_sum(kloo, 22, towers[1])
+    assert str(refused.value) == (
+        "level 22, field degree k = 22: the trace tables' R (k + 2) = "
+        f"{(2 ** 22 - 1) * 24} entries pass the memory guard 2^26 = 67108864")
 
 
 def test_convolution_rows_are_charged_their_fft_cells():

@@ -22,7 +22,8 @@ from unitroots.hyperg import hyperg_coefficient_series
 from unitroots.padic import RingSpec, make_ring
 from unitroots.runner import JobConfig, run
 from unitroots.weights import (ExponentSet, build_weight_data,
-                               relation_lattice_basis)
+                               enumerate_weighted_monomials,
+                               relation_lattice_basis, scaled_weights)
 
 CASES = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
 
@@ -538,19 +539,16 @@ def test_p5_reach_at_twelve_digits(cid):
 def test_route_c_counters(klooster_report):
     # orbit length - 1 products compose the operator, Fredholm cap - 1 form
     # the first-return series; the limb count follows the kernel's float
-    # rule; K(0) factors are formed, and their GEMMs' multiply-adds counted
+    # rule; the first-return GEMMs' multiply-adds are counted
     def counters(data):
         c = data["routes"]["C"]
         return c["matrix_products"], c["product_limbs"]
 
-    def first_return(data):
-        c = data["routes"]["C"]
-        return c["first_return_factors"], c["gemm_madds"]
+    def madds(data):
+        return data["routes"]["C"]["gemm_madds"]
     cap = klooster_report.data["truncation"]["charpoly_degree_cap"]
     assert counters(klooster_report.data) == (cap - 1, 1)
-    factors, madds = first_return(klooster_report.data)
-    assert 0 < factors < klooster_report.data["truncation"]["basis_size"]
-    assert madds > 0
+    assert madds(klooster_report.data) > 0
     f9 = run(job_dict(CASES["p3-kloosterman-f9"], routes=("B", "C")))
     cap = f9.data["truncation"]["charpoly_degree_cap"]
     assert f9.data["orbit"]["length"] == 2
@@ -560,7 +558,7 @@ def test_route_c_counters(klooster_report):
     cap = n12.data["truncation"]["charpoly_degree_cap"]
     assert n12.exit_code == 0
     assert counters(n12.data) == (cap - 1, 1)
-    assert first_return(n12.data) == first_return(
+    assert madds(n12.data) == madds(
         run({**KLOOSTER3, "precision": 12, "routes": ["C"]}).data)
 
 
@@ -612,19 +610,36 @@ def test_cli_lfunction(tmp_path, capsys):
 
 
 def test_wmax_at_dwork_bound(klooster_report):
-    # every report cuts its basis at default_wmax: Dwork's bound
-    # N p^2/(p-1)^2, at least 4, rounded up to a multiple of 1/D, and the
-    # config records no wmax of its own
+    # every report cuts its basis at default_wmax, (B - 1)/D for Dwork's
+    # cycle bound B, and the config records no wmax of its own
     for case in CASES.values():
         for N in (4, 8):
             rep = run(job_dict(case, precision=N, routes=()))
             ring = make_ring(case["p"], case["field_degree"], None, N)
-            wmax = runner.default_wmax(ring, rep.data["weights"]["D"])
+            D = rep.data["weights"]["D"]
+            wmax = runner.default_wmax(ring, D)
             assert rep.data["truncation"]["wmax"] == [wmax.numerator, wmax.denominator]
-            assert wmax >= Fraction(N * case["p"] ** 2, (case["p"] - 1) ** 2)
+            assert wmax == Fraction(dwork.cycle_bound(case["p"], N, D) - 1, D)
             assert "wmax" not in rep.data["config"]
     for route in ("B", "C"):
         assert klooster_report.data["routes"][route]["unit_root"] == [[16], [0]]
+
+
+def test_basis_is_the_cycle_window():
+    # the runner's basis is {mu : D w(mu) < B}: every monomial in it lies in
+    # the window K_0(0) of a cycle through X^0, and the next shell, which a
+    # basis cut at B itself would add, has scaled weight exactly B
+    for case in CASES.values():
+        W = build_weight_data(ExponentSet(len(case["A"][0]), case["A"]))
+        for N in range(1, 13):
+            ring = make_ring(case["p"], case["field_degree"], None, N)
+            B = dwork.cycle_bound(case["p"], N, W.D)
+            basis = enumerate_weighted_monomials(W, runner.default_wmax(ring, W.D))
+            assert dwork.trace_band(W, basis, case["p"], N, 0)[0, 0] == len(basis)
+            assert max(scaled_weights(W, basis)) < B
+            wider = enumerate_weighted_monomials(W, Fraction(B, W.D))
+            assert wider[:len(basis)] == basis
+            assert set(scaled_weights(W, wider[len(basis):])) <= {B}
 
 
 def test_cli_bad_config(tmp_path, capsys, monkeypatch):
