@@ -5,7 +5,9 @@ prime field and over its quadratic extension; seven of the quadratic cases
 have coefficients generating the full extension, which forces a Frobenius
 orbit of length two.  A separate pair of degenerate cases puts three
 exponents on one edge of the polytope with coefficients whose edge
-polynomial has a double root on the torus.
+polynomial has a double root on the torus.  WIDE_P_BATTERY, outside the
+battery, takes four exponent sets to p = 7, 11 and 13 with every coefficient
+1, for routes B and C alone.
 """
 
 EXPONENT_SETS = {
@@ -62,6 +64,11 @@ BATTERY = [
 DEGENERATE_BATTERY = [
     _case("p3-edge-degenerate", 3, "edge", ((1,), (2,), (1,))),
     _case("p5-edge-degenerate", 5, "edge", ((1,), (2,), (1,))),
+]
+
+WIDE_P_BATTERY = [
+    _case(f"p{p}-{aname}", p, aname, ((1,),) * len(EXPONENT_SETS[aname]))
+    for p in (7, 11, 13) for aname in ("kloosterman", "skew", "triangle", "edge")
 ]
 
 QUICK_IDS = [

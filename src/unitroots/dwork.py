@@ -55,9 +55,13 @@ Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
 through ring_array_mul, one multiply-add per pair of RingSpec.law, under
 the same rule: a slot product added to a reduced residue fits.  Past the
 rule padic.ring_array, which makes them from elements, raises
-PrecisionTooLow, and so does ring_array_mul.  With it the kernel table
+PrecisionTooLow, and so does ring_array_mul.  The kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
-products (kernel_sweep) and kept as two arrays, its points and its
+products in Z_q (kernel_sweep): b_e is one digit times pi^(e mod (p-1))
+and lambda is a Teichmueller point, so a partial product is one Z_q value
+z times a power of pi fixed by its degree, and each level is one
+padic.zq_mul by d_e lambda_a^e, with a factor -p where the pi-powers wrap
+past p-1.  The table is kept as two arrays, its points and its
 coefficients (KernelTable), from which the one-step matrices are gathered
 by flat index; route B cross-multiplies its vectors by their X^0 terms
 and returns its eigenvector as a ring array on the basis, and route C
@@ -80,8 +84,9 @@ from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 from .padic import (RingElem, check_product_precision, default_s_cut, horner,
-                    newton_root, powers, ring_array, ring_elems,
-                    splitting_coefficients, teichmueller)
+                    newton_root, powers, reduce_mod, ring_array, ring_elems,
+                    splitting_coefficients, teichmueller, zq_mul, zq_powers,
+                    zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -116,29 +121,38 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     Every multi-index nu with |nu| <= s_cut contributes
     prod_a b_(nu_a) lam_a^(nu_a) to the bucket mu = sum nu_a a; indices
     missing from the result have every contribution beyond the cutoff and so
-    vanish mod p^N.  The sweep takes A's vectors one level at a time over a
-    batch of states (partial product, remaining budget, mu): each state
-    expands by e = 0..budget into its partial times b_e lam_a^e, one
-    ring_array_mul per level, and zero partials drop out.  One scatter-add
-    sums the last level's partials into their buckets, which are reduced
-    mod p^N and kept where nonzero; the arrays are the table, with no
-    RingElem per entry.  Entries are int64; past the int64 rule
-    ring_array raises PrecisionTooLow before the first product.
+    vanish mod p^N.  Each b_e = d_e pi^(e mod (p-1)) is one digit at t^0
+    (splitting_coefficients), and lam lies in Z_q (ValueError otherwise;
+    every caller passes Teichmueller points), so a partial product with
+    |nu| = s is z pi^(s mod (p-1)), z in Z_q.  The sweep takes A's vectors
+    one level at a time over a batch of states (z, remaining budget, mu):
+    each state expands by e = 0..budget into z d_e lam_a^e, one zq_mul per
+    level, times pi^(p-1) = -p where (s mod (p-1)) + (e mod (p-1)) >= p-1
+    (never at p = 2), and zero partials drop out.  One scatter-add puts each
+    z into pi-row |nu| mod (p-1) of its bucket; the buckets are reduced
+    mod p^N and kept where nonzero, and the arrays are the table, with no
+    RingElem per entry.  Entries are int64; past the int64 rule ring_array
+    raises PrecisionTooLow before the first product.
     """
-    b = ring_array(sc.b[:s_cut + 1])
-    partial = ring_array([ring.one()])
+    npi, pN = ring.npi, ring.pN
+    i = np.arange(s_cut + 1)
+    d = ring_array(sc.b[:s_cut + 1])[i, i % npi]  # b_i = d_i pi^(i mod (p-1))
+    z = np.zeros((1, ring.m), dtype=np.int64)
+    z[0, 0] = 1
     budget = np.array([s_cut])
     mu = np.zeros((1, W.A.n), dtype=np.int64)
-    for x, vec in zip(lam, W.A.vectors):
-        pows = ring_array(powers(x, s_cut))
-        row = ring_array_mul(ring, b, pows)  # b_e * lam_a^e
+    for x, vec in zip(zq_values(lam), W.A.vectors):
+        row = zq_mul(ring, d, zq_powers(ring, x, s_cut))  # d_e * lam_a^e
+        wrapped = row * (pN - ring.p)  # times -p
+        reduce_mod(wrapped, pN)
         # state i expands to e = 0..budget[i]
         counts = budget + 1
         src = np.repeat(np.arange(len(budget)), counts)
         e = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-        partial = ring_array_mul(ring, partial[src], row[e])
-        keep = partial.any(axis=(-2, -1))
-        partial = partial[keep]
+        wrap = (s_cut - budget[src]) % npi + e % npi >= npi
+        z = zq_mul(ring, z[src], np.where(wrap[:, None], wrapped[e], row[e]))
+        keep = z.any(axis=-1)
+        z = z[keep]
         budget = (budget[src] - e)[keep]
         mu = (mu[src] + e[:, None] * np.array(vec, dtype=np.int64))[keep]
     lo = mu.min(axis=0)
@@ -146,9 +160,9 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     # C-order flat indices of the box sort as the vectors do
     flat, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box),
                              return_inverse=True)
-    sums = np.zeros((len(flat), ring.npi, ring.m), dtype=np.int64)
-    np.add.at(sums, bucket, partial)
-    _reduce(sums, ring.pN)
+    sums = np.zeros((len(flat), npi, ring.m), dtype=np.int64)
+    np.add.at(sums, (bucket, (s_cut - budget) % npi), z)
+    reduce_mod(sums, pN)
     keep = sums.any(axis=(-2, -1))
     points = np.stack(np.unravel_index(flat[keep], box), axis=-1) + lo
     return KernelTable(ring, points, sums[keep])
@@ -378,12 +392,6 @@ def slot_group(dim, slots, p, N):
     return g
 
 
-def _reduce(X, pN):
-    """int64 X mod p^N in place (floor division by a scalar is several
-    times faster than np.remainder)."""
-    X -= X // pN * pN
-
-
 def _nonzero_slots(X):
     """Indices j*m + s of the nonzero (pi, t)-slots of X (rows, ..., p-1, m);
     one reduction per slot is much faster than one over the leading axes,
@@ -489,9 +497,9 @@ def regular_representation(spec, B, slots):
                     continue
                 acc = Bs[..., terms[0][0]] * terms[0][1]
                 for k, f in terms[1:]:
-                    _reduce(acc, pN)
+                    reduce_mod(acc, pN)
                     acc += Bs[..., k] * f
-                _reduce(acc, pN)
+                reduce_mod(acc, pN)
                 acc -= pN * (acc > h)
                 out[..., c] = acc
     return RegularRep(np.asarray(slots, dtype=np.int64), kept,
@@ -684,12 +692,12 @@ def _accumulate(out, live, prod, factor, pN, add, block=64):
     for r in range(0, len(live), block):
         x = prod[r:r + block].astype(np.int64)
         if factor != 1:
-            _reduce(x, pN)
+            reduce_mod(x, pN)
             x *= factor
         rows = _run(live[r:r + block])
         if add:
             x += out[rows]
-        _reduce(x, pN)
+        reduce_mod(x, pN)
         out[rows] = x
 
 
@@ -793,11 +801,11 @@ def ring_array_mul(spec, X, Y):
         for k in yslots:
             xy = x * Y[..., k // m, k % m]
             if any(f != 1 for _, f in law[k]):
-                _reduce(xy, pN)  # so that xy * f plus a residue fits
+                reduce_mod(xy, pN)  # so that xy * f plus a residue fits
             for o, f in law[k]:
                 acc = out[o]
                 acc += xy if f == 1 else xy * f
-                _reduce(acc, pN)
+                reduce_mod(acc, pN)
     return np.ascontiguousarray(np.moveaxis(out.reshape((npi, m) + shape),
                                             (0, 1), (-2, -1)))
 
@@ -1045,7 +1053,7 @@ def _series_product(spec, F):
         for i in range(e):
             j = min(e, d + 1 - i)
             F[:, i:i + j] += prod[:, i, :j]
-        _reduce(F, spec.pN)
+        reduce_mod(F, spec.pN)
     return F[0]
 
 
@@ -1148,7 +1156,7 @@ def lfunction_from_fredholm(P, n, s, u0):
     for k in range(1, d + 1):
         j = min(k, len(den) - 1)
         q[k] -= ring_array_mul(ring, den[1:j + 1], q[k - j:k][::-1]).sum(axis=0)
-        _reduce(q[k], pN)
+        reduce_mod(q[k], pN)
     num, den = ring_elems(ring, num), ring_elems(ring, den)
     return LFunctionData(num, den, ring_elems(ring, q),
                          horner(num[::-1], u0).is_zero())

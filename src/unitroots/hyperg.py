@@ -17,7 +17,11 @@ directly over F_0's surviving terms and grouped by the class of u mod
 (q-1).  The terms are read level by level as arrays: their digits come
 from the one array rule padic.pi_pow_digits, which reads the factorial
 units' inverse table (padic.FactorialUnits), and are summed per shell, class
-and pi-row (_f0_shells), with no Python object per term.  Its last step is
+and pi-row (_f0_shells), with no Python object per term.  A shell is
+evaluated in Z_q arrays (_shell_value): each class's lambda^c is gathered
+from power tables built once per run (padic.zq_powers) and multiplied as
+arrays (padic.zq_mul), and the shell is one array step and one ring
+element.  Its last step is
 a function of p and N alone (route_a_last_step).  It stops by an empirical
 rule (see that function), compares steps without dividing, and inverts one
 ring element per run, at the stop; it needs no series inverse.  Its arrays
@@ -46,7 +50,8 @@ import numpy as np
 
 from .errors import NotARelation, PrecisionUnstable, TooLarge
 from .padic import (agreement, check_product_precision, default_s_cut,
-                    pi_pow_digits, powers, ring_elems, split_p, teichmueller)
+                    pi_pow_digits, reduce_mod, split_p, teichmueller, zq_mul,
+                    zq_powers, zq_values)
 from .weights import ExponentSet
 
 
@@ -464,18 +469,27 @@ def _f0_shells(A, ring, s_lo, s_hi):
 
 
 def _shell_value(shell, lam_powers, shift, ring):
-    """A shell of _f0_shells evaluated at lambda^shift, from lambda's powers."""
+    """A shell of _f0_shells evaluated at lambda^shift, from lambda's Z_q
+    power tables lam_powers (k, q, m), lambda_a^0..lambda_a^(q-1)
+    (padic.zq_powers).
+
+    Each class's lambda^(c * shift) is z_class = prod_a lambda_a^(c_a shift),
+    gathered from the tables and multiplied as arrays (padic.zq_mul); a
+    shell's digits sit at t^0 of their pi-rows, so the shell is
+    sum_class digits[class, row] * z_class in pi-row `row`, one (G, p-1, m)
+    array step and one RingElem.
+    """
     classes, digits = shell
-    qm1 = len(lam_powers[0]) - 1
-    total = ring.zero()
-    # each pi-row's digit sum is the coefficient of t^0
-    at_t0 = np.pad(digits[..., None], [(0, 0), (0, 0), (0, ring.m - 1)])
-    for key, term in zip(classes.tolist(), ring_elems(ring, at_t0)):
-        for pw, c in zip(lam_powers, key):
-            if c:
-                term = term * pw[(c * shift - 1) % qm1 + 1]
-        total = total + term
-    return total
+    qm1 = lam_powers.shape[1] - 1
+    # lambda^0 = 1 for u_a = 0; else lambda^(c shift) with exponent in 1..q-1
+    idx = np.where(classes > 0, (classes * shift - 1) % qm1 + 1, 0)
+    z = lam_powers[0, idx[:, 0]]
+    for a in range(1, classes.shape[1]):
+        z = zq_mul(ring, z, lam_powers[a, idx[:, a]])
+    terms = digits[:, :, None] * z[:, None, :]
+    reduce_mod(terms, ring.pN)
+    total = terms.sum(axis=0)  # G < 2^31 residues below 2^31.5: no overflow
+    return ring.from_slots(total.ravel().tolist())
 
 
 def route_a_last_step(ring):
@@ -535,7 +549,8 @@ def unit_root_route_A_detailed(spec, W, ring, orbit_length):
             f"{p ** (first + 1) - 1}) but takes steps up to {last} at "
             f"p = {p}, N = {N}")
     lam = _teichmueller_orbit(spec, ring, 1)[0]
-    lam_powers = [powers(x, p ** ring.m - 1) for x in lam]
+    lam_powers = np.stack([zq_powers(ring, x, p ** ring.m - 1)
+                           for x in zq_values(lam)])
     shifts = [p ** i for i in range(orbit_length)]
     values = [ring.one()] * orbit_length  # F_0^(<p^s)(pi*lambda_i); F_0^(<1) = 1
     P = [ring.one()]                        # P_(-1), P_0, ..., P_s

@@ -123,19 +123,11 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
 
     TooLarge, unless override, when the method's cells pass guard: R^n
     torus points for an enumeration, p R FFT cells for a convolution; both
-    guards run before the level's field is built.
+    guards (_guarded_plan) run before the level's field is built.
     """
     tower = tower or FqTower(spec)
     n, p, vecs = spec.A.n, spec.p, spec.A.vectors
-    k = tower.base_degree * l
-    R = p ** k - 1
-    plan = _convolution_plan(vecs, R)
-    method, cells = ("enumeration", R ** n) if plan is None else ("convolution", p * R)
-    if cells > guard and not override:
-        raise TooLarge(f"the {method} touches {cells} cells, past the guard {guard}")
-    if R * (k + 2) > (1 << 26):
-        raise TooLarge(f"level {l}, field degree k = {k}: the trace tables' R (k + 2) = "
-                       f"{R * (k + 2)} entries pass the memory guard 2^26 = {1 << 26}")
+    plan, method, R = _guarded_plan(spec, l, tower.base_degree, guard, override)
     F, offsets = tower.level(l)
     t = _trace_table(F)
     if plan is None:
@@ -144,6 +136,24 @@ def char_sum(spec, l, tower=None, guard=ENUMERATION_GUARD, override=False):
         counts = _convolved_counts(t, offsets, p, *plan)
     assert int(counts.sum()) == R ** n, "lost or double-counted torus points"
     return CharSumRow(l, F.k, tuple(int(x) for x in counts), method)
+
+
+def _guarded_plan(spec, l, base_degree, guard=ENUMERATION_GUARD, override=False):
+    """(plan, method, R) of level l over a base field of degree base_degree,
+    after char_sum's two guards, which read only p, n and R: TooLarge when
+    the method's cells pass guard (unless override), or when the trace
+    tables' R (k + 2) entries pass 2^26."""
+    p, vecs = spec.p, spec.A.vectors
+    k = base_degree * l
+    R = p ** k - 1
+    plan = _convolution_plan(vecs, R)
+    method, cells = ("enumeration", R ** spec.A.n) if plan is None else ("convolution", p * R)
+    if cells > guard and not override:
+        raise TooLarge(f"the {method} touches {cells} cells, past the guard {guard}")
+    if R * (k + 2) > (1 << 26):
+        raise TooLarge(f"level {l}, field degree k = {k}: the trace tables' R (k + 2) = "
+                       f"{R * (k + 2)} entries pass the memory guard 2^26 = {1 << 26}")
+    return plan, method, R
 
 
 def _convolution_plan(vecs, R):
@@ -318,6 +328,11 @@ def _generator_power_table(F, g, R):
 
 
 def char_sum_table(spec, lmax):
+    """The rows of levels 1..lmax; every level's guards run before the tower
+    or any level's field is built, so a refused level costs nothing."""
+    base_degree = spec.epsilon * orbit_degree(spec)
+    for l in range(1, lmax + 1):
+        _guarded_plan(spec, l, base_degree)
     tower = FqTower(spec)
     table = CharSumTable(tower.d)
     for l in range(1, lmax + 1):

@@ -8,10 +8,12 @@ is (p-1) m residues mod p^N, its slots, in RingSpec.law's order:
 
 RingSpec.law is the one place pi^(p-1) = -p and the reduction mod g are
 applied: law[i][k] lists the (slot, coefficient mod p^N) pairs of slot i
-times slot k.  RingElem.__mul__ and dwork's products read it; dwork's
+times slot k.  RingElem.__mul__ and dwork's products read it, and the Z_q
+products zq_mul and zq_powers read its pi-row-0 block; dwork's
 reference keeps its own encoding, _fold.  A (p-1) x m digit matrix, rows by
 pi-degree, is read only by RingElem() and written only by digits(); int64
-ring arrays (n, p-1, m) meet elements only in ring_array and ring_elems.
+ring arrays (n, p-1, m) meet elements only in ring_array and ring_elems,
+and Z_q arrays (n, m), pi-row 0, are taken from them by zq_values.
 
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
@@ -318,6 +320,78 @@ def ring_array(elems):
 def ring_elems(spec, X):
     """The element of each trailing (p-1, m) block of an integer array X."""
     return [spec.from_slots(x) for x in X.reshape(-1, spec.npi * spec.m).tolist()]
+
+
+def reduce_mod(X, pN):
+    """int64 X mod p^N in place (floor division by a scalar is several
+    times faster than np.remainder)."""
+    X -= X // pN * pN
+
+
+def zq_values(elems):
+    """int64 array (n, m) of n >= 1 elements of Z_q, their pi-row 0, through
+    ring_array (so PrecisionTooLow past the int64 rule); ValueError for an
+    element with a nonzero pi-row >= 1."""
+    X = ring_array(elems)
+    if X[:, 1:].any():
+        raise ValueError("element is not in Z_q: a pi-row >= 1 is nonzero")
+    return X[:, 0]
+
+
+def zq_mul(spec, X, Y):
+    """Elementwise product in Z_q of int64 arrays X (..., m) and Y
+    broadcastable to it, entries in [0, p^N).
+
+    It reads the pi-row-0 block of RingSpec.law, law[s][s2] for s, s2 < m,
+    as ring_array_mul reads the whole law: each slot product, times f, is
+    added into slot o for each pair (o, f), reduced mod p^N after every
+    addition.  For m = 1 that is one multiply and one reduction.
+    PrecisionTooLow past the int64 rule (check_product_precision).
+    """
+    m, pN = spec.m, spec.pN
+    check_product_precision(pN)
+    if m == 1:
+        out = X * Y
+        reduce_mod(out, pN)
+        return out
+    shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
+    out = np.zeros((m,) + shape, dtype=np.int64)
+    for s in range(m):
+        for s2 in range(m):
+            law = spec.law[s][s2]
+            xy = X[..., s] * Y[..., s2]
+            if any(f != 1 for _, f in law):
+                reduce_mod(xy, pN)  # so that xy * f plus a residue fits
+            for o, f in law:
+                acc = out[o:o + 1]  # a view, also for 0-d operands
+                acc += xy if f == 1 else xy * f
+                reduce_mod(acc, pN)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
+
+def zq_powers(spec, x, e):
+    """int64 array (e + 1, m) of x^0, ..., x^e for x in Z_q, an int64 array
+    (m,): each power one product from the last in Python ints, by the
+    pi-row-0 block of RingSpec.law (one multiply and one reduction when
+    m = 1), which costs less than any array step on tables this short."""
+    m, pN = spec.m, spec.pN
+    xs = x.tolist()
+    out = [[1] + [0] * (m - 1)]
+    if m == 1:
+        for _ in range(e):
+            out.append([out[-1][0] * xs[0] % pN])
+        return np.array(out, dtype=np.int64)
+    law = [[(s2, spec.law[s][s2]) for s2 in range(m) if xs[s2]] for s in range(m)]
+    for _ in range(e):
+        acc = [0] * m
+        for a, pairs in zip(out[-1], law):
+            if a:
+                for s2, prods in pairs:
+                    ab = a * xs[s2]
+                    for o, f in prods:
+                        acc[o] += ab * f
+        out.append([c % pN for c in acc])
+    return np.array(out, dtype=np.int64)
 
 
 def agreement(x, y):

@@ -173,19 +173,21 @@ def _suite_kernel_sweep(rng):
     from .battery import EXPONENT_SETS
     from .padic import RingElem
     # 3^19 and 5^13 are the last moduli of the int64 rule; at p = 2 an
-    # int64 overflow wraps mod 2^64 and stays right mod 2^N
+    # int64 overflow wraps mod 2^64 and stays right mod 2^N.  lambda is a
+    # random element of Z_q, the sweep's domain: random t-digits in pi-row 0
     for p, m, N, aname, s_cut in ((2, 2, 3, "kloosterman", None),
                                   (3, 1, 19, "kloosterman", 20),
                                   (3, 2, 3, "triangle", 5),
                                   (5, 1, 2, "edge", None),
-                                  (5, 1, 13, "skew", 12)):
+                                  (5, 1, 13, "skew", 12),
+                                  (7, 1, 2, "triangle", None)):
         ring = make_ring(p, m, None, N)
         s_cut = dwork.default_s_cut(ring) if s_cut is None else s_cut
         sc = dwork.splitting_coefficients(ring, s_cut)
         vecs = EXPONENT_SETS[aname]
         W = weights.build_weight_data(weights.ExponentSet(len(vecs[0]), vecs))
-        lam = tuple(RingElem(ring, [[rng.randrange(ring.pN) for _ in range(m)]
-                                    for _ in range(ring.npi)]) for _ in vecs)
+        lam = tuple(RingElem(ring, [[rng.randrange(ring.pN) for _ in range(m)]]
+                             + [[0] * m] * (ring.npi - 1)) for _ in vecs)
         table = dwork.kernel_sweep(lam, W, ring, sc, s_cut)
         mu = sweep_mismatch(table, lam, W, ring, sc, s_cut)
         if mu is not None:

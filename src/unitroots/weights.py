@@ -14,7 +14,6 @@ solver.  Dimensions are small: facet search scans the point subsets.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -222,34 +221,40 @@ def enumerate_weighted_monomials(W, wmax):
     """All mu in M with weight(mu) <= wmax, ordered by (weight, lex).
 
     D times a facet form is an integer vector, so each candidate is
-    compared in integers, max(0, max_f D*form . mu) <= floor(D * wmax),
-    and sorted by that scaled weight.
+    compared in integers, max(0, max_f D*form . mu) <= floor(D * wmax).
+    The box's points are one int64 meshgrid in lex order; the cone mask and
+    the scaled weights are one matrix product each, and a stable sort by
+    weight keeps lex order among equal weights.
     """
     wmax = Fraction(wmax)
     if wmax < 0:
         raise ValueError("wmax must be nonnegative")
     n = W.A.n
     pts = list(W.A.vectors) + [tuple([0] * n)]
-    bound = math.floor(W.D * wmax)
-    ranges = []
-    for i in range(n):
-        lo = min(Fraction(x[i]) * wmax for x in pts)
-        hi = max(Fraction(x[i]) * wmax for x in pts)
-        ranges.append(range(math.floor(lo), math.ceil(hi) + 1))
-    cone = [mu for mu in itertools.product(*ranges)
-            if all(sum(map(operator.mul, g, mu)) <= 0 for g in W.cone_facets)]
-    out = sorted((w, mu) for w, mu in zip(scaled_weights(W, cone), cone)
-                 if w <= bound)
-    return [mu for _, mu in out]
+    axes = [np.arange(math.floor(min(Fraction(x[i]) * wmax for x in pts)),
+                      math.ceil(max(Fraction(x[i]) * wmax for x in pts)) + 1)
+            for i in range(n)]
+    mus = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    facets = np.array(W.cone_facets, dtype=np.int64).reshape(-1, n)
+    mus = mus[(mus @ facets.T <= 0).all(axis=1)]
+    w = _scaled_weights(W, mus)
+    keep = w <= math.floor(W.D * wmax)
+    mus, w = mus[keep], w[keep]
+    return list(map(tuple, mus[np.argsort(w, kind="stable")].tolist()))
+
+
+def _scaled_weights(W, mus):
+    """D * weight(mu) as an int64 array, for the rows mu of an int64 array
+    in the cone: D times a facet form is an integer vector."""
+    forms = np.array([[int(W.D * c) for c in form] for form in W.facet_forms],
+                     dtype=np.int64)
+    return (mus @ forms.T).max(axis=1, initial=0)
 
 
 def scaled_weights(W, points):
-    """D * weight(mu), an integer, for each mu of `points` in the cone: D
-    times a facet form is an integer vector."""
-    forms = np.array([[int(W.D * c) for c in form] for form in W.facet_forms],
-                     dtype=np.int64)
-    mus = np.array(points, dtype=np.int64).reshape(-1, forms.shape[1])
-    return (mus @ forms.T).max(axis=1, initial=0).tolist()
+    """D * weight(mu), an integer, for each mu of `points` in the cone."""
+    return _scaled_weights(W, np.array(points, dtype=np.int64).reshape(
+        -1, W.A.n)).tolist()
 
 
 def relation_lattice_basis(A):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unitroots import dwork
-from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_dict
+from unitroots.battery import (BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS,
+                               WIDE_P_BATTERY, job_dict)
 from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              _pair_products, adjoint_check,
                              bigF_coefficient, default_s_cut,
@@ -1021,7 +1022,7 @@ def test_fredholm_expands_the_matrix_once(monkeypatch):
 
 
 def _battery_operator(case_id, ring, s_cut=None, wmax=None):
-    case = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}[case_id]
+    case = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY + WIDE_P_BATTERY}[case_id]
     spec = JobConfig.from_dict(job_dict(case)).laurent_spec()
     W = build_weight_data(spec.A)
     wmax = default_wmax(ring, W.D) if wmax is None else wmax
@@ -1213,15 +1214,55 @@ def test_kernel_table_matches_bigF(case_id, N, s_cut):
        st.sampled_from(["kloosterman", "skew", "triangle", "edge"]),
        st.integers(1, 3), st.integers(0, 6), st.data())
 def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data):
-    # lambda need not be a Teichmueller point: every digit is random
+    # lambda need not be a Teichmueller point: every t-digit is random, in
+    # Z_q, the sweep's domain (its pi-rows >= 1 are zero)
     ring = make_ring(p, m, None, N)
     vecs = EXPONENT_SETS[aname]
     W = build_weight_data(ExponentSet(len(vecs[0]), vecs))
     sc = splitting_coefficients(ring, s_cut)
-    lam = tuple(RingElem(ring, _random_ring_array(data, ring, ()).tolist())
-                for _ in vecs)
-    table = kernel_sweep(lam, W, ring, sc, s_cut)
-    assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
+    lam = []
+    for _ in vecs:
+        digits = _random_ring_array(data, ring, ())
+        digits[1:] = 0
+        lam.append(RingElem(ring, digits.tolist()))
+    table = kernel_sweep(tuple(lam), W, ring, sc, s_cut)
+    assert sweep_mismatch(table, tuple(lam), W, ring, sc, s_cut) is None
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 2)])
+def test_kernel_sweep_refuses_lambda_off_z_q(p, m):
+    # a lambda with a nonzero pi-row >= 1 is outside the sweep's contract
+    ring = make_ring(p, m, None, 3)
+    W = build_weight_data(ExponentSet(1, EXPONENT_SETS["kloosterman"]))
+    sc = splitting_coefficients(ring, 4)
+    for row in range(1, ring.npi):
+        digits = [[0] * m for _ in range(ring.npi)]
+        digits[0][0], digits[row][m - 1] = 1, 1
+        lam = (ring.one(), RingElem(ring, digits))
+        with pytest.raises(ValueError, match="not in Z_q"):
+            kernel_sweep(lam, W, ring, sc, 4)
+    kernel_sweep((ring.one(), ring.one()), W, ring, sc, 4)
+
+
+@pytest.mark.parametrize("case_id", [c["id"] for c in WIDE_P_BATTERY if c["p"] < 13])
+def test_wide_p_kernel_table_matches_bigF(case_id):
+    # at p = 7 and 11 the sweep wraps pi^(p-1) = -p on many states; the
+    # cutoff 2p - 1 reaches b_e's second term (e >= p) and two wraps, and
+    # keeps the reference, whose cost grows as s_cut^3 on the 2-D sets, cheap
+    p = int(case_id.split("-")[0][1:])
+    ring = make_ring(p, 1, None, 4)
+    od = _battery_operator(case_id, ring, 2 * p - 1)
+    assert sweep_mismatch(od.kernel_table(0), od.lam_orbit[0], od.W, ring, od.sc,
+                          od.s_cut) is None
+
+
+@pytest.mark.parametrize("case", WIDE_P_BATTERY, ids=lambda c: c["id"])
+def test_wide_p_routes_b_and_c_agree(case):
+    # routes B and C at N = 4 agree on all 4 digits past the battery's primes
+    report = run(job_dict(case, routes=("B", "C"), lmax=1)).data
+    assert report["exit_code"] == 0 and not report["errors"]
+    assert report["agreement"]["pairs"] == {"B-C": 4}
+    assert report["routes"]["B"]["unit_root"] == report["routes"]["C"]["unit_root"]
 
 
 @pytest.mark.parametrize("case_id", ["p2-triangle", "p3-skew", "p5-kloosterman",

@@ -2,21 +2,23 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitroots import hyperg
-from unitroots.battery import BATTERY, EXPONENT_SETS, job_dict
+from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_dict
 from unitroots.errors import NotARelation, PrecisionUnstable
 from unitroots.padic import RingElem
-from unitroots.hyperg import (LaurentSpec, _f0_shells, calF_series,
+from unitroots.hyperg import (LaurentSpec, _f0_shells, _shell_value,
+                              _teichmueller_orbit, calF_series,
                               check_annihilators, digit_solutions,
                               generating_identity_check,
                               hyperg_coefficient_series, route_a_last_step,
                               route_a_once, unit_root_route_A_detailed)
-from unitroots.padic import make_ring
-from unitroots.runner import run
+from unitroots.padic import make_ring, powers, zq_powers, zq_values
+from unitroots.runner import JobConfig, run
 from unitroots.selftest import surviving_solutions
 from unitroots.weights import ExponentSet, build_weight_data
 
@@ -288,6 +290,33 @@ def test_f0_shells_match_term_by_term_reference(name, p, m, N):
         got = [{tuple(c): d for c, d in zip(classes.tolist(), digits.tolist())}
                for classes, digits in shells]
         assert (got, terms) == _shells_reference(A, ring, s_lo, s_hi), s_lo
+
+
+@pytest.mark.parametrize("case", BATTERY + DEGENERATE_BATTERY, ids=lambda c: c["id"])
+def test_shell_value_matches_ring_element_products(case):
+    # every shell route A reads before its first stop (s <= D N) at N = 4,
+    # at lambda and at lambda^p, against one RingElem product per class and
+    # coefficient: digits in pi-row `row` at t^0, times lambda_a^(c_a shift)
+    spec = JobConfig.from_dict(job_dict(case)).laurent_spec()
+    p, m = case["p"], case["field_degree"]
+    ring = make_ring(p, m, None, 4)
+    q = p ** m
+    lam = _teichmueller_orbit(spec, ring, 1)[0]
+    tables = np.stack([zq_powers(ring, x, q - 1) for x in zq_values(lam)])
+    pows = [powers(x, q - 1) for x in lam]
+    assert tables.tolist() == [[list(y.slots[:m]) for y in pw] for pw in pows]
+    D = build_weight_data(spec.A).D
+    shells, _ = _f0_shells(spec.A, ring, 0, D * ring.N)
+    for classes, digits in shells:
+        for shift in (1, p):
+            want = ring.zero()
+            for key, row in zip(classes.tolist(), digits.tolist()):
+                term = ring.from_slots([c for d in row for c in [d] + [0] * (m - 1)])
+                for pw, c in zip(pows, key):
+                    if c:
+                        term = term * pw[(c * shift - 1) % (q - 1) + 1]
+                want = want + term
+            assert _shell_value((classes, digits), tables, shift, ring) == want
 
 
 def _series_reference(A, i, degmax, ring):

@@ -297,6 +297,24 @@ def test_refused_level_builds_no_field(monkeypatch):
         f"{(2 ** 22 - 1) * 24} entries pass the memory guard 2^26 = 67108864")
 
 
+def test_table_guards_every_level_before_building_any(monkeypatch):
+    # p = 5 triangle over F_25 (epsilon = 2): levels 1-4 pass both guards,
+    # level 5's trace tables (R (k + 2) = 1.2e8) do not, so char_sum_table
+    # refuses at once, naming level 5, and builds no level before it
+    spec = LaurentSpec(TRIANGLE, 5, 2, 2, ((0, 1), (1,), (1,)))
+
+    def never(self, l):
+        raise AssertionError(f"level {l} was built before level 5 was refused")
+    monkeypatch.setattr(FqTower, "level", never)
+    with pytest.raises(TooLarge) as refused:
+        char_sum_table(spec, 6)
+    assert str(refused.value) == (
+        "level 5, field degree k = 10: the trace tables' R (k + 2) = "
+        f"{(5 ** 10 - 1) * 12} entries pass the memory guard 2^26 = 67108864")
+    monkeypatch.undo()
+    assert len(char_sum_table(spec, 2).rows) == 2
+
+
 def test_convolution_rows_are_charged_their_fft_cells():
     # the battery's p = 5 triangle and edge rows at l = 6 run under the
     # default guard, though their R^2 = 2.4e8 torus points pass it
