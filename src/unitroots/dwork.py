@@ -52,7 +52,7 @@ block of the Frobenius matrix once; route B's dual cycle cuts each
 transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
-through ring_array_mul, one multiply-add per pair of RingSpec.law, under
+through ring_array_mul, one padic.law_add per pair of nonzero slots, under
 the same rule: a slot product added to a reduced residue fits.  Past the
 rule padic.ring_array, which makes them from elements, raises
 PrecisionTooLow, and so does ring_array_mul.  The kernel table
@@ -83,7 +83,7 @@ from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoo
 from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
-from .padic import (RingElem, check_product_precision, default_s_cut, horner,
+from .padic import (RingElem, check_product_precision, default_s_cut, horner, law_add,
                     newton_root, powers, reduce_mod, ring_array, ring_elems,
                     splitting_coefficients, teichmueller, zq_mul, zq_powers,
                     zq_values)
@@ -784,10 +784,10 @@ def ring_array_mul(spec, X, Y):
     """Elementwise product of ring arrays.
 
     X (..., p-1, m) times Y broadcastable to it, entries in [0, p^N): each
-    pair of nonzero (pi, t)-slots i, k adds its product, times f, into slot
-    o for each pair (o, f) of RingSpec.law[i][k], reduced mod p^N after
-    every addition.  Entries are int64; PrecisionTooLow past the int64 rule
-    of check_product_precision, where they would overflow silently.
+    pair of nonzero (pi, t)-slots i, k adds its product through
+    padic.law_add(RingSpec.law[i][k]).  Entries are int64; PrecisionTooLow
+    past the int64 rule of check_product_precision, where they would
+    overflow silently.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
     check_product_precision(pN)
@@ -799,13 +799,7 @@ def ring_array_mul(spec, X, Y):
         if not x.any():
             continue
         for k in yslots:
-            xy = x * Y[..., k // m, k % m]
-            if any(f != 1 for _, f in law[k]):
-                reduce_mod(xy, pN)  # so that xy * f plus a residue fits
-            for o, f in law[k]:
-                acc = out[o]
-                acc += xy if f == 1 else xy * f
-                reduce_mod(acc, pN)
+            law_add(out, law[k], x * Y[..., k // m, k % m], pN)
     return np.ascontiguousarray(np.moveaxis(out.reshape((npi, m) + shape),
                                             (0, 1), (-2, -1)))
 

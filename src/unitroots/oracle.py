@@ -328,12 +328,12 @@ def _generator_power_table(F, g, R):
 
 
 def char_sum_table(spec, lmax):
-    """The rows of levels 1..lmax; every level's guards run before the tower
-    or any level's field is built, so a refused level costs nothing."""
-    base_degree = spec.epsilon * orbit_degree(spec)
-    for l in range(1, lmax + 1):
-        _guarded_plan(spec, l, base_degree)
+    """The rows of levels 1..lmax; every level's guards run before any
+    level's field is built (FqTower builds none), so a refused level costs
+    nothing."""
     tower = FqTower(spec)
+    for l in range(1, lmax + 1):
+        _guarded_plan(spec, l, tower.base_degree)
     table = CharSumTable(tower.d)
     for l in range(1, lmax + 1):
         table.rows.append(char_sum(spec, l, tower))

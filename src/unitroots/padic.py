@@ -338,49 +338,44 @@ def zq_values(elems):
     return X[:, 0]
 
 
+def law_add(out, law, xy, pN):
+    """Add one slot product xy, times f, into slot o of the slot-major int64
+    array out for each pair (o, f) of one RingSpec.law entry, reducing mod
+    p^N after every addition; xy is reduced first when some f != 1, so that
+    xy * f plus a residue fits.  The one int64-safe law step of ring_array
+    and Z_q products, given the int64 rule (check_product_precision)."""
+    if any(f != 1 for _, f in law):
+        reduce_mod(xy, pN)
+    for o, f in law:
+        acc = out[o:o + 1]  # a view, also for 0-d operands
+        acc += xy if f == 1 else xy * f
+        reduce_mod(acc, pN)
+
+
 def zq_mul(spec, X, Y):
     """Elementwise product in Z_q of int64 arrays X (..., m) and Y
-    broadcastable to it, entries in [0, p^N).
-
-    It reads the pi-row-0 block of RingSpec.law, law[s][s2] for s, s2 < m,
-    as ring_array_mul reads the whole law: each slot product, times f, is
-    added into slot o for each pair (o, f), reduced mod p^N after every
-    addition.  For m = 1 that is one multiply and one reduction.
+    broadcastable to it, entries in [0, p^N): each pair of t-slots s, s2
+    of pi-row 0 adds its product through law_add(RingSpec.law[s][s2]).
     PrecisionTooLow past the int64 rule (check_product_precision).
     """
     m, pN = spec.m, spec.pN
     check_product_precision(pN)
-    if m == 1:
-        out = X * Y
-        reduce_mod(out, pN)
-        return out
     shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
     out = np.zeros((m,) + shape, dtype=np.int64)
     for s in range(m):
         for s2 in range(m):
-            law = spec.law[s][s2]
-            xy = X[..., s] * Y[..., s2]
-            if any(f != 1 for _, f in law):
-                reduce_mod(xy, pN)  # so that xy * f plus a residue fits
-            for o, f in law:
-                acc = out[o:o + 1]  # a view, also for 0-d operands
-                acc += xy if f == 1 else xy * f
-                reduce_mod(acc, pN)
+            law_add(out, spec.law[s][s2], X[..., s] * Y[..., s2], pN)
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def zq_powers(spec, x, e):
     """int64 array (e + 1, m) of x^0, ..., x^e for x in Z_q, an int64 array
     (m,): each power one product from the last in Python ints, by the
-    pi-row-0 block of RingSpec.law (one multiply and one reduction when
-    m = 1), which costs less than any array step on tables this short."""
+    pi-row-0 block of RingSpec.law, which costs less than any array step
+    on tables this short."""
     m, pN = spec.m, spec.pN
     xs = x.tolist()
     out = [[1] + [0] * (m - 1)]
-    if m == 1:
-        for _ in range(e):
-            out.append([out[-1][0] * xs[0] % pN])
-        return np.array(out, dtype=np.int64)
     law = [[(s2, spec.law[s][s2]) for s2 in range(m) if xs[s2]] for s in range(m)]
     for _ in range(e):
         acc = [0] * m
