@@ -20,9 +20,10 @@ contraction index: the tensor's own memory order, so the left side is a
 reshape of the tensor when every slot is nonzero.  The right side is the
 right operand's regular representation (RegularRep), whose row
 (b, pi^j t^s) holds row b of pi^j t^s times the operand, read from
-RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, so the
-product comes out reduced.  In this order a contraction over lo <= b < hi
-is a slice of both sides.  Every product contracts each row over every b
+RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, through
+the padic.law_plan of its slots, made once per ring and slot pattern, so
+the product comes out reduced.  In this order a contraction over
+lo <= b < hi is a slice of both sides.  Every product contracts each row over every b
 but route C's first-return products: product k contracts row r only over
 its window r < b < K_k(r), cut by Dwork's cycle bound (cycle_bound, trace_band), and
 keeps only the rows still live (first_return_product), a few adjacent
@@ -52,10 +53,12 @@ block of the Frobenius matrix once; route B's dual cycle cuts each
 transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
-through ring_array_mul, one padic.law_add per pair of nonzero slots, under
-the same rule: a slot product added to a reduced residue fits.  Past the
-rule padic.ring_array, which makes them from elements, raises
-PrecisionTooLow, and so does ring_array_mul.  The kernel table
+through ring_array_mul, padic.law_product on their slots: one integer
+matmul of X's nonzero slots against Y's regular representation, read
+from the same plans and reduced mod p^N only where the next term could
+pass 2^63, under the same rule.  Past the rule padic.ring_array, which
+makes them from elements, raises PrecisionTooLow, and so does
+ring_array_mul.  The kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
 products in Z_q (kernel_sweep): b_e is one digit times pi^(e mod (p-1))
 and lambda is a Teichmueller point, so a partial product is one Z_q value
@@ -83,10 +86,10 @@ from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoo
 from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
-from .padic import (RingElem, check_product_precision, default_s_cut, horner, law_add,
-                    newton_root, powers, reduce_mod, ring_array, ring_elems,
-                    splitting_coefficients, teichmueller, zq_mul, zq_powers,
-                    zq_values)
+from .padic import (RingElem, check_product_precision, default_s_cut, horner, law_plan,
+                    law_product, law_sum, newton_root, nonzero_slots, powers, reduce_mod,
+                    ring_array, ring_elems, splitting_coefficients, teichmueller, zq_mul,
+                    zq_powers, zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -122,7 +125,7 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     prod_a b_(nu_a) lam_a^(nu_a) to the bucket mu = sum nu_a a; indices
     missing from the result have every contribution beyond the cutoff and so
     vanish mod p^N.  Each b_e = d_e pi^(e mod (p-1)) is one digit at t^0
-    (splitting_coefficients), and lam lies in Z_q (ValueError otherwise;
+    (sc.digits), and lam lies in Z_q (ValueError otherwise;
     every caller passes Teichmueller points), so a partial product with
     |nu| = s is z pi^(s mod (p-1)), z in Z_q.  The sweep takes A's vectors
     one level at a time over a batch of states (z, remaining budget, mu):
@@ -131,12 +134,13 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     (never at p = 2), and zero partials drop out.  One scatter-add puts each
     z into pi-row |nu| mod (p-1) of its bucket; the buckets are reduced
     mod p^N and kept where nonzero, and the arrays are the table, with no
-    RingElem per entry.  Entries are int64; past the int64 rule ring_array
-    raises PrecisionTooLow before the first product.
+    RingElem per entry.  Entries are int64; past the int64 rule
+    PrecisionTooLow is raised before the first product.
     """
     npi, pN = ring.npi, ring.pN
-    i = np.arange(s_cut + 1)
-    d = ring_array(sc.b[:s_cut + 1])[i, i % npi]  # b_i = d_i pi^(i mod (p-1))
+    check_product_precision(pN)
+    d = np.zeros((s_cut + 1, ring.m), dtype=np.int64)
+    d[:, 0] = sc.digits[:s_cut + 1]  # b_i = d_i pi^(i mod (p-1))
     z = np.zeros((1, ring.m), dtype=np.int64)
     z[0, 0] = 1
     budget = np.array([s_cut])
@@ -392,17 +396,6 @@ def slot_group(dim, slots, p, N):
     return g
 
 
-def _nonzero_slots(X):
-    """Indices j*m + s of the nonzero (pi, t)-slots of X (rows, ..., p-1, m);
-    one reduction per slot is much faster than one over the leading axes,
-    and the first row alone, nonzero in most slots of route C's matrices,
-    settles most slots."""
-    npi, m = X.shape[-2:]
-    planes = [X[..., i // m, i % m] for i in range(npi * m)]
-    return np.array([i for i, plane in enumerate(planes)
-                     if plane[:1].any() or plane.any()], dtype=np.int64)
-
-
 def _run(idx):
     """Sorted indices as a slice when they are consecutive, so that indexing
     with them gives a view, not a copy."""
@@ -425,32 +418,6 @@ class RegularRep:
     matrix: np.ndarray
 
 
-def _regular_terms(spec, slots, present):
-    """How the rows `slots` of a regular representation are made.
-
-    Slot o of row slot i, pi^j t^s * B for i = j*m + s, is the sum of f
-    times B's plane k over B's nonzero slots k, the ascending `present`,
-    and the pairs (o, f) of RingSpec.law[i][k].  Returns kept, the slots
-    some row reaches, and src and coef (terms, rows, kept): row n, slot
-    kept[c] is the sum over terms of coef * B[..., src] mod p^N, unused
-    terms having coef 0.
-    """
-    S = spec.npi * spec.m
-    rows = [[[] for _ in range(S)] for _ in slots]
-    for terms, i in zip(rows, slots):
-        for k in present:
-            for o, f in spec.law[i][k]:
-                terms[o].append((f, k))
-    kept = [o for o in range(S) if any(terms[o] for terms in rows)]
-    src = np.zeros((spec.m, len(slots), len(kept)), dtype=np.int64)
-    coef = np.zeros_like(src)
-    for n, terms in enumerate(rows):
-        for c, o in enumerate(kept):
-            for t, (f, k) in enumerate(terms[o]):
-                coef[t, n, c], src[t, n, c] = f, k
-    return np.array(kept, dtype=np.int64), src, coef
-
-
 # Entries per temporary when regular_representation expands B: rows of B
 # are taken a few at a time, so the temporaries, 512 KB each in int64, stay
 # small beside the representation itself (3-7 MB for route C's leading
@@ -461,48 +428,38 @@ REP_TEMP = 2 ** 16
 
 def regular_representation(spec, B, slots):
     """RegularRep of B (dim, cols, p-1, m), entries in [0, p^N), for the
-    sorted `slots`: pi^(p-1) = -p and g(t) enter here, once, through
-    RingSpec.law (_regular_terms), instead of after every product.
+    sorted `slots`: pi^(p-1) = -p and g(t) enter here, once, through the
+    law_plan of the slots over B's nonzero slots, instead of after every
+    product; the plan is made once per ring and slot pattern.
 
     Most of its planes are a plane of B, the one term of law coefficient 1:
     each block of rows of B is centred once, and those planes are copied
     from it.  Only the others, the terms that wrap past pi^(p-2) (-p) or
-    t^(m-1) (g's coefficients), are multiplied, reduced and centred.
+    t^(m-1) (g's coefficients), are multiplied and reduced (law_sum) and
+    centred.
     """
     pN, h = spec.pN, spec.pN // 2
     dim, cols = B.shape[:2]
-    kept, src, coef = _regular_terms(spec, slots, _nonzero_slots(B).tolist())
-    plain = (coef[0] == 1) & ~coef[1:].any(axis=0)
-    copied, wrapped = [], []
-    for n in range(len(slots)):
-        c = np.flatnonzero(plain[n])
-        copied.append((_run(c), _run(src[0, n, c])) if len(c) else None)
-        wrapped.append([(c, [(k, f) for k, f in zip(src[:, n, c].tolist(),
-                                                     coef[:, n, c].tolist()) if f])
-                        for c in np.flatnonzero(~plain[n]).tolist()])
     B = B.reshape(dim, cols, -1)
-    blocks = np.empty((dim, len(slots), cols, len(kept)))
-    step = max(1, REP_TEMP // max(cols * max(len(kept), B.shape[2]), 1))
+    plan = law_plan(spec, tuple(np.asarray(slots).tolist()), nonzero_slots(B))
+    blocks = np.empty((dim, len(slots), cols, len(plan.kept)))
+    step = max(1, REP_TEMP // max(cols * max(len(plan.kept), B.shape[2]), 1))
     for lo in range(0, dim, step):
         Bs = B[lo:lo + step]
         centred = Bs.astype(np.float64)
         centred -= pN * (Bs > h)
-        for n, terms_of in enumerate(wrapped):
+        planes = Bs.transpose(2, 0, 1)
+        for n, (copy, wrap, zero) in enumerate(plan.terms):
             out = blocks[lo:lo + step, n]
-            if copied[n] is not None:
-                out[..., copied[n][0]] = centred[..., copied[n][1]]
-            for c, terms in terms_of:
-                if not terms:
-                    out[..., c] = 0
-                    continue
-                acc = Bs[..., terms[0][0]] * terms[0][1]
-                for k, f in terms[1:]:
-                    reduce_mod(acc, pN)
-                    acc += Bs[..., k] * f
-                reduce_mod(acc, pN)
+            if copy is not None:
+                out[..., copy[0]] = centred[..., copy[1]]
+            if zero is not None:
+                out[..., zero] = 0
+            for c, src, coef in wrap or ():
+                acc = law_sum(planes, src, coef, pN)
                 acc -= pN * (acc > h)
                 out[..., c] = acc
-    return RegularRep(np.asarray(slots, dtype=np.int64), kept,
+    return RegularRep(np.asarray(slots, dtype=np.int64), plan.kept,
                       blocks.reshape(dim * len(slots), -1))
 
 
@@ -644,11 +601,11 @@ def left_limbs(spec, A, plan=None):
     p, N, pN = spec.p, spec.N, spec.pN
     check_product_precision(pN)
     rows, dim = A.shape[:2]
-    slots = _nonzero_slots(A)
+    A = A.reshape(rows, dim, spec.npi * spec.m)
+    slots = np.array(nonzero_slots(A), dtype=np.int64)
     S = len(slots)
     if not S:
         return LeftLimbs(rows, slots, [])
-    A = A.reshape(rows, dim, -1)
     if S < A.shape[2]:
         A = A[:, :, slots]
     A = A.reshape(rows, -1)
@@ -781,27 +738,15 @@ def pair_products_reference(spec, A, B):
 
 
 def ring_array_mul(spec, X, Y):
-    """Elementwise product of ring arrays.
-
-    X (..., p-1, m) times Y broadcastable to it, entries in [0, p^N): each
-    pair of nonzero (pi, t)-slots i, k adds its product through
-    padic.law_add(RingSpec.law[i][k]).  Entries are int64; PrecisionTooLow
-    past the int64 rule of check_product_precision, where they would
-    overflow silently.
+    """Elementwise product of ring arrays X (..., p-1, m) and Y
+    broadcastable to it, entries in [0, p^N): padic.law_product on their
+    flattened slots.  Entries are int64; PrecisionTooLow past the int64
+    rule of check_product_precision, where they would overflow silently.
     """
-    npi, m, pN = spec.npi, spec.m, spec.pN
-    check_product_precision(pN)
-    shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2])
-    out = np.zeros((npi * m,) + shape, dtype=np.int64)
-    yslots = [k for k in range(npi * m) if Y[..., k // m, k % m].any()]
-    for i, law in enumerate(spec.law):
-        x = X[..., i // m, i % m]
-        if not x.any():
-            continue
-        for k in yslots:
-            law_add(out, law[k], x * Y[..., k // m, k % m], pN)
-    return np.ascontiguousarray(np.moveaxis(out.reshape((npi, m) + shape),
-                                            (0, 1), (-2, -1)))
+    S = spec.npi * spec.m
+    Z = law_product(spec, X.reshape(X.shape[:-2] + (S,)),
+                    Y.reshape(Y.shape[:-2] + (S,)))
+    return Z.reshape(Z.shape[:-1] + (spec.npi, spec.m))
 
 
 def _fold(spec, raw):

@@ -8,12 +8,18 @@ is (p-1) m residues mod p^N, its slots, in RingSpec.law's order:
 
 RingSpec.law is the one place pi^(p-1) = -p and the reduction mod g are
 applied: law[i][k] lists the (slot, coefficient mod p^N) pairs of slot i
-times slot k.  RingElem.__mul__ and dwork's products read it, and the Z_q
-products zq_mul and zq_powers read its pi-row-0 block; dwork's
-reference keeps its own encoding, _fold.  A (p-1) x m digit matrix, rows by
-pi-degree, is read only by RingElem() and written only by digits(); int64
-ring arrays (n, p-1, m) meet elements only in ring_array and ring_elems,
-and Z_q arrays (n, m), pi-row 0, are taken from them by zq_values.
+times slot k.  RingElem.__mul__ reads it in Python ints, and zq_powers its
+pi-row-0 block.  Array products read it through a LawPlan, made once per
+ring and pair of nonzero-slot patterns and kept (law_plan): how each slot
+multiple pi^j t^s * Y is copied or summed from Y's planes.  law_product,
+the one int64 product step, serves dwork's ring arrays (ring_array_mul)
+and Z_q arrays (zq_mul, pi-row 0) and reduces mod p^N only where the next
+term could pass 2^63; dwork's regular representation reads the same
+plans, and dwork's reference keeps its own encoding, _fold.  A (p-1) x m
+digit matrix, rows by pi-degree, is read only by RingElem() and written
+only by digits(); int64 ring arrays (n, p-1, m) meet elements only in
+ring_array and ring_elems, and Z_q arrays (n, m), pi-row 0, are taken
+from them by zq_values.
 
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
@@ -32,16 +38,21 @@ The Teichmueller lift is one Frobenius power of the digit lift, and one
 array rule, pi_pow_digits, gives the digits of pi^k / prod(f!) for Dwork's
 splitting series theta(t) = exp(pi(t - t^p)) (splitting_coefficients) and
 for route A's sums.  Its factorial unit parts come as inverses, from the
-one prefix table of FactorialUnits, by the generalized Wilson theorem.
-Arrays of residues are int64 only under the one int64 rule,
-(p^N - 1)^2 + p^N < 2^63 (int64_exact, check_product_precision), and
-ring_array, the one way from elements into int64 ring arrays, raises
-PrecisionTooLow past it.  The primitive p-th root of unity is theta(1)
-(zeta_p), Dwork's additive character, with zeta == 1 + pi (mod pi^2).
+one prefix table of FactorialUnits, by the generalized Wilson theorem,
+shared by every ring of the same p and N.  The splitting series' digits
+are kept per p and N too (splitting_coefficients), so no job rebuilds either;
+these memos, like the plans and zeta_p's, hold ints and arrays only and
+keep no ring alive.  Arrays of residues are int64 only under the one
+int64 rule, (p^N - 1)^2 + p^N < 2^63 (int64_exact,
+check_product_precision), and ring_array, the one way from elements into
+int64 ring arrays, raises PrecisionTooLow past it.  The primitive p-th
+root of unity is theta(1) (zeta_p), Dwork's additive character, with
+zeta == 1 + pi (mod pi^2).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from operator import index
 
@@ -54,7 +65,8 @@ from .errors import (CompositeP, ConfigInvalid, NonUnitDivision,
 
 class RingSpec:
     """Descriptor of one working ring O_N.  Its fields never change after
-    construction; factorials, the ring's FactorialUnits table, only grows."""
+    construction; factorials, the FactorialUnits table every ring of the
+    same p and N shares (_FACTORIALS), only grows."""
 
     def __init__(self, p, m, g, N):
         self.p, self.m, self.N = p, m, N
@@ -78,7 +90,9 @@ class RingSpec:
                          for s, c in enumerate(tpow[s1 + s2]) if f * c % self.pN)
         self.law = tuple(tuple(product(i, k) for k in range(S)) for i in range(S))
         self.key = (p, m, N, self.g)
-        self.factorials = FactorialUnits(self)
+        self.factorials = _FACTORIALS.get((p, N))
+        if self.factorials is None:
+            self.factorials = _FACTORIALS[p, N] = FactorialUnits(self)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RingSpec)
@@ -338,34 +352,172 @@ def zq_values(elems):
     return X[:, 0]
 
 
-def law_add(out, law, xy, pN):
-    """Add one slot product xy, times f, into slot o of the slot-major int64
-    array out for each pair (o, f) of one RingSpec.law entry, reducing mod
-    p^N after every addition; xy is reduced first when some f != 1, so that
-    xy * f plus a residue fits.  The one int64-safe law step of ring_array
-    and Z_q products, given the int64 rule (check_product_precision)."""
-    if any(f != 1 for _, f in law):
-        reduce_mod(xy, pN)
-    for o, f in law:
-        acc = out[o:o + 1]  # a view, also for 0-d operands
-        acc += xy if f == 1 else xy * f
-        reduce_mod(acc, pN)
+# A law plan is made once per ring, row slots and operand slots, and kept:
+# (RingSpec.key, rows, present) -> LawPlan, which holds ints, slices and
+# int64 arrays only, so the memo keeps no ring alive.
+_PLANS = {}
+
+
+@dataclass(frozen=True)
+class LawPlan:
+    """How the rows `rows` of the regular representation of an operand
+    whose nonzero slots are `present` are made from its planes.
+
+    Row n, slot rows[n] = j*m + s, is pi^j t^s times the operand; its slot
+    o is the sum of f times the operand's plane k over k in `present` and
+    the pairs (o, f) of RingSpec.law[rows[n]][k].  `kept` holds the
+    ascending slots o some row reaches, and index is rows as an index.
+    terms[n] = (copy, wrap, zero) gives row n by positions in kept: copy =
+    (cols, src), the columns that are one plane of law coefficient 1,
+    copied from the planes src; wrap, the others, one (c, src, coef) per
+    column c, which is sum_t coef[t] times plane src[t] (law_sum); zero,
+    the columns no term reaches.  Each is None when empty, and an index
+    that is a run of consecutive slots is a slice, so that it gives a
+    view.
+    """
+    rows: tuple
+    index: object
+    kept: np.ndarray
+    terms: tuple
+
+
+def _view_index(idx):
+    """Ascending indices as a slice when they are consecutive, else an
+    int64 array; None when there are none."""
+    if not idx:
+        return None
+    if idx[-1] - idx[0] == len(idx) - 1 and idx == sorted(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return np.array(idx, dtype=np.int64)
+
+
+def law_plan(spec, rows, present):
+    """The LawPlan of the row slots `rows` over an operand whose nonzero
+    slots are `present` (ascending int tuples), read from RingSpec.law
+    once per RingSpec.key, rows and present and kept (_PLANS)."""
+    key = (spec.key, rows, present)
+    plan = _PLANS.get(key)
+    if plan is None:
+        S = len(spec.law)
+        sums = [[[] for _ in range(S)] for _ in rows]
+        for row, i in zip(sums, rows):
+            for k in present:
+                for o, f in spec.law[i][k]:
+                    row[o].append((k, f))
+        kept = [o for o in range(S) if any(row[o] for row in sums)]
+        terms = []
+        for row in sums:
+            cols = [row[o] for o in kept]
+            copy = [(c, t[0][0]) for c, t in enumerate(cols)
+                    if len(t) == 1 and t[0][1] == 1]
+            wrap = tuple((c, tuple(k for k, _ in t), tuple(f for _, f in t))
+                         for c, t in enumerate(cols) if t and (len(t) > 1 or t[0][1] != 1))
+            terms.append((
+                (_view_index([c for c, _ in copy]), _view_index([k for _, k in copy]))
+                if copy else None,
+                wrap or None,
+                _view_index([c for c, t in enumerate(cols) if not t])))
+        plan = LawPlan(rows, _view_index(list(rows)),
+                       np.array(kept, dtype=np.int64), tuple(terms))
+        plan.kept.setflags(write=False)  # shared by every later call
+        _PLANS[key] = plan
+    return plan
+
+
+def unreduced_terms(pN):
+    """The most products of two residues mod pN that an int64 sum holds on
+    top of a residue: the largest c with c (pN - 1)^2 + pN < 2^63, at least
+    1 under the int64 rule (check_product_precision)."""
+    return (2 ** 63 - 1 - pN) // (pN - 1) ** 2
+
+
+def law_sum(planes, src, coef, pN):
+    """sum_t coef[t] * planes[src[t]] mod p^N, int64, for the slot-major
+    residues planes (S, ...), slot indices src and residues coef; reduced
+    only where the next term could pass 2^63 (unreduced_terms) and at the
+    end."""
+    acc = np.asarray(planes[src[0]] * coef[0])  # 0-d planes give a scalar
+    if len(src) > 1:
+        room = unreduced_terms(pN)
+        for t in range(1, len(src)):
+            if not t % room:
+                reduce_mod(acc, pN)
+            acc += planes[src[t]] * coef[t]
+    reduce_mod(acc, pN)
+    return acc
+
+
+def nonzero_slots(X):
+    """The i with X[..., i] nonzero, as a tuple: one reduction per slot is
+    much faster than one over the leading axes, and a plane's first entry,
+    nonzero in most slots, settles it before the whole plane is read."""
+    if not X.size:
+        return ()
+    return tuple(i for i in range(X.shape[-1]) if X[..., i].flat[0] or X[..., i].any())
+
+
+def law_product(spec, X, Y):
+    """Elementwise ring product of int64 slot arrays X (..., S) and Y
+    broadcastable to it, entries in [0, p^N), slot i in RingSpec.law's
+    order for i < S: a ring array's flattened (p-1, m) axes (S = (p-1) m)
+    or a Z_q array (S = m, pi-row 0, where the law keeps every product).
+
+    R, Y's regular representation on X's nonzero slots (law_plan), is
+    formed at Y's shape, its coefficient-1 planes copied from Y and the
+    others summed by law_sum: R[..., n, :] is pi^j t^s * Y for the n-th of
+    those slots i = j*m + s.  The product is sum_n X[..., i] R[..., n, :],
+    one integer matmul that the n run through, reduced mod p^N only where
+    the next term could pass 2^63 (unreduced_terms): once, at the end,
+    unless X has more nonzero slots than unreduced_terms(p^N), which
+    happens only near the int64 rule's limit.  PrecisionTooLow past the
+    int64 rule (check_product_precision), where a residue times a residue
+    no longer fits.
+    """
+    pN = spec.pN
+    check_product_precision(pN)
+    shape = np.broadcast(X[..., 0], Y[..., 0]).shape
+    plan = law_plan(spec, nonzero_slots(X), nonzero_slots(Y))
+    if not plan.kept.size:
+        return np.zeros(shape + X.shape[-1:], dtype=np.int64)
+    d = Y.ndim - 1
+    planes = Y.transpose((d,) + tuple(range(d)))
+    R = np.empty((len(plan.rows), len(plan.kept)) + Y.shape[:-1], dtype=np.int64)
+    for n, (copy, wrap, zero) in enumerate(plan.terms):
+        if copy is not None:
+            R[n, copy[0]] = planes[copy[1]]
+        if zero is not None:
+            R[n, zero] = 0
+        for c, src, coef in wrap or ():
+            R[n, c] = law_sum(planes, src, coef, pN)
+    R = R.transpose(tuple(range(2, d + 2)) + (0, 1))
+    if len(plan.rows) == 1:
+        # one term: a broadcast multiply, much faster than a matmul of
+        # 1 x 1 stacks
+        out = X[..., plan.rows[0], None] * R[..., 0, :]
+    else:
+        xs = X[..., None, plan.index]
+        room = unreduced_terms(pN)
+        out = None
+        for lo in range(0, len(plan.rows), room):
+            part = np.matmul(xs[..., lo:lo + room], R[..., lo:lo + room, :])[..., 0, :]
+            if out is not None:
+                reduce_mod(out, pN)
+                part += out
+            out = part
+    reduce_mod(out, pN)
+    if len(plan.kept) == X.shape[-1]:
+        return out
+    full = np.zeros(shape + X.shape[-1:], dtype=np.int64)
+    full[..., plan.kept] = out
+    return full
 
 
 def zq_mul(spec, X, Y):
     """Elementwise product in Z_q of int64 arrays X (..., m) and Y
-    broadcastable to it, entries in [0, p^N): each pair of t-slots s, s2
-    of pi-row 0 adds its product through law_add(RingSpec.law[s][s2]).
+    broadcastable to it, entries in [0, p^N): law_product on pi-row 0.
     PrecisionTooLow past the int64 rule (check_product_precision).
     """
-    m, pN = spec.m, spec.pN
-    check_product_precision(pN)
-    shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
-    out = np.zeros((m,) + shape, dtype=np.int64)
-    for s in range(m):
-        for s2 in range(m):
-            law_add(out, spec.law[s][s2], X[..., s] * Y[..., s2], pN)
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return law_product(spec, X, Y)
 
 
 def zq_powers(spec, x, e):
@@ -415,19 +567,24 @@ def zeta_p(spec):
 
     It is Dwork's theta(1) = sum_i b_i, summed through default_s_cut(spec),
     past which every b_i vanishes mod p^N (B. Dwork, "On the zeta function
-    of a hypersurface", Publ. Math. IHES 12, 1962).  The sum reads about
-    N^2 p^3 / (2(p-1)^2) factorial digits, so its cost grows as N^2, where
-    a Newton solve of the cyclotomic equation takes O(log N) ring steps;
-    that is cheaper only past about N = 12, and the oracle, its one caller,
-    runs at smaller N.  The digits are summed and checked once per
-    RingSpec.key and process and memoized as int tuples, so the memo keeps
-    no ring alive; later calls on an equal ring only wrap them.
+    of a hypersurface", Publ. Math. IHES 12, 1962): pi-row r holds the sum
+    of the digits of the b_i with i = r mod (p-1) (splitting_coefficients).
+    The sum reads about N^2 p^3 / (2(p-1)^2) factorial digits, so its cost
+    grows as N^2, where a Newton solve of the cyclotomic equation takes
+    O(log N) ring steps; that is cheaper only past about N = 12, and the
+    oracle, its one caller, runs at smaller N.  The slots are summed and
+    checked once per RingSpec.key and process and memoized as int tuples,
+    so the memo keeps no ring alive; later calls on an equal ring only wrap
+    them.
     """
     if spec.N * spec.npi < 2:
         raise PrecisionTooLow("cannot separate zeta_p from 1 at this precision")
     slots = _ZETA_SLOTS.get(spec.key)
     if slots is None:
-        z = sum(splitting_coefficients(spec, default_s_cut(spec)).b, spec.zero())
+        slots = [0] * (spec.npi * spec.m)
+        for i, d in enumerate(splitting_coefficients(spec, default_s_cut(spec)).digits):
+            slots[i % spec.npi * spec.m] += d
+        z = spec.from_slots(slots)
         assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
         slots = _ZETA_SLOTS[spec.key] = z.slots
     return spec.from_slots(slots)
@@ -511,6 +668,11 @@ def running_products(f, pN):
         acc = acc * total % pN
     x = x * np.array(above, dtype=f.dtype)[:, None] % pN
     return x.reshape(-1)[:n]
+
+
+# One FactorialUnits table per (p, N), the only inputs it depends on, shared
+# by every ring of that p and N; it holds ints and arrays only.
+_FACTORIALS = {}
 
 
 class FactorialUnits:
@@ -606,37 +768,58 @@ def pi_pow_digits(spec, k, factorials):
 
 @dataclass(frozen=True)
 class SplittingCoeffs:
-    b: tuple
+    """b_0..b_imax of exp(pi(t - t^p)) in one ring: b_i = digits[i] *
+    pi^(i mod (p-1)), the digit at t^0.  The elements b are made on first
+    read; the kernel sweep reads the digits alone."""
+    ring: RingSpec
+    digits: tuple
+
+    @cached_property
+    def b(self):
+        npi, m = self.ring.npi, self.ring.m
+        return tuple(self.ring.from_slots([0] * (i % npi * m) + [d])
+                     for i, d in enumerate(self.digits))
 
     def __getitem__(self, i):
         return self.b[i]
 
     def __len__(self):
-        return len(self.b)
+        return len(self.digits)
+
+
+# (p, N) -> the digits of b_0, b_1, ... as far as any ring asked, Python
+# ints: the splitting series lies in Z_p[pi], so it depends on p and N alone.
+_SPLITTING = {}
 
 
 def splitting_coefficients(ring, imax):
-    """Coefficients b_0..b_imax of exp(pi(t - t^p)).
+    """SplittingCoeffs b_0..b_imax of exp(pi(t - t^p)) in ring.  Their
+    digits are kept per (p, N) and process (_SPLITTING) and extended when a
+    larger imax is asked for.
 
     b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!), and every term is one
-    p-integral digit in pi-row i mod (p-1); the digits of all (i, j) come
-    from one pi_pow_digits call, and b_i is their signed sum in that row.
-    ord b_i >= i(p-1)/p^2 is asserted for each i.
+    p-integral digit in pi-row i mod (p-1); the digits of all (i, j) of an
+    extension come from one pi_pow_digits call, and b_i's digit is their
+    signed sum.  Each computed b_i is checked: ord b_i >= i(p-1)/p^2, and
+    b_0 = 1.
     """
-    p = ring.p
-    count = np.arange(imax + 1) // p + 1  # the j of each i
-    i = np.repeat(np.arange(imax + 1), count)
-    start = np.cumsum(count) - count
-    j = np.arange(len(i)) - np.repeat(start, count)
-    _, digits = pi_pow_digits(ring, i - (p - 1) * j, np.column_stack([j, i - p * j]))
-    sums = np.add.reduceat(np.where(j & 1, -digits, digits), start) % ring.pN
-    out = []
-    for i, digit in enumerate(sums.tolist()):
-        b = ring.from_slots([0] * (i % (p - 1) * ring.m) + [digit])
-        assert b.val_at_least(Fraction(i * (p - 1), p * p)), f"b_{i} bound fails"
-        out.append(b)
-    assert out[0] == ring.one()
-    return SplittingCoeffs(tuple(out))
+    p, npi, key = ring.p, ring.npi, (ring.p, ring.N)
+    known = _SPLITTING.get(key, ())
+    if len(known) <= imax:
+        new = np.arange(len(known), imax + 1)
+        count = new // p + 1  # the j of each i
+        i = np.repeat(new, count)
+        start = np.cumsum(count) - count
+        j = np.arange(len(i)) - np.repeat(start, count)
+        _, digits = pi_pow_digits(ring, i - (p - 1) * j, np.column_stack([j, i - p * j]))
+        sums = np.add.reduceat(np.where(j & 1, -digits, digits), start) % ring.pN
+        for n, d in zip(new.tolist(), sums.tolist()):
+            # ord b_n = (p-1) v_p(d) + n mod (p-1), in units of ord pi
+            assert not d or (npi * split_p(d, p)[0] + n % npi) * p * p >= n * npi * npi, \
+                f"b_{n} bound fails"
+        known = _SPLITTING[key] = known + tuple(int(d) for d in sums.tolist())
+        assert known[0] == 1
+    return SplittingCoeffs(ring, known[:imax + 1])
 
 
 def default_s_cut(ring):

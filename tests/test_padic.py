@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitroots import padic
+from unitroots.dwork import regular_representation, ring_array_mul
 from unitroots.errors import (CompositeP, ConfigInvalid, NonUnitDivision,
                               PrecisionTooLow, ReduciblePolynomial)
 from unitroots.padic import (FactorialUnits, RingElem, RingSpec, make_ring,
@@ -404,3 +405,131 @@ def test_factorial_units_grow_only_as_needed():
     units = FactorialUnits(ring)
     units.inverses(np.array([40]))
     assert len(units.inverse_prefix) == 41
+
+
+def test_rings_of_one_p_and_n_share_their_factorial_table():
+    # the table depends on p and N alone, so a ring of another m or g reads
+    # the same one, and a new ring of a known (p, N) builds none
+    a, b = make_ring(3, 1, None, 6), make_ring(3, 2, None, 6)
+    assert a.factorials is b.factorials is padic._FACTORIALS[3, 6]
+    assert make_ring(3, 1, None, 7).factorials is not a.factorials
+    assert vars(a.factorials).keys() == {"p", "pN", "block", "inverse_prefix", "last"}
+
+
+# --- the int64 product step -------------------------------------------------
+
+def _product_reference(ring, X, Y):
+    """X times Y elementwise by RingElem products, as an int64 ring array of
+    the broadcast shape."""
+    shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2])
+    X = np.broadcast_to(X, shape + X.shape[-2:]).reshape(-1, ring.npi, ring.m)
+    Y = np.broadcast_to(Y, shape + Y.shape[-2:]).reshape(-1, ring.npi, ring.m)
+    Z = [(RingElem(ring, x.tolist()) * RingElem(ring, y.tolist())).slots
+         for x, y in zip(X, Y)]
+    return np.array(Z, dtype=np.int64).reshape(shape + (ring.npi, ring.m))
+
+
+def _operands(ring, rng, full=False):
+    """(X, Ys): X of shape (3, 4), and Y at every broadcast shape against
+    it; random residues with about a third of the slots 0 in every entry,
+    or every slot p^N - 1 when full, and an all-zero Y."""
+    def draw(batch):
+        if full:
+            return np.full(batch + (ring.npi, ring.m), ring.pN - 1, dtype=np.int64)
+        X = rng.integers(0, ring.pN, batch + (ring.npi, ring.m))
+        X[..., rng.random((ring.npi, ring.m)) < 1 / 3] = 0
+        return X
+    X = draw((3, 4))
+    return X, [draw((3, 4)), draw((4,)), draw((3, 1)), draw(()),
+               np.zeros((3, 4, ring.npi, ring.m), dtype=np.int64)]
+
+
+def _check_products(ring, X, Ys):
+    # ring_array_mul on every pair, both ways round, and zq_mul on pi-row 0
+    # alone, against RingElem products
+    for Y in Ys:
+        for A, B in ((X, Y), (Y, X)):
+            Z = ring_array_mul(ring, A, B)
+            assert Z.dtype == np.int64
+            assert np.array_equal(Z, _product_reference(ring, A, B)), Y.shape
+            A0, B0 = np.zeros_like(A), np.zeros_like(B)
+            A0[..., 0, :], B0[..., 0, :] = A[..., 0, :], B[..., 0, :]
+            Z = padic.zq_mul(ring, A[..., 0, :], B[..., 0, :])
+            assert np.array_equal(Z, _product_reference(ring, A0, B0)[..., 0, :])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [4, 8])
+def test_product_step_matches_ring_elements(p, m, N):
+    ring = make_ring(p, m, None, N)
+    rng = np.random.default_rng(100 * p + 10 * m + N)
+    _check_products(ring, *_operands(ring, rng))
+
+
+@pytest.mark.parametrize("p, last", [(2, 31), (3, 19), (5, 13)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_step_at_the_last_moduli(p, last, m):
+    # every slot p^N - 1, the largest sum each step can meet; here
+    # unreduced_terms is 2 (2^31) or 6, so 2^31 at m = 3 and 5^13 at m >= 2
+    # reduce between matmul blocks
+    ring = make_ring(p, m, None, last)
+    room = padic.unreduced_terms(ring.pN)
+    assert room * (ring.pN - 1) ** 2 + ring.pN < 2 ** 63
+    assert (room + 1) * (ring.pN - 1) ** 2 + ring.pN >= 2 ** 63
+    assert room == (2 if p == 2 else 6)
+    _check_products(ring, *_operands(ring, None, full=True))
+    past = make_ring(p, m, None, last + 1)
+    X = np.ones((2, past.npi, m), dtype=np.int64)
+    with pytest.raises(PrecisionTooLow):
+        ring_array_mul(past, X, X)
+    with pytest.raises(PrecisionTooLow):
+        padic.zq_mul(past, X[:, 0], X[:, 0])
+
+
+def test_each_slot_pattern_gets_its_own_plan(monkeypatch):
+    # two operands on one ring whose nonzero slots differ: each regular
+    # representation reads its own plan, made once, and each is right
+    monkeypatch.setattr(padic, "_PLANS", {})
+    ring = make_ring(3, 2, None, 5)
+    rng = np.random.default_rng(7)
+    full = rng.integers(1, ring.pN, (3, 2, ring.npi, ring.m))
+    sparse = full.copy()
+    sparse[..., 1, :] = 0  # pi-row 1 empty
+    sparse[..., 0, 1] = 0
+    slots = np.arange(ring.npi * ring.m)
+    for B in (full, sparse, full, sparse):
+        rep = regular_representation(ring, B, slots)
+        for b in range(B.shape[0]):
+            for col in range(B.shape[1]):
+                y = RingElem(ring, B[b, col].tolist())
+                for n in slots.tolist():
+                    want = np.array((ring.from_slots([0] * n + [1]) * y).slots)
+                    want = np.where(want > ring.pN // 2, want - ring.pN, want)
+                    width = len(rep.kept)
+                    got = rep.matrix[b * len(slots) + n, col * width:(col + 1) * width]
+                    assert np.array_equal(got, want[rep.kept])
+                    assert not want[np.setdiff1d(slots, rep.kept)].any()
+    key = ring.key, tuple(slots.tolist())
+    assert set(padic._PLANS) == {key + ((0, 1, 2, 3),), key + ((0,),)}
+    assert padic.law_plan(ring, *key[1:], (0,)) is padic._PLANS[key + ((0,),)]
+
+
+def test_splitting_memo_matches_a_fresh_series(monkeypatch):
+    # below, at and above the length an earlier call left in the memo, the
+    # series is the one a fresh computation gives, and a ring of the same p
+    # and N but another m reads the same digits
+    monkeypatch.setattr(padic, "_SPLITTING", {})
+    ring = make_ring(5, 2, None, 6)
+    first = padic.splitting_coefficients(ring, 20)
+    assert len(padic._SPLITTING[5, 6]) == 21
+    for k in (12, 20, 31):
+        got = padic.splitting_coefficients(ring, k)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(padic, "_SPLITTING", {})
+            want = padic.splitting_coefficients(ring, k)
+        assert len(got) == k + 1 and got.digits == want.digits and got.b == want.b
+        assert got.digits[:21] == first.digits[:k + 1]
+    assert len(padic._SPLITTING[5, 6]) == 32
+    other = make_ring(5, 1, None, 6)
+    assert padic.splitting_coefficients(other, 31).digits == got.digits

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,37 @@ def test_job_leaves_no_ring_in_a_cycle():
         assert set(rep.data["routes"]) == {"A", "B", "C"} and "oracle" in rep.data
         assert not rep.data["errors"]
         assert rings() == before
+    finally:
+        gc.enable()
+
+
+def test_memos_hold_no_ring():
+    """With the cyclic collector off, a job with routes B, C and the oracle
+    leaves no RingSpec or RingElem reachable from padic's memos (plans,
+    splitting digits, factorial tables, zeta_p's slots), and no cyclic
+    garbage."""
+    from unitroots import padic
+    gc.collect()
+    gc.disable()
+    try:
+        rep = run(job_dict(CASES["p5-kloosterman"], precision=4,
+                           routes=("B", "C", "oracle"), lmax=3))
+        assert set(rep.data["routes"]) == {"B", "C"} and "oracle" in rep.data
+        assert not rep.data["errors"]
+        memos = [padic._PLANS, padic._SPLITTING, padic._FACTORIALS, padic._ZETA_SLOTS]
+        assert all(memos)
+        # walk what the memos hold, not into classes, modules or functions
+        opaque = (type, types.ModuleType, types.FunctionType,
+                  types.BuiltinFunctionType, types.MethodType)
+        seen, stack = set(), list(memos)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (padic.RingSpec, padic.RingElem)), obj
+            stack.extend(gc.get_referents(obj))
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -38,15 +38,21 @@ ring (`RingElem`) only at N = 4, 8 and 12, so it also dumps a ring grid
 products, powers and inverses, with `teichmueller`, `reduce_to`,
 `divide_exact_p` and `newton_root`, at p in {2, 3, 5}, m in {1, 2} and
 N in {1, 4, 8, 20}, from public API alone, so that a tree that stores
-elements another way runs it too.  The jobs reach `weights` only through
-the battery's five exponent sets, so it also dumps a weight grid
-(`weight_entries`), from public API alone: on the battery's sets, the
+elements another way runs it too.  The jobs multiply ring arrays only on
+their own operands, so it also dumps a ring-array grid
+(`ring_array_entries`): seeded `ring_array_mul`, `zq_mul` and
+`_pair_products` outcomes at p in {2, 3, 5, 7}, m in {1, 2}, N in {4, 8},
+with zero slots and broadcast shapes, and at the int64 rule's last moduli
+with every slot p^N - 1 and one digit past them, so that a change to how
+products are reduced is compared digit by digit.  The jobs reach
+`weights` only through the battery's five exponent sets, so it also dumps
+a weight grid (`weight_entries`), from public API alone: on the battery's sets, the
 three-variable simplex and 50 seeded random sets in [-3, 3]^n, n <= 3 (the
 lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
 and lineality basis, `relation_lattice_basis`, and the basis at
 wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
 raises.  Prints each report, series, padic, oracle, route-A, digit, route-C,
-ring or weight entry that differs, with the dotted
+ring, ring-array or weight entry that differs, with the dotted
 key paths that were added (`+`), removed (`-`) or changed (`~`) in it (a
 list is one value), then how many entries each path moved in, then the
 matches per kind; exits 1 if any entry differs, else 0.
@@ -335,6 +341,46 @@ def ring_entries():
     return out
 
 
+def ring_array_entries():
+    """{name: outcome} for the ring-array grid, from the tree on the path:
+    at p in {2, 3, 5, 7}, m in {1, 2} and N in {4, 8}, seeded residues
+    with about a third of the slots 0; at the int64 rule's last moduli
+    2^31, 3^19 and 5^13, m in {1, 2, 3}, every slot p^N - 1; and one digit
+    past each, m = 1.  Per ring: X of shape (3, 4) times Y at (3, 4), (4,),
+    (3, 1) and () and times zero (dwork.ring_array_mul), the same on
+    pi-row 0 (padic.zq_mul), and a (3, 4) by (4, 2) matrix product
+    (dwork._pair_products), each an outcome of its own."""
+    import numpy as np
+    from unitroots import dwork
+    from unitroots.padic import make_ring, zq_mul
+    grid = [(p, m, N, False) for p, m, N in itertools.product((2, 3, 5, 7), (1, 2), (4, 8))]
+    grid += [(p, m, N + d, True) for p, N in ((2, 31), (3, 19), (5, 13))
+             for m, d in ((1, 0), (2, 0), (3, 0), (1, 1))]
+    out = {}
+    for p, m, N, full in grid:
+        ring = make_ring(p, m, None, N)
+        rng = np.random.default_rng(1000 * p + 100 * m + N)
+
+        def draw(batch):
+            if full:
+                return np.full(batch + (ring.npi, m), ring.pN - 1, dtype=np.int64)
+            X = rng.integers(0, ring.pN, batch + (ring.npi, m))
+            X[..., rng.random((ring.npi, m)) < 1 / 3] = 0
+            return X
+        X = draw((3, 4))
+        Ys = {"same": draw((3, 4)), "row": draw((4,)), "column": draw((3, 1)),
+              "scalar": draw(()), "zero": np.zeros((3, 4, ring.npi, m), dtype=np.int64)}
+        name = f"p{p}:m{m}:N{N}"
+        for key, Y in Ys.items():
+            out[f"{name}:ring_array_mul:{key}"] = outcome(
+                lambda: dwork.ring_array_mul(ring, X, Y).tolist())
+            out[f"{name}:zq_mul:{key}"] = outcome(
+                lambda: zq_mul(ring, X[..., 0, :], Y[..., 0, :]).tolist())
+        out[f"{name}:pair_products"] = outcome(
+            lambda: dwork._pair_products(ring, X, draw((4, 2))).tolist())
+    return out
+
+
 def lattice_sets():
     """The exponent sets of the lattice tests (tests/test_weights.py): the
     battery's, the simplex ((1,0,0),(0,1,0),(0,0,1),(-1,-1,-1)), and 50
@@ -387,8 +433,8 @@ def weight_entries():
 
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
-    jobs and the series, padic, oracle, route-A, digit, route-C, ring and
-    weight grids, run by the tree on the path."""
+    jobs and the series, padic, oracle, route-A, digit, route-C, ring,
+    ring-array and weight grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -399,6 +445,8 @@ def dump(jobs):
     out.update((f"digits:{name}", value) for name, value in digit_entries().items())
     out.update((f"route_c:{name}", value) for name, value in route_c_entries().items())
     out.update((f"ring:{name}", value) for name, value in ring_entries().items())
+    out.update((f"ring_array:{name}", value)
+               for name, value in ring_array_entries().items())
     out.update((f"weights:{name}", value) for name, value in weight_entries().items())
     return {"entries": out, "garbage": garbage}
 
@@ -470,7 +518,8 @@ def main(argv):
     kinds = {"series": "series entries", "padic": "padic entries",
              "oracle": "oracle entries", "route_a": "route-A entries",
              "digits": "digit_solutions entries", "route_c": "route-C entries",
-             "ring": "ring entries", "weights": "weight entries"}
+             "ring": "ring entries", "ring_array": "ring-array entries",
+             "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
