@@ -88,8 +88,8 @@ from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 from .padic import (RingElem, check_product_precision, default_s_cut, horner, law_plan,
                     law_product, law_sum, newton_root, nonzero_slots, powers, reduce_mod,
-                    ring_array, ring_elems, splitting_coefficients, teichmueller, zq_mul,
-                    zq_powers, zq_values)
+                    ring_array, ring_elems, splitting_coefficients, teichmueller, view_index,
+                    zq_mul, zq_powers, zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -396,12 +396,6 @@ def slot_group(dim, slots, p, N):
     return g
 
 
-def _run(idx):
-    """Sorted indices as a slice when they are consecutive, so that indexing
-    with them gives a view, not a copy."""
-    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
-
-
 @dataclass(frozen=True)
 class RegularRep:
     """Rows of B's regular representation: the right operand of _pair_products.
@@ -616,7 +610,7 @@ def left_limbs(spec, A, plan=None):
         blocks = []
         for start in range(lo * S, hi * S, step):
             stop = min(start + step, hi * S)
-            X = A[_run(group), start:stop].astype(np.float64)
+            X = A[view_index(group), start:stop].astype(np.float64)
             if plan is not None:
                 X *= plan.mask(g, start, stop, S)
             nz = X.any(axis=1)
@@ -651,7 +645,7 @@ def _accumulate(out, live, prod, factor, pN, add, block=64):
         if factor != 1:
             reduce_mod(x, pN)
             x *= factor
-        rows = _run(live[r:r + block])
+        rows = view_index(live[r:r + block])
         if add:
             x += out[rows]
         reduce_mod(x, pN)

@@ -381,14 +381,13 @@ class LawPlan:
     terms: tuple
 
 
-def _view_index(idx):
-    """Ascending indices as a slice when they are consecutive, else an
-    int64 array; None when there are none."""
-    if not idx:
-        return None
-    if idx[-1] - idx[0] == len(idx) - 1 and idx == sorted(idx):
+def view_index(idx):
+    """Non-decreasing int indices, a sequence or an array, as a slice when
+    they are consecutive, so that indexing with them gives a view, not a
+    copy; else as an int64 array."""
+    if idx[-1] - idx[0] == len(idx) - 1:
         return slice(idx[0], idx[-1] + 1)
-    return np.array(idx, dtype=np.int64)
+    return np.asarray(idx, dtype=np.int64)
 
 
 def law_plan(spec, rows, present):
@@ -410,14 +409,17 @@ def law_plan(spec, rows, present):
             cols = [row[o] for o in kept]
             copy = [(c, t[0][0]) for c, t in enumerate(cols)
                     if len(t) == 1 and t[0][1] == 1]
+            src = [k for _, k in copy]
             wrap = tuple((c, tuple(k for k, _ in t), tuple(f for _, f in t))
                          for c, t in enumerate(cols) if t and (len(t) > 1 or t[0][1] != 1))
+            zero = [c for c, t in enumerate(cols) if not t]
             terms.append((
-                (_view_index([c for c, _ in copy]), _view_index([k for _, k in copy]))
+                (view_index([c for c, _ in copy]),
+                 view_index(src) if src == sorted(src) else np.array(src, dtype=np.int64))
                 if copy else None,
                 wrap or None,
-                _view_index([c for c, t in enumerate(cols) if not t])))
-        plan = LawPlan(rows, _view_index(list(rows)),
+                view_index(zero) if zero else None))
+        plan = LawPlan(rows, view_index(rows) if rows else None,
                        np.array(kept, dtype=np.int64), tuple(terms))
         plan.kept.setflags(write=False)  # shared by every later call
         _PLANS[key] = plan
@@ -490,20 +492,15 @@ def law_product(spec, X, Y):
         for c, src, coef in wrap or ():
             R[n, c] = law_sum(planes, src, coef, pN)
     R = R.transpose(tuple(range(2, d + 2)) + (0, 1))
-    if len(plan.rows) == 1:
-        # one term: a broadcast multiply, much faster than a matmul of
-        # 1 x 1 stacks
-        out = X[..., plan.rows[0], None] * R[..., 0, :]
-    else:
-        xs = X[..., None, plan.index]
-        room = unreduced_terms(pN)
-        out = None
-        for lo in range(0, len(plan.rows), room):
-            part = np.matmul(xs[..., lo:lo + room], R[..., lo:lo + room, :])[..., 0, :]
-            if out is not None:
-                reduce_mod(out, pN)
-                part += out
-            out = part
+    xs = X[..., None, plan.index]
+    room = unreduced_terms(pN)
+    out = None
+    for lo in range(0, len(plan.rows), room):
+        part = np.matmul(xs[..., lo:lo + room], R[..., lo:lo + room, :])[..., 0, :]
+        if out is not None:
+            reduce_mod(out, pN)
+            part += out
+        out = part
     reduce_mod(out, pN)
     if len(plan.kept) == X.shape[-1]:
         return out
