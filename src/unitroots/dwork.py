@@ -19,12 +19,13 @@ integer results.  The left side lays the left operand's nonzero
 contraction index: the tensor's own memory order, so the left side is a
 reshape of the tensor when every slot is nonzero.  The right side is the
 right operand's regular representation (RegularRep), whose row
-(b, pi^j t^s) holds row b of pi^j t^s times the operand, read from
-RingSpec.law, the one place pi^(p-1) = -p and g(t) are applied, through
-the padic.law_plan of its slots, made once per ring and slot pattern, so
-the product comes out reduced.  In this order a contraction over
-lo <= b < hi is a slice of both sides.  Every product contracts each row over every b
-but route C's first-return products: product k contracts row r only over
+(b, pi^j t^s) holds row b of pi^j t^s times the operand: each block of
+the operand's rows is centred once, in int64, and padic.law_rows writes
+its rows by the law_plan of the slots, read from RingSpec.law, the one
+place pi^(p-1) = -p and g(t) are applied, so the product comes out
+reduced.  In this order a contraction over lo <= b < hi is a slice of
+both sides.  Every product contracts each row over every b but route C's
+first-return products: product k contracts row r only over
 its window r < b < K_k(r), cut by Dwork's cycle bound (cycle_bound, trace_band), and
 keeps only the rows still live (first_return_product), a few adjacent
 rows in one GEMM (_row_groups), planned per product from its windows
@@ -86,10 +87,10 @@ from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoo
 from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
-from .padic import (RingElem, check_product_precision, default_s_cut, horner, law_plan,
-                    law_product, law_sum, newton_root, nonzero_slots, powers, reduce_mod,
-                    ring_array, ring_elems, splitting_coefficients, teichmueller, view_index,
-                    zq_mul, zq_powers, zq_values)
+from .padic import (RingElem, centred_mod, check_product_precision, default_s_cut, horner,
+                    law_plan, law_product, law_rows, newton_root, nonzero_slots, powers,
+                    reduce_mod, ring_array, ring_elems, splitting_coefficients, teichmueller,
+                    view_index, zq_mul, zq_powers, zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
@@ -342,7 +343,7 @@ class RingMatrix:
         on first use and kept: every first-return product of route C
         multiplies by the same matrix, and so does every power M^(k+1) =
         M^k.matmul(M) of the selftest's dense trace-power reference."""
-        if self._right is None or not np.isin(slots, self._right.slots).all():
+        if self._right is None or not set(slots.tolist()) <= set(self._right.slots.tolist()):
             self._right = regular_representation(self.ring, self.tensor, slots)
         return self._right
 
@@ -418,41 +419,27 @@ class RegularRep:
 # block on the benchmark's N = 8 cases), which would otherwise set route
 # C's memory peak.
 REP_TEMP = 2 ** 16
+# Rows _accumulate takes at a time, so its int64 temporaries stay small too.
+ACC_ROWS = 64
 
 
 def regular_representation(spec, B, slots):
     """RegularRep of B (dim, cols, p-1, m), entries in [0, p^N), for the
     sorted `slots`: pi^(p-1) = -p and g(t) enter here, once, through the
-    law_plan of the slots over B's nonzero slots, instead of after every
-    product; the plan is made once per ring and slot pattern.
-
-    Most of its planes are a plane of B, the one term of law coefficient 1:
-    each block of rows of B is centred once, and those planes are copied
-    from it.  Only the others, the terms that wrap past pi^(p-2) (-p) or
-    t^(m-1) (g's coefficients), are multiplied and reduced (law_sum) and
-    centred.
+    law_plan of the slots over B's nonzero slots (made once per ring and
+    slot pattern), instead of after every product.  Each block of rows of
+    B is centred once, in int64 (centred_mod), and padic.law_rows writes
+    its rows from it, the terms that wrap past pi^(p-2) (-p) or t^(m-1)
+    (g's coefficients) centred by law_sum.
     """
-    pN, h = spec.pN, spec.pN // 2
     dim, cols = B.shape[:2]
     B = B.reshape(dim, cols, -1)
     plan = law_plan(spec, tuple(np.asarray(slots).tolist()), nonzero_slots(B))
     blocks = np.empty((dim, len(slots), cols, len(plan.kept)))
     step = max(1, REP_TEMP // max(cols * max(len(plan.kept), B.shape[2]), 1))
     for lo in range(0, dim, step):
-        Bs = B[lo:lo + step]
-        centred = Bs.astype(np.float64)
-        centred -= pN * (Bs > h)
-        planes = Bs.transpose(2, 0, 1)
-        for n, (copy, wrap, zero) in enumerate(plan.terms):
-            out = blocks[lo:lo + step, n]
-            if copy is not None:
-                out[..., copy[0]] = centred[..., copy[1]]
-            if zero is not None:
-                out[..., zero] = 0
-            for c, src, coef in wrap or ():
-                acc = law_sum(planes, src, coef, pN)
-                acc -= pN * (acc > h)
-                out[..., c] = acc
+        law_rows(plan, centred_mod(B[lo:lo + step], spec.pN).transpose(2, 0, 1),
+                 blocks[lo:lo + step].transpose(1, 3, 0, 2), spec.pN)
     return RegularRep(np.asarray(slots, dtype=np.int64), plan.kept,
                       blocks.reshape(dim * len(slots), -1))
 
@@ -632,20 +619,20 @@ def left_limbs(spec, A, plan=None):
     return LeftLimbs(rows, slots, gemms)
 
 
-def _accumulate(out, live, prod, factor, pN, add, block=64):
+def _accumulate(out, live, prod, factor, pN, add):
     """out[live] = (out[live] if add, else 0, + factor * prod) mod p^N,
-    `block` rows at a time.
+    ACC_ROWS rows at a time.
 
     prod holds exact integers in float64, out residues in int64.  out may
     share memory with prod: each block is read before its rows of out are
     written.
     """
-    for r in range(0, len(live), block):
-        x = prod[r:r + block].astype(np.int64)
+    for r in range(0, len(live), ACC_ROWS):
+        x = prod[r:r + ACC_ROWS].astype(np.int64)
         if factor != 1:
             reduce_mod(x, pN)
             x *= factor
-        rows = view_index(live[r:r + block])
+        rows = view_index(live[r:r + ACC_ROWS])
         if add:
             x += out[rows]
         reduce_mod(x, pN)

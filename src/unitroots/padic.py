@@ -11,15 +11,15 @@ applied: law[i][k] lists the (slot, coefficient mod p^N) pairs of slot i
 times slot k.  RingElem.__mul__ reads it in Python ints, and zq_powers its
 pi-row-0 block.  Array products read it through a LawPlan, made once per
 ring and pair of nonzero-slot patterns and kept (law_plan): how each slot
-multiple pi^j t^s * Y is copied or summed from Y's planes.  law_product,
-the one int64 product step, serves dwork's ring arrays (ring_array_mul)
-and Z_q arrays (zq_mul, pi-row 0) and reduces mod p^N only where the next
-term could pass 2^63; dwork's regular representation reads the same
-plans, and dwork's reference keeps its own encoding, _fold.  A (p-1) x m
-digit matrix, rows by pi-degree, is read only by RingElem() and written
-only by digits(); int64 ring arrays (n, p-1, m) meet elements only in
-ring_array and ring_elems, and Z_q arrays (n, m), pi-row 0, are taken
-from them by zq_values.
+multiple pi^j t^s * Y is copied or summed from Y's planes.  Its one reader,
+law_rows, forms those rows, wrapped terms centred, for dwork's GEMM right
+operand and for law_product, the one int64 product step: ring arrays
+(ring_array_mul) and Z_q arrays (zq_mul, pi-row 0), reduced mod p^N only
+where the next term could pass 2^63.  dwork's reference keeps its own
+encoding, _fold.  A (p-1) x m digit matrix, rows by pi-degree, is read
+only by RingElem() and written only by digits(); int64 ring arrays
+(n, p-1, m) meet elements only in ring_array and ring_elems, and Z_q
+arrays (n, m), pi-row 0, are taken from them by zq_values.
 
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
@@ -342,6 +342,12 @@ def reduce_mod(X, pN):
     X -= X // pN * pN
 
 
+def centred_mod(X, pN):
+    """int64 X mod p^N, centred, as a new array: r <= floor(p^N/2) stays r,
+    any other r becomes r - p^N; X + (p^N - 1) // 2 must fit int64."""
+    return X - (X + (pN - 1) // 2) // pN * pN
+
+
 def zq_values(elems):
     """int64 array (n, m) of n >= 1 elements of Z_q, their pi-row 0, through
     ring_array (so PrecisionTooLow past the int64 rule); ValueError for an
@@ -372,8 +378,8 @@ class LawPlan:
     copied from the planes src; wrap, the others, one (c, src, coef) per
     column c, which is sum_t coef[t] times plane src[t] (law_sum); zero,
     the columns no term reaches.  Each is None when empty, and an index
-    that is a run of consecutive slots is a slice, so that it gives a
-    view.
+    that is a run of consecutive slots is a slice, a view.  law_rows is the
+    plan's one reader, and writes wrapped columns centred.
     """
     rows: tuple
     index: object
@@ -427,17 +433,19 @@ def law_plan(spec, rows, present):
 
 
 def unreduced_terms(pN):
-    """The most products of two residues mod pN that an int64 sum holds on
-    top of a residue: the largest c with c (pN - 1)^2 + pN < 2^63, at least
-    1 under the int64 rule (check_product_precision)."""
-    return (2 ** 63 - 1 - pN) // (pN - 1) ** 2
+    """The most products of two residues mod pN an int64 sum holds on a
+    residue and law_sum's centring: the largest c with c (pN - 1)^2 + pN +
+    pN // 2 < 2^63, at least 1 under the int64 rule (int64_exact)."""
+    return (2 ** 63 - 1 - pN - pN // 2) // (pN - 1) ** 2
 
 
 def law_sum(planes, src, coef, pN):
-    """sum_t coef[t] * planes[src[t]] mod p^N, int64, for the slot-major
-    residues planes (S, ...), slot indices src and residues coef; reduced
-    only where the next term could pass 2^63 (unreduced_terms) and at the
-    end."""
+    """sum_t coef[t] * planes[src[t]] mod p^N, int64, centred (centred_mod),
+    for slot-major planes (S, ...) below p^N in absolute value and residues
+    coef, reduced only where the next term could pass 2^63: acc holds at
+    most c = unreduced_terms terms of at most (p^N - 1)^2, after a reduction
+    on a residue, so no step passes (p^N - 1) + c (p^N - 1)^2 +
+    (p^N - 1) // 2 < c (p^N - 1)^2 + p^N + p^N // 2 < 2^63."""
     acc = np.asarray(planes[src[0]] * coef[0])  # 0-d planes give a scalar
     if len(src) > 1:
         room = unreduced_terms(pN)
@@ -445,8 +453,20 @@ def law_sum(planes, src, coef, pN):
             if not t % room:
                 reduce_mod(acc, pN)
             acc += planes[src[t]] * coef[t]
-    reduce_mod(acc, pN)
-    return acc
+    return centred_mod(acc, pN)
+
+
+def law_rows(plan, planes, out, pN):
+    """Fill out (len(plan.rows), len(plan.kept), ...), any real dtype: out[n]
+    is pi^j t^s times the operand of slot-major planes (S, ...), |entries| <
+    p^N, for slot plan.rows[n] = j*m + s; wrapped terms centred (law_sum)."""
+    for n, (copy, wrap, zero) in enumerate(plan.terms):
+        if copy is not None:
+            out[n, copy[0]] = planes[copy[1]]
+        if zero is not None:
+            out[n, zero] = 0
+        for c, src, coef in wrap or ():
+            out[n, c] = law_sum(planes, src, coef, pN)
 
 
 def nonzero_slots(X):
@@ -465,15 +485,14 @@ def law_product(spec, X, Y):
     or a Z_q array (S = m, pi-row 0, where the law keeps every product).
 
     R, Y's regular representation on X's nonzero slots (law_plan), is
-    formed at Y's shape, its coefficient-1 planes copied from Y and the
-    others summed by law_sum: R[..., n, :] is pi^j t^s * Y for the n-th of
-    those slots i = j*m + s.  The product is sum_n X[..., i] R[..., n, :],
-    one integer matmul that the n run through, reduced mod p^N only where
-    the next term could pass 2^63 (unreduced_terms): once, at the end,
-    unless X has more nonzero slots than unreduced_terms(p^N), which
-    happens only near the int64 rule's limit.  PrecisionTooLow past the
-    int64 rule (check_product_precision), where a residue times a residue
-    no longer fits.
+    formed at Y's shape by law_rows, its wrapped planes centred, so
+    |R| < p^N: R[..., n, :] is pi^j t^s * Y for the n-th of those slots
+    i = j*m + s.  The product is sum_n X[..., i] R[..., n, :], one integer
+    matmul that the n run through, reduced mod p^N only where the next
+    term could pass 2^63 (unreduced_terms): once, at the end, unless X has
+    more nonzero slots than unreduced_terms(p^N), as only near the int64
+    rule's limit.  PrecisionTooLow past that rule (check_product_precision),
+    where a residue times a residue no longer fits.
     """
     pN = spec.pN
     check_product_precision(pN)
@@ -482,15 +501,8 @@ def law_product(spec, X, Y):
     if not plan.kept.size:
         return np.zeros(shape + X.shape[-1:], dtype=np.int64)
     d = Y.ndim - 1
-    planes = Y.transpose((d,) + tuple(range(d)))
     R = np.empty((len(plan.rows), len(plan.kept)) + Y.shape[:-1], dtype=np.int64)
-    for n, (copy, wrap, zero) in enumerate(plan.terms):
-        if copy is not None:
-            R[n, copy[0]] = planes[copy[1]]
-        if zero is not None:
-            R[n, zero] = 0
-        for c, src, coef in wrap or ():
-            R[n, c] = law_sum(planes, src, coef, pN)
+    law_rows(plan, Y.transpose((d,) + tuple(range(d))), R, pN)
     R = R.transpose(tuple(range(2, d + 2)) + (0, 1))
     xs = X[..., None, plan.index]
     room = unreduced_terms(pN)

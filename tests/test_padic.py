@@ -487,17 +487,27 @@ def test_product_step_at_the_last_moduli(p, last, m):
         padic.zq_mul(past, X[:, 0], X[:, 0])
 
 
-def test_each_slot_pattern_gets_its_own_plan(monkeypatch):
+@pytest.mark.parametrize("p, m, N", [(3, 2, 5), (2, 2, 5), (5, 1, 4)])
+def test_each_slot_pattern_gets_its_own_plan(monkeypatch, p, m, N):
     # two operands on one ring whose nonzero slots differ: each regular
-    # representation reads its own plan, made once, and each is right
+    # representation reads its own plan, made once, and each is right, its
+    # entries centred as RingElem products are.  At p = 2 the modulus is
+    # even: the operands hold h = 2^(N-1) and h + 1, where the centring
+    # tie lies, both as planes that are copied and, through
+    # t * t^-1 (h + (h+1) t), as sums of wrapped terms; at p = 5 pi^j wraps
+    # by -p
     monkeypatch.setattr(padic, "_PLANS", {})
-    ring = make_ring(3, 2, None, 5)
+    ring = make_ring(p, m, None, N)
+    S, h = ring.npi * m, ring.pN // 2
     rng = np.random.default_rng(7)
-    full = rng.integers(1, ring.pN, (3, 2, ring.npi, ring.m))
+    full = rng.integers(1, ring.pN, (3, 2, ring.npi, m))
+    if p == 2:
+        flat = full.reshape(3, 2, S)
+        flat[0, 0] = [h, h + 1]
+        flat[0, 1] = (ring.from_slots([0, 1]).inverse() * ring.from_slots([h, h + 1])).slots
     sparse = full.copy()
-    sparse[..., 1, :] = 0  # pi-row 1 empty
-    sparse[..., 0, 1] = 0
-    slots = np.arange(ring.npi * ring.m)
+    sparse.reshape(3, 2, S)[..., 1:] = 0  # slot 0 alone
+    slots = np.arange(S)
     for B in (full, sparse, full, sparse):
         rep = regular_representation(ring, B, slots)
         for b in range(B.shape[0]):
@@ -510,9 +520,34 @@ def test_each_slot_pattern_gets_its_own_plan(monkeypatch):
                     got = rep.matrix[b * len(slots) + n, col * width:(col + 1) * width]
                     assert np.array_equal(got, want[rep.kept])
                     assert not want[np.setdiff1d(slots, rep.kept)].any()
+    if p == 2:
+        rep = regular_representation(ring, full, slots).matrix
+        # row t of column 1 is h + (h+1) t, both of its slots wrapped sums;
+        # row 1 of column 0 copies h and h + 1
+        assert np.array_equal(rep[1, 2:], [h, h + 1 - ring.pN])
+        assert (rep[0, :2] == [h, h + 1 - ring.pN]).all()
     key = ring.key, tuple(slots.tolist())
-    assert set(padic._PLANS) == {key + ((0, 1, 2, 3),), key + ((0,),)}
+    assert set(padic._PLANS) == {key + (tuple(range(S)),), key + ((0,),)}
     assert padic.law_plan(ring, *key[1:], (0,)) is padic._PLANS[key + ((0,),)]
+
+
+@pytest.mark.parametrize("p, N", [(2, 31), (3, 19), (5, 13)])
+def test_law_sum_is_centred_at_the_last_moduli(p, N):
+    # plane 0 and every coefficient p^N - 1, over 3 unreduced_terms(p^N)
+    # terms: each group of terms, the last one on a reduced residue, holds
+    # the largest sum the rule allows.  Plane 1 is 1, so its sum is -terms
+    # mod p^N, above floor(p^N/2) as a residue.  Each result is the centred
+    # residue of the exact sum; a sum or centring step that wrapped int64
+    # would be off by 2^64, which p^N divides only at p = 2, where the wrap
+    # cancels exactly
+    pN = p ** N
+    terms = 3 * padic.unreduced_terms(pN)
+    planes = np.tile(np.array([[pN - 1, 1]], dtype=np.int64), (terms, 1))
+    got = padic.law_sum(planes, tuple(range(terms)), (pN - 1,) * terms, pN)
+    assert got.dtype == np.int64
+    for value, exact in zip(got.tolist(), (terms * (pN - 1) ** 2, terms * (pN - 1))):
+        assert -((pN - 1) // 2) <= value <= pN // 2 and (exact - value) % pN == 0
+    assert got.tolist() == [terms, -terms]
 
 
 def test_splitting_memo_matches_a_fresh_series(monkeypatch):

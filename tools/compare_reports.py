@@ -44,7 +44,9 @@ their own operands, so it also dumps a ring-array grid
 `_pair_products` outcomes at p in {2, 3, 5, 7}, m in {1, 2}, N in {4, 8},
 with zero slots and broadcast shapes, and at the int64 rule's last moduli
 with every slot p^N - 1 and one digit past them, so that a change to how
-products are reduced is compared digit by digit.  The jobs reach
+products are reduced is compared digit by digit; within the rule it also
+dumps `regular_representation` matrices, the GEMM right operand's entries
+as stored, so that a change of representative shows.  The jobs reach
 `weights` only through the battery's five exponent sets, so it also dumps
 a weight grid (`weight_entries`), from public API alone: on the battery's sets, the
 three-variable simplex and 50 seeded random sets in [-3, 3]^n, n <= 3 (the
@@ -348,11 +350,19 @@ def ring_array_entries():
     2^31, 3^19 and 5^13, m in {1, 2, 3}, every slot p^N - 1; and one digit
     past each, m = 1.  Per ring: X of shape (3, 4) times Y at (3, 4), (4,),
     (3, 1) and () and times zero (dwork.ring_array_mul), the same on
-    pi-row 0 (padic.zq_mul), and a (3, 4) by (4, 2) matrix product
-    (dwork._pair_products), each an outcome of its own."""
+    pi-row 0 (padic.zq_mul), a (3, 4) by (4, 2) matrix product
+    (dwork._pair_products), and on the rings within the int64 rule (it is
+    never called past it) the regular representation of a (3, 4) matrix on
+    every slot (dwork.regular_representation: its matrix as ints, and
+    kept), each an outcome of its own.  Products alone cannot show which
+    representative the right operand holds; the representation shows it."""
     import numpy as np
     from unitroots import dwork
     from unitroots.padic import make_ring, zq_mul
+
+    def representation(ring, B):
+        rep = dwork.regular_representation(ring, B, np.arange(ring.npi * ring.m))
+        return {"matrix": rep.matrix.astype(np.int64).tolist(), "kept": rep.kept.tolist()}
     grid = [(p, m, N, False) for p, m, N in itertools.product((2, 3, 5, 7), (1, 2), (4, 8))]
     grid += [(p, m, N + d, True) for p, N in ((2, 31), (3, 19), (5, 13))
              for m, d in ((1, 0), (2, 0), (3, 0), (1, 1))]
@@ -378,6 +388,9 @@ def ring_array_entries():
                 lambda: zq_mul(ring, X[..., 0, :], Y[..., 0, :]).tolist())
         out[f"{name}:pair_products"] = outcome(
             lambda: dwork._pair_products(ring, X, draw((4, 2))).tolist())
+        if (ring.pN - 1) ** 2 + ring.pN < 2 ** 63:  # never called past the rule
+            B = draw((3, 4))
+            out[f"{name}:regular_representation"] = outcome(lambda: representation(ring, B))
     return out
 
 
