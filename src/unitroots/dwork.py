@@ -1,7 +1,8 @@
 """Frobenius operator on weight-truncated monomial spaces.
 
-Route B and C machinery: over padic's splitting series
-theta(t) = exp(pi(t - t^p)), the twisted kernel F(lambda, X) with
+Route B and C machinery: over padic's splitting series, Dwork's
+theta(t) = E(gamma t) with E the Artin-Hasse exponential, whose
+coefficients b_e have ord >= e/(p-1), the twisted kernel F(lambda, X) with
 coefficients B_mu(lambda), truncated matrices of the composed operator
 Psi^(eps*d) o prod F(lambda^(p^i), X^(p^i)) on the monomial basis
 {X^mu : w(mu) <= Wmax}, the Fredholm determinant with its Newton polygon
@@ -39,7 +40,7 @@ contraction K is an integer below 2^53; one limb is the rule
 K * h^2 < 2^53.  The contraction is cut along b into blocks of as many
 columns as keep the limb count a single slot (K = dim) needs, one GEMM
 each.  Each limb's GEMM takes only the rows where that limb is nonzero:
-Dwork's estimate ord B_mu >= w(mu)(p-1)/p^2 makes high-weight rows of the
+Dwork's estimate ord B_mu >= w(mu)/(p-1) makes high-weight rows of the
 Frobenius matrix and of its powers divisible by high powers of p, so many
 rows skip the low limbs, and rows that are 0 mod p^N skip every GEMM.
 Each GEMM's product is reduced mod p^N in int64 and enters its rows with
@@ -61,11 +62,12 @@ pass 2^63, under the same rule.  Past the rule padic.ring_array, which
 makes them from elements, raises PrecisionTooLow, and so does
 ring_array_mul.  The kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
-products in Z_q (kernel_sweep): b_e is one digit times pi^(e mod (p-1))
-and lambda is a Teichmueller point, so a partial product is one Z_q value
-z times a power of pi fixed by its degree, and each level is one
-padic.zq_mul by d_e lambda_a^e, with a factor -p where the pi-powers wrap
-past p-1.  The table is kept as two arrays, its points and its
+products in Z_q (kernel_sweep): b_e = a_e gamma^e with a_e in Z_p, and
+lambda is a Teichmueller point, so a partial product is one Z_q value z
+times gamma^s, s its degree, and each level is one padic.zq_mul by
+a_e lambda_a^e; the sums z of each (mu, s) are contracted with the
+table of gamma^s in integer matmuls (_gamma_contract).  The table is kept
+as two arrays, its points and its
 coefficients (KernelTable), from which the one-step matrices are gathered
 by flat index; route B cross-multiplies its vectors by their X^0 terms
 and returns its eigenvector as a ring array on the basis, and route C
@@ -87,24 +89,28 @@ from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoo
 from .hyperg import _solutions, _teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
+# default_s_cut, route A's cutoff, is unused here; tests import it from dwork
 from .padic import (RingElem, centred_mod, check_product_precision, default_s_cut, horner,
-                    law_plan, law_product, law_rows, newton_root, nonzero_slots, powers,
-                    reduce_mod, ring_array, ring_elems, splitting_coefficients, teichmueller,
-                    view_index, zq_mul, zq_powers, zq_values)
+                    kernel_cut, law_plan, law_product, law_rows, newton_root, nonzero_slots,
+                    powers, reduce_mod, ring_array, ring_elems, splitting_coefficients,
+                    teichmueller, unreduced_terms, view_index, zq_mul, zq_powers, zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       scaled_weights, weight)
 
 
-def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None):
+def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None, pows=None):
     """B_mu at the point lam: sum over nonnegative nu with sum nu_a a = mu
-    of prod b_(nu_a) * lam^nu, cut at |nu| <= s_cut."""
+    of prod b_(nu_a) * lam^nu, cut at |nu| <= s_cut (kernel_cut by
+    default).  pows, the lists powers(lam_a, s_cut), may be passed by a
+    caller that reads many mu at one lam."""
     mu = tuple(int(c) for c in mu)
     if not in_cone(W, mu):
         raise OutsideM(f"{mu} is outside the support monoid")
-    s_cut = default_s_cut(ring) if s_cut is None else s_cut
+    s_cut = kernel_cut(ring) if s_cut is None else s_cut
     if len(sc) <= s_cut:
         raise ValueError("splitting series too short for the requested cutoff")
-    pows = [powers(x, s_cut) for x in lam]
+    if pows is None:
+        pows = [powers(x, s_cut) for x in lam]
     acc = ring.zero()
     for nu in _solutions(W.A, mu, s_cut):
         term = ring.one()
@@ -113,9 +119,53 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None):
             if e:
                 term = term * pows[a][e]
         acc = acc + term
-    assert acc.val_at_least(weight(W, mu) * (ring.p - 1) / ring.p ** 2), \
+    assert acc.val_at_least(weight(W, mu) / (ring.p - 1)), \
         f"kernel bound fails at {mu}"
     return acc
+
+
+def _gamma_contract(ring, gpow, s, first, sums):
+    """coeffs (k, p-1, m) of B_mu = sum_s gamma^s z_(mu,s) over the buckets
+    (mu, s) of kernel_sweep, sorted by mu and then s: s and sums hold their
+    s and z, first where each of the k mu begins, and gpow the pi-row
+    digits of gamma^0, gamma^1, ..., (s_cut + 1, p-1).
+
+    A mu's s run from its least, smin(mu), in steps of g, the gcd of every
+    s - smin(mu) (3 on triangle, where s = mu_1 + mu_2 + 3 nu_3; a single
+    s on edge), so z_(mu,s) is laid out at column (s - smin(mu))/g of a row
+    of mu, the rows sorted by smin.  Each run of rows of one smin = v
+    contracts its columns with gamma^v, gamma^(v+g), ... in one integer
+    matmul: per bucket, p - 1 products, where one matmul over every s,
+    0..s_cut, would form (s_cut + 1)(p - 1) per mu.  The sums are reduced
+    mod p^N after every unreduced_terms columns, where they could pass 2^63
+    (once, at the end, unless a run is wider).
+    """
+    row = np.repeat(np.arange(len(first)), np.diff(first, append=len(s)))
+    smin = s[first]
+    shift = s - smin[row]
+    g = int(np.gcd.reduce(shift)) or 1
+    order = np.argsort(smin, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    width = (np.maximum.reduceat(shift, first)[order] // g + 1).tolist()
+    Z = np.zeros((len(first), ring.m, max(width)), dtype=np.int64)
+    Z[rank[row], :, shift // g] = sums
+    del row, shift
+    smin = smin[order].tolist()
+    runs, r0 = [], 0
+    for r1 in (np.flatnonzero(np.diff(smin, append=len(gpow))) + 1).tolist():
+        runs.append((r0, r1, smin[r0], max(width[r0:r1])))
+        r0 = r1
+    # each entry sums at most unreduced_terms products between reductions
+    out = np.zeros((len(first), ring.m, ring.npi), dtype=np.int64)
+    room = unreduced_terms(ring.pN)
+    for c0 in range(0, Z.shape[2], room):
+        for r0, r1, v, L in runs:
+            if c0 < L:
+                c1 = min(L, c0 + room)
+                out[r0:r1] += Z[r0:r1, :, c0:c1] @ gpow[v + g * c0::g][:c1 - c0]
+        reduce_mod(out, ring.pN)
+    return out[rank].transpose(0, 2, 1)
 
 
 def kernel_sweep(lam, W, ring, sc, s_cut):
@@ -123,54 +173,59 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     p^N: points (k, n), the mu in sorted order, and coeffs (k, p-1, m).
 
     Every multi-index nu with |nu| <= s_cut contributes
-    prod_a b_(nu_a) lam_a^(nu_a) to the bucket mu = sum nu_a a; indices
-    missing from the result have every contribution beyond the cutoff and so
-    vanish mod p^N.  Each b_e = d_e pi^(e mod (p-1)) is one digit at t^0
-    (sc.digits), and lam lies in Z_q (ValueError otherwise;
-    every caller passes Teichmueller points), so a partial product with
-    |nu| = s is z pi^(s mod (p-1)), z in Z_q.  The sweep takes A's vectors
-    one level at a time over a batch of states (z, remaining budget, mu):
-    each state expands by e = 0..budget into z d_e lam_a^e, one zq_mul per
-    level, times pi^(p-1) = -p where (s mod (p-1)) + (e mod (p-1)) >= p-1
-    (never at p = 2), and zero partials drop out.  One scatter-add puts each
-    z into pi-row |nu| mod (p-1) of its bucket; the buckets are reduced
-    mod p^N and kept where nonzero, and the arrays are the table, with no
-    RingElem per entry.  Entries are int64; past the int64 rule
-    PrecisionTooLow is raised before the first product.
+    prod_a b_(nu_a) lam_a^(nu_a) = gamma^|nu| prod_a a_(nu_a) lam_a^(nu_a)
+    to the bucket mu = sum nu_a a; indices missing from the result have
+    every contribution beyond the cutoff and so vanish mod p^N.  The
+    Artin-Hasse coefficients a_e lie in Z_p (sc.a) and lam in Z_q
+    (ValueError otherwise; every caller passes Teichmueller points), so a
+    partial product is z gamma^s with z in Z_q and s = |nu| so far.  The
+    sweep takes A's vectors one level at a time over a batch of states (z,
+    s, mu): each state expands by e = 0..s_cut - s into z a_e lam_a^e, one
+    zq_mul per level, and zero partials drop out.  The states are summed
+    into buckets (mu, s) and contracted with the table of gamma^s
+    (sc.gpow), (s_cut + 1, p-1): pi-row j of B_mu is sum_s (gamma^s)_j
+    z_(mu,s), one integer matmul per run of mu of one least s
+    (_gamma_contract).  The coefficients are kept where nonzero, and the
+    arrays are the table, with no RingElem per entry.  Entries are int64;
+    past the int64 rule PrecisionTooLow is raised before the first
+    product.
     """
-    npi, pN = ring.npi, ring.pN
+    pN, S = ring.pN, s_cut + 1
     check_product_precision(pN)
-    d = np.zeros((s_cut + 1, ring.m), dtype=np.int64)
-    d[:, 0] = sc.digits[:s_cut + 1]  # b_i = d_i pi^(i mod (p-1))
+    a = np.array(sc.a[:S], dtype=np.int64)
     z = np.zeros((1, ring.m), dtype=np.int64)
     z[0, 0] = 1
-    budget = np.array([s_cut])
+    s = np.zeros(1, dtype=np.int64)
     mu = np.zeros((1, W.A.n), dtype=np.int64)
     for x, vec in zip(zq_values(lam), W.A.vectors):
-        row = zq_mul(ring, d, zq_powers(ring, x, s_cut))  # d_e * lam_a^e
-        wrapped = row * (pN - ring.p)  # times -p
-        reduce_mod(wrapped, pN)
-        # state i expands to e = 0..budget[i]
-        counts = budget + 1
-        src = np.repeat(np.arange(len(budget)), counts)
+        row = zq_powers(ring, x, s_cut) * a[:, None] % pN  # a_e * lam_a^e
+        # state i expands to e = 0..s_cut - s[i]
+        counts = s_cut - s + 1
+        src = np.repeat(np.arange(len(s)), counts)
         e = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-        wrap = (s_cut - budget[src]) % npi + e % npi >= npi
-        z = zq_mul(ring, z[src], np.where(wrap[:, None], wrapped[e], row[e]))
+        z = zq_mul(ring, z[src], row[e])
         keep = z.any(axis=-1)
         z = z[keep]
-        budget = (budget[src] - e)[keep]
+        s = (s[src] + e)[keep]
         mu = (mu[src] + e[:, None] * np.array(vec, dtype=np.int64))[keep]
     lo = mu.min(axis=0)
     box = tuple(mu.max(axis=0) - lo + 1)
-    # C-order flat indices of the box sort as the vectors do
-    flat, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box),
-                             return_inverse=True)
-    sums = np.zeros((len(flat), npi, ring.m), dtype=np.int64)
-    np.add.at(sums, (bucket, (s_cut - budget) % npi), z)
+    # C-order flat indices of the box sort as the vectors do, and s within
+    # a mu; the states go as soon as they are summed into their buckets
+    key, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box) * S + s,
+                            return_inverse=True)
+    del mu, s
+    sums = np.zeros((len(key), ring.m), dtype=np.int64)
+    np.add.at(sums, bucket, z)
+    del z, bucket
     reduce_mod(sums, pN)
-    keep = sums.any(axis=(-2, -1))
-    points = np.stack(np.unravel_index(flat[keep], box), axis=-1) + lo
-    return KernelTable(ring, points, sums[keep])
+    flat, s = np.divmod(key, S)
+    del key
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    coeffs = _gamma_contract(ring, np.array(sc.gpow[:S], dtype=np.int64), s, first, sums)
+    keep = coeffs.any(axis=(-2, -1))
+    points = np.stack(np.unravel_index(flat[first[keep]], box), axis=-1) + lo
+    return KernelTable(ring, points, coeffs[keep])
 
 
 class KernelTable(Mapping):
@@ -211,15 +266,15 @@ class KernelTable(Mapping):
 class XSeries:
     """Finitely supported dual vector on {mu in M : w(mu) <= wmax}: support
     maps mu to the coefficient of X^(-mu), which in the weighted metric
-    carries the normalization p^(w(mu)(p-1)/p^2) accounted for in
-    norm_order.
+    carries the normalization p^(w(mu)/(p-1)) accounted for in norm_order,
+    the estimate ord B_mu >= w(mu)/(p-1) (cycle_bound).
     """
     support: dict
     wmax: Fraction
 
     def norm_order(self, W, ring):
         """Order of the weighted sup-norm; None for the zero vector."""
-        wfac = Fraction(ring.p - 1, ring.p ** 2)
+        wfac = Fraction(1, ring.p - 1)
         best = None
         for mu, c in self.support.items():
             v = c.valuation()
@@ -248,7 +303,7 @@ class OperatorData:
                       else basis)
         self.orbit_len = spec.epsilon * orbit_degree(spec)
         self.lam_orbit = _teichmueller_orbit(spec, ring, self.orbit_len)
-        self.s_cut = default_s_cut(ring) if s_cut is None else s_cut
+        self.s_cut = kernel_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}
         self._dual = {}
@@ -788,7 +843,11 @@ class PowerIterationResult:
 
 
 def power_iteration_budget(ring, D):
-    return cycle_bound(ring.p, ring.N, D) + 3
+    """ceil(N D p^2/(p-1)^2) + 3 cycles, route B's own allowance: its cycle
+    count is set by how fast the normalizers converge, not by cycle_bound,
+    and cycle_bound + 3 = N D + 3 would leave no margin (p2- and
+    p3-kloosterman at N = 12 run 15 cycles)."""
+    return -(-ring.N * D * ring.p ** 2 // ring.npi ** 2) + 3
 
 
 def power_iteration_unit_root(odata):
@@ -856,16 +915,19 @@ class NewtonPolygon:
 
 
 def cycle_bound(p, N, D):
-    """B = ceil(N D p^2/(p-1)^2): a cycle of the Frobenius matrix vanishes
-    mod p^N once the integer sum(D * w) over its vertices reaches B, and
-    every basis the runner builds is {mu : D * w(mu) < B} (default_wmax).
+    """B = N D: a cycle of the Frobenius matrix vanishes mod p^N once the
+    integer sum(D * w) over its vertices reaches B, and every basis the
+    runner builds is {mu : D * w(mu) < B} (default_wmax).
 
-    A one-step entry B(p*omega - nu) has ord >= (p-1)/p^2 * (p*w(omega) -
-    w(nu)), w being subadditive (B. Dwork, Publ. Math. IHES 12, 1962), and
+    ord b_e >= e/(p-1) for the Artin-Hasse splitting function
+    (splitting_coefficients), so ord B_mu >= w(mu)/(p-1), and a one-step
+    entry B(p*omega - nu) has ord >= (p*w(omega) - w(nu))/(p-1), w being
+    subadditive (A. Adolphson and S. Sperber, Ann. of Math. 130, 1989), and
     so has the orbit composite; over a cycle a_0 -> ... -> a_j = a_0 these
-    sum to (p-1)^2/p^2 * sum w(a_i), vertices counted with multiplicity.
+    sum to sum w(a_i), vertices counted with multiplicity.  p does not
+    enter.
     """
-    return -(-N * D * p * p // (p - 1) ** 2)
+    return N * D
 
 
 def fredholm_cap(W, basis, p, N):
@@ -874,9 +936,9 @@ def fredholm_cap(W, basis, p, N):
     weights in order, or dim = len(basis) when no k reaches it.
 
     A j x j principal minor is a sum over sets of disjoint cycles covering
-    its rows, so its ord is at least (p-1)^2/p^2 * (sum of w over its rows),
-    at least that of the j smallest weights: c_j vanishes mod p^N for every
-    j > k, and c_j for j > dim is 0.
+    its rows, so its ord is at least the sum of w over its rows, at least
+    that of the j smallest weights: c_j vanishes mod p^N for every j > k,
+    that is once w_0 + ... + w_k >= N, and c_j for j > dim is 0.
     """
     acc = np.cumsum(np.sort(scaled_weights(W, basis)))
     return int(np.searchsorted(acc, cycle_bound(p, N, W.D)))

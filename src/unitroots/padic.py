@@ -35,19 +35,23 @@ The Newton lifts here, inverse and newton_root, start from one correct
 pi-digit and double the correct digits each step, so lift_steps(spec) =
 ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result.
 The Teichmueller lift is one Frobenius power of the digit lift, and one
-array rule, pi_pow_digits, gives the digits of pi^k / prod(f!) for Dwork's
-splitting series theta(t) = exp(pi(t - t^p)) (splitting_coefficients) and
-for route A's sums.  Its factorial unit parts come as inverses, from the
-one prefix table of FactorialUnits, by the generalized Wilson theorem,
-shared by every ring of the same p and N.  The splitting series' digits
-are kept per p and N too (splitting_coefficients), so no job rebuilds either;
-these memos, like the plans and zeta_p's, hold ints and arrays only and
-keep no ring alive.  Arrays of residues are int64 only under the one
-int64 rule, (p^N - 1)^2 + p^N < 2^63 (int64_exact,
-check_product_precision), and ring_array, the one way from elements into
-int64 ring arrays, raises PrecisionTooLow past it.  The primitive p-th
-root of unity is theta(1) (zeta_p), Dwork's additive character, with
-zeta == 1 + pi (mod pi^2).
+array rule, pi_pow_digits, gives the digits of pi^k / prod(f!) for route
+A's sums.  Its factorial unit parts come as inverses, from the one prefix
+table of FactorialUnits, by the generalized Wilson theorem, shared by
+every ring of the same p and N.  Dwork's splitting function for routes B
+and C is theta(t) = E(gamma t) (splitting_coefficients): E the
+Artin-Hasse exponential, whose coefficients a_e are p-integral
+(artin_hasse), and gamma in Z_p[pi] the root of sum_j gamma^(p^j)/p^j = 0
+with gamma == pi (artin_hasse_gamma), so b_e = a_e gamma^e has ord >=
+e/(p-1) and vanishes mod p^N past kernel_cut = N(p-1) - 1.  Its a_e and
+the digits of gamma^e are kept per p and N (splitting_coefficients), so no
+job rebuilds them; these memos, like the factorial tables, the plans and
+zeta_p's, hold ints and arrays only and keep no ring alive.  Arrays of
+residues are int64 only under the one int64 rule, (p^N - 1)^2 + p^N < 2^63
+(int64_exact, check_product_precision), and ring_array, the one way from
+elements into int64 ring arrays, raises PrecisionTooLow past it.  The
+primitive p-th root of unity is theta(1) = E(gamma) (zeta_p), Dwork's
+additive character, with zeta == 1 + pi (mod pi^2).
 """
 
 from dataclasses import dataclass
@@ -574,25 +578,21 @@ _ZETA_SLOTS = {}  # RingSpec.key -> zeta_p's slots, int tuples only
 def zeta_p(spec):
     """Primitive p-th root of unity with zeta == 1 + pi (mod pi^2).
 
-    It is Dwork's theta(1) = sum_i b_i, summed through default_s_cut(spec),
-    past which every b_i vanishes mod p^N (B. Dwork, "On the zeta function
-    of a hypersurface", Publ. Math. IHES 12, 1962): pi-row r holds the sum
-    of the digits of the b_i with i = r mod (p-1) (splitting_coefficients).
-    The sum reads about N^2 p^3 / (2(p-1)^2) factorial digits, so its cost
-    grows as N^2, where a Newton solve of the cyclotomic equation takes
-    O(log N) ring steps; that is cheaper only past about N = 12, and the
-    oracle, its one caller, runs at smaller N.  The slots are summed and
-    checked once per RingSpec.key and process and memoized as int tuples,
-    so the memo keeps no ring alive; later calls on an equal ring only wrap
-    them.
+    It is Dwork's theta(1) = E(gamma) = sum_e b_e, summed through
+    kernel_cut(spec), past which every b_e vanishes mod p^N: pi-row j holds
+    sum_e a_e (gamma^e)_j (splitting_coefficients).  The slots are summed
+    and checked once per RingSpec.key and process and memoized as int
+    tuples, so the memo keeps no ring alive; later calls on an equal ring
+    only wrap them.
     """
     if spec.N * spec.npi < 2:
         raise PrecisionTooLow("cannot separate zeta_p from 1 at this precision")
     slots = _ZETA_SLOTS.get(spec.key)
     if slots is None:
+        sc = splitting_coefficients(spec, kernel_cut(spec))
         slots = [0] * (spec.npi * spec.m)
-        for i, d in enumerate(splitting_coefficients(spec, default_s_cut(spec)).digits):
-            slots[i % spec.npi * spec.m] += d
+        slots[::spec.m] = [sum(a * g for a, g in zip(sc.a, row))
+                           for row in zip(*sc.gpow)]
         z = spec.from_slots(slots)
         assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
         slots = _ZETA_SLOTS[spec.key] = z.slots
@@ -775,65 +775,122 @@ def pi_pow_digits(spec, k, factorials):
     return k % npi, np.where(e & 1, -digits, digits) % pN
 
 
+def artin_hasse(p, n):
+    """a_0..a_n of the Artin-Hasse exponential E(t) = exp(sum_j t^(p^j)/p^j),
+    exact Fractions, by E'/E = sum_j t^(p^j - 1): e a_e = sum_(p^j <= e)
+    a_(e - p^j).  Every a_e is p-integral (Dieudonne-Dwork)."""
+    a = [Fraction(1)]
+    for e in range(1, n + 1):
+        acc, q = Fraction(0), 1
+        while q <= e:
+            acc += a[e - q]
+            q *= p
+        a.append(acc / e)
+    return a
+
+
+def artin_hasse_gamma(p, N):
+    """The pi-row digits (p-1 ints mod p^N) of gamma in Z_p[pi], the root of
+    sum_j gamma^(p^j)/p^j = 0 with gamma == pi (mod pi^2), by Newton's
+    iteration from pi.
+
+    The term j has ord p^j/(p-1) - j, so the terms with p^j - j(p-1) >=
+    N(p-1) vanish mod p^N and J, the last other one, bounds the division:
+    the sum is formed in O_(N+J), where gamma^(p^j) is known mod p^(N+J)
+    and so gamma^(p^j)/p^j (divide_exact_p) mod p^N, a function of gamma
+    mod p^N alone.  The derivative sum_j gamma^(p^j - 1) is 1 mod pi, a
+    unit, so each step doubles the correct digits and lift_steps + 1 steps
+    reach a root mod p^N, which the loop asserts.
+    """
+    J = 1
+    while p ** (J + 1) - (J + 1) * (p - 1) < N * (p - 1):
+        J += 1
+    wide, ring = RingSpec(p, 1, (0, 1), N + J), RingSpec(p, 1, (0, 1), N)
+    x = wide.pi()
+    for _ in range(lift_steps(ring) + 1):
+        f, df = x, wide.one()
+        for j in range(1, J + 1):
+            xp = x ** (p ** j - 1)
+            f, df = f + (xp * x).divide_exact_p(j), df + xp
+        if f.reduce_to(ring).is_zero():
+            return x.reduce_to(ring).slots
+        x = x - f * df.inverse()
+    raise AssertionError("gamma's Newton iteration did not converge")
+
+
 @dataclass(frozen=True)
 class SplittingCoeffs:
-    """b_0..b_imax of exp(pi(t - t^p)) in one ring: b_i = digits[i] *
-    pi^(i mod (p-1)), the digit at t^0.  The elements b are made on first
-    read; the kernel sweep reads the digits alone."""
+    """b_0..b_imax of Dwork's splitting function theta(t) = E(gamma t) in
+    one ring: b_e = a[e] * gamma^e, a[e] the Artin-Hasse coefficient mod
+    p^N and gpow[e] the p - 1 pi-row digits of gamma^e, ints.  The elements
+    b are made on first read; the kernel sweep reads a and gpow alone."""
     ring: RingSpec
-    digits: tuple
+    a: tuple
+    gpow: tuple
 
     @cached_property
     def b(self):
-        npi, m = self.ring.npi, self.ring.m
-        return tuple(self.ring.from_slots([0] * (i % npi * m) + [d])
-                     for i, d in enumerate(self.digits))
+        m, pN = self.ring.m, self.ring.pN
+        out = []
+        for a, g in zip(self.a, self.gpow):
+            slots = [0] * (len(g) * m)
+            slots[::m] = [a * c % pN for c in g]
+            out.append(self.ring.from_slots(slots))
+        return tuple(out)
 
     def __getitem__(self, i):
         return self.b[i]
 
     def __len__(self):
-        return len(self.digits)
+        return len(self.a)
 
 
-# (p, N) -> the digits of b_0, b_1, ... as far as any ring asked, Python
-# ints: the splitting series lies in Z_p[pi], so it depends on p and N alone.
+# (p, N) -> (a, gpow): the Artin-Hasse coefficients a_0, a_1, ... mod p^N
+# and the pi-row digits of gamma^0, gamma^1, ..., as far as any ring asked,
+# Python ints: the splitting series lies in Z_p[pi], so it depends on p and
+# N alone.
 _SPLITTING = {}
 
 
 def splitting_coefficients(ring, imax):
-    """SplittingCoeffs b_0..b_imax of exp(pi(t - t^p)) in ring.  Their
-    digits are kept per (p, N) and process (_SPLITTING) and extended when a
-    larger imax is asked for.
-
-    b_i = sum_j (-1)^j pi^(i-(p-1)j) / (j! (i-pj)!), and every term is one
-    p-integral digit in pi-row i mod (p-1); the digits of all (i, j) of an
-    extension come from one pi_pow_digits call, and b_i's digit is their
-    signed sum.  Each computed b_i is checked: ord b_i >= i(p-1)/p^2, and
-    b_0 = 1.
+    """SplittingCoeffs b_0..b_imax of theta(t) = E(gamma t) in ring, E the
+    Artin-Hasse exponential (artin_hasse) and gamma its root
+    (artin_hasse_gamma): Dwork's splitting function with ord b_e >= e/(p-1)
+    (B. Dwork, "On the zeta function of a hypersurface", Publ. Math. IHES
+    12, 1962), so b_e vanishes mod p^N past kernel_cut(ring).  Its digits
+    are kept per (p, N) and process (_SPLITTING), and computed again, to the
+    new length, when a larger imax is asked for.  Each gamma^e is checked to
+    have ord exactly e/(p-1) (zero mod p^N from e = N(p-1) on), and a_0 = 1.
     """
-    p, npi, key = ring.p, ring.npi, (ring.p, ring.N)
-    known = _SPLITTING.get(key, ())
-    if len(known) <= imax:
-        new = np.arange(len(known), imax + 1)
-        count = new // p + 1  # the j of each i
-        i = np.repeat(new, count)
-        start = np.cumsum(count) - count
-        j = np.arange(len(i)) - np.repeat(start, count)
-        _, digits = pi_pow_digits(ring, i - (p - 1) * j, np.column_stack([j, i - p * j]))
-        sums = np.add.reduceat(np.where(j & 1, -digits, digits), start) % ring.pN
-        for n, d in zip(new.tolist(), sums.tolist()):
-            # ord b_n = (p-1) v_p(d) + n mod (p-1), in units of ord pi
-            assert not d or (npi * split_p(d, p)[0] + n % npi) * p * p >= n * npi * npi, \
-                f"b_{n} bound fails"
-        known = _SPLITTING[key] = known + tuple(int(d) for d in sums.tolist())
-        assert known[0] == 1
-    return SplittingCoeffs(ring, known[:imax + 1])
+    p, pN, key = ring.p, ring.pN, (ring.p, ring.N)
+    a, gpow = _SPLITTING.get(key, ((), ()))
+    if len(a) <= imax:
+        a = tuple(f.numerator * pow(f.denominator, -1, pN) % pN
+                  for f in artin_hasse(p, imax))
+        assert a[0] == 1
+        zp = RingSpec(p, 1, (0, 1), ring.N)
+        gamma, x, gpow = zp.from_slots(artin_hasse_gamma(p, ring.N)), zp.one(), []
+        for e in range(imax + 1):
+            assert x.order() == (e if e < ring.N * ring.npi else None), \
+                f"ord gamma^{e} is not {e}/(p-1)"
+            gpow.append(x.slots)
+            x = x * gamma
+        a, gpow = _SPLITTING[key] = a, tuple(gpow)
+    return SplittingCoeffs(ring, a[:imax + 1], gpow[:imax + 1])
+
+
+def kernel_cut(ring):
+    """Routes B and C's kernel-sum cutoff N(p-1) - 1: ord b_e >= e/(p-1)
+    (splitting_coefficients), so every b_e with e >= N(p-1), and every
+    kernel term of |nu| past the cut, vanishes mod p^N."""
+    return ring.N * ring.npi - 1
 
 
 def default_s_cut(ring):
-    """Kernel-sum cutoff making every omitted term vanish mod p^N; route A
-    starts its series degree cap at the same value."""
+    """ceil(N p^2/(p-1)), route A's series degree scale
+    (hyperg.route_a_last_step): the kernel-sum cutoff of the splitting
+    series exp(pi(t - t^p)), whose coefficients have ord >= e(p-1)/p^2.
+    Routes B and C cut at kernel_cut."""
     return -(-ring.N * ring.p ** 2 // (ring.p - 1))
 
 

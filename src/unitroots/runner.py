@@ -297,7 +297,7 @@ def run(config):
     report["truncation"] = {
         "wmax": _frac(wmax),
         "basis_size": len(basis),
-        "s_cut": dwork.default_s_cut(ring),
+        "s_cut": dwork.kernel_cut(ring),
         "charpoly_degree_cap": dwork.fredholm_cap(W, basis, ring.p, ring.N),
         # route C divides by nothing, so it needs no digits beyond N
         "charpoly_precision_boost": 0,

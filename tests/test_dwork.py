@@ -32,7 +32,7 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
 from unitroots.errors import (MultipleUnitRoots, NonUnitDivision, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec
-from unitroots.padic import RingElem, make_ring, ring_array, teichmueller
+from unitroots.padic import RingElem, kernel_cut, make_ring, ring_array, split_p, teichmueller
 from unitroots.runner import JobConfig, default_wmax, run
 from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
                                 law_mismatch, limb_boundaries,
@@ -41,7 +41,7 @@ from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
 from unitroots.weights import (ExponentSet, build_weight_data,
                                enumerate_weighted_monomials, weight)
 
-from conftest import pi_pow_reference
+from conftest import artin_hasse_reference
 
 KLOOSTERMAN = ExponentSet(1, ((1,), (-1,)))
 SINGLE = ExponentSet(1, ((1,),))
@@ -64,32 +64,37 @@ def support(odata, vec):
 
 
 def test_splitting_coefficients(ring3):
+    # b_0 = 1, b_1 = gamma == pi (mod pi^2), ord b_i >= i/(p-1) = i/2, and
+    # b_i = 0 from i = N(p-1) = 8 on
     sc = splitting_coefficients(ring3, 12)
     assert sc[0] == ring3.one()
-    assert sc[1] == ring3.pi()
-    # bound at i = p: ord b_p >= (p-1)/p
-    assert sc[3].val_at_least(F(2, 3))
+    assert (sc[1] - ring3.pi()).val_at_least(1) and sc[1].valuation() == F(1, 2)
     for i, b in enumerate(sc.b):
-        assert b.val_at_least(F(i * 2, 9))
-    # each b_i against its terms, each from the rational reference, summed
-    # one ring element at a time
+        assert b.val_at_least(F(i, 2))
+    assert all(b.is_zero() for b in sc.b[kernel_cut(ring3) + 1:])
+    # each b_i = a_i gamma^i, a_i the residue of the Dieudonne-Dwork
+    # product's coefficient, gamma^i a ring power, on the rings of the
+    # battery's p, m and N
     for p, m, N in itertools.product((2, 3, 5), (1, 2), (4, 8)):
         ring = make_ring(p, m, None, N)
-        s_cut = default_s_cut(ring)
+        s_cut = kernel_cut(ring)
         sc = splitting_coefficients(ring, s_cut)
+        a = artin_hasse_reference(p, s_cut)
         for i in range(s_cut + 1):
-            terms = [(-1) ** j * pi_pow_reference(ring, i - (p - 1) * j,
-                                                  (j, i - p * j))
-                     for j in range(i // p + 1)]
-            assert sc[i] == sum(terms, ring.zero()), (p, m, N, i)
+            assert sc[i] == sc[1] ** i * ring.from_fraction(a[i]), (p, m, N, i)
 
 
 def test_splitting_p2(ring2):
+    # at p = 2, pi = -2 and gamma lies in Z_2: gamma == -2 (mod 4), and
+    # ord b_i = i + v_2(a_i) exactly, so b_i = 0 from i = N = 4 on, and b_3
+    # = (2/3) gamma^3 is 0 already
     sc = splitting_coefficients(ring2, 8)
     assert sc[0] == ring2.one()
-    assert sc[1] == ring2.pi()
-    for i, b in enumerate(sc.b):
-        assert b.val_at_least(F(i, 4))
+    assert (sc[1] + 2).val_at_least(2) and sc[1].valuation() == 1
+    a = artin_hasse_reference(2, 8)
+    want = [i + split_p(f.numerator, 2)[0] for i, f in enumerate(a)]
+    assert [b.order() for b in sc.b] == [v if v < 4 else None for v in want]
+    assert [b.is_zero() for b in sc.b] == [False] * 3 + [True] * 6
 
 
 def test_bigF_single_is_b(ring3):
@@ -111,7 +116,7 @@ def test_bigF_kloosterman_diagonal(ring3):
     assert bigF_coefficient(lam, (0,), W, ring3, sc) == expect
     # B_0 is a unit congruent to 1
     b0 = bigF_coefficient(lam, (0,), W, ring3, sc)
-    assert b0.is_unit() and (b0 - ring3.one()).val_at_least(F(1, 2))
+    assert b0.is_unit() and (b0 - ring3.one()).val_at_least(1)
 
 
 def test_bigF_outside_monoid(ring3):
@@ -127,7 +132,7 @@ def test_bigF_bound_lemma(ring3):
     lam = (teichmueller(ring3, (1,)), teichmueller(ring3, (2,)))
     for mu in enumerate_weighted_monomials(W, 6):
         val = bigF_coefficient(lam, mu, W, ring3, sc)
-        assert val.val_at_least(weight(W, mu) * F(2, 9))
+        assert val.val_at_least(weight(W, mu) / 2)
 
 
 def test_one_step_dual_single(ring3):
@@ -193,18 +198,29 @@ def test_power_iteration_kloosterman_p3(ring3):
 
 
 def test_power_iteration_stops_on_a_certificate():
-    # p = 2, f = 1/x + x + x^2 at N = 4: the normalizers repeat at 9 after
-    # three cycles, before they converge; a stop on that repeat alone
-    # reported [[9]] with no error.  Route C and the oracle give 1.
-    cfg = {"p": 2, "A": [[-1], [1], [2]], "coeffs": [[1], [1], [1]],
+    # p = 2, f = 1/x^3 + x + x^2 at N = 4: the normalizers repeat at 9 after
+    # two cycles, before they converge; a stop on that repeat alone would
+    # report [[9]] with no error.  Route C and the oracle's last ratio give 1
+    cfg = {"p": 2, "A": [[-3], [1], [2]], "coeffs": [[1], [1], [1]],
            "precision": 4, "routes": ["B"]}
-    rep = run(cfg)
+    a = []
+    cycle = OperatorData.dual_cycle
+
+    def spy(self, vec):
+        out = cycle(self, vec)
+        a.append(RingElem(self.ring, out[0]))
+        return out
+    with mock.patch.object(OperatorData, "dual_cycle", spy):
+        rep = run(cfg)
     route = rep.data["routes"]["B"]
     assert not rep.data["errors"] and rep.exit_code == 0
     assert route["unit_root"] == [[1]]
-    assert route["normalizer_diff_orders"] == [[2, 1], None, [3, 1]] + [None] * 3
-    assert route["cycles"] == 7
-    assert run({**cfg, "routes": ["C"]}).data["routes"]["C"]["unit_root"] == [[1]]
+    assert [x.digits() for x in (a[0], a[1] * a[0].inverse())] == [[[9]], [[9]]]
+    assert route["normalizer_diff_orders"] == [None, [3, 1]] + [None] * 6
+    assert route["cycles"] == 9
+    other = run({**cfg, "routes": ["C", "oracle"], "lmax": 6}).data
+    assert other["routes"]["C"]["unit_root"] == [[1]]
+    assert other["oracle"]["ratios"][-1] == [[1]]
 
 
 def test_power_iteration_budget_formula(ring3, ring2):
@@ -223,6 +239,19 @@ def test_truncation_bounds_are_exact_ceilings():
             for D in range(1, 13):
                 assert power_iteration_budget(ring, D) == \
                     math.ceil(F(N * D * p * p, (p - 1) ** 2)) + 3
+
+
+def test_cycle_bound_and_kernel_cut_formulas():
+    # Dwork's cycle bound under the Artin-Hasse estimate is N D, free of p,
+    # and routes B and C cut the kernel sum at N(p-1) - 1, the last e with
+    # ord b_e >= e/(p-1) below N; route A's cutoff keeps its value
+    for p in (2, 3, 5, 7, 31):
+        for N in (1, 4, 8, 12):
+            ring = make_ring(p, 1, None, N)
+            assert kernel_cut(ring) == N * (p - 1) - 1
+            assert default_s_cut(ring) == math.ceil(F(N * p * p, p - 1))
+            for D in (1, 2, 6):
+                assert dwork.cycle_bound(p, N, D) == N * D
 
 
 def test_eigenvector_supported_on_lineality(ring3):
@@ -246,16 +275,22 @@ def test_eigenvector_wmax_stability(ring3):
         assert (c - c2).valuation() is None or (c - c2).valuation() >= ring3.N - 1
 
 
-def test_frobenius_matrix_single(ring2):
-    spec = LaurentSpec(SINGLE, 2, 1, 1, ((1,),))
-    Mx = OperatorData(spec, build_weight_data(SINGLE), ring2, 3).full_matrix()
-    sc = splitting_coefficients(ring2, default_s_cut(ring2))
-    assert Mx.dim == 4
-    for iw in range(4):
-        for iv in range(4):
-            mu = 2 * iw - iv
-            want = sc[mu] if mu >= 0 else ring2.zero()
-            assert Mx.entry(iw, iv) == want
+def test_frobenius_matrix_single(ring2, ring3):
+    # A = {1}, lam = 1: entry (omega, nu) is b_(p omega - nu) = a_mu gamma^mu
+    # with a_mu from the Dieudonne-Dwork product, 0 for mu < 0 and mod p^N
+    # for mu >= N(p-1), where ord a_mu gamma^mu >= mu reaches N
+    for ring, dim in ((ring2, 4), (ring3, 6)):
+        p = ring.p
+        spec = LaurentSpec(SINGLE, p, 1, 1, ((1,),))
+        Mx = OperatorData(spec, build_weight_data(SINGLE), ring, dim - 1).full_matrix()
+        gamma = splitting_coefficients(ring, 1)[1]
+        a = artin_hasse_reference(p, p * dim)
+        assert Mx.dim == dim
+        for iw in range(dim):
+            for iv in range(dim):
+                mu = p * iw - iv
+                want = gamma ** mu * ring.from_fraction(a[mu]) if mu >= 0 else ring.zero()
+                assert Mx.entry(iw, iv) == want, (p, iw, iv)
 
 
 def test_matrix_entries_nonunit_off_corner(ring3):
@@ -265,7 +300,7 @@ def test_matrix_entries_nonunit_off_corner(ring3):
     W = build_weight_data(KLOOSTERMAN)
     od = OperatorData(spec, W, ring3, 5)
     T = od.one_step_matrix(0)
-    wfac = F(ring3.p - 1, ring3.p ** 2)
+    wfac = F(1, ring3.p - 1)
     from unitroots.padic import RingElem
     for iw, om in enumerate(od.basis):
         for iv, nu in enumerate(od.basis):
@@ -322,7 +357,7 @@ def test_fredholm_composition_order_pinned():
     assert res.u.digits()[0] == [13, 0]
 
 
-CERTIFICATE_JOB = {"p": 2, "A": [[-1], [1], [2]], "coeffs": [[1], [1], [1]],
+CERTIFICATE_JOB = {"p": 2, "A": [[-3], [1], [2]], "coeffs": [[1], [1], [1]],
                    "precision": 4}
 ROUTE_B_JOBS = {"certificate": CERTIFICATE_JOB} | {
     cid: job_dict({c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}[cid])
@@ -376,9 +411,9 @@ def test_power_iteration_divides_once(name):
     assert inverse.call_count <= 2
     assert products.call_count == odata.orbit_len * res.cycles
     if name == "certificate":
-        assert res.u.digits() == [[1]] and res.cycles == 7
-        # the normalizers repeat early, at cycle 3, and route B goes on
-        assert res.normalizer_diff_orders == [F(2), None, F(3)] + [None] * 3
+        assert res.u.digits() == [[1]] and res.cycles == 9
+        # the normalizers repeat early, at cycle 2, and route B goes on
+        assert res.normalizer_diff_orders == [None, F(3)] + [None] * 6
     assert odata.orbit_len == (2 if name.endswith("f4") else 1)
 
 
@@ -821,28 +856,27 @@ def test_first_return_product_takes_a_window_per_product(p, m, dim, data):
 
 
 def _tight_operator(p, N, dim):
-    # entries exactly at Dwork's estimate: on the basis X^(p^2 a), a < dim,
-    # of x alone (w(a) = p^2 a, D = 1), M[a, b] is p^((p-1)^2 a) times a
-    # unit, so a cycle's term has ord (p-1)^2 times the sum of its
-    # vertices, and vanishes mod p^N exactly when Dwork's cycle bound,
-    # (p-1)^2 * sum w >= N * p^2, says it does.  Returns the ring, W, the
-    # basis and M
+    # entries exactly at Dwork's estimate: on the basis X^a, a < dim, of x
+    # alone (w(a) = a, D = 1), M[a, b] is p^a times a unit, so a cycle's
+    # term has ord the sum of its vertices' weights, and vanishes mod p^N
+    # exactly when Dwork's cycle bound, sum w >= N, says it does.  Returns
+    # the ring, W, the basis and M
     ring = make_ring(p, 1, None, N)
     U = np.random.default_rng(p).integers(0, ring.pN, size=(dim, dim, ring.npi, 1))
     U[..., 0, 0] = U[..., 0, 0] // p * p + 1
-    scale = [pow(p, (p - 1) ** 2 * a, ring.pN) for a in range(dim)]
+    scale = [pow(p, a, ring.pN) for a in range(dim)]
     M = U * np.array(scale)[:, None, None, None] % ring.pN
-    return ring, build_weight_data(SINGLE), [(p * p * a,) for a in range(dim)], M
+    return ring, build_weight_data(SINGLE), [(a,) for a in range(dim)], M
 
 
 @pytest.mark.parametrize("p, N, dim", [(2, 12, 8), (3, 17, 6)])
 def test_first_return_windows_are_tight_at_dwork_bound(p, N, dim):
     # on the tight operator, trace_band's K_k(r) counts the c with
-    # (p-1)^2 (r + k(r+1) + c) < N, and its windows keep every term of
-    # det(I - T M) that the full dimension keeps.  A band one column
-    # tighter at (r, k) drops the path r -> (r+1)^k -> c -> r,
-    # c = K_k(r) - 1: of order (p-1)^2 (r + k(r+1) + c) < N, the least
-    # among the paths the cut drops and the only one of that order, so
+    # r + k(r+1) + c < N, and its windows keep every term of det(I - T M)
+    # that the full dimension keeps.  A band one column tighter at (r, k)
+    # drops the path r -> (r+1)^k -> c -> r, c = K_k(r) - 1: of order
+    # r + k(r+1) + c < N, the least among the paths the cut drops and the
+    # only one of that order, so
     # det changes, first at T^(k+2); K_0(0) also counts the factors, and
     # one fewer drops the loop M_cc, at T
     ring, W, basis, M = _tight_operator(p, N, dim)
@@ -850,8 +884,7 @@ def test_first_return_windows_are_tight_at_dwork_bound(p, N, dim):
     bands = dwork.trace_band(W, basis, p, N, cap - 1)
     for k, r in itertools.product(range(cap - 1), range(dim)):
         above = min(r + 1, dim - 1)
-        assert bands[k, r] == sum((p - 1) ** 2 * (r + k * above + c) < N
-                                  for c in range(dim))
+        assert bands[k, r] == sum(r + k * above + c < N for c in range(dim))
     exact, _ = dwork.first_return_product(ring, M, bands, cap)
     full, _ = dwork.first_return_product(ring, M, np.full(dim, dim), cap)
     assert np.array_equal(exact, full)
@@ -1229,6 +1262,34 @@ def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data)
     assert sweep_mismatch(table, tuple(lam), W, ring, sc, s_cut) is None
 
 
+@pytest.mark.parametrize("p, N", [(2, 31), (3, 19), (5, 13)])
+def test_gamma_contraction_at_the_last_moduli(p, N):
+    # _gamma_contract against Python integers at the int64 rule's last
+    # moduli, every z and every digit of gamma^s p^N - 1, so each run sums
+    # the largest products there are: mu 0 has s = 0, 2, ..., 2(K-1) over
+    # K = 3 unreduced_terms + 1 columns (reduced between chunks), mu 1 a
+    # single s, mu 2 the odd s from 5, a run of its own; m = 2
+    ring = make_ring(p, 2, None, N)
+    pN, room = ring.pN, dwork.unreduced_terms(ring.pN)
+    K = 3 * room + 1
+    runs = [[2 * i for i in range(K)], [7], [5 + 2 * i for i in range(K - 3)]]
+    s = np.array([v for run in runs for v in run], dtype=np.int64)
+    first = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    rng = np.random.default_rng(N)
+    gpow = np.full((2 * K + 4, ring.npi), pN - 1, dtype=np.int64)
+    gpow[1::3] = rng.integers(0, pN, size=gpow[1::3].shape)
+    sums = np.full((len(s), 2), pN - 1, dtype=np.int64)
+    sums[::4, 1] = rng.integers(0, pN, size=sums[::4, 1].shape)
+    got = dwork._gamma_contract(ring, gpow, s, first, sums)
+    assert got.shape == (3, ring.npi, 2)
+    for mu, (lo, run) in enumerate(zip(first.tolist(), runs)):
+        for j in range(ring.npi):
+            for k in range(2):
+                want = sum(int(sums[lo + i, k]) * int(gpow[v, j])
+                           for i, v in enumerate(run)) % pN
+                assert got[mu, j, k] == want, (mu, j, k)
+
+
 @pytest.mark.parametrize("p, m", [(3, 1), (5, 2)])
 def test_kernel_sweep_refuses_lambda_off_z_q(p, m):
     # a lambda with a nonzero pi-row >= 1 is outside the sweep's contract
@@ -1244,14 +1305,34 @@ def test_kernel_sweep_refuses_lambda_off_z_q(p, m):
     kernel_sweep((ring.one(), ring.one()), W, ring, sc, 4)
 
 
+@pytest.mark.parametrize("case_id", [c["id"] for c in BATTERY + DEGENERATE_BATTERY
+                                     + WIDE_P_BATTERY])
+def test_kernel_tables_meet_the_artin_hasse_estimate(case_id):
+    # ord b_e >= e/(p-1) for the operator's splitting series, and ord B_mu
+    # >= w(mu)/(p-1) on every entry of every orbit point's kernel table: in
+    # units of ord pi = 1/(p-1), order() >= e and order() >= w(mu)
+    p = int(case_id.split("-")[0][1:])
+    m = 2 if case_id.endswith(("f4", "f9", "f25")) else 1
+    ring = make_ring(p, m, None, 4)
+    od = _battery_operator(case_id, ring)
+    assert all(b.order() is None or b.order() >= e for e, b in enumerate(od.sc.b))
+    for oi in range(od.orbit_len):
+        table = od.kernel_table(oi)
+        for mu, c in zip(table, table.coeffs):
+            v = RingElem(ring, c).order()
+            assert v is not None and v >= weight(od.W, mu), (case_id, mu, v)
+
+
 @pytest.mark.parametrize("case_id", [c["id"] for c in WIDE_P_BATTERY if c["p"] < 13])
 def test_wide_p_kernel_table_matches_bigF(case_id):
-    # at p = 7 and 11 the sweep wraps pi^(p-1) = -p on many states; the
-    # cutoff 2p - 1 reaches b_e's second term (e >= p) and two wraps, and
-    # keeps the reference, whose cost grows as s_cut^3 on the 2-D sets, cheap
+    # at p = 7 and 11, at the operator's own cutoff N(p-1) - 1, every
+    # coefficient gamma^s of the sweep's contraction is a full element of
+    # Z_p[pi], with a digit in every pi-row; the reference reads each
+    # lambda's powers once per comparison, not once per mu
     p = int(case_id.split("-")[0][1:])
     ring = make_ring(p, 1, None, 4)
-    od = _battery_operator(case_id, ring, 2 * p - 1)
+    od = _battery_operator(case_id, ring)
+    assert od.s_cut == 4 * (p - 1) - 1
     assert sweep_mismatch(od.kernel_table(0), od.lam_orbit[0], od.W, ring, od.sc,
                           od.s_cut) is None
 
@@ -1290,8 +1371,8 @@ def test_reduced_kernel_tables_equal_direct(case_id):
 def test_fredholm_cap_matches_fraction_weights():
     # fredholm_cap from D-scaled integer weights equals the cap from Fraction
     # weights on every battery case and every benchmark pool member at N = 4
-    # and N = 8: the first k with (p-1)^2/p^2 * (sum of the k + 1 smallest
-    # weights) >= N, or dim when no k reaches it; a pool member's
+    # and N = 8: the first k with (sum of the k + 1 smallest weights) >= N,
+    # or dim when no k reaches it; a pool member's
     # coefficients do not enter the cap, so each (A, p, N) is computed once
     cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
     configs = [job_dict(c) for c in cases.values()]
@@ -1312,7 +1393,7 @@ def test_fredholm_cap_matches_fraction_weights():
                 ws = sorted(weight(W, mu) for mu in basis)
                 want = len(basis)
                 for k in range(len(ws)):
-                    if F((spec.p - 1) ** 2, spec.p ** 2) * sum(ws[:k + 1]) >= N:
+                    if sum(ws[:k + 1]) >= N:
                         want = k
                         break
                 checked[key] = fredholm_cap(W, basis, spec.p, N) == want
@@ -1321,15 +1402,17 @@ def test_fredholm_cap_matches_fraction_weights():
 
 
 def test_charpoly_caps():
-    # A = {1} at p = 2 has weights 0, 1, 2, ... (D = 1), so (1/4) * (0+1+...+k)
-    # first reaches N = 4 at k = 6 (21/4) and N = 1 at k = 3 (6/4), on the
-    # last basis element when dim = 7; five elements sum to 10/4 < 4, so
-    # the bound is never reached and every c_k up to dim = 5 is computed
+    # A = {1} has weights 0, 1, 2, ... (D = 1), so 0 + 1 + ... + k first
+    # reaches N = 4 at k = 3 (6), N = 6 at k = 3 too, N = 7 at k = 4 (10)
+    # and N = 1 at k = 1, at every p, on the last basis element when dim = 4
+    # at N = 4; three elements sum to 3 < 4, so the bound is never reached
+    # and every c_k up to dim = 3 is computed
     W = build_weight_data(SINGLE)
     basis = [(i,) for i in range(8)]
-    assert fredholm_cap(W, basis, 2, 4) == fredholm_cap(W, basis[:7], 2, 4) == 6
-    assert fredholm_cap(W, basis, 2, 1) == 3
-    assert fredholm_cap(W, basis[:5], 2, 4) == 5
+    for p in (2, 3, 5, 31):
+        assert fredholm_cap(W, basis, p, 4) == fredholm_cap(W, basis[:4], p, 4) == 3
+        assert [fredholm_cap(W, basis, p, N) for N in (1, 6, 7)] == [1, 3, 4]
+        assert fredholm_cap(W, basis[:3], p, 4) == 3
     # v_2 of 2,4,6,8 sums to 7 = v_2(8!), the digits Newton's identities lose
     assert charpoly_boost(2, 8) == 7
 

@@ -20,7 +20,7 @@ from unitroots.padic import (FactorialUnits, RingElem, RingSpec, make_ring,
                              pi_pow_digits, split_p, teichmueller, valuation,
                              zeta_p)
 
-from conftest import pi_pow_reference
+from conftest import artin_hasse_reference, pi_pow_reference
 
 
 def rand_elem(ring, rng):
@@ -231,7 +231,7 @@ def test_pi_pow_over_factorials(ring3):
     for (k, s), e in zip(cases, got):
         assert valuation(e) == Fraction(s, 2)
         assert e == pi_pow_reference(ring3, k, (k,))
-    # multi-factorial combination from the splitting series
+    # a multi-factorial combination, as route A's sums read them
     e, = pi_pow_elems(ring3, [5], [(1, 4)])
     assert valuation(e) == Fraction(1 + 2, 2)
     assert e == pi_pow_reference(ring3, 5, (1, 4))
@@ -400,7 +400,7 @@ def test_factorial_units_past_the_int64_rule():
 
 
 def test_factorial_units_grow_only_as_needed():
-    # the splitting series asks for small factorials at high precision
+    # a short sum asks for small factorials at high precision
     ring = make_ring(5, 1, None, 11)
     units = FactorialUnits(ring)
     units.inverses(np.array([40]))
@@ -557,14 +557,87 @@ def test_splitting_memo_matches_a_fresh_series(monkeypatch):
     monkeypatch.setattr(padic, "_SPLITTING", {})
     ring = make_ring(5, 2, None, 6)
     first = padic.splitting_coefficients(ring, 20)
-    assert len(padic._SPLITTING[5, 6]) == 21
+    assert [len(part) for part in padic._SPLITTING[5, 6]] == [21, 21]
     for k in (12, 20, 31):
         got = padic.splitting_coefficients(ring, k)
         with monkeypatch.context() as fresh:
             fresh.setattr(padic, "_SPLITTING", {})
             want = padic.splitting_coefficients(ring, k)
-        assert len(got) == k + 1 and got.digits == want.digits and got.b == want.b
-        assert got.digits[:21] == first.digits[:k + 1]
-    assert len(padic._SPLITTING[5, 6]) == 32
+        assert len(got) == k + 1 and (got.a, got.gpow) == (want.a, want.gpow)
+        assert got.b == want.b
+        assert (got.a[:21], got.gpow[:21]) == (first.a[:k + 1], first.gpow[:k + 1])
+    assert [len(part) for part in padic._SPLITTING[5, 6]] == [32, 32]
     other = make_ring(5, 1, None, 6)
-    assert padic.splitting_coefficients(other, 31).digits == got.digits
+    assert (padic.splitting_coefficients(other, 31).a,
+            padic.splitting_coefficients(other, 31).gpow) == (got.a, got.gpow)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_artin_hasse_matches_the_dieudonne_dwork_product(p):
+    # the recurrence e a_e = sum_j a_(e - p^j) against the product
+    # prod_((n,p)=1) (1 - t^n)^(-mu(n)/n), exactly; every a_e is p-integral,
+    # and the ring's digits are the reference's residues
+    ref = artin_hasse_reference(p, 48)
+    assert padic.artin_hasse(p, 48) == ref
+    assert all(f.denominator % p for f in ref)
+    for N in (4, 8):
+        ring = make_ring(p, 1, None, N)
+        sc = padic.splitting_coefficients(ring, 48)
+        assert sc.a == tuple(f.numerator * pow(f.denominator, -1, ring.pN) % ring.pN
+                             for f in ref)
+
+
+@pytest.mark.parametrize("p, N", [(2, 4), (2, 12), (3, 8), (5, 8), (7, 4), (31, 4)])
+def test_gamma_is_the_root_of_the_artin_hasse_logarithm(p, N):
+    # gamma == pi (mod pi^2) and sum_j gamma^(p^j)/p^j = 0 mod p^N, summed in
+    # a ring N digits wider over j < N, far past the last term the code
+    # keeps: term j has ord p^j/(p-1) - j
+    ring = make_ring(p, 1, None, N)
+    gamma = padic.splitting_coefficients(ring, 1)[1]
+    assert (gamma - ring.pi()).order() is None or (gamma - ring.pi()).order() >= 2
+    assert gamma.order() == 1
+    wide = make_ring(p, 1, ring.g, 2 * N)
+    g = wide.from_slots(gamma.slots)
+    total = wide.zero()
+    for j in range(N):
+        total = total + (g ** p ** j).divide_exact_p(j)
+    assert total.reduce_to(ring).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_splitting_series_sums_to_zeta_p(p):
+    # theta(1) = sum_e b_e is zeta_p, each b_e = a_e gamma^e of order at
+    # least e/(p-1), and exactly that where p does not divide a_e
+    for m, N in itertools.product([1, 2], [4, 8, 12]):
+        ring = make_ring(p, m, None, N)
+        cut = padic.kernel_cut(ring)
+        sc = padic.splitting_coefficients(ring, cut + 3)
+        gamma = sc[1]
+        assert sum(sc.b[:cut + 1], ring.zero()) == zeta_p(ring)
+        assert all(b.is_zero() for b in sc.b[cut + 1:])
+        for e, (a, b) in enumerate(zip(sc.a, sc.b)):
+            assert b == gamma ** e * a
+            assert b.order() is None or b.order() >= e
+            if e <= cut and a % p:
+                assert b.order() == e
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                  (5, 1), (5, 2)])
+def test_splitting_identity_at_teichmueller_points(p, m):
+    # prod_(i < m) theta(x^(p^i)) = zeta_p^(Tr x-bar) at the Teichmueller
+    # lift x of every x-bar in F_q: Dwork's additive character, so the
+    # trace formula reads the same sums as with any other splitting
+    # function.  Tr x-bar is sum_i x^(p^i) mod p, an integer there
+    ring = make_ring(p, m, None, 4)
+    sc = padic.splitting_coefficients(ring, padic.kernel_cut(ring))
+    zeta = zeta_p(ring)
+    for xbar in itertools.product(range(p), repeat=m):
+        x = teichmueller(ring, xbar)
+        conj = [x ** p ** i for i in range(m)]
+        tr = sum(conj, ring.zero())
+        assert all(c % p == 0 for c in tr.slots[1:]), xbar
+        value = ring.one()
+        for y in conj:
+            value = value * padic.horner(list(sc.b), y)
+        assert value == zeta ** (tr.slots[0] % p), xbar

@@ -31,8 +31,10 @@ route A's refusal, its last step below its first), and a digit grid
 (`digit_entries`): `digit_solutions` as sorted lists on a fixed grid of
 targets.  Route C's windows shrink most at high precision, which the jobs
 reach only at N = 8, so it also dumps a route-C grid (`route_c_entries`):
-routes B and C at N = 12 on the triangle and edge cases, the route-C record
-without `gemm_madds` and route B's unit root.  The jobs reach the scalar
+routes B and C at N = 12 on the triangle and edge cases and on
+p2-triangle-f4 (the orbit-composite path), and at N = 4 on p31-triangle and
+p31-edge (the large-p kernel sweep), the route-C record without
+`gemm_madds` and route B's unit root.  The jobs reach the scalar
 ring (`RingElem`) only at N = 4, 8 and 12, so it also dumps a ring grid
 (`ring_entries`): seeded elements' digits, orders, sums, differences,
 products, powers and inverses, with `teichmueller`, `reduce_to`,
@@ -273,6 +275,9 @@ def digit_entries():
 
 ROUTE_C_CASES = ("p2-triangle", "p3-triangle", "p5-triangle", "p3-edge-degenerate",
                  "p5-edge-degenerate")
+# (case, N) beside them: the orbit-composite path at N = 12, and the
+# large-p kernel sweep, every coefficient 1, at N = 4
+ROUTE_C_EXTRA = (("p2-triangle-f4", 12), ("p31-triangle", 4), ("p31-edge", 4))
 
 
 def route_c_record(case, N):
@@ -291,11 +296,16 @@ def route_c_record(case, N):
 
 def route_c_entries():
     """{name: outcome} for the route-C grid, from the tree on the path:
-    route_c_record on ROUTE_C_CASES at N = 12."""
-    from unitroots.battery import BATTERY, DEGENERATE_BATTERY
+    route_c_record on ROUTE_C_CASES at N = 12 and on ROUTE_C_EXTRA."""
+    from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS
     cases = {c["id"]: c for c in BATTERY + DEGENERATE_BATTERY}
-    return {f"{cid}:N12": outcome(lambda: route_c_record(cases[cid], 12))
-            for cid in ROUTE_C_CASES}
+    for aname in ("triangle", "edge"):
+        A = EXPONENT_SETS[aname]
+        cases[f"p31-{aname}"] = {"p": 31, "A": A, "coeffs": ((1,),) * len(A),
+                                 "epsilon": 1, "field_degree": 1}
+    jobs = [(cid, 12) for cid in ROUTE_C_CASES] + list(ROUTE_C_EXTRA)
+    return {f"{cid}:N{N}": outcome(lambda: route_c_record(cases[cid], N))
+            for cid, N in jobs}
 
 
 def ring_entries():
