@@ -86,7 +86,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoot, OutsideM
-from .hyperg import _solutions, _teichmueller_orbit
+from .hyperg import teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 # default_s_cut, route A's cutoff, is unused here; tests import it from dwork
@@ -95,14 +95,15 @@ from .padic import (RingElem, centred_mod, check_product_precision, default_s_cu
                     powers, reduce_mod, ring_array, ring_elems, splitting_coefficients,
                     teichmueller, unreduced_terms, view_index, zq_mul, zq_powers, zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
-                      scaled_weights, weight)
+                      lattice_solutions, scaled_weights, weight)
 
 
 def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None, pows=None):
     """B_mu at the point lam: sum over nonnegative nu with sum nu_a a = mu
-    of prod b_(nu_a) * lam^nu, cut at |nu| <= s_cut (kernel_cut by
-    default).  pows, the lists powers(lam_a, s_cut), may be passed by a
-    caller that reads many mu at one lam."""
+    (weights.lattice_solutions) of prod b_(nu_a) * lam^nu, cut at
+    |nu| <= s_cut (kernel_cut by default).  pows, the lists
+    powers(lam_a, s_cut), may be passed by a caller that reads many mu at
+    one lam."""
     mu = tuple(int(c) for c in mu)
     if not in_cone(W, mu):
         raise OutsideM(f"{mu} is outside the support monoid")
@@ -112,7 +113,7 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None, pows=None):
     if pows is None:
         pows = [powers(x, s_cut) for x in lam]
     acc = ring.zero()
-    for nu in _solutions(W.A, mu, s_cut):
+    for nu in lattice_solutions(W.A, mu, s_cut):
         term = ring.one()
         for a, e in enumerate(nu):
             term = term * sc[e]
@@ -302,7 +303,7 @@ class OperatorData:
         self.basis = (enumerate_weighted_monomials(W, wmax) if basis is None
                       else basis)
         self.orbit_len = spec.epsilon * orbit_degree(spec)
-        self.lam_orbit = _teichmueller_orbit(spec, ring, self.orbit_len)
+        self.lam_orbit = teichmueller_orbit(spec, ring, self.orbit_len)
         self.s_cut = kernel_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}

@@ -52,7 +52,7 @@ from .errors import NotARelation, PrecisionUnstable, TooLarge
 from .padic import (agreement, check_product_precision, default_s_cut,
                     pi_pow_digits, reduce_mod, split_p, teichmueller, zq_mul,
                     zq_powers, zq_values)
-from .weights import ExponentSet
+from .weights import ExponentSet, lattice_solutions
 
 
 @dataclass(frozen=True)
@@ -198,44 +198,6 @@ class MultiSeries:
         return shells
 
 
-def _solutions(A, target, degmax):
-    """All u >= 0 with sum u_a a = target and |u| <= degmax, lexicographic."""
-    vecs = A.vectors
-    n = A.n
-    out = []
-
-    def rec(idx, budget, residual, prefix):
-        if idx == len(vecs) - 1:
-            a = vecs[idx]
-            # residual must be a nonnegative multiple of a
-            k = None
-            for i in range(n):
-                if a[i] != 0:
-                    if residual[i] % a[i]:
-                        return
-                    kk = residual[i] // a[i]
-                    if k is None:
-                        k = kk
-                    elif k != kk:
-                        return
-            if k is None:  # a == 0 is excluded by distinctness unless A = {0}
-                k = 0
-            if k < 0 or k > budget:
-                return
-            if any(residual[i] != k * a[i] for i in range(n)):
-                return
-            out.append(tuple(prefix + [k]))
-            return
-        a = vecs[idx]
-        for c in range(budget + 1):
-            rec(idx + 1, budget - c,
-                tuple(residual[i] - c * a[i] for i in range(n)), prefix + [c])
-
-    rec(0, degmax, tuple(target), [])
-    del rec  # rec's cell holds rec: a cycle that would keep out alive
-    return out
-
-
 def _digit_table(A, p, order_bound):
     """The digit vectors d in [0, p)^k with sum(d) < order_bound, sorted by
     the residue class of their contribution sum_a d_a a mod p and, within a
@@ -339,14 +301,15 @@ def hyperg_coefficient_series(A, i, degmax, ring=None):
     always p-integral, over the blocks of _digit_levels (digit_solutions'
     enumeration), so only the terms that survive mod p^N are visited, each
     block's digits from one pi_pow_digits call.  Without a ring, returns the
-    exact rational series F_i(L) used by the differential-system checks.
+    exact rational series F_i(L) used by the differential-system checks,
+    over weights.lattice_solutions.
     """
     if not isinstance(A, ExponentSet):
         A = ExponentSet(len(A[0]), tuple(A))
     i = tuple(int(c) for c in i) if hasattr(i, "__len__") else (int(i),)
     if ring is None:
         terms = {u: Fraction(1, math.prod(math.factorial(e) for e in u))
-                 for u in _solutions(A, i, degmax)}
+                 for u in lattice_solutions(A, i, degmax)}
     else:
         terms = {}
         for u, deg in _digit_levels(A, i, degmax, ring.p, ring.N * ring.npi):
@@ -364,7 +327,7 @@ def calF_series(A, degmax, ring):
     return num.mul(den.inverse(), degmax)
 
 
-def _teichmueller_orbit(spec, ring, length):
+def teichmueller_orbit(spec, ring, length):
     """[lambda^(p^i)]_a for i = 0..length-1, as tuples of ring elements."""
     lam = tuple(teichmueller(ring, cf) for cf in spec.coeffs)
     orbit = [lam]
@@ -378,7 +341,7 @@ def route_a_once(spec, degmax, ring, orbit_length):
     """Orbit product of the truncated ratio series at one truncation degree."""
     series = calF_series(spec.A, degmax, ring)
     u = ring.one()
-    for point in _teichmueller_orbit(spec, ring, orbit_length):
+    for point in teichmueller_orbit(spec, ring, orbit_length):
         u = u * series.evaluate(point)
     return u
 
@@ -548,7 +511,7 @@ def unit_root_route_A_detailed(spec, W, ring, orbit_length):
             f"route A stops no earlier than step {first} (degree "
             f"{p ** (first + 1) - 1}) but takes steps up to {last} at "
             f"p = {p}, N = {N}")
-    lam = _teichmueller_orbit(spec, ring, 1)[0]
+    lam = teichmueller_orbit(spec, ring, 1)[0]
     lam_powers = np.stack([zq_powers(ring, x, p ** ring.m - 1)
                            for x in zq_values(lam)])
     shifts = [p ** i for i in range(orbit_length)]

@@ -7,14 +7,16 @@ computed as the maximum of the facet forms normalized to 1 on the facets
 missing the origin.  Cone membership uses the facets through the origin.
 The integer Hermite form (_hnf_transform) alone reduces the lattice: the
 rank of A, each hyperplane through n points (a saturated, so primitive,
-kernel), the lineality and the relation lattices.  Fractions appear only in
-the views facet_forms and weight and in weight_definitional's reference
-solver.  Dimensions are small: facet search scans the point subsets.
+kernel), the lineality and the relation lattices, and the nonnegative
+solutions nu of sum_a nu_a a = mu (lattice_solutions), from the echelon
+form each ExponentSet keeps.  Fractions appear only in the views
+facet_forms and weight and in weight_definitional's reference solver.
+Dimensions are small: facet search scans the point subsets.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +29,8 @@ from .errors import NotSpanning, OutsideCone
 class ExponentSet:
     n: int
     vectors: tuple
+    # (H, U): U @ (the vectors as columns) = H, row echelon, positive pivots
+    echelon: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vecs = tuple(tuple(int(c) for c in v) for v in self.vectors)
@@ -35,9 +39,10 @@ class ExponentSet:
             raise ValueError("exponent vectors have inconsistent dimension")
         if len(set(vecs)) != len(vecs):
             raise ValueError("duplicate exponent vectors")
-        H, _ = _hnf_transform(vecs)
-        if sum(any(r) for r in H) < self.n:
+        H, U = _hnf_transform([[v[i] for v in vecs] for i in range(self.n)])
+        if not all(map(any, H)):
             raise NotSpanning(f"exponents do not span R^{self.n}")
+        object.__setattr__(self, "echelon", (tuple(map(tuple, H)), tuple(map(tuple, U))))
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,35 @@ def _hnf_transform(mat):
             U[row] = [-a for a in U[row]]
         row += 1
     return H, U
+
+
+def lattice_solutions(A, mu, bound):
+    """Every nu >= 0 with sum_a nu_a a = mu and |nu| <= bound, each once,
+    as tuples in no fixed order.
+
+    sum_a nu_a a = mu is H nu = U mu, (H, U) = A.echelon, and H's pivot
+    columns are n independent vectors of A (never a zero vector).  The other
+    k - n coordinates run over every point with their sum at most bound,
+    as one int64 array, and the pivot coordinates follow by back
+    substitution in integers, each division exact or the point dropped.
+    """
+    H, U = A.echelon
+    if bound < 0:
+        return []
+    pivots = [next(c for c, h in enumerate(row) if h) for row in H]
+    nu = np.zeros((1, len(A.vectors)), dtype=np.int64)
+    for c in sorted(set(range(len(A.vectors))) - set(pivots)):
+        reps = bound + 1 - nu.sum(axis=1)
+        nu = np.repeat(nu, reps, axis=0)
+        nu[:, c] = np.arange(len(nu)) - np.repeat(np.cumsum(reps) - reps, reps)
+    rhs = np.array(U, dtype=np.int64) @ np.array(mu, dtype=np.int64)
+    exact = np.ones(len(nu), dtype=bool)
+    for i in reversed(range(A.n)):
+        r = rhs[i] - nu @ np.array(H[i], dtype=np.int64)
+        exact &= r % H[i][pivots[i]] == 0
+        nu[:, pivots[i]] = r // H[i][pivots[i]]
+    keep = exact & (nu >= 0).all(axis=1) & (nu.sum(axis=1) <= bound)
+    return list(map(tuple, nu[keep].tolist()))
 
 
 def _integer_kernel(rows, ncols):

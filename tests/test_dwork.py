@@ -31,7 +31,7 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              unit_root_of_poly)
 from unitroots.errors import (MultipleUnitRoots, NonUnitDivision, NoUnitRoot, OutsideM,
                               PrecisionTooLow)
-from unitroots.hyperg import LaurentSpec
+from unitroots.hyperg import LaurentSpec, generating_identity_check
 from unitroots.padic import RingElem, kernel_cut, make_ring, ring_array, split_p, teichmueller
 from unitroots.runner import JobConfig, default_wmax, run
 from unitroots.selftest import (charpoly_boost, extreme_operands, int64_top,
@@ -1260,6 +1260,20 @@ def test_kernel_sweep_matches_bigF_at_random_lambda(p, m, aname, N, s_cut, data)
         lam.append(RingElem(ring, digits.tolist()))
     table = kernel_sweep(tuple(lam), W, ring, sc, s_cut)
     assert sweep_mismatch(table, tuple(lam), W, ring, sc, s_cut) is None
+
+
+@pytest.mark.parametrize("vecs", [((1,), (0,)), ((1, 0), (0, 1), (0, 0))])
+def test_reference_checks_count_a_zero_vector_that_comes_last(vecs):
+    # an exponent on a zero vector adds to |nu| and not to mu; both reference
+    # checks must count the nu that carry one, so on correct code they pass
+    A = ExponentSet(len(vecs[0]), vecs)
+    assert generating_identity_check(A, 2, 5)
+    ring = make_ring(3, 1, None, 4)
+    W, s_cut = build_weight_data(A), kernel_cut(ring)
+    sc = splitting_coefficients(ring, s_cut)
+    lam = tuple(teichmueller(ring, (c,)) for c in (2, 1, 2)[:len(vecs)])
+    table = kernel_sweep(lam, W, ring, sc, s_cut)
+    assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
 
 
 @pytest.mark.parametrize("p, N", [(2, 31), (3, 19), (5, 13)])

@@ -12,11 +12,11 @@ from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_di
 from unitroots.errors import NotARelation, PrecisionUnstable
 from unitroots.padic import RingElem
 from unitroots.hyperg import (LaurentSpec, _f0_shells, _shell_value,
-                              _teichmueller_orbit, calF_series,
-                              check_annihilators, digit_solutions,
-                              generating_identity_check,
+                              calF_series, check_annihilators,
+                              digit_solutions, generating_identity_check,
                               hyperg_coefficient_series, route_a_last_step,
-                              route_a_once, unit_root_route_A_detailed)
+                              route_a_once, teichmueller_orbit,
+                              unit_root_route_A_detailed)
 from unitroots.padic import make_ring, powers, zq_powers, zq_values
 from unitroots.runner import JobConfig, run
 from unitroots.selftest import surviving_solutions
@@ -30,6 +30,7 @@ TRIANGLE = ExponentSet(2, ((1, 0), (0, 1), (-1, -1)))
 SINGLE = ExponentSet(1, ((1,),))
 EDGE = ExponentSet(2, ((0, 1), (1, 0), (2, -1)))
 SQUARE = ExponentSet(2, ((1, 0), (0, 1), (-1, 0), (0, -1)))  # rank-2 relations
+ZERO_LAST = ExponentSet(2, ((1, 0), (0, 1), (0, 0)))
 
 
 def test_f0_kloosterman_terms(ring3):
@@ -211,7 +212,7 @@ def test_ratio_times_denominator_is_numerator(p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([SINGLE, KLOOSTERMAN, SKEW, TRIANGLE, EDGE, SQUARE]),
+@given(st.sampled_from([SINGLE, KLOOSTERMAN, SKEW, TRIANGLE, EDGE, SQUARE, ZERO_LAST]),
        st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(0, 14), st.data())
 def test_digit_solutions_are_the_surviving_solutions(A, p, N, degmax, data):
     # every u with sum u_a a = i and |u| <= degmax whose pi^|u|/prod u_a!
@@ -257,7 +258,8 @@ def test_route_a_matches_route_c_at_n6(cid):
 
 
 def _shells_reference(A, ring, s_lo, s_hi):
-    """_f0_shells term by term: brute-force solutions, rational digits."""
+    """_f0_shells term by term: the lattice solver's solutions, rational
+    digits."""
     p, npi = ring.p, ring.npi
     qm1 = p ** ring.m - 1
     shells = [{} for _ in range(s_lo, s_hi + 1)]
@@ -301,7 +303,7 @@ def test_shell_value_matches_ring_element_products(case):
     p, m = case["p"], case["field_degree"]
     ring = make_ring(p, m, None, 4)
     q = p ** m
-    lam = _teichmueller_orbit(spec, ring, 1)[0]
+    lam = teichmueller_orbit(spec, ring, 1)[0]
     tables = np.stack([zq_powers(ring, x, q - 1) for x in zq_values(lam)])
     pows = [powers(x, q - 1) for x in lam]
     assert tables.tolist() == [[list(y.slots[:m]) for y in pw] for pw in pows]
@@ -320,7 +322,8 @@ def test_shell_value_matches_ring_element_products(case):
 
 
 def _series_reference(A, i, degmax, ring):
-    """F_i(pi*L)'s terms one by one: brute-force solutions, rational digits."""
+    """F_i(pi*L)'s terms one by one: the lattice solver's solutions,
+    rational digits."""
     return {u: pi_pow_reference(ring, sum(u), u)
             for u in surviving_solutions(A, i, degmax, ring.p, ring.N * ring.npi)}
 

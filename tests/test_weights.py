@@ -9,10 +9,11 @@ import pytest
 
 from unitroots.battery import EXPONENT_SETS
 from unitroots.errors import NotSpanning, OutsideCone
+from unitroots.hyperg import _solutions_all
 from unitroots.weights import (ExponentSet, _integer_kernel, _rref,
                                build_weight_data, enumerate_weighted_monomials,
-                               relation_lattice_basis, scaled_weights,
-                               weight, weight_definitional)
+                               lattice_solutions, relation_lattice_basis,
+                               scaled_weights, weight, weight_definitional)
 
 KLOOSTERMAN = ((1,), (-1,))
 SKEW = ((2,), (-1,))
@@ -145,6 +146,43 @@ def test_relation_lattices():
 
 
 SIMPLEX = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+SQUARE = ((1, 0), (0, 1), (-1, 0), (0, -1))
+ZERO_LAST = (((1,), (0,)), ((1, 0), (0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize("vecs", [*EXPONENT_SETS.values(), SQUARE, SIMPLEX, *ZERO_LAST])
+def test_lattice_solutions_match_the_product_enumeration(vecs):
+    # every u >= 0 with sum u_a a = mu and |u| <= bound, each once, against
+    # the exhaustive product enumeration, on a box of targets that holds
+    # points outside the cone and points no |u| <= 8 reaches
+    A = ExponentSet(len(vecs[0]), vecs)
+    by_mu = {}
+    for u in _solutions_all(A, 8):
+        mu = tuple(sum(x * a[j] for x, a in zip(u, vecs)) for j in range(A.n))
+        by_mu.setdefault(mu, []).append(u)
+    reach = {1: 10, 2: 5, 3: 3}[A.n]
+    for mu in itertools.product(range(-reach, reach + 1), repeat=A.n):
+        for bound in range(9):
+            got = lattice_solutions(A, mu, bound)
+            assert len(got) == len(set(got)), (mu, bound)
+            assert sorted(got) == [u for u in sorted(by_mu.get(mu, []))
+                                   if sum(u) <= bound], (mu, bound)
+
+
+def test_lattice_solutions_edge_cases():
+    # a zero vector that comes last takes any exponent the bound leaves
+    zero_last = ExponentSet(1, ZERO_LAST[0])
+    assert sorted(lattice_solutions(zero_last, (1,), 3)) == [(1, 0), (1, 1), (1, 2)]
+    # outside the cone, off the lattice of A, or below any bound: nothing
+    assert lattice_solutions(zero_last, (-1,), 8) == []
+    assert lattice_solutions(ExponentSet(2, EDGE), (-1, 0), 8) == []
+    assert lattice_solutions(ExponentSet(1, ((2,), (-2,))), (3,), 8) == []
+    assert lattice_solutions(ExponentSet(2, TRIANGLE), (1, 0), -1) == []
+    # bound 0 reaches the zero target alone, by nu = 0
+    for vecs in [*EXPONENT_SETS.values(), SQUARE, SIMPLEX, *ZERO_LAST]:
+        A = ExponentSet(len(vecs[0]), vecs)
+        assert lattice_solutions(A, (0,) * A.n, 0) == [(0,) * len(vecs)]
+        assert lattice_solutions(A, vecs[0], 0) == []
 
 
 def lattice_sets():

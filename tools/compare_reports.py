@@ -29,7 +29,14 @@ N = 4, so it also dumps a route-A grid (`route_a_entries`): the full route-A
 record, or its error, at N = 6 and 8 on six cases (`p5-skew` at N = 8 is
 route A's refusal, its last step below its first), and a digit grid
 (`digit_entries`): `digit_solutions` as sorted lists on a fixed grid of
-targets.  Route C's windows shrink most at high precision, which the jobs
+targets.  Only the GKZ checks and the kernel references solve
+sum u_a a = i exactly, so it also dumps a solution grid
+(`solution_entries`), from public API alone: the exact series
+`hyperg_coefficient_series(A, i, degmax)` as sorted [u, numerator,
+denominator] and the slots of `dwork.bigF_coefficient` at p in {3, 5},
+N = 4, on every target i with |i|_inf <= 2 of the battery's sets, the
+square, the three-variable simplex and two sets whose zero vector comes
+last.  Route C's windows shrink most at high precision, which the jobs
 reach only at N = 8, so it also dumps a route-C grid (`route_c_entries`):
 routes B and C at N = 12 on the triangle and edge cases and on
 p2-triangle-f4 (the orbit-composite path), and at N = 4 on p31-triangle and
@@ -55,11 +62,11 @@ three-variable simplex and 50 seeded random sets in [-3, 3]^n, n <= 3 (the
 lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
 and lineality basis, `relation_lattice_basis`, and the basis at
 wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
-raises.  Prints each report, series, padic, oracle, route-A, digit, route-C,
-ring, ring-array or weight entry that differs, with the dotted
-key paths that were added (`+`), removed (`-`) or changed (`~`) in it (a
-list is one value), then how many entries each path moved in, then the
-matches per kind; exits 1 if any entry differs, else 0.
+raises.  Prints each report, series, padic, oracle, route-A, digit,
+solution, route-C, ring, ring-array or weight entry that differs, with the
+dotted key paths that were added (`+`), removed (`-`) or changed (`~`) in
+it (a list is one value), then how many entries each path moved in, then
+the matches per kind; exits 1 if any entry differs, else 0.
 
 Each job, with its `Report.without_timing()`, runs with the cyclic
 collector off, and `gc.collect()` is read right after it: for each tree
@@ -280,6 +287,40 @@ ROUTE_C_CASES = ("p2-triangle", "p3-triangle", "p5-triangle", "p3-edge-degenerat
 ROUTE_C_EXTRA = (("p2-triangle-f4", 12), ("p31-triangle", 4), ("p31-edge", 4))
 
 
+SOLUTION_SETS = {"square": ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                 "simplex3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+                 "zero-last1": ((1,), (0,)), "zero-last2": ((1, 0), (0, 1), (0, 0))}
+
+
+def solution_entries():
+    """{name: outcome} for the solution grid, from the tree on the path, on
+    every battery exponent set and SOLUTION_SETS, at every target i with
+    |i|_inf <= 2: the exact series hyperg_coefficient_series(A, i, degmax),
+    no ring, as sorted [u, numerator, denominator] at degmax in {6, 12};
+    and the slots of dwork.bigF_coefficient at p in {3, 5}, N = 4, its
+    default cutoff, lambda_a the Teichmueller lift of 1 + a mod (p - 1)."""
+    from unitroots import dwork, hyperg
+    from unitroots.battery import EXPONENT_SETS
+    from unitroots.padic import kernel_cut, make_ring, splitting_coefficients, teichmueller
+    from unitroots.weights import ExponentSet, build_weight_data
+    out = {}
+    for name, vecs in {**EXPONENT_SETS, **SOLUTION_SETS}.items():
+        A = ExponentSet(len(vecs[0]), vecs)
+        W, targets = build_weight_data(A), list(itertools.product(range(-2, 3), repeat=A.n))
+        for degmax, i in itertools.product((6, 12), targets):
+            out[f"{name}:series:d{degmax}:i{i}"] = outcome(lambda: sorted(
+                [list(u), c.numerator, c.denominator]
+                for u, c in hyperg.hyperg_coefficient_series(A, i, degmax).terms.items()))
+        for p in (3, 5):
+            ring = make_ring(p, 1, None, 4)
+            sc = splitting_coefficients(ring, kernel_cut(ring))
+            lam = tuple(teichmueller(ring, (1 + a % (p - 1),)) for a in range(len(vecs)))
+            for i in targets:
+                out[f"{name}:bigF:p{p}:i{i}"] = outcome(
+                    lambda: list(dwork.bigF_coefficient(lam, i, W, ring, sc).slots))
+    return out
+
+
 def route_c_record(case, N):
     """Routes B and C on one case at precision N: the report's route-C
     record without gemm_madds, which counts work and not digits, route B's
@@ -456,8 +497,8 @@ def weight_entries():
 
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
-    jobs and the series, padic, oracle, route-A, digit, route-C, ring,
-    ring-array and weight grids, run by the tree on the path."""
+    jobs and the series, padic, oracle, route-A, digit, solution, route-C,
+    ring, ring-array and weight grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -466,6 +507,7 @@ def dump(jobs):
     out.update((f"oracle:{name}", value) for name, value in oracle_entries().items())
     out.update((f"route_a:{name}", value) for name, value in route_a_entries().items())
     out.update((f"digits:{name}", value) for name, value in digit_entries().items())
+    out.update((f"solutions:{name}", value) for name, value in solution_entries().items())
     out.update((f"route_c:{name}", value) for name, value in route_c_entries().items())
     out.update((f"ring:{name}", value) for name, value in ring_entries().items())
     out.update((f"ring_array:{name}", value)
@@ -540,7 +582,8 @@ def main(argv):
         print(f"{mark} {path}: {count} entries")
     kinds = {"series": "series entries", "padic": "padic entries",
              "oracle": "oracle entries", "route_a": "route-A entries",
-             "digits": "digit_solutions entries", "route_c": "route-C entries",
+             "digits": "digit_solutions entries", "solutions": "solution entries",
+             "route_c": "route-C entries",
              "ring": "ring entries", "ring_array": "ring-array entries",
              "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
