@@ -55,19 +55,18 @@ block of the Frobenius matrix once; route B's dual cycle cuts each
 transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 
 Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
-through ring_array_mul, padic.law_product on their slots: one integer
-matmul of X's nonzero slots against Y's regular representation, read
-from the same plans and reduced mod p^N only where the next term could
-pass 2^63, under the same rule.  Past the rule padic.ring_array, which
-makes them from elements, raises PrecisionTooLow, and so does
-ring_array_mul.  The kernel table
+through ring_array_mul, padic.law_product on their slots: one
+padic.matmul_mod of X's nonzero slots against Y's regular
+representation, read from the same plans, under the same rule.  Past the
+rule padic.ring_array, which makes them from elements, raises
+PrecisionTooLow, and so does ring_array_mul.  The kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
 products in Z_q (kernel_sweep): b_e = a_e gamma^e with a_e in Z_p, and
 lambda is a Teichmueller point, so a partial product is one Z_q value z
 times gamma^s, s its degree, and each level is one padic.zq_mul by
 a_e lambda_a^e; the sums z of each (mu, s) are contracted with the
-table of gamma^s in integer matmuls (_gamma_contract).  The table is kept
-as two arrays, its points and its
+table of gamma^s, one padic.matmul_mod per run of mu (_gamma_contract).
+The table is kept as two arrays, its points and its
 coefficients (KernelTable), from which the one-step matrices are gathered
 by flat index; route B cross-multiplies its vectors by their X^0 terms
 and returns its eigenvector as a ring array on the basis, and route C
@@ -91,9 +90,10 @@ from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 # default_s_cut, route A's cutoff, is unused here; tests import it from dwork
 from .padic import (RingElem, centred_mod, check_product_precision, default_s_cut, horner,
-                    kernel_cut, law_plan, law_product, law_rows, newton_root, nonzero_slots,
-                    powers, reduce_mod, ring_array, ring_elems, splitting_coefficients,
-                    teichmueller, unreduced_terms, view_index, zq_mul, zq_powers, zq_values)
+                    kernel_cut, law_plan, law_product, law_rows, matmul_mod, newton_root,
+                    nonzero_slots, powers, reduce_mod, ring_array, ring_elems,
+                    splitting_coefficients, teichmueller, view_index, zq_mul, zq_powers,
+                    zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       lattice_solutions, scaled_weights, weight)
 
@@ -135,11 +135,9 @@ def _gamma_contract(ring, gpow, s, first, sums):
     s - smin(mu) (3 on triangle, where s = mu_1 + mu_2 + 3 nu_3; a single
     s on edge), so z_(mu,s) is laid out at column (s - smin(mu))/g of a row
     of mu, the rows sorted by smin.  Each run of rows of one smin = v
-    contracts its columns with gamma^v, gamma^(v+g), ... in one integer
-    matmul: per bucket, p - 1 products, where one matmul over every s,
-    0..s_cut, would form (s_cut + 1)(p - 1) per mu.  The sums are reduced
-    mod p^N after every unreduced_terms columns, where they could pass 2^63
-    (once, at the end, unless a run is wider).
+    contracts its columns with gamma^v, gamma^(v+g), ... in one
+    padic.matmul_mod: per bucket, p - 1 products, where one matmul over
+    every s, 0..s_cut, would form (s_cut + 1)(p - 1) per mu.
     """
     row = np.repeat(np.arange(len(first)), np.diff(first, append=len(s)))
     smin = s[first]
@@ -157,15 +155,9 @@ def _gamma_contract(ring, gpow, s, first, sums):
     for r1 in (np.flatnonzero(np.diff(smin, append=len(gpow))) + 1).tolist():
         runs.append((r0, r1, smin[r0], max(width[r0:r1])))
         r0 = r1
-    # each entry sums at most unreduced_terms products between reductions
-    out = np.zeros((len(first), ring.m, ring.npi), dtype=np.int64)
-    room = unreduced_terms(ring.pN)
-    for c0 in range(0, Z.shape[2], room):
-        for r0, r1, v, L in runs:
-            if c0 < L:
-                c1 = min(L, c0 + room)
-                out[r0:r1] += Z[r0:r1, :, c0:c1] @ gpow[v + g * c0::g][:c1 - c0]
-        reduce_mod(out, ring.pN)
+    out = np.empty((len(first), ring.m, ring.npi), dtype=np.int64)
+    for r0, r1, v, L in runs:
+        out[r0:r1] = matmul_mod(Z[r0:r1, :, :L], gpow[v::g][:L], ring.pN)
     return out[rank].transpose(0, 2, 1)
 
 
@@ -486,13 +478,13 @@ def regular_representation(spec, B, slots):
     slot pattern), instead of after every product.  Each block of rows of
     B is centred once, in int64 (centred_mod), and padic.law_rows writes
     its rows from it, the terms that wrap past pi^(p-2) (-p) or t^(m-1)
-    (g's coefficients) centred by law_sum.
+    (g's coefficients) summed by padic.matmul_mod and centred.
     """
     dim, cols = B.shape[:2]
     B = B.reshape(dim, cols, -1)
     plan = law_plan(spec, tuple(np.asarray(slots).tolist()), nonzero_slots(B))
     blocks = np.empty((dim, len(slots), cols, len(plan.kept)))
-    step = max(1, REP_TEMP // max(cols * max(len(plan.kept), B.shape[2]), 1))
+    step = max(1, REP_TEMP // max(cols * max(len(plan.kept), B.shape[2], plan.wrapped[0].size), 1))
     for lo in range(0, dim, step):
         law_rows(plan, centred_mod(B[lo:lo + step], spec.pN).transpose(2, 0, 1),
                  blocks[lo:lo + step].transpose(1, 3, 0, 2), spec.pN)

@@ -20,8 +20,8 @@ units' inverse table (padic.FactorialUnits), and are summed per shell, class
 and pi-row (_f0_shells), with no Python object per term.  A shell is
 evaluated in Z_q arrays (_shell_value): each class's lambda^c is gathered
 from power tables built once per run (padic.zq_powers) and multiplied as
-arrays (padic.zq_mul), and the shell is one array step and one ring
-element.  Its last step is
+arrays (padic.zq_mul), and the shell is one padic.matmul_mod over its
+classes and one ring element.  Its last step is
 a function of p and N alone (route_a_last_step).  It stops by an empirical
 rule (see that function), compares steps without dividing, and inverts one
 ring element per run, at the stop; it needs no series inverse.  Its arrays
@@ -49,8 +49,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotARelation, PrecisionUnstable, TooLarge
-from .padic import (agreement, check_product_precision, default_s_cut,
-                    pi_pow_digits, reduce_mod, split_p, teichmueller, zq_mul,
+from .padic import (agreement, check_product_precision, default_s_cut, matmul_mod,
+                    pi_pow_digits, split_p, teichmueller, zq_mul,
                     zq_powers, zq_values)
 from .weights import ExponentSet, lattice_solutions
 
@@ -439,8 +439,8 @@ def _shell_value(shell, lam_powers, shift, ring):
     Each class's lambda^(c * shift) is z_class = prod_a lambda_a^(c_a shift),
     gathered from the tables and multiplied as arrays (padic.zq_mul); a
     shell's digits sit at t^0 of their pi-rows, so the shell is
-    sum_class digits[class, row] * z_class in pi-row `row`, one (G, p-1, m)
-    array step and one RingElem.
+    sum_class digits[class, row] * z_class in pi-row `row`, one
+    padic.matmul_mod of digits^T (p-1, G) by z (G, m) and one RingElem.
     """
     classes, digits = shell
     qm1 = lam_powers.shape[1] - 1
@@ -449,10 +449,7 @@ def _shell_value(shell, lam_powers, shift, ring):
     z = lam_powers[0, idx[:, 0]]
     for a in range(1, classes.shape[1]):
         z = zq_mul(ring, z, lam_powers[a, idx[:, a]])
-    terms = digits[:, :, None] * z[:, None, :]
-    reduce_mod(terms, ring.pN)
-    total = terms.sum(axis=0)  # G < 2^31 residues below 2^31.5: no overflow
-    return ring.from_slots(total.ravel().tolist())
+    return ring.from_slots(matmul_mod(digits.T, z, ring.pN).ravel().tolist())
 
 
 def route_a_last_step(ring):

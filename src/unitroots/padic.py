@@ -14,12 +14,14 @@ ring and pair of nonzero-slot patterns and kept (law_plan): how each slot
 multiple pi^j t^s * Y is copied or summed from Y's planes.  Its one reader,
 law_rows, forms those rows, wrapped terms centred, for dwork's GEMM right
 operand and for law_product, the one int64 product step: ring arrays
-(ring_array_mul) and Z_q arrays (zq_mul, pi-row 0), reduced mod p^N only
-where the next term could pass 2^63.  dwork's reference keeps its own
-encoding, _fold.  A (p-1) x m digit matrix, rows by pi-degree, is read
-only by RingElem() and written only by digits(); int64 ring arrays
-(n, p-1, m) meet elements only in ring_array and ring_elems, and Z_q
-arrays (n, m), pi-row 0, are taken from them by zq_values.
+(ring_array_mul) and Z_q arrays (zq_mul, pi-row 0).  matmul_mod owns the
+int64 budget of every sum of residue products, here, in dwork and in
+hyperg: X @ Y mod p^N, reduced only where the next term could pass 2^63.
+dwork's reference keeps its own encoding, _fold.  A (p-1) x m digit
+matrix, rows by pi-degree, is read only by RingElem() and written only by
+digits(); int64 ring arrays (n, p-1, m) meet elements only in ring_array
+and ring_elems, and Z_q arrays (n, m), pi-row 0, are taken from them by
+zq_values.
 
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
@@ -379,15 +381,18 @@ class LawPlan:
     ascending slots o some row reaches, and index is rows as an index.
     terms[n] = (copy, wrap, zero) gives row n by positions in kept: copy =
     (cols, src), the columns that are one plane of law coefficient 1,
-    copied from the planes src; wrap, the others, one (c, src, coef) per
-    column c, which is sum_t coef[t] times plane src[t] (law_sum); zero,
-    the columns no term reaches.  Each is None when empty, and an index
-    that is a run of consecutive slots is a slice, a view.  law_rows is the
-    plan's one reader, and writes wrapped columns centred.
+    copied from the planes src; wrap = (cols, src), the others, copied from
+    the wrapped planes src; zero, the columns no term reaches.  Each is None
+    when empty, and an index that is a run of consecutive slots is a
+    slice, a view.  Wrapped plane d, one per distinct list of terms, is the
+    sum over t of coef[d, 0, t] times plane src[d, t], wrapped = (src,
+    coef), the lists padded with zero coefficients.  law_rows is the plan's
+    one reader, and writes the wrapped planes centred.
     """
     rows: tuple
     index: object
     kept: np.ndarray
+    wrapped: tuple
     terms: tuple
 
 
@@ -414,23 +419,29 @@ def law_plan(spec, rows, present):
                 for o, f in spec.law[i][k]:
                     row[o].append((k, f))
         kept = [o for o in range(S) if any(row[o] for row in sums)]
-        terms = []
+        lists, terms = {}, []  # each distinct wrapped term list -> its plane
+
+        def part(pairs):
+            """(cols, src) of (column, source) pairs, as indices; None if empty."""
+            if not pairs:
+                return None
+            cols, src = [c for c, _ in pairs], [k for _, k in pairs]
+            return view_index(cols), (view_index(src) if src == sorted(src)
+                                      else np.array(src, dtype=np.int64))
         for row in sums:
             cols = [row[o] for o in kept]
             copy = [(c, t[0][0]) for c, t in enumerate(cols)
                     if len(t) == 1 and t[0][1] == 1]
-            src = [k for _, k in copy]
-            wrap = tuple((c, tuple(k for k, _ in t), tuple(f for _, f in t))
-                         for c, t in enumerate(cols) if t and (len(t) > 1 or t[0][1] != 1))
+            wrap = [(c, lists.setdefault(tuple(t), len(lists))) for c, t in enumerate(cols)
+                    if t and (len(t) > 1 or t[0][1] != 1)]
             zero = [c for c, t in enumerate(cols) if not t]
-            terms.append((
-                (view_index([c for c, _ in copy]),
-                 view_index(src) if src == sorted(src) else np.array(src, dtype=np.int64))
-                if copy else None,
-                wrap or None,
-                view_index(zero) if zero else None))
-        plan = LawPlan(rows, view_index(rows) if rows else None,
-                       np.array(kept, dtype=np.int64), tuple(terms))
+            terms.append((part(copy), part(wrap), view_index(zero) if zero else None))
+        width = max(map(len, lists), default=0)
+        pairs = np.array([t + ((t[0][0], 0),) * (width - len(t)) for t in lists],
+                         dtype=np.int64).reshape(len(lists), width, 2)
+        pairs.setflags(write=False)  # shared by every later call
+        plan = LawPlan(rows, view_index(rows) if rows else None, np.array(kept, dtype=np.int64),
+                       (pairs[..., 0], pairs[:, None, :, 1]), tuple(terms))
         plan.kept.setflags(write=False)  # shared by every later call
         _PLANS[key] = plan
     return plan
@@ -438,39 +449,46 @@ def law_plan(spec, rows, present):
 
 def unreduced_terms(pN):
     """The most products of two residues mod pN an int64 sum holds on a
-    residue and law_sum's centring: the largest c with c (pN - 1)^2 + pN +
-    pN // 2 < 2^63, at least 1 under the int64 rule (int64_exact)."""
-    return (2 ** 63 - 1 - pN - pN // 2) // (pN - 1) ** 2
+    residue: the largest c with c (pN - 1)^2 + pN < 2^63, at least 1 under
+    the int64 rule (int64_exact).  matmul_mod is its one reader."""
+    return (2 ** 63 - 1 - pN) // (pN - 1) ** 2
 
 
-def law_sum(planes, src, coef, pN):
-    """sum_t coef[t] * planes[src[t]] mod p^N, int64, centred (centred_mod),
-    for slot-major planes (S, ...) below p^N in absolute value and residues
-    coef, reduced only where the next term could pass 2^63: acc holds at
-    most c = unreduced_terms terms of at most (p^N - 1)^2, after a reduction
-    on a residue, so no step passes (p^N - 1) + c (p^N - 1)^2 +
-    (p^N - 1) // 2 < c (p^N - 1)^2 + p^N + p^N // 2 < 2^63."""
-    acc = np.asarray(planes[src[0]] * coef[0])  # 0-d planes give a scalar
-    if len(src) > 1:
-        room = unreduced_terms(pN)
-        for t in range(1, len(src)):
-            if not t % room:
-                reduce_mod(acc, pN)
-            acc += planes[src[t]] * coef[t]
-    return centred_mod(acc, pN)
+def matmul_mod(X, Y, pN):
+    """X @ Y mod p^N in [0, p^N), int64, with np.matmul's semantics (batch
+    axes broadcast), for int64 X (..., k) and Y (..., k, n) whose entries
+    are below p^N in absolute value.  Reductions are put off until the next
+    c = unreduced_terms(p^N) products could pass 2^63 (J.-G. Dumas, T.
+    Gautier and C. Pernet, "Finite field linear algebra subroutines", ISSAC
+    2002): the contraction is cut into chunks of c, each summed on a
+    residue, so no sum passes (p^N - 1) + c (p^N - 1)^2 < 2^63.  An empty
+    contraction gives zeros."""
+    room = unreduced_terms(pN)
+    out = np.matmul(X[..., :room], Y[..., :room, :])
+    for lo in range(room, X.shape[-1], room):
+        reduce_mod(out, pN)
+        out += np.matmul(X[..., lo:lo + room], Y[..., lo:lo + room, :])
+    reduce_mod(out, pN)
+    return out
 
 
 def law_rows(plan, planes, out, pN):
     """Fill out (len(plan.rows), len(plan.kept), ...), any real dtype: out[n]
     is pi^j t^s times the operand of slot-major planes (S, ...), |entries| <
-    p^N, for slot plan.rows[n] = j*m + s; wrapped terms centred (law_sum)."""
+    p^N, for slot plan.rows[n] = j*m + s; the wrapped planes summed by one
+    matmul_mod and centred (centred_mod)."""
+    src, coef = plan.wrapped
+    if len(src):
+        P = planes[src]
+        wrapped = centred_mod(matmul_mod(coef, P.reshape(P.shape[:2] + (-1,)), pN), pN)
+        wrapped = wrapped.reshape(P.shape[:1] + P.shape[2:])
     for n, (copy, wrap, zero) in enumerate(plan.terms):
         if copy is not None:
             out[n, copy[0]] = planes[copy[1]]
+        if wrap is not None:
+            out[n, wrap[0]] = wrapped[wrap[1]]
         if zero is not None:
             out[n, zero] = 0
-        for c, src, coef in wrap or ():
-            out[n, c] = law_sum(planes, src, coef, pN)
 
 
 def nonzero_slots(X):
@@ -491,12 +509,10 @@ def law_product(spec, X, Y):
     R, Y's regular representation on X's nonzero slots (law_plan), is
     formed at Y's shape by law_rows, its wrapped planes centred, so
     |R| < p^N: R[..., n, :] is pi^j t^s * Y for the n-th of those slots
-    i = j*m + s.  The product is sum_n X[..., i] R[..., n, :], one integer
-    matmul that the n run through, reduced mod p^N only where the next
-    term could pass 2^63 (unreduced_terms): once, at the end, unless X has
-    more nonzero slots than unreduced_terms(p^N), as only near the int64
-    rule's limit.  PrecisionTooLow past that rule (check_product_precision),
-    where a residue times a residue no longer fits.
+    i = j*m + s.  The product is sum_n X[..., i] R[..., n, :], one
+    matmul_mod that the n run through.  PrecisionTooLow past the int64
+    rule (check_product_precision), where a residue times a residue no
+    longer fits.
     """
     pN = spec.pN
     check_product_precision(pN)
@@ -508,16 +524,7 @@ def law_product(spec, X, Y):
     R = np.empty((len(plan.rows), len(plan.kept)) + Y.shape[:-1], dtype=np.int64)
     law_rows(plan, Y.transpose((d,) + tuple(range(d))), R, pN)
     R = R.transpose(tuple(range(2, d + 2)) + (0, 1))
-    xs = X[..., None, plan.index]
-    room = unreduced_terms(pN)
-    out = None
-    for lo in range(0, len(plan.rows), room):
-        part = np.matmul(xs[..., lo:lo + room], R[..., lo:lo + room, :])[..., 0, :]
-        if out is not None:
-            reduce_mod(out, pN)
-            part += out
-        out = part
-    reduce_mod(out, pN)
+    out = matmul_mod(X[..., None, plan.index], R, pN)[..., 0, :]
     if len(plan.kept) == X.shape[-1]:
         return out
     full = np.zeros(shape + X.shape[-1:], dtype=np.int64)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
 
-from unitroots import dwork
+from unitroots import dwork, padic
 from unitroots.battery import (BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS,
                                WIDE_P_BATTERY, job_dict)
 from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
@@ -1284,7 +1284,7 @@ def test_gamma_contraction_at_the_last_moduli(p, N):
     # K = 3 unreduced_terms + 1 columns (reduced between chunks), mu 1 a
     # single s, mu 2 the odd s from 5, a run of its own; m = 2
     ring = make_ring(p, 2, None, N)
-    pN, room = ring.pN, dwork.unreduced_terms(ring.pN)
+    pN, room = ring.pN, padic.unreduced_terms(ring.pN)
     K = 3 * room + 1
     runs = [[2 * i for i in range(K)], [7], [5 + 2 * i for i in range(K - 3)]]
     s = np.array([v for run in runs for v in run], dtype=np.int64)

@@ -532,18 +532,49 @@ def test_each_slot_pattern_gets_its_own_plan(monkeypatch, p, m, N):
 
 
 @pytest.mark.parametrize("p, N", [(2, 31), (3, 19), (5, 13)])
-def test_law_sum_is_centred_at_the_last_moduli(p, N):
-    # plane 0 and every coefficient p^N - 1, over 3 unreduced_terms(p^N)
-    # terms: each group of terms, the last one on a reduced residue, holds
-    # the largest sum the rule allows.  Plane 1 is 1, so its sum is -terms
-    # mod p^N, above floor(p^N/2) as a residue.  Each result is the centred
-    # residue of the exact sum; a sum or centring step that wrapped int64
-    # would be off by 2^64, which p^N divides only at p = 2, where the wrap
-    # cancels exactly
+def test_matmul_mod_at_the_last_moduli(p, N):
+    # X @ Y mod p^N against Python integers over contractions of 0, 1,
+    # room, room + 1 and 3 room + 1 terms, room = unreduced_terms(p^N):
+    # each chunk, the last ones on a reduced residue, holds the largest sum
+    # the rule allows.  Every entry is p^N - 1, or -(p^N - 1) as centred
+    # operands may hold, or a seeded draw; X's batch axes broadcast against
+    # Y's, and Y has a 0-d batch, as law_product gives it for a scalar
+    # operand.  The result lies in [0, p^N); an empty contraction is zeros
+    pN = p ** N
+    room = padic.unreduced_terms(pN)
+    rng = np.random.default_rng(N)
+    for k in (0, 1, room, room + 1, 3 * room + 1):
+        operands = [(np.full((2, 1, 3, k), sx * (pN - 1), dtype=np.int64),
+                     np.full((4, k, 2), sy * (pN - 1), dtype=np.int64))
+                    for sx, sy in ((1, 1), (1, -1), (-1, -1))]
+        operands += [(rng.integers(1 - pN, pN, (2, 1, 3, k)), rng.integers(1 - pN, pN, (4, k, 2))),
+                     (rng.integers(1 - pN, pN, (3, 1, k)), rng.integers(1 - pN, pN, (k, 2))),
+                     (rng.integers(1 - pN, pN, (1, k)), rng.integers(1 - pN, pN, (k, 2)))]
+        for X, Y in operands:
+            got = padic.matmul_mod(X, Y, pN)
+            want = np.matmul(X.astype(object), Y.astype(object)) % pN
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert ((0 <= got) & (got < pN)).all()
+            assert got.tolist() == want.tolist(), (k, X.shape, Y.shape)
+            if not k:
+                assert not got.any()
+
+
+@pytest.mark.parametrize("p, N", [(2, 31), (3, 19), (5, 13)])
+def test_wrapped_sum_is_centred_at_the_last_moduli(p, N):
+    # a wrapped column as law_rows forms it, matmul_mod and then
+    # centred_mod: plane 0 and every coefficient p^N - 1, over 3
+    # unreduced_terms(p^N) terms, so each chunk of terms, the last one on a
+    # reduced residue, holds the largest sum the rule allows.  Plane 1 is 1,
+    # so its sum is -terms mod p^N, above floor(p^N/2) as a residue.  Each
+    # result is the centred residue of the exact sum; a sum or centring step
+    # that wrapped int64 would be off by 2^64, which p^N divides only at
+    # p = 2, where the wrap cancels exactly
     pN = p ** N
     terms = 3 * padic.unreduced_terms(pN)
     planes = np.tile(np.array([[pN - 1, 1]], dtype=np.int64), (terms, 1))
-    got = padic.law_sum(planes, tuple(range(terms)), (pN - 1,) * terms, pN)
+    coef = np.full((1, terms), pN - 1, dtype=np.int64)
+    got = padic.centred_mod(padic.matmul_mod(coef, planes, pN), pN)[0]
     assert got.dtype == np.int64
     for value, exact in zip(got.tolist(), (terms * (pN - 1) ** 2, terms * (pN - 1))):
         assert -((pN - 1) // 2) <= value <= pN // 2 and (exact - value) % pN == 0

@@ -55,7 +55,13 @@ with zero slots and broadcast shapes, and at the int64 rule's last moduli
 with every slot p^N - 1 and one digit past them, so that a change to how
 products are reduced is compared digit by digit; within the rule it also
 dumps `regular_representation` matrices, the GEMM right operand's entries
-as stored, so that a change of representative shows.  The jobs reach
+as stored, so that a change of representative shows.  The jobs sweep
+kernel tables only up to N = 12, so it also dumps a kernel grid
+(`kernel_entries`), from public API alone: `OperatorData.kernel_table`
+points and coefficients at every orbit point on the triangle and edge sets
+at the int64 rule's last moduli 2^31 (m = 2), 3^19 and 5^13 (m in {1, 2}),
+where the gamma contraction reduces between chunks; the m = 2 coefficients
+generate F_{p^2}.  The jobs reach
 `weights` only through the battery's five exponent sets, so it also dumps
 a weight grid (`weight_entries`), from public API alone: on the battery's sets, the
 three-variable simplex and 50 seeded random sets in [-3, 3]^n, n <= 3 (the
@@ -63,7 +69,7 @@ lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
 and lineality basis, `relation_lattice_basis`, and the basis at
 wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
 raises.  Prints each report, series, padic, oracle, route-A, digit,
-solution, route-C, ring, ring-array or weight entry that differs, with the
+solution, route-C, ring, ring-array, kernel or weight entry that differs, with the
 dotted key paths that were added (`+`), removed (`-`) or changed (`~`) in
 it (a list is one value), then how many entries each path moved in, then
 the matches per kind; exits 1 if any entry differs, else 0.
@@ -445,6 +451,38 @@ def ring_array_entries():
     return out
 
 
+# (p, m, N) of the kernel grid: the int64 rule's last moduli 2^31, 3^19 and
+# 5^13, where the gamma contraction reduces between chunks
+KERNEL_RINGS = ((2, 2, 31), (3, 2, 19), (3, 1, 19), (5, 2, 13), (5, 1, 13))
+
+
+def kernel_entries():
+    """{name: outcome} for the kernel grid, from the tree on the path:
+    OperatorData(...).kernel_table(oi) points and coefficients, as ints, for
+    every orbit point oi, on the triangle and edge sets at each (p, m, N)
+    of KERNEL_RINGS.  At m = 1 the coefficients are 1, 2, 1; at m = 2 they
+    are (0, 1), 1, (1, 1), as on the battery's p2-triangle-f4, so they
+    generate F_{p^2} and the orbit has two points."""
+    from unitroots import dwork, hyperg
+    from unitroots.battery import EXPONENT_SETS
+    from unitroots.padic import make_ring
+    from unitroots.weights import ExponentSet, build_weight_data
+
+    def tables(spec, W, ring):
+        odata = dwork.OperatorData(spec, W, ring, 0)
+        return [{"points": odata.kernel_table(oi).points.tolist(),
+                 "coeffs": odata.kernel_table(oi).coeffs.tolist()}
+                for oi in range(odata.orbit_len)]
+    out = {}
+    for name, (p, m, N) in itertools.product(("triangle", "edge"), KERNEL_RINGS):
+        A = ExponentSet(2, EXPONENT_SETS[name])
+        coeffs = ((1,), (2,), (1,)) if m == 1 else ((0, 1), (1,), (1, 1))
+        spec = hyperg.LaurentSpec(A, p, m, 1, coeffs)
+        out[f"{name}:p{p}:m{m}:N{N}"] = outcome(
+            lambda: tables(spec, build_weight_data(A), make_ring(p, m, None, N)))
+    return out
+
+
 def lattice_sets():
     """The exponent sets of the lattice tests (tests/test_weights.py): the
     battery's, the simplex ((1,0,0),(0,1,0),(0,0,1),(-1,-1,-1)), and 50
@@ -498,7 +536,7 @@ def weight_entries():
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
     jobs and the series, padic, oracle, route-A, digit, solution, route-C,
-    ring, ring-array and weight grids, run by the tree on the path."""
+    ring, ring-array, kernel and weight grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -512,6 +550,7 @@ def dump(jobs):
     out.update((f"ring:{name}", value) for name, value in ring_entries().items())
     out.update((f"ring_array:{name}", value)
                for name, value in ring_array_entries().items())
+    out.update((f"kernel:{name}", value) for name, value in kernel_entries().items())
     out.update((f"weights:{name}", value) for name, value in weight_entries().items())
     return {"entries": out, "garbage": garbage}
 
@@ -585,7 +624,7 @@ def main(argv):
              "digits": "digit_solutions entries", "solutions": "solution entries",
              "route_c": "route-C entries",
              "ring": "ring entries", "ring_array": "ring-array entries",
-             "weights": "weight entries"}
+             "kernel": "kernel entries", "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
