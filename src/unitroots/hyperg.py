@@ -34,11 +34,12 @@ power series, evaluated on the orbit.  Its coefficients come from the same
 digit rule, one pi_pow_digits call per block of _digit_levels.  Series are
 dictionaries from exponent tuples to nonzero coefficients, with a
 total-degree cap.  Series arithmetic is for ring series (RingElem
-coefficients, pi-scaled) only: the product and the inverse skip every pair
-of terms whose pi-orders sum to N(p-1) or more, since such a product is
-zero mod p^N and skipping it changes no digit.  Fraction series are
-coefficient holders for the GKZ and generating-identity checks, which read
-their terms directly.
+coefficients, pi-scaled) only: the product skips every pair of terms whose
+pi-orders sum to N(p-1) or more, since such a product is zero mod p^N and
+skipping it changes no digit, and the inverse is Newton's iteration on the
+product, so the product is the one place terms are paired.  Fraction
+series are coefficient holders for the GKZ and generating-identity checks,
+which read their terms directly.
 """
 
 import itertools
@@ -121,55 +122,20 @@ class MultiSeries:
                            {tuple(k * e for e in u): c for u, c in self.terms.items()})
 
     def inverse(self):
-        """Inverse of a ring series with constant term 1, by degree-shell
-        recurrence, skipping pairs of order >= N(p-1) like mul.
-
-        Work is proportional to the nonzero shell structure: the degrees
-        1..degmax are taken in order, and each finished inverse shell
-        scatters its products forward into the pending sums of higher
-        degrees, so a degree with no pending sum costs nothing (no heap).
-        """
+        """Inverse of a ring series with constant term 1, by Newton's
+        iteration y <- y (2 - x y) on mul (H. T. Kung, Numer. Math. 22, 1974):
+        y correct through degree c is correct through 2c + 1 after a step,
+        and each cap, degmax >> j for j falling to 0, is at most that."""
         zero = (0,) * self.nvars
         one = self.terms.get(zero)
         assert one is not None and one == one.spec.one(), "constant term must be 1"
-        floor = one.spec.N * one.spec.npi
-        shells = {}
-        for u, c in self.terms.items():
-            d = sum(u)
-            if d:
-                shells.setdefault(d, []).append((u, c, c.order()))
-        degrees = sorted(shells)
-        out = {zero: one}
-        pending = {}
-
-        def scatter(d_src, shell):
-            for e in degrees:
-                d = d_src + e
-                if d > self.degmax:
-                    break
-                acc = pending.get(d)
-                if acc is None:
-                    acc = pending[d] = {}
-                for u1, c1, v1 in shells[e]:
-                    for u2, (c2, v2) in shell.items():
-                        if v1 + v2 >= floor:
-                            continue
-                        u = tuple(a + b for a, b in zip(u1, u2))
-                        prod = c1 * c2
-                        acc[u] = acc[u] + prod if u in acc else prod
-
-        scatter(0, {zero: (one, 0)})
-        for d in range(1, self.degmax + 1):
-            acc = pending.pop(d, None)
-            if not acc:
-                continue
-            shell = {u: (-c, c.order()) for u, c in acc.items() if c}
-            if not shell:
-                continue
-            for u, (c, _) in shell.items():
-                out[u] = c
-            scatter(d, shell)
-        return MultiSeries(self.nvars, self.degmax, out)
+        two, y = one + one, MultiSeries(self.nvars, 0, {zero: one})
+        for j in range(self.degmax.bit_length() - 1, -1, -1):
+            cap = self.degmax >> j
+            e = {u: -c for u, c in self.mul(y, cap).terms.items()}
+            e[zero] += two
+            y = y.mul(MultiSeries(self.nvars, cap, e), cap)
+        return y
 
     def evaluate(self, point):
         """Sum of coeff * prod(point_a^u_a); point entries are ring elements."""
@@ -320,11 +286,10 @@ def hyperg_coefficient_series(A, i, degmax, ring=None):
 
 
 def calF_series(A, degmax, ring):
-    """Truncation of F_0(pi*L) / F_0(pi*L^p)."""
+    """Truncation of F_0(pi*L) / F_0(pi*L^p), from one enumeration of F_0."""
     num = hyperg_coefficient_series(A, (0,) * A.n, degmax, ring)
-    den = hyperg_coefficient_series(A, (0,) * A.n, degmax // ring.p, ring)
-    den = den.subst_power(ring.p)
-    return num.mul(den.inverse(), degmax)
+    den = MultiSeries(num.nvars, degmax // ring.p, num.terms)
+    return num.mul(den.inverse().subst_power(ring.p), degmax)
 
 
 def teichmueller_orbit(spec, ring, length):
@@ -479,7 +444,10 @@ def unit_root_route_A_detailed(spec, W, ring, orbit_length):
     denominator, with u_s = u_(s-D) mod p^N.  It rests on the observation
     that u_s is correct to at least floor(s/D) + 1 digits, which held on
     all 64 golden pool members of the benchmark's battery-n4 at N = 4 and on 12
-    case/precision pairs up to N = 8; it is not proven.  Comparing with
+    case/precision pairs up to N = 8; it is not proven.  p11-skew and
+    p13-skew at N = 3 (D = 2) fall one step behind it (u_0 .. u_5 correct
+    to 0, 1, 1, 2, 2, 3 digits against route C), and stop one step late, at
+    D*N + 1, with all N digits right.  Comparing with
     u_(s-1) instead is wrong: for D = 2 consecutive steps plateau (p2-skew
     at N = 8 is correct to 2, 3, 3, 7, 5, 7, 7, 8 digits at s = 0..7), and
     that comparison stops early with wrong digits on p2-skew, p2-skew-f4

@@ -47,8 +47,8 @@ Artin-Hasse exponential, whose coefficients a_e are p-integral
 with gamma == pi (artin_hasse_gamma), so b_e = a_e gamma^e has ord >=
 e/(p-1) and vanishes mod p^N past kernel_cut = N(p-1) - 1.  Its a_e and
 the digits of gamma^e are kept per p and N (splitting_coefficients), so no
-job rebuilds them; these memos, like the factorial tables, the plans and
-zeta_p's, hold ints and arrays only and keep no ring alive.  Arrays of
+job rebuilds them; these memos, like the factorial tables and the plans,
+hold ints and arrays only and keep no ring alive.  Arrays of
 residues are int64 only under the one int64 rule, (p^N - 1)^2 + p^N < 2^63
 (int64_exact, check_product_precision), and ring_array, the one way from
 elements into int64 ring arrays, raises PrecisionTooLow past it.  The
@@ -579,31 +579,22 @@ def teichmueller(spec, xbar):
     return x ** (spec.p ** spec.m) ** -(-(spec.N - 1) // spec.m)
 
 
-_ZETA_SLOTS = {}  # RingSpec.key -> zeta_p's slots, int tuples only
-
-
 def zeta_p(spec):
     """Primitive p-th root of unity with zeta == 1 + pi (mod pi^2).
 
     It is Dwork's theta(1) = E(gamma) = sum_e b_e, summed through
     kernel_cut(spec), past which every b_e vanishes mod p^N: pi-row j holds
-    sum_e a_e (gamma^e)_j (splitting_coefficients).  The slots are summed
-    and checked once per RingSpec.key and process and memoized as int
-    tuples, so the memo keeps no ring alive; later calls on an equal ring
-    only wrap them.
+    sum_e a_e (gamma^e)_j (splitting_coefficients, whose memo holds the
+    a_e and the digits of gamma^e), summed and checked on every call.
     """
     if spec.N * spec.npi < 2:
         raise PrecisionTooLow("cannot separate zeta_p from 1 at this precision")
-    slots = _ZETA_SLOTS.get(spec.key)
-    if slots is None:
-        sc = splitting_coefficients(spec, kernel_cut(spec))
-        slots = [0] * (spec.npi * spec.m)
-        slots[::spec.m] = [sum(a * g for a, g in zip(sc.a, row))
-                           for row in zip(*sc.gpow)]
-        z = spec.from_slots(slots)
-        assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
-        slots = _ZETA_SLOTS[spec.key] = z.slots
-    return spec.from_slots(slots)
+    sc = splitting_coefficients(spec, kernel_cut(spec))
+    slots = [0] * (spec.npi * spec.m)
+    slots[::spec.m] = [sum(a * g for a, g in zip(sc.a, row)) for row in zip(*sc.gpow)]
+    z = spec.from_slots(slots)
+    assert (z ** spec.p - spec.one()).is_zero() and not (z - spec.one()).is_zero()
+    return z
 
 
 def horner(coeffs, x):

@@ -1,5 +1,6 @@
 """Hypergeometric coefficient series, the ratio series, and route A."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitroots import hyperg
-from unitroots.battery import BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS, job_dict
+from unitroots.battery import (BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS,
+                               WIDE_P_BATTERY, job_dict)
 from unitroots.errors import NotARelation, PrecisionUnstable
 from unitroots.padic import RingElem
 from unitroots.hyperg import (LaurentSpec, _f0_shells, _shell_value,
@@ -20,7 +22,7 @@ from unitroots.hyperg import (LaurentSpec, _f0_shells, _shell_value,
 from unitroots.padic import make_ring, powers, zq_powers, zq_values
 from unitroots.runner import JobConfig, run
 from unitroots.selftest import surviving_solutions
-from unitroots.weights import ExponentSet, build_weight_data
+from unitroots.weights import ExponentSet, build_weight_data, lattice_solutions
 
 from conftest import pi_pow_reference
 
@@ -211,6 +213,61 @@ def test_ratio_times_denominator_is_numerator(p):
         assert calF_series(A, cap, ring).mul(den, cap).terms == num.terms, (p, A)
 
 
+def _qpi_mul(x, y, p):
+    """Product in Q(pi), pi^(p-1) = -p, of coefficient tuples by pi^j."""
+    out = [F(0)] * (p - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            k, c = i + j, a * b
+            if k >= p - 1:
+                k, c = k - (p - 1), -p * c
+            out[k] += c
+    return out
+
+
+def _exact_ratio(A, cap, p):
+    """F_0(pi L) / F_0(pi L^p) through degree cap, exactly in Q(pi):
+    F_0's terms from the lattice solver, divided degree by degree."""
+    def f0(u):
+        k = sum(u)
+        c = [F(0)] * (p - 1)
+        c[k % (p - 1)] = F((-p) ** (k // (p - 1)), math.prod(map(math.factorial, u)))
+        return c
+
+    support = sorted(lattice_solutions(A, (0,) * A.n, cap), key=sum)
+    num = {u: f0(u) for u in support}
+    den = {tuple(p * x for x in u): f0(u) for u in support if p * sum(u) <= cap}
+    ratio = {}
+    for u in support:  # den's constant term is 1
+        acc = num[u]
+        for v, d in den.items():
+            w = tuple(x - y for x, y in zip(u, v))
+            if any(v) and w in ratio:
+                acc = [a - b for a, b in zip(acc, _qpi_mul(d, ratio[w], p))]
+        ratio[u] = acc
+    return ratio
+
+
+@pytest.mark.parametrize("name", ["single", "kloosterman", "skew", "triangle", "edge"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [2, 4])
+def test_calf_matches_the_exact_ratio_in_q_pi(name, p, N):
+    # the witness against the ratio computed in Q(pi) with no MultiSeries,
+    # so an error mul and the inverse share cannot cancel out
+    vecs = EXPONENT_SETS[name]
+    A = ExponentSet(len(vecs[0]), vecs)
+    ring = make_ring(p, 1, None, N)
+    pi_powers = powers(ring.pi(), p - 2)
+    for cap in (24, 37, 60):
+        want = {}
+        for u, c in _exact_ratio(A, cap, p).items():
+            x = sum((ring.from_fraction(a) * t for a, t in zip(c, pi_powers)),
+                    ring.zero())
+            if x:
+                want[u] = x
+        assert calF_series(A, cap, ring).terms == want, cap
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([SINGLE, KLOOSTERMAN, SKEW, TRIANGLE, EDGE, SQUARE, ZERO_LAST]),
        st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(0, 14), st.data())
@@ -255,6 +312,31 @@ def test_route_a_matches_route_c_at_n6(cid):
     assert rep.data["agreement"]["pairs"]["A-C"] == 6
     route = rep.data["routes"]["A"]
     assert route["stop_step"] == route["weight_denominator"] * 6
+
+
+@pytest.mark.parametrize("cid", ["p11-skew", "p13-skew"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_route_a_past_d_n_matches_route_c(cid, N):
+    # at p = 11 and 13 the skew cases first agree one step past D N, so
+    # route A enumerates the shells past D N one step at a time
+    case = next(c for c in WIDE_P_BATTERY if c["id"] == cid)
+    rep = run(job_dict(case, precision=N, routes=("A", "C"), lmax=1))
+    assert rep.exit_code == 0, rep.data["errors"]
+    route = rep.data["routes"]["A"]
+    assert route["stop_step"] == route["weight_denominator"] * N + 1
+    assert route["unit_root"] == rep.data["routes"]["C"]["unit_root"]
+
+
+def test_route_a_that_never_agrees_names_its_best(monkeypatch):
+    # p11-skew at N = 3 agrees only at step D N + 1 = 7; cut at step 6 it
+    # refuses, naming the 2 digits of step 6
+    monkeypatch.setattr(hyperg, "route_a_last_step", lambda ring: 6)
+    case = next(c for c in WIDE_P_BATTERY if c["id"] == "p11-skew")
+    rep = run(job_dict(case, precision=3, routes=("A",), lmax=1))
+    assert rep.data["errors"]["A"] == (
+        "PrecisionUnstable: route A steps 6..6 never agreed with the step 2 "
+        "before (best agreement 2 digits)")
+    assert "A" not in rep.data["routes"]
 
 
 def _shells_reference(A, ring, s_lo, s_hi):

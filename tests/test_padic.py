@@ -121,8 +121,8 @@ def test_zeta_p2_is_minus_one(ring2):
     assert zeta_p(ring2) == ring2.from_int(-1)
 
 
-def test_zeta_p_memo_keeps_no_ring():
-    # equal-key rings get equal roots, the second from the memo, and with the
+def test_zeta_p_keeps_no_ring():
+    # equal-key rings get equal roots, each on its own ring, and with the
     # cyclic collector off no ring outlives its last reference
     def rings():
         return sum(isinstance(o, RingSpec) for o in gc.get_objects())
@@ -133,10 +133,8 @@ def test_zeta_p_memo_keeps_no_ring():
         before = rings()
         first, second = make_ring(5, 2, None, 7), make_ring(5, 2, None, 7)
         assert first is not second and first.key == second.key
-        padic._ZETA_SLOTS.pop(first.key, None)
         z1, z2 = zeta_p(first), zeta_p(second)
         assert z1 == z2 and z2.spec is second
-        assert first.key in padic._ZETA_SLOTS
         del first, second, z1, z2
         assert rings() == before
     finally:

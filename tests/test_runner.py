@@ -136,8 +136,7 @@ def test_job_leaves_no_ring_in_a_cycle():
 def test_memos_hold_no_ring():
     """With the cyclic collector off, a job with routes B, C and the oracle
     leaves no RingSpec or RingElem reachable from padic's memos (plans,
-    splitting digits, factorial tables, zeta_p's slots), and no cyclic
-    garbage."""
+    splitting digits, factorial tables), and no cyclic garbage."""
     from unitroots import padic
     gc.collect()
     gc.disable()
@@ -146,7 +145,7 @@ def test_memos_hold_no_ring():
                            routes=("B", "C", "oracle"), lmax=3))
         assert set(rep.data["routes"]) == {"B", "C"} and "oracle" in rep.data
         assert not rep.data["errors"]
-        memos = [padic._PLANS, padic._SPLITTING, padic._FACTORIALS, padic._ZETA_SLOTS]
+        memos = [padic._PLANS, padic._SPLITTING, padic._FACTORIALS]
         assert all(memos)
         # walk what the memos hold, not into classes, modules or functions
         opaque = (type, types.ModuleType, types.FunctionType,

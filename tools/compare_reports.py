@@ -18,11 +18,12 @@ lists and the other does not is a difference.  A job matches when
 keys; a job that raises records its exception.
 
 Route A reaches no series code, so the same subprocess also dumps a fixed
-series grid (`series_entries`): `calF_series` digits, `route_a_once`
-digits, and the results of `check_annihilators` and
-`generating_identity_check`.  The oracle, the one caller of `zeta_p`, runs
-only at N = 4 here, so it also dumps a padic grid (`padic_entries`):
-`zeta_p` digits up to N = 20.  The jobs reach the oracle only on battery
+series grid (`series_entries`): `calF_series` digits over the prime field
+and F_(p^2), at degrees that include those where the inverse's Newton
+iteration takes one more step, `route_a_once` digits, and the results of
+`check_annihilators` and `generating_identity_check`.  The oracle, the
+one caller of `zeta_p`, runs only at N = 4 here, so it also dumps a padic
+grid (`padic_entries`): `zeta_p` digits up to N = 20.  The jobs reach the oracle only on battery
 coefficients at N = 4, so it also dumps an oracle grid (`oracle_entries`):
 `char_sum` counts and method past them.  The jobs run route A only at
 N = 4, so it also dumps a route-A grid (`route_a_entries`): the full route-A
@@ -143,8 +144,11 @@ def report_outcome(config):
 
 def series_entries():
     """{name: outcome} for the series grid, from the tree on the path:
-    - calF_series digits on every battery exponent set, p in {2, 3, 5},
-      N in {2, 4, 6}, degree in {8, 20, 40};
+    - calF_series digits on every battery exponent set, over the prime
+      field at p in {2, 3, 5} and over F_(p^2) (default modulus) at
+      p in {2, 3}, N in {2, 4, 6}, degree in {8, 15, 16, 20, 31, 32, 40}
+      (at p = 2, 15, 16, 31 and 32 put the inverse's degree on either side
+      of 8 and 16, where its Newton iteration takes one more step);
     - route_a_once digits on the prime-field Kloosterman and skew battery
       cases at N = 4 and degree 40;
     - check_annihilators at degree 8 on the zero relation and on every
@@ -162,10 +166,11 @@ def series_entries():
 
     sets = {name: ExponentSet(len(vecs[0]), vecs) for name, vecs in EXPONENT_SETS.items()}
     out = {}
-    for (name, A), p, N, degree in itertools.product(
-            sets.items(), (2, 3, 5), (2, 4, 6), (8, 20, 40)):
-        ring = make_ring(p, 1, None, N)
-        out[f"calF:{name}:p{p}:N{N}:d{degree}"] = outcome(
+    fields = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+    for (name, A), (p, m), N, degree in itertools.product(
+            sets.items(), fields, (2, 4, 6), (8, 15, 16, 20, 31, 32, 40)):
+        ring = make_ring(p, m, None, N)
+        out[f"calF:{name}:p{p}:m{m}:N{N}:d{degree}"] = outcome(
             lambda: digits(hyperg.calF_series(A, degree, ring)))
     for case in BATTERY:
         if case["A_name"] in ("kloosterman", "skew") and case["field_degree"] == 1:
