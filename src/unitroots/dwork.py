@@ -26,11 +26,10 @@ its rows by the law_plan of the slots, read from RingSpec.law, the one
 place pi^(p-1) = -p and g(t) are applied, so the product comes out
 reduced.  In this order a contraction over lo <= b < hi is a slice of
 both sides.  Every product contracts each row over every b but route C's
-first-return products: product k contracts row r only over
-its window r < b < K_k(r), cut by Dwork's cycle bound (cycle_bound, trace_band), and
-keeps only the rows still live (first_return_product), a few adjacent
-rows in one GEMM (_row_groups), planned per product from its windows
-(WindowPlan).  Right entries
+first-return products: product k contracts row r only over its window
+r < b < K_k(r), cut by Dwork's cycle bound (cycle_bound, trace_band), and
+keeps only the rows still live (first_return_product), ROW_BLOCK of them
+to a GEMM over the first one's window (WindowPlan).  Right entries
 are centred, |y| <= h = floor(p^N/2); left entries are cut into centred
 base-p digits (left_limbs), a limb of w digits at most floor(p^w/2), the
 carry out of the top limb, a multiple of p^N, dropped.  Limbs are e
@@ -479,7 +478,9 @@ def regular_representation(spec, B, slots):
     B is centred once, in int64 (centred_mod), and padic.law_rows writes
     its rows from it, the terms that wrap past pi^(p-2) (-p) or t^(m-1)
     (g's coefficients) summed by padic.matmul_mod and centred.
+    PrecisionTooLow past the int64 rule of check_product_precision.
     """
+    check_product_precision(spec.pN)
     dim, cols = B.shape[:2]
     B = B.reshape(dim, cols, -1)
     plan = law_plan(spec, tuple(np.asarray(slots).tolist()), nonzero_slots(B))
@@ -498,13 +499,11 @@ class LeftLimbs:
 
     rows is the operand's row count and slots its nonzero (pi, t)-slots; its
     columns are laid out in (b, slot) order, b the contraction index, as
-    the RegularRep's rows are.  Each of `gemms` is a row group (cols,
-    blocks): it fills the output columns cols = (first, stop), every one
-    when None, and each block (start, stop, limbs) contracts columns
-    start:stop against the same rows of the RegularRep, one GEMM per limb.
-    A limb is (factor, live, digits): digits, float64 (len(live),
-    stop - start), holds the limb on the rows `live`, the only rows where
-    it is nonzero, and enters the product times factor.
+    the RegularRep's rows are.  Each of `gemms` is one GEMM (cols, start,
+    stop, factor, live, digits): one limb, float64 (len(live), stop -
+    start), of the rows `live`, those of its row group where it is nonzero,
+    times the RegularRep's rows start:stop, entering the output columns
+    cols = (first, stop), every one when None, times factor.
     """
     rows: int
     slots: np.ndarray
@@ -513,10 +512,8 @@ class LeftLimbs:
     def madds(self, rep):
         """Multiply-adds of this operand's GEMMs against the RegularRep rep."""
         return sum(len(live) * (stop - start) * (w1 - w0)
-                   for cols, blocks in self.gemms
-                   for w0, w1 in [_out_columns(cols, rep)]
-                   for start, stop, limbs in blocks
-                   for _, live, _ in limbs)
+                   for cols, start, stop, _, live, _ in self.gemms
+                   for w0, w1 in [_out_columns(cols, rep)])
 
 
 def _digit_limbs(X, p, N, e):
@@ -543,89 +540,54 @@ def _digit_limbs(X, p, N, e):
         X, shift, width = carry, shift + width, e
 
 
-# A GEMM of r rows against a K x C right side takes about as long as
-# K * C * (r + PACK_ROWS) multiply-adds: BLAS packs the right side once a
-# call, which costs about as much as 24 rows do (OpenBLAS, one thread,
-# x86-64, K and C from 400 to 1028).
-PACK_ROWS = 24
-
-
-def _window(rows, b, band):
-    """Mask (len(rows), len(b)) of the contraction indices b in each row
-    a's window a < b < band[a]."""
-    return (b > rows[:, None]) & (b < band[rows][:, None])
-
-
-def _row_groups(band, out, alive):
-    """(live, lo, hi, cols) per GEMM row group of one of route C's
-    first-return products Y_k M, planned from its windows: the rows `live`
-    contract over lo <= b < hi and fill the output columns cols = (first,
-    stop).
-
-    Row a contracts over its window a < b < band[a] into the columns from
-    a to max(out[a], a + 1); band never increases down the rows, so a row's
-    window lies in each earlier row's.  The rows that enter a group are
-    those whose window is not empty, a prefix, and that are `alive`: a row
-    known to be 0 over its window enters none, so that it cannot lead a
-    group and widen it.  They form runs that contract over their first
-    row's window.  A row joins the run before it while the work spent
-    outside its rows' windows stays within PACK_ROWS rows of the run's, the
-    price of one GEMM more.
-    """
-    index = np.arange(len(band))
-    live = np.flatnonzero((band > index + 1) & alive)
-    top, hi = np.maximum(out, index + 1).tolist(), band.tolist()
-    groups = []
-    for a in live.tolist():
-        own = (hi[a] - a - 1) * (top[a] - a)
-        if groups:
-            g = groups[-1]
-            f = g[0][0]
-            stop = max(g[2], top[a])
-            work = (hi[f] - f - 1) * (stop - f)
-            if work * (len(g[0]) + 1) - (g[3] + own) <= PACK_ROWS * work:
-                g[0].append(a)
-                g[2], g[3] = stop, g[3] + own
-                continue
-        groups.append([[a], a, top[a], own])
-    return [(np.array(members), f + 1, hi[f], (f, stop))
-            for members, f, stop, _ in groups]
+# Live rows per GEMM of a windowed product.  fredholm_coefficients on
+# p2-triangle at N = 16 (dim 361) took 6.3 ms at 8, 3.8 ms at 32 and
+# 4.1 ms at 128 (best of 11, OpenBLAS on one thread, x86-64).
+ROW_BLOCK = 32
 
 
 class WindowPlan:
-    """One first-return product's windows and row groups (_row_groups):
-    row a contracts over a < b < band[a] and is formed on the columns from
-    a to max(out[a], a + 1), if it is `alive` and its window is not empty.
-    The rows past `rows`, a prefix, enter no group."""
+    """One first-return product's row groups: row a contracts over its
+    window a < b < band[a] into the columns from a to max(out[a], a + 1).
+    The rows whose window is not empty, a prefix, and that are `alive` (a
+    row known to be 0 over its window enters none) are taken ROW_BLOCK at a
+    time; the rows past `rows` enter none.  band never increases down the
+    rows, so each of `groups`, (live, lo, hi, cols), contracts its rows over
+    its first row's window, lo <= b < hi, which holds every later row's, and
+    fills the output columns cols = (first, stop) that any of them needs.
+    """
 
     def __init__(self, band, out, alive):
         self.band = band
-        self.groups = _row_groups(band, out, alive)
-        self.rows = int(self.groups[-1][0][-1]) + 1 if self.groups else 0
+        index = np.arange(len(band))
+        live = np.flatnonzero((band > index + 1) & alive)
+        top = np.maximum(out, index + 1)
+        self.groups = [(g, int(g[0]) + 1, int(band[g[0]]), (int(g[0]), int(top[g].max())))
+                       for g in (live[i:i + ROW_BLOCK] for i in range(0, len(live), ROW_BLOCK))]
+        self.rows = int(live[-1]) + 1 if len(live) else 0
 
-    def mask(self, g, start, stop, S):
-        """Window mask of group g's rows over the columns start:stop of a
-        left operand of S slots in (b, slot) order."""
-        return _window(self.groups[g][0], np.arange(start, stop) // S, self.band)
+    def mask(self, rows, start, stop, S):
+        """Mask (len(rows), stop - start) of each row a's window a < b <
+        band[a] over the columns start:stop of a left operand of S slots in
+        (b, slot) order."""
+        b = np.arange(start, stop) // S
+        return (b > rows[:, None]) & (b < self.band[rows][:, None])
 
 
 def left_limbs(spec, A, plan=None):
     """LeftLimbs of A (rows, dim, p-1, m), entries in [0, p^N).
 
     A's nonzero slots are laid side by side in (b, slot) order, a reshape
-    when every slot is nonzero.  With the WindowPlan of one of route C's
-    first-return products, row a contracts over its window a < b < band[a]
-    alone (first_return_product): its entries outside it are zeroed, by
-    the plan's mask, in the group the plan puts it in, and a row that is 0
-    there enters no GEMM of that block; rows past the plan's live prefix
-    enter no group.  Without one, every row contracts over every b.  The
-    contraction is cut into blocks of at most slot_group(dim, ...) * dim
-    columns, one GEMM each, so no block needs more limbs than a single slot
-    (K = dim).  Each entry is cut by _digit_limbs into limbs of
-    limb_digits(K, p, N) digits for the length K of its block.  A row
-    enters a limb's GEMM only where that limb of it is nonzero, so a row
-    that is 0 mod p^N there enters none, and one divisible by p^j skips
-    every limb below digit j.
+    when every slot is nonzero.  Every row contracts over every b, or, with
+    the WindowPlan of one of route C's first-return products, over its
+    window a < b < band[a] alone (first_return_product), zeroed outside it
+    by the plan's mask in its row group.  The contraction is cut into
+    blocks of at most slot_group(dim, ...) * dim columns, so no block needs
+    more limbs than a single slot (K = dim), and each entry by _digit_limbs
+    into limbs of limb_digits(K, p, N) digits, K its block's length.  A row
+    enters a limb's GEMM only where that limb of it is nonzero: a row that
+    is 0 mod p^N there enters none, and one divisible by p^j skips every
+    limb below digit j.
     """
     p, N, pN = spec.p, spec.N, spec.pN
     check_product_precision(pN)
@@ -641,29 +603,24 @@ def left_limbs(spec, A, plan=None):
     step = slot_group(dim, S, p, N) * dim
     groups = [(np.arange(rows), 0, dim, None)] if plan is None else plan.groups
     gemms = []
-    for g, (group, lo, hi, cols) in enumerate(groups):
-        blocks = []
+    for group, lo, hi, cols in groups:
         for start in range(lo * S, hi * S, step):
             stop = min(start + step, hi * S)
             X = A[view_index(group), start:stop].astype(np.float64)
             if plan is not None:
-                X *= plan.mask(g, start, stop, S)
+                X *= plan.mask(group, start, stop, S)
             nz = X.any(axis=1)
             live = group[nz]
             if not len(live):
                 continue
             if len(live) < len(group):
                 X = X[nz]
-            limbs = []
             for shift, digits in _digit_limbs(X, p, N, limb_digits(stop - start, p, N)):
                 factor, nonzero = pow(p, shift, pN), digits.any(axis=1)
                 if nonzero.all():
-                    limbs.append((factor, live, digits))
+                    gemms.append((cols, start, stop, factor, live, digits))
                 elif nonzero.any():
-                    limbs.append((factor, live[nonzero], digits[nonzero]))
-            blocks.append((start, stop, limbs))
-        if blocks:
-            gemms.append((cols, blocks))
+                    gemms.append((cols, start, stop, factor, live[nonzero], digits[nonzero]))
     return LeftLimbs(rows, slots, gemms)
 
 
@@ -696,25 +653,21 @@ def _out_columns(cols, rep):
 def _contract(left, rep, pN):
     """LeftLimbs times the rows left.slots of rep, mod p^N, as int64
     (rows, cols * len(rep.kept)); columns a row's GEMMs leave out are 0."""
-    width = rep.matrix.shape[1]
     rhs = rep.matrix
+    width = rhs.shape[1]
     if len(left.slots) < len(rep.slots):
         pos = np.searchsorted(rep.slots, left.slots)
         rhs = rhs.reshape(-1, len(rep.slots), width)[:, pos].reshape(-1, width)
     out = None
-    for cols, blocks in left.gemms:
+    for cols, start, stop, factor, live, digits in left.gemms:
         w0, w1 = _out_columns(cols, rep)
-        for i, (start, stop, limbs) in enumerate(blocks):
-            for n, (factor, live, digits) in enumerate(limbs):
-                prod = digits @ rhs[start:stop, w0:w1]
-                if out is None:
-                    # a first product over every row and column holds the
-                    # result in place
-                    out = (prod.view(np.int64)
-                           if len(live) == left.rows and w1 - w0 == width
-                           else np.zeros((left.rows, width), dtype=np.int64))
-                # a group's rows are untouched until its first limb
-                _accumulate(out[:, w0:w1], live, prod, factor, pN, i > 0 or n > 0)
+        prod = digits @ rhs[start:stop, w0:w1]
+        add = out is not None
+        if not add:  # a first product over all rows and columns holds the result in place
+            out = (prod.view(np.int64)
+                   if len(live) == left.rows and w1 - w0 == width
+                   else np.zeros((left.rows, width), dtype=np.int64))
+        _accumulate(out[:, w0:w1], live, prod, factor, pN, add)
     return np.zeros((left.rows, width), dtype=np.int64) if out is None else out
 
 
@@ -731,7 +684,7 @@ def _pair_products(spec, A, B, right=None):
     A windowed caller passes left_limbs(spec, A, plan) as A, plan its
     WindowPlan: row a then contracts only over a < b < plan.band[a], and is
     formed on the columns from a to max(out[a], a + 1), its diagonal among
-    them, and on any others its GEMM group fills (_row_groups); every other
+    them, and on any others its row group fills (WindowPlan); every other
     entry is 0.
     """
     npi, m, pN = spec.npi, spec.m, spec.pN
@@ -980,8 +933,8 @@ def first_return_product(spec, M, band, cap):
     live, a prefix.  A row of M that is 0 over its first window is 0 in
     every Y_k, found once per call, and enters no row group.  All cap - 1
     products stay within the leading K_0(0) x K_0(0) block of M, expanded
-    once (RingMatrix.right_operand), and each plans its own row groups
-    from its windows (WindowPlan).
+    once (RingMatrix.right_operand), and each takes its live rows ROW_BLOCK
+    at a time (WindowPlan).
     """
     pN = spec.pN
     band = np.asarray(band, dtype=np.int64)

@@ -462,7 +462,9 @@ def matmul_mod(X, Y, pN):
     Gautier and C. Pernet, "Finite field linear algebra subroutines", ISSAC
     2002): the contraction is cut into chunks of c, each summed on a
     residue, so no sum passes (p^N - 1) + c (p^N - 1)^2 < 2^63.  An empty
-    contraction gives zeros."""
+    contraction gives zeros; past the int64 rule, where c is 0,
+    PrecisionTooLow."""
+    check_product_precision(pN)
     room = unreduced_terms(pN)
     out = np.matmul(X[..., :room], Y[..., :room, :])
     for lo in range(room, X.shape[-1], room):

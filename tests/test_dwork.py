@@ -711,17 +711,17 @@ def _windowed_case(p, m, dim, data):
     # a ring whose precision reaches the top of the int64 rule, where blocks
     # of the (b, slot) contraction split mid-row and entries take several
     # limbs, and operands whose zero entries leave rows that vanish over
-    # their window; PACK_ROWS = 0 puts each row in a GEMM of its own, and
-    # 24 may merge them
+    # their window; ROW_BLOCK = 1 puts each row in a GEMM of its own, 2
+    # puts them in pairs, and 32 all in one
     top = int64_top(p)
     ring = make_ring(p, m, None, data.draw(st.integers(1, top)))
     entries = st.one_of(st.integers(0, ring.pN - 1), st.just(0))
     A = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
     B = data.draw(arrays(np.int64, (dim, dim, ring.npi, m), elements=entries))
-    return ring, A, B, data.draw(st.sampled_from([0, 24]))
+    return ring, A, B, data.draw(st.sampled_from([1, 2, 32]))
 
 
-def _check_window(ring, A, B, band, pack):
+def _check_window(ring, A, B, band, block):
     # row a contracts over a < b < band[a] only: on the columns from a up
     # to max(band[a], a + 1), diagonal included, the product is the one with
     # row a of A cut to that window, and past them that or 0.  Returns the
@@ -730,7 +730,7 @@ def _check_window(ring, A, B, band, pack):
     inside = (rows > rows[:, None]) & (rows < band[:, None])
     cut = A * inside[:, :, None, None]
     want = pair_products_reference(ring, cut, B)
-    with mock.patch.object(dwork, "PACK_ROWS", pack):
+    with mock.patch.object(dwork, "ROW_BLOCK", block):
         left = dwork.left_limbs(ring, A, dwork.WindowPlan(band, band, True))
         got = _pair_products(ring, left, B)
     kept = (rows >= rows[:, None]) & (rows < np.maximum(band, rows + 1)[:, None])
@@ -744,10 +744,10 @@ def _check_window(ring, A, B, band, pack):
 def test_banded_products_are_cut_products(p, m, dim, data):
     # the band's upper edge: a drawn non-increasing band[a] = K(a), rows
     # whose band ends at or before their diagonal included
-    ring, A, B, pack = _windowed_case(p, m, dim, data)
+    ring, A, B, block = _windowed_case(p, m, dim, data)
     band = np.array(sorted(data.draw(st.lists(st.integers(0, dim), min_size=dim,
                                               max_size=dim)), reverse=True))
-    _check_window(ring, A, B, band, pack)
+    _check_window(ring, A, B, band, block)
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,8 +756,8 @@ def test_windowed_products_are_cut_products(p, m, dim, data):
     # the window's lower edge alone: with the full band, band = dim, row a
     # contracts over b > a, and its kept entries are also the unwindowed
     # product of the cut A
-    ring, A, B, pack = _windowed_case(p, m, dim, data)
-    cut, got, kept = _check_window(ring, A, B, np.full(dim, dim), pack)
+    ring, A, B, block = _windowed_case(p, m, dim, data)
+    cut, got, kept = _check_window(ring, A, B, np.full(dim, dim), block)
     assert np.array_equal(got[kept], _pair_products(ring, cut, B)[kept])
 
 
@@ -903,7 +903,7 @@ def test_first_return_windows_are_tight_at_dwork_bound(p, N, dim):
 
 
 def test_first_return_products_form_only_the_next_window(monkeypatch):
-    # one row per GEMM (PACK_ROWS = 0): product k forms row r of Y_(k+1)
+    # one row per GEMM (ROW_BLOCK = 1): product k forms row r of Y_(k+1)
     # on the columns [r, max(K_(k+1)(r), r + 1)) alone, the last product on
     # its diagonal alone, and only the rows whose window in product k is
     # not empty; on the tight operator the others would be nonzero
@@ -917,7 +917,7 @@ def test_first_return_products_form_only_the_next_window(monkeypatch):
         formed.append(real(*args))
         return formed[-1]
     monkeypatch.setattr(dwork, "_pair_products", spy)
-    monkeypatch.setattr(dwork, "PACK_ROWS", 0)
+    monkeypatch.setattr(dwork, "ROW_BLOCK", 1)
     dwork.first_return_product(ring, M, bands, cap)
     assert len(formed) == cap - 1
     rows = np.arange(8)
@@ -957,7 +957,8 @@ def test_first_return_product_is_the_newton_determinant(dim, data):
     # for every r): the product of the first-return series f_r of a random
     # matrix equals det(I - T M) from Newton's identities over the traces
     # of its pair_products_reference powers, at the v_3(dim!) digits more
-    # those need
+    # those need; ROW_BLOCK 1 and 2 run it over several row blocks of the
+    # dim - 1 live rows, 2 with a partial last one at even dims
     ring = make_ring(3, 2, None, 4)
     wide = make_ring(3, 2, None, 4 + charpoly_boost(3, dim))
     M = data.draw(arrays(np.int64, (dim, dim, wide.npi, wide.m),
@@ -968,7 +969,8 @@ def test_first_return_product_is_the_newton_determinant(dim, data):
             Mk = pair_products_reference(wide, Mk, M).astype(np.int64)
         traces.append(RingElem(wide, Mk.diagonal(axis1=0, axis2=1).sum(axis=2)))
     want = newton_coefficients(traces, ring)
-    c, _ = dwork.first_return_product(ring, M % ring.pN, np.full(dim, dim), dim)
+    with mock.patch.object(dwork, "ROW_BLOCK", data.draw(st.sampled_from([1, 2, 32]))):
+        c, _ = dwork.first_return_product(ring, M % ring.pN, np.full(dim, dim), dim)
     got = [RingElem(ring, x) for x in c.tolist()]
     assert got[:len(want)] == want
     assert all(x.is_zero() for x in got[len(want):])

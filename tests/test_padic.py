@@ -283,15 +283,25 @@ def test_ring_array_round_trip(p, m):
 def test_ring_array_past_the_int64_rule():
     # ring_array is the one bridge into int64 ring arrays: it converts at
     # 5^13, the last int64 modulus, and raises PrecisionTooLow naming p^N one
-    # digit past it and past 2^63, where a residue no longer fits int64
+    # digit past it and past 2^63, where a residue no longer fits int64.  So
+    # do matmul_mod and regular_representation, the GEMM's right operand,
+    # where unreduced_terms(p^N) is 0, on operands that int64 holds
     last = make_ring(5, 1, None, 13)
     assert padic.ring_array([last.from_int(-1)]).tolist() == \
         [[[5 ** 13 - 1], [0], [0], [0]]]
+    one = np.ones((1, 1), dtype=np.int64)
+    assert padic.matmul_mod(one, one, last.pN).tolist() == [[1]]
+    rep = regular_representation(last, np.ones((1, 1, 4, 1), dtype=np.int64), np.arange(4))
+    assert rep.matrix[0].tolist() == [1, 1, 1, 1]
     for p, N in ((5, 14), (2, 70)):
         ring = make_ring(p, 1, None, N)
-        with pytest.raises(PrecisionTooLow, match=re.escape(
-                f"p^N = {p ** N} has (p^N - 1)^2 + p^N >= 2^63")):
-            padic.ring_array([ring.from_int(-1)])
+        B = np.ones((1, 1, ring.npi, 1), dtype=np.int64)
+        for call in (lambda: padic.ring_array([ring.from_int(-1)]),
+                     lambda: padic.matmul_mod(one, one, ring.pN),
+                     lambda: regular_representation(ring, B, np.arange(ring.npi))):
+            with pytest.raises(PrecisionTooLow, match=re.escape(
+                    f"p^N = {p ** N} has (p^N - 1)^2 + p^N >= 2^63")):
+                call()
 
 
 # --- integer pi-orders, property-based -------------------------------------

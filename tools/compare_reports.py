@@ -56,7 +56,13 @@ with zero slots and broadcast shapes, and at the int64 rule's last moduli
 with every slot p^N - 1 and one digit past them, so that a change to how
 products are reduced is compared digit by digit; within the rule it also
 dumps `regular_representation` matrices, the GEMM right operand's entries
-as stored, so that a change of representative shows.  The jobs sweep
+as stored, so that a change of representative shows.  The jobs' windowed
+products split into few GEMMs and limbs, so it also dumps a windowed-product
+grid (`window_entries`): seeded `_pair_products` of a `left_limbs` cut by a
+`WindowPlan`, route C's first-return step, at p in {2, 3, 5}, m in {1, 2},
+N = 4 and the int64 rule's last N, on dims 9, 40 and 70, with
+non-increasing bands, empty windows and dead rows, each row on its kept
+columns alone, so that how rows share a GEMM does not show.  The jobs sweep
 kernel tables only up to N = 12, so it also dumps a kernel grid
 (`kernel_entries`), from public API alone: `OperatorData.kernel_table`
 points and coefficients at every orbit point on the triangle and edge sets
@@ -70,7 +76,8 @@ lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
 and lineality basis, `relation_lattice_basis`, and the basis at
 wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
 raises.  Prints each report, series, padic, oracle, route-A, digit,
-solution, route-C, ring, ring-array, kernel or weight entry that differs, with the
+solution, route-C, ring, ring-array, windowed-product, kernel or weight
+entry that differs, with the
 dotted key paths that were added (`+`), removed (`-`) or changed (`~`) in
 it (a list is one value), then how many entries each path moved in, then
 the matches per kind; exits 1 if any entry differs, else 0.
@@ -456,6 +463,45 @@ def ring_array_entries():
     return out
 
 
+def window_entries():
+    """{name: outcome} for the windowed-product grid, from the tree on the
+    path: dwork._pair_products(ring, dwork.left_limbs(ring, A,
+    dwork.WindowPlan(band, out, alive)), B), route C's first-return product
+    step, at p in {2, 3, 5}, m in {1, 2}, N = 4 and the int64 rule's last N
+    (31, 19, 13), on dims 9, 40 and 70, where rows split into several GEMMs
+    and the contraction into several blocks and limbs.  Each draws a
+    non-increasing band whose last rows' windows are empty, an out that is
+    the next such band or 0 (the last product), and dead rows (alive
+    False), zero over their windows in A as route C's are.  Only the kept
+    entries are dumped, row a on the columns a <= c < max(out[a], a + 1),
+    as lists by row: the others depend on how rows share a GEMM."""
+    import numpy as np
+    from unitroots import dwork
+    from unitroots.padic import make_ring
+
+    def product(ring, A, B, band, out, alive):
+        left = dwork.left_limbs(ring, A, dwork.WindowPlan(band, out, alive))
+        Z = dwork._pair_products(ring, left, B)
+        top = np.maximum(out, np.arange(len(band)) + 1)
+        return [Z[a, a:top[a]].tolist() for a in range(len(band))]
+    out = {}
+    for p, m, N, dim in itertools.product((2, 3, 5), (1, 2), (4, None), (9, 40, 70)):
+        N = N or {2: 31, 3: 19, 5: 13}[p]
+        ring = make_ring(p, m, None, N)
+        rng = np.random.default_rng(10 ** 4 * p + 1000 * m + 10 * N + dim)
+        A, B = (rng.integers(0, ring.pN, (dim, dim, ring.npi, m)) for _ in range(2))
+        rows = np.arange(dim)
+        band = np.sort(rng.integers(2 * dim // 3, dim + 1, dim))[::-1].copy()
+        band[rng.integers(3 * dim // 4, dim):] = 0
+        alive = rng.random(dim) > 0.1
+        A[~alive] *= ((rows <= rows[:, None]) | (rows >= band[:, None]))[~alive, :, None, None]
+        nxt = np.minimum(band, np.sort(rng.integers(0, dim + 1, dim))[::-1])
+        for kind, cut in (("next", nxt), ("last", np.zeros(dim, dtype=np.int64))):
+            out[f"p{p}:m{m}:N{N}:dim{dim}:{kind}"] = outcome(
+                lambda: product(ring, A, B, band, cut, alive))
+    return out
+
+
 # (p, m, N) of the kernel grid: the int64 rule's last moduli 2^31, 3^19 and
 # 5^13, where the gamma contraction reduces between chunks
 KERNEL_RINGS = ((2, 2, 31), (3, 2, 19), (3, 1, 19), (5, 2, 13), (5, 1, 13))
@@ -541,7 +587,8 @@ def weight_entries():
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
     jobs and the series, padic, oracle, route-A, digit, solution, route-C,
-    ring, ring-array, kernel and weight grids, run by the tree on the path."""
+    ring, ring-array, windowed-product, kernel and weight grids, run by the
+    tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -555,6 +602,7 @@ def dump(jobs):
     out.update((f"ring:{name}", value) for name, value in ring_entries().items())
     out.update((f"ring_array:{name}", value)
                for name, value in ring_array_entries().items())
+    out.update((f"window:{name}", value) for name, value in window_entries().items())
     out.update((f"kernel:{name}", value) for name, value in kernel_entries().items())
     out.update((f"weights:{name}", value) for name, value in weight_entries().items())
     return {"entries": out, "garbage": garbage}
@@ -629,6 +677,7 @@ def main(argv):
              "digits": "digit_solutions entries", "solutions": "solution entries",
              "route_c": "route-C entries",
              "ring": "ring entries", "ring_array": "ring-array entries",
+             "window": "windowed-product entries",
              "kernel": "kernel entries", "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
