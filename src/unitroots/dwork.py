@@ -62,7 +62,7 @@ PrecisionTooLow, and so does ring_array_mul.  The kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
 products in Z_q (kernel_sweep): b_e = a_e gamma^e with a_e in Z_p, and
 lambda is a Teichmueller point, so a partial product is one Z_q value z
-times gamma^s, s its degree, and each level is one padic.zq_mul by
+times gamma^s, s its degree, and each level is one padic.law_product by
 a_e lambda_a^e; the sums z of each (mu, s) are contracted with the
 table of gamma^s, one padic.matmul_mod per run of mu (_gamma_contract).
 The table is kept as two arrays, its points and its
@@ -83,7 +83,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoot, OutsideM
+from .errors import MultipleUnitRoots, NoConvergence, NonUnitDivision, NoUnitRoot, OutsideCone
 from .hyperg import teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
@@ -91,7 +91,7 @@ from .oracle import orbit_degree
 from .padic import (RingElem, centred_mod, check_product_precision, default_s_cut, horner,
                     kernel_cut, law_plan, law_product, law_rows, matmul_mod, newton_root,
                     nonzero_slots, powers, reduce_mod, ring_array, ring_elems,
-                    splitting_coefficients, teichmueller, view_index, zq_mul, zq_powers,
+                    splitting_coefficients, teichmueller, view_index, zq_powers,
                     zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       lattice_solutions, scaled_weights, weight)
@@ -105,7 +105,7 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None, pows=None):
     one lam."""
     mu = tuple(int(c) for c in mu)
     if not in_cone(W, mu):
-        raise OutsideM(f"{mu} is outside the support monoid")
+        raise OutsideCone(f"{mu} is outside the cone")
     s_cut = kernel_cut(ring) if s_cut is None else s_cut
     if len(sc) <= s_cut:
         raise ValueError("splitting series too short for the requested cutoff")
@@ -173,8 +173,8 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     partial product is z gamma^s with z in Z_q and s = |nu| so far.  The
     sweep takes A's vectors one level at a time over a batch of states (z,
     s, mu): each state expands by e = 0..s_cut - s into z a_e lam_a^e, one
-    zq_mul per level, and zero partials drop out.  The states are summed
-    into buckets (mu, s) and contracted with the table of gamma^s
+    law_product per level, and zero partials drop out.  The states are
+    summed into buckets (mu, s) and contracted with the table of gamma^s
     (sc.gpow), (s_cut + 1, p-1): pi-row j of B_mu is sum_s (gamma^s)_j
     z_(mu,s), one integer matmul per run of mu of one least s
     (_gamma_contract).  The coefficients are kept where nonzero, and the
@@ -195,7 +195,7 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
         counts = s_cut - s + 1
         src = np.repeat(np.arange(len(s)), counts)
         e = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-        z = zq_mul(ring, z[src], row[e])
+        z = law_product(ring, z[src], row[e])
         keep = z.any(axis=-1)
         z = z[keep]
         s = (s[src] + e)[keep]
@@ -233,13 +233,6 @@ class KernelTable(Mapping):
         self.points = points
         self.coeffs = coeffs
         self._index = None
-
-    @classmethod
-    def of_elements(cls, ring, points, elems):
-        """The table {points[i]: elems[i]}, points integer vectors of one
-        length, elems RingElems of ring."""
-        points = np.array(points, dtype=np.int64).reshape(len(points), -1)
-        return cls(ring, points, ring_array(elems))
 
     def __getitem__(self, mu):
         if self._index is None:
@@ -904,7 +897,7 @@ def trace_band(W, basis, p, N, products):
     cycle through c there has weight at least w(a) + k * w(a + 1) + w(c),
     so it vanishes when c >= K_k(a).
     """
-    sw = np.array(scaled_weights(W, basis), dtype=np.int64)
+    sw = scaled_weights(W, basis)
     assert (np.diff(sw) >= 0).all(), "basis not in weight order"
     above = np.append(sw[1:], sw[-1:])
     k = np.arange(max(products, 1))[:, None]
@@ -1020,15 +1013,10 @@ def newton_polygon(P):
             else:
                 break
         hull.append(pt)
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        length = int(x2 - x1)
-        if segments and segments[-1][0] == slope:
-            segments[-1] = (slope, segments[-1][1] + length)
-        else:
-            segments.append((slope, length))
-    return NewtonPolygon(segments)
+    # every point on or above a chord was popped, so the slopes strictly
+    # increase and no two segments need merging
+    return NewtonPolygon([((y2 - y1) / (x2 - x1), int(x2 - x1))
+                          for (x1, y1), (x2, y2) in zip(hull, hull[1:])])
 
 
 def fredholm_unit_root(Mx):

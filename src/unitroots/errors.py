@@ -29,10 +29,6 @@ class OutsideCone(UnitRootError):
     """Lattice point lies outside the cone generated by the exponents."""
 
 
-class OutsideM(UnitRootError):
-    """Lattice point lies outside the monoid of cone lattice points."""
-
-
 class NotARelation(UnitRootError):
     """Integer vector is not a relation of the exponent set."""
 

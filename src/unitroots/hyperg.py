@@ -20,7 +20,7 @@ units' inverse table (padic.FactorialUnits), and are summed per shell, class
 and pi-row (_f0_shells), with no Python object per term.  A shell is
 evaluated in Z_q arrays (_shell_value): each class's lambda^c is gathered
 from power tables built once per run (padic.zq_powers) and multiplied as
-arrays (padic.zq_mul), and the shell is one padic.matmul_mod over its
+arrays (padic.law_product), and the shell is one padic.matmul_mod over its
 classes and one ring element.  Its last step is
 a function of p and N alone (route_a_last_step).  It stops by an empirical
 rule (see that function), compares steps without dividing, and inverts one
@@ -50,8 +50,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotARelation, PrecisionUnstable, TooLarge
-from .padic import (agreement, check_product_precision, default_s_cut, matmul_mod,
-                    pi_pow_digits, split_p, teichmueller, zq_mul,
+from .padic import (agreement, check_product_precision, default_s_cut, law_product,
+                    matmul_mod, pi_pow_digits, split_p, teichmueller,
                     zq_powers, zq_values)
 from .weights import ExponentSet, lattice_solutions
 
@@ -402,7 +402,7 @@ def _shell_value(shell, lam_powers, shift, ring):
     (padic.zq_powers).
 
     Each class's lambda^(c * shift) is z_class = prod_a lambda_a^(c_a shift),
-    gathered from the tables and multiplied as arrays (padic.zq_mul); a
+    gathered from the tables and multiplied as arrays (padic.law_product); a
     shell's digits sit at t^0 of their pi-rows, so the shell is
     sum_class digits[class, row] * z_class in pi-row `row`, one
     padic.matmul_mod of digits^T (p-1, G) by z (G, m) and one RingElem.
@@ -413,7 +413,7 @@ def _shell_value(shell, lam_powers, shift, ring):
     idx = np.where(classes > 0, (classes * shift - 1) % qm1 + 1, 0)
     z = lam_powers[0, idx[:, 0]]
     for a in range(1, classes.shape[1]):
-        z = zq_mul(ring, z, lam_powers[a, idx[:, a]])
+        z = law_product(ring, z, lam_powers[a, idx[:, a]])
     return ring.from_slots(matmul_mod(digits.T, z, ring.pN).ravel().tolist())
 
 

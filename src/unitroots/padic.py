@@ -14,7 +14,7 @@ ring and pair of nonzero-slot patterns and kept (law_plan): how each slot
 multiple pi^j t^s * Y is copied or summed from Y's planes.  Its one reader,
 law_rows, forms those rows, wrapped terms centred, for dwork's GEMM right
 operand and for law_product, the one int64 product step: ring arrays
-(ring_array_mul) and Z_q arrays (zq_mul, pi-row 0).  matmul_mod owns the
+(ring_array_mul) and Z_q arrays (pi-row 0).  matmul_mod owns the
 int64 budget of every sum of residue products, here, in dwork and in
 hyperg: X @ Y mod p^N, reduced only where the next term could pass 2^63.
 dwork's reference keeps its own encoding, _fold.  A (p-1) x m digit
@@ -532,14 +532,6 @@ def law_product(spec, X, Y):
     full = np.zeros(shape + X.shape[-1:], dtype=np.int64)
     full[..., plan.kept] = out
     return full
-
-
-def zq_mul(spec, X, Y):
-    """Elementwise product in Z_q of int64 arrays X (..., m) and Y
-    broadcastable to it, entries in [0, p^N): law_product on pi-row 0.
-    PrecisionTooLow past the int64 rule (check_product_precision).
-    """
-    return law_product(spec, X, Y)
 
 
 def zq_powers(spec, x, e):

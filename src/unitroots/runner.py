@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dwork, hyperg, oracle, weights
 from .errors import CacheUnwritable, ConfigInvalid, UnitRootError
-from .padic import RingElem, agreement, make_ring, ring_elems
+from .padic import RingElem, agreement, make_ring, ring_array, ring_elems
 
 SCHEMA_VERSION = 1
 ROUTES = ("A", "B", "C", "oracle")
@@ -206,9 +206,10 @@ class KernelCache:
             payload = data["table"]
             if data["sha256"] != _digest(payload):
                 return False
-            table = dwork.KernelTable.of_elements(
-                odata.ring, [[int(c) for c in mu.split(",")] for mu in payload],
-                [RingElem(odata.ring, rows) for rows in payload.values()])
+            points = np.array([[int(c) for c in mu.split(",")] for mu in payload],
+                              dtype=np.int64).reshape(len(payload), -1)
+            table = dwork.KernelTable(odata.ring, points, ring_array(
+                [RingElem(odata.ring, rows) for rows in payload.values()]))
         except (OSError, ValueError, TypeError, KeyError, AttributeError):
             return False  # unreadable, unparseable or wrongly shaped
         if table.points.shape[1] != odata.W.A.n:

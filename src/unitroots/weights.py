@@ -271,24 +271,19 @@ def enumerate_weighted_monomials(W, wmax):
     mus = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     facets = np.array(W.cone_facets, dtype=np.int64).reshape(-1, n)
     mus = mus[(mus @ facets.T <= 0).all(axis=1)]
-    w = _scaled_weights(W, mus)
+    w = scaled_weights(W, mus)
     keep = w <= math.floor(W.D * wmax)
     mus, w = mus[keep], w[keep]
     return list(map(tuple, mus[np.argsort(w, kind="stable")].tolist()))
 
 
-def _scaled_weights(W, mus):
-    """D * weight(mu) as an int64 array, for the rows mu of an int64 array
-    in the cone: D times a facet form is an integer vector."""
+def scaled_weights(W, points):
+    """D * weight(mu) as an int64 array, for each mu of `points` in the
+    cone: D times a facet form is an integer vector."""
     forms = np.array([[int(W.D * c) for c in form] for form in W.facet_forms],
                      dtype=np.int64)
+    mus = np.asarray(points, dtype=np.int64).reshape(-1, W.A.n)
     return (mus @ forms.T).max(axis=1, initial=0)
-
-
-def scaled_weights(W, points):
-    """D * weight(mu), an integer, for each mu of `points` in the cone."""
-    return _scaled_weights(W, np.array(points, dtype=np.int64).reshape(
-        -1, W.A.n)).tolist()
 
 
 def relation_lattice_basis(A):

@@ -29,7 +29,7 @@ from unitroots.dwork import (FredholmPoly, OperatorData, RingMatrix, XSeries,
                              check_product_precision, product_limbs,
                              ring_array_mul, splitting_coefficients,
                              unit_root_of_poly)
-from unitroots.errors import (MultipleUnitRoots, NonUnitDivision, NoUnitRoot, OutsideM,
+from unitroots.errors import (MultipleUnitRoots, NonUnitDivision, NoUnitRoot, OutsideCone,
                               PrecisionTooLow)
 from unitroots.hyperg import LaurentSpec, generating_identity_check
 from unitroots.padic import RingElem, kernel_cut, make_ring, ring_array, split_p, teichmueller
@@ -122,7 +122,7 @@ def test_bigF_kloosterman_diagonal(ring3):
 def test_bigF_outside_monoid(ring3):
     W = build_weight_data(SINGLE)
     sc = splitting_coefficients(ring3, default_s_cut(ring3))
-    with pytest.raises(OutsideM):
+    with pytest.raises(OutsideCone):
         bigF_coefficient((ring3.one(),), (-1,), W, ring3, sc)
 
 
@@ -478,6 +478,10 @@ def test_newton_polygon_shapes(ring3):
     assert newton_polygon(P).segments == [(F(0), 1)]
     P = FredholmPoly(ring3, [one, -one, -p3], 2)
     assert newton_polygon(P).segments == [(F(0), 1), (F(1), 1)]
+    # three collinear points: the middle one is popped, one segment of length 2
+    P = FredholmPoly(ring3, [one, p3, ring3.from_int(9)], 2)
+    assert newton_polygon(P).segments == [(F(1), 2)]
+    assert newton_polygon(P).slope_zero_length() == 0
     P = FredholmPoly(ring3, [one], 0)
     assert newton_polygon(P).segments == []
 

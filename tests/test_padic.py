@@ -453,7 +453,7 @@ def _operands(ring, rng, full=False):
 
 
 def _check_products(ring, X, Ys):
-    # ring_array_mul on every pair, both ways round, and zq_mul on pi-row 0
+    # ring_array_mul on every pair, both ways round, and law_product on pi-row 0
     # alone, against RingElem products
     for Y in Ys:
         for A, B in ((X, Y), (Y, X)):
@@ -462,7 +462,7 @@ def _check_products(ring, X, Ys):
             assert np.array_equal(Z, _product_reference(ring, A, B)), Y.shape
             A0, B0 = np.zeros_like(A), np.zeros_like(B)
             A0[..., 0, :], B0[..., 0, :] = A[..., 0, :], B[..., 0, :]
-            Z = padic.zq_mul(ring, A[..., 0, :], B[..., 0, :])
+            Z = padic.law_product(ring, A[..., 0, :], B[..., 0, :])
             assert np.array_equal(Z, _product_reference(ring, A0, B0)[..., 0, :])
 
 
@@ -492,7 +492,7 @@ def test_product_step_at_the_last_moduli(p, last, m):
     with pytest.raises(PrecisionTooLow):
         ring_array_mul(past, X, X)
     with pytest.raises(PrecisionTooLow):
-        padic.zq_mul(past, X[:, 0], X[:, 0])
+        padic.law_product(past, X[:, 0], X[:, 0])
 
 
 @pytest.mark.parametrize("p, m, N", [(3, 2, 5), (2, 2, 5), (5, 1, 4)])

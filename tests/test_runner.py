@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitroots import dwork, hyperg, oracle, runner
+from unitroots import dwork, gfpoly, hyperg, oracle, runner, selftest
 from unitroots.battery import (BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS,
                                QUICK_IDS, job_dict)
 from unitroots.cli import main
@@ -538,6 +538,68 @@ def test_route_a_error_is_reported(monkeypatch):
     assert rep.exit_code == 1
 
 
+def test_route_b_budget_refusal(monkeypatch):
+    # p3-kloosterman's route B takes 6 of its 12 cycles at N = 4; with a
+    # budget of 2 it refuses, and route C still reports its root
+    monkeypatch.setattr(dwork, "power_iteration_budget", lambda ring, D: 2)
+    rep = run(job_dict(CASES["p3-kloosterman"], routes=("B", "C")))
+    assert rep.data["errors"] == {
+        "B": "NoConvergence: normalizers still moving after 2 cycles"}
+    assert set(rep.data["routes"]) == {"C"}
+    assert rep.data["routes"]["C"]["unit_root"]
+    assert rep.data["truncation"]["power_iteration_budget"] == 2
+    assert rep.exit_code == 1
+
+
+def test_disagreement_reports_diff_digits(monkeypatch):
+    # route C's root moved by p^(N-1): it agrees with A and B to N - 1
+    # digits, and the report lists every route's digits
+    real = dwork.unit_root_of_poly
+
+    def shifted(coeffs):
+        u = real(coeffs)
+        return u + u.spec.from_int(u.spec.p ** (u.spec.N - 1))
+    monkeypatch.setattr(dwork, "unit_root_of_poly", shifted)
+    data = run(job_dict(CASES["p3-kloosterman"])).data
+    agree = data["agreement"]
+    assert agree["pairs"] == {"A-B": 4, "A-C": 3, "B-C": 3}
+    assert agree["digits"] == 3 and not agree["ok"]
+    diff = agree["diff_digits"]
+    assert set(diff) == {"A", "B", "C"}
+    assert diff["A"] == diff["B"] == data["routes"]["A"]["unit_root"]
+    assert diff["C"] == data["routes"]["C"]["unit_root"] != diff["A"]
+    assert data["errors"] == {} and data["exit_code"] == 1
+
+
+def test_route_a_shell_key_guard():
+    # 13 exponent vectors over F_25: the shell keys need more than int64
+    vectors = [list(v) for v in itertools.product((-1, 0, 1), repeat=3)
+               if any(v)][:13]
+    rep = run({"p": 5, "A": vectors, "coeffs": [[1]] * 13, "field_degree": 2,
+               "precision": 4, "routes": ["A"]})
+    assert rep.data["errors"]["A"] == (
+        "TooLarge: route A's shell keys need 5 * 25^13 * 4 >= 2^63 values")
+    assert rep.exit_code == 1
+
+
+def test_custom_field_poly():
+    # the default modulus given explicitly changes nothing but the config;
+    # another irreducible modulus presents the same field, and every route
+    # agrees to all four digits
+    base = {"p": 3, "A": [[1], [-1]], "coeffs": [[0, 1], [1]],
+            "field_degree": 2, "precision": 4}
+    default = gfpoly.find_irreducible(3, 2)
+    assert list(default) == [1, 0, 1]
+    want = run(base).without_timing()
+    got = run({**base, "field_poly": [1, 0, 1]}).without_timing()
+    assert got["config"].pop("field_poly") == [1, 0, 1]
+    assert want["config"].pop("field_poly") is None
+    assert got == want
+    rep = run({**base, "field_poly": [2, 1, 1]})
+    assert rep.exit_code == 0 and rep.data["errors"] == {}
+    assert rep.data["agreement"]["pairs"] == {"A-B": 4, "A-C": 4, "B-C": 4}
+
+
 @pytest.mark.parametrize("cid", ["p2-kloosterman", "p3-kloosterman"])
 def test_routes_b_c_at_twelve_digits(cid):
     # both routes work at 2^12 and 3^12: route C needs no precision boost
@@ -640,6 +702,40 @@ def test_cli_lfunction(tmp_path, capsys):
     assert "unit root preserved: True" in capsys.readouterr().out
 
 
+def test_cli_selftest_reports_a_failing_suite(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "SUITES", [
+        ("good", lambda rng: (True, "fine")),
+        ("bad", lambda rng: (False, "broken"))])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("good") and "ok" in lines[0]
+    assert lines[1].startswith("bad") and "FAIL  broken" in lines[1]
+
+
+def test_cli_route_all_and_precision(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**KLOOSTER3, "routes": ["B"]}))
+    out = tmp_path / "rep.json"
+    code = main(["unit-root", "--config", str(cfg), "--route", "all",
+                 "--precision", "3", "--json", str(out)])
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert set(data["routes"]) == {"A", "B", "C"} and "oracle" in data
+    assert data["config"]["precision"] == 3
+    assert "agreement: 3 digits (requested 3)" in capsys.readouterr().out
+
+
+def test_cli_route_failure_is_printed(tmp_path, capsys):
+    # 5^14 is past the int64 rule: route B records PrecisionTooLow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(job_dict(CASES["p5-kloosterman"], precision=14)))
+    assert main(["unit-root", "--config", str(cfg), "--route", "b"]) == 1
+    captured = capsys.readouterr().out
+    assert "route B FAILED: PrecisionTooLow" in captured
+    assert captured.splitlines()[-1] == "MISMATCH"
+
+
 def test_wmax_at_dwork_bound(klooster_report):
     # every report cuts its basis at default_wmax, (B - 1)/D for Dwork's
     # cycle bound B, and the config records no wmax of its own
@@ -670,7 +766,7 @@ def test_basis_is_the_cycle_window():
             assert max(scaled_weights(W, basis)) < B
             wider = enumerate_weighted_monomials(W, Fraction(B, W.D))
             assert wider[:len(basis)] == basis
-            assert set(scaled_weights(W, wider[len(basis):])) <= {B}
+            assert set(scaled_weights(W, wider[len(basis):]).tolist()) <= {B}
 
 
 def test_cli_bad_config(tmp_path, capsys, monkeypatch):

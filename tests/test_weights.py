@@ -107,8 +107,8 @@ def test_weight_properties(vecs, rng):
             <= w + weight(W, mu)
         assert (W.D * w).denominator == 1
     # the integer weights the hot paths use are D times the Fraction ones
-    assert scaled_weights(W, points) == [W.D * weight(W, nu) for nu in points]
-    assert scaled_weights(W, []) == []
+    assert scaled_weights(W, points).tolist() == [W.D * weight(W, nu) for nu in points]
+    assert scaled_weights(W, []).tolist() == []
 
 
 @pytest.mark.parametrize("vecs", [KLOOSTERMAN, SKEW, TRIANGLE, EDGE])

@@ -50,7 +50,7 @@ products, powers and inverses, with `teichmueller`, `reduce_to`,
 N in {1, 4, 8, 20}, from public API alone, so that a tree that stores
 elements another way runs it too.  The jobs multiply ring arrays only on
 their own operands, so it also dumps a ring-array grid
-(`ring_array_entries`): seeded `ring_array_mul`, `zq_mul` and
+(`ring_array_entries`): seeded `ring_array_mul`, `law_product` and
 `_pair_products` outcomes at p in {2, 3, 5, 7}, m in {1, 2}, N in {4, 8},
 with zero slots and broadcast shapes, and at the int64 rule's last moduli
 with every slot p^N - 1 and one digit past them, so that a change to how
@@ -419,7 +419,7 @@ def ring_array_entries():
     2^31, 3^19 and 5^13, m in {1, 2, 3}, every slot p^N - 1; and one digit
     past each, m = 1.  Per ring: X of shape (3, 4) times Y at (3, 4), (4,),
     (3, 1) and () and times zero (dwork.ring_array_mul), the same on
-    pi-row 0 (padic.zq_mul), a (3, 4) by (4, 2) matrix product
+    pi-row 0 (padic.law_product), a (3, 4) by (4, 2) matrix product
     (dwork._pair_products), and on the rings within the int64 rule (it is
     never called past it) the regular representation of a (3, 4) matrix on
     every slot (dwork.regular_representation: its matrix as ints, and
@@ -427,7 +427,7 @@ def ring_array_entries():
     representative the right operand holds; the representation shows it."""
     import numpy as np
     from unitroots import dwork
-    from unitroots.padic import make_ring, zq_mul
+    from unitroots.padic import law_product, make_ring
 
     def representation(ring, B):
         rep = dwork.regular_representation(ring, B, np.arange(ring.npi * ring.m))
@@ -453,8 +453,8 @@ def ring_array_entries():
         for key, Y in Ys.items():
             out[f"{name}:ring_array_mul:{key}"] = outcome(
                 lambda: dwork.ring_array_mul(ring, X, Y).tolist())
-            out[f"{name}:zq_mul:{key}"] = outcome(
-                lambda: zq_mul(ring, X[..., 0, :], Y[..., 0, :]).tolist())
+            out[f"{name}:law_product:{key}"] = outcome(
+                lambda: law_product(ring, X[..., 0, :], Y[..., 0, :]).tolist())
         out[f"{name}:pair_products"] = outcome(
             lambda: dwork._pair_products(ring, X, draw((4, 2))).tolist())
         if (ring.pN - 1) ** 2 + ring.pN < 2 ** 63:  # never called past the rule
