@@ -14,8 +14,8 @@ determinants and eigenvalues untouched; weight normalizations therefore
 appear only as valuation bookkeeping, never as ring elements.
 
 Matrices hold ring elements as integer tensors of shape
-(dim, dim, p-1, m); a product is one float64 BLAS GEMM per limb with exact
-integer results.  The left side lays the left operand's nonzero
+(dim, dim, p-1, m); a product is one float64 BLAS GEMM per limb on padic's
+float64 back end.  The left side lays the left operand's nonzero
 (pi, t)-slots side by side along the contraction in (b, slot) order, b the
 contraction index: the tensor's own memory order, so the left side is a
 reshape of the tensor when every slot is nonzero.  The right side is the
@@ -30,24 +30,13 @@ first-return products: product k contracts row r only over its window
 r < b < K_k(r), cut by Dwork's cycle bound (cycle_bound, trace_band), and
 keeps only the rows still live (first_return_product), ROW_BLOCK of them
 to a GEMM over the first one's window (WindowPlan).  Right entries
-are centred, |y| <= h = floor(p^N/2); left entries are cut into centred
-base-p digits (left_limbs), a limb of w digits at most floor(p^w/2), the
-carry out of the top limb, a multiple of p^N, dropped.  Limbs are e
-digits wide, the lowest one narrower, for the widest e with
-K * floor(p^e/2) * h < 2^53 (limb_digits), so every partial sum over a
-contraction K is an integer below 2^53; one limb is the rule
-K * h^2 < 2^53.  The contraction is cut along b into blocks of as many
-columns as keep the limb count a single slot (K = dim) needs, one GEMM
-each.  Each limb's GEMM takes only the rows where that limb is nonzero:
-Dwork's estimate ord B_mu >= w(mu)/(p-1) makes high-weight rows of the
-Frobenius matrix and of its powers divisible by high powers of p, so many
-rows skip the low limbs, and rows that are 0 mod p^N skip every GEMM.
-Each GEMM's product is reduced mod p^N in int64 and enters its rows with
-the limb's factor p^shift mod p^N.  That factor, like the regular
-representation's coefficients, is a residue times a residue added to a
-residue, so products hold exactly where the int64 rule of
-check_product_precision, (p^N - 1)^2 + p^N < 2^63, holds, and raise
-PrecisionTooLow past it.
+are centred, and left entries cut into digit limbs (left_limbs) in blocks
+of padic.slot_group slots, each limb's GEMM exact by padic's rule
+(padic.exact_terms).  Each limb's GEMM takes only the rows where that limb
+is nonzero: Dwork's estimate ord B_mu >= w(mu)/(p-1) makes high-weight
+rows of the Frobenius matrix and of its powers divisible by high powers of
+p, so many rows skip the low limbs, and rows that are 0 mod p^N skip every
+GEMM.
 RingMatrix builds its regular representation once, on first use as a
 right operand, so route C's first-return products expand the leading
 block of the Frobenius matrix once; route B's dual cycle cuts each
@@ -56,8 +45,8 @@ transposed one-step matrix into limbs once (OperatorData.dual_cycle).
 Ring arrays (..., p-1, m) hold int64 entries and multiply elementwise
 through ring_array_mul, padic.law_product on their slots: one
 padic.matmul_mod of X's nonzero slots against Y's regular
-representation, read from the same plans, under the same rule.  Past the
-rule padic.ring_array, which makes them from elements, raises
+representation, read from the same plans, on padic's int64 back end.
+Past its rule padic.ring_array, which makes them from elements, raises
 PrecisionTooLow, and so does ring_array_mul.  The kernel table
 B_mu(lambda) is swept one exponent vector at a time over a batch of partial
 products in Z_q (kernel_sweep): b_e = a_e gamma^e with a_e in Z_p, and
@@ -88,9 +77,10 @@ from .hyperg import teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 # default_s_cut, route A's cutoff, is unused here; tests import it from dwork
-from .padic import (RingElem, centred_mod, check_product_precision, default_s_cut, horner,
-                    kernel_cut, law_plan, law_product, law_rows, matmul_mod, newton_root,
-                    nonzero_slots, powers, reduce_mod, ring_array, ring_elems,
+from .padic import (RingElem, accumulate_limb, centred_mod, check_product_precision,
+                    default_s_cut, horner, kernel_cut, law_plan, law_product, law_rows,
+                    matmul_mod, newton_root, nonzero_slots, powers, product_limbs,
+                    reduce_mod, ring_array, ring_elems, slot_group, split_limbs,
                     splitting_coefficients, teichmueller, view_index, zq_powers,
                     zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
@@ -401,42 +391,6 @@ class RingMatrix:
         return ring_elems(self.ring, diag.sum(axis=2))[0]
 
 
-def limb_digits(K, p, N):
-    """Width e, in base-p digits, of the limbs that split a left operand
-    contracting over K.
-
-    _digit_limbs cuts a left entry into L = ceil(N/e) limbs of centred
-    base-p digits, the lowest N - (L-1)e digits wide and every higher one e;
-    a limb of w digits is at most floor(p^w/2) in absolute value, and right
-    entries are centred, at most h = floor(p^N/2).  So e is the widest
-    width, at most N, with K * floor(p^e/2) * h < 2^53: every partial sum
-    of a limb's GEMM is then an integer below 2^53 in absolute value, exact
-    in float64.  One limb, e = N, is the rule K * h^2 < 2^53.
-    """
-    h = p ** N // 2
-    assert K * (p // 2) * h < 2 ** 53, "no limb width keeps the product exact"
-    e = N
-    while K * (p ** e // 2) * h >= 2 ** 53:
-        e -= 1
-    return e
-
-
-def product_limbs(K, p, N):
-    """Limbs, of limb_digits(K, p, N) digits at most, per entry of a left
-    operand."""
-    return -(-N // limb_digits(K, p, N))
-
-
-def slot_group(dim, slots, p, N):
-    """Left-operand slots one GEMM contracts: the most, up to `slots`, whose
-    contraction needs no more limbs than a single slot's (K = dim)."""
-    limbs = product_limbs(dim, p, N)
-    g = max(slots, 1)
-    while g > 1 and product_limbs(g * dim, p, N) > limbs:
-        g -= 1
-    return g
-
-
 @dataclass(frozen=True)
 class RegularRep:
     """Rows of B's regular representation: the right operand of _pair_products.
@@ -459,8 +413,6 @@ class RegularRep:
 # block on the benchmark's N = 8 cases), which would otherwise set route
 # C's memory peak.
 REP_TEMP = 2 ** 16
-# Rows _accumulate takes at a time, so its int64 temporaries stay small too.
-ACC_ROWS = 64
 
 
 def regular_representation(spec, B, slots):
@@ -509,30 +461,6 @@ class LeftLimbs:
                    for w0, w1 in [_out_columns(cols, rep)])
 
 
-def _digit_limbs(X, p, N, e):
-    """(shift, limb) of X (n, K), float64 integers in [0, p^N), cut into
-    centred base-p digits: the lowest limb N - (L-1)e digits wide and every
-    higher one e, so that X = sum limb * p^shift mod p^N.
-
-    A limb of w digits is the centred residue of the carry so far mod p^w,
-    |limb| <= floor(p^w/2), so a multiple of p^j has its digits below j
-    zero; the carry out of the top limb, a multiple of p^N, drops.  Every
-    value is an integer below 2^32 (p^N is, by check_product_precision), so
-    float64 division and rounding to nearest give exact carries.  X is
-    overwritten.
-    """
-    width, shift = N - (-(-N // e) - 1) * e, 0
-    scratch = np.empty_like(X)
-    while shift < N:
-        q = p ** width
-        # the top limb's carry drops, so it may live in the scratch buffer
-        carry = np.divide(X, q, out=scratch if shift + width == N else None)
-        np.rint(carry, out=carry)
-        X -= np.multiply(carry, q, out=scratch)
-        yield shift, X
-        X, shift, width = carry, shift + width, e
-
-
 # Live rows per GEMM of a windowed product.  fredholm_coefficients on
 # p2-triangle at N = 16 (dim 361) took 6.3 ms at 8, 3.8 ms at 32 and
 # 4.1 ms at 128 (best of 11, OpenBLAS on one thread, x86-64).
@@ -575,12 +503,11 @@ def left_limbs(spec, A, plan=None):
     the WindowPlan of one of route C's first-return products, over its
     window a < b < band[a] alone (first_return_product), zeroed outside it
     by the plan's mask in its row group.  The contraction is cut into
-    blocks of at most slot_group(dim, ...) * dim columns, so no block needs
-    more limbs than a single slot (K = dim), and each entry by _digit_limbs
-    into limbs of limb_digits(K, p, N) digits, K its block's length.  A row
-    enters a limb's GEMM only where that limb of it is nonzero: a row that
-    is 0 mod p^N there enters none, and one divisible by p^j skips every
-    limb below digit j.
+    blocks of at most padic.slot_group(dim, ...) * dim columns, so no block
+    needs more limbs than a single slot (K = dim), and each block's entries
+    into limbs by padic.split_limbs.  A row enters a limb's GEMM only where
+    that limb of it is nonzero: a row that is 0 mod p^N there enters none,
+    and one divisible by p^j skips every limb below digit j.
     """
     p, N, pN = spec.p, spec.N, spec.pN
     check_product_precision(pN)
@@ -608,33 +535,13 @@ def left_limbs(spec, A, plan=None):
                 continue
             if len(live) < len(group):
                 X = X[nz]
-            for shift, digits in _digit_limbs(X, p, N, limb_digits(stop - start, p, N)):
-                factor, nonzero = pow(p, shift, pN), digits.any(axis=1)
+            for factor, digits in split_limbs(X, p, N):
+                nonzero = digits.any(axis=1)
                 if nonzero.all():
                     gemms.append((cols, start, stop, factor, live, digits))
                 elif nonzero.any():
                     gemms.append((cols, start, stop, factor, live[nonzero], digits[nonzero]))
     return LeftLimbs(rows, slots, gemms)
-
-
-def _accumulate(out, live, prod, factor, pN, add):
-    """out[live] = (out[live] if add, else 0, + factor * prod) mod p^N,
-    ACC_ROWS rows at a time.
-
-    prod holds exact integers in float64, out residues in int64.  out may
-    share memory with prod: each block is read before its rows of out are
-    written.
-    """
-    for r in range(0, len(live), ACC_ROWS):
-        x = prod[r:r + ACC_ROWS].astype(np.int64)
-        if factor != 1:
-            reduce_mod(x, pN)
-            x *= factor
-        rows = view_index(live[r:r + ACC_ROWS])
-        if add:
-            x += out[rows]
-        reduce_mod(x, pN)
-        out[rows] = x
 
 
 def _out_columns(cols, rep):
@@ -660,7 +567,7 @@ def _contract(left, rep, pN):
             out = (prod.view(np.int64)
                    if len(live) == left.rows and w1 - w0 == width
                    else np.zeros((left.rows, width), dtype=np.int64))
-        _accumulate(out[:, w0:w1], live, prod, factor, pN, add)
+        accumulate_limb(out[:, w0:w1], live, prod, factor, pN, add)
     return np.zeros((left.rows, width), dtype=np.int64) if out is None else out
 
 
@@ -671,8 +578,8 @@ def _pair_products(spec, A, B, right=None):
     gives (rows, cols, p-1, m).  The left side is A cut into digit limbs
     (left_limbs), or A's LeftLimbs when the caller keeps them; the right
     side is B's RegularRep for A's nonzero slots, from right(slots) when the
-    caller keeps it.  Each limb's GEMM is exact, and its product is reduced
-    mod p^N in int64 and enters with the limb's factor p^shift mod p^N.
+    caller keeps it.  Each limb's GEMM is exact, and its product enters the
+    int64 result through padic.accumulate_limb.
 
     A windowed caller passes left_limbs(spec, A, plan) as A, plan its
     WindowPlan: row a then contracts only over a < b < plan.band[a], and is

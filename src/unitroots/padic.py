@@ -14,14 +14,16 @@ ring and pair of nonzero-slot patterns and kept (law_plan): how each slot
 multiple pi^j t^s * Y is copied or summed from Y's planes.  Its one reader,
 law_rows, forms those rows, wrapped terms centred, for dwork's GEMM right
 operand and for law_product, the one int64 product step: ring arrays
-(ring_array_mul) and Z_q arrays (pi-row 0).  matmul_mod owns the
-int64 budget of every sum of residue products, here, in dwork and in
-hyperg: X @ Y mod p^N, reduced only where the next term could pass 2^63.
-dwork's reference keeps its own encoding, _fold.  A (p-1) x m digit
-matrix, rows by pi-degree, is read only by RingElem() and written only by
-digits(); int64 ring arrays (n, p-1, m) meet elements only in ring_array
-and ring_elems, and Z_q arrays (n, m), pi-row 0, are taken from them by
-zq_values.
+(ring_array_mul) and Z_q arrays (pi-row 0).  dwork's reference keeps its
+own encoding, _fold.  A (p-1) x m digit matrix, rows by pi-degree, is read
+only by RingElem() and written only by digits(); int64 ring arrays
+(n, p-1, m) meet elements only in ring_array and ring_elems, and Z_q
+arrays (n, m), pi-row 0, are taken from them by zq_values.
+
+Exact products mod p^N are owned here, under one rule (exact_terms) with
+two back ends: matmul_mod in int64 for short contractions (the ring laws,
+dwork's gamma contraction, route A's shells), and digit limbs on dwork's
+float64 GEMMs for routes B and C (split_limbs, accumulate_limb).
 
 Orders are integers in units of ord pi = 1/(p-1): RingElem.order() is the
 exact pi-adic order, and every element of order >= N(p-1) is zero.
@@ -49,9 +51,9 @@ e/(p-1) and vanishes mod p^N past kernel_cut = N(p-1) - 1.  Its a_e and
 the digits of gamma^e are kept per p and N (splitting_coefficients), so no
 job rebuilds them; these memos, like the factorial tables and the plans,
 hold ints and arrays only and keep no ring alive.  Arrays of
-residues are int64 only under the one int64 rule, (p^N - 1)^2 + p^N < 2^63
-(int64_exact, check_product_precision), and ring_array, the one way from
-elements into int64 ring arrays, raises PrecisionTooLow past it.  The
+residues are int64 only under the one int64 rule (int64_exact,
+check_product_precision), and ring_array, the one way from elements into
+int64 ring arrays, raises PrecisionTooLow past it.  The
 primitive p-th root of unity is theta(1) = E(gamma) (zeta_p), Dwork's
 additive character, with zeta == 1 + pi (mod pi^2).
 """
@@ -447,23 +449,46 @@ def law_plan(spec, rows, present):
     return plan
 
 
+def exact_terms(x, y, limit):
+    """The most products of entries |a| <= x and |b| <= y that a sum holds
+    below limit, the largest k with k x y < limit: the one exactness rule of
+    both back ends (J.-G. Dumas, T. Gautier and C. Pernet, "Finite field
+    linear algebra subroutines", ISSAC 2002).  int64 (unreduced_terms):
+    x = y = p^N - 1 on top of a residue, limit 2^63 - p^N.  float64
+    (limb_digits): a limb of e centred digits, x = floor(p^e/2), times a
+    centred residue, y = floor(p^N/2), limit 2^53; its carries are cut in
+    float64 too, exact while p^N < 2^52, which the int64 rule implies."""
+    return (limit - 1) // (x * y)
+
+
 def unreduced_terms(pN):
-    """The most products of two residues mod pN an int64 sum holds on a
-    residue: the largest c with c (pN - 1)^2 + pN < 2^63, at least 1 under
-    the int64 rule (int64_exact).  matmul_mod is its one reader."""
-    return (2 ** 63 - 1 - pN) // (pN - 1) ** 2
+    """matmul_mod's room, the residue products an int64 sum holds on a
+    residue (exact_terms); below 1 past the int64 rule."""
+    return exact_terms(pN - 1, pN - 1, 2 ** 63 - pN)
+
+
+def int64_exact(pN):
+    """Whether unreduced_terms(pN) >= 1, the one int64 rule: ring arrays,
+    factorial-unit tables and each limb's product are reduced and
+    recombined mod pN in int64."""
+    return unreduced_terms(pN) >= 1
+
+
+def check_product_precision(pN):
+    """PrecisionTooLow unless int64_exact(pN)."""
+    if not int64_exact(pN):
+        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
+                              "beyond exact int64 reduction")
 
 
 def matmul_mod(X, Y, pN):
     """X @ Y mod p^N in [0, p^N), int64, with np.matmul's semantics (batch
     axes broadcast), for int64 X (..., k) and Y (..., k, n) whose entries
-    are below p^N in absolute value.  Reductions are put off until the next
-    c = unreduced_terms(p^N) products could pass 2^63 (J.-G. Dumas, T.
-    Gautier and C. Pernet, "Finite field linear algebra subroutines", ISSAC
-    2002): the contraction is cut into chunks of c, each summed on a
-    residue, so no sum passes (p^N - 1) + c (p^N - 1)^2 < 2^63.  An empty
-    contraction gives zeros; past the int64 rule, where c is 0,
-    PrecisionTooLow."""
+    are below p^N in absolute value: the int64 back end of exact_terms.
+    The contraction is cut into chunks of unreduced_terms(p^N) terms, each
+    summed on a residue, so a reduction comes only where the next chunk
+    could leave int64.  An empty contraction gives zeros; past the int64
+    rule PrecisionTooLow."""
     check_product_precision(pN)
     room = unreduced_terms(pN)
     out = np.matmul(X[..., :room], Y[..., :room, :])
@@ -472,6 +497,87 @@ def matmul_mod(X, Y, pN):
         out += np.matmul(X[..., lo:lo + room], Y[..., lo:lo + room, :])
     reduce_mod(out, pN)
     return out
+
+
+def limb_digits(K, p, N):
+    """Width e, in base-p digits, of the limbs split_limbs cuts a left
+    operand contracting over K into: the widest, at most N, whose GEMMs
+    against centred residues stay exact in float64 (exact_terms)."""
+    h = p ** N // 2
+    e = N
+    while K > exact_terms(p ** e // 2, h, 2 ** 53):
+        assert e > 1, "no limb width keeps the product exact"
+        e -= 1
+    return e
+
+
+def product_limbs(K, p, N):
+    """Limbs, of limb_digits(K, p, N) digits at most, per entry of a left
+    operand."""
+    return -(-N // limb_digits(K, p, N))
+
+
+def slot_group(dim, slots, p, N):
+    """Left-operand slots one GEMM contracts: the most, up to `slots`, whose
+    contraction needs no more limbs than a single slot's (K = dim)."""
+    limbs = product_limbs(dim, p, N)
+    g = max(slots, 1)
+    while g > 1 and product_limbs(g * dim, p, N) > limbs:
+        g -= 1
+    return g
+
+
+def _digit_limbs(X, p, N, e):
+    """(shift, limb) of X (n, K), float64 integers in [0, p^N), cut into
+    centred base-p digits: the lowest limb N - (L-1)e digits wide and every
+    higher one e, L = ceil(N/e), so that X = sum limb * p^shift mod p^N.
+
+    A limb of w digits is the centred residue of the carry so far mod p^w,
+    |limb| <= floor(p^w/2), so a multiple of p^j has its digits below j
+    zero; the carry out of the top limb, a multiple of p^N, drops.  Every
+    value is an integer below p^N, so float64 division and rounding to
+    nearest give exact carries (exact_terms).  X is overwritten.
+    """
+    width, shift = N - (-(-N // e) - 1) * e, 0
+    scratch = np.empty_like(X)
+    while shift < N:
+        q = p ** width
+        # the top limb's carry drops, so it may live in the scratch buffer
+        carry = np.divide(X, q, out=scratch if shift + width == N else None)
+        np.rint(carry, out=carry)
+        X -= np.multiply(carry, q, out=scratch)
+        yield shift, X
+        X, shift, width = carry, shift + width, e
+
+
+def split_limbs(X, p, N):
+    """(factor, limb) of X (n, K), float64 integers in [0, p^N), cut by
+    _digit_limbs into limbs of limb_digits(K, p, N) digits:
+    X = sum factor * limb mod p^N.  X is overwritten."""
+    pN = p ** N
+    for shift, limb in _digit_limbs(X, p, N, limb_digits(X.shape[1], p, N)):
+        yield pow(p, shift, pN), limb
+
+
+# Rows accumulate_limb takes at a time, so its int64 temporaries stay small.
+ACC_ROWS = 64
+
+
+def accumulate_limb(out, live, prod, factor, pN, add):
+    """out[live] = (out[live] if add, else 0, + factor * prod) mod p^N,
+    ACC_ROWS rows at a time, for a limb's exact float64 product prod and
+    its factor from split_limbs.  out may share memory with prod: each
+    block is read before its rows of out are written."""
+    for r in range(0, len(live), ACC_ROWS):
+        x = prod[r:r + ACC_ROWS].astype(np.int64)
+        if factor != 1:
+            reduce_mod(x, pN)
+            x *= factor
+        rows = view_index(live[r:r + ACC_ROWS])
+        if add:
+            x += out[rows]
+        reduce_mod(x, pN)
+        out[rows] = x
 
 
 def law_rows(plan, planes, out, pN):
@@ -630,20 +736,6 @@ def split_p(n, p):
         n //= p
         v += 1
     return v, n
-
-
-def int64_exact(pN):
-    """Whether (pN - 1)^2 + pN < 2^63, the one int64 rule: ring arrays,
-    factorial-unit tables and a product's GEMMs are reduced and recombined
-    mod pN in int64, so a residue times a residue plus a residue must fit."""
-    return (pN - 1) ** 2 + pN < 2 ** 63
-
-
-def check_product_precision(pN):
-    """PrecisionTooLow unless int64_exact(pN)."""
-    if not int64_exact(pN):
-        raise PrecisionTooLow(f"p^N = {pN} has (p^N - 1)^2 + p^N >= 2^63, "
-                              "beyond exact int64 reduction")
 
 
 def running_products(f, pN):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dwork, ffield, hyperg, oracle, weights
+from . import dwork, ffield, hyperg, oracle, padic, weights
 from .errors import PrecisionTooLow
 from .padic import make_ring, powers, split_p, teichmueller, valuation, zeta_p
 
@@ -310,8 +310,8 @@ def limb_boundaries():
             N1 = max(n for n in range(1, 64) if (p ** n // 2) ** 2 < 2 ** 53)
             d1 = (2 ** 53 - 1) // (p ** N1 // 2) ** 2
             dw = next(d for d in range(1, 64)
-                      if dwork.limb_digits(S * (d + 1), p, N1 + 1)
-                      < dwork.limb_digits(S, p, N1 + 1))
+                      if padic.limb_digits(S * (d + 1), p, N1 + 1)
+                      < padic.limb_digits(S, p, N1 + 1))
             h = p ** (N1 + 1) // 2
 
             def bits(K):
@@ -347,8 +347,8 @@ def extreme_operands(ring, dim, cols):
     p, N, pN = ring.p, ring.N, ring.pN
     h = pN // 2
     shapes = ((dim, dim, ring.npi, ring.m), (dim, cols, ring.npi, ring.m))
-    K = dwork.slot_group(dim, ring.npi * ring.m, p, N) * dim
-    e, limbs = dwork.limb_digits(K, p, N), dwork.product_limbs(K, p, N)
+    K = padic.slot_group(dim, ring.npi * ring.m, p, N) * dim
+    e, limbs = padic.limb_digits(K, p, N), padic.product_limbs(K, p, N)
     odd_digits, shift = 0, 0
     for width in [N - (limbs - 1) * e] + [e] * (limbs - 1):
         bound = (p ** width - 1) // 2

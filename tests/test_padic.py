@@ -539,6 +539,18 @@ def test_each_slot_pattern_gets_its_own_plan(monkeypatch, p, m, N):
     assert padic.law_plan(ring, *key[1:], (0,)) is padic._PLANS[key + ((0,),)]
 
 
+def _limb_product(X, Y, p, N):
+    # X @ Y mod p^N on the float64 back end: X cut by split_limbs, Y
+    # centred, one GEMM a limb, each folded in by accumulate_limb
+    pN = p ** N
+    right = padic.centred_mod(Y, pN).astype(np.float64)
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    for i, (factor, limb) in enumerate(padic.split_limbs(X.astype(np.float64), p, N)):
+        padic.accumulate_limb(out, rows, limb @ right, factor, pN, i > 0)
+    return out
+
+
 @pytest.mark.parametrize("p, N", [(2, 31), (3, 19), (5, 13)])
 def test_matmul_mod_at_the_last_moduli(p, N):
     # X @ Y mod p^N against Python integers over contractions of 0, 1,
@@ -547,9 +559,29 @@ def test_matmul_mod_at_the_last_moduli(p, N):
     # the rule allows.  Every entry is p^N - 1, or -(p^N - 1) as centred
     # operands may hold, or a seeded draw; X's batch axes broadcast against
     # Y's, and Y has a 0-d batch, as law_product gives it for a scalar
-    # operand.  The result lies in [0, p^N); an empty contraction is zeros
+    # operand.  The result lies in [0, p^N); an empty contraction is zeros.
+    # The float64 back end is taken at the largest contraction K each limb
+    # width e covers, K floor(p^e/2) floor(p^N/2) < 2^53, and at K + 1,
+    # where the width drops, on entries +-floor(p^N/2) and p^N - 1: the
+    # widths with K up to 2^15, since at e = 1 K is in the millions
     pN = p ** N
     room = padic.unreduced_terms(pN)
+    assert room == (2 ** 63 - 1 - pN) // (pN - 1) ** 2
+    h = pN // 2
+    entries = [h, pN - h, pN - 1]
+    widths = 0
+    for e in range(1, N + 1):
+        K = padic.exact_terms(p ** e // 2, h, 2 ** 53)
+        if not 0 < K <= 2 ** 15:
+            continue
+        widths += 1
+        assert K * (p ** e // 2) * h < 2 ** 53 <= (K + 1) * (p ** e // 2) * h
+        assert padic.limb_digits(K, p, N) == e > padic.limb_digits(K + 1, p, N)
+        for k in (K, K + 1):
+            X = np.repeat(np.array(entries, dtype=np.int64)[:, None], k, axis=1)
+            got = _limb_product(X, X.T.copy(), p, N)
+            assert got.tolist() == [[k * a * b % pN for b in entries] for a in entries], (e, k)
+    assert widths == {2: 15, 3: 9, 5: 6}[p]
     rng = np.random.default_rng(N)
     for k in (0, 1, room, room + 1, 3 * room + 1):
         operands = [(np.full((2, 1, 3, k), sx * (pN - 1), dtype=np.int64),

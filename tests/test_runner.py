@@ -629,6 +629,33 @@ def test_p5_reach_at_twelve_digits(cid):
     assert rep.exit_code == 0
 
 
+# past the battery: the triangle with coefficients (t, 1, 1 + t) over
+# F_(p^3), where a product at p = 3 holds 12 slots, and the
+# hyperkloosterman sum at n = 3, every coefficient 1
+TRIANGLE_M3 = {"A": [[1, 0], [0, 1], [-1, -1]], "coeffs": [[0, 1], [1], [1, 1]],
+               "field_degree": 3}
+HYPERKLOOSTERMAN = {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                    "coeffs": [[1]] * 4}
+
+
+@pytest.mark.parametrize("case, p, N, routes, basis, limbs", [
+    (TRIANGLE_M3, 2, 4, "ABC", 19, 1), (TRIANGLE_M3, 3, 4, "ABC", 19, 1),
+    (TRIANGLE_M3, 3, 16, "BC", 361, 2),
+    (HYPERKLOOSTERMAN, 2, 4, "ABC", 35, 1), (HYPERKLOOSTERMAN, 2, 8, "ABC", 295, 1),
+    (HYPERKLOOSTERMAN, 3, 4, "ABC", 35, 1), (HYPERKLOOSTERMAN, 3, 8, "ABC", 295, 1),
+], ids=["m3-p2-N4", "m3-p3-N4", "m3-p3-N16", "n3-p2-N4", "n3-p2-N8", "n3-p3-N4", "n3-p3-N8"])
+def test_routes_agree_past_the_battery(case, p, N, routes, basis, limbs):
+    # every pair of routes agrees on all N digits; at 3^16 route C's
+    # products take two limbs
+    rep = run({**case, "p": p, "precision": N, "routes": list(routes)})
+    assert rep.data["errors"] == {}
+    assert rep.data["truncation"]["basis_size"] == basis
+    assert rep.data["routes"]["C"]["product_limbs"] == limbs
+    assert rep.data["agreement"]["pairs"] == {
+        f"{a}-{b}": N for a, b in itertools.combinations(routes, 2)}
+    assert rep.exit_code == 0
+
+
 def test_route_c_counters(klooster_report):
     # orbit length - 1 products compose the operator, Fredholm cap - 1 form
     # the first-return series; the limb count follows the kernel's float

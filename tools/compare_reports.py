@@ -68,7 +68,13 @@ kernel tables only up to N = 12, so it also dumps a kernel grid
 points and coefficients at every orbit point on the triangle and edge sets
 at the int64 rule's last moduli 2^31 (m = 2), 3^19 and 5^13 (m in {1, 2}),
 where the gamma contraction reduces between chunks; the m = 2 coefficients
-generate F_{p^2}.  The jobs reach
+generate F_{p^2}.  The jobs reach few of the product kernel's limb
+thresholds, so it also dumps a limb-layout grid (`limb_entries`): at p in
+{2, 3, 5, 7, 31} and every N under the int64 rule, the runs of
+contractions K in [1, 2^15] of one limb width with that width and limb
+count, `slot_group` for 1 to 12 slots on dims 1, 9, 40, 361 and 1500, and
+the int64 room `unreduced_terms`, each read from `padic` where the tree
+defines it there and from `dwork` otherwise.  The jobs reach
 `weights` only through the battery's five exponent sets, so it also dumps
 a weight grid (`weight_entries`), from public API alone: on the battery's sets, the
 three-variable simplex and 50 seeded random sets in [-3, 3]^n, n <= 3 (the
@@ -76,8 +82,8 @@ lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
 and lineality basis, `relation_lattice_basis`, and the basis at
 wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
 raises.  Prints each report, series, padic, oracle, route-A, digit,
-solution, route-C, ring, ring-array, windowed-product, kernel or weight
-entry that differs, with the
+solution, route-C, ring, ring-array, windowed-product, kernel, limb-layout
+or weight entry that differs, with the
 dotted key paths that were added (`+`), removed (`-`) or changed (`~`) in
 it (a list is one value), then how many entries each path moved in, then
 the matches per kind; exits 1 if any entry differs, else 0.
@@ -534,6 +540,51 @@ def kernel_entries():
     return out
 
 
+LIMB_PRIMES = (2, 3, 5, 7, 31)
+LIMB_DIMS = (1, 9, 40, 361, 1500)
+LIMB_TOP = 2 ** 15
+
+
+def limb_entries():
+    """{name: outcome} for the limb-layout grid, from the tree on the path:
+    for p in LIMB_PRIMES and every N whose p^N the int64 rule accepts, the
+    runs of K in [1, LIMB_TOP] of one limb width as [first K, last K,
+    limb_digits, product_limbs], each run's end found by bisection (the
+    width does not grow with K); slot_group(dim, S, p, N) on LIMB_DIMS for
+    each slot count S in 1..12; and the int64 room unreduced_terms(p^N).
+    Each function is read from padic where the tree defines it there, and
+    from dwork otherwise."""
+    from unitroots import dwork, padic
+
+    limb_digits, product_limbs, slot_group, int64_exact, unreduced_terms = (
+        getattr(padic, name, None) or getattr(dwork, name)
+        for name in ("limb_digits", "product_limbs", "slot_group", "int64_exact",
+                     "unreduced_terms"))
+
+    def runs(p, N):
+        out, K = [], 1
+        while K <= LIMB_TOP:
+            e, lo, hi = limb_digits(K, p, N), K, LIMB_TOP
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if limb_digits(mid, p, N) == e else (lo, mid - 1)
+            out.append([K, lo, e, product_limbs(K, p, N)])
+            K = lo + 1
+        return out
+    out = {}
+    for p in LIMB_PRIMES:
+        N = 1
+        while int64_exact(p ** N):
+            name = f"p{p}:N{N}"
+            out[f"{name}:runs"] = outcome(lambda: runs(p, N))
+            out[f"{name}:room"] = outcome(lambda: unreduced_terms(p ** N))
+            for S in range(1, 13):
+                out[f"{name}:S{S}:slot_group"] = outcome(
+                    lambda: [slot_group(dim, S, p, N) for dim in LIMB_DIMS])
+            N += 1
+    return out
+
+
 def lattice_sets():
     """The exponent sets of the lattice tests (tests/test_weights.py): the
     battery's, the simplex ((1,0,0),(0,1,0),(0,0,1),(-1,-1,-1)), and 50
@@ -587,8 +638,8 @@ def weight_entries():
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
     jobs and the series, padic, oracle, route-A, digit, solution, route-C,
-    ring, ring-array, windowed-product, kernel and weight grids, run by the
-    tree on the path."""
+    ring, ring-array, windowed-product, kernel, limb-layout and weight
+    grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -604,6 +655,7 @@ def dump(jobs):
                for name, value in ring_array_entries().items())
     out.update((f"window:{name}", value) for name, value in window_entries().items())
     out.update((f"kernel:{name}", value) for name, value in kernel_entries().items())
+    out.update((f"limbs:{name}", value) for name, value in limb_entries().items())
     out.update((f"weights:{name}", value) for name, value in weight_entries().items())
     return {"entries": out, "garbage": garbage}
 
@@ -678,7 +730,8 @@ def main(argv):
              "route_c": "route-C entries",
              "ring": "ring entries", "ring_array": "ring-array entries",
              "window": "windowed-product entries",
-             "kernel": "kernel entries", "weights": "weight entries"}
+             "kernel": "kernel entries", "limbs": "limb-layout entries",
+             "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
         same = [n for n in total if n not in differ]
