@@ -54,6 +54,10 @@ lambda is a Teichmueller point, so a partial product is one Z_q value z
 times gamma^s, s its degree, and each level is one padic.law_product by
 a_e lambda_a^e; the sums z of each (mu, s) are contracted with the
 table of gamma^s, one padic.matmul_mod per run of mu (_gamma_contract).
+Which states survive, their buckets and the runs of the contraction do not
+depend on lambda: they are a SweepPlan, made once per (A, p, N, s_cut)
+and process and kept (_SWEEPS, within padic.MEMO_BYTES), so a later
+coefficient choice, or residue degree, only multiplies and sums.
 The table is kept as two arrays, its points and its
 coefficients (KernelTable), from which the one-step matrices are gathered
 by flat index; route B cross-multiplies its vectors by their X^0 terms
@@ -77,12 +81,12 @@ from .hyperg import teichmueller_orbit
 from .oracle import orbit_degree
 # teichmueller is unused here; perfbench/tracing.py patches it by name
 # default_s_cut, route A's cutoff, is unused here; tests import it from dwork
-from .padic import (RingElem, accumulate_limb, centred_mod, check_product_precision,
+from .padic import (Memo, RingElem, accumulate_limb, centred_mod, check_product_precision,
                     default_s_cut, horner, kernel_cut, law_plan, law_product, law_rows,
                     matmul_mod, newton_root, nonzero_slots, powers, product_limbs,
                     reduce_mod, ring_array, ring_elems, slot_group, split_limbs,
-                    splitting_coefficients, teichmueller, view_index, zq_powers,
-                    zq_values)
+                    split_p, splitting_coefficients, teichmueller, view_index,
+                    zq_powers, zq_values)
 from .weights import (build_weight_data, enumerate_weighted_monomials, in_cone,
                       lattice_solutions, scaled_weights, weight)
 
@@ -114,20 +118,28 @@ def bigF_coefficient(lam, mu, W, ring, sc, s_cut=None, pows=None):
     return acc
 
 
-def _gamma_contract(ring, gpow, s, first, sums):
-    """coeffs (k, p-1, m) of B_mu = sum_s gamma^s z_(mu,s) over the buckets
-    (mu, s) of kernel_sweep, sorted by mu and then s: s and sums hold their
-    s and z, first where each of the k mu begins, and gpow the pi-row
-    digits of gamma^0, gamma^1, ..., (s_cut + 1, p-1).
-
-    A mu's s run from its least, smin(mu), in steps of g, the gcd of every
-    s - smin(mu) (3 on triangle, where s = mu_1 + mu_2 + 3 nu_3; a single
-    s on edge), so z_(mu,s) is laid out at column (s - smin(mu))/g of a row
-    of mu, the rows sorted by smin.  Each run of rows of one smin = v
-    contracts its columns with gamma^v, gamma^(v+g), ... in one
-    padic.matmul_mod: per bucket, p - 1 products, where one matmul over
-    every s, 0..s_cut, would form (s_cut + 1)(p - 1) per mu.
+@dataclass(frozen=True)
+class GammaLayout:
+    """Where _gamma_contract lays the buckets (mu, s) of a sweep, sorted by
+    mu and then s: as rows of a matrix Z (k * width, m), where row
+    r * width + c is column c of mu's row r, bucket i at row index[i].
+    The rows of mu are sorted by smin(mu), the least s of mu.  The s of a
+    mu run from smin(mu) in steps of g, the gcd of every s - smin(mu) (3 on
+    triangle, where s = mu_1 + mu_2 + 3 nu_3; a single s on edge), so the
+    column is (s - smin(mu))/g.  runs holds (r0, r1, v, L) for each run of
+    rows r0 <= r < r1 of one smin = v, L their widest, and rank[i] the row
+    of the i-th mu in sorted order.
     """
+    index: np.ndarray
+    width: int
+    g: int
+    runs: tuple
+    rank: np.ndarray
+
+
+def _gamma_layout(s, first):
+    """GammaLayout of the buckets whose s are `s`, sorted by mu and then s,
+    first where each mu begins."""
     row = np.repeat(np.arange(len(first)), np.diff(first, append=len(s)))
     smin = s[first]
     shift = s - smin[row]
@@ -136,18 +148,119 @@ def _gamma_contract(ring, gpow, s, first, sums):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     width = (np.maximum.reduceat(shift, first)[order] // g + 1).tolist()
-    Z = np.zeros((len(first), ring.m, max(width)), dtype=np.int64)
-    Z[rank[row], :, shift // g] = sums
-    del row, shift
     smin = smin[order].tolist()
     runs, r0 = [], 0
-    for r1 in (np.flatnonzero(np.diff(smin, append=len(gpow))) + 1).tolist():
+    for r1 in (np.flatnonzero(np.diff(smin, append=-1)) + 1).tolist():
         runs.append((r0, r1, smin[r0], max(width[r0:r1])))
         r0 = r1
-    out = np.empty((len(first), ring.m, ring.npi), dtype=np.int64)
-    for r0, r1, v, L in runs:
-        out[r0:r1] = matmul_mod(Z[r0:r1, :, :L], gpow[v::g][:L], ring.pN)
-    return out[rank].transpose(0, 2, 1)
+    index = rank[row] * max(width) + shift // g
+    return GammaLayout(index, max(width), g, tuple(runs), rank)
+
+
+def _gamma_contract(ring, gpow, layout, sums):
+    """coeffs (k, p-1, m) of B_mu = sum_s gamma^s z_(mu,s) for the k mu of
+    a GammaLayout, sums (buckets, m) holding the z of its buckets and gpow
+    the pi-row digits of gamma^0, gamma^1, ..., (s_cut + 1, p-1).  Each run
+    of rows of one smin = v contracts its columns with gamma^v,
+    gamma^(v+g), ... in one padic.matmul_mod: per bucket, p - 1 products,
+    where one matmul over every s, 0..s_cut, would form (s_cut + 1)(p - 1)
+    per mu.
+    """
+    k, L = len(layout.rank), layout.width
+    Z = np.zeros((k * L, ring.m), dtype=np.int64)
+    Z[layout.index] = sums
+    Z = Z.reshape(k, L, ring.m)
+    out = np.empty((k, ring.npi, ring.m), dtype=np.int64)
+    for r0, r1, v, L in layout.runs:
+        out[r0:r1] = matmul_mod(gpow[v::layout.g][:L].T, Z[r0:r1, :L], ring.pN)
+    return out[layout.rank]
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """The part of kernel_sweep that lambda does not enter, for one (A, p,
+    N, s_cut).  levels[a] = (src, e) for A's a-th vector: each state of that
+    level is the state src of the level before times a_e lambda_a^e, the
+    last level's states in bucket order.  A bucket (mu, s) holds the
+    states from starts[i] to the next start; starts is None when each
+    holds one, as on every set whose nu is fixed by mu and |nu| (all the
+    battery's sets but edge).  layout lays the buckets out for
+    _gamma_contract (GammaLayout), points (k, n) holds every mu with a
+    bucket, sorted, and gpow the pi-row digits of gamma^0..gamma^s_cut.
+    Its arrays are read-only and it holds no ring, so one plan serves every
+    lambda and every residue degree m."""
+    levels: tuple
+    starts: np.ndarray
+    layout: GammaLayout
+    points: np.ndarray
+    gpow: np.ndarray
+
+    def nbytes(self):
+        return sum(x.nbytes for x in self.arrays())
+
+    def arrays(self):
+        yield from (x for level in self.levels for x in level)
+        yield from (self.layout.index, self.layout.rank, self.points, self.gpow)
+        if self.starts is not None:
+            yield self.starts
+
+
+# (A's vectors, p, N, s_cut) -> SweepPlan, kept within padic.MEMO_BYTES
+_SWEEPS = Memo()
+
+
+def _sweep_plan(ring, A, sc, s_cut):
+    """The SweepPlan of A, ring.p, ring.N and s_cut, sc the splitting
+    series.
+
+    A state (s, mu), with a z that lambda sets, expands by e = 0..s_cut - s.
+    It is dropped when the a_e of its exponents have orders summing to N or
+    more: then its z is 0 mod p^N at every lambda in Z_q, and at a
+    Teichmueller point, a unit or 0, these are the states whose z is 0 (a
+    zero coefficient leaves zero states in, which sum to nothing).  The last
+    level's states are sorted into their buckets (mu, s).
+    """
+    p, N, S = ring.p, ring.N, s_cut + 1
+    # ord_p a_e, N for a_e = 0 mod p^N
+    ords = np.array([N if a == 0 else min(split_p(a, p)[0], N) for a in sc.a[:S]],
+                    dtype=np.int64)
+    o = np.zeros(1, dtype=np.int64)
+    s = np.zeros(1, dtype=np.int64)
+    mu = np.zeros((1, A.n), dtype=np.int64)
+    levels = []
+    for vec in A.vectors:
+        # state i expands to e = 0..s_cut - s[i]
+        counts = s_cut - s + 1
+        src = np.repeat(np.arange(len(s)), counts)
+        e = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+        o = o[src] + ords[e]
+        live = np.flatnonzero(o < N)
+        src, e, o = src[live], e[live], o[live]
+        s = s[src] + e
+        mu = mu[src] + e[:, None] * np.array(vec, dtype=np.int64)
+        levels.append((src, e))
+    del o, live, src, e
+    lo = mu.min(axis=0)
+    box = tuple(mu.max(axis=0) - lo + 1)
+    # C-order flat indices of the box sort as the vectors do, and s within a mu
+    key = np.ravel_multi_index(tuple((mu - lo).T), box) * S + s
+    del mu, s
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    levels[-1] = tuple(x[order] for x in levels[-1])
+    del order
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    flat, s = np.divmod(key[starts], S)
+    if len(starts) == len(key):
+        starts = None
+    del key
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    points = np.stack(np.unravel_index(flat[first], box), axis=-1) + lo
+    plan = SweepPlan(tuple(levels), starts, _gamma_layout(s, first), points,
+                     np.array(sc.gpow[:S], dtype=np.int64))
+    for x in plan.arrays():
+        x.setflags(write=False)
+    return plan
 
 
 def kernel_sweep(lam, W, ring, sc, s_cut):
@@ -163,10 +276,14 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     partial product is z gamma^s with z in Z_q and s = |nu| so far.  The
     sweep takes A's vectors one level at a time over a batch of states (z,
     s, mu): each state expands by e = 0..s_cut - s into z a_e lam_a^e, one
-    law_product per level, and zero partials drop out.  The states are
-    summed into buckets (mu, s) and contracted with the table of gamma^s
-    (sc.gpow), (s_cut + 1, p-1): pi-row j of B_mu is sum_s (gamma^s)_j
-    z_(mu,s), one integer matmul per run of mu of one least s
+    law_product per level.  The states, their buckets (mu, s) and the
+    layout of the contraction do not depend on lam, and are kept per (A,
+    p, N, s_cut) and process as a SweepPlan (_sweep_plan, _SWEEPS, within
+    padic.MEMO_BYTES): a later sweep only forms lam's powers, one
+    law_product per level, one bucket sum (np.add.reduceat over the
+    states, sorted by bucket) and the contraction with the table of
+    gamma^s (sc.gpow), (s_cut + 1, p-1): pi-row j of B_mu is sum_s
+    (gamma^s)_j z_(mu,s), one integer matmul per run of mu of one least s
     (_gamma_contract).  The coefficients are kept where nonzero, and the
     arrays are the table, with no RingElem per entry.  Entries are int64;
     past the int64 rule PrecisionTooLow is raised before the first
@@ -175,39 +292,26 @@ def kernel_sweep(lam, W, ring, sc, s_cut):
     pN, S = ring.pN, s_cut + 1
     check_product_precision(pN)
     a = np.array(sc.a[:S], dtype=np.int64)
+    rows = [zq_powers(ring, x, s_cut) * a[:, None] % pN  # a_e * lam_a^e
+            for x in zq_values(lam)]
+    key = (W.A.vectors, ring.p, ring.N, s_cut)
+    plan = _SWEEPS.get(key)
+    if plan is None:
+        plan = _sweep_plan(ring, W.A, sc, s_cut)
+        _SWEEPS.keep(key, plan, plan.nbytes())
     z = np.zeros((1, ring.m), dtype=np.int64)
     z[0, 0] = 1
-    s = np.zeros(1, dtype=np.int64)
-    mu = np.zeros((1, W.A.n), dtype=np.int64)
-    for x, vec in zip(zq_values(lam), W.A.vectors):
-        row = zq_powers(ring, x, s_cut) * a[:, None] % pN  # a_e * lam_a^e
-        # state i expands to e = 0..s_cut - s[i]
-        counts = s_cut - s + 1
-        src = np.repeat(np.arange(len(s)), counts)
-        e = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    for (src, e), row in zip(plan.levels, rows):
         z = law_product(ring, z[src], row[e])
-        keep = z.any(axis=-1)
-        z = z[keep]
-        s = (s[src] + e)[keep]
-        mu = (mu[src] + e[:, None] * np.array(vec, dtype=np.int64))[keep]
-    lo = mu.min(axis=0)
-    box = tuple(mu.max(axis=0) - lo + 1)
-    # C-order flat indices of the box sort as the vectors do, and s within
-    # a mu; the states go as soon as they are summed into their buckets
-    key, bucket = np.unique(np.ravel_multi_index(tuple((mu - lo).T), box) * S + s,
-                            return_inverse=True)
-    del mu, s
-    sums = np.zeros((len(key), ring.m), dtype=np.int64)
-    np.add.at(sums, bucket, z)
-    del z, bucket
-    reduce_mod(sums, pN)
-    flat, s = np.divmod(key, S)
-    del key
-    first = np.flatnonzero(np.diff(flat, prepend=-1))
-    coeffs = _gamma_contract(ring, np.array(sc.gpow[:S], dtype=np.int64), s, first, sums)
+    if plan.starts is None:
+        sums = z
+    else:
+        sums = np.add.reduceat(z, plan.starts, axis=0)
+        reduce_mod(sums, pN)
+    del z
+    coeffs = _gamma_contract(ring, plan.gpow, plan.layout, sums)
     keep = coeffs.any(axis=(-2, -1))
-    points = np.stack(np.unravel_index(flat[first[keep]], box), axis=-1) + lo
-    return KernelTable(ring, points, coeffs[keep])
+    return KernelTable(ring, plan.points[keep], coeffs[keep])
 
 
 class KernelTable(Mapping):
@@ -265,10 +369,11 @@ class OperatorData:
     """Shared tables for one (A, lambda-bar, ring) instance.
 
     Holds the Teichmueller orbit, splitting series and the weight-truncated
-    basis (enumerated here unless the caller passes it), and keeps two
-    things: the kernel table of each orbit point and route B's LeftLimbs of
-    each transposed one-step matrix.  One-step matrices are gathered from
-    the tables on every call and not kept.
+    basis (enumerated here unless the caller passes it), and keeps three
+    things per orbit point: its kernel table, the gather index of its
+    one-step matrix (_gather_index), which routes B and C share, and route
+    B's LeftLimbs of its transposed one-step matrix.  One-step matrices are
+    gathered from the tables on every call and not kept.
     """
 
     def __init__(self, spec, W, ring, wmax, s_cut=None, basis=None):
@@ -281,6 +386,7 @@ class OperatorData:
         self.s_cut = kernel_cut(ring) if s_cut is None else s_cut
         self.sc = splitting_coefficients(ring, self.s_cut)
         self._btables = {}
+        self._gathers = {}
         self._dual = {}
 
     def kernel_table(self, oi):
@@ -301,8 +407,11 @@ class OperatorData:
         nu) needs a range test.  dense holds each table point's row and the
         zero row elsewhere: prod((p+1)(max - min) + 1) int32 entries,
         whatever the table's size, for n = 3 about the cube of (p+1)(max -
-        min), 4 MB when that is 100 in every coordinate.
+        min), 4 MB when that is 100 in every coordinate.  Built once per
+        orbit point and kept.
         """
+        if oi in self._gathers:
+            return self._gathers[oi]
         table = self.kernel_table(oi)
         basis = np.array(self.basis, dtype=np.int64)
         top = self.ring.p * basis
@@ -316,7 +425,8 @@ class OperatorData:
         dense[keys[inside] @ stride] = np.flatnonzero(inside)
         vals = np.concatenate([table.coeffs, np.zeros(
             (1,) + table.coeffs.shape[1:], dtype=table.coeffs.dtype)])
-        return vals, dense, (top - lo) @ stride, basis @ stride
+        self._gathers[oi] = vals, dense, (top - lo) @ stride, basis @ stride
+        return self._gathers[oi]
 
     def one_step_matrix(self, oi):
         """Tensor of the one-step operator: entry (omega, nu) = B(p*omega - nu),
@@ -704,8 +814,10 @@ def power_iteration_unit_root(odata):
     NonUnitDivision.  Stop, within power_iteration_budget cycles, when the
     normalizer c_k = a_k/a_(k-1) and the normalized vector v_k/a_k both
     repeat mod p^N, tested by cross-multiplying: a_k a_(k-2) = a_(k-1)^2,
-    then v_k a_(k-1) = v_(k-1) a_k.  Only the stop K inverts: c = a_K/a_(K-1)
-    and the eigenvector v_K/a_K, a ring array on odata.basis.  That stop is
+    then v_k a_(k-1) = v_(k-1) a_k, one ring_array_mul on the pair.  Only
+    the stop K inverts, once, a_K a_(K-1): c = a_K/a_(K-1) and the
+    eigenvector v_K/a_K, a ring array on odata.basis, are read from that
+    inverse.  That stop is
     a certificate: w = v_(K-1)/a_(K-1) has M w = c w with w_0 = 1, so
     det(M - c) = 0 mod p^N (multiply by the adjugate).  Every eigenvalue of
     M but the unit root u is a non-unit, so its difference from c is a unit,
@@ -730,12 +842,16 @@ def power_iteration_unit_root(odata):
         if cycle < 2:
             continue
         diffs.append((a[-1] * a[-3] - a[-2] * a[-2]).valuation())
-        if diffs[-1] is None and np.array_equal(
-                ring_array_mul(ring, vec, ring_array([a[-2]])[0]),
-                ring_array_mul(ring, prev, ring_array([a[-1]])[0])):
-            vec = ring_array_mul(ring, vec, ring_array([a[-1].inverse()])[0])
-            return PowerIterationResult(a[-1] * a[-2].inverse(), vec, diffs,
-                                        cycle, budget)
+        if diffs[-1] is None:
+            # v_k a_(k-1) and v_(k-1) a_k in one product
+            cross = ring_array_mul(ring, np.stack([vec, prev]),
+                                   ring_array(a[-2:])[:, None])
+            if np.array_equal(cross[0], cross[1]):
+                # from inv = 1/(a_K a_(K-1)): c = a_K^2 inv and 1/a_K = a_(K-1) inv
+                inv = (a[-1] * a[-2]).inverse()
+                vec = ring_array_mul(ring, vec, ring_array([a[-2] * inv])[0])
+                return PowerIterationResult(a[-1] * a[-1] * inv, vec, diffs,
+                                            cycle, budget)
     raise NoConvergence(f"normalizers still moving after {budget} cycles")
 
 

@@ -21,7 +21,10 @@ and pi-row (_f0_shells), with no Python object per term.  A shell is
 evaluated in Z_q arrays (_shell_value): each class's lambda^c is gathered
 from power tables built once per run (padic.zq_powers) and multiplied as
 arrays (padic.law_product), and the shell is one padic.matmul_mod over its
-classes and one ring element.  Its last step is
+classes and one ring element.  The shells do not depend on lambda, so
+they are kept per (A, ring, shell range) and process (_kept_shells, within
+padic.MEMO_BYTES), and a later coefficient choice only evaluates them.
+Its last step is
 a function of p and N alone (route_a_last_step).  It stops by an empirical
 rule (see that function), compares steps without dividing, and inverts one
 ring element per run, at the stop; it needs no series inverse.  Its arrays
@@ -50,8 +53,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotARelation, PrecisionUnstable, TooLarge
-from .padic import (agreement, check_product_precision, default_s_cut, law_product,
-                    matmul_mod, pi_pow_digits, split_p, teichmueller,
+from .padic import (Memo, agreement, check_product_precision, default_s_cut,
+                    law_product, matmul_mod, pi_pow_digits, split_p, teichmueller,
                     zq_powers, zq_values)
 from .weights import ExponentSet, lattice_solutions
 
@@ -396,6 +399,26 @@ def _f0_shells(A, ring, s_lo, s_hi):
     return shells, count
 
 
+# Route A's shells per (A's vectors, RingSpec.key, s_lo, s_hi), kept within
+# padic.MEMO_BYTES: they do not depend on lambda, so a later coefficient
+# choice only evaluates them (_shell_value)
+_SHELLS = Memo()
+
+
+def _kept_shells(A, ring, s_lo, s_hi):
+    """_f0_shells(A, ring, s_lo, s_hi), its arrays read-only, from _SHELLS
+    when kept there."""
+    key = (A.vectors, ring.key, s_lo, s_hi)
+    got = _SHELLS.get(key)
+    if got is None:
+        shells, count = _f0_shells(A, ring, s_lo, s_hi)
+        arrays = [x for shell in shells for x in shell]
+        for x in arrays:
+            x.setflags(write=False)
+        got = _SHELLS.keep(key, (tuple(shells), count), sum(x.nbytes for x in arrays))
+    return got
+
+
 def _shell_value(shell, lam_powers, shift, ring):
     """A shell of _f0_shells evaluated at lambda^shift, from lambda's Z_q
     power tables lam_powers (k, q, m), lambda_a^0..lambda_a^(q-1)
@@ -482,12 +505,12 @@ def unit_root_route_A_detailed(spec, W, ring, orbit_length):
     shifts = [p ** i for i in range(orbit_length)]
     values = [ring.one()] * orbit_length  # F_0^(<p^s)(pi*lambda_i); F_0^(<1) = 1
     P = [ring.one()]                        # P_(-1), P_0, ..., P_s
-    shells, terms = _f0_shells(spec.A, ring, 0, first)
+    shells, terms = _kept_shells(spec.A, ring, 0, first)
     terms += 1  # the constant term
     steps = []
     for s in range(last + 1):
         if s > first:
-            (shell,), count = _f0_shells(spec.A, ring, s, s)
+            (shell,), count = _kept_shells(spec.A, ring, s, s)
             terms += count
         else:
             shell = shells[s]

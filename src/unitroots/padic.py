@@ -37,7 +37,8 @@ Newton's iteration.
 
 The Newton lifts here, inverse and newton_root, start from one correct
 pi-digit and double the correct digits each step, so lift_steps(spec) =
-ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result.
+ceil(log2 N(p-1)) steps reach all of O_N; each lift asserts its result,
+and newton_root inverts one element, carrying that inverse along.
 The Teichmueller lift is one Frobenius power of the digit lift, and one
 array rule, pi_pow_digits, gives the digits of pi^k / prod(f!) for route
 A's sums.  Its factorial unit parts come as inverses, from the one prefix
@@ -50,7 +51,8 @@ with gamma == pi (artin_hasse_gamma), so b_e = a_e gamma^e has ord >=
 e/(p-1) and vanishes mod p^N past kernel_cut = N(p-1) - 1.  Its a_e and
 the digits of gamma^e are kept per p and N (splitting_coefficients), so no
 job rebuilds them; these memos, like the factorial tables and the plans,
-hold ints and arrays only and keep no ring alive.  Arrays of
+hold ints and arrays only and keep no ring alive.  So do the tables that
+dwork's sweep and route A keep in a Memo, within MEMO_BYTES each.  Arrays of
 residues are int64 only under the one int64 rule (int64_exact,
 check_product_precision), and ring_array, the one way from elements into
 int64 ring arrays, raises PrecisionTooLow past it.  The
@@ -712,19 +714,24 @@ def lift_steps(spec):
 
 
 def newton_root(coeffs, x):
-    """The root of the polynomial that is congruent to x, by Newton lifting.
+    """The root of the polynomial f that is congruent to x, by Newton lifting.
 
-    x must be a simple root modulo pi, so the derivative there is a unit and
-    each of the lift_steps(spec) steps doubles the number of correct
-    pi-digits.
+    x must be a simple root modulo pi, so the derivative there is a unit.
+    f'(x) is inverted once, at the start, and its inverse y is carried
+    along by one step y <- y (2 - f'(x) y) at each new x: if x and y are
+    right to d pi-digits (x against the root r, y against 1/f'(r)), then
+    x - f(x) y and the new y are right to 2d, so the lift_steps(spec) steps
+    still reach all of O_N.
     """
     spec = x.spec
     dcoeffs = [spec.from_int(k) * c for k, c in enumerate(coeffs) if k >= 1]
+    y, two = horner(dcoeffs, x).inverse(), spec.from_int(2)
     for _ in range(lift_steps(spec)):
         val = horner(coeffs, x)
         if val.is_zero():
             break
-        x = x - val * horner(dcoeffs, x).inverse()
+        x = x - val * y
+        y = y * (two - horner(dcoeffs, x) * y)
     assert horner(coeffs, x).is_zero(), "Newton lift did not converge"
     return x
 
@@ -927,6 +934,35 @@ class SplittingCoeffs:
 
     def __len__(self):
         return len(self.a)
+
+
+# Bytes each Memo keeps: dwork's sweep plans and route A's shells, the
+# tables of a job that do not depend on its coefficients.  A sweep plan of
+# the triangle at p = 61, N = 4 takes about 100 MB, more than it saves.
+MEMO_BYTES = 32 << 20
+
+
+class Memo:
+    """A per-process store of tables that depend on no coefficient choice,
+    key -> value, keys and values holding ints and read-only arrays, never
+    a ring.  keep(key, value, nbytes) keeps value while the values kept
+    stay within MEMO_BYTES, read when it is called; a value past that is
+    used by its caller and not kept.  Nothing is evicted."""
+
+    def __init__(self):
+        self.entries, self.held = {}, 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def get(self, key):
+        return self.entries.get(key)
+
+    def keep(self, key, value, nbytes):
+        if self.held + nbytes <= MEMO_BYTES:
+            self.entries[key] = value
+            self.held += nbytes
+        return value
 
 
 # (p, N) -> (a, gpow): the Artin-Hasse coefficients a_0, a_1, ... mod p^N

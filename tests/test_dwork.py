@@ -398,7 +398,7 @@ def divide_every_cycle(odata):
 def test_power_iteration_divides_once(name):
     # cross-multiplying gives the unit root, eigenvector, normalizer
     # differences and cycle count of a loop that divides every cycle, with
-    # at most two inverses in all, and one tensor product per orbit point
+    # one inverse in all, and one tensor product per orbit point
     # per cycle; p2-kloosterman-f4's orbit has two points
     odata = job_operator(ROUTE_B_JOBS[name])
     want = divide_every_cycle(odata)
@@ -409,7 +409,7 @@ def test_power_iteration_divides_once(name):
         res = power_iteration_unit_root(odata)
     assert (res.u, support(odata, res.eigenvector), res.normalizer_diff_orders,
             res.cycles) == want
-    assert inverse.call_count <= 2
+    assert inverse.call_count == 1
     assert products.call_count == odata.orbit_len * res.cycles
     if name == "certificate":
         assert res.u.digits() == [[1]] and res.cycles == 9
@@ -1301,7 +1301,7 @@ def test_gamma_contraction_at_the_last_moduli(p, N):
     gpow[1::3] = rng.integers(0, pN, size=gpow[1::3].shape)
     sums = np.full((len(s), 2), pN - 1, dtype=np.int64)
     sums[::4, 1] = rng.integers(0, pN, size=sums[::4, 1].shape)
-    got = dwork._gamma_contract(ring, gpow, s, first, sums)
+    got = dwork._gamma_contract(ring, gpow, dwork._gamma_layout(s, first), sums)
     assert got.shape == (3, ring.npi, 2)
     for mu, (lo, run) in enumerate(zip(first.tolist(), runs)):
         for j in range(ring.npi):
@@ -1309,6 +1309,81 @@ def test_gamma_contraction_at_the_last_moduli(p, N):
                 want = sum(int(sums[lo + i, k]) * int(gpow[v, j])
                            for i, v in enumerate(run)) % pN
                 assert got[mu, j, k] == want, (mu, j, k)
+
+
+def _table_arrays(table):
+    return table.points.tolist(), table.coeffs.tolist()
+
+
+def _fresh_sweep(monkeypatch, lam, W, ring, sc, s_cut):
+    # a sweep that builds its own plan and keeps none
+    with monkeypatch.context() as fresh:
+        fresh.setattr(dwork, "_SWEEPS", padic.Memo())
+        return _table_arrays(kernel_sweep(lam, W, ring, sc, s_cut))
+
+
+def test_one_sweep_plan_serves_every_lambda_and_m(monkeypatch):
+    # lambda_1, then lambda_2 at p = 5, N = 4, then the F_25 coefficients of
+    # p5-triangle-f25: one plan, kept at the first sweep, and every table
+    # equal to a sweep made with the memo emptied
+    monkeypatch.setattr(dwork, "_SWEEPS", padic.Memo())
+    W = build_weight_data(TRIANGLE)
+    for m, coeffs in [(1, ((1,), (2,), (1,))), (1, ((3,), (4,), (2,))),
+                      (2, ((0, 1), (1,), (1, 1))), (2, ((1, 0), (1, 1), (0, 2)))]:
+        ring = make_ring(5, m, None, 4)
+        s_cut = kernel_cut(ring)
+        sc = splitting_coefficients(ring, s_cut)
+        lam = tuple(teichmueller(ring, c) for c in coeffs)
+        got = _table_arrays(kernel_sweep(lam, W, ring, sc, s_cut))
+        assert list(dwork._SWEEPS.entries) == [(TRIANGLE.vectors, 5, 4, s_cut)]
+        assert got == _fresh_sweep(monkeypatch, lam, W, ring, sc, s_cut), (m, coeffs)
+    # the battery's p5-triangle, then p5-triangle-f25, through their operators
+    ring1, ring2 = make_ring(5, 1, None, 4), make_ring(5, 2, None, 4)
+    for case_id, ring in (("p5-triangle", ring1), ("p5-triangle-f25", ring2)):
+        od = _battery_operator(case_id, ring)
+        for oi in range(od.orbit_len):
+            assert _table_arrays(od.kernel_table(oi)) == _fresh_sweep(
+                monkeypatch, od.lam_orbit[oi], od.W, ring, od.sc, od.s_cut)
+    assert len(dwork._SWEEPS) == 1
+
+
+def test_sweep_plan_drops_states_by_the_orders_of_a(monkeypatch):
+    # at p = 2, N = 8 past the default cut, a_11 = 0 mod 2^8 and the orders
+    # of a_3, a_4, a_6, a_8, a_10, a_14 and a_15 add up to 8 on some nu:
+    # those states are dropped before any product, whatever lambda is, and
+    # the tables still equal bigF, a zero coefficient and a non-unit too
+    monkeypatch.setattr(dwork, "_SWEEPS", padic.Memo())
+    ring, s_cut = make_ring(2, 2, None, 8), 15
+    W = build_weight_data(TRIANGLE)
+    sc = splitting_coefficients(ring, s_cut)
+    plan = dwork._sweep_plan(ring, TRIANGLE, sc, s_cut)
+    assert [len(src) for src, _ in plan.levels] == [15, 125, 759]  # of 16, 136, 816
+    ords = [split_p(a, 2)[0] if a % ring.pN else 8 for a in sc.a]
+    assert sum(1 for nu in itertools.product(range(s_cut + 1), repeat=3)
+               if sum(nu) <= s_cut and sum(ords[e] for e in nu) < 8) == 759
+    two = RingElem(ring, [[2, 0]])
+    for lam in [tuple(teichmueller(ring, c) for c in ((0, 1), (1,), (1, 1))),
+                (teichmueller(ring, (1, 1)), ring.zero(), teichmueller(ring, (1,))),
+                (two, teichmueller(ring, (0, 1)), two + two)]:
+        table = kernel_sweep(lam, W, ring, sc, s_cut)
+        assert sweep_mismatch(table, lam, W, ring, sc, s_cut) is None
+    assert len(dwork._SWEEPS) == 1
+
+
+def test_a_plan_past_the_budget_is_used_and_not_kept(monkeypatch):
+    monkeypatch.setattr(dwork, "_SWEEPS", padic.Memo())
+    ring = make_ring(3, 1, None, 4)
+    W, s_cut = build_weight_data(TRIANGLE), kernel_cut(ring)
+    sc = splitting_coefficients(ring, s_cut)
+    lam = tuple(teichmueller(ring, (c,)) for c in (1, 2, 2))
+    want = _fresh_sweep(monkeypatch, lam, W, ring, sc, s_cut)
+    size = dwork._sweep_plan(ring, TRIANGLE, sc, s_cut).nbytes()
+    monkeypatch.setattr(padic, "MEMO_BYTES", size - 1)
+    assert _table_arrays(kernel_sweep(lam, W, ring, sc, s_cut)) == want
+    assert not dwork._SWEEPS.entries and dwork._SWEEPS.held == 0
+    monkeypatch.setattr(padic, "MEMO_BYTES", size)
+    assert _table_arrays(kernel_sweep(lam, W, ring, sc, s_cut)) == want
+    assert len(dwork._SWEEPS) == 1 and dwork._SWEEPS.held == size
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (5, 2)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitroots import hyperg
+from unitroots import hyperg, padic
 from unitroots.battery import (BATTERY, DEGENERATE_BATTERY, EXPONENT_SETS,
                                WIDE_P_BATTERY, job_dict)
 from unitroots.errors import NotARelation, PrecisionUnstable
@@ -479,3 +479,43 @@ def test_blocks_and_batches_do_not_change_the_terms(monkeypatch):
         got = [{tuple(c): d for c, d in zip(classes.tolist(), digits.tolist())}
                for classes, digits in shells]
         assert (got, terms) == _shells_reference(A, ring, 1, s_hi), (A, p)
+
+
+def test_route_a_family_sums_its_shells_once(monkeypatch):
+    # the 16 coefficient pairs of p5-kloosterman at N = 4, one after another
+    # in one process: the shells are summed for the first pair alone, and
+    # every record equals a run with the shells memo emptied
+    monkeypatch.setattr(hyperg, "_SHELLS", padic.Memo())
+    sums = []
+    monkeypatch.setattr(hyperg, "_f0_shells",
+                        lambda *args, f=hyperg._f0_shells: sums.append(args) or f(*args))
+    case = next(c for c in BATTERY if c["id"] == "p5-kloosterman")
+
+    def record(coeffs):
+        data = run(job_dict(dict(case, coeffs=coeffs), precision=4, routes=("A",))).data
+        return data["routes"]["A"], data["errors"]
+    pairs = [((c1,), (c2,)) for c1 in range(1, 5) for c2 in range(1, 5)]
+    got = []
+    for coeffs in pairs:
+        got.append(record(coeffs))
+        if coeffs == pairs[0]:
+            first = len(sums)
+    assert first and len(sums) == first
+    assert len({str(r) for r in got}) > 1  # the pairs do not all share a root
+    for coeffs, want in zip(pairs, got):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(hyperg, "_SHELLS", padic.Memo())
+            assert record(coeffs) == want, coeffs
+
+
+def test_shells_past_the_budget_are_used_and_not_kept(monkeypatch):
+    monkeypatch.setattr(hyperg, "_SHELLS", padic.Memo())
+    case = next(c for c in BATTERY if c["id"] == "p3-kloosterman")
+    job = job_dict(case, precision=4, routes=("A",))
+    want = run(job).data["routes"]["A"]
+    held = hyperg._SHELLS.held
+    assert held and len(hyperg._SHELLS)
+    monkeypatch.setattr(hyperg, "_SHELLS", padic.Memo())
+    monkeypatch.setattr(padic, "MEMO_BYTES", 0)
+    assert run(job).data["routes"]["A"] == want
+    assert not hyperg._SHELLS.entries and hyperg._SHELLS.held == 0

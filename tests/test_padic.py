@@ -712,3 +712,27 @@ def test_splitting_identity_at_teichmueller_points(p, m):
         for y in conj:
             value = value * padic.horner(list(sc.b), y)
         assert value == zeta ** (tr.slots[0] % p), xbar
+
+
+@pytest.mark.parametrize("p, m, N", [(p, m, N) for p, last in ((2, 31), (3, 19), (5, 13))
+                                     for m in (1, 2) for N in (4, last)])
+def test_newton_root_inverts_once(monkeypatch, p, m, N):
+    # f = (T - r) h(T) with r and h(r) units, so r is f's one root congruent
+    # to r mod pi, and simple; from x = r + pi w the lift returns r with one
+    # inverse, of f'(x), at N = 4 and at the int64 rule's last N
+    import random
+    ring = make_ring(p, m, None, N)
+    rng = random.Random(p * 100 + m * 10 + N)
+    while True:
+        r, w = rand_elem(ring, rng), rand_elem(ring, rng)
+        h = [rand_elem(ring, rng) for _ in range(3)] + [ring.one()]
+        if r.is_unit() and padic.horner(h, r).is_unit() and not (ring.pi() * w).is_zero():
+            break
+    f = [-r * h[0]] + [c - r * d for c, d in zip(h, h[1:])] + [h[-1]]
+    assert padic.horner(f, r).is_zero()
+    inverses = []
+    inverse = RingElem.inverse
+    monkeypatch.setattr(RingElem, "inverse",
+                        lambda self: inverses.append(self) or inverse(self))
+    assert padic.newton_root(f, r + ring.pi() * w) == r
+    assert len(inverses) == 1

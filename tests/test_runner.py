@@ -134,18 +134,19 @@ def test_job_leaves_no_ring_in_a_cycle():
 
 
 def test_memos_hold_no_ring():
-    """With the cyclic collector off, a job with routes B, C and the oracle
-    leaves no RingSpec or RingElem reachable from padic's memos (plans,
-    splitting digits, factorial tables), and no cyclic garbage."""
-    from unitroots import padic
+    """With the cyclic collector off, a job with every route and the oracle
+    leaves no RingSpec or RingElem reachable from the process's memos
+    (padic's plans, splitting digits and factorial tables, dwork's sweep
+    plans, route A's shells), and no cyclic garbage."""
+    from unitroots import dwork, hyperg, padic
     gc.collect()
     gc.disable()
     try:
-        rep = run(job_dict(CASES["p5-kloosterman"], precision=4,
-                           routes=("B", "C", "oracle"), lmax=3))
-        assert set(rep.data["routes"]) == {"B", "C"} and "oracle" in rep.data
+        rep = run(job_dict(CASES["p5-kloosterman"], precision=4, lmax=3))
+        assert set(rep.data["routes"]) == {"A", "B", "C"} and "oracle" in rep.data
         assert not rep.data["errors"]
-        memos = [padic._PLANS, padic._SPLITTING, padic._FACTORIALS]
+        memos = [padic._PLANS, padic._SPLITTING, padic._FACTORIALS,
+                 dwork._SWEEPS, hyperg._SHELLS]
         assert all(memos)
         # walk what the memos hold, not into classes, modules or functions
         opaque = (type, types.ModuleType, types.FunctionType,

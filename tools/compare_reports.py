@@ -68,7 +68,13 @@ kernel tables only up to N = 12, so it also dumps a kernel grid
 points and coefficients at every orbit point on the triangle and edge sets
 at the int64 rule's last moduli 2^31 (m = 2), 3^19 and 5^13 (m in {1, 2}),
 where the gamma contraction reduces between chunks; the m = 2 coefficients
-generate F_{p^2}.  The jobs reach few of the product kernel's limb
+generate F_{p^2}.  Dwork's sweep plans and route A's shells are kept per
+process and shared by every coefficient choice, so it also dumps a family
+grid (`family_entries`), each family back to back in the one process: the
+route-A record on all 16 coefficient pairs of p5-kloosterman at N = 4, and
+the route-C record and route B's unit root on four coefficient choices of
+p3-triangle and of p5-triangle at N = 8, so that a table leaking from one
+choice into the next shows.  The jobs reach few of the product kernel's limb
 thresholds, so it also dumps a limb-layout grid (`limb_entries`): at p in
 {2, 3, 5, 7, 31} and every N under the int64 rule, the runs of
 contractions K in [1, 2^15] of one limb width with that width and limb
@@ -82,8 +88,8 @@ lattice tests' sets), `build_weight_data`'s facet forms, cone facets, `D`
 and lineality basis, `relation_lattice_basis`, and the basis at
 wmax in {0, 1/2, 3/2, 4, 7}, or the `NotSpanning` or `ValueError` the set
 raises.  Prints each report, series, padic, oracle, route-A, digit,
-solution, route-C, ring, ring-array, windowed-product, kernel, limb-layout
-or weight entry that differs, with the
+solution, route-C, ring, ring-array, windowed-product, kernel, family,
+limb-layout or weight entry that differs, with the
 dotted key paths that were added (`+`), removed (`-`) or changed (`~`) in
 it (a list is one value), then how many entries each path moved in, then
 the matches per kind; exits 1 if any entry differs, else 0.
@@ -540,6 +546,32 @@ def kernel_entries():
     return out
 
 
+# The family grid's coefficient choices, each family run back to back: four
+# lambda-bar of each triangle case for routes B and C at N = 8
+FAMILY_TRIANGLES = {"p3-triangle": ((1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 1, 2)),
+                    "p5-triangle": ((1, 1, 1), (2, 1, 3), (4, 3, 1), (3, 3, 2))}
+
+
+def family_entries():
+    """{name: outcome} for the family grid, from the tree on the path, each
+    family run back to back in this one process, so that a table kept from
+    one coefficient choice and read by the next shows: route_a_record on
+    all 16 coefficient pairs of p5-kloosterman at N = 4, then
+    route_c_record on the four coefficient choices of each case of
+    FAMILY_TRIANGLES at N = 8."""
+    from unitroots.battery import BATTERY
+    cases = {c["id"]: c for c in BATTERY}
+    out = {}
+    for c1, c2 in itertools.product(range(1, 5), repeat=2):
+        case = dict(cases["p5-kloosterman"], coeffs=((c1,), (c2,)))
+        out[f"p5-kloosterman:{c1},{c2}:N4"] = outcome(lambda: route_a_record(case, 4))
+    for cid, choices in FAMILY_TRIANGLES.items():
+        for coeffs in choices:
+            case = dict(cases[cid], coeffs=tuple((c,) for c in coeffs))
+            out[f"{cid}:{coeffs}:N8"] = outcome(lambda: route_c_record(case, 8))
+    return out
+
+
 LIMB_PRIMES = (2, 3, 5, 7, 31)
 LIMB_DIMS = (1, 9, 40, 361, 1500)
 LIMB_TOP = 2 ** 15
@@ -638,8 +670,8 @@ def weight_entries():
 def dump(jobs):
     """{"entries": {name: outcome}, "garbage": {job name: objects}} for the
     jobs and the series, padic, oracle, route-A, digit, solution, route-C,
-    ring, ring-array, windowed-product, kernel, limb-layout and weight
-    grids, run by the tree on the path."""
+    ring, ring-array, windowed-product, kernel, family, limb-layout and
+    weight grids, run by the tree on the path."""
     out, garbage = {}, {}
     for name, config in jobs:
         out[name], garbage[name] = report_outcome(config)
@@ -655,6 +687,7 @@ def dump(jobs):
                for name, value in ring_array_entries().items())
     out.update((f"window:{name}", value) for name, value in window_entries().items())
     out.update((f"kernel:{name}", value) for name, value in kernel_entries().items())
+    out.update((f"family:{name}", value) for name, value in family_entries().items())
     out.update((f"limbs:{name}", value) for name, value in limb_entries().items())
     out.update((f"weights:{name}", value) for name, value in weight_entries().items())
     return {"entries": out, "garbage": garbage}
@@ -730,7 +763,8 @@ def main(argv):
              "route_c": "route-C entries",
              "ring": "ring entries", "ring_array": "ring-array entries",
              "window": "windowed-product entries",
-             "kernel": "kernel entries", "limbs": "limb-layout entries",
+             "kernel": "kernel entries", "family": "family entries",
+             "limbs": "limb-layout entries",
              "weights": "weight entries"}
     for kind in ("reports", *kinds.values()):
         total = [n for n in names if kinds.get(n.split(":")[0], "reports") == kind]
